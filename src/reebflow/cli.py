@@ -83,21 +83,9 @@ def _resolve_flow(args, g: efunc.GridSpec) -> tuple[flowmod.Flow, dict]:
         obj = json.loads(Path(spec).read_text())
         F = flowmod.flow_from_json(obj, g)
     # --lambda composes on top of whatever the config already carries
-    if getattr(args, "lam", None):
+    if args.lam is not None:
         F = flowmod.time_scale(F, args.lam)
     return F, {"flow": str(spec), "lambda": F.lam}
-
-
-def _shift_from_expression(expr: str):
-    code = compile(expr, "<shift>", "eval")
-
-    def k(x, _code=code):
-        ns = dict(efunc._EXPR_NS)
-        ns["x"] = np.asarray(x, dtype=float)
-        out = eval(_code, {"__builtins__": {}}, ns)  # noqa: S307
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(ns["x"])).copy()
-
-    return k
 
 
 def _out_dir(args) -> Path:
@@ -111,7 +99,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_sigma(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid_to(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, _parse_grid(args.grid))
     cfg = RunConfig(
         "sigma", spec, g.to_json(), args.seed, variant=args.variant, tail_window=args.tail_window
     )
@@ -136,9 +124,9 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid_to(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, _parse_grid(args.grid))
     tol = args.tol if args.tol is not None else 1e-9
-    lam = args.lam or 1.0
+    lam = args.lam if args.lam is not None else 1.0
     cfg = RunConfig("roundtrip", spec, g.to_json(), args.seed, lam=lam, tol=tol,
                     c0=args.c0, c1=args.c1)
     F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g, source_spec=spec)
@@ -184,13 +172,13 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_linearize(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid_to(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, _parse_grid(args.grid))
     if not args.homeo:
         raise ValueError("linearize needs --homeo ID")
     if args.lam is None:
         raise ValueError("linearize needs --lambda L with L > 1")
     h = homeomod.gallery_homeo(args.homeo)
-    k = _shift_from_expression(args.shift_expr) if args.shift_expr else None
+    k = efunc.compile_expr(args.shift_expr, "--shift-expr") if args.shift_expr else None
     tol = args.tol if args.tol is not None else 1e-10
     cfg = RunConfig("linearize", spec, g.to_json(), args.seed, lam=args.lam, homeo=args.homeo,
                     tol=tol)
@@ -227,7 +215,7 @@ def _cmd_classify(args) -> int:
         report = flow_classify(F, g=g, tau_std=args.tau_std, tau_ns=args.tau_ns)
     else:
         f, spec = _resolve_function(args)
-        g = efunc.fit_grid_to(f, g)
+        g = efunc.fit_grid(f, g)
         report = classify(f, g, tau_std=args.tau_std, tau_ns=args.tau_ns)
     cfg = RunConfig("classify", spec, g.to_json(), args.seed, tau_std=args.tau_std,
                     tau_ns=args.tau_ns)
@@ -281,7 +269,7 @@ def _cmd_plot(args) -> int:
         print(f"orbit written ({len(rows)} samples, leaf c = {p0.leaf!r})")
         return 0
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid_to(f, g)
+    g = efunc.fit_grid(f, g)
     prof = star_profile(f, g)
     line_plot(
         out / "plot.svg",
@@ -309,7 +297,17 @@ def _add_common(p: argparse.ArgumentParser, flow_input: bool = False) -> None:
     p.add_argument("--grid", help="grid as 'K,m_max' (default 512,40)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="recorded in outputs for reproducibility")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="scale factor")
+    p.add_argument("--lambda", dest="lam", type=_positive, default=None, help="scale factor > 0")
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,10 +27,12 @@ __all__ = [
     "EFunction",
     "GridProfile",
     "builtin",
+    "compile_expr",
     "from_expression",
     "from_csv",
     "sample",
     "diagnose_class",
+    "fit_grid",
     "BUILTIN_NAMES",
 ]
 
@@ -183,7 +184,6 @@ class EFunction:
             self,
             kind="expression",
             fn=lambda x, _f=self.fn, _h=h: _f(np.asarray(_h(x), dtype=float)),
-            domain=(0.0, math.inf) if self.domain == (0.0, math.inf) else self.domain,
             description=f"({self.description})o{label}",
         )
 
@@ -259,21 +259,32 @@ _EXPR_NS = {
 }
 
 
-def from_expression(expr: str, claimed_class: str = "E", description: str = "") -> EFunction:
-    """Closed-form function of ``x`` using a small numpy namespace.
+def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of ``x`` from an expression over a small numpy namespace.
 
-    Intended for quick experiments and tests; the namespace is restricted to
-    elementary functions, not a sandbox against hostile input.
+    The result has the shape of ``x``.  A syntax error, or a name outside the
+    namespace, is a ValueError naming the expression.  The namespace is
+    restricted to elementary functions, not a sandbox against hostile input.
     """
-    code = compile(expr, "<efunction>", "eval")
+    try:
+        code = compile(expr, f"<{what}>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"{what} expression {expr!r} is not valid: {exc.msg}") from None
+    unknown = sorted(set(code.co_names) - set(_EXPR_NS) - {"x"})
+    if unknown:
+        raise ValueError(f"{what} expression {expr!r} uses unknown names: {', '.join(unknown)}")
 
     def fn(x, _code=code):
-        ns = dict(_EXPR_NS)
-        ns["x"] = x
-        out = eval(_code, {"__builtins__": {}}, ns)  # noqa: S307
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
+        x = np.asarray(x, dtype=float)
+        out = eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x})  # noqa: S307
+        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
-    return EFunction("expression", fn, claimed_class, description or expr)
+    return fn
+
+
+def from_expression(expr: str, claimed_class: str = "E", description: str = "") -> EFunction:
+    """Closed-form function of ``x`` (see :func:`compile_expr`); for experiments and tests."""
+    return EFunction("expression", compile_expr(expr, "function"), claimed_class, description or expr)
 
 
 def from_csv(path: str | Path) -> EFunction:
@@ -391,7 +402,7 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     """
     warnings: list[str] = []
     try:
-        prof = sample(f, _fit_grid(f, g))
+        prof = sample(f, fit_grid(f, g))
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
     grid = prof.grid
@@ -418,7 +429,7 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     return warnings
 
 
-def _fit_grid(f: EFunction, g: GridSpec) -> GridSpec:
+def fit_grid(f: EFunction, g: GridSpec) -> GridSpec:
     """Shrink a grid to a sampled function's domain (no-op for full-domain f)."""
     lo, hi = f.domain
     if lo == 0.0 and hi == math.inf:
@@ -431,12 +442,3 @@ def _fit_grid(f: EFunction, g: GridSpec) -> GridSpec:
     if m_hi <= m_lo:
         raise DomainError("sampled data spans less than one octave below 1")
     return replace(g, octave_max=m_hi)
-
-
-def fit_grid_to(f: EFunction, g: GridSpec) -> GridSpec:
-    """Public wrapper of the domain-fitting rule used by the CLI."""
-    return _fit_grid(f, g)
-
-
-def grid_spec_to_json_str(g: GridSpec) -> str:
-    return json.dumps(g.to_json(), sort_keys=True)

@@ -21,8 +21,11 @@ both ways:
 
 * ``transition_time`` extracts the invariant back out of a flow: for the
   default transversals gamma1(x) = (x, 1) and gamma2(x) = (1, x) the leaf
-  label equals the parameter, and the answer is the exact piecewise
-  integral; for user transversals a crossing is bracketed and bisected in t.
+  label equals the parameter, and the answer is the transit target itself;
+  for user transversals it is the integral of ds / v(s) between the two
+  curves' positions on the leaf, closed form on each linear piece of the
+  speed.  ``flow_step`` and ``orbit_rows`` invert the same integral, so
+  every time of flight and every orbit position is exact to rounding.
 
 ``time_scale`` reparametrizes time, dividing every transition time by the
 factor.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,13 +92,6 @@ class QuarterPlanePoint:
         return self.xi * self.eta, math.log(self.xi)
 
 
-def _from_leaf(c: float, s: float) -> QuarterPlanePoint:
-    if abs(s) > _S_CEILING:
-        raise ValueError(f"leaf position s = {s:g} overflows the exponential range")
-    xi = math.exp(s)
-    return QuarterPlanePoint(xi, c / xi)
-
-
 def standard_step(t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
     """(xi, eta) -> (e^t xi, e^-t eta); exact closed form, axes included."""
     if abs(t) > _S_CEILING:
@@ -145,33 +141,41 @@ class Transversal:
                         f"{label} must meet every leaf once: leaf label not strictly monotone"
                     )
 
-    def point1(self, x: float) -> QuarterPlanePoint:
-        if x <= 0:
+    def gamma1(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(xi, eta) of the first curve at parameters x > 0 (arrays)."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0):
             raise DomainError("transversal parameter must be positive")
         if self.is_default:
-            return QuarterPlanePoint(float(x), 1.0)
-        g1 = np.asarray(self.gamma1_nodes, dtype=float)
-        lx = np.log(g1[:, 0])
-        q = math.log(x)
-        if q < lx[0] or q > lx[-1]:
-            raise DomainError(f"parameter {x:g} outside gamma1 node range")
-        xi = math.exp(float(np.interp(q, lx, np.log(g1[:, 1]))))
-        eta = math.exp(float(np.interp(q, lx, np.log(g1[:, 2]))))
-        return QuarterPlanePoint(xi, eta)
+            return x, np.ones_like(x)
+        g1 = np.log(np.asarray(self.gamma1_nodes, dtype=float))
+        xi, eta = (np.exp(_log_interp(x, g1[:, 0], g1[:, j], "gamma1 parameter")) for j in (1, 2))
+        return xi, eta
 
-    def s_on_leaf2(self, c: float) -> float:
-        """s-coordinate at which the second curve meets leaf c."""
+    def point1(self, x: float) -> QuarterPlanePoint:
+        xi, eta = self.gamma1(x)
+        return QuarterPlanePoint(float(xi), float(eta))
+
+    def s_on_leaf2(self, c) -> np.ndarray:
+        """s-coordinate at which the second curve meets leaves c (arrays)."""
+        c = np.asarray(c, dtype=float)
         if self.is_default:
-            return 0.0  # gamma2 lies on {xi = 1}
+            return np.zeros_like(c)  # gamma2 lies on {xi = 1}
         g2 = np.asarray(self.gamma2_nodes, dtype=float)
         lc = np.log(g2[:, 0] * g2[:, 1])
         ls = np.log(g2[:, 0])
         if lc[0] > lc[-1]:
             lc, ls = lc[::-1], ls[::-1]
-        q = math.log(c)
-        if q < lc[0] or q > lc[-1]:
-            raise DomainError(f"leaf c = {c:g} outside gamma2 node range")
-        return float(np.interp(q, lc, ls))
+        return _log_interp(c, lc, ls, "gamma2 leaf")
+
+
+def _log_interp(v: np.ndarray, lv: np.ndarray, out: np.ndarray, what: str) -> np.ndarray:
+    """Interpolate at ln v between nodes (lv ascending, out); no extrapolation."""
+    q = np.log(v)
+    outside = (q < lv[0]) | (q > lv[-1])
+    if np.any(outside):
+        raise DomainError(f"{what} {float(v[outside].flat[0]):g} outside the curve's node range")
+    return np.interp(q, lv, out)
 
 
 DEFAULT_TRANSVERSAL = Transversal()
@@ -207,19 +211,17 @@ class Flow:
         """Unscaled transit target over s in [ln c, 0] (equals -ln c if standard)."""
         arr = np.asarray(c, dtype=float)
         if self.base == "standard":
-            out = -np.log(arr)
-        else:
-            out = np.asarray(self.transit_target(arr), dtype=float)
-        return out
+            return -np.log(arr)
+        return np.asarray(self.transit_target(arr), dtype=float)
 
-    def prescribed_speed(self, c: float) -> float:
+    def prescribed_speed(self, c) -> np.ndarray:
         """The uniform speed r(c) on the segment [ln c, 0] (before time scaling)."""
-        if self.base == "standard" or c >= self.c1:
-            return 1.0
-        T = float(self.transit(c))
-        if T <= 0.0:
-            raise RuntimeError(f"transit target not positive at leaf {c:g}; cannot occur")
-        return -math.log(c) / T
+        c = np.asarray(c, dtype=float)
+        r = np.ones(c.shape)
+        if self.base == "realized":
+            lo = c < self.c1
+            r[lo] = -np.log(c[lo]) / self.transit(c[lo])
+        return r
 
 
 def standard_flow() -> Flow:
@@ -238,7 +240,9 @@ def build_flow(
     The prescription window is (0, c0]; T blends to -ln c over [c0, c1] with
     a smoothstep in log c and is standard above c1.  If the minimum of f
     over the grid nodes in (0, c1] is <= 0, f is lifted so the minimum is
-    0.1 and the constant is recorded in ``shift``.
+    0.1 and the constant is recorded in ``shift``.  The transit target is
+    checked to be positive wherever it is evaluated below c1, so a profile
+    that dips below the lift between grid nodes raises DomainError there.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -266,6 +270,9 @@ def build_flow(
             w = (np.log(cm) - math.log(_c0)) / (math.log(_c1) - math.log(_c0))
             u = w * w * (3.0 - 2.0 * w)
             out[mid] = (1.0 - u) * (np.asarray(_f(cm), dtype=float) + _shift) + u * (-np.log(cm))
+        bad = ~hi & ~(out > 0.0)
+        if np.any(bad):
+            raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
         return out
 
     flow = Flow(
@@ -278,9 +285,7 @@ def build_flow(
         grid=g,
         source_spec=source_spec,
     )
-    check = np.asarray(flow.transit(x[sel]), dtype=float)
-    if np.any(check <= 0.0):
-        raise RuntimeError("transit target not positive after shift; cannot occur by construction")
+    transit(x[sel])  # a flow that is not positive on the grid fails here
     return flow
 
 
@@ -293,126 +298,107 @@ def time_scale(F: Flow, lam: float) -> Flow:
 
 # -- leafwise motion ---------------------------------------------------------
 
-
-def _segments(F: Flow, c: float) -> list[tuple[float, float, float, float]]:
-    """Speed pieces on leaf c as (left, right, v_left, v_right), v linear."""
-    r = F.prescribed_speed(c)
-    if r == 1.0:
-        return [(-math.inf, math.inf, 1.0, 1.0)]
-    lc = math.log(c)
-    return [
-        (-math.inf, lc - 1.0, 1.0, 1.0),
-        (lc - 1.0, lc, 1.0, r),
-        (lc, 0.0, r, r),
-        (0.0, 1.0, r, 1.0),
-        (1.0, math.inf, 1.0, 1.0),
-    ]
+# sign of the speed's slope on the five pieces cut by the breakpoints
+_RAMP = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
 
 
-def _advance_s(F: Flow, c: float, s: float, t: float) -> float:
-    """Move time t along leaf c from position s; exact per piece.
+def _pieces(F: Flow, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r(c) and the breakpoints (ln c - 1, ln c, 0, 1) of the speed on leaves c."""
+    lc = np.minimum(np.log(c), 0.0)  # r = 1 above c1 < 1: the clamp only keeps the order
+    b = np.stack([lc - 1.0, lc, np.zeros_like(lc), np.ones_like(lc)], axis=-1)
+    return F.prescribed_speed(c), b
 
-    Constant pieces advance linearly; linear-ramp pieces integrate
-    ds/dtau = v(s) to an exponential of an affine function (expm1/log1p
-    forms keep shallow ramps stable).  Time scaling multiplies speed.
+
+def _speed(r, lc, s):
+    """v(s): r on [ln c, 0], 1 beyond one unit outside it, linear between.
+
+    Anchored at r, so the slow segment's speed is exact even for r ~ 1e-12.
     """
-    remaining = t * F.lam
-    if remaining == 0.0:
-        return s
-    segs = _segments(F, c)
-    forward = remaining > 0
-    for _ in range(len(segs) + 2):
-        idx = _segment_index(segs, s, forward)
-        left, right, v_l, v_r = segs[idx]
-        width = right - left
-        slope = 0.0 if not math.isfinite(width) else (v_r - v_l) / width
-        v_here = v_l if slope == 0.0 else v_l + slope * (s - left)
-        edge = right if forward else left
-        if math.isfinite(edge):
-            if slope == 0.0:
-                t_edge = (edge - s) / v_here
-            else:
-                t_edge = math.log1p(slope * (edge - s) / v_here) / slope
-        else:
-            t_edge = math.inf if forward else -math.inf
-        if abs(remaining) <= abs(t_edge):
-            if slope == 0.0:
-                s_new = s + v_here * remaining
-            else:
-                s_new = s + v_here * math.expm1(slope * remaining) / slope
-            if abs(s_new) > _S_CEILING:
-                raise ValueError(f"time overflow: |s| = {abs(s_new):g} beyond range")
-            return s_new
-        s = edge
-        remaining -= t_edge
-        if abs(s) > _S_CEILING:
-            raise ValueError(f"time overflow: |s| = {abs(s):g} beyond range")
-    raise RuntimeError("segment walk failed to terminate")  # pragma: no cover
+    return r + (1.0 - r) * np.clip(np.maximum(lc - s, s), 0.0, 1.0)
 
 
-def _segment_index(segs, s: float, forward: bool) -> int:
-    for i, (left, right, _, _) in enumerate(segs):
-        if left < s < right:
-            return i
-        if s == left:  # on a breakpoint: pick the segment in the motion direction
-            return i if forward else max(i - 1, 0)
-        if s == right:
-            return min(i + 1, len(segs) - 1) if forward else i
-    raise RuntimeError(f"position s = {s:g} not located")  # pragma: no cover
+def _travel(r, b, s1, s2) -> np.ndarray:
+    """Unscaled time from s1 to s2, the integral of ds / v(s), summed per piece.
+
+    A constant piece takes width / v, a ramp log1p(slope * width / v) / slope.
+    Per-piece sums keep full relative precision where one piece dominates (a
+    transit of 1e12 on the slow segment), which a difference of one global
+    antiderivative would cancel away.
+    """
+    outer = np.full_like(b[..., :1], np.inf)
+    lo = np.concatenate([-outer, b], axis=-1)
+    hi = np.concatenate([b, outer], axis=-1)
+    p = np.clip(s1[..., None], lo, hi)
+    q = np.clip(s2[..., None], lo, hi)
+    v = _speed(r[..., None], b[..., 1:2], p)
+    k = (1.0 - r[..., None]) * _RAMP
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = np.log1p(k * (q - p) / v) / k
+    return np.sum(np.where(k == 0.0, (q - p) / v, ramp), axis=-1)
+
+
+def _leaf_time(F: Flow, c, s1, s2) -> np.ndarray:
+    """Time for the flow to move points of leaves c from s1 to s2 (equal-shape arrays)."""
+    return _travel(*_pieces(F, c), s1, s2) / F.lam
+
+
+def _leaf_position(F: Flow, c, s0, t) -> np.ndarray:
+    """Position after time t from s0 along leaves c; the inverse of _leaf_time.
+
+    The motion ends in the piece after the last breakpoint it reaches (from a
+    breakpoint, the piece in the direction of motion); inside that piece the
+    position is closed form, with expm1 on ramps.
+    """
+    c, s0, tau = np.broadcast_arrays(c, s0, np.multiply(t, F.lam))
+    r, b = _pieces(F, c)
+    ahead = np.where(tau < 0.0, -1.0, 1.0)
+    # time to each breakpoint, counted in the direction of motion
+    to_b = np.stack([_travel(r, b, s0, b[..., j]) for j in range(4)], axis=-1) * ahead[..., None]
+    reached = (to_b >= 0.0) & (to_b <= np.abs(tau)[..., None])
+    p = ahead * np.max(np.where(reached, b, s0[..., None]) * ahead[..., None], axis=-1)
+    rem = tau - ahead * np.max(np.where(reached, to_b, 0.0), axis=-1)
+    behind = np.where(ahead[..., None] > 0.0, b <= p[..., None], b < p[..., None])
+    k = (1.0 - r) * _RAMP[np.sum(behind, axis=-1)]
+    v = _speed(r, b[..., 1], p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(k == 0.0, p + v * rem, p + v * np.expm1(k * rem) / k)
+    if not np.all(np.abs(s) <= _S_CEILING):
+        raise ValueError(f"time overflow: |s| = {float(np.max(np.abs(s))):g} beyond range")
+    return s
+
+
+def _user_transition(F: Flow, tv: Transversal, x) -> np.ndarray:
+    """Time from gamma1(x) to the second curve, along each leaf gamma1 meets."""
+    xi, eta = tv.gamma1(x)
+    c = xi * eta
+    return _leaf_time(F, c, np.log(xi), tv.s_on_leaf2(c))
 
 
 def flow_step(F: Flow, t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
     """Advance p by time t.  The leaf label xi * eta is preserved exactly."""
     if F.base == "standard":
         return standard_step(t * F.lam, p)
-    if not p.interior:
-        raise DomainError("realized flows are defined on interior points only")
-    c, s = p.leaf_coords()
-    return _from_leaf(c, _advance_s(F, c, s, t))
+    c, s = p.leaf_coords()  # realized flows move interior points only
+    xi = math.exp(float(_leaf_position(F, c, s, t)))
+    return QuarterPlanePoint(xi, c / xi)
 
 
-def transition_time(
-    F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1.0, time_ceiling: float = 1e7
-) -> float:
+def transition_time(F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1.0) -> float:
     """Time for the flow to carry gamma1(x) onto the second curve.
 
     Default transversals: the start sits on leaf c = x at s = ln c, the
     target at s = 0, and the uniform-speed segment covers exactly that
     range, so the answer is the transit target in closed form (divided by
-    the time-scale factor).  User transversals: the crossing indicator
-    s(t) - s_target is monotone, so the crossing is bracketed by doubling
-    and bisected to 1e-10.
+    the time-scale factor).  User transversals: the closed-form integral of
+    ds / v(s) between the two curves' positions on the leaf of gamma1(x).
     """
     if x <= 0:
         raise DomainError("transition parameter must be positive")
     if tv.is_default:
-        c = float(x) * 1.0
         if F.base == "standard":
-            return -math.log(c) / F.lam
-        return float(F.transit(c)) / F.lam
-    p1 = tv.point1(x)
-    if not p1.interior:
-        raise DomainError("gamma1 point must be interior")
-    c, s1 = p1.leaf_coords()
-    s2 = tv.s_on_leaf2(c)
-    if s1 == s2:
-        return 0.0
-    direction = 1.0 if s2 > s1 else -1.0
-    t_hi = direction * max(abs(s2 - s1), 1e-9)
-    while (_advance_s(F, c, s1, t_hi) - s2) * direction < 0:
-        t_hi *= 2.0
-        if abs(t_hi) > time_ceiling:
-            raise ValueError(f"orbit does not reach the second curve within |t| <= {time_ceiling:g}")
-    t_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if (_advance_s(F, c, s1, mid) - s2) * direction < 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if abs(t_hi - t_lo) <= 1e-10 * max(1.0, abs(t_hi)):
-            break
-    return 0.5 * (t_lo + t_hi)
+            return -math.log(x) / F.lam
+        return float(F.transit(float(x))) / F.lam
+    return float(_user_transition(F, tv, [x])[0])
 
 
 def extract_transition(
@@ -420,28 +406,21 @@ def extract_transition(
 ) -> EFunction:
     """The transition-time function of a flow as an evaluable EFunction."""
     if tv.is_default:
-        if F.base == "standard":
-            fn = lambda x, _l=F.lam: -np.log(np.asarray(x, dtype=float)) / _l  # noqa: E731
-        else:
-            fn = lambda x, _F=F: np.asarray(_F.transit(x), dtype=float) / _F.lam  # noqa: E731
+        fn = lambda x, _F=F: np.asarray(_F.transit(x), dtype=float) / _F.lam  # noqa: E731
     else:
-
-        def fn(x, _F=F, _tv=tv):
-            arr = np.asarray(x, dtype=float)
-            out = np.array([transition_time(_F, _tv, float(v)) for v in arr.ravel()])
-            return out.reshape(arr.shape)
-
-    label = f"transition({F.kind})"
-    return EFunction("expression", fn, "E", label)
+        fn = lambda x, _F=F, _tv=tv: _user_transition(_F, _tv, x)  # noqa: E731
+    return EFunction("expression", fn, "E", f"transition({F.kind})")
 
 
 def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[tuple[float, float, float]]:
-    """(t, xi, eta) samples of the orbit through p0."""
-    rows = []
-    for t in times:
-        p = flow_step(F, float(t), p0)
-        rows.append((float(t), p.xi, p.eta))
-    return rows
+    """(t, xi, eta) samples of the orbit through p0, as Python floats."""
+    t = np.asarray(times, dtype=float).tolist()
+    if F.base == "standard":
+        pts = [flow_step(F, v, p0) for v in t]
+        return [(v, q.xi, q.eta) for v, q in zip(t, pts)]
+    c, s0 = p0.leaf_coords()
+    xi = np.exp(_leaf_position(F, c, s0, t))
+    return list(zip(t, xi.tolist(), (c / xi).tolist()))
 
 
 def orbit_to_csv(path, rows) -> None:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .efunc import GridSpec, _EXPR_NS
+from .efunc import GridSpec, compile_expr
 
 __all__ = [
     "Homeo",
@@ -103,23 +103,8 @@ def homeo_from_callable(
 
 def homeo_from_expression(expr: str, inverse_expr: str | None = None) -> Homeo:
     """Homeo from a formula in ``x`` (same namespace as EFunction expressions)."""
-    code = compile(expr, "<homeo>", "eval")
-
-    def fn(x, _code=code):
-        ns = dict(_EXPR_NS)
-        ns["x"] = x
-        return np.asarray(eval(_code, {"__builtins__": {}}, ns), dtype=float)  # noqa: S307
-
-    inv = None
-    if inverse_expr is not None:
-        icode = compile(inverse_expr, "<homeo-inverse>", "eval")
-
-        def inv(x, _code=icode):  # type: ignore[misc]
-            ns = dict(_EXPR_NS)
-            ns["x"] = x
-            return np.asarray(eval(_code, {"__builtins__": {}}, ns), dtype=float)  # noqa: S307
-
-    return _verify(fn, inv, expr)
+    inv = None if inverse_expr is None else compile_expr(inverse_expr, "homeo inverse")
+    return _verify(compile_expr(expr, "homeo"), inv, expr)
 
 
 def gallery_homeo(ident: str) -> Homeo:

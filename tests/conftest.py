@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -22,3 +25,17 @@ def grid():
 def small_grid():
     """Coarser grid for property tests that run many examples."""
     return GridSpec(samples_per_octave=64, octave_max=24, tail_octaves=10)
+
+
+@pytest.fixture
+def spike_flow(tmp_path):
+    """A flow JSON whose CSV source is -ln x on the (512, 12) grid nodes plus
+    one off-grid row 0.30005,-5.0: positive on the grid, negative between two
+    nodes.  Returns (path, grid)."""
+    g = GridSpec(octave_max=12)
+    rows = sorted([(float(v), -math.log(v)) for v in g.nodes()] + [(0.30005, -5.0)], reverse=True)
+    data = tmp_path / "spike.csv"
+    data.write_text("x,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    flow = tmp_path / "spike.json"
+    flow.write_text(json.dumps({"kind": "realized", "f": {"csv": str(data)}}))
+    return flow, g

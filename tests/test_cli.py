@@ -17,6 +17,16 @@ def load(path):
     return json.loads(path.read_text())
 
 
+BAD_LAMBDAS = ["0", "-2", "nan", "inf"]
+
+
+def assert_lambda_rejected(capsys, tmp_path, *argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert "--lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSigmaCommand:
     def test_builtin_flat(self, tmp_path):
         out = tmp_path / "o"
@@ -83,6 +93,11 @@ class TestRoundtripCommand:
         assert obj["flow"]["kind"] == "time_scaled"
         assert obj["max_error"] <= 1e-9
 
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
+        # regression: --lambda 0 was read as 1 and recorded as "lambda": 1.0
+        assert_lambda_rejected(capsys, tmp_path, "roundtrip", "--builtin", "std_log", "--lambda", lam)
+
 
 class TestLinearizeCommand:
     def test_derived_shift(self, tmp_path):
@@ -121,6 +136,22 @@ class TestLinearizeCommand:
     def test_missing_homeo_is_usage_error(self, tmp_path):
         assert run("linearize", "--builtin", "std_log", "--lambda", "2", "--out", str(tmp_path)) == 2
 
+    def test_malformed_homeo_expression_is_usage_error(self, capsys, tmp_path):
+        code = run(
+            "linearize", "--builtin", "koenigs_demo", "--homeo", "x**(", "--lambda", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "'x**('" in capsys.readouterr().err
+
+    def test_unknown_name_in_shift_expression_is_usage_error(self, capsys, tmp_path):
+        code = run(
+            "linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2",
+            "--shift-expr", "foo(x)", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "foo" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_builtin(self, tmp_path):
@@ -151,6 +182,10 @@ class TestClassifyCommand:
         cfgp.write_text("{not json")
         assert run("classify", "--flow", str(cfgp), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
+        assert_lambda_rejected(capsys, tmp_path, "classify", "--flow", "standard", "--lambda", lam)
+
 
 class TestTransitionCommand:
     def test_standard_value(self, tmp_path):
@@ -161,6 +196,21 @@ class TestTransitionCommand:
 
     def test_missing_x(self, tmp_path):
         assert run("transition", "--flow", "standard", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
+        assert_lambda_rejected(
+            capsys, tmp_path, "transition", "--flow", "standard", "--x", "0.5", "--lambda", lam
+        )
+
+    def test_off_grid_dip_is_usage_error(self, capsys, spike_flow, tmp_path):
+        # regression: printed a negative time and exited 0
+        path, _ = spike_flow
+        out = tmp_path / "o"
+        assert run("transition", "--flow", str(path), "--grid", "512,12", "--x", "0.30005",
+                   "--out", str(out)) == 2
+        assert "not positive at leaf c = 0.30005" in capsys.readouterr().err
+        assert not (out / "transition.json").exists()
 
 
 class TestPlotCommand:
@@ -179,6 +229,13 @@ class TestPlotCommand:
         assert run("plot", "--flow", str(cfgp), "--x", "0.125", "--out", str(out)) == 0
         assert (out / "orbit.csv").exists()
         assert (out / "plot.svg").exists()
+
+    def test_off_grid_dip_is_usage_error(self, capsys, spike_flow, tmp_path):
+        # regression: a RuntimeError traceback with exit 1
+        path, _ = spike_flow
+        assert run("plot", "--flow", str(path), "--grid", "512,12", "--x", "0.30005",
+                   "--out", str(tmp_path / "o")) == 2
+        assert "not positive at leaf c = 0.30005" in capsys.readouterr().err
 
 
 class TestDeterminism:

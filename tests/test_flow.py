@@ -23,7 +23,9 @@ from reebflow import (
     time_scale,
     transition_time,
 )
-from reebflow.flow import orbit_rows, orbit_to_csv
+from reebflow.flow import _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
+
+GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 
 
 class TestPoints:
@@ -143,6 +145,14 @@ class TestFlowStep:
         with pytest.raises(DomainError, match="interior"):
             flow_step(F, 1.0, QuarterPlanePoint(0.0, 1.0))
 
+    def test_off_grid_dip_is_domain_error(self, spike_flow):
+        path, g = spike_flow
+        F = flow_from_json(json.loads(path.read_text()), g)
+        with pytest.raises(DomainError, match="not positive at leaf c = 0.30005"):
+            flow_step(F, 1.0, QuarterPlanePoint(0.30005, 1.0))
+        # the grid itself is fine, and so is a leaf away from the dip
+        assert flow_step(F, 1.0, QuarterPlanePoint(0.125, 1.0)).leaf == pytest.approx(0.125, rel=1e-15)
+
     def test_time_overflow(self, grid):
         F = build_flow(builtin("std_log"), g=grid)
         with pytest.raises(ValueError, match="overflow"):
@@ -181,6 +191,11 @@ class TestFlowStep:
 @pytest.fixture(scope="module")
 def flow_cache():
     return build_flow(builtin("doubling_osc"), g=GridSpec())
+
+
+@pytest.fixture(scope="module")
+def gallery_flows():
+    return {name: build_flow(builtin(name, params)) for name, params in GALLERY.items()}
 
 
 class TestTransition:
@@ -267,15 +282,71 @@ class TestUserTransversals:
         with pytest.raises(DomainError, match="range"):
             transition_time(standard_flow(), tv, 2.0 ** -6)
 
-    def test_time_ceiling_reported(self, grid):
-        # at x = 2^-40 the prescribed transit is ~2^40, far beyond the ceiling
-        tv = Transversal(
-            tuple((float(v), float(v), 1.0) for v in np.exp2(-np.linspace(0.0, 41.0, 83))[::-1]),
-            tuple((1.0, float(v)) for v in np.exp2(-np.linspace(0.0, 41.0, 83))[::-1]),
-        )
+    def test_deep_leaf_closed_form(self, grid):
+        # at x = 2^-40 the transit is ~2^40: the per-piece sum keeps it to rounding
+        tv = self._near_default(83, 41.0)
         F = build_flow(builtin("doubling_osc"), g=grid)
-        with pytest.raises(ValueError, match="does not reach"):
-            transition_time(F, tv, 2.0 ** -40)
+        want = float(F.transit(2.0 ** -40))
+        assert transition_time(F, tv, 2.0 ** -40) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("octave", [10, 12, 14])
+    def test_doubling_osc_identity_curves_do_not_overflow(self, octave):
+        # regression: the doubling bracket overshot |s| <= 700 at 2^-10 and 2^-14
+        tv = self._near_default(64, 21.0)
+        F = build_flow(builtin("doubling_osc"))
+        t = transition_time(F, tv, 2.0 ** -octave)
+        assert t == pytest.approx(float(F.transit(2.0 ** -octave)), rel=1e-13)
+        assert t == pytest.approx(2.0 ** octave, rel=1e-12)
+
+    @given(
+        name=st.sampled_from(sorted(GALLERY)),
+        n=st.integers(min_value=2, max_value=120),
+        exps=st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=1, max_size=20),
+    )
+    def test_identity_curves_match_default_closed_form(self, gallery_flows, name, n, exps):
+        F = gallery_flows[name]
+        x = np.exp2(-np.asarray(exps))
+        user = extract_transition(F, tv=self._near_default(n, 40.0))(x)
+        default = extract_transition(F)(x)
+        # relative to max(1, |t|): the interpolated curve puts s = ln x off by
+        # an ulp of |ln x_node| <= 28, which near x = 1, where t -> 0, is not
+        # small relative to t itself
+        np.testing.assert_allclose(user, default, rtol=1e-13, atol=1e-13)
+
+    @given(
+        which=st.sampled_from([("bounded_osc", -60.0), ("doubling_osc", -8.0), ("std_log", -60.0)]),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        ends=st.lists(
+            st.one_of(st.floats(min_value=-45.0, max_value=5.0), st.sampled_from(["lc-1", "lc", 0.0, 1.0])),
+            min_size=2,
+            max_size=2,
+        ),
+        lam=st.floats(min_value=0.25, max_value=4.0),
+    )
+    def test_leaf_position_inverts_leaf_time(self, gallery_flows, which, u, ends, lam):
+        # times stay below ~1e3 here: a time of flight T carries an absolute
+        # rounding of T * 2^-53, which the inverse turns into a position error
+        name, lo = which
+        F = gallery_flows[name]
+        c = np.array([2.0 ** (lo * u) * 0.99])
+        lc = float(np.log(c[0]))
+        s1, s2 = (np.array([{"lc-1": lc - 1.0, "lc": lc}.get(e, e)], dtype=float) for e in ends)
+        t = _leaf_time(time_scale(F, lam), c, s1, s2)
+        assert float(_leaf_position(F, c, s1, t * lam)[0]) == pytest.approx(s2[0], abs=1e-12)
+        assert float(_leaf_position(time_scale(F, lam), c, s1, t)[0]) == pytest.approx(s2[0], abs=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0 ** -30, 0.01, 0.3])
+    def test_leaf_time_matches_quadrature(self, gallery_flows, c):
+        # reference: the speed as the class docstring defines it, integrated
+        # by the trapezoid rule on a fine grid
+        F = gallery_flows["bounded_osc"]
+        lc = math.log(c)
+        r = -lc / float(F.transit(c))
+        knots = [lc - 1.0, lc, 0.0, 1.0]
+        s = np.union1d(np.linspace(lc - 2.5, 2.0, 400_001), knots)
+        want = np.trapezoid(1.0 / np.interp(s, knots, [1.0, r, r, 1.0]), s)
+        got = _leaf_time(F, np.array([c]), s[:1], s[-1:])[0]
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="both curves"):
