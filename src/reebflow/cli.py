@@ -150,10 +150,8 @@ def _cmd_roundtrip(args) -> int:
             "shift": F.shift,
         },
     )
-    with open(out / "roundtrip.csv", "w", newline="") as fh:
-        fh.write("x,f_plus_shift_over_lambda,extracted,error\n")
-        for xr, wr, gr in zip(x, want, got):
-            fh.write(f"{float(xr)!r},{float(wr)!r},{float(gr)!r},{float(gr - wr)!r}\n")
+    efunc.write_csv(out / "roundtrip.csv", ["x", "f_plus_shift_over_lambda", "extracted", "error"],
+                    [x, want, got, got - want])
     line_plot(
         out / "roundtrip_overlay.svg",
         x,
@@ -188,10 +186,7 @@ def _cmd_linearize(args) -> int:
     x = res.probes
     fv = np.asarray(f(x), dtype=float)
     fi = np.asarray(res.f_inf(x), dtype=float)
-    with open(out / "linearize.csv", "w", newline="") as fh:
-        fh.write("x,f,f_inf,f_minus_f_inf\n")
-        for a, b, c in zip(x, fv, fi):
-            fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r},{float(b - c)!r}\n")
+    efunc.write_csv(out / "linearize.csv", ["x", "f", "f_inf", "f_minus_f_inf"], [x, fv, fi, fv - fi])
     line_plot(
         out / "linearize_overlay.svg",
         x,

@@ -33,6 +33,7 @@ __all__ = [
     "sample",
     "diagnose_class",
     "fit_grid",
+    "write_csv",
     "BUILTIN_NAMES",
 ]
 
@@ -262,9 +263,10 @@ _EXPR_NS = {
 def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
     """A function of ``x`` from an expression over a small numpy namespace.
 
-    The result has the shape of ``x``.  A syntax error, or a name outside the
-    namespace, is a ValueError naming the expression.  The namespace is
-    restricted to elementary functions, not a sandbox against hostile input.
+    The result has the shape of ``x``.  A syntax error, a name outside the
+    namespace, or an error while evaluating is a ValueError naming the
+    expression.  The namespace is restricted to elementary functions, not a
+    sandbox against hostile input.
     """
     try:
         code = compile(expr, f"<{what}>", "eval")
@@ -276,8 +278,11 @@ def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
 
     def fn(x, _code=code):
         x = np.asarray(x, dtype=float)
-        out = eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x})  # noqa: S307
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        try:
+            out = eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x})  # noqa: S307
+            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        except Exception as exc:
+            raise ValueError(f"{what} expression {expr!r} failed: {exc}") from exc
 
     return fn
 
@@ -315,6 +320,8 @@ def _parse_csv(text: str, label: str) -> EFunction:
             xv, fv = float(row[0]), float(row[1])
         except ValueError as exc:
             raise ValueError(f"{label}:{lineno}: malformed row {row!r}") from exc
+        if not (math.isfinite(xv) and math.isfinite(fv)):
+            raise ValueError(f"{label}:{lineno}: non-finite value in row {row!r}")
         if xv <= 0:
             raise ValueError(f"{label}:{lineno}: x must be positive, got {xv!r}")
         if xs and xv >= xs[-1]:
@@ -340,6 +347,20 @@ def _parse_csv(text: str, label: str) -> EFunction:
     )
 
 
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """A header row, then the columns side by side as ``repr`` floats, lines ending in ``\\n``.
+
+    Each block of a column is formatted by one ``repr`` of its list, not cell
+    by cell; blocks keep the text held in memory small.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, min(map(len, cols), default=0), 4096):
+            cells = [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
 @dataclass(frozen=True)
 class GridProfile:
     """Values of a function on a grid, with the running maximum toward 0.
@@ -361,11 +382,7 @@ class GridProfile:
         object.__setattr__(self, "running_max", np.maximum.accumulate(self.values))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "f"])
-            for xv, fv in zip(self.x, self.values):
-                w.writerow([repr(float(xv)), repr(float(fv))])
+        write_csv(path, ["x", "f"], [self.x, self.values])
 
     def to_json(self) -> dict:
         return {
@@ -388,7 +405,7 @@ def sample(f: EFunction, g: GridSpec) -> GridProfile:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)]
-        raise DomainError(f"non-finite value at grid node x={bad[0]!r}")
+        raise DomainError(f"non-finite value at grid node x={float(bad[0])!r}")
     return GridProfile(g, x, v)
 
 

@@ -33,14 +33,13 @@ factor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec
+from .efunc import EFunction, GridSpec, write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -424,11 +423,7 @@ def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[t
 
 
 def orbit_to_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "xi", "eta"])
-        for t, xi, eta in rows:
-            w.writerow([repr(t), repr(xi), repr(eta)])
+    write_csv(path, ["t", "xi", "eta"], list(zip(*rows)))
 
 
 def flow_to_json(F: Flow) -> dict:

@@ -24,14 +24,13 @@ perturbation by a continuous shift, and recurrence of its zeros.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, sample
+from .efunc import EFunction, GridSpec, sample, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -105,11 +104,7 @@ class OscillationProfile:
         return rm
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "f", "fstar"])
-            for xv, fv, sv in zip(self.x, self.f_values, self.values):
-                w.writerow([repr(float(xv)), repr(float(fv)), repr(float(sv))])
+        write_csv(path, ["x", "f", "fstar"], [self.x, self.f_values, self.values])
 
     def to_json(self) -> dict:
         return {

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = ["line_plot"]
 
@@ -16,8 +17,25 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _finite(vals):
-    return [v for v in vals if math.isfinite(v)]
+def _decimate(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First, min-y, max-y and last point of each run of points with one ``floor(px)``.
+
+    Runs follow the sequence, so a curve that turns back in x keeps its shape.
+    A series averaging at most four points per run is returned as it is.
+    """
+    col = np.floor(px)
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    n = len(px)
+    if 4 * len(starts) >= n:
+        return px, py
+    lengths = np.diff(np.r_[starts, n])
+    keep = [starts, starts + lengths - 1]
+    for extreme in (np.minimum, np.maximum):
+        # first index of each run where py attains the run's extreme
+        hit = py == np.repeat(extreme.reduceat(py, starts), lengths)
+        keep.append(np.minimum.reduceat(np.where(hit, np.arange(n), n), starts))
+    keep = np.unique(np.concatenate(keep))
+    return px[keep], py[keep]
 
 
 def line_plot(
@@ -30,24 +48,18 @@ def line_plot(
     logx: bool = False,
     logy: bool = False,
 ) -> None:
-    xs = [math.log2(v) if logx else float(v) for v in x]
-    ys_all = []
-    tx = lambda v: math.log2(v) if logx else v  # noqa: E731
-
-    def ty(v):
-        if logy:
-            return math.log2(v) if v > 0 else math.nan
-        return v
-
     data = {}
-    for name, ys in series.items():
-        pts = [(tx(float(a)), ty(float(b))) for a, b in zip(x, ys)]
-        pts = [(a, b) for a, b in pts if math.isfinite(a) and math.isfinite(b)]
-        data[name] = pts
-        ys_all.extend(b for _, b in pts)
-    xs_f = _finite(xs)
-    x_lo, x_hi = (min(xs_f), max(xs_f)) if xs_f else (0.0, 1.0)
-    y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2 of v <= 0 is dropped below
+        xs = np.log2(x) if logx else np.asarray(x, dtype=float)
+        for name, ys in series.items():
+            b = np.log2(ys[: len(xs)]) if logy else np.asarray(ys[: len(xs)], dtype=float)
+            a = xs[: len(b)]
+            ok = np.isfinite(a) & np.isfinite(b)
+            data[name] = (a[ok], b[ok])
+    xs_f = xs[np.isfinite(xs)]
+    ys_all = np.concatenate([np.empty(0), *(b for _, b in data.values())])
+    x_lo, x_hi = (float(xs_f.min()), float(xs_f.max())) if xs_f.size else (0.0, 1.0)
+    y_lo, y_hi = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -90,10 +102,11 @@ def line_plot(
         f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>'
     )
-    for i, (name, pts) in enumerate(data.items()):
+    for i, (name, (a, b)) in enumerate(data.items()):
         color = _COLORS[i % len(_COLORS)]
-        if pts:
-            path_d = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in pts)
+        if a.size:
+            u, v = _decimate(px(a), py(b))
+            path_d = " ".join(f"{p:.2f},{q:.2f}" for p, q in zip(u.tolist(), v.tolist()))
             out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{_ML + pw - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '

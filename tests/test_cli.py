@@ -1,5 +1,6 @@
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestSigmaCommand:
         bad.write_text("x,f\n-1,0\n")
         assert run("sigma", "--csv", str(bad), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_csv_is_usage_error(self, capsys, tmp_path, bad):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x,f\n1.0,0.0\n{bad},1.0\n0.25,2.0\n")
+        assert run("sigma", "--csv", str(data), "--out", str(tmp_path / "o")) == 2
+        assert "bad.csv:3: non-finite value" in capsys.readouterr().err
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run("sigma", "--builtin", "std_log", "--grid", "512", "--out", str(tmp_path)) == 2
 
@@ -92,6 +100,16 @@ class TestRoundtripCommand:
         obj = load(out / "roundtrip.json")
         assert obj["flow"]["kind"] == "time_scaled"
         assert obj["max_error"] <= 1e-9
+
+    def test_csv_error_column_matches_max_error(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("roundtrip", "--builtin", "doubling_osc", "--lambda", "2", "--grid", QUICK,
+                   "--out", str(out)) == 0
+        lines = (out / "roundtrip.csv").read_text().splitlines()
+        assert lines[0] == "x,f_plus_shift_over_lambda,extracted,error"
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert all(r[3] == r[2] - r[1] for r in rows)
+        assert max(abs(r[3]) for r in rows) == load(out / "roundtrip.json")["max_error"]
 
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
@@ -151,6 +169,22 @@ class TestLinearizeCommand:
         )
         assert code == 2
         assert "foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, expr, what",
+        [
+            ("--homeo", "[v for v in x]", "homeo"),
+            ("--homeo", "x[0]", "homeo"),
+            ("--shift-expr", "1/0", "--shift-expr"),
+        ],
+    )
+    def test_expression_failing_at_evaluation_is_usage_error(self, capsys, tmp_path, flag, expr, what):
+        # regression: TypeError, IndexError and ZeroDivisionError tracebacks, exit 1
+        argv = ["linearize", "--builtin", "koenigs_demo", "--lambda", "2", flag, expr]
+        if flag != "--homeo":
+            argv += ["--homeo", "square"]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert f"{what} expression {expr!r} failed" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -236,6 +270,30 @@ class TestPlotCommand:
         assert run("plot", "--flow", str(path), "--grid", "512,12", "--x", "0.30005",
                    "--out", str(tmp_path / "o")) == 2
         assert "not positive at leaf c = 0.30005" in capsys.readouterr().err
+
+
+class TestSvgOutputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sigma", "--builtin", "bounded_osc", "--param", "2", "--grid", QUICK),
+            ("roundtrip", "--builtin", "doubling_osc", "--lambda", "2", "--grid", QUICK),
+            ("linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2"),
+            ("classify", "--builtin", "doubling_osc", "--grid", QUICK),
+            ("plot", "--builtin", "bounded_osc", "--grid", QUICK),
+            ("plot", "--flow", "standard", "--x", "0.125"),
+        ],
+    )
+    def test_every_svg_parses(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert svgs
+        for path in svgs:
+            root = ET.parse(path).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg", path.name
+            for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
+                assert all(len(p.split(",")) == 2 for p in line.get("points").split())
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reebflow import DomainError, GridSpec, builtin, diagnose_class, from_csv, from_expression, sample
+from reebflow.efunc import write_csv
 
 
 class TestBuiltins:
@@ -117,7 +118,8 @@ class TestSample:
 
     def test_nonfinite_rejected(self):
         g = GridSpec(samples_per_octave=2, octave_max=2)
-        with pytest.raises(DomainError, match="non-finite"):
+        # the node prints as a plain float (regression: x=np.float64(0.5))
+        with pytest.raises(DomainError, match=r"non-finite value at grid node x=0\.5$"):
             sample(from_expression("log(x - 0.6)"), g)
 
     def test_csv_writer_round_trips(self, tmp_path):
@@ -171,6 +173,16 @@ class TestCsv:
         with pytest.raises(ValueError, match="malformed"):
             from_csv(self._write(tmp_path, "x,f\n1,zero\n"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_rejected_at_its_row(self, tmp_path, bad, column):
+        # regression: a nan x got past the decreasing check and failed later
+        # at the wrong grid node
+        row = [bad, "1.0"] if column == 0 else ["0.5", bad]
+        p = self._write(tmp_path, f"x,f\n1.0,0.0\n{','.join(row)}\n0.25,2.0\n")
+        with pytest.raises(ValueError, match=r"data\.csv:3: non-finite value"):
+            from_csv(p)
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
             from_csv(self._write(tmp_path, "a,b\n1,0\n"))
@@ -181,6 +193,49 @@ class TestCsv:
             f(0.1)
         with pytest.raises(DomainError):
             f(2.0)
+
+
+class TestWriteCsv:
+    SPECIAL = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0]
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    def test_cells_parse_back_bit_for_bit(self, tmp_path):
+        a = np.array(self.SPECIAL)
+        b = a[::-1].copy()
+        out = tmp_path / "c.csv"
+        write_csv(out, ["a", "b"], [a, list(b)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(self._bits([float(r[0]) for r in rows]), self._bits(a))
+        np.testing.assert_array_equal(self._bits([float(r[1]) for r in rows]), self._bits(b))
+
+    def test_rows_span_blocks_in_order(self, tmp_path):
+        # more rows than one formatting block; the shorter column sets the row count
+        a = np.random.default_rng(1).normal(size=10001) * 1e3
+        out = tmp_path / "c.csv"
+        write_csv(out, ["a", "i"], [a, np.arange(10000.0)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 10000
+        np.testing.assert_array_equal(self._bits([float(r[0]) for r in rows]), self._bits(a[:10000]))
+        assert [float(r[1]) for r in rows] == list(range(10000))
+
+    def test_cells_are_repr(self, tmp_path):
+        out = tmp_path / "c.csv"
+        write_csv(out, ["v"], [np.array(self.SPECIAL)])
+        assert out.read_text().splitlines()[1:] == [repr(v) for v in self.SPECIAL]
+
+    def test_header_as_given_and_newline_endings(self, tmp_path):
+        out = tmp_path / "c.csv"
+        write_csv(out, ["x", "f_minus_f_inf"], [[1.0, 0.5], [2.0, 3.0]])
+        assert out.read_bytes() == b"x,f_minus_f_inf\n1.0,2.0\n0.5,3.0\n"
+
+    @pytest.mark.parametrize("columns", [[], [[], []], [np.empty(0)]])
+    def test_no_rows_writes_header_only(self, tmp_path, columns):
+        out = tmp_path / "c.csv"
+        write_csv(out, ["t", "xi"], columns)
+        assert out.read_bytes() == b"t,xi\n"
 
 
 class TestDiagnosis:
