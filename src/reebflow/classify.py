@@ -20,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .efunc import EFunction, GridSpec, diagnose_class
+from .efunc import EFunction, GridProfile, GridSpec, _diagnose_sample
 from .flow import DEFAULT_TRANSVERSAL, Flow, Transversal, extract_transition
 from .oscillation import (
     EquivalenceWitness,
     SigmaEstimate,
     WitnessReport,
-    check_witness,
-    sigma_estimate,
+    _check_witness,
+    _sampled_profile,
+    sigma_from_profile,
 )
 
 __all__ = [
@@ -76,19 +77,38 @@ def classify(
     shifts: dict | None = None,
     witnesses: tuple[WitnessReport, ...] = (),
 ) -> ClassificationReport:
+    """Verdict from the sigma estimate, with the class-diagnosis warnings.
+
+    f is sampled on g once; the star or sharp profile and the checks of
+    ``diagnose_class`` both read that sample.
+    """
+    _, sigma, verdict, warnings = _classify_sample(f, g, tau_std, tau_ns, variant, tail_window)
+    return ClassificationReport(
+        sigma, verdict, tau_std, tau_ns, witnesses, shifts or {}, provenance, warnings
+    )
+
+
+def _classify_sample(
+    f: EFunction,
+    g: GridSpec,
+    tau_std: float,
+    tau_ns: float,
+    variant: str = "star",
+    tail_window: int = 8,
+) -> tuple[GridProfile, SigmaEstimate, str, tuple[str, ...]]:
+    """The one sample of f on g, and the sigma estimate, verdict and warnings drawn from it."""
     if not tau_std < tau_ns:
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
-    warnings = tuple(diagnose_class(f, g))
-    sigma = sigma_estimate(f, g, variant=variant, tail_window=tail_window)
+    prof, osc = _sampled_profile(f, g, variant)
+    warnings = tuple(_diagnose_sample(f, prof))
+    sigma = sigma_from_profile(osc, tail_window=tail_window)
     if sigma.sigma_hat >= tau_ns:
         verdict = "nonstandard"
     elif sigma.sigma_hat < tau_std and sigma.trend == "vanishing":
         verdict = "standard"
     else:
         verdict = "inconclusive"
-    return ClassificationReport(
-        sigma, verdict, tau_std, tau_ns, witnesses, shifts or {}, provenance, warnings
-    )
+    return prof, sigma, verdict, warnings
 
 
 @dataclass(frozen=True)
@@ -115,10 +135,14 @@ def self_similarity_scan(
     tau_std: float = 1e-3,
     tau_ns: float = 1e-1,
 ) -> ScanReport:
-    """Check each supplied witness lam * f = f o h + k and relate to the verdict."""
-    results = tuple(check_witness(f, None, w, g, tol) for w in witnesses)
+    """Check each supplied witness lam * f = f o h + k and relate to the verdict.
+
+    f is sampled on g once, for the verdict and for the f(x) term of every
+    witness; each witness then evaluates only f(h(x)).
+    """
+    prof, _, verdict, _ = _classify_sample(f, g, tau_std, tau_ns)
+    results = tuple(_check_witness(f, None, w, prof.x, prof.values, tol) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
-    verdict = classify(f, g, tau_std, tau_ns).verdict
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"
     elif all_passed and verdict == "nonstandard":

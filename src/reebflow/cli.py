@@ -340,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")
     _add_common(p, flow_input=True)
-    p.add_argument("--x", type=float, help="transversal parameter")
+    p.add_argument("--x", type=_positive, help="transversal parameter > 0")
     p.set_defaults(fn=_cmd_transition)
 
     p = sub.add_parser("plot", help="profile plot for a function, orbit plot for a flow")
     _add_common(p, flow_input=True)
-    p.add_argument("--x", type=float, help="orbit start parameter (flow input)")
-    p.add_argument("--tmax", type=float, help="orbit time horizon (flow input)")
+    p.add_argument("--x", type=_positive, help="orbit start parameter > 0 (flow input)")
+    p.add_argument("--tmax", type=_positive, help="orbit time horizon > 0 (flow input)")
     p.set_defaults(fn=_cmd_plot)
 
     return ap

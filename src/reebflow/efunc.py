@@ -12,9 +12,10 @@ to K consecutive nodes and behavior as x -> 0 is indexed by octave number.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -78,18 +79,21 @@ class GridSpec:
 
         Built as ldexp(2^(-r/K), -m) with i = m*K + r, so x_{i+K} == x_i / 2
         holds bitwise for every i, and nodes at whole octaves are exact
-        powers of two.
+        powers of two.  Equal specs share one cached read-only array: copy
+        it before writing to it.
         """
-        K = self.samples_per_octave
-        i = np.arange(K * self.octave_min, K * self.octave_max + 1)
-        frac = np.exp2(-(i % K) / K)
-        return np.ldexp(frac, -(i // K))
+        return _nodes(self.samples_per_octave, self.octave_min, self.octave_max)
 
     def tail_nodes(self) -> np.ndarray:
-        """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves]."""
+        """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves], cached and read-only."""
+        return _tail_nodes(self.samples_per_octave, self.tail_octaves)
+
+    def octave_envelopes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-octave max and min of ``values`` (one per node) over each
+        :meth:`octave_slice` window, in one reduction over a strided view."""
         K = self.samples_per_octave
-        j = np.arange(0, K * self.tail_octaves + 1)
-        return np.exp2(j / K)
+        windows = np.lib.stride_tricks.sliding_window_view(values, K + 1)[::K]
+        return windows.max(axis=1), windows.min(axis=1)
 
     def octave_slice(self, m: int) -> slice:
         """Indices of the nodes in the window [2^-(m+1), 2^-m] (both ends in)."""
@@ -118,6 +122,28 @@ class GridSpec:
             octave_max=int(obj.get("m_max", 40)),
             tail_octaves=int(obj.get("tail_octaves", 20)),
         )
+
+
+# The cached arrays live for the whole process.  Each is allocated before the
+# temporaries that fill it: allocated after them, it would sit above their
+# freed heap memory and keep it resident (about 20 MB in a 1M-node run).
+
+
+@functools.lru_cache(maxsize=4)
+def _nodes(K: int, m_min: int, m_max: int) -> np.ndarray:
+    x = np.empty(K * (m_max - m_min) + 1)
+    i = np.arange(K * m_min, K * m_max + 1)
+    np.ldexp(np.exp2(-(i % K) / K), -(i // K), out=x)
+    x.setflags(write=False)
+    return x
+
+
+@functools.lru_cache(maxsize=4)
+def _tail_nodes(K: int, tail_octaves: int) -> np.ndarray:
+    t = np.empty(K * tail_octaves + 1)
+    np.exp2(np.arange(0, K * tail_octaves + 1) / K, out=t)
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)
@@ -363,23 +389,25 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
 
 @dataclass(frozen=True)
 class GridProfile:
-    """Values of a function on a grid, with the running maximum toward 0.
+    """Values of a function on a grid.
 
-    ``running_max[i]`` is the maximum of the sampled values over [x_i, x_0],
-    the computational backbone of the oscillation functionals.
+    ``running_max[i]``, computed on demand, is the maximum of the sampled
+    values over [x_i, x_0], the backbone of the oscillation functionals.
     """
 
     grid: GridSpec
     x: np.ndarray
     values: np.ndarray
-    running_max: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.x.shape != self.values.shape:
             raise ValueError("x and values must have the same shape")
-        object.__setattr__(self, "running_max", np.maximum.accumulate(self.values))
+
+    @property
+    def running_max(self) -> np.ndarray:
+        return np.maximum.accumulate(self.values)
 
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, ["x", "f"], [self.x, self.values])
@@ -415,33 +443,40 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     Finite data cannot certify the limits, so violations are reported as
     warnings rather than rejections.  For class E the per-octave minima of f
     should grow toward 0 (monotone up to a small slack); for class E0 the
-    values near the tail horizon should be small and shrinking.
+    values near the tail horizon should be small and shrinking.  Samples f
+    on ``fit_grid(f, g)``; ``classify`` passes its own sample of f on g to
+    the same check instead of sampling again.
     """
-    warnings: list[str] = []
     try:
         prof = sample(f, fit_grid(f, g))
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
+    return _diagnose_sample(f, prof)
+
+
+def _diagnose_sample(f: EFunction, prof: GridProfile) -> list[str]:
+    """The checks of :func:`diagnose_class` on a sample of ``f``."""
+    warnings: list[str] = []
     grid = prof.grid
-    mins = np.array([prof.values[grid.octave_slice(m)].min() for m in grid.octaves()])
-    sups = np.array([prof.values[grid.octave_slice(m)].max() for m in grid.octaves()])
+    sups, mins = grid.octave_envelopes(prof.values)
     # a divergent f may oscillate, so its window minima may dip; allow dips up
     # to the function's own typical per-octave swing before raising a flag
     allowance = 1.0 + 2.0 * float(np.median(sups - mins))
-    for j in range(2, len(mins)):
-        if mins[j] < np.max(mins[:j]) - allowance:
-            m = grid.octave_min + j
-            warnings.append(
-                f"class E suspect: octave [2^-{m + 1}, 2^-{m}] minimum {mins[j]:.6g} "
-                f"drops more than {allowance:.3g} below the earlier minima"
-            )
-            break
+    # first octave j >= 2 whose minimum drops below max(mins[:j]) - allowance
+    drops = np.flatnonzero(mins[2:] < np.maximum.accumulate(mins)[1:-1] - allowance)
+    if drops.size:
+        j = 2 + int(drops[0])
+        m = grid.octave_min + j
+        warnings.append(
+            f"class E suspect: octave [2^-{m + 1}, 2^-{m}] minimum {mins[j]:.6g} "
+            f"drops more than {allowance:.3g} below the earlier minima"
+        )
     if f.claimed_class == "E0" and f.domain[1] == math.inf:
-        t = np.exp2(np.arange(1, g.tail_octaves + 1, dtype=float))
+        t = np.exp2(np.arange(1, grid.tail_octaves + 1, dtype=float))
         tv = np.abs(f(t))
         if tv[-1] > 0.01 * (1.0 + abs(f(1.0))):
             warnings.append(
-                f"class E0 suspect: |f(2^{g.tail_octaves})| = {tv[-1]:.6g} is not small"
+                f"class E0 suspect: |f(2^{grid.tail_octaves})| = {tv[-1]:.6g} is not small"
             )
     return warnings
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, sample, write_csv
+from .efunc import EFunction, GridProfile, GridSpec, sample, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -118,38 +118,13 @@ class OscillationProfile:
         }
 
 
-def _octave_envelopes(g: GridSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sups = np.empty(g.octave_count)
-    mins = np.empty(g.octave_count)
-    for j, m in enumerate(g.octaves()):
-        window = values[g.octave_slice(m)]
-        sups[j] = window.max()
-        mins[j] = window.min()
-    return sups, mins
-
-
-def _profile_from_values(
-    variant: str, g: GridSpec, x, fv, seed: float | None, tail_max: float | None
-) -> OscillationProfile:
-    runmax = np.maximum.accumulate(fv)
-    if seed is not None:
-        runmax = np.maximum(runmax, seed)
-    vals = runmax - fv  # runmax >= fv elementwise, so vals >= 0 exactly
-    sups, mins = _octave_envelopes(g, vals)
-    cell = float(np.max(np.abs(np.diff(fv)))) if len(fv) > 1 else 0.0
-    return OscillationProfile(variant, g, x, fv, vals, sups, mins, cell, tail_max)
-
-
 def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     """Descending running-max profile referenced to x = 1.
 
     The grid must start at x = 1 (octave_min == 0) so the profile value at
     the first node is exactly 0.
     """
-    if g.octave_min != 0:
-        raise ValueError("star profile needs a grid starting at x = 1 (octave_min = 0)")
-    prof = sample(f, g)
-    return _profile_from_values("star", g, prof.x, prof.values, None, None)
+    return _sampled_profile(f, g, "star")[1]
 
 
 def sharp_profile(f: EFunction, g: GridSpec, tail_bound: float = 0.01) -> OscillationProfile:
@@ -159,20 +134,41 @@ def sharp_profile(f: EFunction, g: GridSpec, tail_bound: float = 0.01) -> Oscill
     [1, 2^tail_octaves]; the magnitude of f at the horizon must fall below
     ``tail_bound`` or the decay claim is rejected.
     """
-    if f.claimed_class != "E0":
+    return _sampled_profile(f, g, "sharp", tail_bound)[1]
+
+
+def _sampled_profile(
+    f: EFunction, g: GridSpec, variant: str = "star", tail_bound: float = 0.01
+) -> tuple[GridProfile, OscillationProfile]:
+    """One sample of f on g, and the star or sharp profile built from it.
+
+    The argument checks and the sharp tail check come before the sample, so
+    a rejected tail is reported ahead of any grid-domain error.
+    """
+    if variant not in ("star", "sharp"):
+        raise ValueError("variant must be 'star' or 'sharp'")
+    if variant == "sharp" and f.claimed_class != "E0":
         raise ValueError("sharp profile requires a function with claimed_class E0")
     if g.octave_min != 0:
-        raise ValueError("sharp profile needs a grid starting at x = 1 (octave_min = 0)")
-    t = g.tail_nodes()
-    tv = np.asarray(f(t), dtype=float)
-    horizon = float(np.abs(tv[-1]))
-    if horizon > tail_bound:
-        raise TailCheckError(
-            f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {tail_bound:g}"
-        )
-    tail_max = float(tv.max())
+        raise ValueError(f"{variant} profile needs a grid starting at x = 1 (octave_min = 0)")
+    tail_max = None
+    if variant == "sharp":
+        tv = np.asarray(f(g.tail_nodes()), dtype=float)
+        horizon = float(np.abs(tv[-1]))
+        if horizon > tail_bound:
+            raise TailCheckError(
+                f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {tail_bound:g}"
+            )
+        tail_max = float(tv.max())
     prof = sample(f, g)
-    return _profile_from_values("sharp", g, prof.x, prof.values, tail_max, tail_max)
+    fv = prof.values
+    vals = np.maximum.accumulate(fv)  # the running max, seeded with the tail max for sharp
+    if tail_max is not None:
+        np.maximum(vals, tail_max, out=vals)
+    vals -= fv  # the running max is >= fv elementwise, so vals >= 0 exactly
+    sups, mins = g.octave_envelopes(vals)
+    cell = float(np.max(np.abs(np.diff(fv)))) if len(fv) > 1 else 0.0
+    return prof, OscillationProfile(variant, g, prof.x, fv, vals, sups, mins, cell, tail_max)
 
 
 @dataclass(frozen=True)
@@ -296,8 +292,14 @@ def check_witness(
     relative to the operand scale: the functions involved span many decades,
     so an absolute residual would be meaningless near 0.  A non-monotone h
     is reported (h_monotone False fails the check), never silently ignored.
+    f is evaluated at the nodes and at their images under h;
+    ``self_similarity_scan`` passes in its one sample of f for the former.
     """
-    x = g.nodes()
+    return _check_witness(f, f2, w, g.nodes(), None, tol)
+
+
+def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessReport:
+    """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled."""
     hx = np.asarray(w.h(x), dtype=float)
     h_monotone = bool(np.all(np.diff(hx) < 0) and np.all(hx > 0))
     kv = w.shift()(x)
@@ -308,11 +310,17 @@ def check_witness(
         lhs = np.asarray(f2(x), dtype=float)
     else:
         mode = "self_similarity"
-        lhs = w.lam * np.asarray(f(x), dtype=float)
+        lhs = w.lam * (np.asarray(f(x), dtype=float) if fx is None else fx)
     if h_monotone:
+        # each full-grid temporary is dropped or reused as soon as it is spent
         rhs = np.asarray(f(hx), dtype=float) + kv
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        rel = np.abs(lhs - rhs) / scale
+        del hx, kv
+        rel = lhs - rhs
+        np.abs(rel, out=rel)
+        scale = np.abs(rhs, out=rhs)
+        np.maximum(scale, np.abs(lhs), out=scale)
+        np.maximum(scale, 1.0, out=scale)
+        rel /= scale
         i = int(np.argmax(rel))
         residual, worst = float(rel[i]), float(x[i])
     else:
@@ -439,8 +447,7 @@ def _perturbation_item(
     f: EFunction, k, g: GridSpec, base: OscillationProfile
 ) -> ItemResult:
     pert = star_profile(f.plus(as_shift(k)), g)
-    diff = np.abs(pert.values - base.values)
-    d_m = np.array([diff[g.octave_slice(m)].max() for m in g.octaves()])
+    d_m = g.octave_envelopes(np.abs(pert.values - base.values))[0]
     m_early = min(5, g.octave_max - 1)
     m_late = min(30, g.octave_max - 1)
     d_early = float(d_m[m_early - g.octave_min])

@@ -17,6 +17,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data, like ``xml.sax.saxutils.escape``, whose
+    import (it loads ``urllib.request``) would cost every run about 40 ms."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _decimate(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First, min-y, max-y and last point of each run of points with one ``floor(px)``.
 
@@ -76,7 +82,7 @@ def line_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>',
         f'<line x1="{_ML}" y1="{_MT + ph}" x2="{_ML + pw}" y2="{_MT + ph}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" stroke="black"/>',
     ]
@@ -96,11 +102,11 @@ def line_plot(
             f'y2="{_MT + ph + 4}" stroke="black"/>'
         )
     out.append(
-        f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{_escape(ylabel)}</text>'
     )
     for i, (name, (a, b)) in enumerate(data.items()):
         color = _COLORS[i % len(_COLORS)]
@@ -110,7 +116,7 @@ def line_plot(
             out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{_ML + pw - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
-            f'fill="{color}">{name}</text>'
+            f'fill="{color}">{_escape(name)}</text>'
         )
     out.append("</svg>")
     with open(path, "w") as fh:

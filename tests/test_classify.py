@@ -1,23 +1,123 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from reebflow import (
+    DomainError,
     EquivalenceWitness,
     GridSpec,
     build_flow,
     builtin,
+    check_witness,
     classify,
+    diagnose_class,
     flow_classify,
+    from_csv,
+    from_expression,
     gallery_homeo,
     self_similarity_scan,
     standard_flow,
     time_scale,
 )
+from reebflow.efunc import fit_grid
 
 
 def shift_k(x):
     x = np.asarray(x, dtype=float)
     return x / (1.0 + x)
+
+
+def counting(f):
+    """f, recording a copy of every array it is evaluated on."""
+    calls = []
+
+    def fn(x, _fn=f.fn):
+        calls.append(np.array(x, dtype=float))
+        return _fn(x)
+
+    return dataclasses.replace(f, fn=fn), calls
+
+
+def grid_calls(calls, g):
+    return [x for x in calls if x.size == g.node_count]
+
+
+class TestOneSample:
+    @pytest.mark.parametrize("variant", ["star", "sharp"])
+    def test_classify_evaluates_f_on_the_grid_once(self, grid, variant):
+        f, calls = counting(builtin("doubling_osc"))
+        classify(f, grid, variant=variant)
+        (x,) = grid_calls(calls, grid)
+        assert np.array_equal(x, grid.nodes())
+
+    def test_scan_evaluates_f_once_plus_once_per_witness(self, grid):
+        f, calls = counting(builtin("doubling_osc"))
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
+            EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
+        ]
+        self_similarity_scan(f, witnesses, grid)
+        x, *at_h = grid_calls(calls, grid)
+        assert np.array_equal(x, grid.nodes())
+        assert len(at_h) == len(witnesses)
+        for hx, w in zip(at_h, witnesses):
+            assert np.array_equal(hx, w.h(grid.nodes()))
+
+    def test_scan_witnesses_match_check_witness(self, grid):
+        f = builtin("bounded_osc", [2.0])
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), shift_k, 2.0),
+            EquivalenceWitness(gallery_homeo("pow:2.0"), 1.5, 2.0),
+        ]
+        rep = self_similarity_scan(f, witnesses, grid)
+        assert rep.results == tuple(check_witness(f, None, w, grid) for w in witnesses)
+
+    @pytest.mark.parametrize("n_witnesses", [0, 1])
+    def test_scan_reports_failing_f_as_sampling_error(self, small_grid, n_witnesses):
+        f = from_expression("x[100000] + 0*x")
+        witnesses = [EquivalenceWitness(gallery_homeo("halve"), None, 2.0)][:n_witnesses]
+        with pytest.raises(DomainError, match="evaluation failed on grid: function expression"):
+            self_similarity_scan(f, witnesses, small_grid)
+
+
+class TestWarningsMatchDiagnosis:
+    @pytest.mark.parametrize(
+        "f,n_warnings",
+        [
+            (builtin("std_log"), 0),
+            (builtin("doubling_osc"), 0),
+            (builtin("bounded_osc", [2.0]), 0),
+            (builtin("koenigs_demo"), 0),
+            (from_expression("1 + 1/x", claimed_class="E0"), 1),  # the E0 tail is not small
+        ],
+        ids=["std_log", "doubling_osc", "bounded_osc", "koenigs_demo", "e0_suspect"],
+    )
+    def test_classify_warnings_are_the_diagnosis(self, small_grid, f, n_warnings):
+        warnings = classify(f, small_grid).warnings
+        assert warnings == tuple(diagnose_class(f, small_grid))
+        assert len(warnings) == n_warnings
+
+    @pytest.fixture
+    def dip_csv(self, tmp_path):
+        # 12 octaves of data that crash back to 0 at 2^-6
+        rows = ["x,f"] + [f"{2.0 ** -m!r},{float(m) if m < 6 else m - 6.0!r}" for m in range(13)]
+        path = tmp_path / "dip.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return from_csv(path)
+
+    def test_shrunk_domain(self, small_grid, dip_csv):
+        g = fit_grid(dip_csv, small_grid)
+        assert g.octave_max == 12 < small_grid.octave_max
+        warnings = diagnose_class(dip_csv, small_grid)
+        assert warnings and warnings[0].startswith("class E suspect")
+        # on the fitted grid (the CLI's path) classify reports the same warnings
+        assert classify(dip_csv, g, tail_window=4).warnings == tuple(warnings)
+        # on the full grid the sample is out of the data's domain
+        msg = f"evaluation outside domain [{2.0 ** -12:g}, 1] for {dip_csv.description}"
+        with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+            classify(dip_csv, small_grid)
 
 
 class TestVerdicts:

@@ -19,6 +19,7 @@ def load(path):
 
 
 BAD_LAMBDAS = ["0", "-2", "nan", "inf"]
+BAD_POSITIVES = ["nan", "inf", "0", "-1"]
 
 
 def assert_lambda_rejected(capsys, tmp_path, *argv):
@@ -237,6 +238,14 @@ class TestTransitionCommand:
             capsys, tmp_path, "transition", "--flow", "standard", "--x", "0.5", "--lambda", lam
         )
 
+    @pytest.mark.parametrize("x", BAD_POSITIVES)
+    def test_bad_x_is_usage_error(self, capsys, tmp_path, x):
+        # regression: nan and inf exited 0 and wrote NaN / -Infinity into transition.json
+        out = tmp_path / "o"
+        assert run("transition", "--flow", "standard", "--x", x, "--out", str(out)) == 2
+        assert "argument --x: expected a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_grid_dip_is_usage_error(self, capsys, spike_flow, tmp_path):
         # regression: printed a negative time and exited 0
         path, _ = spike_flow
@@ -263,6 +272,14 @@ class TestPlotCommand:
         assert run("plot", "--flow", str(cfgp), "--x", "0.125", "--out", str(out)) == 0
         assert (out / "orbit.csv").exists()
         assert (out / "plot.svg").exists()
+
+    @pytest.mark.parametrize("flag", ["--x", "--tmax"])
+    @pytest.mark.parametrize("value", BAD_POSITIVES)
+    def test_bad_orbit_parameter_is_usage_error(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "o"
+        assert run("plot", "--flow", "standard", flag, value, "--out", str(out)) == 2
+        assert f"argument {flag}: expected a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_off_grid_dip_is_usage_error(self, capsys, spike_flow, tmp_path):
         # regression: a RuntimeError traceback with exit 1
@@ -294,6 +311,17 @@ class TestSvgOutputs:
             assert root.tag == "{http://www.w3.org/2000/svg}svg", path.name
             for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
                 assert all(len(p.split(",")) == 2 for p in line.get("points").split())
+
+
+    def test_csv_name_with_markup_is_escaped(self, tmp_path):
+        # regression: plot.svg titled "csv:a&b.csv" was not well-formed XML
+        data = tmp_path / "a&b <1>.csv"
+        x = np.exp2(-np.arange(0, 8 * 20 + 1) / 8)
+        data.write_text("x,f\n" + "".join(f"{v!r},{-math.log(v)!r}\n" for v in x.tolist()))
+        out = tmp_path / "o"
+        assert run("plot", "--csv", str(data), "--out", str(out)) == 0
+        title = ET.parse(out / "plot.svg").getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text == f"csv:{data}"
 
 
 class TestDeterminism:

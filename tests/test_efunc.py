@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reebflow import DomainError, GridSpec, builtin, diagnose_class, from_csv, from_expression, sample
 from reebflow.efunc import write_csv
@@ -83,6 +85,47 @@ class TestGridSpec:
             GridSpec(octave_min=5, octave_max=5)
         with pytest.raises(ValueError):
             GridSpec(octave_max=61)
+
+    def test_nodes_are_one_cached_read_only_array(self):
+        g = GridSpec(samples_per_octave=8, octave_max=6)
+        x = g.nodes()
+        # equal specs share the array; tail_octaves does not change the nodes
+        assert GridSpec(samples_per_octave=8, octave_max=6).nodes() is x
+        assert GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3).nodes() is x
+        with pytest.raises(ValueError):
+            x[0] = 2.0
+        i = np.arange(0, 8 * 6 + 1)
+        want = np.ldexp(np.exp2(-(i % 8) / 8), -(i // 8))
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
+        y = x.copy()
+        y[0] = 2.0  # a copy is the caller's to write
+        assert g.nodes()[0] == 1.0
+
+    def test_tail_nodes_are_one_cached_read_only_array(self):
+        g = GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3)
+        t = g.tail_nodes()
+        assert GridSpec(samples_per_octave=8, octave_max=9, tail_octaves=3).tail_nodes() is t
+        with pytest.raises(ValueError):
+            t[0] = 2.0
+        want = np.exp2(np.arange(0, 8 * 3 + 1) / 8)
+        assert np.array_equal(t.view(np.int64), want.view(np.int64))
+
+    @given(
+        K=st.sampled_from([1, 2, 512]),
+        m_min=st.integers(0, 2),
+        octaves=st.integers(1, 4),
+        extra=st.lists(st.sampled_from([1.0, -1.0]) | st.floats(-1e6, 1e6), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_octave_envelopes_equal_per_slice_loop(self, K, m_min, octaves, extra, seed):
+        # few distinct values, so windows hold ties, and signed zeros side by side
+        g = GridSpec(samples_per_octave=K, octave_min=m_min, octave_max=m_min + octaves)
+        values = np.random.default_rng(seed).choice(np.array([0.0, -0.0, *extra]), g.node_count)
+        sups, mins = g.octave_envelopes(values)
+        want_sups = np.array([values[g.octave_slice(m)].max() for m in g.octaves()])
+        want_mins = np.array([values[g.octave_slice(m)].min() for m in g.octaves()])
+        assert np.array_equal(sups.view(np.int64), want_sups.view(np.int64))
+        assert np.array_equal(mins.view(np.int64), want_mins.view(np.int64))
 
     def test_json_round_trip(self, grid):
         assert GridSpec.from_json(grid.to_json()) == grid

@@ -111,3 +111,11 @@ class TestLinePlot:
         line_plot(out, [], {"a": []}, title="empty")
         assert polylines(out) == []
         assert ">empty<" in out.read_text()
+
+
+def test_text_is_escaped(tmp_path):
+    path = tmp_path / "p.svg"
+    names = {"x & y": [1.0, 2.0], "<f>": [2.0, 1.0]}
+    line_plot(path, [1.0, 2.0], names, title="a&b", xlabel="x < 1", ylabel="y > 0")
+    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a&b", "x < 1", "y > 0", "x & y", "<f>"} <= set(texts)
