@@ -1,17 +1,16 @@
-"""Koenigs-style linearization: from lam * f = f o h + k to an exact solution.
+"""Koenigs linearization: from lam * f = f o h + k to an exact solution.
 
 Given f in E, an increasing homeomorphism h attracted to 0, a continuous
 shift k with finite k(0), and lam > 1 satisfying lam * f = f o h + k, the
-iteration f_n(x) = lam^(-n) f(h^n(x)) converges to a function f_inf with
+Koenigs iterates lam^(-n) (f(h^n(x)) + shift), shift = -k(0)/(lam - 1),
+converge to a function f_inf with
 
     lam * f_inf = f_inf o h        and        f_inf - f continuous at 0.
 
-The limit is evaluated through the telescoping series
-
-    f_inf(x) = f(x) - sum_{n >= 0} lam^(-n-1) k(h^n(x)),
-
-which is the same iteration written stably: it never evaluates f along the
-collapsing orbit h^n(x), where f blows up while the prefactor vanishes.
+The n-th iterate is f(x) + shift - sum_{j < n} lam^(-j-1) (k - k(0))(h^j(x)).
+An explicit k is summed as this series, which evaluates f only at x.  A
+derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
+is: f once per point, at the end h^n(x) of its orbit.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -70,9 +69,10 @@ class LinearizeResult:
     ``shift`` is the constant added to f so the shift function vanishes at 0
     (equivalence-preserving; recorded, never silent).  ``residual`` is the
     relative sup of |lam * f_inf - f_inf o h| over the probes.  ``f_inf`` is
-    evaluable anywhere on (0, oo); its series is truncated at ``iterations``
-    sweeps, so accuracy is certified on the probes and can degrade in the
-    sliver between the largest probe and b.
+    evaluable anywhere on (0, oo); it is the Koenigs iterate after
+    ``iterations`` sweeps (for an explicit k, the series cut there), so
+    accuracy is certified on the probes and can degrade in the sliver
+    between the largest probe and b.
     """
 
     f_inf: EFunction
@@ -117,29 +117,32 @@ def koenigs_limit(
     """
     lam = cfg.lam
     derived = k is None
-    if derived:
-        # lam*f - f o h, defined as 0 once the orbit sinks below the floor:
-        # near the subnormal range the quantization of h(x) corrupts f(h(x))
-        # by order-one amounts (ln of a subnormal moves in steps), and the
-        # true shift has settled to its limit long before such depths
-        def k_fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            m = x > _DEPTH_FLOOR
-            if np.any(m):
-                xm = x[m]
-                hx = np.asarray(h(xm), dtype=float)
-                sub = np.zeros_like(xm)
-                mh = hx > _DEPTH_FLOOR
-                if np.any(mh):
-                    sub[mh] = lam * np.asarray(f(xm[mh]), dtype=float) - np.asarray(
-                        f(hx[mh]), dtype=float
-                    )
-                out[m] = sub
-            return out
+    kf = as_shift(k)
 
-    else:
-        k_fn = as_shift(k)
+    def k_fn(x, k0=0.0):
+        """k(x) - k0; a derived k is the first sweep of ``shifts``."""
+        x = np.asarray(x, dtype=float)
+        if not derived:
+            return kf(x) - k0
+        out = np.zeros(x.size)
+        for _, i, kv in shifts(x.reshape(-1), 1, k0):
+            out[i] = kv
+        return out.reshape(x.shape)
+
+    def shifts(x, sweeps, k0, fx=None):
+        """Yield (n, i, k(y) - k0) along the orbits y = h^n(x)[i] of ``_orbit``.
+
+        A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
+        floor: near the subnormal range the quantization of h(x) corrupts
+        f(h(x)) by order-one amounts (ln of a subnormal moves in steps), and
+        the true shift has settled to its limit long before such depths.
+        """
+        if derived:
+            for n, i, _, fy, _, fhy in _orbit(h, x, sweeps, True, f, fx):
+                yield n, i, lam * fy - fhy - k0
+        else:
+            for n, i, y, *_ in _orbit(h, x, sweeps):
+                yield n, i, k_fn(y, k0)
 
     wit = check_witness(f, None, EquivalenceWitness(h, k_fn, lam), cfg.grid, cfg.witness_tol)
     if not wit.passed:
@@ -151,32 +154,6 @@ def koenigs_limit(
 
     k0 = _shift_value_at_zero(k_fn, f, h, lam, cfg.grid, derived)
     shift = -k0 / (lam - 1.0)
-
-    if derived:
-        # normalized shift, again 0 below the floor: the un-normalized value
-        # there is the settled k0, not the guard's 0
-        def k_s(x, _k0=k0):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            m = x > _DEPTH_FLOOR
-            if np.any(m):
-                xm = x[m]
-                hx = np.asarray(h(xm), dtype=float)
-                sub = np.zeros_like(xm)
-                mh = hx > _DEPTH_FLOOR
-                if np.any(mh):
-                    sub[mh] = (
-                        lam * np.asarray(f(xm[mh]), dtype=float)
-                        - np.asarray(f(hx[mh]), dtype=float)
-                        - _k0
-                    )
-                out[m] = sub
-            return out
-
-    else:
-
-        def k_s(x, _k=k_fn, _k0=k0):
-            return np.asarray(_k(x), dtype=float) - _k0
 
     basin = basin_of_zero(h, cfg.grid)
     if basin.case == "zero_repelling":
@@ -191,57 +168,54 @@ def koenigs_limit(
     else:
         probes = nodes
 
-    # telescoping accumulation; stop when the sweep-change sup falls below tol.
-    # The change |f_{n+1} - f_n| at x is lam^(-n-1) |k(h^n x)| and is measured
+    # sweep until the sweep-change sup falls below tol.  The change
+    # |f_{n+1} - f_n| at x is lam^(-n-1) |k_s(h^n x)| and is measured
     # relative to 1 + |f(x)|: the profiles span many decades, so an absolute
     # sup norm over the probes would be dominated by the blow-up near 0.
-    orbit = probes.copy()
-    fscale = 1.0 + np.abs(np.asarray(f(probes), dtype=float))
-    hull_max = 0.0
-    iterations = 0
-    last_change = math.inf
-    converged = False
-    for n in range(cfg.max_iters):
-        kv = k_s(orbit)
-        hull_max = max(hull_max, float(np.max(np.abs(kv))))
-        last_change = float(lam ** (-n - 1) * np.max(np.abs(kv) / fscale))
+    fx = np.asarray(f(probes), dtype=float)
+    fscale = 1.0 + np.abs(fx)
+    hull_max, iterations, last_change = 0.0, 0, math.inf
+    for n, i, kv in shifts(probes, cfg.max_iters, k0, fx):
+        akv = np.abs(kv)
+        hull_max = max(hull_max, float(np.max(akv, initial=0.0)))
+        last_change = float(lam ** (-n - 1) * np.max(akv / fscale[i], initial=0.0))
         iterations = n + 1
         if last_change < cfg.tol:
-            converged = True
             break
-        orbit = np.asarray(h(orbit), dtype=float)
-    if not converged:
+    else:
         raise ConvergenceFailure(
             f"no convergence within {cfg.max_iters} sweeps; last sup-change {last_change:.3g}"
         )
 
-    n_terms = iterations
-
-    def series(x):
-        acc = np.zeros_like(x)
-        cur = np.array(x, dtype=float)
-        for n in range(n_terms):
-            acc += lam ** (-n - 1) * k_s(cur)
-            cur = np.asarray(h(cur), dtype=float)
+    def series(x, term=None):
+        """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
+        acc = np.zeros(x.size)
+        for n, i, kv in shifts(x, iterations, k0):
+            acc[i] += lam ** (-n - 1) * (kv if term is None else term(kv))
         return acc
 
-    def f_inf_fn(x, _b=b, _s=shift):
+    def koenigs(x):
+        """The iterate after ``iterations`` sweeps at the flat points x of the basin."""
+        if not derived:
+            return np.asarray(f(x), dtype=float) + shift - series(x)
+        # the series telescopes: sweeps where k_s is taken as 0 do not count
+        y, m = x.copy(), np.zeros(x.size, dtype=int)
+        for n, i, _, _, hy, _ in _orbit(h, x, iterations, True):
+            y[i], m[i] = hy, n + 1
+        return (lam ** -np.arange(iterations + 1.0))[m] * (np.asarray(f(y), dtype=float) + shift)
+
+    def f_inf_fn(x):
         x = np.asarray(x, dtype=float)
-        if _b is None:
-            return np.asarray(f(x), dtype=float) + _s - series(x)
-        out = np.zeros_like(x)
-        mask = x < _b
-        if np.any(mask):
-            xm = x[mask]
-            out[mask] = np.asarray(f(xm), dtype=float) + _s - series(xm)
+        if b is None:
+            return koenigs(x.reshape(-1)).reshape(x.shape)
+        out = np.zeros(x.shape)
+        inside = x < b
+        if np.any(inside):
+            out[inside] = koenigs(x[inside])
         return out
 
-    f_inf = EFunction(
-        "expression",
-        f_inf_fn,
-        "E0",
-        f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})",
-    )
+    label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
+    f_inf = EFunction("expression", f_inf_fn, "E0", label)
 
     lhs = lam * f_inf(probes)
     rhs = f_inf(np.asarray(h(probes), dtype=float))
@@ -252,20 +226,13 @@ def koenigs_limit(
             f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
         )
 
-    tail_dev = None
-    if b is None:
-        tail_dev = _tail_decay_deviation(f_inf, h, lam)
+    tail_dev = _tail_decay_deviation(f_inf, h, lam) if b is None else None
 
-    slack = lam ** (-n_terms) * hull_max
+    slack = lam ** (-iterations) * hull_max
 
-    def telescoping_bound(x, _slack=slack):
+    def telescoping_bound(x):
         x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        cur = np.array(x, dtype=float)
-        for n in range(n_terms):
-            acc += lam ** (-n - 1) * np.abs(k_s(cur))
-            cur = np.asarray(h(cur), dtype=float)
-        return acc + _slack
+        return (series(x.reshape(-1), np.abs) + slack).reshape(x.shape)
 
     return LinearizeResult(
         f_inf=f_inf,
@@ -280,6 +247,35 @@ def koenigs_limit(
         tail_decay_dev=tail_dev,
         telescoping_bound=telescoping_bound,
     )
+
+
+def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fx=None):
+    """Walk the orbits h^n(x) of the flat array x, one sweep for each n < sweeps.
+
+    Yields ``(n, i, y, fy, hy, fhy)``: ``y = h^n(x)[i]`` and ``hy = h(y)`` at
+    the points ``i`` (a slice until one leaves) still on their orbit.  With
+    ``floored``, a point leaves for good at the first n where y or hy is at
+    or below ``_DEPTH_FLOOR``; in the basin an orbit only descends.  With f,
+    ``fy = f(y)`` and ``fhy = f(hy)``, and fhy is carried forward as the next
+    fy, so f is evaluated once per sweep plus once at the start, which
+    ``fx = f(x)`` saves.
+    """
+    i, y, fy = slice(None), x, fx
+    for n in range(sweeps):
+        hy = np.asarray(h(y), dtype=float)
+        if floored:
+            live = (y > _DEPTH_FLOOR) & (hy > _DEPTH_FLOOR)
+            if not live.all():
+                i = np.flatnonzero(live) if isinstance(i, slice) else i[live]
+                y, hy = y[live], hy[live]
+                fy = None if fy is None else fy[live]
+        fhy = None
+        if f is not None:
+            if fy is None:
+                fy = np.asarray(f(y), dtype=float)
+            fhy = np.asarray(f(hy), dtype=float)
+        yield n, i, y, fy, hy, fhy
+        y, fy = hy, fhy
 
 
 def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> float:
@@ -384,10 +380,10 @@ def threshold_inequality(
 
 
 def direct_iterate(f: EFunction, h: Homeo, lam: float, n: int, x: float) -> float:
-    """The textbook iterate lam^-n f(h^n(x)), for cross-checking the series.
+    """The textbook iterate lam^-n f(h^n(x)) at one point, for cross-checking.
 
-    Numerically fragile by design (f blows up along the orbit); callers must
-    keep n small enough that h^n(x) stays well above the underflow floor.
+    Callers must keep n small enough that h^n(x) stays well above the
+    underflow floor.
     """
     cur = iterate(h, n, x)
     if cur <= 0.0 or cur < 1e-280:

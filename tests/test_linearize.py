@@ -1,3 +1,5 @@
+import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -13,12 +15,65 @@ from reebflow import (
     koenigs_limit,
     threshold_inequality,
 )
+from reebflow import linearize
 from reebflow.linearize import direct_iterate
+
+# (builtin, homeo) pairs linearized with the derived shift lam*f - f o h
+DERIVED = [("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve")]
+FLOOR = linearize._DEPTH_FLOOR  # orbit depth at which the derived shift is taken as settled
 
 
 def koenigs_shift(x):
     x = np.asarray(x, dtype=float)
     return 2.0 * x / (1.0 + x) - x * x / (1.0 + x * x)
+
+
+def counting(f):
+    """f, recording a copy of every array it is evaluated on."""
+    calls = []
+
+    def fn(x, _fn=f.fn):
+        calls.append(np.array(x, dtype=float))
+        return _fn(x)
+
+    return dataclasses.replace(f, fn=fn), calls
+
+
+def series_reference(f, h, lam, res, x):
+    """f_inf at x in the basin as the series f + shift - sum_n lam^(-n-1) k_s o h^n.
+
+    k_s = lam*f - f o h - k0, taken as 0 where h^n(x) or h^(n+1)(x) is at or
+    below FLOOR; each term evaluates f twice.
+    """
+    acc = np.zeros_like(x)
+    cur = x.copy()
+    for n in range(res.iterations):
+        hx = np.asarray(h(cur), dtype=float)
+        live = (cur > FLOOR) & (hx > FLOOR)
+        ks = np.zeros_like(cur)
+        ks[live] = lam * f(cur[live]) - f(hx[live]) - res.k0
+        acc += lam ** (-n - 1) * ks
+        cur = hx
+    return np.asarray(f(x)) + res.shift - acc
+
+
+def decimal_iterate(name, hid, res, x):
+    """lam^(-M) (f(h^M(x)) + shift) for lam = 2 in 40-digit decimal arithmetic.
+
+    M is ``res.iterations``, cut at the first n where the double orbit point
+    h^n(x) or h^(n+1)(x) is at or below FLOOR.
+    """
+    h = gallery_homeo(hid)
+    y, m = x, 0
+    while m < res.iterations and y > FLOOR and float(h(y)) > FLOOR:
+        y, m = float(h(y)), m + 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        yd = decimal.Decimal(x)
+        for _ in range(m):
+            yd = yd * yd if hid == "square" else yd / 2
+        fd = -yd.ln() + (yd / (1 + yd) if name == "koenigs_demo" else 0)
+        return (fd + decimal.Decimal(res.shift)) / 2**m
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +139,72 @@ class TestBoundedCase:
         assert res.shift == pytest.approx(-1.0, rel=1e-12)
         p = res.probes
         assert np.max(np.abs(res.f_inf(p) + np.log(p))) <= 1e-8
+
+
+class TestKoenigsIterate:
+    """With a derived shift f_inf is the Koenigs iterate lam^(-M) (f o h^M + shift)."""
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_f_inf_evaluates_f_once_per_point(self, small_grid, name, hid):
+        f, calls = counting(builtin(name))
+        res = koenigs_limit(f, gallery_homeo(hid), None, LinearizeConfig(2.0, small_grid))
+        calls.clear()
+        res.f_inf(res.probes)
+        assert [c.size for c in calls] == [res.probes.size]
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_sweeps_evaluate_f_once_each(self, small_grid, monkeypatch, name, hid):
+        # the basin is found between the settling test and the sweeps; after
+        # it f is evaluated by the sweeps, the residual's two f_inf calls and,
+        # in the global case, the tail-decay law's scalar f_inf calls
+        f, calls = counting(builtin(name))
+        h = gallery_homeo(hid)
+        start = []
+
+        def basin(*args, _basin=linearize.basin_of_zero):
+            start.append(len(calls))
+            return _basin(*args)
+
+        monkeypatch.setattr(linearize, "basin_of_zero", basin)
+        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
+        (mark,) = start
+        after = calls[mark:]
+        n = res.iterations
+        sweeps, residual, tail = after[: n + 1], after[n + 1 : n + 3], after[n + 3 :]
+        assert np.array_equal(sweeps[0], res.probes)
+        # then f at the next orbit point of every probe still above the floor;
+        # the probes descend, so those are a prefix
+        for y, hy in zip(sweeps, sweeps[1:]):
+            assert 0 < hy.size <= y.size
+            assert np.array_equal(hy, h(y)[: hy.size])
+        assert [c.size for c in residual] == [res.probes.size] * 2
+        assert all(c.size == 1 for c in tail)
+        assert bool(tail) == (res.case == "global")
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_matches_the_shift_series(self, small_grid, name, hid):
+        f, h = builtin(name), gallery_homeo(hid)
+        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
+        p = res.probes
+        want = series_reference(f, h, 2.0, res, p)
+        got = res.f_inf(p)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 4e-16
+
+    @pytest.mark.parametrize("name,hid", DERIVED[:2])
+    def test_no_less_accurate_than_the_series(self, small_grid, name, hid):
+        # against the iterate in 40 digits, on probes cut and not cut by the floor
+        f, h = builtin(name), gallery_homeo(hid)
+        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
+        p = res.probes[:: res.probes.size // 12]
+        exact = [decimal_iterate(name, hid, res, float(x)) for x in p]
+        scale = np.array([max(1.0, abs(float(e))) for e in exact])
+
+        def err(values):
+            return np.array([abs(decimal.Decimal(v) - e) for v, e in zip(values, exact)], dtype=float) / scale
+
+        telescoped, series = err(res.f_inf(p)), err(series_reference(f, h, 2.0, res, p))
+        assert np.max(telescoped) <= 2.0**-52
+        assert np.max(telescoped) <= max(np.max(series), 2.0**-53)
 
 
 class TestGlobalCase:

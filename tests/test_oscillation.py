@@ -329,6 +329,26 @@ class TestIdentitySuite:
             assert d["d_late"] < d["d_early"]
             assert d["d_early"] < 1.0 and d["d_late"] < 1.0
 
+    def test_perturbation_decay_across_a_long_zero_free_stretch(self):
+        # along the stretch of octaves ~12.09 to ~31.09 without a record the
+        # max over [x, 1] stays at the octave-12 record, so the gap there is
+        # k(2^-12.09) - k(x) ~ 2.3e-4; from the next record on it is 0.  Two
+        # fixed octaves, 5 (before the stretch) and 30 (inside it), read this
+        # as growth
+        f = from_expression("-log(x) + 8*sin(0.25*log(1/x))")
+        halve = gallery_homeo("halve")
+        rep = star_identity_suite(f, 2.0, 1.0, halve, shift_k, GridSpec(octave_max=50), 10)
+        d = rep["perturbation"].detail
+        assert rep["perturbation"].passed
+        assert d["window_octaves"] == 10
+        assert d["d_late"] == 0.0 and 2.2e-4 < d["d_early"] < 2.4e-4
+        # on 40 octaves the stretch ends inside the last 10-octave window, which
+        # then holds the largest gap: the grid is too short to show the decay
+        rep40 = star_identity_suite(f, 2.0, 1.0, halve, shift_k, GridSpec(), 10)
+        d40 = rep40["perturbation"].detail
+        assert not rep40["perturbation"].passed
+        assert d40["d_late"] > d40["d_early"] > 2.2e-4
+
     @given(lam=st.floats(min_value=1e-3, max_value=10.0))
     def test_scaling_equivariance_random(self, small_grid, lam):
         f = builtin("bounded_osc", [2.0])
