@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,13 +169,15 @@ class EFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if arr.size and float(np.min(arr)) <= 0.0:
-            raise DomainError(f"{self.description or 'function'} is defined on x > 0")
-        lo, hi = self.domain
-        if arr.size and (float(np.min(arr)) < lo or float(np.max(arr)) > hi):
-            raise DomainError(
-                f"evaluation outside domain [{lo:g}, {hi:g}] for {self.description or self.kind}"
-            )
+        if arr.size:
+            x_min, x_max = float(np.min(arr)), float(np.max(arr))
+            if x_min <= 0.0:
+                raise DomainError(f"{self.description or 'function'} is defined on x > 0")
+            lo, hi = self.domain
+            if x_min < lo or x_max > hi:
+                raise DomainError(
+                    f"evaluation outside domain [{lo:g}, {hi:g}] for {self.description or self.kind}"
+                )
         out = self.fn(arr)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
@@ -420,17 +422,46 @@ class GridProfile:
         }
 
 
+# Grid-wide passes run over blocks of _BLOCK consecutive nodes: 256 KiB per
+# float64 array, so a block and its temporaries stay in a core's L2 cache.
+# Measured against 2^14 and 2^16 on the 983,041-node grid (see CHANGES.md).
+_BLOCK = 1 << 15
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK`` indices covering ``range(n)``, in order."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
+
+
+def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` evaluated one block of ``x`` at a time into one new array.
+
+    Bitwise ``fn(x)`` for an elementwise ``fn``, whose value at a point does
+    not depend on the other points of the array.
+    """
+    out = np.empty(x.shape)
+    for s in _blocks(len(x)):
+        out[s] = fn(x[s])
+    return out
+
+
 def sample(f: EFunction, g: GridSpec) -> GridProfile:
-    """Evaluate ``f`` at every grid node.  Deterministic: same inputs, same bits."""
+    """Evaluate ``f`` at every grid node.  Deterministic: same inputs, same bits.
+
+    f is evaluated block by block (``_BLOCK`` nodes at a time), so it must be
+    elementwise: its value at x may not depend on the other points of the
+    array.  Every block is evaluated, and so every domain error raised,
+    before the values are checked to be finite.
+    """
     x = g.nodes()
     try:
         with np.errstate(all="ignore"):  # non-finite results become DomainError below
-            v = f(x)
+            v = _blockwise(f, x)
     except DomainError:
         raise
     except Exception as exc:  # pragma: no cover - defensive wrapper
         raise DomainError(f"evaluation failed on grid: {exc}") from exc
-    v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)]
         raise DomainError(f"non-finite value at grid node x={float(bad[0])!r}")

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridProfile, GridSpec, sample, write_csv
+from .efunc import _BLOCK, EFunction, GridProfile, GridSpec, _blocks, _blockwise, sample, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -143,7 +143,12 @@ def _sampled_profile(
     """One sample of f on g, and the star or sharp profile built from it.
 
     The argument checks and the sharp tail check come before the sample, so
-    a rejected tail is reported ahead of any grid-domain error.
+    a rejected tail is reported ahead of any grid-domain error.  The sample,
+    the running max and the cell oscillation run block by block over the
+    nodes, so f must be elementwise: its value at x may not depend on the
+    other points of the array.  They give the bits of whole-array passes:
+    the running max carries its last value into the next block, and the
+    jumps of f take one node of overlap.
     """
     if variant not in ("star", "sharp"):
         raise ValueError("variant must be 'star' or 'sharp'")
@@ -162,12 +167,26 @@ def _sampled_profile(
         tail_max = float(tv.max())
     prof = sample(f, g)
     fv = prof.values
-    vals = np.maximum.accumulate(fv)  # the running max, seeded with the tail max for sharp
-    if tail_max is not None:
-        np.maximum(vals, tail_max, out=vals)
-    vals -= fv  # the running max is >= fv elementwise, so vals >= 0 exactly
+    vals = np.empty_like(fv)
+    # run[0] is the running max before the block, run[1:] the block's; the
+    # accumulation seeded with it takes the same maxima, in the same order,
+    # as one accumulation over the whole array (-inf is below any sample),
+    # so it keeps the same one of +0.0 and -0.0 where they tie
+    run = np.empty(_BLOCK + 1)
+    run[0] = -math.inf
+    cell = 0.0  # the largest |f(x_{i+1}) - f(x_i)|
+    for s in _blocks(len(fv)):
+        seeded = run[: s.stop - s.start + 1]
+        seeded[1:] = fv[s]
+        np.maximum.accumulate(seeded, out=seeded)
+        run[0] = seeded[-1]
+        rm = seeded[1:]
+        if tail_max is not None:  # sharp: the tail max joins after the accumulation
+            np.maximum(rm, tail_max, out=rm)
+        np.subtract(rm, fv[s], out=vals[s])  # the running max is >= fv, so vals >= 0 exactly
+        jumps = np.diff(fv[max(s.start - 1, 0) : s.stop])
+        cell = max(cell, float(np.abs(jumps, out=jumps).max()))
     sups, mins = g.octave_envelopes(vals)
-    cell = float(np.max(np.abs(np.diff(fv)))) if len(fv) > 1 else 0.0
     return prof, OscillationProfile(variant, g, prof.x, fv, vals, sups, mins, cell, tail_max)
 
 
@@ -294,27 +313,41 @@ def check_witness(
     is reported (h_monotone False fails the check), never silently ignored.
     f is evaluated at the nodes and at their images under h;
     ``self_similarity_scan`` passes in its one sample of f for the former.
+
+    The grid is taken in blocks of nodes, so f, f2, h and k must be
+    elementwise: the value at x may not depend on the other points of the
+    array.  The residual is then bitwise that of whole-array evaluation.
     """
     return _check_witness(f, f2, w, g.nodes(), None, tol)
 
 
 def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessReport:
-    """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled."""
-    hx = np.asarray(w.h(x), dtype=float)
-    h_monotone = bool(np.all(np.diff(hx) < 0) and np.all(hx > 0))
-    kv = w.shift()(x)
-    if f2 is not None:
-        if w.lam != 1.0:
-            raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-        mode = "equivalence"
-        lhs = np.asarray(f2(x), dtype=float)
-    else:
-        mode = "self_similarity"
-        lhs = w.lam * (np.asarray(f(x), dtype=float) if fx is None else fx)
-    if h_monotone:
-        # each full-grid temporary is dropped or reused as soon as it is spent
-        rhs = np.asarray(f(hx), dtype=float) + kv
-        del hx, kv
+    """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled.
+
+    h is evaluated and checked over all of ``x`` before f is evaluated at any
+    image.  Then k, the left side, f(h(x)) and the relative residual are
+    taken block by block; the first largest residual wins, and a NaN one, as
+    for ``np.argmax`` over the whole array.
+    """
+    hx = _blockwise(w.h, x)
+    h_monotone = bool(np.all(hx > 0)) and all(
+        bool(np.all(np.diff(hx[max(s.start - 1, 0) : s.stop]) < 0)) for s in _blocks(len(hx))
+    )
+    if f2 is not None and w.lam != 1.0:
+        raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
+    k = w.shift()
+    residual, worst = (-math.inf if h_monotone else math.inf), float(x[0])
+    for s in _blocks(len(x)):
+        kv = k(x[s])
+        if f2 is not None:
+            lhs = np.asarray(f2(x[s]), dtype=float)
+        else:
+            lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
+        if not h_monotone:
+            # f is never evaluated at the images of a non-monotone h; k and
+            # the left side still are, so that their errors are raised
+            continue
+        rhs = np.asarray(f(hx[s]), dtype=float) + kv
         rel = lhs - rhs
         np.abs(rel, out=rel)
         scale = np.abs(rhs, out=rhs)
@@ -322,9 +355,10 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessRe
         np.maximum(scale, 1.0, out=scale)
         rel /= scale
         i = int(np.argmax(rel))
-        residual, worst = float(rel[i]), float(x[i])
-    else:
-        residual, worst = math.inf, float(x[0])
+        r = float(rel[i])
+        if r > residual or (math.isnan(r) and not math.isnan(residual)):
+            residual, worst = r, float(x[s.start + i])
+    mode = "equivalence" if f2 is not None else "self_similarity"
     return WitnessReport(mode, w.lam, residual, worst, h_monotone, tol, residual <= tol)
 
 

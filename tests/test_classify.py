@@ -44,6 +44,20 @@ def grid_calls(calls, g):
     return [x for x in calls if x.size == g.node_count]
 
 
+def points_in_unit(calls):
+    """The arrays f was evaluated on inside (0, 1], joined in call order.
+
+    Drops the scalar calls and the probes above 1 (the sharp tail, the E0
+    diagnosis), so what is left is the grid and the witnesses' images of it.
+    """
+    arrays = [x for x in calls if x.ndim == 1 and x.size and x.max() <= 1.0]
+    return len(arrays), np.concatenate(arrays)
+
+
+# 81,921 nodes: two full blocks of grid-wide passes and a partial one
+MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
+
+
 class TestOneSample:
     @pytest.mark.parametrize("variant", ["star", "sharp"])
     def test_classify_evaluates_f_on_the_grid_once(self, grid, variant):
@@ -73,6 +87,47 @@ class TestOneSample:
         ]
         rep = self_similarity_scan(f, witnesses, grid)
         assert rep.results == tuple(check_witness(f, None, w, grid) for w in witnesses)
+
+    @pytest.mark.parametrize("variant", ["star", "sharp"])
+    def test_classify_evaluates_f_on_a_multi_block_grid_once(self, variant):
+        f, calls = counting(builtin("doubling_osc"))
+        classify(f, MULTI, variant=variant)
+        n_calls, x = points_in_unit(calls)
+        assert n_calls > 1
+        assert np.array_equal(x, MULTI.nodes())
+
+    def test_scan_evaluates_f_on_a_multi_block_grid_once_plus_once_per_witness(self):
+        f, calls = counting(builtin("doubling_osc"))
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
+            EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
+        ]
+        self_similarity_scan(f, witnesses, MULTI)
+        n_calls, x = points_in_unit(calls)
+        assert n_calls > 1 + len(witnesses)
+        x0 = MULTI.nodes()
+        assert np.array_equal(x, np.concatenate([x0] + [w.h(x0) for w in witnesses]))
+
+    def test_multi_block_scan_matches_whole_array_passes(self):
+        f = builtin("bounded_osc", [2.0])
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), shift_k, 2.0),
+            EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
+            EquivalenceWitness(gallery_homeo("pow:2.0"), 1.5, 2.0),
+        ]
+        rep = self_similarity_scan(f, witnesses, MULTI)
+        x = MULTI.nodes()
+        fx = f(x)
+        # reference: the sigma and the witness residuals from whole-array passes
+        star = np.maximum.accumulate(fx) - fx
+        assert rep.verdict == classify(f, MULTI).verdict
+        assert classify(f, MULTI).sigma.s_m.tobytes() == MULTI.octave_envelopes(star)[0].tobytes()
+        for r, w in zip(rep.results, witnesses):
+            lhs, rhs = w.lam * fx, f(w.h(x)) + w.shift()(x)
+            rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+            i = int(np.argmax(rel))
+            assert (r.residual, r.worst_x) == (float(rel[i]), float(x[i]))
+            assert r == check_witness(f, None, w, MULTI)
 
     @pytest.mark.parametrize("n_witnesses", [0, 1])
     def test_scan_reports_failing_f_as_sampling_error(self, small_grid, n_witnesses):

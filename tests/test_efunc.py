@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reebflow import DomainError, GridSpec, builtin, diagnose_class, from_csv, from_expression, sample
-from reebflow.efunc import write_csv
+from reebflow import (
+    DomainError,
+    EFunction,
+    GridSpec,
+    builtin,
+    diagnose_class,
+    from_csv,
+    from_expression,
+    sample,
+)
+from reebflow.efunc import _BLOCK, write_csv
 
 
 class TestBuiltins:
@@ -164,6 +173,32 @@ class TestSample:
         # the node prints as a plain float (regression: x=np.float64(0.5))
         with pytest.raises(DomainError, match=r"non-finite value at grid node x=0\.5$"):
             sample(from_expression("log(x - 0.6)"), g)
+
+    @pytest.mark.parametrize("name", ["std_log", "doubling_osc", "bounded_osc", "koenigs_demo"])
+    def test_blocks_give_the_whole_array_bits(self, name):
+        g = GridSpec(samples_per_octave=4096, octave_max=20)  # 81,921 nodes
+        assert g.node_count > 2 * _BLOCK
+        f = builtin(name)
+        assert sample(f, g).values.tobytes() == f(g.nodes()).tobytes()
+
+    def test_domain_error_before_nonfinite_in_an_earlier_block(self):
+        # NaN in the first block, outside the domain only in the last one
+        g = GridSpec(samples_per_octave=4096, octave_max=20)
+        f = EFunction(
+            "sampled", lambda x: np.where(x > 0.9, np.nan, -np.log(x)), "E", "nan_head", (2.0**-18, 1.0)
+        )
+        with pytest.raises(DomainError, match=r"^evaluation outside domain \[3\.8147e-06, 1\] for nan_head$"):
+            sample(f, g)
+
+    def test_call_checks_positivity_before_the_domain(self):
+        f = EFunction("sampled", lambda x: -np.log(x), "E", "clipped", (0.5, 1.0))
+        with pytest.raises(DomainError, match="^clipped is defined on x > 0$"):
+            f(np.array([2.0, 0.0]))
+        with pytest.raises(DomainError, match=r"^evaluation outside domain \[0\.5, 1\] for clipped$"):
+            f(np.array([0.75, 0.25]))
+        with pytest.raises(DomainError, match=r"^evaluation outside domain"):
+            f(np.array([0.75, 2.0]))
+        assert f(np.array([0.5, 1.0])).tolist() == [math.log(2.0), 0.0]
 
     def test_csv_writer_round_trips(self, tmp_path):
         g = GridSpec(samples_per_octave=4, octave_max=4)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reebflow import (
+    EFunction,
     EquivalenceWitness,
     GridSpec,
     Homeo,
@@ -19,6 +20,7 @@ from reebflow import (
     star_identity_suite,
     star_profile,
 )
+from reebflow.efunc import _BLOCK
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -381,3 +383,177 @@ class TestProfileExports:
         obj = star_profile(builtin("std_log"), small_grid).to_json()
         assert obj["variant"] == "star"
         assert len(obj["octave_sup"]) == small_grid.octave_count
+
+
+# grids that span several blocks of nodes: 81,921 nodes (two full blocks and
+# a partial one), and 32,769 (one full block and a last block of one node)
+MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
+ONE_NODE_TAIL = GridSpec(samples_per_octave=16384, octave_max=2)
+
+
+def whole_profile(f, g, variant="star"):
+    """Reference: the profile from whole-array passes over one sample of f."""
+    fv = f(g.nodes())
+    rm = np.maximum.accumulate(fv)
+    if variant == "sharp":
+        np.maximum(rm, float(f(g.tail_nodes()).max()), out=rm)
+    vals = rm - fv
+    sups, mins = g.octave_envelopes(vals)
+    return vals, sups, mins, float(np.max(np.abs(np.diff(fv))))
+
+
+def whole_witness(f, f2, w, g):
+    """Reference: (residual, worst_x, h_monotone) from whole-array passes."""
+    x = g.nodes()
+    hx = w.h(x)
+    if not (np.all(np.diff(hx) < 0) and np.all(hx > 0)):
+        return math.inf, float(x[0]), False
+    lhs = f2(x) if f2 is not None else w.lam * f(x)
+    rhs = f(hx) + w.shift()(x)
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+    i = int(np.argmax(rel))
+    return float(rel[i]), float(x[i]), True
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def assert_profile_bits(prof, f, g):
+    vals, sups, mins, cell = whole_profile(f, g, prof.variant)
+    assert bits(prof.values) == bits(vals)
+    assert bits(prof.octave_sup) == bits(sups)
+    assert bits(prof.octave_min) == bits(mins)
+    assert bits(prof.cell_oscillation) == bits(cell)
+
+
+def assert_witness_bits(rep, f, f2, w, g):
+    residual, worst, monotone = whole_witness(f, f2, w, g)
+    assert (bits(rep.residual), bits(rep.worst_x), rep.h_monotone) == (bits(residual), bits(worst), monotone)
+
+
+def tabulated(values, g, tail=0.0, claimed_class="E0"):
+    """An elementwise f equal to ``values[i]`` at node x_i, and to ``tail`` above 1."""
+    x = g.nodes()
+
+    def fn(t):
+        i = np.minimum(np.searchsorted(-x, -t), len(x) - 1)
+        return np.where(t > 1.0, tail, np.asarray(values)[i])
+
+    return EFunction("expression", fn, claimed_class, "tabulated")
+
+
+ZERO = from_expression("0*x")
+
+
+class TestBlockedPasses:
+    def test_grids_span_several_blocks(self):
+        assert MULTI.node_count == 2 * _BLOCK + 16385
+        assert ONE_NODE_TAIL.node_count == _BLOCK + 1
+
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    @pytest.mark.parametrize("name", ["std_log", "doubling_osc", "bounded_osc", "koenigs_demo"])
+    def test_star_profile_bits(self, g, name):
+        f = builtin(name)
+        assert_profile_bits(star_profile(f, g), f, g)
+
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    def test_sharp_profile_bits(self, g):
+        f = builtin("doubling_osc")
+        assert_profile_bits(sharp_profile(f, g), f, g)
+
+    @pytest.mark.parametrize("tail", [0.0, -0.0], ids=["tail+0", "tail-0"])
+    @pytest.mark.parametrize("variant", ["star", "sharp"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_signed_zeros_across_block_boundaries(self, seed, variant, tail):
+        # numpy's max picks between +0.0 and -0.0 by operand order and code
+        # path; the carried running max must pick as the whole-array pass does
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0], size=MULTI.node_count)
+        values[_BLOCK - 2 : _BLOCK + 2] = [0.0, -0.0, 0.0, -0.0]
+        values[2 * _BLOCK - 2 : 2 * _BLOCK + 2] = [-0.0, 0.0, -0.0, 0.0]
+        if seed == 2:
+            values[rng.integers(0, MULTI.node_count, 64)] = rng.choice([-1.0, 1.0], 64)
+        f = tabulated(values, MULTI, tail)
+        prof = star_profile(f, MULTI) if variant == "star" else sharp_profile(f, MULTI)
+        assert_profile_bits(prof, f, MULTI)
+
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    def test_largest_jump_across_the_last_block_boundary(self, g):
+        # f steps up by 3 between the last two blocks, and by 1 inside a block
+        b = (g.node_count - 1) // _BLOCK * _BLOCK
+        values = np.zeros(g.node_count)
+        values[b:] = 3.0
+        values[b // 2 :] += 1.0
+        f = tabulated(values, g)
+        prof = star_profile(f, g)
+        assert prof.cell_oscillation == 3.0
+        assert_profile_bits(prof, f, g)
+
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    @pytest.mark.parametrize(
+        "name,hid,k,lam",
+        [
+            ("doubling_osc", "halve", None, 2.0),
+            ("doubling_osc", "root_scale:2", None, 2.0**0.5),
+            ("bounded_osc", "square", shift_k, 2.0),
+            ("std_log", "pow:2.0", 1.5, 2.0),
+            ("koenigs_demo", "halve", shift_k, 1.0),
+        ],
+    )
+    def test_check_witness_bits(self, g, name, hid, k, lam):
+        f = builtin(name)
+        w = EquivalenceWitness(gallery_homeo(hid), k, lam)
+        assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
+
+    def test_equivalence_mode_bits(self):
+        f = builtin("bounded_osc", [2.0])
+        h = gallery_homeo("halve")
+        f2 = f.composed(h, "halve").plus(shift_k).shifted(1e-9)
+        w = EquivalenceWitness(h, shift_k, 1.0)
+        assert_witness_bits(check_witness(f, f2, w, MULTI), f, f2, w, MULTI)
+
+    def excess(self, at, node_count=MULTI.node_count):
+        """f2 = ``value`` at the nodes ``at`` maps, 0 elsewhere: against f = 0 the
+        relative residual is |value| / max(1, |value|) there."""
+        values = np.zeros(node_count)
+        for i, v in at.items():
+            values[i] = v
+        return tabulated(values, MULTI, claimed_class="E")
+
+    @pytest.mark.parametrize(
+        "at,worst",
+        [
+            ({10: 0.5, _BLOCK + 10: 0.5}, 10),  # a tie across blocks: the first wins
+            ({_BLOCK - 1: 0.5, _BLOCK: 0.5, 2 * _BLOCK + 3: 0.25}, _BLOCK - 1),
+            ({10: 0.25, 2 * _BLOCK + 3: 0.5}, 2 * _BLOCK + 3),
+            ({5: 0.9, 2 * _BLOCK + 7: math.nan, 2 * _BLOCK + 100: math.nan}, 2 * _BLOCK + 7),
+            ({_BLOCK + 3: math.nan, 2 * _BLOCK + 5: 0.9}, _BLOCK + 3),
+        ],
+        ids=["tie", "tie_at_boundary", "later_larger", "nan_after_max", "nan_before_max"],
+    )
+    def test_first_largest_residual_wins(self, at, worst):
+        f2 = self.excess(at)
+        w = EquivalenceWitness(gallery_homeo("halve"), None, 1.0)
+        rep = check_witness(ZERO, f2, w, MULTI)
+        assert rep.worst_x == MULTI.nodes()[worst]
+        assert math.isnan(rep.residual) == any(math.isnan(v) for v in at.values())
+        assert_witness_bits(rep, ZERO, f2, w, MULTI)
+
+    def test_h_decreasing_only_across_a_block_boundary(self):
+        x = MULTI.nodes()
+        # x -> x/2, except that the first node of the second block maps above
+        # the image of the last node of the first block
+        kinked = Homeo(
+            lambda t: np.where(t == x[_BLOCK], x[_BLOCK - 1], 0.5 * t), None, "kinked", monotone=False
+        )
+        assert np.all(np.diff(kinked(x)[:_BLOCK]) < 0) and np.all(np.diff(kinked(x)[_BLOCK:]) < 0)
+        calls = []
+        f = builtin("doubling_osc")
+        counted = EFunction("builtin", lambda t: calls.append(np.array(t)) or f.fn(t), "E0", "counted")
+        w = EquivalenceWitness(kinked, None, 2.0)
+        rep = check_witness(counted, None, w, MULTI)
+        assert not rep.h_monotone and not rep.passed
+        assert_witness_bits(rep, f, None, w, MULTI)
+        # f is evaluated at the nodes, never at the images of the kinked h
+        assert np.array_equal(np.concatenate(calls), x)
