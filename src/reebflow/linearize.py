@@ -10,7 +10,11 @@ converge to a function f_inf with
 The n-th iterate is f(x) + shift - sum_{j < n} lam^(-j-1) (k - k(0))(h^j(x)).
 An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
-is: f once per point, at the end h^n(x) of its orbit.
+is: f once per point, at the end h^n(x) of its orbit.  The check of a
+derived k is the first sweep of the orbits (h, f and f o h once over the
+grid), and the functional-equation residual takes lam * f_inf at the probes
+from the ends of the orbits just swept, so one call evaluates f
+``iterations + 2`` times over the grid.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -28,7 +32,7 @@ import numpy as np
 from .efunc import EFunction, GridSpec
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero, iterate
-from .oscillation import EquivalenceWitness, as_shift, check_witness
+from .oscillation import _DEPTH_FLOOR, EquivalenceWitness, _check_witness, _relative_residual, as_shift
 
 __all__ = [
     "LinearizeConfig",
@@ -37,10 +41,6 @@ __all__ = [
     "koenigs_limit",
     "threshold_inequality",
 ]
-
-# orbit depth below which doubles quantize too coarsely for derived shifts
-_DEPTH_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class LinearizeConfig:
@@ -72,7 +72,9 @@ class LinearizeResult:
     evaluable anywhere on (0, oo); it is the Koenigs iterate after
     ``iterations`` sweeps (for an explicit k, the series cut there), so
     accuracy is certified on the probes and can degrade in the sliver
-    between the largest probe and b.
+    between the largest probe and b.  ``probes`` is a read-only view of the
+    cached grid nodes in both basin cases: all of them, or those at or below
+    ``b * probe_margin``; copy it before writing to it.
     """
 
     f_inf: EFunction
@@ -125,26 +127,30 @@ def koenigs_limit(
         if not derived:
             return kf(x) - k0
         out = np.zeros(x.size)
-        for _, i, kv in shifts(x.reshape(-1), 1, k0):
+        for _, i, kv, _ in shifts(x.reshape(-1), 1, k0):
             out[i] = kv
         return out.reshape(x.shape)
 
-    def shifts(x, sweeps, k0, fx=None):
-        """Yield (n, i, k(y) - k0) along the orbits y = h^n(x)[i] of ``_orbit``.
+    def shifts(x, sweeps, k0, *start):
+        """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``.
 
         A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
         floor: near the subnormal range the quantization of h(x) corrupts
         f(h(x)) by order-one amounts (ln of a subnormal moves in steps), and
         the true shift has settled to its limit long before such depths.
+        ``start`` is the first sweep's f(x), h(x) and f(h(x)) for
+        ``_orbit``.  f(h(y)) is None for an explicit k.
         """
         if derived:
-            for n, i, _, fy, _, fhy in _orbit(h, x, sweeps, True, f, fx):
-                yield n, i, lam * fy - fhy - k0
-        else:
-            for n, i, y, *_ in _orbit(h, x, sweeps):
-                yield n, i, k_fn(y, k0)
+            orbit = _orbit(h, x, sweeps, True, f, *start)
+            return ((n, i, lam * fy - fhy - k0, fhy) for n, i, _, fy, _, fhy in orbit)
+        return ((n, i, k_fn(y, k0), None) for n, i, y, *_ in _orbit(h, x, sweeps))
 
-    wit = check_witness(f, None, EquivalenceWitness(h, k_fn, lam), cfg.grid, cfg.witness_tol)
+    # a derived k is checked as the first sweep of the orbits: f and h once
+    # over the nodes and their images, kept for the sweeps below
+    nodes = cfg.grid.nodes()
+    sweep = [] if derived else None
+    wit = _check_witness(f, None, EquivalenceWitness(h, k_fn, lam), nodes, None, cfg.witness_tol, sweep)
     if not wit.passed:
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
@@ -160,22 +166,28 @@ def koenigs_limit(
         raise ValueError("0 repels under h on the probe grid; no linearization basin")
     b = basin.b if basin.case == "bounded" else None
 
-    nodes = cfg.grid.nodes()
+    j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
     if b is not None:
-        probes = nodes[nodes <= b * cfg.probe_margin]
-        if probes.size == 0:
+        j = nodes.size - int(np.count_nonzero(nodes <= b * cfg.probe_margin))
+        if j == nodes.size:
             raise ValueError(f"no probe nodes below b * margin = {b * cfg.probe_margin:g}")
-    else:
-        probes = nodes
+    probes = nodes[j:]
 
     # sweep until the sweep-change sup falls below tol.  The change
     # |f_{n+1} - f_n| at x is lam^(-n-1) |k_s(h^n x)| and is measured
     # relative to 1 + |f(x)|: the profiles span many decades, so an absolute
     # sup norm over the probes would be dominated by the blow-up near 0.
-    fx = np.asarray(f(probes), dtype=float)
-    fscale = 1.0 + np.abs(fx)
+    start = [a[j:] for a in sweep] if derived else [np.asarray(f(probes), dtype=float)]
+    fscale = 1.0 + np.abs(start[0])
+    # a derived k records, per probe, the last depth m of its orbit and f
+    # there, over f(x) once sweep 0 has read it
+    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
+    orbit = shifts(probes, cfg.max_iters, k0, *start)
+    del sweep, start  # only the orbit holds h(x) and f(h(x)) now, and drops them as it moves on
     hull_max, iterations, last_change = 0.0, 0, math.inf
-    for n, i, kv in shifts(probes, cfg.max_iters, k0, fx):
+    for n, i, kv, fhy in orbit:
+        if derived:
+            f_end[i], m[i] = fhy, n + 1
         akv = np.abs(kv)
         hull_max = max(hull_max, float(np.max(akv, initial=0.0)))
         last_change = float(lam ** (-n - 1) * np.max(akv / fscale[i], initial=0.0))
@@ -186,11 +198,12 @@ def koenigs_limit(
         raise ConvergenceFailure(
             f"no convergence within {cfg.max_iters} sweeps; last sup-change {last_change:.3g}"
         )
+    del orbit, fscale  # a suspended orbit would hold its last sweep's arrays
 
     def series(x, term=None):
         """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
         acc = np.zeros(x.size)
-        for n, i, kv in shifts(x, iterations, k0):
+        for n, i, kv, _ in shifts(x, iterations, k0):
             acc[i] += lam ** (-n - 1) * (kv if term is None else term(kv))
         return acc
 
@@ -206,7 +219,7 @@ def koenigs_limit(
 
     def f_inf_fn(x):
         x = np.asarray(x, dtype=float)
-        if b is None:
+        if b is None or np.all(x < b):
             return koenigs(x.reshape(-1)).reshape(x.shape)
         out = np.zeros(x.shape)
         inside = x < b
@@ -217,10 +230,14 @@ def koenigs_limit(
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
     f_inf = EFunction("expression", f_inf_fn, "E0", label)
 
-    lhs = lam * f_inf(probes)
-    rhs = f_inf(np.asarray(h(probes), dtype=float))
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    residual = float(np.max(np.abs(lhs - rhs) / scale))
+    if derived:  # lam * f_inf at the probes, from the ends of the orbits just swept
+        lhs = f_end
+        lhs += shift
+        lhs *= (lam ** -np.arange(iterations + 1.0))[m]
+        lhs *= lam
+    else:
+        lhs = lam * f_inf(probes)
+    residual = _relative_residual(lhs, f_inf(np.asarray(h(probes), dtype=float)))[0]
     if residual > cfg.tol:
         raise ToleranceFailure(
             f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
@@ -249,7 +266,7 @@ def koenigs_limit(
     )
 
 
-def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fx=None):
+def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, fhy=None):
     """Walk the orbits h^n(x) of the flat array x, one sweep for each n < sweeps.
 
     Yields ``(n, i, y, fy, hy, fhy)``: ``y = h^n(x)[i]`` and ``hy = h(y)`` at
@@ -257,25 +274,28 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fx=None):
     ``floored``, a point leaves for good at the first n where y or hy is at
     or below ``_DEPTH_FLOOR``; in the basin an orbit only descends.  With f,
     ``fy = f(y)`` and ``fhy = f(hy)``, and fhy is carried forward as the next
-    fy, so f is evaluated once per sweep plus once at the start, which
-    ``fx = f(x)`` saves.
+    fy, so f is evaluated once per sweep plus once at the start.  The
+    arguments ``fy``, ``hy`` and ``fhy`` are the first sweep's values, which
+    are then not evaluated; the walk holds them no longer than that sweep.
     """
-    i, y, fy = slice(None), x, fx
+    i, y = slice(None), x
     for n in range(sweeps):
-        hy = np.asarray(h(y), dtype=float)
+        if hy is None:
+            hy = np.asarray(h(y), dtype=float)
         if floored:
             live = (y > _DEPTH_FLOOR) & (hy > _DEPTH_FLOOR)
             if not live.all():
                 i = np.flatnonzero(live) if isinstance(i, slice) else i[live]
                 y, hy = y[live], hy[live]
                 fy = None if fy is None else fy[live]
-        fhy = None
+                fhy = None if fhy is None else fhy[live]
         if f is not None:
             if fy is None:
                 fy = np.asarray(f(y), dtype=float)
-            fhy = np.asarray(f(hy), dtype=float)
+            if fhy is None:
+                fhy = np.asarray(f(hy), dtype=float)
         yield n, i, y, fy, hy, fhy
-        y, fy = hy, fhy
+        y, fy, hy, fhy = hy, fhy, None, None
 
 
 def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> float:

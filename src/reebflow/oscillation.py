@@ -311,8 +311,11 @@ def check_witness(
     relative to the operand scale: the functions involved span many decades,
     so an absolute residual would be meaningless near 0.  A non-monotone h
     is reported (h_monotone False fails the check), never silently ignored.
-    f is evaluated at the nodes and at their images under h;
-    ``self_similarity_scan`` passes in its one sample of f for the former.
+    f is evaluated at the nodes and, only when h is increasing on the grid,
+    at their images under h: f is never evaluated at the images of a
+    non-monotone h, including through the derived shift lam*f - f o h of
+    ``koenigs_limit``.  ``self_similarity_scan`` passes in its one sample
+    of f for the former.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
@@ -321,13 +324,23 @@ def check_witness(
     return _check_witness(f, f2, w, g.nodes(), None, tol)
 
 
-def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessReport:
+# orbit depth below which doubles quantize too coarsely for derived shifts
+_DEPTH_FLOOR = 1e-300
+
+
+def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) -> WitnessReport:
     """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled.
 
     h is evaluated and checked over all of ``x`` before f is evaluated at any
     image.  Then k, the left side, f(h(x)) and the relative residual are
     taken block by block; the first largest residual wins, and a NaN one, as
     for ``np.argmax`` over the whole array.
+
+    With ``sweep``, a list, the shift is derived: k = lam*f - f o h, taken as
+    0 where x or h(x) is at or below ``_DEPTH_FLOOR``, and ``w.k`` is not
+    used.  f(x) and f(h(x)) are then kept over all of ``x``, and the list
+    receives f(x), h(x) and f(h(x)) when h is increasing: the first sweep of
+    the Koenigs orbits of ``koenigs_limit``.
     """
     hx = _blockwise(w.h, x)
     h_monotone = bool(np.all(hx > 0)) and all(
@@ -336,30 +349,51 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessRe
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
     k = w.shift()
+    if sweep is not None:
+        fx, fhx = np.empty(len(x)), np.empty(len(x))
     residual, worst = (-math.inf if h_monotone else math.inf), float(x[0])
     for s in _blocks(len(x)):
-        kv = k(x[s])
+        if sweep is not None:
+            fx[s] = f(x[s])
+        else:
+            kv = k(x[s])
         if f2 is not None:
             lhs = np.asarray(f2(x[s]), dtype=float)
         else:
             lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
         if not h_monotone:
-            # f is never evaluated at the images of a non-monotone h; k and
-            # the left side still are, so that their errors are raised
+            # f is never evaluated at the images of a non-monotone h; an
+            # explicit k and the left side still are, so that their errors
+            # are raised
             continue
-        rhs = np.asarray(f(hx[s]), dtype=float) + kv
-        rel = lhs - rhs
-        np.abs(rel, out=rel)
-        scale = np.abs(rhs, out=rhs)
-        np.maximum(scale, np.abs(lhs), out=scale)
-        np.maximum(scale, 1.0, out=scale)
-        rel /= scale
-        i = int(np.argmax(rel))
-        r = float(rel[i])
+        if sweep is not None:
+            fhx[s] = f(hx[s])
+            live = (x[s] > _DEPTH_FLOOR) & (hx[s] > _DEPTH_FLOOR)
+            rhs = fhx[s] + np.where(live, lhs - fhx[s], 0.0)
+        else:
+            rhs = np.asarray(f(hx[s]), dtype=float) + kv
+        r, i = _relative_residual(lhs, rhs)
         if r > residual or (math.isnan(r) and not math.isnan(residual)):
             residual, worst = r, float(x[s.start + i])
+    if sweep is not None and h_monotone:
+        sweep += [fx, hx, fhx]
     mode = "equivalence" if f2 is not None else "self_similarity"
     return WitnessReport(mode, w.lam, residual, worst, h_monotone, tol, residual <= tol)
+
+
+def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
+    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins).
+
+    Overwrites ``rhs``.
+    """
+    rel = lhs - rhs
+    np.abs(rel, out=rel)
+    scale = np.abs(rhs, out=rhs)
+    np.maximum(scale, np.abs(lhs), out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    rel /= scale
+    i = int(np.argmax(rel))
+    return float(rel[i]), i
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,32 @@
 import dataclasses
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 
 from reebflow import (
     ConvergenceFailure,
+    EquivalenceWitness,
     GridSpec,
+    Homeo,
     LinearizeConfig,
     ToleranceFailure,
     builtin,
+    check_witness,
     gallery_homeo,
     koenigs_limit,
     threshold_inequality,
 )
 from reebflow import linearize
+from reebflow.efunc import _blocks
 from reebflow.linearize import direct_iterate
 
 # (builtin, homeo) pairs linearized with the derived shift lam*f - f o h
 DERIVED = [("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve")]
 FLOOR = linearize._DEPTH_FLOOR  # orbit depth at which the derived shift is taken as settled
+MULTI = GridSpec(samples_per_octave=4096, octave_max=20)  # 81,921 nodes
 
 
 def koenigs_shift(x):
@@ -152,34 +158,60 @@ class TestKoenigsIterate:
         res.f_inf(res.probes)
         assert [c.size for c in calls] == [res.probes.size]
 
-    @pytest.mark.parametrize("name,hid", DERIVED)
-    def test_sweeps_evaluate_f_once_each(self, small_grid, monkeypatch, name, hid):
-        # the basin is found between the settling test and the sweeps; after
-        # it f is evaluated by the sweeps, the residual's two f_inf calls and,
+    @pytest.mark.parametrize(
+        "name,hid,g",
+        [(name, hid, None) for name, hid in DERIVED] + [("std_log", "square", MULTI)],
+        ids=[f"{name}-{hid}" for name, hid in DERIVED] + ["std_log-square-multi"],
+    )
+    def test_sweeps_evaluate_f_once_each(self, small_grid, monkeypatch, name, hid, g):
+        # the witness check is sweep 0: before the settling test f runs at the
+        # nodes and at their images, block by block; after the basin only
+        # sweeps 1 .. iterations-1 run, then the residual's right side and,
         # in the global case, the tail-decay law's scalar f_inf calls
+        g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
-        start = []
+        marks = []
 
-        def basin(*args, _basin=linearize.basin_of_zero):
-            start.append(len(calls))
-            return _basin(*args)
+        def marking(fn):
+            def marked(*args):
+                marks.append(len(calls))
+                return fn(*args)
 
-        monkeypatch.setattr(linearize, "basin_of_zero", basin)
-        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
-        (mark,) = start
-        after = calls[mark:]
+            return marked
+
+        monkeypatch.setattr(linearize, "_shift_value_at_zero", marking(linearize._shift_value_at_zero))
+        monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero))
+        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
+        settle, basin = marks
+        x = g.nodes()
+        blocks = list(_blocks(x.size))
+        assert len(blocks) > 1 or g is small_grid
+        assert settle == 2 * len(blocks)
+        for s, fx, fhx in zip(blocks, calls[0:settle:2], calls[1:settle:2]):
+            assert np.array_equal(fx, x[s])
+            assert np.array_equal(fhx, h(x[s]))
         n = res.iterations
-        sweeps, residual, tail = after[: n + 1], after[n + 1 : n + 3], after[n + 3 :]
-        assert np.array_equal(sweeps[0], res.probes)
-        # then f at the next orbit point of every probe still above the floor;
+        after = calls[basin:]
+        sweeps, residual, tail = after[: n - 1], after[n - 1], after[n:]
+        # each sweep at h of the previous one's points still above the floor;
         # the probes descend, so those are a prefix
-        for y, hy in zip(sweeps, sweeps[1:]):
+        y = h(res.probes)
+        for hy in sweeps:
             assert 0 < hy.size <= y.size
             assert np.array_equal(hy, h(y)[: hy.size])
-        assert [c.size for c in residual] == [res.probes.size] * 2
+            y = hy
+        assert residual.size == res.probes.size
         assert all(c.size == 1 for c in tail)
         assert bool(tail) == (res.case == "global")
+
+    def test_non_monotone_h_is_rejected_before_f_sees_its_images(self, small_grid):
+        # the derived shift lam*f - f o h must not evaluate f at h(x) either
+        f, calls = counting(builtin("std_log"))
+        h = Homeo(lambda x: x / 2 * (1 + 0.9 * np.sin(50 * np.log(x))))
+        with pytest.raises(ValueError, match="; h is not increasing on the grid"):
+            koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
+        assert np.array_equal(np.concatenate(calls), small_grid.nodes())
 
     @pytest.mark.parametrize("name,hid", DERIVED)
     def test_matches_the_shift_series(self, small_grid, name, hid):
@@ -205,6 +237,74 @@ class TestKoenigsIterate:
         telescoped, series = err(res.f_inf(p)), err(series_reference(f, h, 2.0, res, p))
         assert np.max(telescoped) <= 2.0**-52
         assert np.max(telescoped) <= max(np.max(series), 2.0**-53)
+
+
+def telescoped_reference(f, h, lam, res, x):
+    """lam^(-M) (f(h^M(x)) + shift) over whole arrays, M = ``res.iterations`` cut
+    at the first n where h^n(x) or h^(n+1)(x) is at or below FLOOR; 0 at or
+    above b."""
+    y, m = x.copy(), np.zeros(x.size, dtype=int)
+    live = np.ones(x.size, dtype=bool)
+    for n in range(res.iterations):
+        hy = np.asarray(h(y), dtype=float)
+        live &= (y > FLOOR) & (hy > FLOOR)
+        y[live], m[live] = hy[live], n + 1
+    out = (lam ** -np.arange(res.iterations + 1.0))[m] * (np.asarray(f(y)) + res.shift)
+    return out if res.b is None else np.where(x < res.b, out, 0.0)
+
+
+class TestMultiBlock:
+    """On 81,921 nodes, three blocks: the blocked first sweep and the orbit ends
+    give the bits of whole-array passes."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        # 20 octaves are too shallow for koenigs_demo's shift to settle within
+        # the default tol, so the gates are loosened to 1e-9 for all pairs
+        cfg = LinearizeConfig(2.0, MULTI, tol=1e-9)
+        return {
+            (name, hid): koenigs_limit(builtin(name), gallery_homeo(hid), None, cfg)
+            for name, hid in DERIVED
+        }
+
+    def test_grid_spans_several_blocks(self):
+        assert len(list(_blocks(MULTI.node_count))) == 3
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_f_inf_is_the_telescoped_iterate(self, results, name, hid):
+        res = results[name, hid]
+        f, h = builtin(name), gallery_homeo(hid)
+        p = res.probes
+        assert np.array_equal(res.f_inf(p), telescoped_reference(f, h, 2.0, res, p))
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_residual_is_the_whole_array_residual(self, results, name, hid):
+        res = results[name, hid]
+        f, h = builtin(name), gallery_homeo(hid)
+        p = res.probes
+        lhs = 2.0 * telescoped_reference(f, h, 2.0, res, p)
+        rhs = telescoped_reference(f, h, 2.0, res, np.asarray(h(p)))
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        assert res.residual == float(np.max(np.abs(lhs - rhs) / scale))
+
+    def test_witness_failing_below_the_floor_reports_as_before(self):
+        # x^16.8 sinks below FLOOR inside the grid; there the derived k is
+        # taken as 0, and the relation fails
+        f, h = builtin("std_log"), gallery_homeo("pow:16.8")
+        g = GridSpec(samples_per_octave=4096, octave_max=60)
+
+        def floored_k(x):
+            hx = np.asarray(h(x), dtype=float)
+            live = hx > FLOOR
+            k = np.zeros(x.shape)
+            k[live] = 2.0 * f(x[live]) - f(hx[live])
+            return k
+
+        rep = check_witness(f, None, EquivalenceWitness(h, floored_k, 2.0), g)
+        msg = f"residual {rep.residual:.3g} (tol 1e-09) at x = {rep.worst_x:.3g}"
+        assert msg == "residual 0.881 (tol 1e-09) at x = 1.39e-18"
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+            koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
 
 
 class TestGlobalCase:

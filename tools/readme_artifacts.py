@@ -1,10 +1,11 @@
 """Hash the JSON artifacts of the README's command-line examples.
 
 Runs every ``reebflow ...`` line of the README's "Command line" block, plus
-``classify --csv data.csv``, ``sigma --variant sharp`` and ``classify`` on
+``classify --csv data.csv``, ``sigma --variant sharp``, ``classify`` on
 the 983,041-node grid ``16384,60`` (its grid-wide passes span many blocks
-of nodes; it writes JSON and SVG, no CSV), in-process and each into its own
-output directory.  They run in one temporary directory
+of nodes; it writes JSON and SVG, no CSV) and ``linearize`` of
+``doubling_osc`` under ``halve`` (the global basin case), in-process and
+each into its own output directory.  They run in one temporary directory
 that also holds the inputs the examples name: ``data.csv`` (bounded_osc(2)
 on 64 nodes per octave over 40 octaves, computed with the ``math`` module,
 not with the package) and ``flow.json`` (a realized doubling_osc flow).
@@ -37,6 +38,7 @@ EXTRA = (
     "reebflow classify   --csv data.csv --out out/",
     "reebflow sigma      --builtin doubling_osc --variant sharp --out out/",
     "reebflow classify   --builtin bounded_osc --grid 16384,60 --out out/",
+    "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --out out/",
 )
 
 
