@@ -138,7 +138,9 @@ def self_similarity_scan(
     """Check each supplied witness lam * f = f o h + k and relate to the verdict.
 
     f is sampled on g once, for the verdict and for the f(x) term of every
-    witness; each witness then evaluates only f(h(x)).
+    witness; each witness then evaluates only f(h(x)), and reads it from the
+    sample wherever h carries nodes onto nodes bitwise (``halve`` maps x_i
+    to x_{i+K}, so it evaluates f only at the images of the last K nodes).
     """
     prof, _, verdict, _ = _classify_sample(f, g, tau_std, tau_ns)
     results = tuple(_check_witness(f, None, w, prof.x, prof.values, tol) for w in witnesses)

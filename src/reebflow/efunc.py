@@ -79,8 +79,9 @@ class GridSpec:
 
         Built as ldexp(2^(-r/K), -m) with i = m*K + r, so x_{i+K} == x_i / 2
         holds bitwise for every i, and nodes at whole octaves are exact
-        powers of two.  Equal specs share one cached read-only array: copy
-        it before writing to it.
+        powers of two.  The witness check relies on the former: for h =
+        halve it reads f(h(x_i)) from a sample of f as f(x_{i+K}).  Equal
+        specs share one cached read-only array: copy it before writing to it.
         """
         return _nodes(self.samples_per_octave, self.octave_min, self.octave_max)
 

@@ -156,6 +156,7 @@ def koenigs_limit(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
             f"(tol {cfg.witness_tol:g}) at x = {wit.worst_x:.3g}"
             + ("" if wit.h_monotone else "; h is not increasing on the grid")
+            + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
 
     k0 = _shift_value_at_zero(k_fn, f, h, lam, cfg.grid, derived)

@@ -24,7 +24,9 @@ perturbation by a continuous shift, and recurrence of its zeros.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -311,11 +313,18 @@ def check_witness(
     relative to the operand scale: the functions involved span many decades,
     so an absolute residual would be meaningless near 0.  A non-monotone h
     is reported (h_monotone False fails the check), never silently ignored.
-    f is evaluated at the nodes and, only when h is increasing on the grid,
-    at their images under h: f is never evaluated at the images of a
+    h counts as increasing when the images of the descending nodes descend:
+    strictly above ``_DEPTH_FLOOR``, and without rising below it, where
+    neighbouring images may round to one double or underflow to 0.  f is
+    evaluated at the nodes and, only when h is increasing on the grid, at
+    their images under h: f is never evaluated at the images of a
     non-monotone h, including through the derived shift lam*f - f o h of
-    ``koenigs_limit``.  ``self_similarity_scan`` passes in its one sample
-    of f for the former.
+    ``koenigs_limit``, nor at an image equal to 0, whose residual is inf.
+    Here f is evaluated at every node and every positive image.
+    ``self_similarity_scan`` (its one sample) and the derived shift of
+    ``koenigs_limit`` hold f over the whole grid, and read f o h from it
+    wherever h carries nodes onto nodes bitwise, as ``halve`` does on every
+    grid (x_{i+K} == x_i / 2).
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
@@ -334,51 +343,101 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) 
     h is evaluated and checked over all of ``x`` before f is evaluated at any
     image.  Then k, the left side, f(h(x)) and the relative residual are
     taken block by block; the first largest residual wins, and a NaN one, as
-    for ``np.argmax`` over the whole array.
+    for ``np.argmax`` over the whole array.  An image equal to 0 counts as
+    residual inf, after every node whose image is positive.
+
+    With f(x) held over all of ``x`` (``fx`` given, or ``sweep``), f(h(x))
+    is read from it where h carries nodes onto nodes: h(x[0]) == x[j] fixes
+    the shift j, and in each block the images that stay on the grid are
+    compared with x[i + j] bitwise; where they all match, f(x[i + j]) is
+    f(h(x[i])) for an elementwise f.  f is evaluated at the other images.
 
     With ``sweep``, a list, the shift is derived: k = lam*f - f o h, taken as
     0 where x or h(x) is at or below ``_DEPTH_FLOOR``, and ``w.k`` is not
-    used.  f(x) and f(h(x)) are then kept over all of ``x``, and the list
-    receives f(x), h(x) and f(h(x)) when h is increasing: the first sweep of
-    the Koenigs orbits of ``koenigs_limit``.
+    used.  f runs over all of ``x`` first, then over the images; f(x) and
+    f(h(x)) are kept over all of ``x``, and the list receives f(x), h(x) and
+    f(h(x)) when h is increasing: the first sweep of the Koenigs orbits of
+    ``koenigs_limit``.
     """
+    n = len(x)
     hx = _blockwise(w.h, x)
-    h_monotone = bool(np.all(hx > 0)) and all(
-        bool(np.all(np.diff(hx[max(s.start - 1, 0) : s.stop]) < 0)) for s in _blocks(len(hx))
-    )
+    # descending images end at their minimum, which must not be negative (or NaN)
+    h_monotone = bool(hx[-1] >= 0) and all(_descends(hx[max(s.start - 1, 0) : s.stop]) for s in _blocks(n))
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-    k = w.shift()
+    k = None if w.k is None or sweep is not None else w.shift()
     if sweep is not None:
-        fx, fhx = np.empty(len(x)), np.empty(len(x))
+        fx, fhx = _blockwise(f, x), np.empty(n)
+    # images at 0 are a suffix of the descending images: z is where they begin
+    z = n if not h_monotone or hx[-1] > 0 else int(np.argmax(hx == 0))
+    j = None if fx is None or not h_monotone else _node_shift(x, hx[0])
     residual, worst = (-math.inf if h_monotone else math.inf), float(x[0])
-    for s in _blocks(len(x)):
-        if sweep is not None:
-            fx[s] = f(x[s])
-        else:
+    for s in _blocks(n):
+        if k is not None:
             kv = k(x[s])
         if f2 is not None:
             lhs = np.asarray(f2(x[s]), dtype=float)
         else:
             lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
-        if not h_monotone:
-            # f is never evaluated at the images of a non-monotone h; an
-            # explicit k and the left side still are, so that their errors
+        e = min(s.stop, z)
+        if not h_monotone or e == s.start:
+            # f is never evaluated at the images of a non-monotone h, nor at 0;
+            # an explicit k and the left side still are, so that their errors
             # are raised
             continue
+        t = slice(s.start, e)
+        lhs = lhs[: e - s.start]
+        # the residual overwrites rhs, which is hx[t] itself for an f that
+        # returns its argument: the derived sweep keeps hx, so it adds into a new array
+        rhs = _images(f, hx, t, x, fx, j)
         if sweep is not None:
-            fhx[s] = f(hx[s])
-            live = (x[s] > _DEPTH_FLOOR) & (hx[s] > _DEPTH_FLOOR)
-            rhs = fhx[s] + np.where(live, lhs - fhx[s], 0.0)
-        else:
-            rhs = np.asarray(f(hx[s]), dtype=float) + kv
+            fhx[t] = rhs
+            live = (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
+            rhs = fhx[t] + np.where(live, lhs - fhx[t], 0.0)
+        elif k is not None:
+            rhs += kv[: e - s.start]
         r, i = _relative_residual(lhs, rhs)
         if r > residual or (math.isnan(r) and not math.isnan(residual)):
             residual, worst = r, float(x[s.start + i])
+    if z < n and residual < math.inf:  # neither an inf nor a NaN came before
+        residual, worst = math.inf, float(x[z])
     if sweep is not None and h_monotone:
+        fhx[z:] = math.inf  # f diverges at 0
         sweep += [fx, hx, fhx]
     mode = "equivalence" if f2 is not None else "self_similarity"
     return WitnessReport(mode, w.lam, residual, worst, h_monotone, tol, residual <= tol)
+
+
+def _descends(hx: np.ndarray) -> bool:
+    """Whether ``hx`` falls strictly, except for ties at or below ``_DEPTH_FLOOR``."""
+    down = hx[1:] < hx[:-1]
+    if down.all():
+        return True
+    return bool(np.all(down | ((hx[1:] == hx[:-1]) & (hx[:-1] <= _DEPTH_FLOOR))))
+
+
+def _node_shift(x: np.ndarray, y: float) -> int | None:
+    """The j with x[j] == y among the descending nodes ``x``, or None."""
+    j = bisect.bisect_left(x, -y, key=operator.neg)
+    return j if j < len(x) and x[j] == y else None
+
+
+def _images(f, hx: np.ndarray, t: slice, x: np.ndarray, fx, j) -> np.ndarray:
+    """f(hx[t]), read from ``fx`` where h carries the nodes of t onto nodes.
+
+    The images whose shifted index i + j stays on the grid are copied from
+    fx[i + j] (the caller overwrites the result) when all of them equal
+    x[i + j] bitwise; f is evaluated at the rest of the block.
+    """
+    a, e = t.start, t.stop
+    c = a if j is None else min(e, len(x) - j)  # [a, c) shifts onto the grid
+    if c <= a or not np.array_equal(hx[a:c], x[a + j : c + j]):
+        return np.asarray(f(hx[t]), dtype=float)
+    out = np.empty(e - a)
+    out[: c - a] = fx[a + j : c + j]
+    if c < e:
+        out[c - a :] = f(hx[c:e])
+    return out
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:

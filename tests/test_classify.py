@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from reebflow import (
     DomainError,
     EquivalenceWitness,
     GridSpec,
+    Homeo,
     build_flow,
     builtin,
     check_witness,
@@ -21,7 +23,7 @@ from reebflow import (
     standard_flow,
     time_scale,
 )
-from reebflow.efunc import fit_grid
+from reebflow.efunc import _BLOCK, fit_grid
 
 
 def shift_k(x):
@@ -67,17 +69,20 @@ class TestOneSample:
         assert np.array_equal(x, grid.nodes())
 
     def test_scan_evaluates_f_once_plus_once_per_witness(self, grid):
+        # halve carries x_i onto x_(i+K), so its witness reads f(h(x)) from
+        # the sample and evaluates f only at the images of the last K nodes;
+        # root_scale:2 keeps too few images on nodes, so f runs at all of them
         f, calls = counting(builtin("doubling_osc"))
         witnesses = [
             EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
             EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
         ]
         self_similarity_scan(f, witnesses, grid)
-        x, *at_h = grid_calls(calls, grid)
-        assert np.array_equal(x, grid.nodes())
-        assert len(at_h) == len(witnesses)
-        for hx, w in zip(at_h, witnesses):
-            assert np.array_equal(hx, w.h(grid.nodes()))
+        x = grid.nodes()
+        halve, root = (w.h for w in witnesses)
+        n_calls, pts = points_in_unit(calls)
+        assert n_calls == 1 + len(witnesses)
+        assert np.array_equal(pts, np.concatenate([x, halve(x[-grid.samples_per_octave :]), root(x)]))
 
     def test_scan_witnesses_match_check_witness(self, grid):
         f = builtin("bounded_osc", [2.0])
@@ -104,9 +109,13 @@ class TestOneSample:
         ]
         self_similarity_scan(f, witnesses, MULTI)
         n_calls, x = points_in_unit(calls)
-        assert n_calls > 1 + len(witnesses)
+        blocks = -(-MULTI.node_count // _BLOCK)
+        # the sample and root_scale:2 by blocks; halve's last K images in one call
+        assert blocks > 1 and n_calls == 2 * blocks + 1
         x0 = MULTI.nodes()
-        assert np.array_equal(x, np.concatenate([x0] + [w.h(x0) for w in witnesses]))
+        halve, root = (w.h for w in witnesses)
+        want = [x0, halve(x0[-MULTI.samples_per_octave :]), root(x0)]
+        assert np.array_equal(x, np.concatenate(want))
 
     def test_multi_block_scan_matches_whole_array_passes(self):
         f = builtin("bounded_osc", [2.0])
@@ -129,6 +138,40 @@ class TestOneSample:
             i = int(np.argmax(rel))
             assert (r.residual, r.worst_x) == (float(rel[i]), float(x[i]))
             assert r == check_witness(f, None, w, MULTI)
+
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(100, 0, 30)], ids=["4096x20", "100x30"])
+    @pytest.mark.parametrize("name", ["doubling_osc", "bounded_osc", "std_log"])
+    def test_scan_reports_match_whole_array_passes(self, g, name):
+        # witnesses whose images land on nodes (halve, with and without k),
+        # partly on nodes (the roots of halve), off them (square), and a
+        # non-monotone h: every report is bitwise that of evaluating f at
+        # every image of the whole grid
+        f = builtin(name)
+        bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
+            EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
+            EquivalenceWitness(gallery_homeo("root_scale:4"), None, 2.0 ** 0.25),
+            EquivalenceWitness(gallery_homeo("square"), None, 2.0),
+            EquivalenceWitness(gallery_homeo("halve"), shift_k, 2.0),
+            EquivalenceWitness(bent, None, 1.0),
+        ]
+        rep = self_similarity_scan(f, witnesses, g)
+        x = g.nodes()
+        fx = f(x)
+        for r, w in zip(rep.results, witnesses):
+            hx = w.h(x)
+            if np.all(np.diff(hx) < 0) and np.all(hx > 0):
+                lhs, rhs = w.lam * fx, f(hx) + w.shift()(x)
+                rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+                i = int(np.argmax(rel))
+                want = (float(rel[i]), float(x[i]), True)
+            else:
+                want = (math.inf, float(x[0]), False)
+            got = (r.residual, r.worst_x, r.h_monotone)
+            assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+            assert got[2] == want[2] and r.passed == (want[0] <= r.tol)
+        assert [r.h_monotone for r in rep.results] == [True] * 5 + [False]
 
     @pytest.mark.parametrize("n_witnesses", [0, 1])
     def test_scan_reports_failing_f_as_sampling_error(self, small_grid, n_witnesses):

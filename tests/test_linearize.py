@@ -13,6 +13,7 @@ from reebflow import (
     Homeo,
     LinearizeConfig,
     ToleranceFailure,
+    WitnessReport,
     builtin,
     check_witness,
     gallery_homeo,
@@ -160,14 +161,18 @@ class TestKoenigsIterate:
 
     @pytest.mark.parametrize(
         "name,hid,g",
-        [(name, hid, None) for name, hid in DERIVED] + [("std_log", "square", MULTI)],
-        ids=[f"{name}-{hid}" for name, hid in DERIVED] + ["std_log-square-multi"],
+        [(name, hid, None) for name, hid in DERIVED]
+        + [("std_log", "square", MULTI), ("doubling_osc", "halve", MULTI)],
+        ids=[f"{name}-{hid}" for name, hid in DERIVED] + ["std_log-square-multi", "doubling_osc-halve-multi"],
     )
     def test_sweeps_evaluate_f_once_each(self, small_grid, monkeypatch, name, hid, g):
         # the witness check is sweep 0: before the settling test f runs at the
-        # nodes and at their images, block by block; after the basin only
-        # sweeps 1 .. iterations-1 run, then the residual's right side and,
-        # in the global case, the tail-decay law's scalar f_inf calls
+        # nodes, block by block, then at the images it cannot read from them.
+        # halve carries x_i onto x_(i+K), so only the last K images are
+        # evaluated, in one call; square keeps no image on a node, so all are,
+        # block by block.  After the basin only sweeps 1 .. iterations-1 run,
+        # then the residual's right side and, in the global case, the
+        # tail-decay law's scalar f_inf calls
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
@@ -187,10 +192,16 @@ class TestKoenigsIterate:
         x = g.nodes()
         blocks = list(_blocks(x.size))
         assert len(blocks) > 1 or g is small_grid
-        assert settle == 2 * len(blocks)
-        for s, fx, fhx in zip(blocks, calls[0:settle:2], calls[1:settle:2]):
+        for s, fx in zip(blocks, calls):
             assert np.array_equal(fx, x[s])
-            assert np.array_equal(fhx, h(x[s]))
+        images = calls[len(blocks) : settle]
+        if hid == "halve":
+            assert [c.size for c in images] == [g.samples_per_octave]
+            assert np.array_equal(images[0], h(x[-g.samples_per_octave :]))
+        else:
+            assert len(images) == len(blocks)
+            for s, fhx in zip(blocks, images):
+                assert np.array_equal(fhx, h(x[s]))
         n = res.iterations
         after = calls[basin:]
         sweeps, residual, tail = after[: n - 1], after[n - 1], after[n:]
@@ -307,6 +318,106 @@ class TestMultiBlock:
             koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
 
 
+def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
+    """Reference for ``oscillation._check_witness`` from whole-array passes.
+
+    f is evaluated at every positive image, never read from ``fx``.  h is
+    increasing when its images descend, strictly above FLOOR; an image at 0
+    counts as residual inf.
+    """
+    hx = np.asarray(w.h(x), dtype=float)
+    ties = (hx[1:] == hx[:-1]) & (hx[:-1] <= FLOOR)
+    monotone = bool(hx[-1] >= 0) and bool(np.all((np.diff(hx) < 0) | ties))
+    mode = "equivalence" if f2 is not None else "self_similarity"
+    if not monotone:
+        return WitnessReport(mode, w.lam, math.inf, float(x[0]), False, tol, False)
+    fx = np.asarray(f(x), dtype=float)
+    lhs = w.lam * fx if f2 is None else np.asarray(f2(x), dtype=float)
+    pos = hx > 0
+    fhx = np.full(x.size, math.inf)
+    fhx[pos] = f(hx[pos])
+    if sweep is None:
+        rhs = fhx + w.shift()(x)
+    else:
+        live = (x > FLOOR) & (hx > FLOOR)
+        rhs = fhx + np.where(live, lhs - fhx, 0.0)
+        sweep += [fx, hx, fhx]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+    rel[~pos] = math.inf
+    i = int(np.argmax(rel))
+    return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, tol, float(rel[i]) <= tol)
+
+
+BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+
+
+class TestWitnessImagesFromTheSample:
+    """The witness check reads f(h(x)) from f(x) where h carries nodes onto
+    nodes: against whole-array passes that evaluate f at every image, the
+    report, the first sweep and the limit are bitwise the same."""
+
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(100, 0, 30)], ids=["4096x20", "100x30"])
+    @pytest.mark.parametrize(
+        "name,hid,k",
+        [
+            ("doubling_osc", "halve", None),
+            ("doubling_osc", "root_scale:2", None),
+            ("doubling_osc", "root_scale:4", None),
+            ("std_log", "square", None),
+            ("koenigs_demo", "square", None),
+            ("koenigs_demo", "square", koenigs_shift),
+            ("std_log", BENT, None),
+        ],
+        ids=["halve", "root_scale:2", "root_scale:4", "square", "demo-square", "explicit-k", "non-monotone"],
+    )
+    def test_koenigs_limit_matches_whole_array_witness(self, monkeypatch, g, name, hid, k):
+        f = builtin(name)
+        h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
+        real = linearize._check_witness
+
+        def run(check):
+            seen = []
+
+            def spy(*args):
+                rep = check(*args)
+                sweep = args[6] if len(args) > 6 else None
+                # copied now: the convergence loop overwrites f(x) with the orbit ends
+                seen.append((rep, bits(rep.residual), None if sweep is None else [bits(a) for a in sweep]))
+                return rep
+
+            monkeypatch.setattr(linearize, "_check_witness", spy)
+            try:
+                res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g, tol=1e-9))
+            except (ValueError, ConvergenceFailure, ToleranceFailure) as exc:
+                return seen, repr(exc)
+            return seen, (res.to_json(), bits(res.probes), bits(res.f_inf(res.probes)))
+
+        got, want = run(real), run(whole_check_witness)
+        assert got == want
+        ((rep, _, sweep),), _ = got
+        assert bool(sweep) == (k is None and rep.h_monotone)
+
+    def test_halve_sweep_reads_all_but_the_last_octave_of_images(self):
+        g = MULTI
+        f, calls = counting(builtin("doubling_osc"))
+        h = gallery_homeo("halve")
+        x = g.nodes()
+        w = EquivalenceWitness(h, None, 2.0)
+        sweep, want = [], []
+        rep = linearize._check_witness(f, None, w, x, None, 1e-9, sweep)
+        assert rep == whole_check_witness(builtin("doubling_osc"), None, w, x, None, 1e-9, want)
+        assert [bits(a) for a in sweep] == [bits(a) for a in want]
+        blocks = list(_blocks(x.size))
+        assert len(calls) == len(blocks) + 1
+        assert np.array_equal(np.concatenate(calls[:-1]), x)
+        assert np.array_equal(calls[-1], h(x[-g.samples_per_octave :]))
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
 class TestGlobalCase:
     def test_doubling_osc_is_its_own_limit(self, grid, cfg):
         f = builtin("doubling_osc")
@@ -368,6 +479,14 @@ class TestPreconditions:
             koenigs_limit(
                 builtin("koenigs_demo"), gallery_homeo("square"), bad_k, LinearizeConfig(2.0, grid)
             )
+
+    def test_underflow_is_named_not_blamed_on_h(self):
+        # x^20 rounds to 0 below x = 2^-53.75: the first such node has residual
+        # inf, and the message says that h underflows there
+        f, h = builtin("std_log"), gallery_homeo("pow:20")
+        msg = "residual inf (tol 1e-09) at x = 6.6e-17; h underflows to 0 there"
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+            koenigs_limit(f, h, None, LinearizeConfig(20.0, GridSpec(512, 0, 60)))
 
     def test_shift_must_be_finite_at_zero(self, grid):
         # indistinguishable from the true shift on the grid, infinite at 0

@@ -557,3 +557,64 @@ class TestBlockedPasses:
         assert_witness_bits(rep, f, None, w, MULTI)
         # f is evaluated at the nodes, never at the images of the kinked h
         assert np.array_equal(np.concatenate(calls), x)
+
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(100, 0, 30)], ids=["4096x20", "100x30"])
+    @pytest.mark.parametrize(
+        "hid,k,lam",
+        [
+            ("halve", None, 2.0),
+            ("root_scale:2", None, 2.0**0.5),
+            ("root_scale:4", None, 2.0**0.25),
+            ("square", None, 2.0),
+            ("halve", shift_k, 2.0),
+            ("bent", None, 1.0),
+        ],
+    )
+    def test_check_witness_bits_across_images_on_and_off_nodes(self, g, hid, k, lam):
+        f = builtin("doubling_osc")
+        h = BENT if hid == "bent" else gallery_homeo(hid)
+        w = EquivalenceWitness(h, k, lam)
+        assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
+
+
+BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+POW20 = EquivalenceWitness(gallery_homeo("pow:20"), None, 20.0)
+
+
+class TestUnderflowingImages:
+    """x^20 leaves the doubles below x = 2^-53.75: its images tie among the
+    subnormals and then round to 0.  That is underflow, not a decreasing h."""
+
+    def test_images_at_zero_have_residual_inf(self):
+        g = GridSpec(512, 0, 60)
+        x = g.nodes()
+        hx = POW20.h(x)
+        assert int(np.count_nonzero(hx == 0)) == 3201
+        assert int(np.count_nonzero((hx[1:] == hx[:-1]) & (hx[1:] > 0))) == 122
+        calls = []
+        f = builtin("std_log")
+        counted = EFunction("builtin", lambda t: calls.append(np.array(t)) or f.fn(t), "E", "counted")
+        rep = check_witness(counted, None, POW20, g)
+        assert rep.h_monotone and not rep.passed
+        assert rep.residual == math.inf
+        assert rep.worst_x == 6.601425600620387e-17 == x[np.argmax(hx == 0)]
+        # f runs at the nodes and at the images above 0, never at 0
+        assert np.array_equal(np.concatenate(calls), np.concatenate([x, hx[hx > 0]]))
+
+    def test_a_grid_above_the_underflow_is_unchanged(self):
+        f, g = builtin("std_log"), GridSpec(512, 0, 40)
+        rep = check_witness(f, None, POW20, g)
+        assert rep.h_monotone and rep.passed
+        assert rep.residual == 2.2201751200720647e-16
+        assert_witness_bits(rep, f, None, POW20, g)
+
+    def test_ties_above_the_floor_are_not_monotone(self, small_grid):
+        flat = Homeo(lambda t: np.maximum(0.5 * t, 0.125), None, "flat", monotone=False)
+        rep = check_witness(builtin("std_log"), None, EquivalenceWitness(flat, None, 1.0), small_grid)
+        assert not rep.h_monotone and rep.residual == math.inf
+
+    def test_rising_below_the_floor_is_not_monotone(self, small_grid):
+        # x^60 down to 2^-300 ~ 4.9e-91, then 1e-305 * (2 - x), which rises as x falls
+        rising = Homeo(lambda t: np.where(t > 2.0**-5, t**60, 1e-305 * (2.0 - t)), None, "rising", monotone=False)
+        rep = check_witness(builtin("std_log"), None, EquivalenceWitness(rising, None, 60.0), small_grid)
+        assert not rep.h_monotone and rep.residual == math.inf

@@ -27,4 +27,4 @@ def test_readme_artifacts_are_reproducible():
     tool = load_tool()
     want = [f"{tool.label(argv)}/{argv[0]}.json" for argv in tool.examples() if argv[0] != "plot"]
     assert [line.split("  ", 1)[1] for line in lines] == want
-    assert len(want) == 12
+    assert len(want) == 13

@@ -4,7 +4,9 @@ Runs every ``reebflow ...`` line of the README's "Command line" block, plus
 ``classify --csv data.csv``, ``sigma --variant sharp``, ``classify`` on
 the 983,041-node grid ``16384,60`` (its grid-wide passes span many blocks
 of nodes; it writes JSON and SVG, no CSV) and ``linearize`` of
-``doubling_osc`` under ``halve`` (the global basin case), in-process and
+``doubling_osc`` under ``halve`` (the global basin case), on the default
+grid and on ``2048,20`` (40,961 nodes in two blocks, where the witness
+check reads f(x/2) from f(x) across the block boundary), in-process and
 each into its own output directory.  They run in one temporary directory
 that also holds the inputs the examples name: ``data.csv`` (bounded_osc(2)
 on 64 nodes per octave over 40 octaves, computed with the ``math`` module,
@@ -39,6 +41,7 @@ EXTRA = (
     "reebflow sigma      --builtin doubling_osc --variant sharp --out out/",
     "reebflow classify   --builtin bounded_osc --grid 16384,60 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --out out/",
+    "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --grid 2048,20 --out out/",
 )
 
 
