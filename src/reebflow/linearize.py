@@ -12,8 +12,9 @@ An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
 is: f once per point, at the end h^n(x) of its orbit.  The check of a
 derived k is the first sweep of the orbits (h, f and f o h once over the
-grid), and the functional-equation residual takes lam * f_inf at the probes
-from the ends of the orbits just swept, so one call evaluates f
+grid, with f o h read from f where h carries nodes onto nodes), and the
+functional-equation residual takes lam * f_inf at the probes from the ends
+of the orbits just swept, so one call evaluates f at most
 ``iterations + 2`` times over the grid.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an

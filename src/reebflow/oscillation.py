@@ -317,14 +317,12 @@ def check_witness(
     strictly above ``_DEPTH_FLOOR``, and without rising below it, where
     neighbouring images may round to one double or underflow to 0.  f is
     evaluated at the nodes and, only when h is increasing on the grid, at
-    their images under h: f is never evaluated at the images of a
-    non-monotone h, including through the derived shift lam*f - f o h of
-    ``koenigs_limit``, nor at an image equal to 0, whose residual is inf.
-    Here f is evaluated at every node and every positive image.
-    ``self_similarity_scan`` (its one sample) and the derived shift of
-    ``koenigs_limit`` hold f over the whole grid, and read f o h from it
-    wherever h carries nodes onto nodes bitwise, as ``halve`` does on every
-    grid (x_{i+K} == x_i / 2).
+    their positive images: f never sees the images of a non-monotone h (not
+    even through the derived shift lam*f - f o h of ``koenigs_limit``), nor
+    0, whose residual is inf.  ``self_similarity_scan`` and the derived
+    shift of ``koenigs_limit``, which hold f over the whole grid, read f o h
+    from it wherever h carries nodes onto nodes bitwise, as ``halve`` does
+    on every grid (x_{i+K} == x_i / 2).
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
