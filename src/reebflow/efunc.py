@@ -256,12 +256,12 @@ def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
         amp = params[0] if params else 2.0
         if amp < 0:
             raise ValueError("bounded_osc amplitude must be >= 0")
-        return EFunction(
-            "builtin",
-            lambda x, _a=amp: -np.log(x) + _a * np.sin(-np.log(x)),
-            "E",
-            f"bounded_osc({amp:g})",
-        )
+
+        def fn(x, _a=amp):
+            u = -np.log(x)
+            return u + _a * np.sin(u)
+
+        return EFunction("builtin", fn, "E", f"bounded_osc({amp:g})")
     if name == "koenigs_demo":
         return EFunction(
             "builtin",

@@ -256,23 +256,7 @@ def build_flow(
 
     def transit(c, _f=f, _shift=shift, _c0=c0, _c1=c1):
         c = np.asarray(c, dtype=float)
-        out = np.empty_like(c)
-        lo = c <= _c0
-        hi = c >= _c1
-        mid = ~(lo | hi)
-        if np.any(lo):
-            out[lo] = np.asarray(_f(c[lo]), dtype=float) + _shift
-        if np.any(hi):
-            out[hi] = -np.log(c[hi])
-        if np.any(mid):
-            cm = c[mid]
-            w = (np.log(cm) - math.log(_c0)) / (math.log(_c1) - math.log(_c0))
-            u = w * w * (3.0 - 2.0 * w)
-            out[mid] = (1.0 - u) * (np.asarray(_f(cm), dtype=float) + _shift) + u * (-np.log(cm))
-        bad = ~hi & ~(out > 0.0)
-        if np.any(bad):
-            raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
-        return out
+        return _transit_target(c, lambda at: np.asarray(_f(c[at]), dtype=float) + _shift, _c0, _c1)
 
     flow = Flow(
         base="realized",
@@ -284,8 +268,34 @@ def build_flow(
         grid=g,
         source_spec=source_spec,
     )
-    transit(x[sel])  # a flow that is not positive on the grid fails here
+    # a flow that is not positive on the grid fails here, with f read from vals
+    _transit_target(x[sel], lambda at: vals[at] + shift, c0, c1)
     return flow
+
+
+def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
+    """The transit target at the leaves c; ``f_at(mask)`` is f + shift at c[mask].
+
+    f + shift on (0, c0], blended to -ln c over (c0, c1), -ln c from c1 on.
+    Raises DomainError at the first leaf below c1 where it is not positive.
+    """
+    out = np.empty_like(c)
+    lo = c <= c0
+    hi = c >= c1
+    mid = ~(lo | hi)
+    if np.any(lo):
+        out[lo] = f_at(lo)
+    if np.any(hi):
+        out[hi] = -np.log(c[hi])
+    if np.any(mid):
+        cm = c[mid]
+        w = (np.log(cm) - math.log(c0)) / (math.log(c1) - math.log(c0))
+        u = w * w * (3.0 - 2.0 * w)
+        out[mid] = (1.0 - u) * f_at(mid) + u * (-np.log(cm))
+    bad = ~hi & ~(out > 0.0)
+    if np.any(bad):
+        raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
+    return out
 
 
 def time_scale(F: Flow, lam: float) -> Flow:

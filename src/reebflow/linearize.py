@@ -15,7 +15,10 @@ derived k is the first sweep of the orbits (h, f and f o h once over the
 grid, with f o h read from f where h carries nodes onto nodes), and the
 functional-equation residual takes lam * f_inf at the probes from the ends
 of the orbits just swept, so one call evaluates f at most
-``iterations + 2`` times over the grid.
+``iterations + 2`` times over the grid.  f_inf keeps its values at the
+probes and at their images under h, both computed for the residual, and
+returns a fresh copy of them for points bitwise equal to either set
+instead of walking the orbits again.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -75,7 +78,9 @@ class LinearizeResult:
     accuracy is certified on the probes and can degrade in the sliver
     between the largest probe and b.  ``probes`` is a read-only view of the
     cached grid nodes in both basin cases: all of them, or those at or below
-    ``b * probe_margin``; copy it before writing to it.
+    ``b * probe_margin``; copy it before writing to it.  ``f_inf(probes)``
+    and ``f_inf(h(probes))`` are fresh copies of the values the limit
+    computation already holds; f is not evaluated again for them.
     """
 
     f_inf: EFunction
@@ -219,8 +224,13 @@ def koenigs_limit(
             y[i], m[i] = hy, n + 1
         return (lam ** -np.arange(iterations + 1.0))[m] * (np.asarray(f(y), dtype=float) + shift)
 
+    held = []  # (points, f_inf there): the probes and their images, once computed below
+
     def f_inf_fn(x):
         x = np.asarray(x, dtype=float)
+        for pts, vals in held:  # bitwise the same points: the walk would give these bits
+            if np.array_equal(x.view(np.int64), pts.view(np.int64)):
+                return vals.copy()
         if b is None or np.all(x < b):
             return koenigs(x.reshape(-1)).reshape(x.shape)
         out = np.zeros(x.shape)
@@ -232,14 +242,17 @@ def koenigs_limit(
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
     f_inf = EFunction("expression", f_inf_fn, "E0", label)
 
-    if derived:  # lam * f_inf at the probes, from the ends of the orbits just swept
-        lhs = f_end
-        lhs += shift
-        lhs *= (lam ** -np.arange(iterations + 1.0))[m]
-        lhs *= lam
+    if derived:  # f_inf at the probes, from the ends of the orbits just swept
+        at_probes = f_end
+        at_probes += shift
+        at_probes *= (lam ** -np.arange(iterations + 1.0))[m]
     else:
-        lhs = lam * f_inf(probes)
-    residual = _relative_residual(lhs, f_inf(np.asarray(h(probes), dtype=float)))[0]
+        at_probes = f_inf(probes)
+    images = np.asarray(h(probes), dtype=float)
+    at_images = f_inf(images)
+    # the residual is symmetric in its operands and overwrites only the second
+    residual = _relative_residual(at_images, lam * at_probes)[0]
+    held += [(probes, at_probes), (images, at_images)]
     if residual > cfg.tol:
         raise ToleranceFailure(
             f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
@@ -308,8 +321,11 @@ def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> 
     2^-m.  The settling test is relative to the operand scale
     max(1, lam|f|, |f o h|): for an exactly self-similar f the derived shift
     is pure rounding noise proportional to f, which is a vanishing shift,
-    while a genuinely divergent shift (say lam*std_log vs std_log o halve)
-    keeps a constant relative footprint and is rejected.
+    while a divergent shift whose ratio to the scale moves (say lam*std_log
+    vs std_log o halve) is rejected.  k itself must settle too, or a shift
+    in constant ratio to the scale would pass: it is either at the rounding
+    level of the operands (and taken as 0), or its absolute increments over
+    the last four octaves shrink, the last to at most half the first.
     """
     if not derived:
         v = float(np.asarray(k_fn(np.asarray(0.0)), dtype=float))
@@ -335,8 +351,16 @@ def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> 
             "does not extend continuously to 0"
         )
     k0 = float(vals[-1])
-    if abs(k0) <= 1e-9 * float(scale[-1]):
-        return 0.0  # below the rounding floor of f itself
+    floor = 1e-9 * float(scale[-1])  # the rounding level of f itself
+    if abs(k0) <= floor:
+        return 0.0
+    steps = np.abs(np.diff(vals[-5:]))
+    if float(steps[-1]) > max(0.5 * float(steps[0]), floor):
+        raise ValueError(
+            "derived shift lam*f - f o h does not settle toward 0 "
+            f"(absolute tail increments {steps.tolist()}); the relation "
+            "does not extend continuously to 0"
+        )
     return k0
 
 

@@ -152,6 +152,12 @@ class TestLinearizeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("name,hid,lam", [("doubling_osc", "root_scale:2", "2"), ("koenigs_demo", "square", "4")])
+    def test_divergent_derived_shift_exits_two(self, capsys, tmp_path, name, hid, lam):
+        code = run("linearize", "--builtin", name, "--homeo", hid, "--lambda", lam, "--out", str(tmp_path))
+        assert code == 2
+        assert "does not settle toward 0" in capsys.readouterr().err
+
     def test_missing_homeo_is_usage_error(self, tmp_path):
         assert run("linearize", "--builtin", "std_log", "--lambda", "2", "--out", str(tmp_path)) == 2
 

@@ -43,6 +43,14 @@ class TestBuiltins:
         u = 1.25
         assert f(math.exp(-u)) == pytest.approx(u + 2.0 * math.sin(u), rel=1e-12)
 
+    @pytest.mark.parametrize("amp", [0.0, 0.5, 2.0])
+    def test_bounded_osc_bits_of_the_two_log_form(self, amp):
+        # -ln x is computed once; the bits are those of -ln x + A sin(-ln x)
+        x = GridSpec(4096, 0, 60).nodes()
+        want = -np.log(x) + amp * np.sin(-np.log(x))
+        assert builtin("bounded_osc", [amp])(x).tobytes() == want.tobytes()
+        assert float(builtin("bounded_osc", [amp])(0.3)) == float(-np.log(0.3) + amp * np.sin(-np.log(0.3)))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
             builtin("nope")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -117,6 +118,31 @@ class TestBuildFlow:
         lifted = np.asarray(f(x[sel])) + F.shift
         assert float(np.min(lifted)) == pytest.approx(0.1, abs=1e-12)
         assert float(np.min(F.transit(x[sel]))) > 0.0
+
+    @pytest.mark.parametrize("name,params", GALLERY.items())
+    def test_f_runs_once_over_the_nodes_below_c1(self, grid, name, params):
+        # the positivity check reads f from the values the shift was taken from
+        f = builtin(name, params)
+        calls = []
+
+        def fn(x, _fn=f.fn):
+            calls.append(np.array(x, dtype=float))
+            return _fn(x)
+
+        F = build_flow(dataclasses.replace(f, fn=fn), g=grid)
+        x = grid.nodes()
+        assert len(calls) == 1
+        assert calls[0].tobytes() == x[x <= F.c1].tobytes()
+
+    def test_check_names_the_first_bad_leaf(self, grid):
+        # -inf at two nodes lifts by inf, so f + shift is NaN there only
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x == 0.125) | (x == 2.0**-5), -np.inf, -np.log(x))
+
+        f = dataclasses.replace(builtin("std_log"), fn=fn)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=r"not positive at leaf c = 0\.125$"):
+            build_flow(f, g=grid)
 
     def test_window_validation(self, grid):
         with pytest.raises(ValueError, match="c0"):

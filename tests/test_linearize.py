@@ -23,6 +23,7 @@ from reebflow import (
 from reebflow import linearize
 from reebflow.efunc import _blocks
 from reebflow.linearize import direct_iterate
+from reebflow.oscillation import as_shift
 
 # (builtin, homeo) pairs linearized with the derived shift lam*f - f o h
 DERIVED = [("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve")]
@@ -153,11 +154,17 @@ class TestKoenigsIterate:
 
     @pytest.mark.parametrize("name,hid", DERIVED)
     def test_f_inf_evaluates_f_once_per_point(self, small_grid, name, hid):
+        # the probes and their images are held from the limit computation;
+        # any other set is walked, f once per point
         f, calls = counting(builtin(name))
-        res = koenigs_limit(f, gallery_homeo(hid), None, LinearizeConfig(2.0, small_grid))
+        h = gallery_homeo(hid)
+        res = koenigs_limit(f, h, None, LinearizeConfig(2.0, small_grid))
         calls.clear()
         res.f_inf(res.probes)
-        assert [c.size for c in calls] == [res.probes.size]
+        res.f_inf(h(res.probes))
+        assert calls == []
+        res.f_inf(res.probes[1:].copy())
+        assert [c.size for c in calls] == [res.probes.size - 1]
 
     @pytest.mark.parametrize(
         "name,hid,g",
@@ -262,6 +269,70 @@ def telescoped_reference(f, h, lam, res, x):
         y[live], m[live] = hy[live], n + 1
     out = (lam ** -np.arange(res.iterations + 1.0))[m] * (np.asarray(f(y)) + res.shift)
     return out if res.b is None else np.where(x < res.b, out, 0.0)
+
+
+def explicit_reference(f, h, k, lam, res, x):
+    """f + shift - sum_n lam^(-n-1) (k - k0)(h^n x) over ``res.iterations`` terms;
+    an explicit k is summed with no floor."""
+    acc, y = np.zeros(x.size), x
+    for n in range(res.iterations):
+        acc += lam ** (-n - 1) * (np.asarray(k(y), dtype=float) - res.k0)
+        y = np.asarray(h(y), dtype=float)
+    return np.asarray(f(x), dtype=float) + res.shift - acc
+
+
+class TestHeldValues:
+    """f_inf at the probes and at their images comes from the limit
+    computation: the bits of a fresh walk, in a fresh array each call."""
+
+    CASES = [(name, hid, None) for name, hid in DERIVED] + [
+        ("koenigs_demo", "square", koenigs_shift),
+        ("doubling_osc", "halve", lambda x: 0.0 * x),
+    ]
+    IDS = [f"{name}-{hid}" for name, hid in DERIVED] + ["explicit-square", "explicit-halve"]
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {
+            (gid, name, hid, k is None): koenigs_limit(
+                builtin(name), gallery_homeo(hid), k, LinearizeConfig(2.0, g, tol=1e-9)
+            )
+            for gid, g in (("single", GridSpec(64, 0, 24, 10)), ("multi", MULTI))
+            for name, hid, k in self.CASES
+        }
+
+    @pytest.mark.parametrize("gid", ["single", "multi"])
+    @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
+    def test_held_values_are_the_walked_bits(self, results, gid, name, hid, k):
+        res = results[gid, name, hid, k is None]
+        assert res.case == ("global" if hid == "halve" else "bounded")
+        f, h = builtin(name), gallery_homeo(hid)
+        for x in (res.probes, np.asarray(h(res.probes))):
+            if k is None:
+                want = telescoped_reference(f, h, 2.0, res, x)
+            else:
+                want = explicit_reference(f, h, as_shift(k), 2.0, res, x)
+            assert bits(res.f_inf(x)) == bits(want)
+            assert bits(res.f_inf(x.reshape(-1, 1))) == bits(want)  # walked, not held
+
+    @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
+    def test_writing_into_an_answer_leaves_the_next_alone(self, results, name, hid, k):
+        res = results["single", name, hid, k is None]
+        for x in (res.probes, gallery_homeo(hid)(res.probes)):
+            want = bits(res.f_inf(x))
+            got = res.f_inf(x)
+            got += 1.0
+            assert bits(res.f_inf(x)) == want
+
+    @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
+    def test_another_shape_is_walked_into_its_own_shape(self, small_grid, name, hid, k):
+        f, calls = counting(builtin(name))
+        res = koenigs_limit(f, gallery_homeo(hid), k, LinearizeConfig(2.0, small_grid, tol=1e-9))
+        calls.clear()
+        column = res.f_inf(res.probes.reshape(-1, 1))
+        assert column.shape == (res.probes.size, 1)
+        assert [c.size for c in calls] == [res.probes.size]
+        assert bits(column) == bits(res.f_inf(res.probes))
 
 
 class TestMultiBlock:
@@ -458,6 +529,24 @@ class TestPreconditions:
             koenigs_limit(
                 builtin("std_log"), gallery_homeo("halve"), None, LinearizeConfig(2.0, grid)
             )
+
+    @pytest.mark.parametrize(
+        "name,hid,lam",
+        [("doubling_osc", "root_scale:2", 2.0), ("koenigs_demo", "square", 4.0)],
+        ids=["constant-ratio", "log-growth"],
+    )
+    def test_shift_diverging_with_its_scale_rejected(self, grid, name, hid, lam):
+        # 2f(x) - f(x/sqrt 2) is 0.2929 * 2f(x) at every 2^-m and grows like
+        # 1/x; 4f(x) - f(x^2) grows like -2 ln x.  Either keeps its ratio to
+        # the operand scale nearly still, so k itself must settle as well
+        with pytest.raises(ValueError, match=r"does not settle toward 0 \(absolute tail increments"):
+            koenigs_limit(builtin(name), gallery_homeo(hid), None, LinearizeConfig(lam, grid))
+
+    @pytest.mark.parametrize("name,hid,lam", [("koenigs_demo", "square", 2.0), ("koenigs_demo", "pow:3", 3.0)])
+    def test_settling_shift_above_the_rounding_floor_kept(self, name, hid, lam):
+        # on 24 octaves k(2^-24) ~ 1e-7 is above the floor; its increments halve
+        res = koenigs_limit(builtin(name), gallery_homeo(hid), None, LinearizeConfig(lam, GridSpec(512, 0, 24)))
+        assert 1e-7 < res.k0 < 2e-7
 
     def test_zero_repelling_rejected(self, grid):
         # only reachable with a deliberately loose witness gate: the relation

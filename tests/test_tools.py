@@ -22,9 +22,17 @@ def test_readme_artifacts_are_reproducible():
     ]
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
-    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*\.json", line) for line in lines), lines
-    # one line per JSON artifact: every example writes one, except the orbit plot
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*\.(json|csv|svg)", line) for line in lines), lines
+    # one line per file each example writes, in file-name order
+    files = {
+        "sigma": ["profile.csv", "sigma.json", "sigma_octaves.svg"],
+        "roundtrip": ["roundtrip.csv", "roundtrip.json", "roundtrip_overlay.svg"],
+        "linearize": ["linearize.csv", "linearize.json", "linearize_overlay.svg"],
+        "classify": ["classify.json", "classify_octaves.svg"],
+        "transition": ["transition.json"],
+        "plot": ["orbit.csv", "plot.svg"],
+    }
     tool = load_tool()
-    want = [f"{tool.label(argv)}/{argv[0]}.json" for argv in tool.examples() if argv[0] != "plot"]
+    want = [f"{tool.label(argv)}/{name}" for argv in tool.examples() for name in files[argv[0]]]
     assert [line.split("  ", 1)[1] for line in lines] == want
-    assert len(want) == 13
+    assert len(want) == 35

@@ -1,4 +1,4 @@
-"""Hash the JSON artifacts of the README's command-line examples.
+"""Hash every artifact file the README's command-line examples write.
 
 Runs every ``reebflow ...`` line of the README's "Command line" block, plus
 ``classify --csv data.csv``, ``sigma --variant sharp``, ``classify`` on
@@ -11,8 +11,9 @@ each into its own output directory.  They run in one temporary directory
 that also holds the inputs the examples name: ``data.csv`` (bounded_osc(2)
 on 64 nodes per octave over 40 octaves, computed with the ``math`` module,
 not with the package) and ``flow.json`` (a realized doubling_osc flow).
-Prints one line per JSON artifact, ``<sha256>  <command>/<file>``; a
-command that exits non-zero prints ``exit <code>  <command>`` instead.
+Prints one line per file an example writes (JSON, CSV and SVG alike),
+``<sha256>  <command>/<file>``, in file-name order; a command that exits
+non-zero prints ``exit <code>  <command>`` instead.
 
 The README is read from this checkout and the package from ``--src``
 (default: this checkout's ``src``), so comparing two checkouts' artifacts
@@ -72,7 +73,7 @@ def write_inputs(workdir: Path) -> None:
 
 
 def artifact_lines(main) -> list[str]:
-    """Run every example through the CLI entry point ``main``; one line per JSON file."""
+    """Run every example through the CLI entry point ``main``; one line per file written."""
     out_lines = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,7 +87,7 @@ def artifact_lines(main) -> list[str]:
                 if code != 0:
                     out_lines.append(f"exit {code}  {label(argv)}")
                     continue
-                for path in sorted(Path(run_dir).glob("*.json")):
+                for path in sorted(Path(run_dir).iterdir()):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     out_lines.append(f"{digest}  {label(argv)}/{path.name}")
         finally:
