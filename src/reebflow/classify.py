@@ -20,15 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .efunc import EFunction, GridProfile, GridSpec, _diagnose_sample
+import numpy as np
+
+from .efunc import EFunction, GridSpec, _diagnose_envelopes
 from .flow import DEFAULT_TRANSVERSAL, Flow, Transversal, extract_transition
 from .oscillation import (
     EquivalenceWitness,
     SigmaEstimate,
     WitnessReport,
     _check_witness,
-    _sampled_profile,
-    sigma_from_profile,
+    _profile_pass,
+    _sigma_from_sups,
 )
 
 __all__ = [
@@ -79,36 +81,41 @@ def classify(
 ) -> ClassificationReport:
     """Verdict from the sigma estimate, with the class-diagnosis warnings.
 
-    f is sampled on g once; the star or sharp profile and the checks of
-    ``diagnose_class`` both read that sample.
+    f is evaluated on g once, in one streaming pass that gives the octave
+    envelopes of f, for the checks of ``diagnose_class``, and of the star or
+    sharp profile, for sigma.  No sample of f or of the profile is held.
     """
-    _, sigma, verdict, warnings = _classify_sample(f, g, tau_std, tau_ns, variant, tail_window)
+    sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns, variant, tail_window)
     return ClassificationReport(
         sigma, verdict, tau_std, tau_ns, witnesses, shifts or {}, provenance, warnings
     )
 
 
-def _classify_sample(
+def _classify_pass(
     f: EFunction,
     g: GridSpec,
     tau_std: float,
     tau_ns: float,
     variant: str = "star",
     tail_window: int = 8,
-) -> tuple[GridProfile, SigmaEstimate, str, tuple[str, ...]]:
-    """The one sample of f on g, and the sigma estimate, verdict and warnings drawn from it."""
+    fv: np.ndarray | None = None,
+) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
+    """The sigma estimate, verdict and warnings of one pass of f over g.
+
+    ``fv``, when given, receives f at the nodes.
+    """
     if not tau_std < tau_ns:
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
-    prof, osc = _sampled_profile(f, g, variant)
-    warnings = tuple(_diagnose_sample(f, prof))
-    sigma = sigma_from_profile(osc, tail_window=tail_window)
+    (f_sups, f_mins), (sups, _), _, _ = _profile_pass(f, g, variant, fv=fv)
+    warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
+    sigma = _sigma_from_sups(variant, g, sups, tail_window)
     if sigma.sigma_hat >= tau_ns:
         verdict = "nonstandard"
     elif sigma.sigma_hat < tau_std and sigma.trend == "vanishing":
         verdict = "standard"
     else:
         verdict = "inconclusive"
-    return prof, sigma, verdict, warnings
+    return sigma, verdict, warnings
 
 
 @dataclass(frozen=True)
@@ -137,13 +144,15 @@ def self_similarity_scan(
 ) -> ScanReport:
     """Check each supplied witness lam * f = f o h + k and relate to the verdict.
 
-    f is sampled on g once, for the verdict and for the f(x) term of every
-    witness; each witness then evaluates only f(h(x)), and reads it from the
-    sample wherever h carries nodes onto nodes bitwise (``halve`` maps x_i
-    to x_{i+K}, so it evaluates f only at the images of the last K nodes).
+    f is evaluated on g once, in the pass of ``classify``, which also keeps
+    f(x) for the f(x) term of every witness; each witness then evaluates
+    only f(h(x)), and reads it from f(x) wherever h carries nodes onto nodes
+    bitwise (``halve`` maps x_i to x_{i+K}, so it evaluates f only at the
+    images of the last K nodes).
     """
-    prof, _, verdict, _ = _classify_sample(f, g, tau_std, tau_ns)
-    results = tuple(_check_witness(f, None, w, prof.x, prof.values, tol) for w in witnesses)
+    fx = np.empty(g.node_count)
+    _, verdict, _ = _classify_pass(f, g, tau_std, tau_ns, fv=fx)
+    results = tuple(_check_witness(f, None, w, g.nodes(), fx, tol) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"

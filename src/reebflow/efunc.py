@@ -90,8 +90,14 @@ class GridSpec:
         return _tail_nodes(self.samples_per_octave, self.tail_octaves)
 
     def octave_envelopes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-octave max and min of ``values`` (one per node) over each
-        :meth:`octave_slice` window, in one reduction over a strided view."""
+        """Per-octave max and min of ``values`` over each :meth:`octave_slice`
+        window, in one reduction over a strided view.
+
+        ``values`` holds one value per node of q whole octaves and the node
+        that ends them, q*K + 1 in all, and gives q windows: the whole grid,
+        or one octave-aligned block of a streaming pass, which reduces each
+        window as the whole grid does.
+        """
         K = self.samples_per_octave
         windows = np.lib.stride_tricks.sliding_window_view(values, K + 1)[::K]
         return windows.max(axis=1), windows.min(axis=1)
@@ -171,18 +177,21 @@ class EFunction:
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         if arr.size:
-            x_min, x_max = float(np.min(arr)), float(np.max(arr))
-            if x_min <= 0.0:
-                raise DomainError(f"{self.description or 'function'} is defined on x > 0")
-            lo, hi = self.domain
-            if x_min < lo or x_max > hi:
-                raise DomainError(
-                    f"evaluation outside domain [{lo:g}, {hi:g}] for {self.description or self.kind}"
-                )
+            self._check_domain(float(np.min(arr)), float(np.max(arr)))
         out = self.fn(arr)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return np.asarray(out, dtype=float)
+
+    def _check_domain(self, x_min: float, x_max: float) -> None:
+        """Raise DomainError unless [x_min, x_max] lies in (0, oo) and in ``domain``."""
+        if x_min <= 0.0:
+            raise DomainError(f"{self.description or 'function'} is defined on x > 0")
+        lo, hi = self.domain
+        if x_min < lo or x_max > hi:
+            raise DomainError(
+                f"evaluation outside domain [{lo:g}, {hi:g}] for {self.description or self.kind}"
+            )
 
     # -- algebra used throughout the oscillation/linearization layers --
 
@@ -426,6 +435,8 @@ class GridProfile:
 # Grid-wide passes run over blocks of _BLOCK consecutive nodes: 256 KiB per
 # float64 array, so a block and its temporaries stay in a core's L2 cache.
 # Measured against 2^14 and 2^16 on the 983,041-node grid (see CHANGES.md).
+# The sampling and profile pass rounds its blocks to whole octaves, see
+# _octave_blocks.
 _BLOCK = 1 << 15
 
 
@@ -447,26 +458,62 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return out
 
 
+def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """f at the nodes of g, one octave-aligned block at a time.
+
+    Yields ``(lo, v)``: v holds f at the nodes lo .. lo + len(v) - 1, that is
+    q = max(1, 2^15 // K) whole octaves (fewer in the last block) and the
+    node that ends them, so the blocks share their end nodes and f is
+    evaluated at each node once.  v is a view of ``fv`` when it is given,
+    else a buffer that the next block overwrites.
+
+    The domain of f is checked once, against the first and last nodes; then
+    ``f.fn`` runs on each block, so f must be elementwise: its value at x
+    may not depend on the other points of the array.  A non-finite value is
+    reported after the last block, so every block is evaluated first.
+    """
+    x = g.nodes()
+    n = len(x)
+    step = max(1, _BLOCK // g.samples_per_octave) * g.samples_per_octave
+    f._check_domain(float(x[-1]), float(x[0]))
+    buf = np.empty(min(step, n - 1) + 1) if fv is None else None
+    bad = None
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1) + 1
+        v = fv[lo:hi] if buf is None else buf[: hi - lo]
+        new = v
+        if lo:
+            v[0] = end  # the end node of the previous block
+            new = v[1:]
+        try:
+            with np.errstate(all="ignore"):  # non-finite results become DomainError below
+                new[:] = f.fn(x[hi - len(new) : hi])
+        except DomainError:
+            raise
+        except Exception as exc:  # pragma: no cover - defensive wrapper
+            raise DomainError(f"evaluation failed on grid: {exc}") from exc
+        end = v[-1]
+        if bad is None and not np.isfinite(v).all():
+            bad = float(x[lo + int(np.argmin(np.isfinite(v)))])
+        yield lo, v
+    if bad is not None:
+        raise DomainError(f"non-finite value at grid node x={bad!r}")
+
+
 def sample(f: EFunction, g: GridSpec) -> GridProfile:
     """Evaluate ``f`` at every grid node.  Deterministic: same inputs, same bits.
 
-    f is evaluated block by block (``_BLOCK`` nodes at a time), so it must be
-    elementwise: its value at x may not depend on the other points of the
-    array.  Every block is evaluated, and so every domain error raised,
-    before the values are checked to be finite.
+    f is evaluated in the octave-aligned blocks of the streaming passes
+    (``max(1, 2^15 // K) * K`` nodes at a time), so it must be elementwise:
+    its value at x may not depend on the other points of the array.  The
+    domain is checked once per grid, and every block is evaluated before the
+    values are checked to be finite.  ``classify`` and ``sigma_estimate``
+    do not call this: they stream f and hold no sample.
     """
-    x = g.nodes()
-    try:
-        with np.errstate(all="ignore"):  # non-finite results become DomainError below
-            v = _blockwise(f, x)
-    except DomainError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive wrapper
-        raise DomainError(f"evaluation failed on grid: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        bad = x[~np.isfinite(v)]
-        raise DomainError(f"non-finite value at grid node x={float(bad[0])!r}")
-    return GridProfile(g, x, v)
+    v = np.empty(g.node_count)
+    for _ in _octave_blocks(f, g, v):
+        pass
+    return GridProfile(g, g.nodes(), v)
 
 
 def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
@@ -475,22 +522,22 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     Finite data cannot certify the limits, so violations are reported as
     warnings rather than rejections.  For class E the per-octave minima of f
     should grow toward 0 (monotone up to a small slack); for class E0 the
-    values near the tail horizon should be small and shrinking.  Samples f
-    on ``fit_grid(f, g)``; ``classify`` passes its own sample of f on g to
-    the same check instead of sampling again.
+    values near the tail horizon should be small and shrinking.  Streams f
+    over ``fit_grid(f, g)`` for its octave envelopes; ``classify`` passes
+    the envelopes of f from its own pass to the same check instead.
     """
     try:
-        prof = sample(f, fit_grid(f, g))
+        fg = fit_grid(f, g)
+        envelopes = [fg.octave_envelopes(v) for _, v in _octave_blocks(f, fg)]
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
-    return _diagnose_sample(f, prof)
+    sups, mins = (np.concatenate(e) for e in zip(*envelopes))
+    return _diagnose_envelopes(f, fg, sups, mins)
 
 
-def _diagnose_sample(f: EFunction, prof: GridProfile) -> list[str]:
-    """The checks of :func:`diagnose_class` on a sample of ``f``."""
+def _diagnose_envelopes(f: EFunction, grid: GridSpec, sups: np.ndarray, mins: np.ndarray) -> list[str]:
+    """The checks of :func:`diagnose_class` on the octave envelopes of ``f`` on ``grid``."""
     warnings: list[str] = []
-    grid = prof.grid
-    sups, mins = grid.octave_envelopes(prof.values)
     # a divergent f may oscillate, so its window minima may dip; allow dips up
     # to the function's own typical per-octave swing before raising a flag
     allowance = 1.0 + 2.0 * float(np.median(sups - mins))

@@ -7,7 +7,8 @@ maximum taken from x = 1 toward 0:
 
 ``sharp`` is the variant for class E0 whose reference interval extends to
 +oo.  Both are computed by a single descending running-maximum pass over
-the grid, so a profile costs O(n).  The invariant
+the grid, in octave-aligned blocks, so a profile costs O(n) and the octave
+envelopes that sigma reads need no array the size of the grid.  The invariant
 
     sigma = limsup of star(x) as x -> 0
 
@@ -28,11 +29,11 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .efunc import _BLOCK, EFunction, GridProfile, GridSpec, _blocks, _blockwise, sample, write_csv
+from .efunc import EFunction, GridSpec, _blocks, _blockwise, _octave_blocks, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -124,9 +125,11 @@ def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     """Descending running-max profile referenced to x = 1.
 
     The grid must start at x = 1 (octave_min == 0) so the profile value at
-    the first node is exactly 0.
+    the first node is exactly 0.  The profile holds f and its star values at
+    every node; :func:`sigma_estimate` and ``classify`` take the same pass
+    and keep only the octave envelopes.
     """
-    return _sampled_profile(f, g, "star")[1]
+    return _held_profile(f, g, "star")
 
 
 def sharp_profile(f: EFunction, g: GridSpec, tail_bound: float = 0.01) -> OscillationProfile:
@@ -136,21 +139,37 @@ def sharp_profile(f: EFunction, g: GridSpec, tail_bound: float = 0.01) -> Oscill
     [1, 2^tail_octaves]; the magnitude of f at the horizon must fall below
     ``tail_bound`` or the decay claim is rejected.
     """
-    return _sampled_profile(f, g, "sharp", tail_bound)[1]
+    return _held_profile(f, g, "sharp", tail_bound)
 
 
-def _sampled_profile(
-    f: EFunction, g: GridSpec, variant: str = "star", tail_bound: float = 0.01
-) -> tuple[GridProfile, OscillationProfile]:
-    """One sample of f on g, and the star or sharp profile built from it.
+def _held_profile(f: EFunction, g: GridSpec, variant: str, tail_bound: float = 0.01) -> OscillationProfile:
+    fv, vals = np.empty(g.node_count), np.empty(g.node_count)
+    _, (sups, mins), cell, tail_max = _profile_pass(f, g, variant, tail_bound, fv, vals)
+    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups, mins, cell, tail_max)
 
-    The argument checks and the sharp tail check come before the sample, so
-    a rejected tail is reported ahead of any grid-domain error.  The sample,
-    the running max and the cell oscillation run block by block over the
-    nodes, so f must be elementwise: its value at x may not depend on the
-    other points of the array.  They give the bits of whole-array passes:
-    the running max carries its last value into the next block, and the
-    jumps of f take one node of overlap.
+
+def _profile_pass(
+    f: EFunction,
+    g: GridSpec,
+    variant: str = "star",
+    tail_bound: float = 0.01,
+    fv: np.ndarray | None = None,
+    vals: np.ndarray | None = None,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], float, float | None]:
+    """One pass of f over g: the octave envelopes of f and of its star or sharp profile.
+
+    Returns ``((f_sups, f_mins), (sups, mins), cell_oscillation, tail_max)``.
+    ``fv`` and ``vals``, when given, receive f and the profile at every
+    node; without them the pass holds only buffers of one block.
+
+    The argument checks and the sharp tail check come before f is evaluated
+    on the grid, so a rejected tail is reported ahead of any grid-domain
+    error.  f, the running max and the cell oscillation run over the
+    octave-aligned blocks of ``_octave_blocks``, so f must be elementwise:
+    its value at x may not depend on the other points of the array.  They
+    give the bits of whole-array passes: the running max carries its value
+    at a block's end node into the next block, which starts at that node,
+    and each octave window lies in one block, reduced as over the whole grid.
     """
     if variant not in ("star", "sharp"):
         raise ValueError("variant must be 'star' or 'sharp'")
@@ -167,29 +186,78 @@ def _sampled_profile(
                 f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {tail_bound:g}"
             )
         tail_max = float(tv.max())
-    prof = sample(f, g)
-    fv = prof.values
-    vals = np.empty_like(fv)
-    # run[0] is the running max before the block, run[1:] the block's; the
-    # accumulation seeded with it takes the same maxima, in the same order,
-    # as one accumulation over the whole array (-inf is below any sample),
-    # so it keeps the same one of +0.0 and -0.0 where they tie
-    run = np.empty(_BLOCK + 1)
-    run[0] = -math.inf
+    f_env, p_env = [], []
+    run = jumps = None
     cell = 0.0  # the largest |f(x_{i+1}) - f(x_i)|
-    for s in _blocks(len(fv)):
-        seeded = run[: s.stop - s.start + 1]
-        seeded[1:] = fv[s]
-        np.maximum.accumulate(seeded, out=seeded)
-        run[0] = seeded[-1]
-        rm = seeded[1:]
+    for lo, fb in _octave_blocks(f, g, fv):
+        m = len(fb)
+        if jumps is None:  # the first block is the longest
+            jumps = np.empty(m - 1)
+            if vals is None:
+                run = np.empty(m)
+        # rm[0] is the running max at the block's first node: there f itself
+        # on the first block (the max of -inf and f, as for the whole array),
+        # else the value carried from the previous block's end node
+        rm = run[:m] if vals is None else vals[lo : lo + m]
+        rm[0] = carry if lo else fb[0]
+        rm[1:] = fb[1:]
+        _running_max(rm)
+        carry = rm[-1]
         if tail_max is not None:  # sharp: the tail max joins after the accumulation
             np.maximum(rm, tail_max, out=rm)
-        np.subtract(rm, fv[s], out=vals[s])  # the running max is >= fv, so vals >= 0 exactly
-        jumps = np.diff(fv[max(s.start - 1, 0) : s.stop])
-        cell = max(cell, float(np.abs(jumps, out=jumps).max()))
-    sups, mins = g.octave_envelopes(vals)
-    return prof, OscillationProfile(variant, g, prof.x, fv, vals, sups, mins, cell, tail_max)
+        np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
+        f_env.append(g.octave_envelopes(fb))
+        p_env.append(g.octave_envelopes(rm))
+        d = jumps[: m - 1]
+        np.subtract(fb[1:], fb[:-1], out=d)
+        cell = max(cell, float(np.abs(d, out=d).max()))
+    f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
+    sups, mins = (np.concatenate(e) for e in zip(*p_env))
+    return (f_sups, f_mins), (sups, mins), cell, tail_max
+
+
+# the values after the carry that _running_max takes as one chunk
+_CHUNK = 512
+
+
+def _running_max(run: np.ndarray) -> None:
+    """``np.maximum.accumulate(run, out=run)``, bitwise, by a two-level scan.
+
+    run[0] is the running max carried in.  The maxima of the whole chunks of
+    ``_CHUNK`` values after it come from one reduction, and their running
+    max seeded with run[0] is the carry into each chunk.  A chunk strictly
+    below its carry is filled with it, and one that rises strictly from it
+    is kept as it is: neither holds a tie, so both are what the accumulation
+    gives.  The other chunks, and the values after the last whole chunk, are
+    accumulated from their carry, in order.  A reduction may pick either of
+    +0.0 and -0.0 where they tie, so if a chunk's maximum is zero the whole
+    array is accumulated plainly, and signed zeros tie as they do there.
+    """
+    C = _CHUNK
+    n = (len(run) - 1) // C * C
+    v = run[1 : n + 1].reshape(-1, C)
+    top = v.max(axis=1)
+    if (top == 0).any():
+        np.maximum.accumulate(run, out=run)
+        return
+    carry = np.maximum.accumulate(np.concatenate((run[:1], top)))[:-1]
+    below = top < carry
+    rising = (v[:, 0] > carry) & (run[1 : n + 1] > run[:n]).reshape(-1, C).all(axis=1)
+    for a, b in _spans(below):  # the carry is the same over a span of filled chunks
+        run[1 + a * C : 1 + b * C] = carry[a]
+    for a, b in _spans(~(below | rising)):  # seeded with the chunk before, already final
+        seg = run[a * C : b * C + 1]
+        np.maximum.accumulate(seg, out=seg)
+    rest = run[n:]
+    np.maximum.accumulate(rest, out=rest)
+
+
+def _spans(mask: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The (start, stop) of each run of consecutive True values in ``mask``."""
+    padded = np.zeros(len(mask) + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return zip(edges[::2], edges[1::2])
 
 
 @dataclass(frozen=True)
@@ -231,19 +299,24 @@ def sigma_estimate(
     hysteresis: float = 1.5,
     tail_bound: float = 0.01,
 ) -> SigmaEstimate:
-    if variant == "star":
-        prof = star_profile(f, g)
-    elif variant == "sharp":
-        prof = sharp_profile(f, g, tail_bound)
-    else:
-        raise ValueError("variant must be 'star' or 'sharp'")
-    return sigma_from_profile(prof, tail_window, hysteresis)
+    """The sigma estimate of the star or sharp profile of f on g.
+
+    Takes the pass of :func:`star_profile` / :func:`sharp_profile` but keeps
+    only the per-octave suprema: no sample of f or of the profile is held.
+    """
+    _, (sups, _), _, _ = _profile_pass(f, g, variant, tail_bound)
+    return _sigma_from_sups(variant, g, sups, tail_window, hysteresis)
 
 
 def sigma_from_profile(
     prof: OscillationProfile, tail_window: int = 8, hysteresis: float = 1.5
 ) -> SigmaEstimate:
-    s_m = prof.octave_sup
+    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup, tail_window, hysteresis)
+
+
+def _sigma_from_sups(
+    variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int = 8, hysteresis: float = 1.5
+) -> SigmaEstimate:
     W = int(tail_window)
     if W < 1:
         raise ValueError("tail_window must be >= 1")
@@ -262,7 +335,7 @@ def sigma_from_profile(
         trend = "vanishing"
     else:
         trend = "bounded"
-    return SigmaEstimate(prof.variant, prof.grid.octaves(), s_m, W, tail, trend, hysteresis)
+    return SigmaEstimate(variant, g.octaves(), s_m, W, tail, trend, hysteresis)
 
 
 @dataclass(frozen=True)

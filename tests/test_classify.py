@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reebflow import (
     from_expression,
     gallery_homeo,
     self_similarity_scan,
+    sigma_estimate,
     standard_flow,
     time_scale,
 )
@@ -179,6 +181,23 @@ class TestOneSample:
         witnesses = [EquivalenceWitness(gallery_homeo("halve"), None, 2.0)][:n_witnesses]
         with pytest.raises(DomainError, match="evaluation failed on grid: function expression"):
             self_similarity_scan(f, witnesses, small_grid)
+
+
+class TestStreamingMemory:
+    @pytest.mark.parametrize("run", [classify, sigma_estimate], ids=["classify", "sigma_estimate"])
+    def test_no_grid_sized_array_is_held(self, run):
+        # 983,041 nodes: f and the profile over the grid would take 7.9 MB
+        # each; the pass holds buffers of one 2^15-node block.  The cached
+        # nodes, shared by every pass over the grid, are built first.
+        f, g = builtin("std_log"), GridSpec(16384, 0, 60)
+        g.nodes()
+        tracemalloc.start()
+        try:
+            run(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestWarningsMatchDiagnosis:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reebflow import (
     EFunction,
@@ -12,6 +12,7 @@ from reebflow import (
     TailCheckError,
     builtin,
     check_witness,
+    classify,
     from_expression,
     gallery_homeo,
     homeo_from_expression,
@@ -21,6 +22,7 @@ from reebflow import (
     star_profile,
 )
 from reebflow.efunc import _BLOCK
+from reebflow.oscillation import _CHUNK, _running_max, sigma_from_profile
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -445,19 +447,34 @@ def tabulated(values, g, tail=0.0, claimed_class="E0"):
 
 ZERO = from_expression("0*x")
 
+# grids whose octave-aligned blocks are not 2^15 nodes: K = 3000 gives blocks
+# of 10 octaves (30,000 nodes, three of them), K = 40000 blocks of one octave
+ODD_K = GridSpec(samples_per_octave=3000, octave_max=30)
+WIDE_K = GridSpec(samples_per_octave=40000, octave_max=2)
+
+
+def block_edges(g):
+    """The nodes where one octave-aligned block ends and the next begins."""
+    step = max(1, _BLOCK // g.samples_per_octave) * g.samples_per_octave
+    return list(range(step, g.node_count - 1, step))
+
+
+PROFILE_GRIDS = [MULTI, ONE_NODE_TAIL, ODD_K, WIDE_K]
+PROFILE_GRID_IDS = ["multi", "one_node_tail", "K3000", "K40000"]
+
 
 class TestBlockedPasses:
     def test_grids_span_several_blocks(self):
         assert MULTI.node_count == 2 * _BLOCK + 16385
         assert ONE_NODE_TAIL.node_count == _BLOCK + 1
 
-    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    @pytest.mark.parametrize("g", PROFILE_GRIDS, ids=PROFILE_GRID_IDS)
     @pytest.mark.parametrize("name", ["std_log", "doubling_osc", "bounded_osc", "koenigs_demo"])
     def test_star_profile_bits(self, g, name):
         f = builtin(name)
         assert_profile_bits(star_profile(f, g), f, g)
 
-    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    @pytest.mark.parametrize("g", PROFILE_GRIDS, ids=PROFILE_GRID_IDS)
     def test_sharp_profile_bits(self, g):
         f = builtin("doubling_osc")
         assert_profile_bits(sharp_profile(f, g), f, g)
@@ -575,6 +592,86 @@ class TestBlockedPasses:
         h = BENT if hid == "bent" else gallery_homeo(hid)
         w = EquivalenceWitness(h, k, lam)
         assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
+
+
+class TestOctaveAlignedBlocks:
+    def test_block_edges(self):
+        assert block_edges(ODD_K) == [30000, 60000]
+        assert block_edges(WIDE_K) == [40000]
+        assert block_edges(MULTI) == [_BLOCK, 2 * _BLOCK]
+
+    @pytest.mark.parametrize("g", [ODD_K, WIDE_K], ids=["K3000", "K40000"])
+    @pytest.mark.parametrize("tail", [0.0, -0.0], ids=["tail+0", "tail-0"])
+    @pytest.mark.parametrize("variant", ["star", "sharp"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_signed_zeros_across_block_edges(self, g, seed, variant, tail):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0], size=g.node_count)
+        for j, e in enumerate(block_edges(g)):
+            values[e - 2 : e + 2] = [0.0, -0.0, 0.0, -0.0] if j % 2 == 0 else [-0.0, 0.0, -0.0, 0.0]
+        if seed == 2:
+            values[rng.integers(0, g.node_count, 64)] = rng.choice([-1.0, 1.0], 64)
+        f = tabulated(values, g, tail)
+        prof = star_profile(f, g) if variant == "star" else sharp_profile(f, g)
+        assert_profile_bits(prof, f, g)
+
+    @pytest.mark.parametrize("g,window", [(ODD_K, 8), (WIDE_K, 1)], ids=["K3000", "K40000"])
+    def test_sigma_and_classify_match_the_held_profile(self, g, window):
+        f = builtin("bounded_osc", [2.0])
+        want = sigma_from_profile(star_profile(f, g), tail_window=window)
+        for est in (sigma_estimate(f, g, tail_window=window), classify(f, g, tail_window=window).sigma):
+            assert est.to_json() == want.to_json()
+            assert bits(est.s_m) == bits(want.s_m)
+
+
+@st.composite
+def carried_runs(draw):
+    """run[0], a carried maximum, then values in runs that hit each path of
+    ``_running_max``: signed zeros, repeats, rises, falls and runs below the
+    carry, over lengths near whole numbers of chunks."""
+    carry = draw(st.sampled_from([-math.inf, -2.0, -0.0, 0.0, 1.0, 3.0]))
+    n = draw(st.sampled_from([k * _CHUNK + d for k in range(4) for d in (-1, 0, 1) if k * _CHUNK + d > 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
+    runs, count = [[carry]], 0
+    while count < n:
+        kind = draw(st.sampled_from(["zeros", "repeat", "rise", "fall", "below", "mixed"]))
+        size = draw(st.integers(1, _CHUNK + 2))
+        start = draw(st.sampled_from(pool))
+        if kind == "zeros":
+            run = rng.choice([-0.0, 0.0], size)
+        elif kind == "repeat":
+            run = np.full(size, start)
+        elif kind in ("rise", "fall"):
+            step = draw(st.sampled_from([0.25, 1.0, 1e-3]))
+            run = start + (step if kind == "rise" else -step) * np.arange(size)
+        elif kind == "below":
+            run = (carry if math.isfinite(carry) else -4.0) - 1.0 - np.arange(size) % 3
+        else:
+            run = rng.choice(pool, size)
+        runs.append(run)
+        count += size
+    return np.concatenate(runs)[: n + 1]
+
+
+class TestRunningMax:
+    @settings(max_examples=200, deadline=None)
+    @given(carried_runs())
+    def test_bitwise_the_seeded_accumulation(self, run):
+        want = np.maximum.accumulate(run)
+        _running_max(run)
+        assert bits(run) == bits(want)
+
+    def test_each_chunk_path(self):
+        # below the carry, rising from it, mixed, then a partial chunk
+        C = _CHUNK
+        rise = 6.0 + np.arange(C)
+        run = np.concatenate(([5.0], np.full(C, 1.0), rise, np.tile([300.0, 3.0], C // 2), [2.0, 400.0]))
+        want = np.maximum.accumulate(run)
+        _running_max(run)
+        assert bits(run) == bits(want)
+        assert run[1 : C + 1].tolist() == [5.0] * C
+        assert run[C + 1 : 2 * C + 1].tolist() == rise.tolist()
 
 
 BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
