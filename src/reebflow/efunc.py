@@ -481,10 +481,9 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> I
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1) + 1
         v = fv[lo:hi] if buf is None else buf[: hi - lo]
-        new = v
         if lo:
             v[0] = end  # the end node of the previous block
-            new = v[1:]
+        new = v[1:] if lo else v
         try:
             with np.errstate(all="ignore"):  # non-finite results become DomainError below
                 new[:] = f.fn(x[hi - len(new) : hi])

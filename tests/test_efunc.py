@@ -198,6 +198,21 @@ class TestSample:
         with pytest.raises(DomainError, match=r"^evaluation outside domain \[3\.8147e-06, 1\] for nan_head$"):
             sample(f, g)
 
+    def test_error_in_a_later_block_before_nonfinite_in_an_earlier_one(self):
+        # every block is evaluated before a non-finite value is reported, so
+        # an error f raises in the last block wins over a NaN in the first
+        g = GridSpec(samples_per_octave=4096, octave_max=20)
+
+        def fn(x):
+            if x[-1] < 2.0**-19:
+                raise DomainError("raised in the last block")
+            return np.where(x > 0.9, np.nan, -np.log(x))
+
+        with pytest.raises(DomainError, match="^raised in the last block$"):
+            sample(EFunction("expression", fn, "E", "late"), g)
+        with pytest.raises(DomainError, match=r"^non-finite value at grid node x=1\.0$"):
+            sample(EFunction("expression", lambda x: np.where(x > 0.9, np.nan, -np.log(x)), "E", "nan"), g)
+
     def test_call_checks_positivity_before_the_domain(self):
         f = EFunction("sampled", lambda x: -np.log(x), "E", "clipped", (0.5, 1.0))
         with pytest.raises(DomainError, match="^clipped is defined on x > 0$"):

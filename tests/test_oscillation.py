@@ -595,11 +595,6 @@ class TestBlockedPasses:
 
 
 class TestOctaveAlignedBlocks:
-    def test_block_edges(self):
-        assert block_edges(ODD_K) == [30000, 60000]
-        assert block_edges(WIDE_K) == [40000]
-        assert block_edges(MULTI) == [_BLOCK, 2 * _BLOCK]
-
     @pytest.mark.parametrize("g", [ODD_K, WIDE_K], ids=["K3000", "K40000"])
     @pytest.mark.parametrize("tail", [0.0, -0.0], ids=["tail+0", "tail-0"])
     @pytest.mark.parametrize("variant", ["star", "sharp"])
@@ -666,12 +661,14 @@ class TestRunningMax:
         # below the carry, rising from it, mixed, then a partial chunk
         C = _CHUNK
         rise = 6.0 + np.arange(C)
-        run = np.concatenate(([5.0], np.full(C, 1.0), rise, np.tile([300.0, 3.0], C // 2), [2.0, 400.0]))
+        mixed = np.tile([C + 100.0, 3.0], C // 2)  # its first value tops the carry, then it falls
+        run = np.concatenate(([5.0], np.full(C, 1.0), rise, mixed, [2.0, 2.0 * C]))
         want = np.maximum.accumulate(run)
         _running_max(run)
         assert bits(run) == bits(want)
         assert run[1 : C + 1].tolist() == [5.0] * C
         assert run[C + 1 : 2 * C + 1].tolist() == rise.tolist()
+        assert run[2 * C + 1 : 3 * C + 1].tolist() == [C + 100.0] * C
 
 
 BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
