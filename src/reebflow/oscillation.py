@@ -189,28 +189,31 @@ def _profile_pass(
     f_env, p_env = [], []
     run = jumps = None
     cell = 0.0  # the largest |f(x_{i+1}) - f(x_i)|
-    for lo, fb in _octave_blocks(f, g, fv):
-        m = len(fb)
-        if jumps is None:  # the first block is the longest
-            jumps = np.empty(m - 1)
-            if vals is None:
-                run = np.empty(m)
-        # rm[0] is the running max at the block's first node: there f itself
-        # on the first block (the max of -inf and f, as for the whole array),
-        # else the value carried from the previous block's end node
-        rm = run[:m] if vals is None else vals[lo : lo + m]
-        rm[0] = carry if lo else fb[0]
-        rm[1:] = fb[1:]
-        _running_max(rm)
-        carry = rm[-1]
-        if tail_max is not None:  # sharp: the tail max joins after the accumulation
-            np.maximum(rm, tail_max, out=rm)
-        np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
-        f_env.append(g.octave_envelopes(fb))
-        p_env.append(g.octave_envelopes(rm))
-        d = jumps[: m - 1]
-        np.subtract(fb[1:], fb[:-1], out=d)
-        cell = max(cell, float(np.abs(d, out=d).max()))
+    # inf - inf at a non-finite f is not warned of: _octave_blocks reports
+    # the non-finite value as a DomainError after the last block
+    with np.errstate(invalid="ignore"):
+        for lo, fb in _octave_blocks(f, g, fv):
+            m = len(fb)
+            if jumps is None:  # the first block is the longest
+                jumps = np.empty(m - 1)
+                if vals is None:
+                    run = np.empty(m)
+            # rm[0] is the running max at the block's first node: there f itself
+            # on the first block (the max of -inf and f, as for the whole array),
+            # else the value carried from the previous block's end node
+            rm = run[:m] if vals is None else vals[lo : lo + m]
+            rm[0] = carry if lo else fb[0]
+            rm[1:] = fb[1:]
+            _running_max(rm)
+            carry = rm[-1]
+            if tail_max is not None:  # sharp: the tail max joins after the accumulation
+                np.maximum(rm, tail_max, out=rm)
+            np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
+            f_env.append(g.octave_envelopes(fb))
+            p_env.append(g.octave_envelopes(rm))
+            d = jumps[: m - 1]
+            np.subtract(fb[1:], fb[:-1], out=d)
+            cell = max(cell, float(np.abs(d, out=d).max()))
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
     sups, mins = (np.concatenate(e) for e in zip(*p_env))
     return (f_sups, f_mins), (sups, mins), cell, tail_max

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from reebflow import (
     self_similarity_scan,
     sigma_estimate,
     standard_flow,
+    star_profile,
     time_scale,
 )
 from reebflow.efunc import _BLOCK, fit_grid
@@ -198,6 +200,30 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "expr,x_bad", [("1/(1-x)", 1.0), ("1/(x-0.25)", 0.25)], ids=["first_node", "inner_node"]
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            classify,
+            sigma_estimate,
+            star_profile,
+            lambda f, g: self_similarity_scan(f, [EquivalenceWitness(gallery_homeo("halve"), None, 2.0)], g),
+        ],
+        ids=["classify", "sigma_estimate", "star_profile", "scan"],
+    )
+    def test_only_the_domain_error(self, run, expr, x_bad):
+        # f is +inf at one node and the running max carries it on, so the
+        # pass meets inf - inf; the value is reported as a DomainError alone
+        f = from_expression(expr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^non-finite value at grid node x={x_bad!r}$"):
+                run(f, MULTI)
 
 
 class TestWarningsMatchDiagnosis:
