@@ -17,7 +17,6 @@ from .classify import ClassificationReport, ScanReport, classify, flow_classify,
 from .efunc import (
     BUILTIN_NAMES,
     EFunction,
-    GridProfile,
     GridSpec,
     builtin,
     diagnose_class,
@@ -45,13 +44,12 @@ from .homeo import (
     BasinReport,
     Homeo,
     basin_of_zero,
-    fundamental_domain_compare,
     gallery_homeo,
     homeo_from_callable,
     homeo_from_expression,
     iterate,
 )
-from .linearize import LinearizeConfig, LinearizeResult, koenigs_limit, threshold_inequality
+from .linearize import LinearizeConfig, LinearizeResult, koenigs_limit
 from .oscillation import (
     EquivalenceWitness,
     IdentitySuiteReport,
@@ -77,7 +75,6 @@ __all__ = [
     "EFunction",
     "EquivalenceWitness",
     "Flow",
-    "GridProfile",
     "GridSpec",
     "Homeo",
     "IdentitySuiteReport",
@@ -104,7 +101,6 @@ __all__ = [
     "flow_to_json",
     "from_csv",
     "from_expression",
-    "fundamental_domain_compare",
     "gallery_homeo",
     "homeo_from_callable",
     "homeo_from_expression",
@@ -118,7 +114,6 @@ __all__ = [
     "standard_step",
     "star_identity_suite",
     "star_profile",
-    "threshold_inequality",
     "time_scale",
     "transition_time",
 ]

@@ -26,7 +26,6 @@ from .errors import DomainError
 __all__ = [
     "GridSpec",
     "EFunction",
-    "GridProfile",
     "builtin",
     "compile_expr",
     "from_expression",
@@ -399,39 +398,6 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-@dataclass(frozen=True)
-class GridProfile:
-    """Values of a function on a grid.
-
-    ``running_max[i]``, computed on demand, is the maximum of the sampled
-    values over [x_i, x_0], the backbone of the oscillation functionals.
-    """
-
-    grid: GridSpec
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.x.shape != self.values.shape:
-            raise ValueError("x and values must have the same shape")
-
-    @property
-    def running_max(self) -> np.ndarray:
-        return np.maximum.accumulate(self.values)
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ["x", "f"], [self.x, self.values])
-
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.to_json(),
-            "x": [float(v) for v in self.x],
-            "f": [float(v) for v in self.values],
-        }
-
-
 # Grid-wide passes run over blocks of _BLOCK consecutive nodes: 256 KiB per
 # float64 array, so a block and its temporaries stay in a core's L2 cache.
 # Measured against 2^14 and 2^16 on the 983,041-node grid (see CHANGES.md).
@@ -499,8 +465,8 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> I
         raise DomainError(f"non-finite value at grid node x={bad!r}")
 
 
-def sample(f: EFunction, g: GridSpec) -> GridProfile:
-    """Evaluate ``f`` at every grid node.  Deterministic: same inputs, same bits.
+def sample(f: EFunction, g: GridSpec) -> np.ndarray:
+    """A new array of f at ``g.nodes()``.  Deterministic: same inputs, same bits.
 
     f is evaluated in the octave-aligned blocks of the streaming passes
     (``max(1, 2^15 // K) * K`` nodes at a time), so it must be elementwise:
@@ -512,7 +478,7 @@ def sample(f: EFunction, g: GridSpec) -> GridProfile:
     v = np.empty(g.node_count)
     for _ in _octave_blocks(f, g, v):
         pass
-    return GridProfile(g, g.nodes(), v)
+    return v
 
 
 def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:

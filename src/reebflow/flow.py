@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, write_csv
+from .efunc import EFunction, GridSpec, builtin, from_csv, write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -197,7 +197,6 @@ class Flow:
     c1: float | None = None
     shift: float = 0.0
     source: EFunction | None = None
-    grid: GridSpec | None = None
     source_spec: dict | None = None
 
     @property
@@ -265,7 +264,6 @@ def build_flow(
         c1=c1,
         shift=shift,
         source=f,
-        grid=g,
         source_spec=source_spec,
     )
     # a flow that is not positive on the grid fails here, with f read from vals
@@ -450,27 +448,22 @@ def flow_to_json(F: Flow) -> dict:
     return obj
 
 
-def flow_from_json(obj: dict, g: GridSpec | None = None, loader=None) -> Flow:
+def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
     """Rebuild a flow from its JSON config.
 
-    ``loader`` maps the "f" descriptor to an EFunction; the default handles
-    {"builtin": name, "params": [...]} and {"csv": path}.  The recorded
-    shift is recomputed from the data, not trusted.
+    The "f" descriptor is {"builtin": name, "params": [...]} or {"csv":
+    path}.  The recorded shift is recomputed from the data, not trusted.
     """
-    from .efunc import builtin as _builtin, from_csv as _from_csv
-
     kind = obj.get("kind", "standard")
     lam = float(obj.get("lambda", 1.0))
     if kind == "standard" or (kind == "time_scaled" and "f" not in obj):
         F = standard_flow()
     else:
         spec = obj.get("f")
-        if loader is not None:
-            f = loader(spec)
-        elif isinstance(spec, dict) and "builtin" in spec:
-            f = _builtin(spec["builtin"], spec.get("params", ()))
+        if isinstance(spec, dict) and "builtin" in spec:
+            f = builtin(spec["builtin"], spec.get("params", ()))
         elif isinstance(spec, dict) and "csv" in spec:
-            f = _from_csv(spec["csv"])
+            f = from_csv(spec["csv"])
         else:
             raise ValueError(f"cannot load flow source {spec!r}")
         F = build_flow(

@@ -4,15 +4,15 @@ A :class:`Homeo` wraps a forward map fixing 0, an optional closed-form
 inverse (bisection with a doubling bracket otherwise), and a monotonicity
 flag verified on a probe grid at construction.  ``basin_of_zero`` decides
 whether 0 attracts the whole half line or only an interval (0, b) ending at
-a fixed point, and ``fundamental_domain_compare`` reports which of the two
-interleaving orderings holds between the fundamental domains of h and of an
-N-th root candidate iterated N times.
+a fixed point.  ``iterate`` composes h with itself at one point; it is the
+walk of ``linearize.direct_iterate``, the textbook iterate that the Koenigs
+limit is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,14 +21,11 @@ from .efunc import GridSpec, compile_expr
 __all__ = [
     "Homeo",
     "BasinReport",
-    "OrderingSample",
-    "FundamentalDomainReport",
     "gallery_homeo",
     "homeo_from_callable",
     "homeo_from_expression",
     "iterate",
     "basin_of_zero",
-    "fundamental_domain_compare",
 ]
 
 _PROBE = np.concatenate([np.exp2(-np.arange(40.0, 0.0, -1.0)), np.exp2(np.arange(0.0, 21.0))])
@@ -198,64 +195,3 @@ def _bisect_fixed_point(h: Homeo, lo: float, hi: float) -> float:
         if hi - lo <= 1e-13 * hi:
             break
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class OrderingSample:
-    a: float
-    h_a: float
-    h2_a: float
-    h1_a: float
-    h1sq_a: float
-    label: str  # "first" | "second" | "both-with-equality" | "neither"
-
-
-@dataclass(frozen=True)
-class FundamentalDomainReport:
-    """Which interleaving holds between h and h1 = hN^N along descending probes.
-
-    "first" means h^2(a) <= h1(a) <= h(a); "second" means
-    h1^2(a) <= h(a) <= h1(a).  ``recurring`` names an ordering that holds at
-    every one of the last few (smallest) probes, or None: for maps outside
-    the attract-0 hypotheses "neither at all probes" is a legitimate outcome.
-    """
-
-    samples: tuple[OrderingSample, ...]
-    counts: dict
-    recurring: str | None
-
-
-def fundamental_domain_compare(
-    h: Homeo, hN: Homeo, N: int, probes: Sequence[float], rtol: float = 1e-12
-) -> FundamentalDomainReport:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    samples = []
-    for a in probes:
-        a = float(a)
-        ha = h(a)
-        h2a = h(ha)
-        h1a = iterate(hN, N, a)
-        h1sq = iterate(hN, N, h1a)
-        tol = rtol * max(1.0, a)
-        first = (h2a <= h1a + tol) and (h1a <= ha + tol)
-        second = (h1sq <= ha + tol) and (ha <= h1a + tol)
-        if first and second:
-            label = "both-with-equality"
-        elif first:
-            label = "first"
-        elif second:
-            label = "second"
-        else:
-            label = "neither"
-        samples.append(OrderingSample(a, ha, h2a, h1a, h1sq, label))
-    counts: dict[str, int] = {}
-    for s in samples:
-        counts[s.label] = counts.get(s.label, 0) + 1
-    tail = samples[-min(5, len(samples)):]
-    recurring = None
-    for ordering in ("first", "second"):
-        if all(s.label in (ordering, "both-with-equality") for s in tail):
-            recurring = ordering if any(s.label == ordering for s in tail) else "both-with-equality"
-            break
-    return FundamentalDomainReport(tuple(samples), counts, recurring)

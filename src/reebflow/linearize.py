@@ -41,10 +41,12 @@ from .oscillation import _DEPTH_FLOOR, EquivalenceWitness, _check_witness, _rela
 __all__ = [
     "LinearizeConfig",
     "LinearizeResult",
-    "ThresholdReport",
     "koenigs_limit",
-    "threshold_inequality",
 ]
+
+# bounded basin: the probes stay at or below b * _PROBE_MARGIN
+_PROBE_MARGIN = 0.99
+
 
 @dataclass(frozen=True)
 class LinearizeConfig:
@@ -55,15 +57,12 @@ class LinearizeConfig:
     max_iters: int = 64
     tol: float = 1e-10  # convergence and functional-equation gate
     witness_tol: float = 1e-9  # precondition gate for lam*f = f o h + k
-    probe_margin: float = 0.99  # bounded case: probes stay below b * margin
 
     def __post_init__(self):
         if not self.lam > 1.0:
             raise ValueError("linearization requires lam > 1")
         if self.tol <= 0 or self.witness_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.probe_margin < 1):
-            raise ValueError("probe_margin must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class LinearizeResult:
     accuracy is certified on the probes and can degrade in the sliver
     between the largest probe and b.  ``probes`` is a read-only view of the
     cached grid nodes in both basin cases: all of them, or those at or below
-    ``b * probe_margin``; copy it before writing to it.  ``f_inf(probes)``
+    ``b * 0.99``; copy it before writing to it.  ``f_inf(probes)``
     and ``f_inf(h(probes))`` are fresh copies of the values the limit
     computation already holds; f is not evaluated again for them.
     """
@@ -175,9 +174,9 @@ def koenigs_limit(
 
     j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
     if b is not None:
-        j = nodes.size - int(np.count_nonzero(nodes <= b * cfg.probe_margin))
+        j = nodes.size - int(np.count_nonzero(nodes <= b * _PROBE_MARGIN))
         if j == nodes.size:
-            raise ValueError(f"no probe nodes below b * margin = {b * cfg.probe_margin:g}")
+            raise ValueError(f"no probe nodes below b * margin = {b * _PROBE_MARGIN:g}")
     probes = nodes[j:]
 
     # sweep until the sweep-change sup falls below tol.  The change
@@ -376,53 +375,6 @@ def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float, n_max: int = 1
         got = float(f_inf(cur))
         worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
     return worst
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Where the contraction inequality f(h(a)) > (lam+1)/2 * f(a) kicks in.
-
-    ``a_prime`` is the largest grid node below which f + shift exceeds
-    2/(lam-1) * max|k| on [0, 1]; below it the inequality must hold at every
-    node.  ``margin`` is the smallest slack observed.
-    """
-
-    a_prime: float | None
-    passed: bool
-    margin: float
-    max_abs_k: float
-
-
-def threshold_inequality(
-    f: EFunction,
-    h: Homeo,
-    k: Callable | float | None,
-    lam: float,
-    g: GridSpec,
-    shift: float = 0.0,
-    k0: float = 0.0,
-) -> ThresholdReport:
-    if not lam > 1.0:
-        raise ValueError("threshold inequality requires lam > 1")
-    k_fn = as_shift(k)
-    x = g.nodes()
-    sel = x <= 1.0
-    xs = x[sel]
-    kv = np.abs(np.asarray(k_fn(xs), dtype=float) - k0)
-    max_abs_k = max(float(np.max(kv)), abs(float(np.asarray(k_fn(np.asarray(0.0))) - k0)))
-    thresh = 2.0 / (lam - 1.0) * max_abs_k
-    fv = np.asarray(f(xs), dtype=float) + shift
-    ok = fv > thresh
-    if not bool(ok[-1]):
-        return ThresholdReport(None, False, -math.inf, max_abs_k)
-    bad = np.where(~ok)[0]
-    i0 = int(bad.max()) + 1 if bad.size else 0
-    a_prime = float(xs[i0])
-    below = xs[i0 + 1 :] if i0 + 1 < len(xs) else xs[len(xs) - 1 :]
-    fh = np.asarray(f(np.asarray(h(below), dtype=float)), dtype=float) + shift
-    fb = np.asarray(f(below), dtype=float) + shift
-    margin = float(np.min(fh - 0.5 * (lam + 1.0) * fb))
-    return ThresholdReport(a_prime, margin > 0.0, margin, max_abs_k)
 
 
 def direct_iterate(f: EFunction, h: Homeo, lam: float, n: int, x: float) -> float:

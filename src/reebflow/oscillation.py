@@ -132,19 +132,23 @@ def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     return _held_profile(f, g, "star")
 
 
-def sharp_profile(f: EFunction, g: GridSpec, tail_bound: float = 0.01) -> OscillationProfile:
+def sharp_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     """Running-max profile referenced to +oo, for functions of class E0.
 
     The running maximum is seeded with the sampled maximum of f over
-    [1, 2^tail_octaves]; the magnitude of f at the horizon must fall below
-    ``tail_bound`` or the decay claim is rejected.
+    [1, 2^tail_octaves]; the magnitude of f at the horizon must be at most
+    0.01 or the decay claim is rejected.
     """
-    return _held_profile(f, g, "sharp", tail_bound)
+    return _held_profile(f, g, "sharp")
 
 
-def _held_profile(f: EFunction, g: GridSpec, variant: str, tail_bound: float = 0.01) -> OscillationProfile:
+# the largest |f(2^tail_octaves)| that the sharp profile accepts as decay
+_DECAY_BOUND = 0.01
+
+
+def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile:
     fv, vals = np.empty(g.node_count), np.empty(g.node_count)
-    _, (sups, mins), cell, tail_max = _profile_pass(f, g, variant, tail_bound, fv, vals)
+    _, (sups, mins), cell, tail_max = _profile_pass(f, g, variant, fv, vals)
     return OscillationProfile(variant, g, g.nodes(), fv, vals, sups, mins, cell, tail_max)
 
 
@@ -152,7 +156,6 @@ def _profile_pass(
     f: EFunction,
     g: GridSpec,
     variant: str = "star",
-    tail_bound: float = 0.01,
     fv: np.ndarray | None = None,
     vals: np.ndarray | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], float, float | None]:
@@ -181,9 +184,9 @@ def _profile_pass(
     if variant == "sharp":
         tv = np.asarray(f(g.tail_nodes()), dtype=float)
         horizon = float(np.abs(tv[-1]))
-        if horizon > tail_bound:
+        if horizon > _DECAY_BOUND:
             raise TailCheckError(
-                f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {tail_bound:g}"
+                f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}"
             )
         tail_max = float(tv.max())
     f_env, p_env = [], []
@@ -269,10 +272,10 @@ class SigmaEstimate:
 
     ``sigma_hat`` is the max of the per-octave suprema s_m over the final
     ``tail_window`` octaves.  ``trend`` compares that window against the
-    preceding one with a hysteresis factor: "increasing" (grows by more than
-    the factor), "vanishing" (shrinks by more than the factor, or is zero),
-    else "bounded".  The trend carries the qualitative verdict; sigma_hat
-    alone cannot distinguish a large limsup from slow divergence.
+    preceding one with a fixed factor of 1.5: "increasing" (grows by more
+    than the factor), "vanishing" (shrinks by more than the factor, or is
+    zero), else "bounded".  The trend carries the qualitative verdict;
+    sigma_hat alone cannot distinguish a large limsup from slow divergence.
     """
 
     variant: str
@@ -281,7 +284,6 @@ class SigmaEstimate:
     tail_window: int
     sigma_hat: float
     trend: str
-    hysteresis: float = 1.5
 
     def to_json(self) -> dict:
         return {
@@ -299,27 +301,26 @@ def sigma_estimate(
     g: GridSpec,
     variant: str = "star",
     tail_window: int = 8,
-    hysteresis: float = 1.5,
-    tail_bound: float = 0.01,
 ) -> SigmaEstimate:
     """The sigma estimate of the star or sharp profile of f on g.
 
     Takes the pass of :func:`star_profile` / :func:`sharp_profile` but keeps
     only the per-octave suprema: no sample of f or of the profile is held.
     """
-    _, (sups, _), _, _ = _profile_pass(f, g, variant, tail_bound)
-    return _sigma_from_sups(variant, g, sups, tail_window, hysteresis)
+    _, (sups, _), _, _ = _profile_pass(f, g, variant)
+    return _sigma_from_sups(variant, g, sups, tail_window)
 
 
-def sigma_from_profile(
-    prof: OscillationProfile, tail_window: int = 8, hysteresis: float = 1.5
-) -> SigmaEstimate:
-    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup, tail_window, hysteresis)
+def sigma_from_profile(prof: OscillationProfile, tail_window: int = 8) -> SigmaEstimate:
+    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup, tail_window)
 
 
-def _sigma_from_sups(
-    variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int = 8, hysteresis: float = 1.5
-) -> SigmaEstimate:
+# the factor by which the tail window must grow or shrink against the one
+# before it for the trend to be "increasing" or "vanishing"
+_TREND_FACTOR = 1.5
+
+
+def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int = 8) -> SigmaEstimate:
     W = int(tail_window)
     if W < 1:
         raise ValueError("tail_window must be >= 1")
@@ -332,13 +333,13 @@ def _sigma_from_sups(
     tiny = 1e-12 * (1.0 + float(np.max(s_m)))
     if tail <= tiny:
         trend = "vanishing"
-    elif tail >= hysteresis * max(prev, tiny):
+    elif tail >= _TREND_FACTOR * max(prev, tiny):
         trend = "increasing"
-    elif tail <= max(prev, tiny) / hysteresis:
+    elif tail <= max(prev, tiny) / _TREND_FACTOR:
         trend = "vanishing"
     else:
         trend = "bounded"
-    return SigmaEstimate(variant, g.octaves(), s_m, W, tail, trend, hysteresis)
+    return SigmaEstimate(variant, g.octaves(), s_m, W, tail, trend)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from reebflow import (
     GridSpec,
     Homeo,
     basin_of_zero,
-    fundamental_domain_compare,
     gallery_homeo,
     homeo_from_expression,
     iterate,
@@ -134,37 +133,3 @@ class TestBasin:
         assert iterate(h, 40, 1.0 - 1e-3) < 1e-6
         assert abs(iterate(h, -40, 0.5) - 1.0) < 1e-6
 
-
-class TestFundamentalDomains:
-    def test_exact_root_gives_equality(self):
-        probes = np.exp2(-np.arange(1.0, 13.0))
-        rep = fundamental_domain_compare(
-            gallery_homeo("halve"), gallery_homeo("root_scale:4"), 4, probes
-        )
-        assert all(s.label == "both-with-equality" for s in rep.samples)
-        assert rep.recurring == "both-with-equality"
-
-    def test_exponent_root_gives_equality(self):
-        probes = np.exp2(-np.arange(1.0, 13.0))
-        rep = fundamental_domain_compare(
-            gallery_homeo("square"), gallery_homeo(f"pow:{2.0 ** 0.25!r}"), 4, probes
-        )
-        assert rep.recurring == "both-with-equality"
-
-    def test_perturbed_root_settles_into_one_ordering(self):
-        probes = np.exp2(-np.arange(1.0, 13.0))
-        hN = homeo_from_expression("x/2**0.25*(1+0.01*x/(1+x))")
-        rep = fundamental_domain_compare(gallery_homeo("halve"), hN, 4, probes)
-        assert rep.recurring in ("first", "second")
-
-    def test_unrelated_maps_may_fit_neither(self):
-        # outside the comparison hypotheses "neither" is a legitimate report
-        probes = [0.9, 0.8, 0.6, 0.4, 0.2]
-        rep = fundamental_domain_compare(
-            gallery_homeo("halve"), gallery_homeo("square"), 1, probes
-        )
-        assert set(rep.counts) <= {"first", "second", "both-with-equality", "neither"}
-
-    def test_n_validated(self):
-        with pytest.raises(ValueError):
-            fundamental_domain_compare(gallery_homeo("halve"), gallery_homeo("halve"), 0, [0.5])

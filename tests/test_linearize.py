@@ -18,7 +18,6 @@ from reebflow import (
     check_witness,
     gallery_homeo,
     koenigs_limit,
-    threshold_inequality,
 )
 from reebflow import linearize
 from reebflow.efunc import _blocks
@@ -585,29 +584,6 @@ class TestPreconditions:
                 koenigs_limit(
                     builtin("koenigs_demo"), gallery_homeo("square"), k, LinearizeConfig(2.0, grid)
                 )
-
-
-class TestThresholdInequality:
-    def test_koenigs_demo_case(self, grid):
-        rep = threshold_inequality(
-            builtin("koenigs_demo"), gallery_homeo("square"), koenigs_shift, 2.0, grid
-        )
-        assert rep.passed
-        assert rep.max_abs_k == pytest.approx(0.5, rel=1e-12)
-        assert 0.4 < rep.a_prime < 0.6
-        assert rep.margin > 0.0
-
-    def test_zero_shift_case(self, grid):
-        # with k = 0 the gate is f > 0 and f(h(a)) = 2 f(a) > 1.5 f(a)
-        rep = threshold_inequality(builtin("std_log"), gallery_homeo("square"), None, 2.0, grid)
-        assert rep.passed
-        assert rep.max_abs_k == 0.0
-        assert rep.a_prime < 1.0
-        assert rep.margin > 0.0
-
-    def test_lam_validated(self, grid):
-        with pytest.raises(ValueError):
-            threshold_inequality(builtin("std_log"), gallery_homeo("square"), None, 1.0, grid)
 
 
 class TestDirectIterate:
