@@ -55,18 +55,9 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_grid(text: str | None) -> efunc.GridSpec:
-    if not text:
-        return efunc.GridSpec()
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("--grid expects 'K,m_max', e.g. 512,40")
-    return efunc.GridSpec(samples_per_octave=int(parts[0]), octave_max=int(parts[1]))
-
-
 def _resolve_function(args) -> tuple[efunc.EFunction, dict]:
     if getattr(args, "builtin", None):
-        params = [float(p) for p in (args.param or [])]
+        params = args.param or []
         f = efunc.builtin(args.builtin, params)
         return f, {"builtin": args.builtin, "params": params}
     if getattr(args, "csv", None):
@@ -99,7 +90,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_sigma(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, args.grid)
     cfg = RunConfig(
         "sigma", spec, g.to_json(), args.seed, variant=args.variant, tail_window=args.tail_window
     )
@@ -124,7 +115,7 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, args.grid)
     tol = args.tol if args.tol is not None else 1e-9
     lam = args.lam if args.lam is not None else 1.0
     cfg = RunConfig("roundtrip", spec, g.to_json(), args.seed, lam=lam, tol=tol,
@@ -170,7 +161,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_linearize(args) -> int:
     f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, _parse_grid(args.grid))
+    g = efunc.fit_grid(f, args.grid)
     if not args.homeo:
         raise ValueError("linearize needs --homeo ID")
     if args.lam is None:
@@ -204,7 +195,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _parse_grid(args.grid)
+    g = args.grid
     if getattr(args, "flow", None):
         F, spec = _resolve_flow(args, g)
         report = flow_classify(F, g=g, tau_std=args.tau_std, tau_ns=args.tau_ns)
@@ -230,7 +221,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_transition(args) -> int:
-    g = _parse_grid(args.grid)
+    g = args.grid
     F, spec = _resolve_flow(args, g)
     if args.x is None:
         raise ValueError("transition needs --x VALUE")
@@ -243,7 +234,7 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    g = _parse_grid(args.grid)
+    g = args.grid
     out = _out_dir(args)
     if getattr(args, "flow", None):
         F, spec = _resolve_flow(args, g)
@@ -285,11 +276,12 @@ def _cmd_plot(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, flow_input: bool = False) -> None:
     p.add_argument("--builtin", help="gallery function name")
-    p.add_argument("--param", action="append", help="builtin parameter (repeatable)")
+    p.add_argument("--param", action="append", type=float, help="builtin parameter (repeatable)")
     p.add_argument("--csv", help="CSV file with header x,f and decreasing x")
     if flow_input:
         p.add_argument("--flow", help="'standard' or path to a flow JSON config")
-    p.add_argument("--grid", help="grid as 'K,m_max' (default 512,40)")
+    p.add_argument("--grid", type=_grid, default=efunc.GridSpec(),
+                   help="grid as 'K,m_max' (default 512,40)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="recorded in outputs for reproducibility")
     p.add_argument("--lambda", dest="lam", type=_positive, default=None, help="scale factor > 0")
@@ -303,6 +295,19 @@ def _positive(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
+
+
+def _grid(text: str) -> efunc.GridSpec:
+    try:
+        K, m_max = (int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'K,m_max' as two integers, e.g. 512,40, got {text!r}"
+        ) from None
+    try:
+        return efunc.GridSpec(samples_per_octave=K, octave_max=m_max)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=None, help="max absolute error (default 1e-9)")
+    p.add_argument("--tol", type=_positive, default=None, help="max absolute error (default 1e-9)")
     p.add_argument("--c0", type=float, default=0.25)
     p.add_argument("--c1", type=float, default=0.5)
     p.set_defaults(fn=_cmd_roundtrip)
@@ -329,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--homeo", help="halve | square | root_scale:N | pow:p | expression")
     p.add_argument("--shift-expr", help="k as an expression in x (default: derived)")
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_positive, default=None, help="residual tolerance (default 1e-10)")
     p.set_defaults(fn=_cmd_linearize)
 
     p = sub.add_parser("classify", help="standard / nonstandard / inconclusive verdict")
     _add_common(p, flow_input=True)
-    p.add_argument("--tau-std", type=float, default=1e-3)
-    p.add_argument("--tau-ns", type=float, default=1e-1)
+    p.add_argument("--tau-std", type=_positive, default=1e-3)
+    p.add_argument("--tau-ns", type=_positive, default=1e-1)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")

@@ -448,13 +448,21 @@ def flow_to_json(F: Flow) -> dict:
     return obj
 
 
+_FLOW_KINDS = ("standard", "realized", "time_scaled")
+
+
 def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
     """Rebuild a flow from its JSON config.
 
-    The "f" descriptor is {"builtin": name, "params": [...]} or {"csv":
-    path}.  The recorded shift is recomputed from the data, not trusted.
+    "kind" is one of "standard" (the default), "realized" and "time_scaled";
+    any other kind is a ValueError that names it.  The "f" descriptor of a
+    realized flow is {"builtin": name, "params": [...]} or {"csv": path}; a
+    time_scaled config without one scales the standard flow.  The recorded
+    shift is recomputed from the data, not trusted.
     """
     kind = obj.get("kind", "standard")
+    if kind not in _FLOW_KINDS:
+        raise ValueError(f"unknown flow kind {kind!r}; choose from {', '.join(_FLOW_KINDS)}")
     lam = float(obj.get("lambda", 1.0))
     if kind == "standard" or (kind == "time_scaled" and "f" not in obj):
         F = standard_flow()

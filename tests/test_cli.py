@@ -29,6 +29,13 @@ def assert_lambda_rejected(capsys, tmp_path, *argv):
     assert not out.exists()
 
 
+def assert_positive_rejected(capsys, tmp_path, flag, *argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert f"argument {flag}: expected a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSigmaCommand:
     def test_builtin_flat(self, tmp_path):
         out = tmp_path / "o"
@@ -79,8 +86,20 @@ class TestSigmaCommand:
         assert run("sigma", "--csv", str(data), "--out", str(tmp_path / "o")) == 2
         assert "bad.csv:3: non-finite value" in capsys.readouterr().err
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
-        assert run("sigma", "--builtin", "std_log", "--grid", "512", "--out", str(tmp_path)) == 2
+    @pytest.mark.parametrize("grid", ["512", "abc,40", "512,99"])
+    def test_bad_grid_is_usage_error(self, capsys, tmp_path, grid):
+        # regression: "abc,40" was reported as "invalid literal for int()"
+        out = tmp_path / "o"
+        assert run("sigma", "--builtin", "std_log", "--grid", grid, "--out", str(out)) == 2
+        assert "argument --grid: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_param_is_usage_error(self, capsys, tmp_path):
+        # regression: reported as "could not convert string to float"
+        out = tmp_path / "o"
+        assert run("sigma", "--builtin", "bounded_osc", "--param", "two", "--out", str(out)) == 2
+        assert "argument --param: invalid float value: 'two'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRoundtripCommand:
@@ -116,6 +135,12 @@ class TestRoundtripCommand:
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         # regression: --lambda 0 was read as 1 and recorded as "lambda": 1.0
         assert_lambda_rejected(capsys, tmp_path, "roundtrip", "--builtin", "std_log", "--lambda", lam)
+
+    @pytest.mark.parametrize("tol", BAD_POSITIVES)
+    def test_bad_tol_is_usage_error(self, capsys, tmp_path, tol):
+        # regression: --tol -1 and nan wrote the artifacts and exited 1 with "FAIL at tol"
+        assert_positive_rejected(capsys, tmp_path, "--tol", "roundtrip", "--builtin", "std_log",
+                                 "--tol", tol)
 
 
 class TestLinearizeCommand:
@@ -157,6 +182,11 @@ class TestLinearizeCommand:
         code = run("linearize", "--builtin", name, "--homeo", hid, "--lambda", lam, "--out", str(tmp_path))
         assert code == 2
         assert "does not settle toward 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", BAD_POSITIVES)
+    def test_bad_tol_is_usage_error(self, capsys, tmp_path, tol):
+        assert_positive_rejected(capsys, tmp_path, "--tol", "linearize", "--builtin", "koenigs_demo",
+                                 "--homeo", "square", "--lambda", "2", "--tol", tol)
 
     def test_missing_homeo_is_usage_error(self, tmp_path):
         assert run("linearize", "--builtin", "std_log", "--lambda", "2", "--out", str(tmp_path)) == 2
@@ -223,9 +253,24 @@ class TestClassifyCommand:
         cfgp.write_text("{not json")
         assert run("classify", "--flow", str(cfgp), "--out", str(tmp_path)) == 2
 
+    def test_unknown_flow_kind_is_usage_error(self, capsys, tmp_path):
+        # regression: a "bogus" kind was classified as a realized flow, exit 0
+        cfgp = tmp_path / "flow.json"
+        cfgp.write_text(json.dumps({"kind": "bogus", "f": {"builtin": "std_log"}}))
+        out = tmp_path / "o"
+        assert run("classify", "--flow", str(cfgp), "--out", str(out)) == 2
+        assert "unknown flow kind 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         assert_lambda_rejected(capsys, tmp_path, "classify", "--flow", "standard", "--lambda", lam)
+
+    @pytest.mark.parametrize("flag", ["--tau-std", "--tau-ns"])
+    @pytest.mark.parametrize("value", BAD_POSITIVES)
+    def test_bad_threshold_is_usage_error(self, capsys, tmp_path, flag, value):
+        # regression: --tau-std -1 exited 0, with a verdict that could never be standard
+        assert_positive_rejected(capsys, tmp_path, flag, "classify", "--builtin", "std_log", flag, value)
 
 
 class TestTransitionCommand:

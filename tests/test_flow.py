@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -417,6 +418,12 @@ class TestSerialization:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="flow source"):
             flow_from_json({"kind": "realized", "f": {"what": 1}})
+
+    @pytest.mark.parametrize("kind", ["bogus", "Realized", None])
+    def test_unknown_kind_rejected(self, kind):
+        # regression: any kind but "standard" silently built a realized flow
+        with pytest.raises(ValueError, match=f"^unknown flow kind {re.escape(repr(kind))}; "):
+            flow_from_json({"kind": kind, "f": {"builtin": "std_log"}})
 
     def test_orbit_rows_and_csv(self, grid, tmp_path):
         F = build_flow(builtin("doubling_osc"), g=grid)
