@@ -36,7 +36,6 @@ class RunConfig:
     command: str
     input: dict
     grid: dict
-    seed: int
     lam: float | None = None
     homeo: str | None = None
     variant: str = "star"
@@ -91,9 +90,7 @@ def _out_dir(args) -> Path:
 def _cmd_sigma(args) -> int:
     f, spec = _resolve_function(args)
     g = efunc.fit_grid(f, args.grid)
-    cfg = RunConfig(
-        "sigma", spec, g.to_json(), args.seed, variant=args.variant, tail_window=args.tail_window
-    )
+    cfg = RunConfig("sigma", spec, g.to_json(), variant=args.variant, tail_window=args.tail_window)
     prof = (
         star_profile(f, g) if args.variant == "star" else sharp_profile(f, g)
     )
@@ -118,8 +115,7 @@ def _cmd_roundtrip(args) -> int:
     g = efunc.fit_grid(f, args.grid)
     tol = args.tol if args.tol is not None else 1e-9
     lam = args.lam if args.lam is not None else 1.0
-    cfg = RunConfig("roundtrip", spec, g.to_json(), args.seed, lam=lam, tol=tol,
-                    c0=args.c0, c1=args.c1)
+    cfg = RunConfig("roundtrip", spec, g.to_json(), lam=lam, tol=tol, c0=args.c0, c1=args.c1)
     F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g, source_spec=spec)
     Fs = flowmod.time_scale(F, lam) if lam != 1.0 else F
     extracted = flowmod.extract_transition(Fs, g)
@@ -169,8 +165,7 @@ def _cmd_linearize(args) -> int:
     h = homeomod.gallery_homeo(args.homeo)
     k = efunc.compile_expr(args.shift_expr, "--shift-expr") if args.shift_expr else None
     tol = args.tol if args.tol is not None else 1e-10
-    cfg = RunConfig("linearize", spec, g.to_json(), args.seed, lam=args.lam, homeo=args.homeo,
-                    tol=tol)
+    cfg = RunConfig("linearize", spec, g.to_json(), lam=args.lam, homeo=args.homeo, tol=tol)
     res = linmod.koenigs_limit(f, h, k, linmod.LinearizeConfig(args.lam, g, tol=tol))
     out = _out_dir(args)
     _write_json(out / "linearize.json", {"config": cfg.to_json(), "result": res.to_json()})
@@ -203,8 +198,7 @@ def _cmd_classify(args) -> int:
         f, spec = _resolve_function(args)
         g = efunc.fit_grid(f, g)
         report = classify(f, g, tau_std=args.tau_std, tau_ns=args.tau_ns)
-    cfg = RunConfig("classify", spec, g.to_json(), args.seed, tau_std=args.tau_std,
-                    tau_ns=args.tau_ns)
+    cfg = RunConfig("classify", spec, g.to_json(), tau_std=args.tau_std, tau_ns=args.tau_ns)
     out = _out_dir(args)
     _write_json(out / "classify.json", {"config": cfg.to_json(), "report": report.to_json()})
     line_plot(
@@ -226,7 +220,7 @@ def _cmd_transition(args) -> int:
     if args.x is None:
         raise ValueError("transition needs --x VALUE")
     t = flowmod.transition_time(F, flowmod.DEFAULT_TRANSVERSAL, args.x)
-    cfg = RunConfig("transition", spec, g.to_json(), args.seed)
+    cfg = RunConfig("transition", spec, g.to_json())
     out = _out_dir(args)
     _write_json(out / "transition.json", {"config": cfg.to_json(), "x": args.x, "time": t})
     print(f"transition time at x = {args.x!r}: {t!r}")
@@ -283,7 +277,6 @@ def _add_common(p: argparse.ArgumentParser, flow_input: bool = False) -> None:
     p.add_argument("--grid", type=_grid, default=efunc.GridSpec(),
                    help="grid as 'K,m_max' (default 512,40)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="recorded in outputs for reproducibility")
     p.add_argument("--lambda", dest="lam", type=_positive, default=None, help="scale factor > 0")
 
 

@@ -392,9 +392,3 @@ class TestDeterminism:
         for pa in sorted(a.iterdir()):
             pb = b / pa.name
             assert pa.read_bytes() == pb.read_bytes(), pa.name
-
-    def test_seed_echoed(self, tmp_path):
-        out = tmp_path / "o"
-        assert run("sigma", "--builtin", "std_log", "--grid", QUICK, "--seed", "7",
-                   "--out", str(out)) == 0
-        assert load(out / "sigma.json")["config"]["seed"] == 7
