@@ -298,8 +298,8 @@ def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
 
 def time_scale(F: Flow, lam: float) -> Flow:
     """Flow with flow_step(F', t, p) = flow_step(F, lam * t, p)."""
-    if lam <= 0:
-        raise ValueError("time-scale factor must be positive")
+    if not 0 < F.lam * lam < math.inf:
+        raise ValueError(f"time-scale factor lambda must be positive and finite, got {lam!r}")
     return replace(F, lam=F.lam * lam)
 
 

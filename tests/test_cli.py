@@ -297,6 +297,16 @@ class TestTransitionCommand:
         assert "argument --x: expected a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity"])
+    def test_nonfinite_flow_lambda_is_usage_error(self, capsys, tmp_path, lam):
+        # regression: NaN printed a NaN time and wrote it into transition.json, exit 0
+        cfgp = tmp_path / "flow.json"
+        cfgp.write_text(f'{{"kind": "time_scaled", "lambda": {lam}}}')
+        out = tmp_path / "o"
+        assert run("transition", "--flow", str(cfgp), "--x", "0.5", "--out", str(out)) == 2
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_grid_dip_is_usage_error(self, capsys, spike_flow, tmp_path):
         # regression: printed a negative time and exited 0
         path, _ = spike_flow

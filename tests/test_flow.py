@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from reebflow import (
     DEFAULT_TRANSVERSAL,
     DomainError,
+    Flow,
     GridSpec,
     QuarterPlanePoint,
     Transversal,
@@ -277,6 +278,16 @@ class TestTransition:
     def test_time_scale_validated(self):
         with pytest.raises(ValueError):
             time_scale(standard_flow(), 0.0)
+
+    @pytest.mark.parametrize(
+        "F, lam",
+        [(standard_flow(), math.nan), (standard_flow(), math.inf), (Flow("standard", lam=1e200), 1e200)],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_time_scale_must_stay_finite(self, F, lam):
+        # regression: a NaN or infinite factor gave NaN or zero transition times
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            time_scale(F, lam)
 
     def test_parameter_validated(self):
         with pytest.raises(DomainError):
