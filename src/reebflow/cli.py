@@ -67,11 +67,8 @@ def _resolve_function(args) -> tuple[efunc.EFunction, dict]:
 
 def _resolve_flow(args, g: efunc.GridSpec) -> tuple[flowmod.Flow, dict]:
     spec = args.flow
-    if spec == "standard":
-        F = flowmod.standard_flow()
-    else:
-        obj = json.loads(Path(spec).read_text())
-        F = flowmod.flow_from_json(obj, g)
+    obj = {"kind": "standard"} if spec == "standard" else json.loads(Path(spec).read_text())
+    F = flowmod.flow_from_json(obj, g)
     # --lambda composes on top of whatever the config already carries
     if args.lam is not None:
         F = flowmod.time_scale(F, args.lam)

@@ -17,15 +17,19 @@ both ways:
   the standard profile -ln c over [c0, c1], and left standard above c1;
   the blend only perturbs f by a continuous function vanishing at 0, so the
   realized flow stays in the intended equivalence class.  If f is not
-  positive on the grid below c1 it is lifted by a recorded constant.
+  positive on the grid below c1 it is lifted by a recorded constant.  Every
+  flow has this one shape: the standard flow is the one with no f and the
+  empty window c0 = c1 = 0, so its transit is -ln c and its speed 1 on
+  every leaf.
 
-* ``transition_time`` extracts the invariant back out of a flow: for the
-  default transversals gamma1(x) = (x, 1) and gamma2(x) = (1, x) the leaf
-  label equals the parameter, and the answer is the transit target itself;
-  for user transversals it is the integral of ds / v(s) between the two
-  curves' positions on the leaf, closed form on each linear piece of the
-  speed.  ``flow_step`` and ``orbit_rows`` invert the same integral, so
-  every time of flight and every orbit position is exact to rounding.
+* ``transition_time`` and ``extract_transition`` read the invariant back
+  out of a flow: for the default transversals gamma1(x) = (x, 1) and
+  gamma2(x) = (1, x) the leaf label equals the parameter, and the answer is
+  the transit target itself; for user transversals it is the integral of
+  ds / v(s) between the two curves' positions on the leaf, closed form on
+  each linear piece of the speed.  ``flow_step`` and ``orbit_rows`` invert
+  the same integral, so every time of flight and every orbit position is
+  exact to rounding.
 
 ``time_scale`` reparametrizes time, dividing every transition time by the
 factor.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,46 +188,38 @@ DEFAULT_TRANSVERSAL = Transversal()
 class Flow:
     """A flow on the quarter plane given by a leafwise speed field.
 
-    base "standard" has speed 1 everywhere.  base "realized" carries the
-    transit target T(c) and prescription window; its speed on leaf c < c1 is
-    r(c) = (-ln c)/T(c) on s in [ln c, 0], 1 outside [ln c - 1, 1], linear
-    on the two ramps.  ``lam`` != 1 multiplies all speeds (time scaling).
+    The transit target T(c) is f + shift on (0, c0], blended to -ln c over
+    (c0, c1) and -ln c from c1 on; the speed on leaf c < c1 is
+    r(c) = (-ln c)/T(c) on s in [ln c, 0], 1 outside [ln c - 1, 1], linear on
+    the two ramps.  The standard flow ``Flow()`` has no source f and the
+    empty window c0 = c1 = 0, so T(c) = -ln c and r = 1 on every leaf.
+    ``lam`` != 1 multiplies all speeds (time scaling).
     """
 
-    base: str  # "standard" | "realized"
     lam: float = 1.0
-    transit_target: Callable[[np.ndarray], np.ndarray] | None = None
-    c0: float | None = None
-    c1: float | None = None
+    c0: float = 0.0
+    c1: float = 0.0
     shift: float = 0.0
     source: EFunction | None = None
     source_spec: dict | None = None
 
-    @property
-    def kind(self) -> str:
-        if self.lam != 1.0:
-            return "time_scaled"
-        return self.base
-
     def transit(self, c) -> np.ndarray:
-        """Unscaled transit target over s in [ln c, 0] (equals -ln c if standard)."""
-        arr = np.asarray(c, dtype=float)
-        if self.base == "standard":
-            return -np.log(arr)
-        return np.asarray(self.transit_target(arr), dtype=float)
+        """Unscaled transit target T(c) over s in [ln c, 0]."""
+        c = np.asarray(c, dtype=float)
+        f_at = lambda at: np.asarray(self.source(c[at]), dtype=float) + self.shift  # noqa: E731
+        return _transit_target(c, f_at, self.c0, self.c1)
 
     def prescribed_speed(self, c) -> np.ndarray:
         """The uniform speed r(c) on the segment [ln c, 0] (before time scaling)."""
         c = np.asarray(c, dtype=float)
         r = np.ones(c.shape)
-        if self.base == "realized":
-            lo = c < self.c1
-            r[lo] = -np.log(c[lo]) / self.transit(c[lo])
+        lo = c < self.c1
+        r[lo] = -np.log(c[lo]) / self.transit(c[lo])
         return r
 
 
 def standard_flow() -> Flow:
-    return Flow(base="standard")
+    return Flow()
 
 
 def build_flow(
@@ -252,45 +248,34 @@ def build_flow(
     vals = np.asarray(f(x[sel]), dtype=float)
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
-
-    def transit(c, _f=f, _shift=shift, _c0=c0, _c1=c1):
-        c = np.asarray(c, dtype=float)
-        return _transit_target(c, lambda at: np.asarray(_f(c[at]), dtype=float) + _shift, _c0, _c1)
-
-    flow = Flow(
-        base="realized",
-        transit_target=transit,
-        c0=c0,
-        c1=c1,
-        shift=shift,
-        source=f,
-        source_spec=source_spec,
-    )
     # a flow that is not positive on the grid fails here, with f read from vals
     _transit_target(x[sel], lambda at: vals[at] + shift, c0, c1)
-    return flow
+    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec)
 
 
 def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
     """The transit target at the leaves c; ``f_at(mask)`` is f + shift at c[mask].
 
-    f + shift on (0, c0], blended to -ln c over (c0, c1), -ln c from c1 on.
-    Raises DomainError at the first leaf below c1 where it is not positive.
+    f + shift on (0, c0], blended to -ln c over (c0, c1), -ln c from c1 on;
+    the empty window c0 = c1 = 0 gives -ln c on every positive leaf and
+    never calls f_at there.  Raises DomainError at the first leaf below c1 where it is not
+    positive.
     """
-    out = np.empty_like(c)
+    out = np.log(c, out=np.empty_like(c))  # an array even for 0-d c, so it takes assignment
+    np.negative(out, out=out)
+    below = c < c1
+    if not np.any(below):
+        return out
     lo = c <= c0
-    hi = c >= c1
-    mid = ~(lo | hi)
+    mid = below & ~lo
     if np.any(lo):
         out[lo] = f_at(lo)
-    if np.any(hi):
-        out[hi] = -np.log(c[hi])
     if np.any(mid):
-        cm = c[mid]
-        w = (np.log(cm) - math.log(c0)) / (math.log(c1) - math.log(c0))
+        neg_log = out[mid]
+        w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
         u = w * w * (3.0 - 2.0 * w)
-        out[mid] = (1.0 - u) * f_at(mid) + u * (-np.log(cm))
-    bad = ~hi & ~(out > 0.0)
+        out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
+    bad = below & ~(out > 0.0)
     if np.any(bad):
         raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
     return out
@@ -374,24 +359,8 @@ def _leaf_position(F: Flow, c, s0, t) -> np.ndarray:
     return s
 
 
-def _user_transition(F: Flow, tv: Transversal, x) -> np.ndarray:
-    """Time from gamma1(x) to the second curve, along each leaf gamma1 meets."""
-    xi, eta = tv.gamma1(x)
-    c = xi * eta
-    return _leaf_time(F, c, np.log(xi), tv.s_on_leaf2(c))
-
-
-def flow_step(F: Flow, t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
-    """Advance p by time t.  The leaf label xi * eta is preserved exactly."""
-    if F.base == "standard":
-        return standard_step(t * F.lam, p)
-    c, s = p.leaf_coords()  # realized flows move interior points only
-    xi = math.exp(float(_leaf_position(F, c, s, t)))
-    return QuarterPlanePoint(xi, c / xi)
-
-
-def transition_time(F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1.0) -> float:
-    """Time for the flow to carry gamma1(x) onto the second curve.
+def _transition(F: Flow, tv: Transversal, x) -> np.ndarray:
+    """Time for the flow to carry gamma1(x) onto the second curve (arrays).
 
     Default transversals: the start sits on leaf c = x at s = ln c, the
     target at s = 0, and the uniform-speed segment covers exactly that
@@ -399,30 +368,40 @@ def transition_time(F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1
     the time-scale factor).  User transversals: the closed-form integral of
     ds / v(s) between the two curves' positions on the leaf of gamma1(x).
     """
-    if x <= 0:
-        raise DomainError("transition parameter must be positive")
     if tv.is_default:
-        if F.base == "standard":
-            return -math.log(x) / F.lam
-        return float(F.transit(float(x))) / F.lam
-    return float(_user_transition(F, tv, [x])[0])
+        return F.transit(x) / F.lam
+    xi, eta = tv.gamma1(x)
+    c = xi * eta
+    return _leaf_time(F, c, np.log(xi), tv.s_on_leaf2(c))
+
+
+def flow_step(F: Flow, t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
+    """Advance p by time t.  The leaf label xi * eta is preserved exactly."""
+    if F.source is None:  # the standard flow also moves points of the axes
+        return standard_step(t * F.lam, p)
+    c, s = p.leaf_coords()  # realized flows move interior points only
+    xi = math.exp(float(_leaf_position(F, c, s, t)))
+    return QuarterPlanePoint(xi, c / xi)
+
+
+def transition_time(F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1.0) -> float:
+    """Time for the flow to carry gamma1(x) onto the second curve."""
+    if not x > 0:  # NaN included
+        raise DomainError("transition parameter must be positive")
+    return float(_transition(F, tv, [x])[0])
 
 
 def extract_transition(
     F: Flow, g: GridSpec | None = None, tv: Transversal = DEFAULT_TRANSVERSAL
 ) -> EFunction:
     """The transition-time function of a flow as an evaluable EFunction."""
-    if tv.is_default:
-        fn = lambda x, _F=F: np.asarray(_F.transit(x), dtype=float) / _F.lam  # noqa: E731
-    else:
-        fn = lambda x, _F=F, _tv=tv: _user_transition(_F, _tv, x)  # noqa: E731
-    return EFunction("expression", fn, "E", f"transition({F.kind})")
+    return EFunction("expression", lambda x, _F=F, _tv=tv: _transition(_F, _tv, x), "E", "transition")
 
 
 def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[tuple[float, float, float]]:
     """(t, xi, eta) samples of the orbit through p0, as Python floats."""
     t = np.asarray(times, dtype=float).tolist()
-    if F.base == "standard":
+    if F.source is None:
         pts = [flow_step(F, v, p0) for v in t]
         return [(v, q.xi, q.eta) for v, q in zip(t, pts)]
     c, s0 = p0.leaf_coords()
@@ -435,20 +414,34 @@ def orbit_to_csv(path, rows) -> None:
 
 
 def flow_to_json(F: Flow) -> dict:
-    obj: dict = {"kind": F.kind, "lambda": float(F.lam)}
-    if F.base == "realized":
+    standard = F.source is None
+    kind = "time_scaled" if F.lam != 1.0 else "standard" if standard else "realized"
+    obj: dict = {"kind": kind, "lambda": float(F.lam)}
+    if not standard:
         obj.update(
             {
                 "c0": float(F.c0),
                 "c1": float(F.c1),
                 "shift": float(F.shift),
-                "f": F.source_spec or {"description": F.source.description if F.source else None},
+                "f": F.source_spec or {"description": F.source.description},
             }
         )
     return obj
 
 
 _FLOW_KINDS = ("standard", "realized", "time_scaled")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(obj: dict, key: str, default: float) -> float:
+    """The JSON number under key; a ValueError naming the key for anything else."""
+    v = obj.get(key, default)
+    if not _is_number(v):
+        raise ValueError(f"flow config {key!r} must be a number, got {v!r}")
+    return float(v)
 
 
 def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
@@ -458,28 +451,32 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
     any other kind is a ValueError that names it.  The "f" descriptor of a
     realized flow is {"builtin": name, "params": [...]} or {"csv": path}; a
     time_scaled config without one scales the standard flow.  The recorded
-    shift is recomputed from the data, not trusted.
+    shift is recomputed from the data, not trusted.  A config that is not an
+    object, or a value of the wrong type, is a ValueError that names its key.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"flow config must be a JSON object, got {obj!r}")
     kind = obj.get("kind", "standard")
     if kind not in _FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}; choose from {', '.join(_FLOW_KINDS)}")
-    lam = float(obj.get("lambda", 1.0))
+    lam = _number(obj, "lambda", 1.0)
     if kind == "standard" or (kind == "time_scaled" and "f" not in obj):
         F = standard_flow()
     else:
         spec = obj.get("f")
         if isinstance(spec, dict) and "builtin" in spec:
-            f = builtin(spec["builtin"], spec.get("params", ()))
+            params = spec.get("params", [])
+            if not isinstance(params, (list, tuple)) or not all(map(_is_number, params)):
+                raise ValueError(f"flow source 'params' must be a list of numbers, got {params!r}")
+            f = builtin(spec["builtin"], params)
         elif isinstance(spec, dict) and "csv" in spec:
+            if not isinstance(spec["csv"], str):
+                raise ValueError(f"flow source 'csv' must be a file path, got {spec['csv']!r}")
             f = from_csv(spec["csv"])
         else:
             raise ValueError(f"cannot load flow source {spec!r}")
         F = build_flow(
-            f,
-            c0=float(obj.get("c0", 0.25)),
-            c1=float(obj.get("c1", 0.5)),
-            g=g,
-            source_spec=spec if isinstance(spec, dict) else None,
+            f, c0=_number(obj, "c0", 0.25), c1=_number(obj, "c1", 0.5), g=g, source_spec=spec
         )
     if lam != 1.0:
         F = time_scale(F, lam)

@@ -1,17 +1,18 @@
 """Increasing homeomorphisms of [0, oo): iteration, inversion, basins.
 
-A :class:`Homeo` wraps a forward map fixing 0, an optional closed-form
-inverse (bisection with a doubling bracket otherwise), and a monotonicity
-flag verified on a probe grid at construction.  ``basin_of_zero`` decides
-whether 0 attracts the whole half line or only an interval (0, b) ending at
-a fixed point.  ``iterate`` composes h with itself at one point; it is the
-walk of ``linearize.direct_iterate``, the textbook iterate that the Koenigs
-limit is tested against.
+A :class:`Homeo` wraps a forward map fixing 0 and an optional closed-form
+inverse (bisection with a doubling bracket otherwise); construction checks
+h(0) = 0 and the inverse's round trip on a probe grid.  Monotonicity is
+checked where h is used, on each grid, by the witness check.
+``basin_of_zero`` decides whether 0 attracts the whole half line or only an
+interval (0, b) ending at a fixed point.  ``iterate`` composes h with itself
+at one point; it is the walk of ``linearize.direct_iterate``, the textbook
+iterate that the Koenigs limit is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,6 @@ class Homeo:
     fn: Callable[[np.ndarray], np.ndarray]
     inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
-    monotone: bool = field(default=True)
 
     def __call__(self, x):
         out = self.fn(np.asarray(x, dtype=float))
@@ -83,8 +83,7 @@ def _verify(fn, inverse_fn, name) -> Homeo:
     v0 = float(fn(np.asarray(0.0)))
     if not abs(v0) <= 1e-15:
         raise ValueError(f"homeo {name!r} must fix 0, got h(0) = {v0!r}")
-    monotone = bool(np.all(np.diff(vals) > 0) and np.all(vals > 0))
-    h = Homeo(fn, inverse_fn, name, monotone)
+    h = Homeo(fn, inverse_fn, name)
     if inverse_fn is not None:
         rt = np.asarray(inverse_fn(vals), dtype=float)
         if not np.allclose(rt, probe, rtol=1e-12, atol=0.0):
@@ -157,9 +156,6 @@ class BasinReport:
 
     case: str
     b: float | None
-    horizon: float
-    contraction_min: float
-    contraction_max: float
 
 
 def basin_of_zero(h: Homeo, probe: GridSpec | None = None) -> BasinReport:
@@ -169,19 +165,18 @@ def basin_of_zero(h: Homeo, probe: GridSpec | None = None) -> BasinReport:
     xs = np.concatenate([below, above])
     hx = np.asarray(h(xs), dtype=float)
     gap = hx - xs
-    ratio = hx / xs
     near0 = gap[: max(4, g.samples_per_octave)]
     if np.any(near0 > 0):
-        return BasinReport("zero_repelling", None, float(xs[-1]), float(ratio.min()), float(ratio.max()))
+        return BasinReport("zero_repelling", None)
     if np.all(gap < 0):
-        return BasinReport("global", None, float(xs[-1]), float(ratio.min()), float(ratio.max()))
+        return BasinReport("global", None)
     # smallest sign change (or exact zero) of h(x) - x
     idx = int(np.argmax(gap >= 0))
     if gap[idx] == 0.0:
         b = float(xs[idx])
     else:
         b = _bisect_fixed_point(h, float(xs[idx - 1]), float(xs[idx]))
-    return BasinReport("bounded", b, float(xs[-1]), float(ratio.min()), float(ratio.max()))
+    return BasinReport("bounded", b)
 
 
 def _bisect_fixed_point(h: Homeo, lo: float, hi: float) -> float:

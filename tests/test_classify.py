@@ -151,7 +151,7 @@ class TestOneSample:
         # non-monotone h: every report is bitwise that of evaluating f at
         # every image of the whole grid
         f = builtin(name)
-        bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+        bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
         witnesses = [
             EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
             EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),

@@ -254,13 +254,27 @@ class TestClassifyCommand:
         assert run("classify", "--flow", str(cfgp), "--out", str(tmp_path)) == 2
 
     def test_unknown_flow_kind_is_usage_error(self, capsys, tmp_path):
-        # regression: a "bogus" kind was classified as a realized flow, exit 0
+        # regression: a "bogus" kind was classified as a realized flow, exit 0;
+        # a non-object config or a value of the wrong type exited 1 with a
+        # traceback, and "lambda": true was read as 1.0
+        std = {"builtin": "std_log"}
+        cases = [
+            ({"kind": "bogus", "f": std}, "unknown flow kind 'bogus'"),
+            ([1, 2], "flow config must be a JSON object"),
+            ("standard", "flow config must be a JSON object"),
+            ({"kind": "realized", "f": {"builtin": "bounded_osc", "params": 5}}, "'params'"),
+            ({"kind": "realized", "f": {"csv": 5}}, "'csv'"),
+            ({"kind": "realized", "f": std, "c0": None}, "'c0'"),
+            ({"kind": "time_scaled", "lambda": True}, "'lambda'"),
+        ]
         cfgp = tmp_path / "flow.json"
-        cfgp.write_text(json.dumps({"kind": "bogus", "f": {"builtin": "std_log"}}))
         out = tmp_path / "o"
-        assert run("classify", "--flow", str(cfgp), "--out", str(out)) == 2
-        assert "unknown flow kind 'bogus'" in capsys.readouterr().err
-        assert not out.exists()
+        for obj, message in cases:
+            cfgp.write_text(json.dumps(obj))
+            assert run("classify", "--flow", str(cfgp), "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):

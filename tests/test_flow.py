@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -262,6 +261,24 @@ class TestTransition:
             rel = np.max(np.abs(scaled - want) / np.maximum(np.abs(want), 1e-300))
             assert rel <= 1e-10
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            standard_flow,
+            lambda: time_scale(standard_flow(), 3.0),
+            lambda: build_flow(builtin("bounded_osc", (2.0,))),
+        ],
+        ids=["standard", "standard-scaled", "bounded_osc"],
+    )
+    def test_transition_time_is_extraction_bitwise(self, make):
+        # regression: the standard flow's transition_time used math.log and its
+        # extraction np.log, 1 ulp apart at 7 default-grid nodes
+        F = make()
+        x = GridSpec().nodes()
+        got = np.array([transition_time(F, DEFAULT_TRANSVERSAL, float(v)) for v in x])
+        want = np.asarray(extract_transition(F)(x))
+        assert np.count_nonzero(got.view(np.int64) != want.view(np.int64)) == 0
+
     def test_time_scale_identity(self, grid):
         F = build_flow(builtin("doubling_osc"), g=grid)
         assert transition_time(time_scale(F, 1.0), DEFAULT_TRANSVERSAL, 0.1) == transition_time(
@@ -270,7 +287,7 @@ class TestTransition:
 
     def test_time_scale_standard(self):
         F = time_scale(standard_flow(), 2.0)
-        assert F.kind == "time_scaled"
+        assert flow_to_json(F)["kind"] == "time_scaled"
         assert transition_time(F, DEFAULT_TRANSVERSAL, math.exp(-2.0)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -281,7 +298,7 @@ class TestTransition:
 
     @pytest.mark.parametrize(
         "F, lam",
-        [(standard_flow(), math.nan), (standard_flow(), math.inf), (Flow("standard", lam=1e200), 1e200)],
+        [(standard_flow(), math.nan), (standard_flow(), math.inf), (Flow(lam=1e200), 1e200)],
         ids=["nan", "inf", "overflow"],
     )
     def test_time_scale_must_stay_finite(self, F, lam):
@@ -290,8 +307,10 @@ class TestTransition:
             time_scale(F, lam)
 
     def test_parameter_validated(self):
-        with pytest.raises(DomainError):
-            transition_time(standard_flow(), DEFAULT_TRANSVERSAL, 0.0)
+        # regression: x = NaN gave NaN for the standard flow
+        for x in (0.0, math.nan):
+            with pytest.raises(DomainError, match="transition parameter must be positive"):
+                transition_time(standard_flow(), DEFAULT_TRANSVERSAL, x)
 
 
 class TestUserTransversals:
@@ -411,8 +430,7 @@ class TestSerialization:
     def test_standard_round_trip(self):
         obj = flow_to_json(standard_flow())
         assert obj == {"kind": "standard", "lambda": 1.0}
-        G = flow_from_json(obj)
-        assert G.kind == "standard"
+        assert flow_from_json(obj) == standard_flow()
 
     def test_csv_source(self, grid, tmp_path):
         p = tmp_path / "f.csv"
@@ -430,11 +448,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="flow source"):
             flow_from_json({"kind": "realized", "f": {"what": 1}})
 
-    @pytest.mark.parametrize("kind", ["bogus", "Realized", None])
-    def test_unknown_kind_rejected(self, kind):
-        # regression: any kind but "standard" silently built a realized flow
-        with pytest.raises(ValueError, match=f"^unknown flow kind {re.escape(repr(kind))}; "):
-            flow_from_json({"kind": kind, "f": {"builtin": "std_log"}})
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "bogus", "f": {"builtin": "std_log"}}, "^unknown flow kind 'bogus'; "),
+            ({"kind": "Realized", "f": {"builtin": "std_log"}}, "^unknown flow kind 'Realized'; "),
+            ({"kind": None, "f": {"builtin": "std_log"}}, "^unknown flow kind None; "),
+            ([1, 2], "^flow config must be a JSON object, got \\[1, 2\\]$"),
+            ("standard", "^flow config must be a JSON object, got 'standard'$"),
+            ({"kind": "realized", "f": {"builtin": "bounded_osc", "params": 5}}, "^flow source 'params' "),
+            ({"kind": "realized", "f": {"csv": 5}}, "^flow source 'csv' "),
+            ({"kind": "realized", "f": {"builtin": "std_log"}, "c0": None}, "^flow config 'c0' "),
+            ({"lambda": True}, "^flow config 'lambda' must be a number, got True$"),
+        ],
+        ids=["bogus", "Realized", "None", "list", "string", "params", "csv", "c0-null", "lambda-bool"],
+    )
+    def test_unknown_kind_rejected(self, obj, message):
+        # regression: any kind but "standard" silently built a realized flow; a
+        # config that is not an object, or a value of the wrong type, escaped as
+        # an AttributeError or TypeError, and "lambda": true was read as 1.0
+        with pytest.raises(ValueError, match=message):
+            flow_from_json(obj)
 
     def test_orbit_rows_and_csv(self, grid, tmp_path):
         F = build_flow(builtin("doubling_osc"), g=grid)

@@ -419,7 +419,7 @@ def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
     return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, tol, float(rel[i]) <= tol)
 
 
-BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
 
 
 class TestWitnessImagesFromTheSample:

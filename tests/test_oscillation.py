@@ -252,7 +252,7 @@ class TestWitness:
             check_witness(f, f, EquivalenceWitness(gallery_homeo("halve"), None, 2.0), grid)
 
     def test_non_monotone_h_reported(self, grid):
-        bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+        bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
         rep = check_witness(
             builtin("std_log"), None, EquivalenceWitness(bent, None, 1.0), grid
         )
@@ -561,9 +561,7 @@ class TestBlockedPasses:
         x = MULTI.nodes()
         # x -> x/2, except that the first node of the second block maps above
         # the image of the last node of the first block
-        kinked = Homeo(
-            lambda t: np.where(t == x[_BLOCK], x[_BLOCK - 1], 0.5 * t), None, "kinked", monotone=False
-        )
+        kinked = Homeo(lambda t: np.where(t == x[_BLOCK], x[_BLOCK - 1], 0.5 * t), None, "kinked")
         assert np.all(np.diff(kinked(x)[:_BLOCK]) < 0) and np.all(np.diff(kinked(x)[_BLOCK:]) < 0)
         calls = []
         f = builtin("doubling_osc")
@@ -671,7 +669,7 @@ class TestRunningMax:
         assert run[2 * C + 1 : 3 * C + 1].tolist() == [C + 100.0] * C
 
 
-BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent", monotone=False)
+BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
 POW20 = EquivalenceWitness(gallery_homeo("pow:20"), None, 20.0)
 
 
@@ -703,12 +701,12 @@ class TestUnderflowingImages:
         assert_witness_bits(rep, f, None, POW20, g)
 
     def test_ties_above_the_floor_are_not_monotone(self, small_grid):
-        flat = Homeo(lambda t: np.maximum(0.5 * t, 0.125), None, "flat", monotone=False)
+        flat = Homeo(lambda t: np.maximum(0.5 * t, 0.125), None, "flat")
         rep = check_witness(builtin("std_log"), None, EquivalenceWitness(flat, None, 1.0), small_grid)
         assert not rep.h_monotone and rep.residual == math.inf
 
     def test_rising_below_the_floor_is_not_monotone(self, small_grid):
         # x^60 down to 2^-300 ~ 4.9e-91, then 1e-305 * (2 - x), which rises as x falls
-        rising = Homeo(lambda t: np.where(t > 2.0**-5, t**60, 1e-305 * (2.0 - t)), None, "rising", monotone=False)
+        rising = Homeo(lambda t: np.where(t > 2.0**-5, t**60, 1e-305 * (2.0 - t)), None, "rising")
         rep = check_witness(builtin("std_log"), None, EquivalenceWitness(rising, None, 60.0), small_grid)
         assert not rep.h_monotone and rep.residual == math.inf
