@@ -37,13 +37,15 @@ factor.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, builtin, from_csv, write_csv
+from .efunc import EFunction, GridSpec, _blocks, _blockwise, builtin, from_csv, write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -237,44 +239,55 @@ def build_flow(
     0.1 and the constant is recorded in ``shift``.  The transit target is
     checked to be positive wherever it is evaluated below c1, so a profile
     that dips below the lift between grid nodes raises DomainError there.
+
+    The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
+    over them once and the check reads f + shift back, one block of
+    ``efunc._blocks`` at a time, so neither makes a grid-sized temporary.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
     g = g or GridSpec()
     x = g.nodes()
-    sel = x <= c1
-    if not np.any(sel):
+    x = x[bisect.bisect_left(x, -c1, key=operator.neg) :]
+    if not len(x):
         raise ValueError("grid has no nodes below c1")
-    vals = np.asarray(f(x[sel]), dtype=float)
+    vals = _blockwise(f, x)
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
     # a flow that is not positive on the grid fails here, with f read from vals
-    _transit_target(x[sel], lambda at: vals[at] + shift, c0, c1)
+    for s in _blocks(len(x)):
+        _transit_target(x[s], lambda at, v=vals[s]: v[at] + shift, c0, c1)
     return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec)
 
 
 def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
-    """The transit target at the leaves c; ``f_at(mask)`` is f + shift at c[mask].
+    """The transit target at the leaves c; ``f_at(at)`` is f + shift at c[at].
 
     f + shift on (0, c0], blended to -ln c over (c0, c1), -ln c from c1 on;
     the empty window c0 = c1 = 0 gives -ln c on every positive leaf and
-    never calls f_at there.  Raises DomainError at the first leaf below c1 where it is not
-    positive.
+    never calls f_at there; leaves all in (0, c0] take ``f_at(...)`` alone.
+    Raises DomainError at the first leaf that is not positive (or NaN), and
+    at the first leaf below c1 where the target is not positive.
     """
-    out = np.log(c, out=np.empty_like(c))  # an array even for 0-d c, so it takes assignment
-    np.negative(out, out=out)
-    below = c < c1
-    if not np.any(below):
-        return out
-    lo = c <= c0
-    mid = below & ~lo
-    if np.any(lo):
-        out[lo] = f_at(lo)
-    if np.any(mid):
-        neg_log = out[mid]
-        w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
-        u = w * w * (3.0 - 2.0 * w)
-        out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
+    if not c.min(initial=math.inf) > 0.0:  # an empty c passes
+        raise DomainError(f"transit needs leaves c > 0, got c = {float(c[~(c > 0.0)].flat[0]):g}")
+    if c.size and c.max() <= c0:  # every leaf in the prescription window
+        out, below = f_at(...), True
+    else:
+        out = np.log(c, out=np.empty_like(c))  # an array even for 0-d c, so it takes assignment
+        np.negative(out, out=out)
+        below = c < c1
+        if not np.any(below):
+            return out
+        lo = c <= c0
+        mid = below & ~lo
+        if np.any(lo):
+            out[lo] = f_at(lo)
+        if np.any(mid):
+            neg_log = out[mid]
+            w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
+            u = w * w * (3.0 - 2.0 * w)
+            out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
     bad = below & ~(out > 0.0)
     if np.any(bad):
         raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
@@ -369,7 +382,9 @@ def _transition(F: Flow, tv: Transversal, x) -> np.ndarray:
     ds / v(s) between the two curves' positions on the leaf of gamma1(x).
     """
     if tv.is_default:
-        return F.transit(x) / F.lam
+        T = F.transit(x)
+        T /= F.lam
+        return T
     xi, eta = tv.gamma1(x)
     c = xi * eta
     return _leaf_time(F, c, np.log(xi), tv.s_on_leaf2(c))

@@ -28,6 +28,8 @@ from reebflow import (
 from reebflow.flow import _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
+# 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
+DEEP = GridSpec(4096, 0, 60)
 
 
 class TestPoints:
@@ -121,8 +123,9 @@ class TestBuildFlow:
         assert float(np.min(F.transit(x[sel]))) > 0.0
 
     @pytest.mark.parametrize("name,params", GALLERY.items())
-    def test_f_runs_once_over_the_nodes_below_c1(self, grid, name, params):
-        # the positivity check reads f from the values the shift was taken from
+    def test_f_runs_once_over_the_nodes_below_c1(self, name, params):
+        # f runs block by block, once per node; the positivity check reads f
+        # from the values the shift was taken from
         f = builtin(name, params)
         calls = []
 
@@ -130,20 +133,24 @@ class TestBuildFlow:
             calls.append(np.array(x, dtype=float))
             return _fn(x)
 
-        F = build_flow(dataclasses.replace(f, fn=fn), g=grid)
-        x = grid.nodes()
-        assert len(calls) == 1
-        assert calls[0].tobytes() == x[x <= F.c1].tobytes()
+        F = build_flow(dataclasses.replace(f, fn=fn), g=DEEP)
+        x = DEEP.nodes()
+        assert len(calls) > 1
+        assert np.concatenate(calls).tobytes() == x[x <= F.c1].tobytes()
 
-    def test_check_names_the_first_bad_leaf(self, grid):
-        # -inf at two nodes lifts by inf, so f + shift is NaN there only
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x == 0.125) | (x == 2.0**-5), -np.inf, -np.log(x))
+    def test_check_names_the_first_bad_leaf(self):
+        # -inf at a node lifts by inf, so f + shift is NaN there only; the
+        # check runs block by block, and 2^-3 lies in the first block of the
+        # nodes below c1, 2^-20 in the third
+        for bad, shown in (((0.125, 2.0**-20), r"0\.125"), ((2.0**-20,), r"9\.53674e-07")):
 
-        f = dataclasses.replace(builtin("std_log"), fn=fn)
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=r"not positive at leaf c = 0\.125$"):
-            build_flow(f, g=grid)
+            def fn(x, bad=bad):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.isin(x, bad), -np.inf, -np.log(x))
+
+            f = dataclasses.replace(builtin("std_log"), fn=fn)
+            with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=rf"not positive at leaf c = {shown}$"):
+                build_flow(f, g=DEEP)
 
     def test_window_validation(self, grid):
         with pytest.raises(ValueError, match="c0"):
@@ -305,6 +312,32 @@ class TestTransition:
         # regression: a NaN or infinite factor gave NaN or zero transition times
         with pytest.raises(ValueError, match="must be positive and finite"):
             time_scale(F, lam)
+
+    @pytest.mark.parametrize(
+        "make", [standard_flow, lambda: build_flow(builtin("std_log"))], ids=["standard", "realized"]
+    )
+    @pytest.mark.parametrize("c, shown", [(-1.0, "-1"), (0.0, "0"), (math.nan, "nan")])
+    def test_transit_rejects_a_leaf_that_is_not_positive(self, make, c, shown):
+        # regression: the standard flow raised TypeError at c = -1 and gave inf
+        # at c = 0, and both flows gave nan at a NaN leaf
+        F = make()
+        for leaves in (c, [0.5, c, 0.125, -2.0]):
+            with pytest.raises(DomainError, match=rf"leaves c > 0, got c = {shown}$"):
+                F.transit(leaves)
+
+    @pytest.mark.parametrize("name", [*GALLERY, "doubling_osc scaled"])
+    def test_transit_does_not_depend_on_the_pieces(self, gallery_flows, name):
+        # a piece wholly in (0, c0] takes f + shift alone, with no log and no
+        # masks; the cuts give pieces above c1, straddling c1 (node 4096) and
+        # c0 (node 8192), and wholly inside (0, c0]
+        F = gallery_flows[name.split()[0]]
+        F = time_scale(F, 1.5) if "scaled" in name else F
+        x = DEEP.nodes()
+        cuts = [0, 4000, 4200, 8100, 8300, 20000, 40000, 40001, 150000, len(x)]
+        for read in (F.transit, extract_transition(F)):
+            whole = np.asarray(read(x))
+            pieces = np.concatenate([np.asarray(read(x[a:b])) for a, b in zip(cuts, cuts[1:])])
+            assert whole.tobytes() == pieces.tobytes()
 
     def test_parameter_validated(self):
         # regression: x = NaN gave NaN for the standard flow

@@ -3,14 +3,17 @@
 Runs every ``reebflow ...`` line of the README's "Command line" block, plus
 ``classify --csv data.csv``, ``sigma --variant sharp``, ``classify`` on
 the 983,041-node grid ``16384,60`` (its grid-wide passes span many blocks
-of nodes; it writes JSON and SVG, no CSV) and ``linearize`` of
+of nodes; it writes JSON and SVG, no CSV), ``linearize`` of
 ``doubling_osc`` under ``halve`` (the global basin case), on the default
 grid and on ``2048,20`` (40,961 nodes in two blocks, where the witness
-check reads f(x/2) from f(x) across the block boundary), in-process and
-each into its own output directory.  They run in one temporary directory
-that also holds the inputs the examples name: ``data.csv`` (bounded_osc(2)
-on 64 nodes per octave over 40 octaves, computed with the ``math`` module,
-not with the package) and ``flow.json`` (a realized doubling_osc flow).
+check reads f(x/2) from f(x) across the block boundary), and ``classify
+--flow flow.json --lambda 1.5`` on ``4096,60`` (a time-scaled realized
+flow, built and read back over eight blocks of nodes below c1), in-process
+and each into its own output directory.  They run in one temporary
+directory that also holds the inputs the examples name: ``data.csv``
+(bounded_osc(2) on 64 nodes per octave over 40 octaves, computed with the
+``math`` module, not with the package) and ``flow.json`` (a realized
+doubling_osc flow).
 Prints one line per file an example writes (JSON, CSV and SVG alike),
 ``<sha256>  <command>/<file>``, in file-name order; a command that exits
 non-zero prints ``exit <code>  <command>`` instead.
@@ -43,6 +46,7 @@ EXTRA = (
     "reebflow classify   --builtin bounded_osc --grid 16384,60 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --grid 2048,20 --out out/",
+    "reebflow classify   --flow flow.json --lambda 1.5 --grid 4096,60 --out out/",
 )
 
 
