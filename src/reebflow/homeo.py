@@ -51,28 +51,29 @@ class Homeo:
         """h^{-1}(y); closed form when available, else bracketed bisection."""
         if self.inverse_fn is not None:
             return float(self.inverse_fn(np.asarray(y, dtype=float)))
-        return _bisect_inverse(self, float(y))
+        y = float(y)
+        if y < 0:
+            raise ValueError("inverse requested below 0")
+        if y == 0.0:
+            return 0.0
+        hi = max(y, 1.0)
+        while self(hi) < y:
+            hi *= 2.0
+            if hi > _BRACKET_CEILING:
+                raise ValueError(f"no preimage of {y:g} found below {_BRACKET_CEILING:g}")
+        # relative width 1e-14, below the 1e-12 contract
+        return _bisect(lambda x: self(x) < y, 0.0, hi, 1e-14)
 
 
-def _bisect_inverse(h: Homeo, y: float) -> float:
-    if y < 0:
-        raise ValueError("inverse requested below 0")
-    if y == 0.0:
-        return 0.0
-    hi = max(y, 1.0)
-    while h(hi) < y:
-        hi *= 2.0
-        if hi > _BRACKET_CEILING:
-            raise ValueError(f"no preimage of {y:g} found below {_BRACKET_CEILING:g}")
-    lo = 0.0
-    # stop on relative width 1e-14 (below the 1e-12 contract) or 200 halvings
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, rel: float) -> float:
+    """Halve [lo, hi], lo to mid where ``below(mid)``, to width rel * hi or 200 times; the midpoint."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if h(mid) < y:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * hi:
+        if hi - lo <= rel * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -175,18 +176,6 @@ def basin_of_zero(h: Homeo, probe: GridSpec | None = None) -> BasinReport:
     if gap[idx] == 0.0:
         b = float(xs[idx])
     else:
-        b = _bisect_fixed_point(h, float(xs[idx - 1]), float(xs[idx]))
+        # the sign change of h(x) - x in [xs[idx - 1], xs[idx]], refined to 1e-12 relative
+        b = _bisect(lambda x: h(x) - x < 0, float(xs[idx - 1]), float(xs[idx]), 1e-13)
     return BasinReport("bounded", b)
-
-
-def _bisect_fixed_point(h: Homeo, lo: float, hi: float) -> float:
-    # sign change of h(x) - x bracketed in [lo, hi]; refine to 1e-12 relative
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) - mid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)

@@ -8,17 +8,18 @@ converge to a function f_inf with
     lam * f_inf = f_inf o h        and        f_inf - f continuous at 0.
 
 The n-th iterate is f(x) + shift - sum_{j < n} lam^(-j-1) (k - k(0))(h^j(x)).
-An explicit k is summed as this series, which evaluates f only at x.  A
-derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
-is: f once per point, at the end h^n(x) of its orbit.  The check of a
-derived k is the first sweep of the orbits (h, f and f o h once over the
-grid, with f o h read from f where h carries nodes onto nodes), and the
-functional-equation residual takes lam * f_inf at the probes from the ends
-of the orbits just swept, so one call evaluates f at most
-``iterations + 2`` times over the grid.  f_inf keeps its values at the
-probes and at their images under h, both computed for the residual, and
-returns a fresh copy of them for points bitwise equal to either set
-instead of walking the orbits again.
+An explicit k is summed as this series, which evaluates f only at x; at
+the probes the convergence sweeps sum it.  A derived k = lam * f - f o h
+telescopes it back to the iterate, evaluated as is: f once per point, at
+the end h^n(x) of its orbit.  The check of a derived k is the first sweep
+of the orbits (h, f and f o h once over the grid, with f o h read from f
+where h carries nodes onto nodes); the settle test reads k at the
+whole-octave nodes 2^-m from it, and the functional-equation residual takes
+lam * f_inf at the probes from the ends of the orbits just swept, so one
+call evaluates f at most ``iterations + 2`` times over the grid.  f_inf
+keeps its values at the probes and at their images under h, both computed
+for the residual, and returns a fresh copy of them for points bitwise equal
+to either set instead of walking the orbits again.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -116,8 +117,8 @@ def koenigs_limit(
     """Compute f_inf for the relation lam * f = f o h + k.
 
     ``k`` may be None, meaning it is derived pointwise as lam*f - f o h; the
-    derived shift must still extend continuously to 0, which is checked on
-    descending probes.  Raises ValueError when the witness relation fails,
+    derived shift must still extend continuously to 0, which is checked at
+    whole-octave nodes.  Raises ValueError when the witness relation fails,
     when 0 repels, or when k does not settle at 0; ConvergenceFailure when
     the change per sweep never drops below tol; ToleranceFailure when the
     final functional-equation residual misses tol.
@@ -126,17 +127,7 @@ def koenigs_limit(
     derived = k is None
     kf = as_shift(k)
 
-    def k_fn(x, k0=0.0):
-        """k(x) - k0; a derived k is the first sweep of ``shifts``."""
-        x = np.asarray(x, dtype=float)
-        if not derived:
-            return kf(x) - k0
-        out = np.zeros(x.size)
-        for _, i, kv, _ in shifts(x.reshape(-1), 1, k0):
-            out[i] = kv
-        return out.reshape(x.shape)
-
-    def shifts(x, sweeps, k0, *start):
+    def shifts(x, sweeps, *start):
         """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``.
 
         A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
@@ -149,14 +140,14 @@ def koenigs_limit(
         if derived:
             orbit = _orbit(h, x, sweeps, True, f, *start)
             return ((n, i, lam * fy - fhy - k0, fhy) for n, i, _, fy, _, fhy in orbit)
-        return ((n, i, k_fn(y, k0), None) for n, i, y, *_ in _orbit(h, x, sweeps))
+        return ((n, i, kf(y) - k0, None) for n, i, y, *_ in _orbit(h, x, sweeps))
 
     # a derived k is checked as the first sweep of the orbits: f and h once
-    # over the nodes and their images, kept for the sweeps below
+    # over the nodes and their images, kept for the settle test and the sweeps below
     nodes = cfg.grid.nodes()
     sweep = [] if derived else None
-    wit = _check_witness(f, None, EquivalenceWitness(h, k_fn, lam), nodes, None, cfg.witness_tol, sweep)
-    if not wit.passed:
+    wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, cfg.witness_tol, sweep)
+    if not wit.passed or wit.residual == math.inf:  # no gate admits a non-monotone h or an image at 0
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
             f"(tol {cfg.witness_tol:g}) at x = {wit.worst_x:.3g}"
@@ -164,7 +155,14 @@ def koenigs_limit(
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
 
-    k0 = _shift_value_at_zero(k_fn, f, h, lam, cfg.grid, derived)
+    if derived:  # k and its operand scale at the whole-octave nodes (all above the floor), from sweep 0
+        fx, hx, fhx = (a[_octave_nodes(cfg.grid)] for a in sweep)
+        scale = np.maximum(1.0, np.maximum(lam * np.abs(fx), np.abs(fhx)))
+        k0 = _settled_shift(np.where(hx > _DEPTH_FLOOR, lam * fx - fhx, 0.0), scale)
+    else:
+        k0 = float(kf(0.0))
+        if not math.isfinite(k0):
+            raise ValueError("shift function is not finite at 0")
     shift = -k0 / (lam - 1.0)
 
     basin = basin_of_zero(h, cfg.grid)
@@ -185,15 +183,18 @@ def koenigs_limit(
     # sup norm over the probes would be dominated by the blow-up near 0.
     start = [a[j:] for a in sweep] if derived else [np.asarray(f(probes), dtype=float)]
     fscale = 1.0 + np.abs(start[0])
-    # a derived k records, per probe, the last depth m of its orbit and f
-    # there, over f(x) once sweep 0 has read it
-    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
-    orbit = shifts(probes, cfg.max_iters, k0, *start)
+    if derived:  # per probe, the last depth m of its orbit and f there, over f(x) once sweep 0 read it
+        f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
+    else:  # f(x) and the series at the probes, summed as ``series`` sums it
+        f_x, acc = start[0], np.zeros(probes.size)
+    orbit = shifts(probes, cfg.max_iters, *start)
     del sweep, start  # only the orbit holds h(x) and f(h(x)) now, and drops them as it moves on
     hull_max, iterations, last_change = 0.0, 0, math.inf
     for n, i, kv, fhy in orbit:
         if derived:
             f_end[i], m[i] = fhy, n + 1
+        else:
+            acc[i] += lam ** (-n - 1) * kv
         akv = np.abs(kv)
         hull_max = max(hull_max, float(np.max(akv, initial=0.0)))
         last_change = float(lam ** (-n - 1) * np.max(akv / fscale[i], initial=0.0))
@@ -205,11 +206,12 @@ def koenigs_limit(
             f"no convergence within {cfg.max_iters} sweeps; last sup-change {last_change:.3g}"
         )
     del orbit, fscale  # a suspended orbit would hold its last sweep's arrays
+    decay = lam ** -np.arange(iterations + 1.0)
 
     def series(x, term=None):
         """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
         acc = np.zeros(x.size)
-        for n, i, kv, _ in shifts(x, iterations, k0):
+        for n, i, kv, _ in shifts(x, iterations):
             acc[i] += lam ** (-n - 1) * (kv if term is None else term(kv))
         return acc
 
@@ -221,7 +223,7 @@ def koenigs_limit(
         y, m = x.copy(), np.zeros(x.size, dtype=int)
         for n, i, _, _, hy, _ in _orbit(h, x, iterations, True):
             y[i], m[i] = hy, n + 1
-        return (lam ** -np.arange(iterations + 1.0))[m] * (np.asarray(f(y), dtype=float) + shift)
+        return decay[m] * (np.asarray(f(y), dtype=float) + shift)
 
     held = []  # (points, f_inf there): the probes and their images, once computed below
 
@@ -244,21 +246,18 @@ def koenigs_limit(
     if derived:  # f_inf at the probes, from the ends of the orbits just swept
         at_probes = f_end
         at_probes += shift
-        at_probes *= (lam ** -np.arange(iterations + 1.0))[m]
-    else:
-        at_probes = f_inf(probes)
+        at_probes *= decay[m]
+    else:  # and from the series the loop summed
+        at_probes = f_x + shift - acc
     images = np.asarray(h(probes), dtype=float)
     at_images = f_inf(images)
     # the residual is symmetric in its operands and overwrites only the second
     residual = _relative_residual(at_images, lam * at_probes)[0]
     held += [(probes, at_probes), (images, at_images)]
     if residual > cfg.tol:
-        raise ToleranceFailure(
-            f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
-        )
+        raise ToleranceFailure(f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}")
 
     tail_dev = _tail_decay_deviation(f_inf, h, lam) if b is None else None
-
     slack = lam ** (-iterations) * hull_max
 
     def telescoping_bound(x):
@@ -266,16 +265,8 @@ def koenigs_limit(
         return (series(x.reshape(-1), np.abs) + slack).reshape(x.shape)
 
     return LinearizeResult(
-        f_inf=f_inf,
-        case=basin.case,
-        b=b,
-        iterations=iterations,
-        residual=residual,
-        shift=shift,
-        k0=k0,
-        last_change=last_change,
-        probes=probes,
-        tail_decay_dev=tail_dev,
+        f_inf=f_inf, case=basin.case, b=b, iterations=iterations, residual=residual, shift=shift,
+        k0=k0, last_change=last_change, probes=probes, tail_decay_dev=tail_dev,
         telescoping_bound=telescoping_bound,
     )
 
@@ -312,48 +303,42 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, f
         y, fy, hy, fhy = hy, fhy, None, None
 
 
-def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> float:
-    """k(0) for the normalization k(0) = 0.
+def _octave_nodes(g: GridSpec) -> np.ndarray:
+    """Indices of the settle probes: the nodes 2^-m, m >= max(1, octave_min, octave_max - 8)."""
+    lo = max(1, g.octave_min, g.octave_max - 8)
+    if g.octave_max <= lo:
+        raise ValueError(
+            "a derived shift needs at least two whole-octave nodes 2^-m, m >= 1, to test settling "
+            f"at 0: the grid has octave_max {g.octave_max}, the minimum is {lo + 1}"
+        )
+    return np.arange(lo - g.octave_min, g.octave_max - g.octave_min + 1) * g.samples_per_octave
 
-    An explicit shift is simply evaluated at 0.  A derived shift cannot be
-    (f is undefined there), so its limit is estimated on descending probes
-    2^-m.  The settling test is relative to the operand scale
-    max(1, lam|f|, |f o h|): for an exactly self-similar f the derived shift
-    is pure rounding noise proportional to f, which is a vanishing shift,
-    while a divergent shift whose ratio to the scale moves (say lam*std_log
-    vs std_log o halve) is rejected.  k itself must settle too, or a shift
-    in constant ratio to the scale would pass: it is either at the rounding
-    level of the operands (and taken as 0), or its absolute increments over
-    the last four octaves shrink, the last to at most half the first.
+
+def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:
+    """k(0) for a derived shift, from k at the descending settle probes 2^-m.
+
+    f is undefined at 0, so the limit is estimated on the probes.  The
+    settling test is relative to the operand scale max(1, lam|f|, |f o h|):
+    for an exactly self-similar f the derived shift is pure rounding noise
+    proportional to f, which is a vanishing shift, while a divergent shift
+    whose ratio to the scale moves (say lam*std_log vs std_log o halve) is
+    rejected.  k itself must settle too, or a shift in constant ratio to the
+    scale would pass: it is either at the rounding level of the operands
+    (and taken as 0), or its absolute increments over the last four octaves
+    shrink, the last to at most half the first.
     """
-    if not derived:
-        v = float(np.asarray(k_fn(np.asarray(0.0)), dtype=float))
-        if not math.isfinite(v):
-            raise ValueError("shift function is not finite at 0")
-        return v
-    m = np.arange(max(1, g.octave_max - 8), g.octave_max + 1, dtype=float)
-    x = np.exp2(-m)
-    vals = np.asarray(k_fn(x), dtype=float)
-    scale = np.maximum(
-        1.0,
-        np.maximum(
-            lam * np.abs(np.asarray(f(x), dtype=float)),
-            np.abs(np.asarray(f(np.asarray(h(x), dtype=float)), dtype=float)),
-        ),
-    )
-    rel = vals / scale
-    deltas = np.abs(np.diff(rel))
-    if not np.all(np.isfinite(vals)) or float(np.max(deltas[-4:])) > 1e-6:
+    deltas = np.abs(np.diff(k / scale))
+    if not np.all(np.isfinite(k)) or float(np.max(deltas[-4:])) > 1e-6:
         raise ValueError(
             "derived shift lam*f - f o h does not settle toward 0 "
             f"(relative tail increments {deltas[-4:].tolist()}); the relation "
             "does not extend continuously to 0"
         )
-    k0 = float(vals[-1])
+    k0 = float(k[-1])
     floor = 1e-9 * float(scale[-1])  # the rounding level of f itself
     if abs(k0) <= floor:
         return 0.0
-    steps = np.abs(np.diff(vals[-5:]))
+    steps = np.abs(np.diff(k[-5:]))
     if float(steps[-1]) > max(0.5 * float(steps[0]), floor):
         raise ValueError(
             "derived shift lam*f - f o h does not settle toward 0 "
@@ -365,15 +350,11 @@ def _shift_value_at_zero(k_fn, f, h, lam: float, g: GridSpec, derived: bool) -> 
 
 def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float, n_max: int = 10) -> float:
     """Max relative deviation of f_inf(h^-n(x0)) from lam^-n f_inf(x0)."""
-    x0 = 1.0
-    base = float(f_inf(x0))
-    worst = 0.0
-    cur = x0
+    base, cur, worst = float(f_inf(1.0)), 1.0, 0.0
     for n in range(1, n_max + 1):
         cur = h.inverse(cur)
         want = lam ** (-n) * base
-        got = float(f_inf(cur))
-        worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
+        worst = max(worst, abs(float(f_inf(cur)) - want) / max(1e-300, abs(want)))
     return worst
 
 

@@ -455,7 +455,7 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) 
         else:
             lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
         e = min(s.stop, z)
-        if not h_monotone or e == s.start:
+        if not h_monotone or e <= s.start:
             # f is never evaluated at the images of a non-monotone h, nor at 0;
             # an explicit k and the left side still are, so that their errors
             # are raised

@@ -183,6 +183,17 @@ class TestLinearizeCommand:
         assert code == 2
         assert "does not settle toward 0" in capsys.readouterr().err
 
+    def test_grid_too_short_to_test_settling_exits_two(self, capsys, tmp_path):
+        # regression: a derived shift on one octave failed with numpy's
+        # "zero-size array to reduction operation maximum"
+        argv = ["linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2", "--grid", "512,1"]
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == 2
+        assert "the grid has octave_max 1, the minimum is 2" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit shift is not tested for settling
+        assert run(*argv, "--shift-expr", "2*x/(1+x) - x**2/(1+x**2)", "--out", str(out)) == 0
+
     @pytest.mark.parametrize("tol", BAD_POSITIVES)
     def test_bad_tol_is_usage_error(self, capsys, tmp_path, tol):
         assert_positive_rejected(capsys, tmp_path, "--tol", "linearize", "--builtin", "koenigs_demo",

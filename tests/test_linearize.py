@@ -46,6 +46,16 @@ def counting(f):
     return dataclasses.replace(f, fn=fn), calls
 
 
+def marking(fn, marks, calls):
+    """fn, appending len(calls) to marks each time it is called."""
+
+    def marked(*args):
+        marks.append(len(calls))
+        return fn(*args)
+
+    return marked
+
+
 def series_reference(f, h, lam, res, x):
     """f_inf at x in the basin as the series f + shift - sum_n lam^(-n-1) k_s o h^n.
 
@@ -176,25 +186,19 @@ class TestKoenigsIterate:
         # nodes, block by block, then at the images it cannot read from them.
         # halve carries x_i onto x_(i+K), so only the last K images are
         # evaluated, in one call; square keeps no image on a node, so all are,
-        # block by block.  After the basin only sweeps 1 .. iterations-1 run,
+        # block by block.  The settling test reads sweep 0, so f does not run
+        # again before the basin.  After it only sweeps 1 .. iterations-1 run,
         # then the residual's right side and, in the global case, the
         # tail-decay law's scalar f_inf calls
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
         marks = []
-
-        def marking(fn):
-            def marked(*args):
-                marks.append(len(calls))
-                return fn(*args)
-
-            return marked
-
-        monkeypatch.setattr(linearize, "_shift_value_at_zero", marking(linearize._shift_value_at_zero))
-        monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero))
+        monkeypatch.setattr(linearize, "_settled_shift", marking(linearize._settled_shift, marks, calls))
+        monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero, marks, calls))
         res = koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
         settle, basin = marks
+        assert basin == settle
         x = g.nodes()
         blocks = list(_blocks(x.size))
         assert len(blocks) > 1 or g is small_grid
@@ -219,6 +223,29 @@ class TestKoenigsIterate:
             assert np.array_equal(hy, h(y)[: hy.size])
             y = hy
         assert residual.size == res.probes.size
+        assert all(c.size == 1 for c in tail)
+        assert bool(tail) == (res.case == "global")
+
+    @pytest.mark.parametrize("g", [None, MULTI], ids=["single", "multi"])
+    @pytest.mark.parametrize(
+        "name,hid,k", [("koenigs_demo", "square", koenigs_shift), ("doubling_osc", "halve", 0.0)],
+        ids=["bounded", "global"],
+    )
+    def test_explicit_shift_evaluates_f_once_at_probes_and_images(self, small_grid, monkeypatch, name, hid, k, g):
+        # an explicit k is summed as a series, which evaluates k, not f, along
+        # the orbits: after the basin f runs once at the probes (the loop's
+        # scale, and f_inf there from the series the loop summed), once at
+        # their images (the residual's right side) and, in the global case, at
+        # the tail-decay law's scalar f_inf calls
+        g = g or small_grid
+        f, calls = counting(builtin(name))
+        h = gallery_homeo(hid)
+        marks = []
+        monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero, marks, calls))
+        res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g))
+        at_probes, at_images, *tail = calls[marks[0] :]
+        assert np.array_equal(at_probes, res.probes)
+        assert np.array_equal(at_images, h(res.probes))
         assert all(c.size == 1 for c in tail)
         assert bool(tail) == (res.case == "global")
 
@@ -568,13 +595,43 @@ class TestPreconditions:
                 builtin("koenigs_demo"), gallery_homeo("square"), bad_k, LinearizeConfig(2.0, grid)
             )
 
-    def test_underflow_is_named_not_blamed_on_h(self):
+    @pytest.mark.parametrize("g", [GridSpec(512, 0, 60), GridSpec(4096, 0, 60)], ids=["one-block", "blocks"])
+    def test_underflow_is_named_not_blamed_on_h(self, g):
         # x^20 rounds to 0 below x = 2^-53.75: the first such node has residual
-        # inf, and the message says that h underflows there
+        # inf, and the message says that h underflows there.  On 4096 nodes
+        # per octave the last block lies wholly past that node
         f, h = builtin("std_log"), gallery_homeo("pow:20")
         msg = "residual inf (tol 1e-09) at x = 6.6e-17; h underflows to 0 there"
         with pytest.raises(ValueError, match=re.escape(msg) + "$"):
-            koenigs_limit(f, h, None, LinearizeConfig(20.0, GridSpec(512, 0, 60)))
+            koenigs_limit(f, h, None, LinearizeConfig(20.0, g))
+
+    @pytest.mark.parametrize(
+        "hid,msg", [("pow:20", "; h underflows to 0 there"), ("wiggle", "; h is not increasing on the grid")]
+    )
+    def test_residual_inf_fails_even_an_infinite_gate(self, hid, msg):
+        # regression: witness_tol = inf let these through to the settle test,
+        # which read f at the images of a non-monotone h or at 0
+        h = Homeo(lambda x: x / 2 * (1 + 0.9 * np.sin(50 * np.log(x)))) if hid == "wiggle" else gallery_homeo(hid)
+        loose = LinearizeConfig(20.0, GridSpec(512, 0, 60), witness_tol=math.inf)
+        with pytest.raises(ValueError, match=re.escape("residual inf (tol inf) at x = ") + ".*" + re.escape(msg)):
+            koenigs_limit(builtin("std_log"), h, None, loose)
+
+    @pytest.mark.parametrize(
+        "g,ms",
+        [(GridSpec(512, 0, 40), range(32, 41)), (GridSpec(64, 10, 14), range(10, 15)), (GridSpec(8, 0, 2), [1, 2])],
+    )
+    def test_settle_probes_are_whole_octave_nodes(self, g, ms):
+        # 2^-m for m >= max(1, octave_min, octave_max - 8), all on the grid
+        assert g.nodes()[linearize._octave_nodes(g)].tolist() == [2.0**-m for m in ms]
+
+    @pytest.mark.parametrize("g", [GridSpec(512, 0, 1), GridSpec(8, 0, 1)])
+    def test_grid_too_short_to_test_settling(self, g):
+        # regression: a single settle probe failed with numpy's "zero-size
+        # array to reduction operation maximum"; an explicit shift needs none
+        f, h = builtin("koenigs_demo"), gallery_homeo("square")
+        with pytest.raises(ValueError, match="the grid has octave_max 1, the minimum is 2$"):
+            koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
+        assert koenigs_limit(f, h, koenigs_shift, LinearizeConfig(2.0, g)).residual <= 1e-10
 
     def test_shift_must_be_finite_at_zero(self, grid):
         # indistinguishable from the true shift on the grid, infinite at 0

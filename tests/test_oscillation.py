@@ -21,7 +21,7 @@ from reebflow import (
     star_identity_suite,
     star_profile,
 )
-from reebflow.efunc import _BLOCK
+from reebflow.efunc import _BLOCK, _blocks
 from reebflow.oscillation import _CHUNK, _running_max, sigma_from_profile
 
 MOBIUS = "x*(2+x)/(2+2*x)"
@@ -677,21 +677,31 @@ class TestUnderflowingImages:
     """x^20 leaves the doubles below x = 2^-53.75: its images tie among the
     subnormals and then round to 0.  That is underflow, not a decreasing h."""
 
-    def test_images_at_zero_have_residual_inf(self):
-        g = GridSpec(512, 0, 60)
+    @pytest.mark.parametrize("g", [GridSpec(512, 0, 60), GridSpec(4096, 0, 60)], ids=["one-block", "blocks"])
+    def test_images_at_zero_have_residual_inf(self, g):
+        # regression: on 4096 nodes per octave the last block lies wholly past
+        # the first image at 0, and failed with a numpy broadcast error
         x = g.nodes()
         hx = POW20.h(x)
-        assert int(np.count_nonzero(hx == 0)) == 3201
-        assert int(np.count_nonzero((hx[1:] == hx[:-1]) & (hx[1:] > 0))) == 122
+        z = int(np.argmax(hx == 0))
+        # x^20 rounds to 0 from x = 2^-53.75 on, the last 6.25 octaves
+        assert np.all(hx[z:] == 0) and x.size - z == 6.25 * g.samples_per_octave + 1
+        assert np.any((hx[1:] == hx[:-1]) & (hx[1:] > 0))  # ties among the subnormals
+        blocks = list(_blocks(x.size))
+        assert (blocks[-1].start > z) == (len(blocks) > 1)  # on several blocks, one lies wholly past z
         calls = []
         f = builtin("std_log")
         counted = EFunction("builtin", lambda t: calls.append(np.array(t)) or f.fn(t), "E", "counted")
         rep = check_witness(counted, None, POW20, g)
         assert rep.h_monotone and not rep.passed
         assert rep.residual == math.inf
-        assert rep.worst_x == 6.601425600620387e-17 == x[np.argmax(hx == 0)]
-        # f runs at the nodes and at the images above 0, never at 0
-        assert np.array_equal(np.concatenate(calls), np.concatenate([x, hx[hx > 0]]))
+        assert rep.worst_x == 6.601425600620387e-17 == x[z]
+        # f runs block by block at the nodes, then at their images above 0, never at 0
+        want = []
+        for s in blocks:
+            want += [x[s]] + ([hx[s.start : min(s.stop, z)]] if s.start < z else [])
+        assert len(calls) == len(want)
+        assert all(np.array_equal(c, w) for c, w in zip(calls, want))
 
     def test_a_grid_above_the_underflow_is_unchanged(self):
         f, g = builtin("std_log"), GridSpec(512, 0, 40)

@@ -6,10 +6,12 @@ the 983,041-node grid ``16384,60`` (its grid-wide passes span many blocks
 of nodes; it writes JSON and SVG, no CSV), ``linearize`` of
 ``doubling_osc`` under ``halve`` (the global basin case), on the default
 grid and on ``2048,20`` (40,961 nodes in two blocks, where the witness
-check reads f(x/2) from f(x) across the block boundary), and ``classify
---flow flow.json --lambda 1.5`` on ``4096,60`` (a time-scaled realized
-flow, built and read back over eight blocks of nodes below c1), in-process
-and each into its own output directory.  They run in one temporary
+check reads f(x/2) from f(x) across the block boundary), ``linearize`` of
+``koenigs_demo`` under ``square`` with its explicit shift ``--shift-expr``
+(the series path, which sums k along the orbits), and ``classify --flow
+flow.json --lambda 1.5`` on ``4096,60`` (a time-scaled realized flow, built
+and read back over eight blocks of nodes below c1), in-process and each
+into its own output directory.  They run in one temporary
 directory that also holds the inputs the examples name: ``data.csv``
 (bounded_osc(2) on 64 nodes per octave over 40 octaves, computed with the
 ``math`` module, not with the package) and ``flow.json`` (a realized
@@ -46,6 +48,8 @@ EXTRA = (
     "reebflow classify   --builtin bounded_osc --grid 16384,60 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --grid 2048,20 --out out/",
+    "reebflow linearize  --builtin koenigs_demo --homeo square --lambda 2 "
+    "--shift-expr '2*x/(1+x) - x**2/(1+x**2)' --out out/",
     "reebflow classify   --flow flow.json --lambda 1.5 --grid 4096,60 --out out/",
 )
 
