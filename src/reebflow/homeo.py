@@ -66,7 +66,8 @@ class Homeo:
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float, rel: float) -> float:
-    """Halve [lo, hi], lo to mid where ``below(mid)``, to width rel * hi or 200 times; the midpoint."""
+    """The midpoint of [lo, hi] after halving it, lo moving up to mid where ``below(mid)``
+    and hi down to it elsewhere, until the width is at most rel * hi or 200 times."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if below(mid):
