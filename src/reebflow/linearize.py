@@ -8,18 +8,18 @@ converge to a function f_inf with
     lam * f_inf = f_inf o h        and        f_inf - f continuous at 0.
 
 The n-th iterate is f(x) + shift - sum_{j < n} lam^(-j-1) (k - k(0))(h^j(x)).
-An explicit k is summed as this series, which evaluates f only at x; at
-the probes the convergence sweeps sum it.  A derived k = lam * f - f o h
-telescopes it back to the iterate, evaluated as is: f once per point, at
-the end h^n(x) of its orbit.  The check of a derived k is the first sweep
-of the orbits (h, f and f o h once over the grid, with f o h read from f
-where h carries nodes onto nodes); the settle test reads k at the
-whole-octave nodes 2^-m from it, and the functional-equation residual takes
-lam * f_inf at the probes from the ends of the orbits just swept, so one
-call evaluates f at most ``iterations + 2`` times over the grid.  f_inf
-keeps its values at the probes and at their images under h, both computed
-for the residual, and returns a fresh copy of them for points bitwise equal
-to either set instead of walking the orbits again.
+An explicit k is summed as this series, which evaluates f only at x.  A
+derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
+is: f once per point, at the end h^n(x) of its orbit.  The check of a
+derived k is the first sweep of the orbits (h, f and f o h once over the
+grid, with f o h read from f where h carries nodes onto nodes); the settle
+test reads k at the whole-octave nodes 2^-m from it, and the
+functional-equation residual takes lam * f_inf at the probes from the ends
+of the orbits just swept, so one call evaluates f at most
+``iterations + 2`` times over the grid.  f_inf keeps its values at the
+probes and at their images under h, both computed for the residual, and
+returns a fresh copy of them for points bitwise equal to either set
+instead of walking the orbits again.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -147,7 +147,7 @@ def koenigs_limit(
     nodes = cfg.grid.nodes()
     sweep = [] if derived else None
     wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, cfg.witness_tol, sweep)
-    if not wit.passed or wit.residual == math.inf:  # no gate admits a non-monotone h or an image at 0
+    if not wit.passed or (derived and not wit.h_monotone):  # the sweep holds nothing for a non-monotone h
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
             f"(tol {cfg.witness_tol:g}) at x = {wit.worst_x:.3g}"
@@ -183,18 +183,15 @@ def koenigs_limit(
     # sup norm over the probes would be dominated by the blow-up near 0.
     start = [a[j:] for a in sweep] if derived else [np.asarray(f(probes), dtype=float)]
     fscale = 1.0 + np.abs(start[0])
-    if derived:  # per probe, the last depth m of its orbit and f there, over f(x) once sweep 0 read it
-        f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
-    else:  # f(x) and the series at the probes, summed as ``series`` sums it
-        f_x, acc = start[0], np.zeros(probes.size)
+    # a derived k records, per probe, the last depth m of its orbit and f
+    # there, over f(x) once sweep 0 has read it
+    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
     orbit = shifts(probes, cfg.max_iters, *start)
     del sweep, start  # only the orbit holds h(x) and f(h(x)) now, and drops them as it moves on
     hull_max, iterations, last_change = 0.0, 0, math.inf
     for n, i, kv, fhy in orbit:
         if derived:
             f_end[i], m[i] = fhy, n + 1
-        else:
-            acc[i] += lam ** (-n - 1) * kv
         akv = np.abs(kv)
         hull_max = max(hull_max, float(np.max(akv, initial=0.0)))
         last_change = float(lam ** (-n - 1) * np.max(akv / fscale[i], initial=0.0))
@@ -247,17 +244,20 @@ def koenigs_limit(
         at_probes = f_end
         at_probes += shift
         at_probes *= decay[m]
-    else:  # and from the series the loop summed
-        at_probes = f_x + shift - acc
+    else:
+        at_probes = f_inf(probes)
     images = np.asarray(h(probes), dtype=float)
     at_images = f_inf(images)
     # the residual is symmetric in its operands and overwrites only the second
     residual = _relative_residual(at_images, lam * at_probes)[0]
     held += [(probes, at_probes), (images, at_images)]
     if residual > cfg.tol:
-        raise ToleranceFailure(f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}")
+        raise ToleranceFailure(
+            f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
+        )
 
     tail_dev = _tail_decay_deviation(f_inf, h, lam) if b is None else None
+
     slack = lam ** (-iterations) * hull_max
 
     def telescoping_bound(x):
@@ -265,8 +265,16 @@ def koenigs_limit(
         return (series(x.reshape(-1), np.abs) + slack).reshape(x.shape)
 
     return LinearizeResult(
-        f_inf=f_inf, case=basin.case, b=b, iterations=iterations, residual=residual, shift=shift,
-        k0=k0, last_change=last_change, probes=probes, tail_decay_dev=tail_dev,
+        f_inf=f_inf,
+        case=basin.case,
+        b=b,
+        iterations=iterations,
+        residual=residual,
+        shift=shift,
+        k0=k0,
+        last_change=last_change,
+        probes=probes,
+        tail_decay_dev=tail_dev,
         telescoping_bound=telescoping_bound,
     )
 
@@ -308,8 +316,8 @@ def _octave_nodes(g: GridSpec) -> np.ndarray:
     lo = max(1, g.octave_min, g.octave_max - 8)
     if g.octave_max <= lo:
         raise ValueError(
-            "a derived shift needs at least two whole-octave nodes 2^-m, m >= 1, to test settling "
-            f"at 0: the grid has octave_max {g.octave_max}, the minimum is {lo + 1}"
+            "a derived shift needs at least two whole-octave nodes 2^-m, m >= 1, to test settling at 0 "
+            f"(the full test reads five): the grid has octave_max {g.octave_max}, the minimum is {lo + 1}"
         )
     return np.arange(lo - g.octave_min, g.octave_max - g.octave_min + 1) * g.samples_per_octave
 
@@ -325,7 +333,9 @@ def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:
     rejected.  k itself must settle too, or a shift in constant ratio to the
     scale would pass: it is either at the rounding level of the operands
     (and taken as 0), or its absolute increments over the last four octaves
-    shrink, the last to at most half the first.
+    shrink, the last to at most half the first.  With fewer than five probes
+    both tests span fewer octaves; with two, a k0 above the rounding level
+    passes only when its one increment is within that level.
     """
     deltas = np.abs(np.diff(k / scale))
     if not np.all(np.isfinite(k)) or float(np.max(deltas[-4:])) > 1e-6:
@@ -350,11 +360,15 @@ def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:
 
 def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float, n_max: int = 10) -> float:
     """Max relative deviation of f_inf(h^-n(x0)) from lam^-n f_inf(x0)."""
-    base, cur, worst = float(f_inf(1.0)), 1.0, 0.0
+    x0 = 1.0
+    base = float(f_inf(x0))
+    worst = 0.0
+    cur = x0
     for n in range(1, n_max + 1):
         cur = h.inverse(cur)
         want = lam ** (-n) * base
-        worst = max(worst, abs(float(f_inf(cur)) - want) / max(1e-300, abs(want)))
+        got = float(f_inf(cur))
+        worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
     return worst
 
 

@@ -231,19 +231,19 @@ class TestKoenigsIterate:
         "name,hid,k", [("koenigs_demo", "square", koenigs_shift), ("doubling_osc", "halve", 0.0)],
         ids=["bounded", "global"],
     )
-    def test_explicit_shift_evaluates_f_once_at_probes_and_images(self, small_grid, monkeypatch, name, hid, k, g):
+    def test_explicit_shift_evaluates_f_only_at_probes_and_images(self, small_grid, monkeypatch, name, hid, k, g):
         # an explicit k is summed as a series, which evaluates k, not f, along
-        # the orbits: after the basin f runs once at the probes (the loop's
-        # scale, and f_inf there from the series the loop summed), once at
-        # their images (the residual's right side) and, in the global case, at
-        # the tail-decay law's scalar f_inf calls
+        # the orbits: after the basin f runs at the probes (the loop's scale,
+        # then f_inf there), at their images (the residual's right side) and,
+        # in the global case, at the tail-decay law's scalar f_inf calls
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
         marks = []
         monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero, marks, calls))
         res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g))
-        at_probes, at_images, *tail = calls[marks[0] :]
+        scale, at_probes, at_images, *tail = calls[marks[0] :]
+        assert np.array_equal(scale, res.probes)
         assert np.array_equal(at_probes, res.probes)
         assert np.array_equal(at_images, h(res.probes))
         assert all(c.size == 1 for c in tail)
@@ -605,16 +605,32 @@ class TestPreconditions:
         with pytest.raises(ValueError, match=re.escape(msg) + "$"):
             koenigs_limit(f, h, None, LinearizeConfig(20.0, g))
 
-    @pytest.mark.parametrize(
-        "hid,msg", [("pow:20", "; h underflows to 0 there"), ("wiggle", "; h is not increasing on the grid")]
-    )
-    def test_residual_inf_fails_even_an_infinite_gate(self, hid, msg):
-        # regression: witness_tol = inf let these through to the settle test,
-        # which read f at the images of a non-monotone h or at 0
-        h = Homeo(lambda x: x / 2 * (1 + 0.9 * np.sin(50 * np.log(x)))) if hid == "wiggle" else gallery_homeo(hid)
-        loose = LinearizeConfig(20.0, GridSpec(512, 0, 60), witness_tol=math.inf)
-        with pytest.raises(ValueError, match=re.escape("residual inf (tol inf) at x = ") + ".*" + re.escape(msg)):
+    def test_derived_shift_fails_a_non_monotone_h_even_under_an_infinite_gate(self):
+        # the settle test reads k from the witness check's sweep, which holds
+        # nothing for a non-monotone h
+        h = Homeo(lambda x: x / 2 * (1 + 0.9 * np.sin(50 * np.log(x))))
+        loose = LinearizeConfig(2.0, GridSpec(512, 0, 60), witness_tol=math.inf)
+        msg = "residual inf (tol inf) at x = 1; h is not increasing on the grid"
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
             koenigs_limit(builtin("std_log"), h, None, loose)
+
+    def test_explicit_shift_passes_a_non_monotone_h_under_an_infinite_gate(self):
+        # ln h(x) = 2 ln x + x sin(50 ln x) falls near x = 1, and k = 2f - f o h
+        # is x sin(50 ln x) in closed form: with the gate off, the series
+        # needs k alone and converges on the basin below h's fixed point
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(all="ignore"):  # the orbits reach 0; the basin search goes far above 1
+                return np.where(x > 0, x * x * np.exp(x * np.sin(50 * np.log(x))), 0.0)
+
+        def k(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0, x * np.sin(50 * np.log(np.where(x > 0, x, 1.0))), 0.0)
+
+        loose = LinearizeConfig(2.0, GridSpec(64, 0, 20), witness_tol=math.inf)
+        res = koenigs_limit(builtin("std_log"), Homeo(h), k, loose)
+        assert res.case == "bounded" and res.k0 == 0.0
+        assert res.residual <= loose.tol
 
     @pytest.mark.parametrize(
         "g,ms",
