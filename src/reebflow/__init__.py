@@ -47,7 +47,6 @@ from .homeo import (
     gallery_homeo,
     homeo_from_callable,
     homeo_from_expression,
-    iterate,
 )
 from .linearize import LinearizeConfig, LinearizeResult, koenigs_limit
 from .oscillation import (
@@ -104,7 +103,6 @@ __all__ = [
     "gallery_homeo",
     "homeo_from_callable",
     "homeo_from_expression",
-    "iterate",
     "koenigs_limit",
     "sample",
     "self_similarity_scan",

@@ -5,9 +5,7 @@ inverse (bisection with a doubling bracket otherwise); construction checks
 h(0) = 0 and the inverse's round trip on a probe grid.  Monotonicity is
 checked where h is used, on each grid, by the witness check.
 ``basin_of_zero`` decides whether 0 attracts the whole half line or only an
-interval (0, b) ending at a fixed point.  ``iterate`` composes h with itself
-at one point; it is the walk of ``linearize.direct_iterate``, the textbook
-iterate that the Koenigs limit is tested against.
+interval (0, b) ending at a fixed point.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "gallery_homeo",
     "homeo_from_callable",
     "homeo_from_expression",
-    "iterate",
     "basin_of_zero",
 ]
 
@@ -131,20 +128,6 @@ def gallery_homeo(ident: str) -> Homeo:
             lambda x, _p=p: np.power(x, _p), lambda y, _p=p: np.power(y, 1.0 / _p), ident
         )
     return homeo_from_expression(ident)
-
-
-def iterate(h: Homeo, n: int, x: float) -> float:
-    """n-fold composition h^n(x); negative n walks the inverse."""
-    if x < 0:
-        raise ValueError("iterate defined on x >= 0")
-    cur = float(x)
-    if n >= 0:
-        for _ in range(n):
-            cur = h(cur)
-    else:
-        for _ in range(-n):
-            cur = h.inverse(cur)
-    return cur
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
 is: f once per point, at the end h^n(x) of its orbit.  The check of a
 derived k is the first sweep of the orbits (h, f and f o h once over the
-grid, with f o h read from f where h carries nodes onto nodes); the settle
-test reads k at the whole-octave nodes 2^-m from it, and the
-functional-equation residual takes lam * f_inf at the probes from the ends
-of the orbits just swept, so one call evaluates f at most
-``iterations + 2`` times over the grid.  f_inf keeps its values at the
-probes and at their images under h, both computed for the residual, and
-returns a fresh copy of them for points bitwise equal to either set
-instead of walking the orbits again.
+grid, with f o h read from f where h carries nodes onto nodes), and the
+settle test reads k at the whole-octave nodes 2^-m from it.  The later
+sweeps walk the ``efunc._blocks`` blocks of probes in lockstep.  The
+functional-equation residual takes f_inf at the probes from the ends of
+those orbits, and at their images from the same walk: read at the probes
+where h carries probes onto probes (halve), else one sweep on, as the orbit
+of h(x) is that of x one sweep later.  So f runs at most ``iterations + 2``
+times over the grid (fewer under halve).  f_inf returns a fresh copy of
+these values for points bitwise equal to the probes or their images.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -28,16 +29,19 @@ on [b, oo) (the value at b itself is forced to 0 by continuity).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec
+from .efunc import EFunction, GridSpec, _blocks, _blockwise
 from .errors import ConvergenceFailure, ToleranceFailure
-from .homeo import Homeo, basin_of_zero, iterate
-from .oscillation import _DEPTH_FLOOR, EquivalenceWitness, _check_witness, _relative_residual, as_shift
+from .homeo import Homeo, basin_of_zero
+from .oscillation import (
+    _DEPTH_FLOOR, EquivalenceWitness, _check_witness, _node_shift, _relative_residual, as_shift,
+)
 
 __all__ = [
     "LinearizeConfig",
@@ -181,20 +185,28 @@ def koenigs_limit(
     # |f_{n+1} - f_n| at x is lam^(-n-1) |k_s(h^n x)| and is measured
     # relative to 1 + |f(x)|: the profiles span many decades, so an absolute
     # sup norm over the probes would be dominated by the blow-up near 0.
+    # Each block of probes has its own walk, the walks advance in lockstep, and
+    # np.max over the blocks' maxima is np.max over the sweep, a NaN included.
     start = [a[j:] for a in sweep] if derived else [np.asarray(f(probes), dtype=float)]
+    images = start[1] if derived else _blockwise(h, probes)
     fscale = 1.0 + np.abs(start[0])
     # a derived k records, per probe, the last depth m of its orbit and f
     # there, over f(x) once sweep 0 has read it
     f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
-    orbit = shifts(probes, cfg.max_iters, *start)
-    del sweep, start  # only the orbit holds h(x) and f(h(x)) now, and drops them as it moves on
+    walks = [(s, shifts(probes[s], cfg.max_iters + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
+    del sweep, start  # only the walks hold f(h(x)) now, and drop it as they move on
     hull_max, iterations, last_change = 0.0, 0, math.inf
-    for n, i, kv, fhy in orbit:
-        if derived:
-            f_end[i], m[i] = fhy, n + 1
-        akv = np.abs(kv)
-        hull_max = max(hull_max, float(np.max(akv, initial=0.0)))
-        last_change = float(lam ** (-n - 1) * np.max(akv / fscale[i], initial=0.0))
+    for n in range(cfg.max_iters):
+        sups, changes = [0.0], [0.0]
+        for s, walk in walks:
+            for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
+                if derived:
+                    f_end[s][i], m[s][i] = fhy, n + 1
+                akv = np.abs(kv)
+                sups.append(np.max(akv))
+                changes.append(np.max(akv / fscale[s][i]))
+        hull_max = max(hull_max, float(np.max(sups)))
+        last_change = float(lam ** (-n - 1) * np.max(changes))
         iterations = n + 1
         if last_change < cfg.tol:
             break
@@ -202,7 +214,7 @@ def koenigs_limit(
         raise ConvergenceFailure(
             f"no convergence within {cfg.max_iters} sweeps; last sup-change {last_change:.3g}"
         )
-    del orbit, fscale  # a suspended orbit would hold its last sweep's arrays
+    del fscale
     decay = lam ** -np.arange(iterations + 1.0)
 
     def series(x, term=None):
@@ -230,28 +242,43 @@ def koenigs_limit(
             if np.array_equal(x.view(np.int64), pts.view(np.int64)):
                 return vals.copy()
         if b is None or np.all(x < b):
-            return koenigs(x.reshape(-1)).reshape(x.shape)
+            return _blockwise(koenigs, x.reshape(-1)).reshape(x.shape)
         out = np.zeros(x.shape)
         inside = x < b
         if np.any(inside):
-            out[inside] = koenigs(x[inside])
+            out[inside] = _blockwise(koenigs, x[inside])
         return out
 
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
     f_inf = EFunction("expression", f_inf_fn, "E0", label)
 
-    if derived:  # f_inf at the probes, from the ends of the orbits just swept
+    # f_inf at the probes and, for a derived k, at their images from the walks just run
+    onto = _node_shift(probes, float(images[0])) if derived else None
+    if onto is not None and not np.array_equal(images[: probes.size - onto], probes[onto:]):
+        onto = None  # the first image is a probe, but not every image on the grid is
+    if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
+        at_images = np.empty(probes.size)
+        for s, walk in walks:
+            fe, d = f_end[s].copy(), m[s].astype(int) - 1
+            for _, i, _, fhy in itertools.islice(walk, 1):
+                fe[i], d[i] = fhy, iterations
+            at_images[s] = decay[d] * (fe + shift)
+            if np.any(lost := d < 0):  # no live sweep: the image is walked
+                at_images[s][lost] = f_inf(images[s][lost])
+    del walks  # a suspended walk holds its last sweep's arrays
+    if not derived:
+        at_probes, at_images = f_inf(probes), f_inf(images)
+    else:
         at_probes = f_end
         at_probes += shift
         at_probes *= decay[m]
-    else:
-        at_probes = f_inf(probes)
-    images = np.asarray(h(probes), dtype=float)
-    at_images = f_inf(images)
-    # the residual is symmetric in its operands and overwrites only the second
-    residual = _relative_residual(at_images, lam * at_probes)[0]
+        if onto is not None:  # read there, and walk only the images past the last probe
+            at_images = np.concatenate([at_probes[onto:], f_inf(images[probes.size - onto :])])
+    # the residual, block by block: symmetric in its operands, it overwrites only the second
+    rel = [_relative_residual(at_images[s], lam * at_probes[s])[0] for s in _blocks(probes.size)]
+    residual = float(np.max(rel))  # a NaN in any block wins
     held += [(probes, at_probes), (images, at_images)]
-    if residual > cfg.tol:
+    if not residual <= cfg.tol:  # a NaN fails too
         raise ToleranceFailure(
             f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
         )
@@ -285,11 +312,11 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, f
     Yields ``(n, i, y, fy, hy, fhy)``: ``y = h^n(x)[i]`` and ``hy = h(y)`` at
     the points ``i`` (a slice until one leaves) still on their orbit.  With
     ``floored``, a point leaves for good at the first n where y or hy is at
-    or below ``_DEPTH_FLOOR``; in the basin an orbit only descends.  With f,
-    ``fy = f(y)`` and ``fhy = f(hy)``, and fhy is carried forward as the next
-    fy, so f is evaluated once per sweep plus once at the start.  The
-    arguments ``fy``, ``hy`` and ``fhy`` are the first sweep's values, which
-    are then not evaluated; the walk holds them no longer than that sweep.
+    or below ``_DEPTH_FLOOR`` (in the basin an orbit only descends), and the
+    walk ends when none is left.  With f, ``fy = f(y)`` and ``fhy = f(hy)``,
+    and fhy is carried forward as the next fy, so f is evaluated once per
+    sweep plus once at the start.  Given ``fy``, ``hy`` and ``fhy`` are the
+    first sweep's values, held no longer than that sweep.
     """
     i, y = slice(None), x
     for n in range(sweeps):
@@ -299,6 +326,8 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, f
             live = (y > _DEPTH_FLOOR) & (hy > _DEPTH_FLOOR)
             if not live.all():
                 i = np.flatnonzero(live) if isinstance(i, slice) else i[live]
+                if i.size == 0:
+                    return
                 y, hy = y[live], hy[live]
                 fy = None if fy is None else fy[live]
                 fhy = None if fhy is None else fhy[live]
@@ -371,14 +400,3 @@ def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float, n_max: int = 1
         worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
     return worst
 
-
-def direct_iterate(f: EFunction, h: Homeo, lam: float, n: int, x: float) -> float:
-    """The textbook iterate lam^-n f(h^n(x)) at one point, for cross-checking.
-
-    Callers must keep n small enough that h^n(x) stays well above the
-    underflow floor.
-    """
-    cur = iterate(h, n, x)
-    if cur <= 0.0 or cur < 1e-280:
-        raise ValueError(f"orbit point h^{n}({x:g}) underflowed; reduce n")
-    return lam ** (-n) * float(f(cur))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -67,7 +68,7 @@ def as_shift(k) -> Callable[[np.ndarray], np.ndarray]:
     """Normalize a continuous-shift argument: None -> 0, number -> constant."""
     if k is None:
         return zero_shift
-    if isinstance(k, (int, float)):
+    if isinstance(k, numbers.Real):  # numpy scalars too
         return const_shift(float(k))
     return lambda x, _k=k: np.asarray(_k(np.asarray(x, dtype=float)), dtype=float)
 

@@ -8,7 +8,6 @@ from reebflow import (
     basin_of_zero,
     gallery_homeo,
     homeo_from_expression,
-    iterate,
 )
 
 # onto increasing map fixing 0 with h(x) < x, parabolic at 0
@@ -18,6 +17,13 @@ MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
 
 def mobius():
     return homeo_from_expression(MOBIUS, MOBIUS_INV)
+
+
+def iterate(h, n, x):
+    """n-fold composition h^n(x) at one point; negative n walks the inverse."""
+    for _ in range(abs(n)):
+        x = h(x) if n > 0 else h.inverse(x)
+    return float(x)
 
 
 class TestGallery:

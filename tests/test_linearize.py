@@ -21,13 +21,23 @@ from reebflow import (
 )
 from reebflow import linearize
 from reebflow.efunc import _blocks
-from reebflow.linearize import direct_iterate
 from reebflow.oscillation import as_shift
 
 # (builtin, homeo) pairs linearized with the derived shift lam*f - f o h
 DERIVED = [("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve")]
 FLOOR = linearize._DEPTH_FLOOR  # orbit depth at which the derived shift is taken as settled
 MULTI = GridSpec(samples_per_octave=4096, octave_max=20)  # 81,921 nodes
+
+
+def nan_below_the_grid():
+    """koenigs_demo, NaN on [2^-600, 2^-300]: below the (64, 0, 30) grid, above FLOOR."""
+    f = builtin("koenigs_demo")
+
+    def fn(x, _fn=f.fn):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 2.0**-600) & (x <= 2.0**-300), np.nan, _fn(x))
+
+    return dataclasses.replace(f, fn=fn)
 
 
 def koenigs_shift(x):
@@ -54,6 +64,18 @@ def marking(fn, marks, calls):
         return fn(*args)
 
     return marked
+
+
+def direct_iterate(f, h, lam, n, x):
+    """The textbook iterate lam^-n f(h^n(x)) at one point, the oracle of the Koenigs limit.
+
+    Callers keep n small enough that h^n(x) stays well above the underflow floor.
+    """
+    for _ in range(n):
+        x = h(x)
+    if x < 1e-280:
+        raise ValueError(f"orbit point h^{n} underflowed; reduce n")
+    return lam ** (-n) * float(f(x))
 
 
 def series_reference(f, h, lam, res, x):
@@ -212,17 +234,37 @@ class TestKoenigsIterate:
             assert len(images) == len(blocks)
             for s, fhx in zip(blocks, images):
                 assert np.array_equal(fhx, h(x[s]))
-        n = res.iterations
-        after = calls[basin:]
-        sweeps, residual, tail = after[: n - 1], after[n - 1], after[n:]
-        # each sweep at h of the previous one's points still above the floor;
-        # the probes descend, so those are a prefix
-        y = h(res.probes)
-        for hy in sweeps:
-            assert 0 < hy.size <= y.size
-            assert np.array_equal(hy, h(y)[: hy.size])
-            y = hy
-        assert residual.size == res.probes.size
+        # after it each block of probes has its own walk, and the walks take
+        # sweeps 1 .. iterations-1 in lockstep: per sweep, f runs once per block
+        # with points left, at h of that block's points of the previous sweep
+        # still above the floor; the probes descend, so those are a prefix.
+        # Without a node shift the residual's f_inf(h(x)) is sweep
+        # ``iterations``, one more such sweep; under halve it walks only the
+        # orbits of the last K images, whose points are no probes
+        n, p = res.iterations, res.probes
+        after, pos = calls[basin:], 0
+        ys = [h(p[s]) for s in _blocks(p.size)]
+        for _ in range(n - 1 if hid == "halve" else n):
+            seen = []
+            for b, y in enumerate(ys):
+                hy = h(y)
+                live = (y > FLOOR) & (hy > FLOOR)
+                ys[b] = hy[: np.count_nonzero(live)]
+                assert np.all(live[: ys[b].size])
+                if ys[b].size:
+                    assert np.array_equal(after[pos], ys[b])
+                    seen.append(after[pos])
+                    pos += 1
+            if seen:  # f sees no point twice in a sweep
+                assert np.unique(np.concatenate(seen)).size == sum(c.size for c in seen)
+        tail = after[pos:]
+        if hid == "halve":
+            residual, *tail = tail
+            orbits = [h(p[-g.samples_per_octave :])]
+            for _ in range(n):
+                orbits.append(h(orbits[-1]))
+            assert residual.size == g.samples_per_octave
+            assert np.all(np.isin(residual, np.concatenate(orbits)))
         assert all(c.size == 1 for c in tail)
         assert bool(tail) == (res.case == "global")
 
@@ -233,19 +275,24 @@ class TestKoenigsIterate:
     )
     def test_explicit_shift_evaluates_f_only_at_probes_and_images(self, small_grid, monkeypatch, name, hid, k, g):
         # an explicit k is summed as a series, which evaluates k, not f, along
-        # the orbits: after the basin f runs at the probes (the loop's scale,
-        # then f_inf there), at their images (the residual's right side) and,
-        # in the global case, at the tail-decay law's scalar f_inf calls
+        # the orbits: after the basin f runs at the probes (the loop's scale),
+        # then one block at a time at the probes and at their images (f_inf at
+        # both, for the residual) and, in the global case, at the tail-decay
+        # law's scalar f_inf calls
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
         marks = []
         monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero, marks, calls))
         res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g))
-        scale, at_probes, at_images, *tail = calls[marks[0] :]
+        blocks = list(_blocks(res.probes.size))
+        assert len(blocks) > 1 or g is small_grid
+        scale, *after = calls[marks[0] :]
         assert np.array_equal(scale, res.probes)
-        assert np.array_equal(at_probes, res.probes)
-        assert np.array_equal(at_images, h(res.probes))
+        nb = len(blocks)
+        at_probes, at_images, tail = after[:nb], after[nb : 2 * nb], after[2 * nb :]
+        assert [bits(c) for c in at_probes] == [bits(res.probes[s]) for s in blocks]
+        assert [bits(c) for c in at_images] == [bits(h(res.probes)[s]) for s in blocks]
         assert all(c.size == 1 for c in tail)
         assert bool(tail) == (res.case == "global")
 
@@ -340,6 +387,15 @@ class TestHeldValues:
                 want = explicit_reference(f, h, as_shift(k), 2.0, res, x)
             assert bits(res.f_inf(x)) == bits(want)
             assert bits(res.f_inf(x.reshape(-1, 1))) == bits(want)  # walked, not held
+
+    def test_images_of_probes_with_no_live_sweep_are_walked(self):
+        # x^20 sinks below FLOOR in one step from the deep probes, across
+        # blocks: their images are walked, the others end the orbits one sweep on
+        f, h = builtin("std_log"), gallery_homeo("pow:20")
+        res = koenigs_limit(f, h, None, LinearizeConfig(20.0, GridSpec(4096, 0, 52)))
+        images = np.asarray(h(res.probes))
+        assert np.count_nonzero(images <= FLOOR) > 2 * 4096
+        assert bits(res.f_inf(images)) == bits(telescoped_reference(f, h, 20.0, res, images))
 
     @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
     def test_writing_into_an_answer_leaves_the_next_alone(self, results, name, hid, k):
@@ -594,6 +650,28 @@ class TestPreconditions:
             koenigs_limit(
                 builtin("koenigs_demo"), gallery_homeo("square"), bad_k, LinearizeConfig(2.0, grid)
             )
+
+    def test_nan_residual_fails_the_gate(self):
+        # regression: a NaN residual passed `residual > tol`, and the call
+        # returned residual nan with NaN f_inf at 405 probes
+        with pytest.raises(ToleranceFailure, match="residual nan exceeds"):
+            koenigs_limit(nan_below_the_grid(), gallery_homeo("square"), None, LinearizeConfig(2.0, GridSpec(64, 0, 30)))
+
+    def test_nan_sweep_change_is_not_dropped_between_blocks(self):
+        # each sweep's maxima over the blocks are np.max over the whole sweep:
+        # a NaN in any block makes the change NaN, which never converges
+        capped = LinearizeConfig(2.0, GridSpec(64, 0, 30), max_iters=8)
+        with pytest.raises(ConvergenceFailure, match="within 8 sweeps; last sup-change nan$"):
+            koenigs_limit(nan_below_the_grid(), gallery_homeo("square"), None, capped)
+
+    def test_numpy_scalar_is_a_constant_shift(self):
+        # regression: np.int64(0) was called as a function
+        h, g = gallery_homeo("halve"), GridSpec(8, 0, 12)
+        res = koenigs_limit(builtin("doubling_osc"), h, np.int64(0), LinearizeConfig(2.0, g))
+        assert res.to_json() == koenigs_limit(builtin("doubling_osc"), h, 0, LinearizeConfig(2.0, g)).to_json()
+        rep = check_witness(builtin("doubling_osc"), None, EquivalenceWitness(h, np.int64(0), 2.0), g)
+        assert rep == check_witness(builtin("doubling_osc"), None, EquivalenceWitness(h, 0.0, 2.0), g)
+        assert rep.passed
 
     @pytest.mark.parametrize("g", [GridSpec(512, 0, 60), GridSpec(4096, 0, 60)], ids=["one-block", "blocks"])
     def test_underflow_is_named_not_blamed_on_h(self, g):

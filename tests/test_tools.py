@@ -35,4 +35,4 @@ def test_readme_artifacts_are_reproducible():
     tool = load_tool()
     want = [f"{tool.label(argv)}/{name}" for argv in tool.examples() for name in files[argv[0]]]
     assert [line.split("  ", 1)[1] for line in lines] == want
-    assert len(want) == 40
+    assert len(want) == 43

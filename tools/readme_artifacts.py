@@ -7,8 +7,10 @@ of nodes; it writes JSON and SVG, no CSV), ``linearize`` of
 ``doubling_osc`` under ``halve`` (the global basin case), on the default
 grid and on ``2048,20`` (40,961 nodes in two blocks, where the witness
 check reads f(x/2) from f(x) across the block boundary), ``linearize`` of
-``koenigs_demo`` under ``square`` with its explicit shift ``--shift-expr``
-(the series path, which sums k along the orbits), and ``classify --flow
+``koenigs_demo`` under ``square`` on ``1024,40`` (40,961 nodes in two
+blocks, whose orbits are walked in lockstep over 12 sweeps) and with its
+explicit shift ``--shift-expr`` (the series path, which sums k along the
+orbits), and ``classify --flow
 flow.json --lambda 1.5`` on ``4096,60`` (a time-scaled realized flow, built
 and read back over eight blocks of nodes below c1), in-process and each
 into its own output directory.  They run in one temporary
@@ -48,6 +50,7 @@ EXTRA = (
     "reebflow classify   --builtin bounded_osc --grid 16384,60 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --out out/",
     "reebflow linearize  --builtin doubling_osc --homeo halve --lambda 2 --grid 2048,20 --out out/",
+    "reebflow linearize  --builtin koenigs_demo --homeo square --lambda 2 --grid 1024,40 --out out/",
     "reebflow linearize  --builtin koenigs_demo --homeo square --lambda 2 "
     "--shift-expr '2*x/(1+x) - x**2/(1+x**2)' --out out/",
     "reebflow classify   --flow flow.json --lambda 1.5 --grid 4096,60 --out out/",
