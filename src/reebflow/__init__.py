@@ -45,7 +45,6 @@ from .homeo import (
     Homeo,
     basin_of_zero,
     gallery_homeo,
-    homeo_from_callable,
     homeo_from_expression,
 )
 from .linearize import LinearizeConfig, LinearizeResult, koenigs_limit
@@ -101,7 +100,6 @@ __all__ = [
     "from_csv",
     "from_expression",
     "gallery_homeo",
-    "homeo_from_callable",
     "homeo_from_expression",
     "koenigs_limit",
     "sample",

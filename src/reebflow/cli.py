@@ -1,9 +1,11 @@
 """Command-line surface tying the library together.
 
-Subcommands: sigma, roundtrip, linearize, classify, transition, plot.
-Outputs are JSON (floats at full round-trip precision, keys sorted, no
-timestamps: reruns with the same configuration are byte-identical), CSV
-for full profiles, and dependency-free SVG plots.
+Subcommands: sigma, roundtrip, linearize, classify, transition, plot.  Each
+takes exactly one input and declares only the flags it reads; a flag that
+its input does not read is a usage error.  Outputs are JSON (floats at full
+round-trip precision, keys sorted, no timestamps: reruns with the same
+configuration are byte-identical), CSV for full profiles, and
+dependency-free SVG plots.
 
 Exit codes: 0 success, 1 a numeric acceptance tolerance failed,
 2 usage or input error.
@@ -54,25 +56,32 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_function(args) -> tuple[efunc.EFunction, dict]:
-    if getattr(args, "builtin", None):
+def _unread(flags: dict, owner: str) -> None:
+    """Reject every flag in ``flags`` that was given: only an ``owner`` input reads it."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ValueError(f"{flag} is read only with {owner}")
+
+
+def _resolve_function(args) -> tuple[efunc.EFunction, dict, efunc.GridSpec]:
+    """f from --builtin or --csv, its JSON spec, and --grid fitted to its domain."""
+    if args.builtin:
         params = args.param or []
-        f = efunc.builtin(args.builtin, params)
-        return f, {"builtin": args.builtin, "params": params}
-    if getattr(args, "csv", None):
-        f = efunc.from_csv(args.csv)
-        return f, {"csv": str(args.csv)}
-    raise ValueError("supply exactly one input: --builtin NAME or --csv PATH")
+        f, spec = efunc.builtin(args.builtin, params), {"builtin": args.builtin, "params": params}
+    else:
+        _unread({"--param": args.param}, "--builtin")
+        f, spec = efunc.from_csv(args.csv), {"csv": str(args.csv)}
+    return f, spec, efunc.fit_grid(f, args.grid)
 
 
-def _resolve_flow(args, g: efunc.GridSpec) -> tuple[flowmod.Flow, dict]:
-    spec = args.flow
+def _resolve_flow(args) -> tuple[flowmod.Flow, dict, efunc.GridSpec]:
+    spec, g = args.flow, args.grid
     obj = {"kind": "standard"} if spec == "standard" else json.loads(Path(spec).read_text())
     F = flowmod.flow_from_json(obj, g)
     # --lambda composes on top of whatever the config already carries
     if args.lam is not None:
         F = flowmod.time_scale(F, args.lam)
-    return F, {"flow": str(spec), "lambda": F.lam}
+    return F, {"flow": str(spec), "lambda": F.lam}, g
 
 
 def _out_dir(args) -> Path:
@@ -85,12 +94,9 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_sigma(args) -> int:
-    f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, args.grid)
+    f, spec, g = _resolve_function(args)
     cfg = RunConfig("sigma", spec, g.to_json(), variant=args.variant, tail_window=args.tail_window)
-    prof = (
-        star_profile(f, g) if args.variant == "star" else sharp_profile(f, g)
-    )
+    prof = (star_profile if args.variant == "star" else sharp_profile)(f, g)
     est = sigma_from_profile(prof, tail_window=args.tail_window)
     out = _out_dir(args)
     _write_json(out / "sigma.json", {"config": cfg.to_json(), "sigma": est.to_json()})
@@ -108,10 +114,8 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, args.grid)
-    tol = args.tol if args.tol is not None else 1e-9
-    lam = args.lam if args.lam is not None else 1.0
+    f, spec, g = _resolve_function(args)
+    tol, lam = args.tol, args.lam
     cfg = RunConfig("roundtrip", spec, g.to_json(), lam=lam, tol=tol, c0=args.c0, c1=args.c1)
     F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g, source_spec=spec)
     Fs = flowmod.time_scale(F, lam) if lam != 1.0 else F
@@ -147,23 +151,15 @@ def _cmd_roundtrip(args) -> int:
         logy=True,
     )
     print(f"round-trip max error = {err!r} ({'pass' if passed else 'FAIL'} at tol {tol:g})")
-    if not passed:
-        return 1
-    return 0
+    return 0 if passed else 1
 
 
 def _cmd_linearize(args) -> int:
-    f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, args.grid)
-    if not args.homeo:
-        raise ValueError("linearize needs --homeo ID")
-    if args.lam is None:
-        raise ValueError("linearize needs --lambda L with L > 1")
+    f, spec, g = _resolve_function(args)
     h = homeomod.gallery_homeo(args.homeo)
     k = efunc.compile_expr(args.shift_expr, "--shift-expr") if args.shift_expr else None
-    tol = args.tol if args.tol is not None else 1e-10
-    cfg = RunConfig("linearize", spec, g.to_json(), lam=args.lam, homeo=args.homeo, tol=tol)
-    res = linmod.koenigs_limit(f, h, k, linmod.LinearizeConfig(args.lam, g, tol=tol))
+    cfg = RunConfig("linearize", spec, g.to_json(), lam=args.lam, homeo=args.homeo, tol=args.tol)
+    res = linmod.koenigs_limit(f, h, k, linmod.LinearizeConfig(args.lam, g, tol=args.tol))
     out = _out_dir(args)
     _write_json(out / "linearize.json", {"config": cfg.to_json(), "result": res.to_json()})
     x = res.probes
@@ -187,13 +183,13 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = args.grid
-    if getattr(args, "flow", None):
-        F, spec = _resolve_flow(args, g)
+    if args.flow:
+        _unread({"--param": args.param}, "--builtin")
+        F, spec, g = _resolve_flow(args)
         report = flow_classify(F, g=g, tau_std=args.tau_std, tau_ns=args.tau_ns)
     else:
-        f, spec = _resolve_function(args)
-        g = efunc.fit_grid(f, g)
+        _unread({"--lambda": args.lam}, "--flow")
+        f, spec, g = _resolve_function(args)
         report = classify(f, g, tau_std=args.tau_std, tau_ns=args.tau_ns)
     cfg = RunConfig("classify", spec, g.to_json(), tau_std=args.tau_std, tau_ns=args.tau_ns)
     out = _out_dir(args)
@@ -212,10 +208,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_transition(args) -> int:
-    g = args.grid
-    F, spec = _resolve_flow(args, g)
-    if args.x is None:
-        raise ValueError("transition needs --x VALUE")
+    F, spec, g = _resolve_flow(args)
     t = flowmod.transition_time(F, flowmod.DEFAULT_TRANSVERSAL, args.x)
     cfg = RunConfig("transition", spec, g.to_json())
     out = _out_dir(args)
@@ -225,15 +218,15 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    g = args.grid
-    out = _out_dir(args)
-    if getattr(args, "flow", None):
-        F, spec = _resolve_flow(args, g)
+    if args.flow:
+        _unread({"--param": args.param}, "--builtin")
+        F, _, _ = _resolve_flow(args)
         x0 = args.x if args.x is not None else 0.25
         p0 = flowmod.DEFAULT_TRANSVERSAL.point1(x0)
         tmax = args.tmax if args.tmax is not None else 2.0 * abs(math.log(x0))
         times = np.linspace(0.0, tmax, 201)
         rows = flowmod.orbit_rows(F, p0, times)
+        out = _out_dir(args)
         flowmod.orbit_to_csv(out / "orbit.csv", rows)
         line_plot(
             out / "plot.svg",
@@ -245,9 +238,10 @@ def _cmd_plot(args) -> int:
         )
         print(f"orbit written ({len(rows)} samples, leaf c = {p0.leaf!r})")
         return 0
-    f, spec = _resolve_function(args)
-    g = efunc.fit_grid(f, g)
+    _unread({"--lambda": args.lam, "--x": args.x, "--tmax": args.tmax}, "--flow")
+    f, _, g = _resolve_function(args)
     prof = star_profile(f, g)
+    out = _out_dir(args)
     line_plot(
         out / "plot.svg",
         prof.x,
@@ -265,16 +259,17 @@ def _cmd_plot(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, flow_input: bool = False) -> None:
-    p.add_argument("--builtin", help="gallery function name")
-    p.add_argument("--param", action="append", type=float, help="builtin parameter (repeatable)")
-    p.add_argument("--csv", help="CSV file with header x,f and decreasing x")
-    if flow_input:
-        p.add_argument("--flow", help="'standard' or path to a flow JSON config")
+def _add_common(p: argparse.ArgumentParser, function: bool = True, flow: bool = False) -> None:
+    source = p.add_mutually_exclusive_group(required=True)  # exactly one input
+    if flow:
+        source.add_argument("--flow", help="'standard' or path to a flow JSON config")
+    if function:
+        source.add_argument("--builtin", help="gallery function name")
+        source.add_argument("--csv", help="CSV file with header x,f and decreasing x")
+        p.add_argument("--param", action="append", type=float, help="builtin parameter (repeatable)")
     p.add_argument("--grid", type=_grid, default=efunc.GridSpec(),
                    help="grid as 'K,m_max' (default 512,40)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=None, help="scale factor > 0")
 
 
 def _positive(text: str) -> float:
@@ -315,31 +310,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")
     _add_common(p)
-    p.add_argument("--tol", type=_positive, default=None, help="max absolute error (default 1e-9)")
+    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0, help="time scale (default 1)")
+    p.add_argument("--tol", type=_positive, default=1e-9, help="max absolute error (default 1e-9)")
     p.add_argument("--c0", type=float, default=0.25)
     p.add_argument("--c1", type=float, default=0.5)
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("linearize", help="solve lam*f = f o h + k for the exact profile")
     _add_common(p)
-    p.add_argument("--homeo", help="halve | square | root_scale:N | pow:p | expression")
+    p.add_argument("--lambda", dest="lam", type=_positive, required=True, help="scale L > 1")
+    p.add_argument("--homeo", required=True, help="halve | square | root_scale:N | pow:p | expression")
     p.add_argument("--shift-expr", help="k as an expression in x (default: derived)")
-    p.add_argument("--tol", type=_positive, default=None, help="residual tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_positive, default=1e-10, help="residual tolerance (default 1e-10)")
     p.set_defaults(fn=_cmd_linearize)
 
     p = sub.add_parser("classify", help="standard / nonstandard / inconclusive verdict")
-    _add_common(p, flow_input=True)
+    _add_common(p, flow=True)
+    p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the --flow input")
     p.add_argument("--tau-std", type=_positive, default=1e-3)
     p.add_argument("--tau-ns", type=_positive, default=1e-1)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")
-    _add_common(p, flow_input=True)
-    p.add_argument("--x", type=_positive, help="transversal parameter > 0")
+    _add_common(p, function=False, flow=True)
+    p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the flow")
+    p.add_argument("--x", type=_positive, required=True, help="transversal parameter > 0")
     p.set_defaults(fn=_cmd_transition)
 
     p = sub.add_parser("plot", help="profile plot for a function, orbit plot for a flow")
-    _add_common(p, flow_input=True)
+    _add_common(p, flow=True)
+    p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the --flow input")
     p.add_argument("--x", type=_positive, help="orbit start parameter > 0 (flow input)")
     p.add_argument("--tmax", type=_positive, help="orbit time horizon > 0 (flow input)")
     p.set_defaults(fn=_cmd_plot)

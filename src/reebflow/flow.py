@@ -451,6 +451,13 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _known_keys(obj: dict, keys: tuple, where: str) -> None:
+    """A ValueError naming the first key of obj that is not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}; accepted: {', '.join(keys)}")
+
+
 def _number(obj: dict, key: str, default: float) -> float:
     """The JSON number under key; a ValueError naming the key for anything else."""
     v = obj.get(key, default)
@@ -466,8 +473,10 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
     any other kind is a ValueError that names it.  The "f" descriptor of a
     realized flow is {"builtin": name, "params": [...]} or {"csv": path}; a
     time_scaled config without one scales the standard flow.  The recorded
-    shift is recomputed from the data, not trusted.  A config that is not an
-    object, or a value of the wrong type, is a ValueError that names its key.
+    shift is recomputed from the data, not trusted.  Every config may hold
+    "kind" and "lambda"; one with a source also "c0", "c1", "shift" and "f".
+    A config that is not an object, a value of the wrong type or any other
+    key is a ValueError that names the key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"flow config must be a JSON object, got {obj!r}")
@@ -476,15 +485,19 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
         raise ValueError(f"unknown flow kind {kind!r}; choose from {', '.join(_FLOW_KINDS)}")
     lam = _number(obj, "lambda", 1.0)
     if kind == "standard" or (kind == "time_scaled" and "f" not in obj):
+        _known_keys(obj, ("kind", "lambda"), "flow config")
         F = standard_flow()
     else:
+        _known_keys(obj, ("kind", "lambda", "c0", "c1", "shift", "f"), "flow config")
         spec = obj.get("f")
         if isinstance(spec, dict) and "builtin" in spec:
+            _known_keys(spec, ("builtin", "params"), "flow source")
             params = spec.get("params", [])
             if not isinstance(params, (list, tuple)) or not all(map(_is_number, params)):
                 raise ValueError(f"flow source 'params' must be a list of numbers, got {params!r}")
             f = builtin(spec["builtin"], params)
         elif isinstance(spec, dict) and "csv" in spec:
+            _known_keys(spec, ("csv",), "flow source")
             if not isinstance(spec["csv"], str):
                 raise ValueError(f"flow source 'csv' must be a file path, got {spec['csv']!r}")
             f = from_csv(spec["csv"])

@@ -21,7 +21,6 @@ __all__ = [
     "Homeo",
     "BasinReport",
     "gallery_homeo",
-    "homeo_from_callable",
     "homeo_from_expression",
     "basin_of_zero",
 ]
@@ -88,12 +87,6 @@ def _verify(fn, inverse_fn, name) -> Homeo:
         if not np.allclose(rt, probe, rtol=1e-12, atol=0.0):
             raise ValueError(f"homeo {name!r}: inverse fails round trip")
     return h
-
-
-def homeo_from_callable(
-    fn: Callable, inverse_fn: Callable | None = None, name: str = ""
-) -> Homeo:
-    return _verify(fn, inverse_fn, name)
 
 
 def homeo_from_expression(expr: str, inverse_expr: str | None = None) -> Homeo:

@@ -51,25 +51,15 @@ __all__ = [
     "check_witness",
     "star_identity_suite",
     "as_shift",
-    "zero_shift",
-    "const_shift",
 ]
-
-
-def zero_shift(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def const_shift(c: float) -> Callable:
-    return lambda x, _c=float(c): np.full_like(np.asarray(x, dtype=float), _c)
 
 
 def as_shift(k) -> Callable[[np.ndarray], np.ndarray]:
     """Normalize a continuous-shift argument: None -> 0, number -> constant."""
     if k is None:
-        return zero_shift
+        k = 0.0
     if isinstance(k, numbers.Real):  # numpy scalars too
-        return const_shift(float(k))
+        return lambda x, _c=float(k): np.full_like(np.asarray(x, dtype=float), _c)
     return lambda x, _k=k: np.asarray(_k(np.asarray(x, dtype=float)), dtype=float)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from reebflow.cli import main
+from reebflow.cli import build_parser, main
 
 QUICK = "128,24"  # small grid keeps the CLI suite fast
 
@@ -277,6 +278,7 @@ class TestClassifyCommand:
             ({"kind": "realized", "f": {"csv": 5}}, "'csv'"),
             ({"kind": "realized", "f": std, "c0": None}, "'c0'"),
             ({"kind": "time_scaled", "lambda": True}, "'lambda'"),
+            ({"kind": "standard", "c0": 0.3}, "unknown key 'c0'"),
         ]
         cfgp = tmp_path / "flow.json"
         out = tmp_path / "o"
@@ -373,6 +375,7 @@ class TestPlotCommand:
         assert run("plot", "--flow", str(path), "--grid", "512,12", "--x", "0.30005",
                    "--out", str(tmp_path / "o")) == 2
         assert "not positive at leaf c = 0.30005" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSvgOutputs:
@@ -427,3 +430,78 @@ class TestDeterminism:
         for pa in sorted(a.iterdir()):
             pb = b / pa.name
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+
+# (argv, the flag its error line must name): each exited 0 with a flag or an
+# input dropped, or raised a TypeError, while every subcommand took one shared
+# flag set
+UNREAD = [
+    (["transition", "--x", "0.5"], "--flow"),
+    (["transition", "--builtin", "std_log", "--x", "0.5"], "--flow"),
+    (["sigma", "--builtin", "std_log", "--lambda", "5"], "--lambda"),
+    (["classify", "--builtin", "bounded_osc", "--lambda", "100"], "--lambda"),
+    (["plot", "--builtin", "std_log", "--lambda", "3"], "--lambda"),
+    (["plot", "--builtin", "std_log", "--x", "0.5"], "--x"),
+    (["plot", "--builtin", "std_log", "--tmax", "3"], "--tmax"),
+    (["classify", "--flow", "standard", "--builtin", "bounded_osc"], "--builtin"),
+    (["sigma", "--builtin", "std_log", "--csv", "data.csv"], "--csv"),
+    (["sigma", "--builtin", "std_log", "--csv", "missing.csv"], "--csv"),
+    (["sigma", "--csv", "data.csv", "--param", "2"], "--param"),
+    (["classify", "--flow", "standard", "--param", "2"], "--param"),
+    (["classify"], "--flow"),
+]
+
+# subcommand: (its input group, its other options, its required options); 48 options in all
+FUNCTION = {"--builtin", "--csv"}
+SURFACE = {
+    "sigma": (FUNCTION, {"--param", "--grid", "--out", "--variant", "--tail-window"}, set()),
+    "roundtrip": (FUNCTION, {"--param", "--grid", "--out", "--lambda", "--tol", "--c0", "--c1"}, set()),
+    "linearize": (
+        FUNCTION,
+        {"--param", "--grid", "--out", "--lambda", "--homeo", "--shift-expr", "--tol"},
+        {"--lambda", "--homeo"},
+    ),
+    "classify": (
+        FUNCTION | {"--flow"}, {"--param", "--grid", "--out", "--lambda", "--tau-std", "--tau-ns"}, set()
+    ),
+    "transition": ({"--flow"}, {"--grid", "--out", "--lambda", "--x"}, {"--x"}),
+    "plot": (FUNCTION | {"--flow"}, {"--param", "--grid", "--out", "--lambda", "--x", "--tmax"}, set()),
+}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("argv, flag", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+    def test_unread_flag_or_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        x = np.exp2(-np.arange(0, 8 * 20 + 1) / 8).tolist()
+        (tmp_path / "data.csv").write_text("x,f\n" + "".join(f"{v!r},{-math.log(v)!r}\n" for v in x))
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert flag in err.strip().splitlines()[-1] and "Traceback" not in err
+        assert not out.exists()
+
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        ap = build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(SURFACE)
+        for name, p in sub.choices.items():
+            (group,) = [g for g in p._mutually_exclusive_groups if g.required]
+            inputs = {s for a in group._group_actions for s in a.option_strings}
+            options = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            required = {a.option_strings[0] for a in p._actions if a.required}
+            assert (inputs, options - inputs, required) == SURFACE[name], name
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["roundtrip", "--builtin", "std_log"], {"lam": 1.0, "tol": 1e-9}),
+            (["linearize", "--builtin", "std_log", "--homeo", "square", "--lambda", "2"], {"tol": 1e-10}),
+        ],
+    )
+    def test_defaults_are_floats(self, argv, defaults):
+        # the JSON config records them, so 1 and 1.0 would write different bytes
+        args = build_parser().parse_args(argv)
+        for dest, value in defaults.items():
+            got = getattr(args, dest)
+            assert type(got) is float and got == value, dest

@@ -493,13 +493,27 @@ class TestSerialization:
             ({"kind": "realized", "f": {"csv": 5}}, "^flow source 'csv' "),
             ({"kind": "realized", "f": {"builtin": "std_log"}, "c0": None}, "^flow config 'c0' "),
             ({"lambda": True}, "^flow config 'lambda' must be a number, got True$"),
+            (
+                {"kind": "realized", "f": {"builtin": "std_log"}, "lamda": 2},
+                "^flow config has unknown key 'lamda'; accepted: kind, lambda, c0, c1, shift, f$",
+            ),
+            (
+                {"kind": "realized", "f": {"builtin": "bounded_osc", "param": [5]}},
+                "^flow source has unknown key 'param'; accepted: builtin, params$",
+            ),
+            ({"kind": "standard", "c0": 0.3}, "^flow config has unknown key 'c0'; accepted: kind, lambda$"),
         ],
-        ids=["bogus", "Realized", "None", "list", "string", "params", "csv", "c0-null", "lambda-bool"],
+        ids=[
+            "bogus", "Realized", "None", "list", "string", "params", "csv", "c0-null", "lambda-bool",
+            "lamda-typo", "param-typo", "standard-c0",
+        ],
     )
     def test_unknown_kind_rejected(self, obj, message):
         # regression: any kind but "standard" silently built a realized flow; a
         # config that is not an object, or a value of the wrong type, escaped as
-        # an AttributeError or TypeError, and "lambda": true was read as 1.0
+        # an AttributeError or TypeError, and "lambda": true was read as 1.0;
+        # an unknown key was dropped, so a misspelt "lamda" built a flow with
+        # lambda 1 and "param" the default amplitude
         with pytest.raises(ValueError, match=message):
             flow_from_json(obj)
 

@@ -22,7 +22,7 @@ from reebflow import (
     star_profile,
 )
 from reebflow.efunc import _BLOCK, _blocks
-from reebflow.oscillation import _CHUNK, _running_max, sigma_from_profile
+from reebflow.oscillation import _CHUNK, _running_max, as_shift, sigma_from_profile
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -245,6 +245,15 @@ class TestWitness:
         rep = check_witness(f, f2, EquivalenceWitness(h, shift_k, 1.0), grid, tol=1e-12)
         assert rep.mode == "equivalence"
         assert rep.passed
+
+    @pytest.mark.parametrize("k, want", [(None, 0.0), (0, 0.0), (-0.0, -0.0), (np.int64(3), 3.0), (2.5, 2.5)])
+    def test_constant_shift_bits(self, k, want):
+        # a constant shift is that float at every point, with the shape of x; -0.0 keeps its sign
+        x = np.array([0.5, 0.25])
+        got = as_shift(k)(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.view(np.int64).tolist() == np.full(2, want).view(np.int64).tolist()
+        assert as_shift(k)(0.5).shape == ()
 
     def test_equivalence_mode_requires_unit_scale(self, grid):
         f = builtin("std_log")
