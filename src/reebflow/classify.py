@@ -17,7 +17,7 @@ when it happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ __all__ = [
     "self_similarity_scan",
     "flow_classify",
 ]
+
+_TAU_STD, _TAU_NS = 1e-3, 1e-1  # the default verdict thresholds
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,20 @@ class ClassificationReport:
 def classify(
     f: EFunction,
     g: GridSpec,
-    tau_std: float = 1e-3,
-    tau_ns: float = 1e-1,
+    tau_std: float = _TAU_STD,
+    tau_ns: float = _TAU_NS,
     variant: str = "star",
     tail_window: int = 8,
-    provenance: str = "builtin",
-    shifts: dict | None = None,
-    witnesses: tuple[WitnessReport, ...] = (),
 ) -> ClassificationReport:
     """Verdict from the sigma estimate, with the class-diagnosis warnings.
 
     f is evaluated on g once, in one streaming pass that gives the octave
     envelopes of f, for the checks of ``diagnose_class``, and of the star or
     sharp profile, for sigma.  No sample of f or of the profile is held.
+    The provenance is ``f.kind``; shifts and witnesses are left empty.
     """
     sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns, variant, tail_window)
-    return ClassificationReport(
-        sigma, verdict, tau_std, tau_ns, witnesses, shifts or {}, provenance, warnings
-    )
+    return ClassificationReport(sigma, verdict, tau_std, tau_ns, (), {}, f.kind, warnings)
 
 
 def _classify_pass(
@@ -139,8 +137,6 @@ def self_similarity_scan(
     witnesses: Sequence[EquivalenceWitness],
     g: GridSpec,
     tol: float = 1e-9,
-    tau_std: float = 1e-3,
-    tau_ns: float = 1e-1,
 ) -> ScanReport:
     """Check each supplied witness lam * f = f o h + k and relate to the verdict.
 
@@ -148,10 +144,11 @@ def self_similarity_scan(
     f(x) for the f(x) term of every witness; each witness then evaluates
     only f(h(x)), and reads it from f(x) wherever h carries nodes onto nodes
     bitwise (``halve`` maps x_i to x_{i+K}, so it evaluates f only at the
-    images of the last K nodes).
+    images of the last K nodes).  The verdict is that of ``classify`` with
+    its default thresholds.
     """
     fx = np.empty(g.node_count)
-    _, verdict, _ = _classify_pass(f, g, tau_std, tau_ns, fv=fx)
+    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, fv=fx)
     results = tuple(_check_witness(f, None, w, g.nodes(), fx, tol) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":
@@ -172,12 +169,11 @@ def flow_classify(
     F: Flow,
     tv: Transversal = DEFAULT_TRANSVERSAL,
     g: GridSpec | None = None,
-    tau_std: float = 1e-3,
-    tau_ns: float = 1e-1,
+    tau_std: float = _TAU_STD,
+    tau_ns: float = _TAU_NS,
 ) -> ClassificationReport:
-    """Extract the transition-time function of a flow, then classify it."""
+    """Classify the transition time extracted from F, with provenance "extracted-from-flow"."""
     g = g or GridSpec()
-    f = extract_transition(F, g, tv)
+    report = classify(extract_transition(F, g, tv), g, tau_std, tau_ns)
     shifts = {"flow_shift": float(F.shift), "time_factor": float(F.lam)}
-    report = classify(f, g, tau_std, tau_ns, provenance="extracted-from-flow", shifts=shifts)
-    return report
+    return replace(report, provenance="extracted-from-flow", shifts=shifts)

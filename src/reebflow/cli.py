@@ -115,12 +115,14 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     f, spec, g = _resolve_function(args)
+    x = g.nodes()
+    if 0 < args.c0 < x[-1]:  # build_flow rejects c0 <= 0
+        raise ValueError(f"--c0 {args.c0:g} is below the grid's last node {x[-1]:g}: no node x <= c0 to compare")
     tol, lam = args.tol, args.lam
     cfg = RunConfig("roundtrip", spec, g.to_json(), lam=lam, tol=tol, c0=args.c0, c1=args.c1)
     F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g, source_spec=spec)
     Fs = flowmod.time_scale(F, lam) if lam != 1.0 else F
     extracted = flowmod.extract_transition(Fs, g)
-    x = g.nodes()
     x = x[x <= args.c0]
     got = np.asarray(extracted(x), dtype=float)
     want = (np.asarray(f(x), dtype=float) + F.shift) / lam

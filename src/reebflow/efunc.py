@@ -42,23 +42,23 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometric sampling grid: nodes x_i = 2^(-i/K), i = K*m_min .. K*m_max.
+    """Geometric sampling grid: nodes x_i = 2^(-i/K), i = 0 .. K*m_max.
 
-    ``samples_per_octave`` (K) controls resolution, ``octave_min``/``octave_max``
-    the range of scales, and ``tail_octaves`` the horizon 2^tail_octaves used
-    when a function must be probed toward +oo (class E0 checks).
+    Every grid starts at x = 1, where the star profile is referenced.
+    ``samples_per_octave`` (K) controls resolution, ``octave_max`` (m_max)
+    the depth toward 0, and ``tail_octaves`` the horizon 2^tail_octaves
+    used when a function must be probed toward +oo (class E0 checks).
     """
 
     samples_per_octave: int = 512
-    octave_min: int = 0
     octave_max: int = 40
     tail_octaves: int = 20
 
     def __post_init__(self):
         if self.samples_per_octave < 1:
             raise ValueError("samples_per_octave must be a positive integer")
-        if not (0 <= self.octave_min < self.octave_max):
-            raise ValueError("need 0 <= octave_min < octave_max")
+        if self.octave_max < 1:
+            raise ValueError("octave_max must be >= 1")
         if self.octave_max > 60:
             # 2^-60 is still an exact double; beyond that the guarantee lapses.
             raise ValueError("octave_max above 60 is not supported")
@@ -66,12 +66,8 @@ class GridSpec:
             raise ValueError("tail_octaves must be positive")
 
     @property
-    def octave_count(self) -> int:
-        return self.octave_max - self.octave_min
-
-    @property
     def node_count(self) -> int:
-        return self.samples_per_octave * self.octave_count + 1
+        return self.samples_per_octave * self.octave_max + 1
 
     def nodes(self) -> np.ndarray:
         """Strictly decreasing nodes, exactly representable.
@@ -82,7 +78,7 @@ class GridSpec:
         halve it reads f(h(x_i)) from a sample of f as f(x_{i+K}).  Equal
         specs share one cached read-only array: copy it before writing to it.
         """
-        return _nodes(self.samples_per_octave, self.octave_min, self.octave_max)
+        return _nodes(self.samples_per_octave, self.octave_max)
 
     def tail_nodes(self) -> np.ndarray:
         """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves], cached and read-only."""
@@ -103,31 +99,21 @@ class GridSpec:
 
     def octave_slice(self, m: int) -> slice:
         """Indices of the nodes in the window [2^-(m+1), 2^-m] (both ends in)."""
-        if not (self.octave_min <= m < self.octave_max):
-            raise ValueError(f"octave {m} outside [{self.octave_min}, {self.octave_max})")
+        if not (0 <= m < self.octave_max):
+            raise ValueError(f"octave {m} outside [0, {self.octave_max})")
         K = self.samples_per_octave
-        lo = (m - self.octave_min) * K
-        return slice(lo, lo + K + 1)
+        return slice(m * K, m * K + K + 1)
 
     def octaves(self) -> np.ndarray:
-        return np.arange(self.octave_min, self.octave_max)
+        return np.arange(self.octave_max)
 
     def to_json(self) -> dict:
         return {
             "K": self.samples_per_octave,
-            "m_min": self.octave_min,
+            "m_min": 0,
             "m_max": self.octave_max,
             "tail_octaves": self.tail_octaves,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec":
-        return cls(
-            samples_per_octave=int(obj.get("K", 512)),
-            octave_min=int(obj.get("m_min", 0)),
-            octave_max=int(obj.get("m_max", 40)),
-            tail_octaves=int(obj.get("tail_octaves", 20)),
-        )
 
 
 # The cached arrays live for the whole process.  Each is allocated before the
@@ -136,9 +122,9 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=4)
-def _nodes(K: int, m_min: int, m_max: int) -> np.ndarray:
-    x = np.empty(K * (m_max - m_min) + 1)
-    i = np.arange(K * m_min, K * m_max + 1)
+def _nodes(K: int, m_max: int) -> np.ndarray:
+    x = np.empty(K * m_max + 1)
+    i = np.arange(K * m_max + 1)
     np.ldexp(np.exp2(-(i % K) / K), -(i // K), out=x)
     x.setflags(write=False)
     return x
@@ -510,9 +496,8 @@ def _diagnose_envelopes(f: EFunction, grid: GridSpec, sups: np.ndarray, mins: np
     drops = np.flatnonzero(mins[2:] < np.maximum.accumulate(mins)[1:-1] - allowance)
     if drops.size:
         j = 2 + int(drops[0])
-        m = grid.octave_min + j
         warnings.append(
-            f"class E suspect: octave [2^-{m + 1}, 2^-{m}] minimum {mins[j]:.6g} "
+            f"class E suspect: octave [2^-{j + 1}, 2^-{j}] minimum {mins[j]:.6g} "
             f"drops more than {allowance:.3g} below the earlier minima"
         )
     if f.claimed_class == "E0" and f.domain[1] == math.inf:
@@ -530,11 +515,9 @@ def fit_grid(f: EFunction, g: GridSpec) -> GridSpec:
     lo, hi = f.domain
     if lo == 0.0 and hi == math.inf:
         return g
-    m_lo = g.octave_min
-    m_hi = g.octave_max
     if hi < 1.0:
         raise DomainError("sampled data must reach x = 1 to anchor the grid")
-    m_hi = min(m_hi, int(math.floor(-math.log2(lo))))
-    if m_hi <= m_lo:
+    m_hi = min(g.octave_max, int(math.floor(-math.log2(lo))))
+    if m_hi < 1:
         raise DomainError("sampled data spans less than one octave below 1")
     return replace(g, octave_max=m_hi)

@@ -51,6 +51,8 @@ __all__ = [
 
 # bounded basin: the probes stay at or below b * _PROBE_MARGIN
 _PROBE_MARGIN = 0.99
+_MAX_ITERS = 64  # sweeps before ConvergenceFailure
+_WITNESS_TOL = 1e-9  # precondition gate for lam*f = f o h + k
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,13 @@ class LinearizeConfig:
 
     lam: float
     grid: GridSpec = field(default_factory=GridSpec)
-    max_iters: int = 64
     tol: float = 1e-10  # convergence and functional-equation gate
-    witness_tol: float = 1e-9  # precondition gate for lam*f = f o h + k
 
     def __post_init__(self):
         if not self.lam > 1.0:
             raise ValueError("linearization requires lam > 1")
-        if self.tol <= 0 or self.witness_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,11 @@ def koenigs_limit(
     # over the nodes and their images, kept for the settle test and the sweeps below
     nodes = cfg.grid.nodes()
     sweep = [] if derived else None
-    wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, cfg.witness_tol, sweep)
-    if not wit.passed or (derived and not wit.h_monotone):  # the sweep holds nothing for a non-monotone h
+    wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, _WITNESS_TOL, sweep)
+    if not wit.passed:  # a non-monotone h has residual inf
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
-            f"(tol {cfg.witness_tol:g}) at x = {wit.worst_x:.3g}"
+            f"(tol {_WITNESS_TOL:g}) at x = {wit.worst_x:.3g}"
             + ("" if wit.h_monotone else "; h is not increasing on the grid")
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
@@ -192,11 +192,11 @@ def koenigs_limit(
     fscale = 1.0 + np.abs(start[0])
     # a derived k records, per probe, the last depth m of its orbit and f
     # there, over f(x) once sweep 0 has read it
-    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(cfg.max_iters))
-    walks = [(s, shifts(probes[s], cfg.max_iters + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
+    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
+    walks = [(s, shifts(probes[s], _MAX_ITERS + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
     del sweep, start  # only the walks hold f(h(x)) now, and drop it as they move on
     hull_max, iterations, last_change = 0.0, 0, math.inf
-    for n in range(cfg.max_iters):
+    for n in range(_MAX_ITERS):
         sups, changes = [0.0], [0.0]
         for s, walk in walks:
             for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
@@ -212,7 +212,7 @@ def koenigs_limit(
             break
     else:
         raise ConvergenceFailure(
-            f"no convergence within {cfg.max_iters} sweeps; last sup-change {last_change:.3g}"
+            f"no convergence within {_MAX_ITERS} sweeps; last sup-change {last_change:.3g}"
         )
     del fscale
     decay = lam ** -np.arange(iterations + 1.0)
@@ -341,14 +341,14 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, f
 
 
 def _octave_nodes(g: GridSpec) -> np.ndarray:
-    """Indices of the settle probes: the nodes 2^-m, m >= max(1, octave_min, octave_max - 8)."""
-    lo = max(1, g.octave_min, g.octave_max - 8)
+    """Indices of the settle probes: the nodes 2^-m, m >= max(1, octave_max - 8), at index m*K."""
+    lo = max(1, g.octave_max - 8)
     if g.octave_max <= lo:
         raise ValueError(
             "a derived shift needs at least two whole-octave nodes 2^-m, m >= 1, to test settling at 0 "
             f"(the full test reads five): the grid has octave_max {g.octave_max}, the minimum is {lo + 1}"
         )
-    return np.arange(lo - g.octave_min, g.octave_max - g.octave_min + 1) * g.samples_per_octave
+    return np.arange(lo, g.octave_max + 1) * g.samples_per_octave
 
 
 def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:

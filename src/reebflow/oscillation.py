@@ -67,11 +67,11 @@ def as_shift(k) -> Callable[[np.ndarray], np.ndarray]:
 class OscillationProfile:
     """star or sharp values on a grid, with per-octave envelopes.
 
-    ``octave_sup[j]`` / ``octave_min[j]`` bound the values over the window
-    [2^-(m+1), 2^-m] for m = grid.octave_min + j (both window endpoints are
-    grid nodes and are included).  ``cell_oscillation`` is the largest jump
-    of f between adjacent nodes, the resolution proxy: refine K if it is too
-    coarse for your tolerance.
+    ``octave_sup[m]`` / ``octave_min[m]`` bound the values over the window
+    [2^-(m+1), 2^-m] (both window endpoints are grid nodes and are
+    included).  ``cell_oscillation`` is the largest jump of f between
+    adjacent nodes, the resolution proxy: refine K if it is too coarse for
+    your tolerance.
     """
 
     variant: str  # "star" | "sharp"
@@ -83,12 +83,6 @@ class OscillationProfile:
     octave_min: np.ndarray
     cell_oscillation: float
     tail_max: float | None = None  # sharp only: max of f over [1, 2^tail]
-
-    def value_at(self, xq) -> np.ndarray:
-        """Interpolate the profile at off-grid points (linear in log2 x)."""
-        lx = np.log2(self.x[::-1])
-        vv = self.values[::-1]
-        return np.interp(np.log2(np.asarray(xq, dtype=float)), lx, vv)
 
     def running_max_values(self) -> np.ndarray:
         """The running maximum the profile was built from (tail seed included)."""
@@ -115,10 +109,10 @@ class OscillationProfile:
 def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     """Descending running-max profile referenced to x = 1.
 
-    The grid must start at x = 1 (octave_min == 0) so the profile value at
-    the first node is exactly 0.  The profile holds f and its star values at
-    every node; :func:`sigma_estimate` and ``classify`` take the same pass
-    and keep only the octave envelopes.
+    Every grid starts at x = 1, so the profile value at the first node is
+    exactly 0.  The profile holds f and its star values at every node;
+    :func:`sigma_estimate` and ``classify`` take the same pass and keep only
+    the octave envelopes.
     """
     return _held_profile(f, g, "star")
 
@@ -169,8 +163,6 @@ def _profile_pass(
         raise ValueError("variant must be 'star' or 'sharp'")
     if variant == "sharp" and f.claimed_class != "E0":
         raise ValueError("sharp profile requires a function with claimed_class E0")
-    if g.octave_min != 0:
-        raise ValueError(f"{variant} profile needs a grid starting at x = 1 (octave_min = 0)")
     tail_max = None
     if variant == "sharp":
         tv = np.asarray(f(g.tail_nodes()), dtype=float)
@@ -657,15 +649,14 @@ def _perturbation_item(
 
 
 def _zeros_item(base: OscillationProfile, window_octaves: int) -> ItemResult:
-    g = base.grid
     W = max(1, int(window_octaves))
     sups, mins = base.octave_sup, base.octave_min
     violations = []
-    for j in range(0, len(sups) - W + 1):
-        wmin = float(np.min(mins[j : j + W]))
-        wsup = float(np.max(sups[j : j + W]))
+    for m in range(len(sups) - W + 1):
+        wmin = float(np.min(mins[m : m + W]))
+        wsup = float(np.max(sups[m : m + W]))
         if wmin > 1e-6 * (1.0 + wsup):
-            violations.append(int(g.octave_min + j))
+            violations.append(m)
     return ItemResult(
         "zeros",
         not violations,

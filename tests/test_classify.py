@@ -143,7 +143,7 @@ class TestOneSample:
             assert (r.residual, r.worst_x) == (float(rel[i]), float(x[i]))
             assert r == check_witness(f, None, w, MULTI)
 
-    @pytest.mark.parametrize("g", [MULTI, GridSpec(100, 0, 30)], ids=["4096x20", "100x30"])
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(100, 30)], ids=["4096x20", "100x30"])
     @pytest.mark.parametrize("name", ["doubling_osc", "bounded_osc", "std_log"])
     def test_scan_reports_match_whole_array_passes(self, g, name):
         # witnesses whose images land on nodes (halve, with and without k),
@@ -191,7 +191,7 @@ class TestStreamingMemory:
         # 983,041 nodes: f and the profile over the grid would take 7.9 MB
         # each; the pass holds buffers of one 2^15-node block.  The cached
         # nodes, shared by every pass over the grid, are built first.
-        f, g = builtin("std_log"), GridSpec(16384, 0, 60)
+        f, g = builtin("std_log"), GridSpec(16384, 60)
         g.nodes()
         tracemalloc.start()
         try:
@@ -298,6 +298,22 @@ class TestVerdicts:
     def test_report_schema(self, grid):
         obj = classify(builtin("std_log"), grid).to_json()
         assert set(obj) >= {"verdict", "sigma_hat", "trend", "s_m", "witnesses", "shifts", "provenance"}
+
+    def test_provenance_is_the_kind_of_f(self, tmp_path, small_grid):
+        # regression: a CSV function was reported as "builtin"
+        x = small_grid.nodes().tolist()
+        data = tmp_path / "data.csv"
+        data.write_text("x,f\n" + "".join(f"{v!r},{-math.log(v)!r}\n" for v in x))
+        for f, want in [
+            (builtin("std_log"), "builtin"),
+            (from_csv(data), "sampled"),
+            (from_expression("-log(x)"), "expression"),
+        ]:
+            rep = classify(f, small_grid)
+            assert (rep.provenance, rep.shifts, rep.witnesses) == (want, {}, ())
+        rep = flow_classify(time_scale(standard_flow(), 3.0), g=small_grid)
+        assert rep.provenance == "extracted-from-flow"
+        assert rep.shifts == {"flow_shift": 0.0, "time_factor": 3.0}
 
 
 class TestSelfSimilarityScan:

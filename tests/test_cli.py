@@ -132,6 +132,14 @@ class TestRoundtripCommand:
         assert all(r[3] == r[2] - r[1] for r in rows)
         assert max(abs(r[3]) for r in rows) == load(out / "roundtrip.json")["max_error"]
 
+    def test_c0_below_the_last_node_is_usage_error(self, capsys, tmp_path):
+        # regression: numpy's "zero-size array to reduction operation maximum"
+        out = tmp_path / "o"
+        assert run("roundtrip", "--builtin", "std_log", "--c0", "1e-20", "--grid", "64,20", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "--c0 1e-20 is below the grid's last node 9.53674e-07" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         # regression: --lambda 0 was read as 1 and recorded as "lambda": 1.0

@@ -46,7 +46,7 @@ class TestBuiltins:
     @pytest.mark.parametrize("amp", [0.0, 0.5, 2.0])
     def test_bounded_osc_bits_of_the_two_log_form(self, amp):
         # -ln x is computed once; the bits are those of -ln x + A sin(-ln x)
-        x = GridSpec(4096, 0, 60).nodes()
+        x = GridSpec(4096, 60).nodes()
         want = -np.log(x) + amp * np.sin(-np.log(x))
         assert builtin("bounded_osc", [amp])(x).tobytes() == want.tobytes()
         assert float(builtin("bounded_osc", [amp])(0.3)) == float(-np.log(0.3) + amp * np.sin(-np.log(0.3)))
@@ -99,7 +99,7 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(samples_per_octave=0)
         with pytest.raises(ValueError):
-            GridSpec(octave_min=5, octave_max=5)
+            GridSpec(octave_max=0)
         with pytest.raises(ValueError):
             GridSpec(octave_max=61)
 
@@ -129,14 +129,13 @@ class TestGridSpec:
 
     @given(
         K=st.sampled_from([1, 2, 512]),
-        m_min=st.integers(0, 2),
         octaves=st.integers(1, 4),
         extra=st.lists(st.sampled_from([1.0, -1.0]) | st.floats(-1e6, 1e6), max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_octave_envelopes_equal_per_slice_loop(self, K, m_min, octaves, extra, seed):
+    def test_octave_envelopes_equal_per_slice_loop(self, K, octaves, extra, seed):
         # few distinct values, so windows hold ties, and signed zeros side by side
-        g = GridSpec(samples_per_octave=K, octave_min=m_min, octave_max=m_min + octaves)
+        g = GridSpec(samples_per_octave=K, octave_max=octaves)
         values = np.random.default_rng(seed).choice(np.array([0.0, -0.0, *extra]), g.node_count)
         sups, mins = g.octave_envelopes(values)
         want_sups = np.array([values[g.octave_slice(m)].max() for m in g.octaves()])
@@ -144,12 +143,9 @@ class TestGridSpec:
         assert np.array_equal(sups.view(np.int64), want_sups.view(np.int64))
         assert np.array_equal(mins.view(np.int64), want_mins.view(np.int64))
 
-    def test_json_round_trip(self, grid):
-        assert GridSpec.from_json(grid.to_json()) == grid
-
-    def test_json_defaults(self):
-        g = GridSpec.from_json({})
-        assert g == GridSpec()
+    def test_json_keeps_m_min_zero(self, small_grid):
+        # every grid starts at x = 1; the key stays so artifacts keep their bytes
+        assert small_grid.to_json() == {"K": 64, "m_min": 0, "m_max": 24, "tail_octaves": 10}
 
 
 class TestSample:

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -31,3 +33,27 @@ def test_every_export_resolves(module, name):
     owner, _, attr = name.rpartition(".")
     holder = importlib.import_module(module)
     assert attr in vars(getattr(holder, owner) if owner else holder)
+
+
+# every value a caller can set on the grid, the Koenigs limit and the verdict:
+# a new option is an edit to this table
+OPTIONS = {
+    "GridSpec": ("samples_per_octave", "octave_max", "tail_octaves"),
+    "LinearizeConfig": ("lam", "grid", "tol"),
+    "classify": ("tau_std", "tau_ns", "variant", "tail_window"),
+    "flow_classify": ("tv", "g", "tau_std", "tau_ns"),
+    "self_similarity_scan": ("tol",),
+    "koenigs_limit": (),
+}
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_option_surface(name):
+    # a config's fields, a function's parameters with a default
+    obj = getattr(reebflow, name)
+    if dataclasses.is_dataclass(obj):
+        got = tuple(f.name for f in dataclasses.fields(obj))
+    else:
+        params = inspect.signature(obj).parameters.values()
+        got = tuple(p.name for p in params if p.default is not p.empty)
+    assert got == OPTIONS[name]

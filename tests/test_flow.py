@@ -29,7 +29,7 @@ from reebflow.flow import _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 # 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
-DEEP = GridSpec(4096, 0, 60)
+DEEP = GridSpec(4096, 60)
 
 
 class TestPoints:
