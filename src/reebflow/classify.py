@@ -28,6 +28,7 @@ from .oscillation import (
     EquivalenceWitness,
     SigmaEstimate,
     WitnessReport,
+    _WITNESS_TOL,
     _check_witness,
     _profile_pass,
     _sigma_from_sups,
@@ -136,20 +137,19 @@ def self_similarity_scan(
     f: EFunction,
     witnesses: Sequence[EquivalenceWitness],
     g: GridSpec,
-    tol: float = 1e-9,
 ) -> ScanReport:
     """Check each supplied witness lam * f = f o h + k and relate to the verdict.
 
     f is evaluated on g once, in the pass of ``classify``, which also keeps
     f(x) for the f(x) term of every witness; each witness then evaluates
-    only f(h(x)), and reads it from f(x) wherever h carries nodes onto nodes
-    bitwise (``halve`` maps x_i to x_{i+K}, so it evaluates f only at the
-    images of the last K nodes).  The verdict is that of ``classify`` with
-    its default thresholds.
+    only f(h(x)), read from f(x) when h carries nodes onto nodes (``halve``
+    maps x_i to x_{i+K}, so it evaluates f only at the images of the last K
+    nodes).  Each witness is gated at 1e-9, the default of ``check_witness``,
+    and the verdict is that of ``classify`` with its default thresholds.
     """
     fx = np.empty(g.node_count)
     _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, fv=fx)
-    results = tuple(_check_witness(f, None, w, g.nodes(), fx, tol) for w in witnesses)
+    results = tuple(_check_witness(f, None, w, g.nodes(), fx, _WITNESS_TOL) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"

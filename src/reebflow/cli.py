@@ -364,6 +364,11 @@ def main(argv=None) -> int:
     except (ValueError, DomainError, TailCheckError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # every array the commands allocate scales with the grid
+        g = args.grid
+        print(f"error: --grid {g.samples_per_octave},{g.octave_max} needs {g.node_count} nodes, "
+              "more than can be allocated", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -107,19 +107,19 @@ def gallery_homeo(ident: str) -> Homeo:
         return _verify(lambda x: 0.5 * x, lambda y: 2.0 * y, "halve")
     if ident == "square":
         return _verify(lambda x: x * x, np.sqrt, "square")
-    if ident.startswith("root_scale:"):
-        n = int(ident.split(":", 1)[1])
-        if n < 1:
-            raise ValueError("root_scale:N needs N >= 1")
-        c = 2.0 ** (-1.0 / n)
-        return _verify(lambda x, _c=c: _c * x, lambda y, _c=c: y / _c, ident)
-    if ident.startswith("pow:"):
-        p = float(ident.split(":", 1)[1])
-        if p <= 0:
-            raise ValueError("pow:p needs p > 0")
-        return _verify(
-            lambda x, _p=p: np.power(x, _p), lambda y, _p=p: np.power(y, 1.0 / _p), ident
-        )
+    kind, _, text = ident.partition(":")
+    if kind in ("root_scale", "pow"):
+        try:
+            p = (int if kind == "root_scale" else float)(text)
+        except ValueError:
+            p = np.nan
+        if not 0 < p < np.inf:
+            expects = "N must be an integer >= 1" if kind == "root_scale" else "p must be a finite number > 0"
+            raise ValueError(f"homeo {ident!r}: {expects}")
+        if kind == "root_scale":
+            c = 2.0 ** (-1.0 / p)
+            return _verify(lambda x, _c=c: _c * x, lambda y, _c=c: y / _c, ident)
+        return _verify(lambda x, _p=p: np.power(x, _p), lambda y, _p=p: np.power(y, 1.0 / _p), ident)
     return homeo_from_expression(ident)
 
 

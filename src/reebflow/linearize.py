@@ -12,13 +12,14 @@ An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
 is: f once per point, at the end h^n(x) of its orbit.  The check of a
 derived k is the first sweep of the orbits (h, f and f o h once over the
-grid, with f o h read from f where h carries nodes onto nodes), and the
-settle test reads k at the whole-octave nodes 2^-m from it.  The later
-sweeps walk the ``efunc._blocks`` blocks of probes in lockstep.  The
-functional-equation residual takes f_inf at the probes from the ends of
-those orbits, and at their images from the same walk: read at the probes
-where h carries probes onto probes (halve), else one sweep on, as the orbit
-of h(x) is that of x one sweep later.  So f runs at most ``iterations + 2``
+grid, f o h read from f when h shifts the nodes onto nodes, as
+``oscillation._node_shift`` decides), and the settle test reads k at the
+whole-octave nodes 2^-m from it.  The later sweeps walk the
+``efunc._blocks`` blocks of probes in lockstep.  The functional-equation
+residual takes f_inf at the probes from the ends of those orbits, and at
+their images from the same walk: read at the probes when that rule finds h
+shifting probes onto probes (halve), else one sweep on, as the orbit of
+h(x) is that of x one sweep later.  So f runs at most ``iterations + 2``
 times over the grid (fewer under halve).  f_inf returns a fresh copy of
 these values for points bitwise equal to the probes or their images.
 
@@ -40,7 +41,7 @@ from .efunc import EFunction, GridSpec, _blocks, _blockwise
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
-    _DEPTH_FLOOR, EquivalenceWitness, _check_witness, _node_shift, _relative_residual, as_shift,
+    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, _check_witness, _node_shift, _relative_residual, as_shift,
 )
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
 # bounded basin: the probes stay at or below b * _PROBE_MARGIN
 _PROBE_MARGIN = 0.99
 _MAX_ITERS = 64  # sweeps before ConvergenceFailure
-_WITNESS_TOL = 1e-9  # precondition gate for lam*f = f o h + k
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def koenigs_limit(
     ``k`` may be None, meaning it is derived pointwise as lam*f - f o h; the
     derived shift must still extend continuously to 0, which is checked at
     whole-octave nodes.  Raises ValueError when the witness relation fails,
-    when 0 repels, or when k does not settle at 0; ConvergenceFailure when
-    the change per sweep never drops below tol; ToleranceFailure when the
-    final functional-equation residual misses tol.
+    when 0 repels, or when k does not settle at 0, tested in that order;
+    ConvergenceFailure when the change per sweep never drops below tol;
+    ToleranceFailure when the final functional-equation residual misses tol.
     """
     lam = cfg.lam
     derived = k is None
@@ -159,6 +159,11 @@ def koenigs_limit(
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
 
+    basin = basin_of_zero(h, cfg.grid)
+    if basin.case == "zero_repelling":
+        raise ValueError("0 repels under h on the probe grid; no linearization basin")
+    b = basin.b if basin.case == "bounded" else None
+
     if derived:  # k and its operand scale at the whole-octave nodes (all above the floor), from sweep 0
         fx, hx, fhx = (a[_octave_nodes(cfg.grid)] for a in sweep)
         scale = np.maximum(1.0, np.maximum(lam * np.abs(fx), np.abs(fhx)))
@@ -168,11 +173,6 @@ def koenigs_limit(
         if not math.isfinite(k0):
             raise ValueError("shift function is not finite at 0")
     shift = -k0 / (lam - 1.0)
-
-    basin = basin_of_zero(h, cfg.grid)
-    if basin.case == "zero_repelling":
-        raise ValueError("0 repels under h on the probe grid; no linearization basin")
-    b = basin.b if basin.case == "bounded" else None
 
     j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
     if b is not None:
@@ -253,9 +253,7 @@ def koenigs_limit(
     f_inf = EFunction("expression", f_inf_fn, "E0", label)
 
     # f_inf at the probes and, for a derived k, at their images from the walks just run
-    onto = _node_shift(probes, float(images[0])) if derived else None
-    if onto is not None and not np.array_equal(images[: probes.size - onto], probes[onto:]):
-        onto = None  # the first image is a probe, but not every image on the grid is
+    onto = _node_shift(probes, images) if derived else None
     if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
         at_images = np.empty(probes.size)
         for s, walk in walks:

@@ -333,9 +333,6 @@ class EquivalenceWitness:
     k: Callable | float | None = None
     lam: float = 1.0
 
-    def shift(self) -> Callable:
-        return as_shift(self.k)
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -359,12 +356,17 @@ class WitnessReport:
         }
 
 
+_WITNESS_TOL = 1e-9  # the residual gate of check_witness, the scan and koenigs_limit
+# orbit depth below which doubles quantize too coarsely for derived shifts
+_DEPTH_FLOOR = 1e-300
+
+
 def check_witness(
     f: EFunction,
     f2: EFunction | None,
     w: EquivalenceWitness,
     g: GridSpec,
-    tol: float = 1e-9,
+    tol: float = _WITNESS_TOL,
 ) -> WitnessReport:
     """Verify an equivalence witness on the grid.
 
@@ -381,18 +383,15 @@ def check_witness(
     even through the derived shift lam*f - f o h of ``koenigs_limit``), nor
     0, whose residual is inf.  ``self_similarity_scan`` and the derived
     shift of ``koenigs_limit``, which hold f over the whole grid, read f o h
-    from it wherever h carries nodes onto nodes bitwise, as ``halve`` does
-    on every grid (x_{i+K} == x_i / 2).
+    from it when h(x_i) == x_{i+j} bitwise wherever i + j indexes a node, as
+    ``halve`` does on every grid (j = K).  ``tol`` defaults to the gate
+    ``_WITNESS_TOL`` (1e-9) that the scan and ``koenigs_limit`` apply.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
     array.  The residual is then bitwise that of whole-array evaluation.
     """
     return _check_witness(f, f2, w, g.nodes(), None, tol)
-
-
-# orbit depth below which doubles quantize too coarsely for derived shifts
-_DEPTH_FLOOR = 1e-300
 
 
 def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) -> WitnessReport:
@@ -404,11 +403,10 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) 
     for ``np.argmax`` over the whole array.  An image equal to 0 counts as
     residual inf, after every node whose image is positive.
 
-    With f(x) held over all of ``x`` (``fx`` given, or ``sweep``), f(h(x))
-    is read from it where h carries nodes onto nodes: h(x[0]) == x[j] fixes
-    the shift j, and in each block the images that stay on the grid are
-    compared with x[i + j] bitwise; where they all match, f(x[i + j]) is
-    f(h(x[i])) for an elementwise f.  f is evaluated at the other images.
+    With f(x) held over all of ``x`` (``fx`` given, or ``sweep``), an
+    increasing h and the shift j of :func:`_node_shift`, f(h(x[i])) is read
+    as f(x[i + j]), which it is for an elementwise f.  f is evaluated at the
+    images past that overlap, or at all of them when there is no such j.
 
     With ``sweep``, a list, the shift is derived: k = lam*f - f o h, taken as
     0 where x or h(x) is at or below ``_DEPTH_FLOOR``, and ``w.k`` is not
@@ -423,12 +421,12 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) 
     h_monotone = bool(hx[-1] >= 0) and all(_descends(hx[max(s.start - 1, 0) : s.stop]) for s in _blocks(n))
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-    k = None if w.k is None or sweep is not None else w.shift()
+    k = None if w.k is None or sweep is not None else as_shift(w.k)
     if sweep is not None:
         fx, fhx = _blockwise(f, x), np.empty(n)
     # images at 0 are a suffix of the descending images: z is where they begin
     z = n if not h_monotone or hx[-1] > 0 else int(np.argmax(hx == 0))
-    j = None if fx is None or not h_monotone else _node_shift(x, hx[0])
+    j = None if fx is None or not h_monotone else _node_shift(x, hx)
     residual, worst = (-math.inf if h_monotone else math.inf), float(x[0])
     for s in _blocks(n):
         if k is not None:
@@ -447,7 +445,7 @@ def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) 
         lhs = lhs[: e - s.start]
         # the residual overwrites rhs, which is hx[t] itself for an f that
         # returns its argument: the derived sweep keeps hx, so it adds into a new array
-        rhs = _images(f, hx, t, x, fx, j)
+        rhs = _images(f, hx, t, fx, j)
         if sweep is not None:
             fhx[t] = rhs
             live = (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
@@ -474,22 +472,20 @@ def _descends(hx: np.ndarray) -> bool:
     return bool(np.all(down | ((hx[1:] == hx[:-1]) & (hx[:-1] <= _DEPTH_FLOOR))))
 
 
-def _node_shift(x: np.ndarray, y: float) -> int | None:
-    """The j with x[j] == y among the descending nodes ``x``, or None."""
-    j = bisect.bisect_left(x, -y, key=operator.neg)
-    return j if j < len(x) and x[j] == y else None
+def _node_shift(x: np.ndarray, hx: np.ndarray) -> int | None:
+    """The j with hx[i] == x[i + j] at every i < len(x) - j, compared block by block, or None."""
+    j = bisect.bisect_left(x, -float(hx[0]), key=operator.neg)
+    if j == len(x) or x[j] != hx[0]:
+        return None
+    return j if all(np.array_equal(hx[s], x[s.start + j : s.stop + j]) for s in _blocks(len(x) - j)) else None
 
 
-def _images(f, hx: np.ndarray, t: slice, x: np.ndarray, fx, j) -> np.ndarray:
-    """f(hx[t]), read from ``fx`` where h carries the nodes of t onto nodes.
-
-    The images whose shifted index i + j stays on the grid are copied from
-    fx[i + j] (the caller overwrites the result) when all of them equal
-    x[i + j] bitwise; f is evaluated at the rest of the block.
-    """
+def _images(f, hx: np.ndarray, t: slice, fx, j) -> np.ndarray:
+    """f(hx[t]): fx[i + j] at each i whose shifted index i + j is on the grid (none when the
+    node shift j is None), f evaluated at the rest of the block; the caller overwrites it."""
     a, e = t.start, t.stop
-    c = a if j is None else min(e, len(x) - j)  # [a, c) shifts onto the grid
-    if c <= a or not np.array_equal(hx[a:c], x[a + j : c + j]):
+    c = a if j is None else min(e, len(fx) - j)  # [a, c) shifts onto the grid
+    if c <= a:
         return np.asarray(f(hx[t]), dtype=float)
     out = np.empty(e - a)
     out[: c - a] = fx[a + j : c + j]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -28,6 +29,7 @@ from reebflow import (
     time_scale,
 )
 from reebflow.efunc import _BLOCK, fit_grid
+from reebflow.oscillation import as_shift
 
 
 def shift_k(x):
@@ -137,7 +139,7 @@ class TestOneSample:
         assert report.sigma.s_m.tobytes() == MULTI.octave_envelopes(star)[0].tobytes()
         assert rep.verdict == report.verdict
         for r, w in zip(rep.results, witnesses):
-            lhs, rhs = w.lam * fx, f(w.h(x)) + w.shift()(x)
+            lhs, rhs = w.lam * fx, f(w.h(x)) + as_shift(w.k)(x)
             rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
             i = int(np.argmax(rel))
             assert (r.residual, r.worst_x) == (float(rel[i]), float(x[i]))
@@ -166,7 +168,7 @@ class TestOneSample:
         for r, w in zip(rep.results, witnesses):
             hx = w.h(x)
             if np.all(np.diff(hx) < 0) and np.all(hx > 0):
-                lhs, rhs = w.lam * fx, f(hx) + w.shift()(x)
+                lhs, rhs = w.lam * fx, f(hx) + as_shift(w.k)(x)
                 rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
                 i = int(np.argmax(rel))
                 want = (float(rel[i]), float(x[i]), True)
@@ -324,8 +326,9 @@ class TestSelfSimilarityScan:
             EquivalenceWitness(gallery_homeo(f"pow:{lam!r}"), None, lam)
             for lam in (2.0, 3.0, 2.0 ** 0.25)
         ]
-        rep = self_similarity_scan(f, witnesses, grid, tol=1e-12)
+        rep = self_similarity_scan(f, witnesses, grid)
         assert rep.all_passed
+        assert all(r.residual <= 1e-12 for r in rep.results)
         assert rep.verdict == "standard"
         assert "standard" in rep.note
 
@@ -333,18 +336,42 @@ class TestSelfSimilarityScan:
         # exactly self-similar at scale 2 yet the oscillation blows up: a
         # passing witness list does not certify standardness
         f = builtin("doubling_osc")
-        rep = self_similarity_scan(
-            f, [EquivalenceWitness(gallery_homeo("halve"), None, 2.0)], grid, tol=1e-12
-        )
+        rep = self_similarity_scan(f, [EquivalenceWitness(gallery_homeo("halve"), None, 2.0)], grid)
         assert rep.all_passed
+        assert all(r.residual <= 1e-12 for r in rep.results)
         assert rep.verdict == "nonstandard"
         assert "does not certify" in rep.note
+
+    def test_json(self, small_grid):
+        witnesses = [
+            EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
+            EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
+        ]
+        rep = self_similarity_scan(builtin("doubling_osc"), witnesses, small_grid)
+        obj = json.loads(json.dumps(rep.to_json()))
+        assert obj == {
+            "witnesses": [
+                {
+                    "mode": "self_similarity",
+                    "lambda": w.lam,
+                    "residual": r.residual,
+                    "worst_x": r.worst_x,
+                    "h_monotone": True,
+                    "tol": 1e-9,
+                    "pass": passed,
+                }
+                for w, r, passed in zip(witnesses, rep.results, (True, False))
+            ],
+            "all_pass": False,
+            "verdict": "nonstandard",
+            "note": "witness failures are consistent with the nonstandard verdict",
+        }
 
     def test_intermediate_scale_fails_for_doubling(self, grid):
         f = builtin("doubling_osc")
         lam = 2.0 ** 0.5
         h = gallery_homeo(f"root_scale:2")
-        rep = self_similarity_scan(f, [EquivalenceWitness(h, None, lam)], grid, tol=1e-9)
+        rep = self_similarity_scan(f, [EquivalenceWitness(h, None, lam)], grid)
         assert not rep.all_passed
         # residual at x = 2^(-1/8) evaluates to ~0.62, far from roundoff
         assert rep.results[0].residual > 0.5

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from reebflow import efunc
 from reebflow.cli import build_parser, main
 
 QUICK = "128,24"  # small grid keeps the CLI suite fast
@@ -211,6 +212,20 @@ class TestLinearizeCommand:
     def test_missing_homeo_is_usage_error(self, tmp_path):
         assert run("linearize", "--builtin", "std_log", "--lambda", "2", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("hid", ["pow:abc", "root_scale:x", "root_scale:1.5"])
+    def test_malformed_gallery_homeo_is_named(self, capsys, tmp_path, hid):
+        out = tmp_path / "o"
+        assert run("linearize", "--builtin", "koenigs_demo", "--homeo", hid, "--lambda", "2", "--out", str(out)) == 2
+        assert f"homeo '{hid}': " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repelling_homeo_is_usage_error(self, capsys, tmp_path):
+        # regression: reported as a derived shift that does not settle toward 0
+        code = run("linearize", "--builtin", "koenigs_demo", "--homeo", "sqrt(x)", "--lambda", "2",
+                   "--grid", QUICK, "--out", str(tmp_path))
+        assert code == 2
+        assert "0 repels under h" in capsys.readouterr().err
+
     def test_malformed_homeo_expression_is_usage_error(self, capsys, tmp_path):
         code = run(
             "linearize", "--builtin", "koenigs_demo", "--homeo", "x**(", "--lambda", "2",
@@ -249,6 +264,22 @@ class TestClassifyCommand:
         out = tmp_path / "o"
         assert run("classify", "--builtin", "doubling_osc", "--out", str(out)) == 0
         assert load(out / "classify.json")["report"]["verdict"] == "nonstandard"
+
+    def test_unallocatable_grid_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # regression: numpy's _ArrayMemoryError traceback, exit 1; the node
+        # builder fails as an allocation of 6e12 doubles would, without making it
+        asked = []
+
+        def nodes(K, m_max):
+            asked.append((K, m_max))
+            raise MemoryError
+
+        monkeypatch.setattr(efunc, "_nodes", nodes)
+        out = tmp_path / "o"
+        assert run("classify", "--builtin", "std_log", "--grid", "100000000000,60", "--out", str(out)) == 2
+        assert asked == [(100000000000, 60)]
+        assert "--grid 100000000000,60 needs 6000000000001 nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_standard_flow(self, tmp_path):
         out = tmp_path / "o"

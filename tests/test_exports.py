@@ -35,15 +35,17 @@ def test_every_export_resolves(module, name):
     assert attr in vars(getattr(holder, owner) if owner else holder)
 
 
-# every value a caller can set on the grid, the Koenigs limit and the verdict:
-# a new option is an edit to this table
+# every value a caller can set on the grid, the Koenigs limit, the witness
+# check and the verdict: a new option is an edit to this table
 OPTIONS = {
     "GridSpec": ("samples_per_octave", "octave_max", "tail_octaves"),
     "LinearizeConfig": ("lam", "grid", "tol"),
     "classify": ("tau_std", "tau_ns", "variant", "tail_window"),
     "flow_classify": ("tv", "g", "tau_std", "tau_ns"),
-    "self_similarity_scan": ("tol",),
+    "self_similarity_scan": (),
     "koenigs_limit": (),
+    "check_witness": ("tol",),
+    "EquivalenceWitness": ("h", "k", "lam"),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,26 @@ class TestUserTransversals:
         want = np.trapezoid(1.0 / np.interp(s, knots, [1.0, r, r, 1.0]), s)
         got = _leaf_time(F, np.array([c]), s[:1], s[-1:])[0]
         assert got == pytest.approx(want, rel=1e-9)
+
+    G1, G2 = ((0.5, 0.5, 1.0), (1.0, 1.0, 1.0)), ((1.0, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "g1, g2, message",
+        [
+            (((0.5, 1.0), (1.0, 1.0)), G2, "gamma1 nodes must be (x, xi, eta) triples"),
+            (G1[:1], G2, "gamma1 nodes must be (x, xi, eta) triples"),
+            (G1, ((1.0, 0.5, 1.0), (1.0, 1.0, 1.0)), "gamma2 nodes must be (xi, eta) pairs"),
+            (G1, G2[:1], "gamma2 nodes must be (xi, eta) pairs"),
+            (((0.5, 0.0, 1.0), (1.0, 1.0, 1.0)), G2, "must be interior"),
+            (G1, ((1.0, -0.5), (1.0, 1.0)), "must be interior"),
+            (G1[::-1], G2, "gamma1 parameter column must be strictly increasing"),
+        ],
+        ids=["g1-pairs", "g1-one-node", "g2-triples", "g2-one-node", "g1-on-axis", "g2-negative", "g1-descending"],
+    )
+    def test_node_validation(self, g1, g2, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Transversal(g1, g2)
+        Transversal(self.G1, self.G2)  # the valid pair the cases start from
 
     def test_validation(self):
         with pytest.raises(ValueError, match="both curves"):

@@ -51,10 +51,25 @@ class TestGallery:
         assert h(2.0) == 1.0
 
     def test_bad_idents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^homeo 'root_scale:0': N must be an integer >= 1$"):
             gallery_homeo("root_scale:0")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^homeo 'pow:-1': p must be a finite number > 0$"):
             gallery_homeo("pow:-1")
+
+    @pytest.mark.parametrize(
+        "ident, expects",
+        [
+            ("root_scale:x", "N must be an integer >= 1"),
+            ("root_scale:1.5", "N must be an integer >= 1"),
+            ("pow:abc", "p must be a finite number > 0"),
+            ("pow:nan", "p must be a finite number > 0"),
+        ],
+    )
+    def test_malformed_idents_are_named(self, ident, expects):
+        # regression: "could not convert string to float" and "invalid
+        # literal for int()" named neither the id nor its parameter
+        with pytest.raises(ValueError, match=f"^homeo '{ident}': {expects}$"):
+            gallery_homeo(ident)
 
     def test_must_fix_zero(self):
         with pytest.raises(ValueError, match="fix 0"):

@@ -161,6 +161,15 @@ class TestBoundedCase:
         lhs = np.abs(np.asarray(f(p)) + res.shift - np.asarray(res.f_inf(p)))
         assert np.all(lhs <= res.telescoping_bound(p) + 1e-15)
 
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_telescoping_bound_of_a_derived_shift(self, name, hid):
+        # the bound sums |k_s| along orbits that start at points f has not seen
+        f = builtin(name)
+        res = koenigs_limit(f, gallery_homeo(hid), None, LinearizeConfig(2.0, GridSpec(64, 24)))
+        p = res.probes
+        lhs = np.abs(np.asarray(f(p)) + res.shift - np.asarray(res.f_inf(p)))
+        assert np.all(lhs <= res.telescoping_bound(p) + 1e-15)
+
     def test_direct_iteration_oracle(self, grid, cfg):
         # the stable series against the textbook iterate at safe depths
         f = builtin("koenigs_demo")
@@ -490,7 +499,7 @@ def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
     fhx = np.full(x.size, math.inf)
     fhx[pos] = f(hx[pos])
     if sweep is None:
-        rhs = fhx + w.shift()(x)
+        rhs = fhx + as_shift(w.k)(x)
     else:
         live = (x > FLOOR) & (hx > FLOOR)
         rhs = fhx + np.where(live, lhs - fhx, 0.0)
@@ -640,6 +649,12 @@ class TestPreconditions:
 
         with pytest.raises(ValueError, match="repels"):
             koenigs_limit(builtin("std_log"), gallery_homeo("pow:0.5"), k, LinearizeConfig(2.0, grid))
+
+    def test_repelling_h_with_a_derived_shift_rejected_as_repelling(self):
+        # regression: the settle test ran before the basin check and reported
+        # "does not settle toward 0" for an h that pushes every node away from 0
+        with pytest.raises(ValueError, match="0 repels"):
+            koenigs_limit(builtin("koenigs_demo"), gallery_homeo("pow:0.5"), None, LinearizeConfig(2.0))
 
     def test_iteration_cap_reported(self, grid):
         # the change per sweep halves down to the rounding level of f, never to 1e-300

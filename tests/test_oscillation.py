@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -373,6 +374,16 @@ class TestIdentitySuite:
         scale = np.maximum(1.0, np.abs(base.f_values) + abs(c))
         assert np.max(np.abs(shifted.values - base.values) / scale) <= 1e-12
 
+    def test_json(self, small_grid):
+        rep = star_identity_suite(
+            builtin("bounded_osc", [2.0]), 2.0, 1.0, gallery_homeo("halve"), shift_k, small_grid
+        )
+        obj = json.loads(json.dumps(rep.to_json()))
+        assert obj["all_pass"] is rep.all_passed is False
+        assert [(i["name"], i["pass"]) for i in obj["items"]] == [(i.name, i.passed) for i in rep.items]
+        assert [i["detail"] for i in obj["items"]] == [i.detail for i in rep.items]
+        assert [i["name"] for i in obj["items"]] == ["scaling", "shift", "pushforward", "perturbation", "zeros"]
+
     def test_lam_validated(self, grid):
         with pytest.raises(ValueError):
             star_identity_suite(builtin("std_log"), -1.0, 0.0, gallery_homeo("halve"), None, grid)
@@ -415,7 +426,7 @@ def whole_witness(f, f2, w, g):
     if not (np.all(np.diff(hx) < 0) and np.all(hx > 0)):
         return math.inf, float(x[0]), False
     lhs = f2(x) if f2 is not None else w.lam * f(x)
-    rhs = f(hx) + w.shift()(x)
+    rhs = f(hx) + as_shift(w.k)(x)
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
     i = int(np.argmax(rel))
     return float(rel[i]), float(x[i]), True
