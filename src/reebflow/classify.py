@@ -28,6 +28,7 @@ from .oscillation import (
     EquivalenceWitness,
     SigmaEstimate,
     WitnessReport,
+    _TAIL_WINDOW,
     _WITNESS_TOL,
     _check_witness,
     _profile_pass,
@@ -77,7 +78,7 @@ def classify(
     tau_std: float = _TAU_STD,
     tau_ns: float = _TAU_NS,
     variant: str = "star",
-    tail_window: int = 8,
+    tail_window: int = _TAIL_WINDOW,
 ) -> ClassificationReport:
     """Verdict from the sigma estimate, with the class-diagnosis warnings.
 
@@ -95,8 +96,8 @@ def _classify_pass(
     g: GridSpec,
     tau_std: float,
     tau_ns: float,
-    variant: str = "star",
-    tail_window: int = 8,
+    variant: str,
+    tail_window: int,
     fv: np.ndarray | None = None,
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
     """The sigma estimate, verdict and warnings of one pass of f over g.
@@ -148,7 +149,7 @@ def self_similarity_scan(
     and the verdict is that of ``classify`` with its default thresholds.
     """
     fx = np.empty(g.node_count)
-    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, fv=fx)
+    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, "star", _TAIL_WINDOW, fv=fx)
     results = tuple(_check_witness(f, None, w, g.nodes(), fx, _WITNESS_TOL) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":

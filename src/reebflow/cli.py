@@ -5,7 +5,7 @@ takes exactly one input and declares only the flags it reads; a flag that
 its input does not read is a usage error.  Outputs are JSON (floats at full
 round-trip precision, keys sorted, no timestamps: reruns with the same
 configuration are byte-identical), CSV for full profiles, and
-dependency-free SVG plots.
+dependency-free SVG plots.  Each JSON holds the parsed flags as its ``config``.
 
 Exit codes: 0 success, 1 a numeric acceptance tolerance failed,
 2 usage or input error.
@@ -17,43 +17,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import efunc, flow as flowmod, homeo as homeomod, linearize as linmod
-from .classify import classify, flow_classify
+from .classify import _TAU_NS, _TAU_STD, classify, flow_classify
 from .errors import ConvergenceFailure, DomainError, TailCheckError, ToleranceFailure
-from .oscillation import sharp_profile, sigma_from_profile, star_profile
+from .oscillation import _TAIL_WINDOW, sharp_profile, sigma_from_profile, star_profile
 from .svgplot import line_plot
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The reproducible part of an invocation, echoed into every JSON output."""
-
-    command: str
-    input: dict
-    grid: dict
-    lam: float | None = None
-    homeo: str | None = None
-    variant: str = "star"
-    tail_window: int = 8
-    tol: float | None = None
-    tau_std: float = 1e-3
-    tau_ns: float = 1e-1
-    c0: float = 0.25
-    c1: float = 0.5
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, args, spec: dict, g: efunc.GridSpec, body: dict) -> None:
+    """Write ``body`` with its ``config``: the input, the grid and every other parsed flag under its dest."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "builtin", "csv", "flow")}
+    config = flags | {"input": spec, "grid": g.to_json()}
+    path.write_text(json.dumps({"config": config, **body}, indent=2, sort_keys=True) + "\n")
 
 
 def _unread(flags: dict, owner: str) -> None:
@@ -84,6 +65,13 @@ def _resolve_flow(args) -> tuple[flowmod.Flow, dict, efunc.GridSpec]:
     return F, {"flow": str(spec), "lambda": F.lam}, g
 
 
+def _check_tail(g: efunc.GridSpec, window: int, what: str) -> None:
+    """Reject a grid shorter than the two windows of octaves that the trend compares."""
+    if g.octave_max < 2 * window:
+        raise ValueError(f"--grid gives {g.octave_max} octaves of the input, fewer than the {2 * window} "
+                         f"that {what} reads")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,11 +83,11 @@ def _out_dir(args) -> Path:
 
 def _cmd_sigma(args) -> int:
     f, spec, g = _resolve_function(args)
-    cfg = RunConfig("sigma", spec, g.to_json(), variant=args.variant, tail_window=args.tail_window)
+    _check_tail(g, args.tail_window, f"--tail-window {args.tail_window}")
     prof = (star_profile if args.variant == "star" else sharp_profile)(f, g)
     est = sigma_from_profile(prof, tail_window=args.tail_window)
     out = _out_dir(args)
-    _write_json(out / "sigma.json", {"config": cfg.to_json(), "sigma": est.to_json()})
+    _write_json(out / "sigma.json", args, spec, g, {"sigma": est.to_json()})
     prof.to_csv(out / "profile.csv")
     line_plot(
         out / "sigma_octaves.svg",
@@ -114,12 +102,13 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    if not 0 < args.c0 < args.c1 < 1:
+        raise ValueError(f"need 0 < --c0 < --c1 < 1, got --c0 {args.c0:g}, --c1 {args.c1:g}")
     f, spec, g = _resolve_function(args)
     x = g.nodes()
-    if 0 < args.c0 < x[-1]:  # build_flow rejects c0 <= 0
+    if args.c0 < x[-1]:
         raise ValueError(f"--c0 {args.c0:g} is below the grid's last node {x[-1]:g}: no node x <= c0 to compare")
     tol, lam = args.tol, args.lam
-    cfg = RunConfig("roundtrip", spec, g.to_json(), lam=lam, tol=tol, c0=args.c0, c1=args.c1)
     F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g, source_spec=spec)
     Fs = flowmod.time_scale(F, lam) if lam != 1.0 else F
     extracted = flowmod.extract_transition(Fs, g)
@@ -129,17 +118,8 @@ def _cmd_roundtrip(args) -> int:
     err = float(np.max(np.abs(got - want)))
     passed = err <= tol
     out = _out_dir(args)
-    _write_json(
-        out / "roundtrip.json",
-        {
-            "config": cfg.to_json(),
-            "flow": flowmod.flow_to_json(Fs),
-            "max_error": err,
-            "tol": tol,
-            "pass": passed,
-            "shift": F.shift,
-        },
-    )
+    body = {"flow": flowmod.flow_to_json(Fs), "max_error": err, "tol": tol, "pass": passed, "shift": F.shift}
+    _write_json(out / "roundtrip.json", args, spec, g, body)
     efunc.write_csv(out / "roundtrip.csv", ["x", "f_plus_shift_over_lambda", "extracted", "error"],
                     [x, want, got, got - want])
     line_plot(
@@ -160,10 +140,9 @@ def _cmd_linearize(args) -> int:
     f, spec, g = _resolve_function(args)
     h = homeomod.gallery_homeo(args.homeo)
     k = efunc.compile_expr(args.shift_expr, "--shift-expr") if args.shift_expr else None
-    cfg = RunConfig("linearize", spec, g.to_json(), lam=args.lam, homeo=args.homeo, tol=args.tol)
     res = linmod.koenigs_limit(f, h, k, linmod.LinearizeConfig(args.lam, g, tol=args.tol))
     out = _out_dir(args)
-    _write_json(out / "linearize.json", {"config": cfg.to_json(), "result": res.to_json()})
+    _write_json(out / "linearize.json", args, spec, g, {"result": res.to_json()})
     x = res.probes
     fv = np.asarray(f(x), dtype=float)
     fi = np.asarray(res.f_inf(x), dtype=float)
@@ -185,17 +164,19 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if not args.tau_std < args.tau_ns:
+        raise ValueError(f"--tau-std {args.tau_std:g} must be below --tau-ns {args.tau_ns:g}")
     if args.flow:
         _unread({"--param": args.param}, "--builtin")
         F, spec, g = _resolve_flow(args)
-        report = flow_classify(F, g=g, tau_std=args.tau_std, tau_ns=args.tau_ns)
     else:
         _unread({"--lambda": args.lam}, "--flow")
         f, spec, g = _resolve_function(args)
-        report = classify(f, g, tau_std=args.tau_std, tau_ns=args.tau_ns)
-    cfg = RunConfig("classify", spec, g.to_json(), tau_std=args.tau_std, tau_ns=args.tau_ns)
+    _check_tail(g, _TAIL_WINDOW, f"the verdict's tail window of {_TAIL_WINDOW}")
+    tau = {"tau_std": args.tau_std, "tau_ns": args.tau_ns}
+    report = flow_classify(F, g=g, **tau) if args.flow else classify(f, g, **tau)
     out = _out_dir(args)
-    _write_json(out / "classify.json", {"config": cfg.to_json(), "report": report.to_json()})
+    _write_json(out / "classify.json", args, spec, g, {"report": report.to_json()})
     line_plot(
         out / "classify_octaves.svg",
         [float(m) for m in report.sigma.octaves],
@@ -212,9 +193,8 @@ def _cmd_classify(args) -> int:
 def _cmd_transition(args) -> int:
     F, spec, g = _resolve_flow(args)
     t = flowmod.transition_time(F, flowmod.DEFAULT_TRANSVERSAL, args.x)
-    cfg = RunConfig("transition", spec, g.to_json())
     out = _out_dir(args)
-    _write_json(out / "transition.json", {"config": cfg.to_json(), "x": args.x, "time": t})
+    _write_json(out / "transition.json", args, spec, g, {"x": args.x, "time": t})
     print(f"transition time at x = {args.x!r}: {t!r}")
     return 0
 
@@ -274,13 +254,14 @@ def _add_common(p: argparse.ArgumentParser, function: bool = True, flow: bool = 
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _positive(text: str) -> float:
+def _positive(text: str, kind: type = float) -> float:
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    if not 0 < value < math.inf:
+        noun = "finite number" if kind is float else "integer"
+        raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
     return value
 
 
@@ -307,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="oscillation profile and sigma estimate")
     _add_common(p)
     p.add_argument("--variant", choices=("star", "sharp"), default="star")
-    p.add_argument("--tail-window", type=int, default=8)
+    p.add_argument("--tail-window", type=lambda text: _positive(text, int), default=_TAIL_WINDOW)
     p.set_defaults(fn=_cmd_sigma)
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=_positive, default=1.0, help="time scale (default 1)")
-    p.add_argument("--tol", type=_positive, default=1e-9, help="max absolute error (default 1e-9)")
-    p.add_argument("--c0", type=float, default=0.25)
-    p.add_argument("--c1", type=float, default=0.5)
+    p.add_argument("--tol", type=_positive, default=1e-9, help="max absolute error (default %(default)g)")
+    p.add_argument("--c0", type=float, default=flowmod._C0)
+    p.add_argument("--c1", type=float, default=flowmod._C1)
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("linearize", help="solve lam*f = f o h + k for the exact profile")
@@ -323,14 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive, required=True, help="scale L > 1")
     p.add_argument("--homeo", required=True, help="halve | square | root_scale:N | pow:p | expression")
     p.add_argument("--shift-expr", help="k as an expression in x (default: derived)")
-    p.add_argument("--tol", type=_positive, default=1e-10, help="residual tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_positive, default=linmod.LinearizeConfig.tol,
+                   help="residual tolerance (default %(default)g)")
     p.set_defaults(fn=_cmd_linearize)
 
     p = sub.add_parser("classify", help="standard / nonstandard / inconclusive verdict")
     _add_common(p, flow=True)
     p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the --flow input")
-    p.add_argument("--tau-std", type=_positive, default=1e-3)
-    p.add_argument("--tau-ns", type=_positive, default=1e-1)
+    p.add_argument("--tau-std", type=_positive, default=_TAU_STD)
+    p.add_argument("--tau-ns", type=_positive, default=_TAU_NS)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")

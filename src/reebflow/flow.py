@@ -224,10 +224,13 @@ def standard_flow() -> Flow:
     return Flow()
 
 
+_C0, _C1 = 0.25, 0.5  # the default prescription window (0, c0] and blend [c0, c1]
+
+
 def build_flow(
     f: EFunction,
-    c0: float = 0.25,
-    c1: float = 0.5,
+    c0: float = _C0,
+    c1: float = _C1,
     g: GridSpec | None = None,
     source_spec: dict | None = None,
 ) -> Flow:
@@ -503,9 +506,7 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
             f = from_csv(spec["csv"])
         else:
             raise ValueError(f"cannot load flow source {spec!r}")
-        F = build_flow(
-            f, c0=_number(obj, "c0", 0.25), c1=_number(obj, "c1", 0.5), g=g, source_spec=spec
-        )
+        F = build_flow(f, c0=_number(obj, "c0", _C0), c1=_number(obj, "c1", _C1), g=g, source_spec=spec)
     if lam != 1.0:
         F = time_scale(F, lam)
     return F

@@ -140,7 +140,7 @@ def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile
 def _profile_pass(
     f: EFunction,
     g: GridSpec,
-    variant: str = "star",
+    variant: str,
     fv: np.ndarray | None = None,
     vals: np.ndarray | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], float, float | None]:
@@ -249,6 +249,9 @@ def _spans(mask: np.ndarray) -> Iterator[tuple[int, int]]:
     return zip(edges[::2], edges[1::2])
 
 
+_TAIL_WINDOW = 8  # the default number of final octaves that sigma_hat reads
+
+
 @dataclass(frozen=True)
 class SigmaEstimate:
     """Finite-data stand-in for the limsup invariant.
@@ -283,7 +286,7 @@ def sigma_estimate(
     f: EFunction,
     g: GridSpec,
     variant: str = "star",
-    tail_window: int = 8,
+    tail_window: int = _TAIL_WINDOW,
 ) -> SigmaEstimate:
     """The sigma estimate of the star or sharp profile of f on g.
 
@@ -294,7 +297,7 @@ def sigma_estimate(
     return _sigma_from_sups(variant, g, sups, tail_window)
 
 
-def sigma_from_profile(prof: OscillationProfile, tail_window: int = 8) -> SigmaEstimate:
+def sigma_from_profile(prof: OscillationProfile, tail_window: int = _TAIL_WINDOW) -> SigmaEstimate:
     return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup, tail_window)
 
 
@@ -303,7 +306,7 @@ def sigma_from_profile(prof: OscillationProfile, tail_window: int = 8) -> SigmaE
 _TREND_FACTOR = 1.5
 
 
-def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int = 8) -> SigmaEstimate:
+def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int) -> SigmaEstimate:
     W = int(tail_window)
     if W < 1:
         raise ValueError("tail_window must be >= 1")

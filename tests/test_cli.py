@@ -24,18 +24,20 @@ BAD_LAMBDAS = ["0", "-2", "nan", "inf"]
 BAD_POSITIVES = ["nan", "inf", "0", "-1"]
 
 
-def assert_lambda_rejected(capsys, tmp_path, *argv):
+def assert_usage_error(capsys, tmp_path, message, *argv):
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == 2
-    assert "--lambda" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err.strip().splitlines()[-1] and "Traceback" not in err
     assert not out.exists()
+
+
+def assert_lambda_rejected(capsys, tmp_path, *argv):
+    assert_usage_error(capsys, tmp_path, "--lambda", *argv)
 
 
 def assert_positive_rejected(capsys, tmp_path, flag, *argv):
-    out = tmp_path / "o"
-    assert run(*argv, "--out", str(out)) == 2
-    assert f"argument {flag}: expected a positive finite number" in capsys.readouterr().err
-    assert not out.exists()
+    assert_usage_error(capsys, tmp_path, f"argument {flag}: expected a positive finite number", *argv)
 
 
 class TestSigmaCommand:
@@ -69,6 +71,18 @@ class TestSigmaCommand:
                 "--out", str(out)) == 0
         )
         assert load(out / "sigma.json")["sigma"]["variant"] == "sharp"
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_bad_tail_window_is_usage_error(self, capsys, tmp_path, window):
+        # regression: argparse took any int, and the library said "tail_window must be >= 1"
+        message = f"argument --tail-window: expected a positive integer, got '{window}'"
+        assert_usage_error(capsys, tmp_path, message, "sigma", "--builtin", "std_log", "--tail-window", window)
+
+    def test_tail_window_longer_than_half_the_grid_is_usage_error(self, capsys, tmp_path):
+        # regression: "need at least 60 octaves for a tail window of 30, have 40" named no flag
+        assert_usage_error(capsys, tmp_path,
+                           "--grid gives 40 octaves of the input, fewer than the 60 that --tail-window 30 reads",
+                           "sigma", "--builtin", "std_log", "--tail-window", "30")
 
     def test_unknown_builtin_is_usage_error(self, tmp_path):
         assert run("sigma", "--builtin", "nope", "--out", str(tmp_path)) == 2
@@ -141,6 +155,14 @@ class TestRoundtripCommand:
         assert "--c0 1e-20 is below the grid's last node 9.53674e-07" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "c0, c1", [("0.6", "0.5"), ("0.5", "0.5"), ("0", "0.5"), ("-0.1", "0.5"), ("0.25", "1"), ("nan", "0.5")]
+    )
+    def test_window_outside_the_unit_interval_is_usage_error(self, capsys, tmp_path, c0, c1):
+        # regression: build_flow's "need 0 < c0 < c1 < 1, got c0=0.6, c1=0.5" named no flag
+        message = f"need 0 < --c0 < --c1 < 1, got --c0 {float(c0):g}, --c1 {float(c1):g}"
+        assert_usage_error(capsys, tmp_path, message, "roundtrip", "--builtin", "std_log", "--c0", c0, "--c1", c1)
+
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         # regression: --lambda 0 was read as 1 and recorded as "lambda": 1.0
@@ -171,6 +193,17 @@ class TestLinearizeCommand:
             run("linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2",
                 "--shift-expr", "2*x/(1+x) - x**2/(1+x**2)", "--out", str(out)) == 0
         )
+
+    def test_shift_expr_is_echoed(self, tmp_path):
+        # regression: the config did not record --shift-expr, so two shifts wrote one config
+        configs = []
+        for expr in ("2*x/(1+x) - x**2/(1+x**2)", "2*x/(x+1) - x**2/(x**2+1)"):
+            out = tmp_path / str(len(configs))
+            assert run("linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2",
+                       "--shift-expr", expr, "--grid", QUICK, "--out", str(out)) == 0
+            configs.append(load(out / "linearize.json")["config"])
+            assert configs[-1]["shift_expr"] == expr
+        assert configs[0] != configs[1]
 
     def test_tolerance_failure_exits_one(self, tmp_path):
         # good enough for the witness gate, too lax for the residual gate
@@ -332,6 +365,21 @@ class TestClassifyCommand:
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         assert_lambda_rejected(capsys, tmp_path, "classify", "--flow", "standard", "--lambda", lam)
 
+    @pytest.mark.parametrize("tau_std, tau_ns", [("0.5", "0.1"), ("0.1", "0.1")])
+    def test_thresholds_out_of_order_are_usage_error(self, capsys, tmp_path, tau_std, tau_ns):
+        # regression: "need tau_std < tau_ns, got 0.5 >= 0.1" named the library's parameters
+        assert_usage_error(capsys, tmp_path, f"--tau-std {tau_std} must be below --tau-ns {tau_ns}",
+                           "classify", "--builtin", "std_log", "--tau-std", tau_std, "--tau-ns", tau_ns)
+
+    @pytest.mark.parametrize("source", [("--builtin", "std_log"), ("--flow", "standard")])
+    def test_grid_shorter_than_two_tail_windows_is_usage_error(self, capsys, tmp_path, source):
+        # regression: "need at least 16 octaves for a tail window of 8, have 10" named no flag
+        assert_usage_error(
+            capsys, tmp_path,
+            "--grid gives 10 octaves of the input, fewer than the 16 that the verdict's tail window of 8 reads",
+            "classify", *source, "--grid", "512,10",
+        )
+
     @pytest.mark.parametrize("flag", ["--tau-std", "--tau-ns"])
     @pytest.mark.parametrize("value", BAD_POSITIVES)
     def test_bad_threshold_is_usage_error(self, capsys, tmp_path, flag, value):
@@ -471,6 +519,19 @@ class TestDeterminism:
             assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
+# a flow whose window is not the default (0.25, 0.5)
+WINDOW_FLOW = {"kind": "realized", "c0": 0.3, "c1": 0.6, "f": {"builtin": "std_log"}}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """Run in tmp_path, which holds data.csv (-ln x, 8 nodes per octave over 20 octaves) and flow.json."""
+    monkeypatch.chdir(tmp_path)
+    x = np.exp2(-np.arange(0, 8 * 20 + 1) / 8).tolist()
+    (tmp_path / "data.csv").write_text("x,f\n" + "".join(f"{v!r},{-math.log(v)!r}\n" for v in x))
+    (tmp_path / "flow.json").write_text(json.dumps(WINDOW_FLOW))
+
+
 # (argv, the flag its error line must name): each exited 0 with a flag or an
 # input dropped, or raised a TypeError, while every subcommand took one shared
 # flag set
@@ -510,10 +571,7 @@ SURFACE = {
 
 class TestFlagSurface:
     @pytest.mark.parametrize("argv, flag", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
-    def test_unread_flag_or_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag):
-        monkeypatch.chdir(tmp_path)
-        x = np.exp2(-np.arange(0, 8 * 20 + 1) / 8).tolist()
-        (tmp_path / "data.csv").write_text("x,f\n" + "".join(f"{v!r},{-math.log(v)!r}\n" for v in x))
+    def test_unread_flag_or_input_is_usage_error(self, capsys, tmp_path, inputs, argv, flag):
         out = tmp_path / "o"
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -544,3 +602,55 @@ class TestFlagSurface:
         for dest, value in defaults.items():
             got = getattr(args, dest)
             assert type(got) is float and got == value, dest
+
+
+# one run per subcommand that writes JSON and per kind of input, with the
+# value that each declared non-input flag must echo: the one given, else the
+# argparse default (None for a flag that the input does not read)
+ECHO = [
+    (["sigma", "--builtin", "bounded_osc", "--param", "2", "--tail-window", "5"],
+     {"param": [2.0], "variant": "star", "tail_window": 5}),
+    (["sigma", "--csv", "data.csv", "--variant", "star"], {"param": None, "variant": "star", "tail_window": 8}),
+    (["roundtrip", "--builtin", "std_log", "--c0", "0.3", "--c1", "0.6"],
+     {"param": None, "lam": 1.0, "tol": 1e-9, "c0": 0.3, "c1": 0.6}),
+    (["linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2"],
+     {"param": None, "lam": 2.0, "homeo": "square", "shift_expr": None, "tol": 1e-10}),
+    (["classify", "--csv", "data.csv", "--tau-ns", "0.2"],
+     {"param": None, "lam": None, "tau_std": 1e-3, "tau_ns": 0.2}),
+    (["classify", "--flow", "flow.json", "--lambda", "1.5"],
+     {"param": None, "lam": 1.5, "tau_std": 1e-3, "tau_ns": 0.1}),
+    (["transition", "--flow", "flow.json", "--x", "0.5"], {"lam": None, "x": 0.5}),
+]
+
+
+def subparsers() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("argv, flags", ECHO, ids=[" ".join(a) for a, _ in ECHO])
+    def test_config_is_the_parsed_flags(self, tmp_path, inputs, argv, flags):
+        # regression: the config came from a hand-kept table that echoed flags the
+        # subcommand does not declare, with their defaults, dropped --shift-expr,
+        # and wrote "lam": null for a given --lambda of a flow
+        out = tmp_path / "o"
+        assert run(*argv, "--grid", QUICK, "--out", str(out)) == 0
+        (path,) = out.glob("*.json")
+        config = load(path)["config"]
+        p = subparsers()[argv[0]]
+        (group,) = [g for g in p._mutually_exclusive_groups if g.required]
+        declared = {a.dest for a in p._actions if a.option_strings and a not in group._group_actions}
+        dests = declared - {"help", "grid", "out"}
+        assert set(config) == {"command", "input", "grid"} | dests
+        assert {d: config[d] for d in dests} == flags
+        assert config["command"] == argv[0] and config["grid"]["K"] == 128
+
+    @pytest.mark.parametrize("argv", [["classify", "--flow", "flow.json"],
+                                      ["transition", "--flow", "flow.json", "--x", "0.5"]])
+    def test_flow_window_is_not_echoed(self, tmp_path, inputs, argv):
+        # regression: a flow with "c0": 0.3, "c1": 0.6 was echoed as c0 0.25, c1 0.5
+        out = tmp_path / "o"
+        assert run(*argv, "--grid", QUICK, "--out", str(out)) == 0
+        (path,) = out.glob("*.json")
+        assert not {"c0", "c1"} & set(load(path)["config"])

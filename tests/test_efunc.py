@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +351,15 @@ class TestDiagnosis:
         fake = from_expression("1 + 1/x", claimed_class="E0")
         warnings = diagnose_class(fake, small_grid)
         assert any("E0 suspect" in w for w in warnings)
+
+    def test_e0_tail_reads_the_horizon_alone(self, small_grid):
+        # regression: f ran at the 10 points 2^1 .. 2^10, and only f(2^10) was read
+        base = from_expression("1 + 1/x", claimed_class="E0")
+        seen = []
+        fake = replace(base, fn=lambda x: seen.extend(np.ravel(x).tolist()) or base.fn(x))
+        warnings = diagnose_class(fake, small_grid)
+        assert warnings == ["class E0 suspect: |f(2^10)| = 1.00098 is not small"]
+        assert [v for v in seen if v > 1.0] == [2.0**10]
 
 
 class TestAlgebra:

@@ -17,7 +17,9 @@ into its own output directory.  They run in one temporary
 directory that also holds the inputs the examples name: ``data.csv``
 (bounded_osc(2) on 64 nodes per octave over 40 octaves, computed with the
 ``math`` module, not with the package) and ``flow.json`` (a realized
-doubling_osc flow).
+doubling_osc flow on the window ``c0 = 0.3``, ``c1 = 0.6`` rather than the
+default 0.25, 0.5, so a ``config`` that echoed a default in place of the
+flow's own window would show).
 Prints one line per file an example writes (JSON, CSV and SVG alike),
 ``<sha256>  <command>/<file>``, in file-name order; a command that exits
 non-zero prints ``exit <code>  <command>`` instead.
@@ -79,7 +81,7 @@ def write_inputs(workdir: Path) -> None:
         u = -math.log(x)
         rows.append(f"{x!r},{u + 2.0 * math.sin(u)!r}")
     (workdir / "data.csv").write_text("\n".join(rows) + "\n")
-    flow = {"kind": "realized", "f": {"builtin": "doubling_osc", "params": []}}
+    flow = {"kind": "realized", "c0": 0.3, "c1": 0.6, "f": {"builtin": "doubling_osc", "params": []}}
     (workdir / "flow.json").write_text(json.dumps(flow, sort_keys=True) + "\n")
 
 
