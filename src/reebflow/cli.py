@@ -48,7 +48,10 @@ def _resolve_function(args) -> tuple[efunc.EFunction, dict, efunc.GridSpec]:
     """f from --builtin or --csv, its JSON spec, and --grid fitted to its domain."""
     if args.builtin:
         params = args.param or []
-        f, spec = efunc.builtin(args.builtin, params), {"builtin": args.builtin, "params": params}
+        try:
+            f, spec = efunc.builtin(args.builtin, params), {"builtin": args.builtin, "params": params}
+        except ValueError as exc:  # the name, or parameters its function does not take
+            raise ValueError(f"--{'param' if args.builtin in efunc.BUILTIN_NAMES else 'builtin'}: {exc}")
     else:
         _unread({"--param": args.param}, "--builtin")
         f, spec = efunc.from_csv(args.csv), {"csv": str(args.csv)}
@@ -83,6 +86,9 @@ def _out_dir(args) -> Path:
 
 def _cmd_sigma(args) -> int:
     f, spec, g = _resolve_function(args)
+    if args.variant == "sharp" and f.claimed_class != "E0":
+        raise ValueError(f"--variant sharp needs a function of class E0; {f.description} from "
+                         f"{'--builtin' if args.builtin else '--csv'} is of class {f.claimed_class}")
     _check_tail(g, args.tail_window, f"--tail-window {args.tail_window}")
     prof = (star_profile if args.variant == "star" else sharp_profile)(f, g)
     est = sigma_from_profile(prof, tail_window=args.tail_window)
@@ -249,8 +255,8 @@ def _add_common(p: argparse.ArgumentParser, function: bool = True, flow: bool = 
         source.add_argument("--builtin", help="gallery function name")
         source.add_argument("--csv", help="CSV file with header x,f and decreasing x")
         p.add_argument("--param", action="append", type=float, help="builtin parameter (repeatable)")
-    p.add_argument("--grid", type=_grid, default=efunc.GridSpec(),
-                   help="grid as 'K,m_max' (default 512,40)")
+    p.add_argument("--grid", type=_grid, help="grid as 'K,m_max' (default %(default)s)",
+                   default="{0.samples_per_octave},{0.octave_max}".format(efunc.GridSpec()))
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")
     _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0, help="time scale (default 1)")
+    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0, help="time scale (default %(default)g)")
     p.add_argument("--tol", type=_positive, default=1e-9, help="max absolute error (default %(default)g)")
     p.add_argument("--c0", type=float, default=flowmod._C0)
     p.add_argument("--c1", type=float, default=flowmod._C1)

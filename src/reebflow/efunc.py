@@ -237,6 +237,8 @@ def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
                                                  std_log; linearization demo
     """
     params = tuple(float(p) for p in params)
+    if name in BUILTIN_NAMES and len(params) > (takes := int(name == "bounded_osc")):  # its amplitude A
+        raise ValueError(f"too many parameters for {name}: got {len(params)}, it takes {takes}")
     if name == "std_log":
         return EFunction("builtin", lambda x: -np.log(x), "E", "std_log")
     if name == "doubling_osc":

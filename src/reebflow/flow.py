@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -196,6 +196,8 @@ class Flow:
     the two ramps.  The standard flow ``Flow()`` has no source f and the
     empty window c0 = c1 = 0, so T(c) = -ln c and r = 1 on every leaf.
     ``lam`` != 1 multiplies all speeds (time scaling).
+    ``held`` is ``(f, x, f(x))`` at the nodes x in (0, c1] that ``build_flow``
+    sampled, read only while f is ``source``; equality and repr ignore it.
     """
 
     lam: float = 1.0
@@ -204,12 +206,15 @@ class Flow:
     shift: float = 0.0
     source: EFunction | None = None
     source_spec: dict | None = None
+    held: tuple | None = field(default=None, compare=False, repr=False)
 
     def transit(self, c) -> np.ndarray:
-        """Unscaled transit target T(c) over s in [ln c, 0]."""
+        """Unscaled transit target T(c) over s in [ln c, 0]; f is read from ``held`` on a run of its nodes."""
         c = np.asarray(c, dtype=float)
-        f_at = lambda at: np.asarray(self.source(c[at]), dtype=float) + self.shift  # noqa: E731
-        return _transit_target(c, f_at, self.c0, self.c1)
+        lead, run = _held_run(self, c)
+        target = lambda cs, f: _transit_target(cs, lambda at: f(at) + self.shift, self.c0, self.c1)  # noqa: E731
+        out = target(lead, lambda at: np.asarray(self.source(lead[at]), dtype=float))
+        return out if run is None else np.concatenate([out, target(c[lead.size :], lambda at: run[at])])
 
     def prescribed_speed(self, c) -> np.ndarray:
         """The uniform speed r(c) on the segment [ln c, 0] (before time scaling)."""
@@ -218,6 +223,18 @@ class Flow:
         lo = c < self.c1
         r[lo] = -np.log(c[lo]) / self.transit(c[lo])
         return r
+
+
+def _held_run(F: Flow, c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(c[:p], f(c[p:])) for the longest run c[p:] of ``F.held`` nodes that ends c, else (c, None):
+    one bisect finds c[-1] among them, and c[p] is compared before the run (``==`` is bitwise there)."""
+    if F.held is not None and F.held[0] is F.source and c.ndim == 1 and c.size:
+        _, x, vals = F.held
+        i = bisect.bisect_left(x, -float(c[-1]), key=operator.neg) + 1  # the run ends at x[i - 1]
+        m = min(i, c.size)
+        if i <= len(x) and x[i - 1] == c[-1] and x[i - m] == c[-m] and np.array_equal(x[i - m : i], c[-m:]):
+            return c[: c.size - m], vals[i - m : i]
+    return c, None
 
 
 def standard_flow() -> Flow:
@@ -246,6 +263,8 @@ def build_flow(
     The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
     over them once and the check reads f + shift back, one block of
     ``efunc._blocks`` at a time, so neither makes a grid-sized temporary.
+    The flow keeps f at those nodes as ``held``, so a transit over a run of
+    them (``flow_classify`` on the same grid) does not evaluate f again.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -260,7 +279,8 @@ def build_flow(
     # a flow that is not positive on the grid fails here, with f read from vals
     for s in _blocks(len(x)):
         _transit_target(x[s], lambda at, v=vals[s]: v[at] + shift, c0, c1)
-    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec)
+    vals.setflags(write=False)
+    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, x, vals))
 
 
 def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:

@@ -76,17 +76,15 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, rel: float) ->
 
 
 def _verify(fn, inverse_fn, name) -> Homeo:
-    probe = _PROBE
-    vals = np.asarray(fn(probe), dtype=float)
+    vals = np.asarray(fn(_PROBE), dtype=float)
     v0 = float(fn(np.asarray(0.0)))
     if not abs(v0) <= 1e-15:
         raise ValueError(f"homeo {name!r} must fix 0, got h(0) = {v0!r}")
-    h = Homeo(fn, inverse_fn, name)
     if inverse_fn is not None:
         rt = np.asarray(inverse_fn(vals), dtype=float)
-        if not np.allclose(rt, probe, rtol=1e-12, atol=0.0):
+        if not np.allclose(rt, _PROBE, rtol=1e-12, atol=0.0):
             raise ValueError(f"homeo {name!r}: inverse fails round trip")
-    return h
+    return Homeo(fn, inverse_fn, name)
 
 
 def homeo_from_expression(expr: str, inverse_expr: str | None = None) -> Homeo:
@@ -136,23 +134,26 @@ class BasinReport:
     b: float | None
 
 
-def basin_of_zero(h: Homeo, probe: GridSpec | None = None) -> BasinReport:
+def basin_of_zero(h: Homeo, probe: GridSpec | None = None, hx: np.ndarray | None = None) -> BasinReport:
+    """How 0 attracts under h, read at the nodes of ``probe`` and at 2^1 .. 2^tail_octaves (a NaN
+    is not attracted).  Given ``hx``, h at the nodes, h runs only at the points above 1."""
     g = probe or GridSpec()
-    below = g.nodes()[::-1]  # ascending in (0, 1]
-    above = np.exp2(np.arange(1, g.tail_octaves + 1, dtype=float) * 1.0)
-    xs = np.concatenate([below, above])
-    hx = np.asarray(h(xs), dtype=float)
-    gap = hx - xs
-    near0 = gap[: max(4, g.samples_per_octave)]
-    if np.any(near0 > 0):
+    x = g.nodes()  # descending in (0, 1]
+    hx = np.asarray(h(x), dtype=float) if hx is None else hx
+    above = np.exp2(np.arange(1.0, g.tail_octaves + 1))
+    h_above = np.asarray(h(above), dtype=float)
+    q = max(4, g.samples_per_octave)  # the q points nearest 0, ascending
+    if not np.all(np.concatenate([hx[-q:][::-1], h_above])[:q] <= np.concatenate([x[-q:][::-1], above])[:q]):
         return BasinReport("zero_repelling", None)
-    if np.all(gap < 0):
-        return BasinReport("global", None)
-    # smallest sign change (or exact zero) of h(x) - x
-    idx = int(np.argmax(gap >= 0))
-    if gap[idx] == 0.0:
-        b = float(xs[idx])
+    # the smallest point where h(x) < x fails: the last such node, else the first such point above 1
+    if not (down := hx < x).all():
+        i = x.size - 1 - int(np.argmin(down[::-1]))  # i = x.size - 1 only where h(x) == x
+        lo, hi, h_hi = x[min(i + 1, x.size - 1)], x[i], hx[i]
+    elif not (down_above := h_above < above).all():
+        j = int(np.argmin(down_above))
+        lo, hi, h_hi = (above[j - 1] if j else x[0]), above[j], h_above[j]
     else:
-        # the sign change of h(x) - x in [xs[idx - 1], xs[idx]], refined to 1e-12 relative
-        b = _bisect(lambda x: h(x) - x < 0, float(xs[idx - 1]), float(xs[idx]), 1e-13)
+        return BasinReport("global", None)
+    # h fixes hi, or the sign change of h(x) - x in [lo, hi] is refined to 1e-12 relative
+    b = float(hi) if h_hi == hi else _bisect(lambda v: h(v) - v < 0, float(lo), float(hi), 1e-13)
     return BasinReport("bounded", b)

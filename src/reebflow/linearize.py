@@ -13,8 +13,8 @@ derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
 is: f once per point, at the end h^n(x) of its orbit.  The check of a
 derived k is the first sweep of the orbits (h, f and f o h once over the
 grid, f o h read from f when h shifts the nodes onto nodes, as
-``oscillation._node_shift`` decides), and the settle test reads k at the
-whole-octave nodes 2^-m from it.  The later sweeps walk the
+``oscillation._node_shift`` decides); the basin reads h(x) from it, and
+the settle test k at the whole-octave nodes 2^-m.  The later sweeps walk the
 ``efunc._blocks`` blocks of probes in lockstep.  The functional-equation
 residual takes f_inf at the probes from the ends of those orbits, and at
 their images from the same walk: read at the probes when that rule finds h
@@ -147,7 +147,7 @@ def koenigs_limit(
         return ((n, i, kf(y) - k0, None) for n, i, y, *_ in _orbit(h, x, sweeps))
 
     # a derived k is checked as the first sweep of the orbits: f and h once
-    # over the nodes and their images, kept for the settle test and the sweeps below
+    # over the nodes and their images, kept for the basin, the settle test and the sweeps
     nodes = cfg.grid.nodes()
     sweep = [] if derived else None
     wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, _WITNESS_TOL, sweep)
@@ -159,7 +159,7 @@ def koenigs_limit(
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
 
-    basin = basin_of_zero(h, cfg.grid)
+    basin = basin_of_zero(h, cfg.grid, sweep[1] if derived else None)  # sweep 0's h(x)
     if basin.case == "zero_repelling":
         raise ValueError("0 repels under h on the probe grid; no linearization basin")
     b = basin.b if basin.case == "bounded" else None

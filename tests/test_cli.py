@@ -84,8 +84,18 @@ class TestSigmaCommand:
                            "--grid gives 40 octaves of the input, fewer than the 60 that --tail-window 30 reads",
                            "sigma", "--builtin", "std_log", "--tail-window", "30")
 
-    def test_unknown_builtin_is_usage_error(self, tmp_path):
-        assert run("sigma", "--builtin", "nope", "--out", str(tmp_path)) == 2
+    @pytest.mark.parametrize("params", [["std_log", "--param", "2"], ["bounded_osc", "--param", "2", "--param", "3"]])
+    def test_params_the_builtin_does_not_take_are_usage_error(self, capsys, tmp_path, params):
+        # regression: exited 0, with the unused values echoed in the JSON
+        assert_usage_error(capsys, tmp_path, "--param: too many parameters for", "sigma", "--builtin", *params)
+
+    def test_sharp_of_a_class_e_builtin_names_the_flags(self, capsys, tmp_path):
+        # regression: "sharp profile requires a function with claimed_class E0" named no flag
+        assert_usage_error(capsys, tmp_path, "--variant sharp needs a function of class E0; std_log from --builtin",
+                           "sigma", "--builtin", "std_log", "--variant", "sharp")
+
+    def test_unknown_builtin_is_usage_error(self, capsys, tmp_path):
+        assert_usage_error(capsys, tmp_path, "--builtin: unknown builtin 'nope'", "sigma", "--builtin", "nope")
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run("sigma", "--out", str(tmp_path)) == 2
@@ -588,6 +598,20 @@ class TestFlagSurface:
             options = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
             required = {a.option_strings[0] for a in p._actions if a.required}
             assert (inputs, options - inputs, required) == SURFACE[name], name
+
+    def test_help_shows_the_defaults_it_reads(self):
+        # regression: --grid's help copied "512,40" beside the value GridSpec(), and
+        # roundtrip's --lambda "1"; both now format the default argparse holds
+        ap = build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        g = efunc.GridSpec()
+        for name, p in sub.choices.items():
+            (grid,) = [a for a in p._actions if a.dest == "grid"]
+            assert "%(default)s" in grid.help and grid.type(grid.default) == g, name
+            assert f"(default {g.samples_per_octave},{g.octave_max})" in " ".join(p.format_help().split())
+        (lam,) = [a for a in sub.choices["roundtrip"]._actions if a.dest == "lam"]
+        assert "%(default)g" in lam.help
+        assert "time scale (default 1)" in " ".join(sub.choices["roundtrip"].format_help().split())
 
     @pytest.mark.parametrize(
         "argv, defaults",

@@ -60,6 +60,15 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="amplitude"):
             builtin("bounded_osc", [-1.0])
 
+    @pytest.mark.parametrize(
+        "name,params,takes", [("std_log", [2.0], 0), ("doubling_osc", [1.0], 0), ("koenigs_demo", [1.0, 2.0], 0),
+                              ("bounded_osc", [2.0, 3.0], 1)]
+    )
+    def test_parameters_the_function_does_not_take_are_rejected(self, name, params, takes):
+        # regression: std_log dropped its parameter and bounded_osc all but the first
+        with pytest.raises(ValueError, match=f"too many parameters for {name}: got {len(params)}, it takes {takes}$"):
+            builtin(name, params)
+
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             builtin("std_log")(-1.0)

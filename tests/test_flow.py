@@ -17,6 +17,7 @@ from reebflow import (
     build_flow,
     builtin,
     extract_transition,
+    flow_classify,
     flow_from_json,
     flow_step,
     flow_to_json,
@@ -231,6 +232,68 @@ def flow_cache():
 @pytest.fixture(scope="module")
 def gallery_flows():
     return {name: build_flow(builtin(name, params)) for name, params in GALLERY.items()}
+
+
+HELD_GRIDS = {"512x40": GridSpec(512, 40), "4096x60": DEEP}
+
+
+@pytest.fixture(scope="module")
+def held_flows():
+    return {(name, gid): build_flow(builtin(name, params), g=g)
+            for name, params in GALLERY.items() for gid, g in HELD_GRIDS.items()}
+
+
+class TestHeldValues:
+    """A realized flow keeps f at the nodes in (0, c1] that build_flow sampled,
+    and a transit over a run of them reads f there."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7, 1e-3])
+    @pytest.mark.parametrize("gid", HELD_GRIDS)
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_held_values_give_the_bits_of_evaluating_f(self, held_flows, name, gid, lam):
+        g, F = HELD_GRIDS[gid], time_scale(held_flows[name, gid], lam)
+        assert F.held is held_flows[name, gid].held  # time scaling carries them
+        cleared = dataclasses.replace(F, held=None)
+        assert F == cleared
+        dump = lambda rep: json.dumps(rep.to_json(), sort_keys=True)  # noqa: E731
+        assert dump(flow_classify(F, g=g)) == dump(flow_classify(cleared, g=g))
+        x = g.nodes()
+        for c in (x, x[g.samples_per_octave // 2 :], x[::3], x[-5:].copy()):
+            assert extract_transition(F, g)(c).tobytes() == extract_transition(cleared, g)(c).tobytes()
+
+    @pytest.mark.parametrize("gid", HELD_GRIDS)
+    @pytest.mark.parametrize("name,params", GALLERY.items())
+    def test_build_and_classify_run_f_once_per_node_below_c1(self, name, params, gid):
+        # flow_classify reads f from the values build_flow took, at every node
+        # it needs: those below c1
+        f, g, calls = builtin(name, params), HELD_GRIDS[gid], []
+
+        def fn(x, _fn=f.fn):
+            calls.append(np.array(x, dtype=float))
+            return _fn(x)
+
+        F = build_flow(dataclasses.replace(f, fn=fn), g=g)
+        flow_classify(time_scale(F, 1.7), g=g)
+        x = g.nodes()
+        assert np.concatenate(calls).tobytes() == x[x <= F.c1].tobytes()
+
+    def test_another_source_never_reads_the_held_values(self, held_flows):
+        F, other = held_flows["std_log", "4096x60"], builtin("bounded_osc", (2.0,))
+        G = dataclasses.replace(F, source=other)
+        x = DEEP.nodes()
+        x = x[x <= F.c0]
+        assert G.transit(x).tobytes() == (other(x) + F.shift).tobytes()
+        assert G.transit(x).tobytes() != F.transit(x).tobytes()
+
+    def test_off_grid_dip_before_a_run_of_nodes_still_raises(self, spike_flow):
+        # the leaves below 0.30005 are held nodes; 0.30005 itself is evaluated
+        path, g = spike_flow
+        F = flow_from_json(json.loads(path.read_text()), g)
+        x = g.nodes()
+        c = np.sort(np.append(x, 0.30005))[::-1]
+        with pytest.raises(DomainError, match="not positive at leaf c = 0.30005"):
+            F.transit(c)
+        assert F.transit(x).tobytes() == dataclasses.replace(F, held=None).transit(x).tobytes()
 
 
 class TestTransition:

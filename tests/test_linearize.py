@@ -14,6 +14,7 @@ from reebflow import (
     LinearizeConfig,
     ToleranceFailure,
     WitnessReport,
+    basin_of_zero,
     builtin,
     check_witness,
     gallery_homeo,
@@ -578,6 +579,54 @@ class TestWitnessImagesFromTheSample:
 
 def bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
+
+
+# (builtin, homeo, lam) with a derived shift that reach the basin: the global,
+# bounded and repelling cases, on either side of the settle test, with b a
+# node (1) or bisected between nodes (0.3), between 1 and 2 (1.5) and above 2 (3)
+BASIN_INPUTS = [
+    ("doubling_osc", "halve", 2.0), ("std_log", "square", 2.0), ("koenigs_demo", "square", 2.0),
+    ("doubling_osc", "root_scale:2", 2.0), ("doubling_osc", "root_scale:4", 2.0), ("koenigs_demo", "pow:3", 3.0),
+    ("koenigs_demo", "pow:0.5", 2.0), ("std_log", "x*x/0.3", 2.0), ("std_log", "x*x/1.5", 2.0),
+    ("std_log", "where(x < 3, x/2, 2*x - 3)", 2.0),
+]
+BASIN_GRIDS = {"64x24": GridSpec(64, 24, 10), "100x30": GridSpec(100, 30), "512x24": GridSpec(512, 24),
+               "512x40": GridSpec(), "4096x20": MULTI, "8x12": GridSpec(8, 12)}
+
+
+class TestBasinFromSweep0:
+    @pytest.mark.parametrize("gid", BASIN_GRIDS)
+    @pytest.mark.parametrize("name,hid,lam", BASIN_INPUTS, ids=[f"{n}-{h}" for n, h, _ in BASIN_INPUTS])
+    def test_basin_reads_h_at_the_nodes_from_sweep_0(self, monkeypatch, name, hid, lam, gid):
+        # the basin gives the case and b of the standalone call, which runs h
+        # over the nodes and then at the points above 1; inside koenigs_limit
+        # it takes h(x) from the witness sweep and runs only at those points
+        g, calls = BASIN_GRIDS[gid], []
+        real = gallery_homeo(hid)
+
+        def fn(x, _fn=real.fn):
+            calls.append(np.array(x, dtype=float))
+            return _fn(x)
+
+        h = dataclasses.replace(real, fn=fn)
+        alone = basin_of_zero(h, g)
+        assert bits(calls[0]) == bits(g.nodes())
+        standalone, seen = calls[1:], []
+        calls.clear()
+
+        def basin(*args):
+            start = len(calls)
+            seen.append((basin_of_zero(*args), calls[start:]))
+            return seen[-1][0]
+
+        monkeypatch.setattr(linearize, "basin_of_zero", basin)
+        try:
+            koenigs_limit(builtin(name), h, None, LinearizeConfig(lam, g))
+        except (ValueError, ConvergenceFailure, ToleranceFailure):
+            pass
+        ((report, inside),) = seen
+        assert report == alone
+        assert [bits(c) for c in inside] == [bits(c) for c in standalone]
 
 
 class TestGlobalCase:
