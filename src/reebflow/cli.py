@@ -51,7 +51,7 @@ def _resolve_function(args) -> tuple[efunc.EFunction, dict, efunc.GridSpec]:
         try:
             f, spec = efunc.builtin(args.builtin, params), {"builtin": args.builtin, "params": params}
         except ValueError as exc:  # the name, or parameters its function does not take
-            raise ValueError(f"--{'param' if args.builtin in efunc.BUILTIN_NAMES else 'builtin'}: {exc}")
+            raise ValueError(f"--{'builtin' if isinstance(exc, efunc.UnknownBuiltin) else 'param'}: {exc}")
     else:
         _unread({"--param": args.param}, "--builtin")
         f, spec = efunc.from_csv(args.csv), {"csv": str(args.csv)}

@@ -225,6 +225,10 @@ class EFunction:
 BUILTIN_NAMES = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
 
 
+class UnknownBuiltin(ValueError):
+    """:func:`builtin` was given a name not in ``BUILTIN_NAMES``; its other errors are about the parameters."""
+
+
 def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
     """Gallery function by identifier.
 
@@ -265,7 +269,7 @@ def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
             "E",
             "koenigs_demo",
         )
-    raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
 
 
 _EXPR_NS = {

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _blocks, _blockwise, builtin, from_csv, write_csv
+from .efunc import EFunction, GridSpec, UnknownBuiltin, _blocks, _blockwise, builtin, from_csv, write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -518,7 +518,11 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
             params = spec.get("params", [])
             if not isinstance(params, (list, tuple)) or not all(map(_is_number, params)):
                 raise ValueError(f"flow source 'params' must be a list of numbers, got {params!r}")
-            f = builtin(spec["builtin"], params)
+            try:
+                f = builtin(spec["builtin"], params)
+            except ValueError as exc:  # the name, or parameters its function does not take
+                key = "builtin" if isinstance(exc, UnknownBuiltin) else "params"
+                raise ValueError(f"flow source {key!r}: {exc}")
         elif isinstance(spec, dict) and "csv" in spec:
             _known_keys(spec, ("csv",), "flow source")
             if not isinstance(spec["csv"], str):

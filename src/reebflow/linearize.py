@@ -10,18 +10,23 @@ converge to a function f_inf with
 The n-th iterate is f(x) + shift - sum_{j < n} lam^(-j-1) (k - k(0))(h^j(x)).
 An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
-is: f once per point, at the end h^n(x) of its orbit.  The check of a
-derived k is the first sweep of the orbits (h, f and f o h once over the
-grid, f o h read from f when h shifts the nodes onto nodes, as
-``oscillation._node_shift`` decides); the basin reads h(x) from it, and
-the settle test k at the whole-octave nodes 2^-m.  The later sweeps walk the
-``efunc._blocks`` blocks of probes in lockstep.  The functional-equation
-residual takes f_inf at the probes from the ends of those orbits, and at
-their images from the same walk: read at the probes when that rule finds h
-shifting probes onto probes (halve), else one sweep on, as the orbit of
-h(x) is that of x one sweep later.  So f runs at most ``iterations + 2``
-times over the grid (fewer under halve).  f_inf returns a fresh copy of
-these values for points bitwise equal to the probes or their images.
+is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
+
+1. the witness sweep, the witness check on the grid; for a derived k the
+   first sweep of the orbits: h, f and f o h once over the nodes, f o h
+   read from f when h shifts the nodes onto nodes (``_node_shift``);
+2. the basin, which reads h(x) from that sweep;
+3. the settle read-out of k(0), from that sweep at the nodes 2^-m;
+4. the lockstep walk of the later sweeps over the ``efunc._blocks`` blocks
+   of probes, until the change per sweep falls below tol;
+5. the read-out of f_inf at the probes, from the ends of those orbits, and
+   at their images from the same walk (read at the probes when that rule
+   finds h shifting probes onto probes, as halve does, else one sweep on,
+   as the orbit of h(x) is that of x one sweep later), and the residual.
+
+So f runs at most ``iterations + 2`` times over the grid (fewer under
+halve), and f_inf returns a fresh copy of these values for points bitwise
+equal to the probes or their images.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -41,7 +46,8 @@ from .efunc import EFunction, GridSpec, _blocks, _blockwise
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
-    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, _check_witness, _node_shift, _relative_residual, as_shift,
+    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, WitnessReport, _check_witness, _h_images, _images,
+    _max_residual, _node_shift, _witness_report, as_shift,
 )
 
 __all__ = [
@@ -53,6 +59,7 @@ __all__ = [
 # bounded basin: the probes stay at or below b * _PROBE_MARGIN
 _PROBE_MARGIN = 0.99
 _MAX_ITERS = 64  # sweeps before ConvergenceFailure
+_DECAY_STEPS = 10  # the preimages h^-n(1) that the tail-decay law reads
 
 
 @dataclass(frozen=True)
@@ -126,31 +133,10 @@ def koenigs_limit(
     when 0 repels, or when k does not settle at 0, tested in that order;
     ConvergenceFailure when the change per sweep never drops below tol;
     ToleranceFailure when the final functional-equation residual misses tol.
+    The five stages of the module docstring run in its order.
     """
-    lam = cfg.lam
-    derived = k is None
-    kf = as_shift(k)
-
-    def shifts(x, sweeps, *start):
-        """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``.
-
-        A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
-        floor: near the subnormal range the quantization of h(x) corrupts
-        f(h(x)) by order-one amounts (ln of a subnormal moves in steps), and
-        the true shift has settled to its limit long before such depths.
-        ``start`` is the first sweep's f(x), h(x) and f(h(x)) for
-        ``_orbit``.  f(h(y)) is None for an explicit k.
-        """
-        if derived:
-            orbit = _orbit(h, x, sweeps, True, f, *start)
-            return ((n, i, lam * fy - fhy - k0, fhy) for n, i, _, fy, _, fhy in orbit)
-        return ((n, i, kf(y) - k0, None) for n, i, y, *_ in _orbit(h, x, sweeps))
-
-    # a derived k is checked as the first sweep of the orbits: f and h once
-    # over the nodes and their images, kept for the basin, the settle test and the sweeps
-    nodes = cfg.grid.nodes()
-    sweep = [] if derived else None
-    wit = _check_witness(f, None, EquivalenceWitness(h, k, lam), nodes, None, _WITNESS_TOL, sweep)
+    lam, nodes = cfg.lam, cfg.grid.nodes()
+    wit, sweep = _witness_sweep(f, h, k, lam, nodes)
     if not wit.passed:  # a non-monotone h has residual inf
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
@@ -158,150 +144,197 @@ def koenigs_limit(
             + ("" if wit.h_monotone else "; h is not increasing on the grid")
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
-
-    basin = basin_of_zero(h, cfg.grid, sweep[1] if derived else None)  # sweep 0's h(x)
+    basin = basin_of_zero(h, cfg.grid, sweep[1] if sweep else None)  # sweep 0's h(x)
     if basin.case == "zero_repelling":
         raise ValueError("0 repels under h on the probe grid; no linearization basin")
-    b = basin.b if basin.case == "bounded" else None
-
-    if derived:  # k and its operand scale at the whole-octave nodes (all above the floor), from sweep 0
-        fx, hx, fhx = (a[_octave_nodes(cfg.grid)] for a in sweep)
-        scale = np.maximum(1.0, np.maximum(lam * np.abs(fx), np.abs(fhx)))
-        k0 = _settled_shift(np.where(hx > _DEPTH_FLOOR, lam * fx - fhx, 0.0), scale)
-    else:
-        k0 = float(kf(0.0))
-        if not math.isfinite(k0):
-            raise ValueError("shift function is not finite at 0")
-    shift = -k0 / (lam - 1.0)
-
-    j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
-    if b is not None:
-        j = nodes.size - int(np.count_nonzero(nodes <= b * _PROBE_MARGIN))
-        if j == nodes.size:
-            raise ValueError(f"no probe nodes below b * margin = {b * _PROBE_MARGIN:g}")
-    probes = nodes[j:]
-
-    # sweep until the sweep-change sup falls below tol.  The change
-    # |f_{n+1} - f_n| at x is lam^(-n-1) |k_s(h^n x)| and is measured
-    # relative to 1 + |f(x)|: the profiles span many decades, so an absolute
-    # sup norm over the probes would be dominated by the blow-up near 0.
-    # Each block of probes has its own walk, the walks advance in lockstep, and
-    # np.max over the blocks' maxima is np.max over the sweep, a NaN included.
-    start = [a[j:] for a in sweep] if derived else [np.asarray(f(probes), dtype=float)]
-    images = start[1] if derived else _blockwise(h, probes)
-    fscale = 1.0 + np.abs(start[0])
-    # a derived k records, per probe, the last depth m of its orbit and f
-    # there, over f(x) once sweep 0 has read it
-    f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
-    walks = [(s, shifts(probes[s], _MAX_ITERS + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
-    del sweep, start  # only the walks hold f(h(x)) now, and drop it as they move on
-    hull_max, iterations, last_change = 0.0, 0, math.inf
-    for n in range(_MAX_ITERS):
-        sups, changes = [0.0], [0.0]
-        for s, walk in walks:
-            for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
-                if derived:
-                    f_end[s][i], m[s][i] = fhy, n + 1
-                akv = np.abs(kv)
-                sups.append(np.max(akv))
-                changes.append(np.max(akv / fscale[s][i]))
-        hull_max = max(hull_max, float(np.max(sups)))
-        last_change = float(lam ** (-n - 1) * np.max(changes))
-        iterations = n + 1
-        if last_change < cfg.tol:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"no convergence within {_MAX_ITERS} sweeps; last sup-change {last_change:.3g}"
-        )
-    del fscale
-    decay = lam ** -np.arange(iterations + 1.0)
-
-    def series(x, term=None):
-        """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
-        acc = np.zeros(x.size)
-        for n, i, kv, _ in shifts(x, iterations):
-            acc[i] += lam ** (-n - 1) * (kv if term is None else term(kv))
-        return acc
-
-    def koenigs(x):
-        """The iterate after ``iterations`` sweeps at the flat points x of the basin."""
-        if not derived:
-            return np.asarray(f(x), dtype=float) + shift - series(x)
-        # the series telescopes: sweeps where k_s is taken as 0 do not count
-        y, m = x.copy(), np.zeros(x.size, dtype=int)
-        for n, i, _, _, hy, _ in _orbit(h, x, iterations, True):
-            y[i], m[i] = hy, n + 1
-        return decay[m] * (np.asarray(f(y), dtype=float) + shift)
-
-    held = []  # (points, f_inf there): the probes and their images, once computed below
-
-    def f_inf_fn(x):
-        x = np.asarray(x, dtype=float)
-        for pts, vals in held:  # bitwise the same points: the walk would give these bits
-            if np.array_equal(x.view(np.int64), pts.view(np.int64)):
-                return vals.copy()
-        if b is None or np.all(x < b):
-            return _blockwise(koenigs, x.reshape(-1)).reshape(x.shape)
-        out = np.zeros(x.shape)
-        inside = x < b
-        if np.any(inside):
-            out[inside] = _blockwise(koenigs, x[inside])
-        return out
-
+    b = basin.b  # None in the global case
+    orbits = _Orbits(f, h, k, lam, _shift_at_zero(k, lam, cfg.grid, sweep), b)
+    residual = orbits.read_out(orbits.walk(nodes, sweep, cfg.tol), cfg.tol)
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
-    f_inf = EFunction("expression", f_inf_fn, "E0", label)
-
-    # f_inf at the probes and, for a derived k, at their images from the walks just run
-    onto = _node_shift(probes, images) if derived else None
-    if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
-        at_images = np.empty(probes.size)
-        for s, walk in walks:
-            fe, d = f_end[s].copy(), m[s].astype(int) - 1
-            for _, i, _, fhy in itertools.islice(walk, 1):
-                fe[i], d[i] = fhy, iterations
-            at_images[s] = decay[d] * (fe + shift)
-            if np.any(lost := d < 0):  # no live sweep: the image is walked
-                at_images[s][lost] = f_inf(images[s][lost])
-    del walks  # a suspended walk holds its last sweep's arrays
-    if not derived:
-        at_probes, at_images = f_inf(probes), f_inf(images)
-    else:
-        at_probes = f_end
-        at_probes += shift
-        at_probes *= decay[m]
-        if onto is not None:  # read there, and walk only the images past the last probe
-            at_images = np.concatenate([at_probes[onto:], f_inf(images[probes.size - onto :])])
-    # the residual, block by block: symmetric in its operands, it overwrites only the second
-    rel = [_relative_residual(at_images[s], lam * at_probes[s])[0] for s in _blocks(probes.size)]
-    residual = float(np.max(rel))  # a NaN in any block wins
-    held += [(probes, at_probes), (images, at_images)]
-    if not residual <= cfg.tol:  # a NaN fails too
-        raise ToleranceFailure(
-            f"functional-equation residual {residual:.3g} exceeds tol {cfg.tol:g}"
-        )
-
-    tail_dev = _tail_decay_deviation(f_inf, h, lam) if b is None else None
-
-    slack = lam ** (-iterations) * hull_max
-
-    def telescoping_bound(x):
-        x = np.asarray(x, dtype=float)
-        return (series(x.reshape(-1), np.abs) + slack).reshape(x.shape)
-
+    f_inf = EFunction("expression", orbits, "E0", label)
     return LinearizeResult(
         f_inf=f_inf,
         case=basin.case,
         b=b,
-        iterations=iterations,
+        iterations=orbits.iterations,
         residual=residual,
-        shift=shift,
-        k0=k0,
-        last_change=last_change,
-        probes=probes,
-        tail_decay_dev=tail_dev,
-        telescoping_bound=telescoping_bound,
+        shift=orbits.shift,
+        k0=orbits.k0,
+        last_change=orbits.last_change,
+        probes=orbits.probes,
+        tail_decay_dev=_tail_decay_deviation(f_inf, h, lam) if b is None else None,
+        telescoping_bound=orbits.bound,
     )
+
+
+def _witness_sweep(f, h, k, lam: float, x: np.ndarray) -> tuple[WitnessReport, list]:
+    """Stage 1: the witness report at the nodes ``x`` and the first sweep, [f(x), h(x), f(h(x))].
+
+    An explicit k goes to ``_check_witness``, with no sweep.  A derived k is
+    taken as 0 where x or h(x) is at or below ``_DEPTH_FLOOR``; the sweep is
+    empty unless h is increasing, and f(h(x)) is inf at an image equal to 0.
+    """
+    if k is not None:
+        return _check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, _WITNESS_TOL), []
+    hx, h_monotone, z = _h_images(h, x)
+    fx, fhx = _blockwise(f, x), np.empty(x.size)
+    j = _node_shift(x, hx) if h_monotone else None
+
+    def blocks():
+        for t in _blocks(z if h_monotone else 0):
+            fhx[t] = _images(f, hx, t, fx, j)
+            lhs, live = lam * fx[t], (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
+            yield t.start, lhs, fhx[t] + np.where(live, lhs - fhx[t], 0.0)
+
+    wit = _witness_report("self_similarity", lam, x, h_monotone, z, blocks(), _WITNESS_TOL)
+    fhx[z:] = math.inf  # f diverges at 0
+    return wit, [fx, hx, fhx] if h_monotone else []
+
+
+def _shift_at_zero(k, lam: float, g: GridSpec, sweep: list) -> float:
+    """Stage 3: k0 = k(0).  An explicit k is evaluated at 0; a derived k and
+    its operand scale are read from sweep 0 at the whole-octave nodes, all
+    above the floor, and must settle there (``_settled_shift``)."""
+    if k is not None:
+        k0 = float(as_shift(k)(0.0))
+        if not math.isfinite(k0):
+            raise ValueError("shift function is not finite at 0")
+        return k0
+    fx, hx, fhx = (a[_octave_nodes(g)] for a in sweep)
+    scale = np.maximum(1.0, np.maximum(lam * np.abs(fx), np.abs(fhx)))
+    return _settled_shift(np.where(hx > _DEPTH_FLOOR, lam * fx - fhx, 0.0), scale)
+
+
+class _Orbits:
+    """The Koenigs iterates along the orbits h^n(x), for a derived k (``kf`` None) or an explicit one.
+    Stages 4 (:meth:`walk`) and 5 (:meth:`read_out`) run once; then the object is f_inf."""
+
+    def __init__(self, f: EFunction, h: Homeo, k, lam: float, k0: float, b: float | None):
+        self.f, self.h, self.lam, self.k0, self.b = f, h, lam, k0, b
+        self.kf = None if k is None else as_shift(k)
+        self.shift = -k0 / (lam - 1.0)
+        self.held = []  # (points, f_inf there): the probes and their images, once read out
+
+    def shifts(self, x, sweeps, *start):
+        """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``, from the first
+        sweep's f(x), h(x) and f(h(x)) in ``start``; f(h(y)) is None for an explicit k.
+
+        A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
+        floor: near the subnormal range the quantization of h(x) corrupts
+        f(h(x)) by order-one amounts (ln of a subnormal moves in steps), and
+        the true shift has settled to its limit long before such depths.
+        """
+        if self.kf is None:
+            orbit = _orbit(self.h, x, sweeps, True, self.f, *start)
+            return ((n, i, self.lam * fy - fhy - self.k0, fhy) for n, i, _, fy, _, fhy in orbit)
+        return ((n, i, self.kf(y) - self.k0, None) for n, i, y, *_ in _orbit(self.h, x, sweeps))
+
+    def walk(self, nodes: np.ndarray, sweep: list, tol: float) -> tuple:
+        """Stage 4: pick the probes and sweep their orbits until the change per sweep, lam^(-n-1) |k_s(h^n x)|
+        relative to 1 + |f(x)| (an absolute sup would be dominated by the blow-up near 0), falls below tol.
+        Returns what :meth:`read_out` reads: the suspended walks, f and the depth at each probe's last
+        sweep, and h(probes)."""
+        j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
+        if self.b is not None:
+            j = nodes.size - int(np.count_nonzero(nodes <= self.b * _PROBE_MARGIN))
+            if j == nodes.size:
+                raise ValueError(f"no probe nodes below b * margin = {self.b * _PROBE_MARGIN:g}")
+        self.probes = probes = nodes[j:]
+        derived = self.kf is None
+        start = [a[j:] for a in sweep] if derived else [np.asarray(self.f(probes), dtype=float)]
+        images = start[1] if derived else _blockwise(self.h, probes)
+        fscale = 1.0 + np.abs(start[0])
+        # per probe, the last depth m of a derived k's orbit and f there, over f(x)
+        f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
+        walks = [(s, self.shifts(probes[s], _MAX_ITERS + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
+        sweep.clear()  # only the walks hold f(h(x)) now, and drop it as they move on
+        del start
+        hull_max, last_change = 0.0, math.inf
+        for n in range(_MAX_ITERS):
+            sups, changes = [0.0], [0.0]
+            for s, walk in walks:
+                for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
+                    if derived:
+                        f_end[s][i], m[s][i] = fhy, n + 1
+                    akv = np.abs(kv)
+                    sups.append(np.max(akv))
+                    changes.append(np.max(akv / fscale[s][i]))
+            hull_max = max(hull_max, float(np.max(sups)))  # as over the whole sweep, a NaN included
+            last_change = float(self.lam ** (-n - 1) * np.max(changes))
+            if last_change < tol:
+                break
+        else:
+            raise ConvergenceFailure(f"no convergence within {_MAX_ITERS} sweeps; "
+                                     f"last sup-change {last_change:.3g}")
+        self.iterations, self.last_change = n + 1, last_change
+        self.slack = self.lam ** (-self.iterations) * hull_max
+        self.decay = self.lam ** -np.arange(self.iterations + 1.0)
+        return walks, f_end, m, images
+
+    def read_out(self, ends: tuple, tol: float) -> float:
+        """Stage 5: hold f_inf at the probes and their images, and return the residual there."""
+        walks, f_end, m, images = ends
+        probes, derived = self.probes, self.kf is None
+        onto = _node_shift(probes, images) if derived else None
+        if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
+            at_images = np.empty(probes.size)
+            for s, walk in walks:
+                fe, d = f_end[s].copy(), m[s].astype(int) - 1
+                for _, i, _, fhy in itertools.islice(walk, 1):
+                    fe[i], d[i] = fhy, self.iterations
+                at_images[s] = self.decay[d] * (fe + self.shift)
+                if np.any(lost := d < 0):  # no live sweep: the image is walked
+                    at_images[s][lost] = self(images[s][lost])
+        del walks, ends  # a suspended walk holds its last sweep's arrays
+        if not derived:
+            at_probes, at_images = self(probes), self(images)
+        else:
+            at_probes = f_end
+            at_probes += self.shift
+            at_probes *= self.decay[m]
+            if onto is not None:  # read there, and walk only the images past the last probe
+                at_images = np.concatenate([at_probes[onto:], self(images[probes.size - onto :])])
+        # symmetric in its operands, the residual overwrites only the second
+        residual, _ = _max_residual((s.start, at_images[s], self.lam * at_probes[s]) for s in _blocks(probes.size))
+        self.held += [(probes, at_probes), (images, at_images)]
+        if not residual <= tol:  # a NaN fails too
+            raise ToleranceFailure(f"functional-equation residual {residual:.3g} exceeds tol {tol:g}")
+        return residual
+
+    def series(self, x, term=None):
+        """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
+        acc = np.zeros(x.size)
+        for n, i, kv, _ in self.shifts(x, self.iterations):
+            acc[i] += self.lam ** (-n - 1) * (kv if term is None else term(kv))
+        return acc
+
+    def koenigs(self, x):
+        """The iterate after ``iterations`` sweeps at the flat points x of the basin."""
+        if self.kf is not None:
+            return np.asarray(self.f(x), dtype=float) + self.shift - self.series(x)
+        # the series telescopes: sweeps where k_s is taken as 0 do not count
+        y, m = x.copy(), np.zeros(x.size, dtype=int)
+        for n, i, _, _, hy, _ in _orbit(self.h, x, self.iterations, True):
+            y[i], m[i] = hy, n + 1
+        return self.decay[m] * (np.asarray(self.f(y), dtype=float) + self.shift)
+
+    def __call__(self, x):
+        """f_inf at x: a copy of the held values, else the walked iterate, and 0 from b on."""
+        x = np.asarray(x, dtype=float)
+        for pts, vals in self.held:  # bitwise the same points: the walk would give these bits
+            if np.array_equal(x.view(np.int64), pts.view(np.int64)):
+                return vals.copy()
+        if self.b is None or np.all(x < self.b):
+            return _blockwise(self.koenigs, x.reshape(-1)).reshape(x.shape)
+        out = np.zeros(x.shape)
+        inside = x < self.b
+        out[inside] = _blockwise(self.koenigs, x[inside])
+        return out
+
+    def bound(self, x):
+        """The telescoping bound: the series of |k_s| over the sweeps plus the slack past them."""
+        x = np.asarray(x, dtype=float)
+        return (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape)
 
 
 def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, fhy=None):
@@ -364,37 +397,30 @@ def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:
     both tests span fewer octaves; with two, a k0 above the rounding level
     passes only when its one increment is within that level.
     """
+    def unsettled(kind: str, increments: np.ndarray) -> ValueError:
+        return ValueError(f"derived shift lam*f - f o h does not settle toward 0 ({kind} tail increments "
+                          f"{increments.tolist()}); the relation does not extend continuously to 0")
+
     deltas = np.abs(np.diff(k / scale))
     if not np.all(np.isfinite(k)) or float(np.max(deltas[-4:])) > 1e-6:
-        raise ValueError(
-            "derived shift lam*f - f o h does not settle toward 0 "
-            f"(relative tail increments {deltas[-4:].tolist()}); the relation "
-            "does not extend continuously to 0"
-        )
+        raise unsettled("relative", deltas[-4:])
     k0 = float(k[-1])
     floor = 1e-9 * float(scale[-1])  # the rounding level of f itself
     if abs(k0) <= floor:
         return 0.0
     steps = np.abs(np.diff(k[-5:]))
     if float(steps[-1]) > max(0.5 * float(steps[0]), floor):
-        raise ValueError(
-            "derived shift lam*f - f o h does not settle toward 0 "
-            f"(absolute tail increments {steps.tolist()}); the relation "
-            "does not extend continuously to 0"
-        )
+        raise unsettled("absolute", steps)
     return k0
 
 
-def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float, n_max: int = 10) -> float:
-    """Max relative deviation of f_inf(h^-n(x0)) from lam^-n f_inf(x0)."""
-    x0 = 1.0
-    base = float(f_inf(x0))
-    worst = 0.0
-    cur = x0
-    for n in range(1, n_max + 1):
+def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float) -> float:
+    """Max relative deviation of f_inf(h^-n(1)) from lam^-n f_inf(1), n = 1 .. _DECAY_STEPS."""
+    base = float(f_inf(1.0))
+    worst, cur = 0.0, 1.0
+    for n in range(1, _DECAY_STEPS + 1):
         cur = h.inverse(cur)
         want = lam ** (-n) * base
-        got = float(f_inf(cur))
-        worst = max(worst, abs(got - want) / max(1e-300, abs(want)))
+        worst = max(worst, abs(float(f_inf(cur)) - want) / max(1e-300, abs(want)))
     return worst
 

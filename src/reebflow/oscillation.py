@@ -30,7 +30,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -382,13 +382,12 @@ def check_witness(
     strictly above ``_DEPTH_FLOOR``, and without rising below it, where
     neighbouring images may round to one double or underflow to 0.  f is
     evaluated at the nodes and, only when h is increasing on the grid, at
-    their positive images: f never sees the images of a non-monotone h (not
-    even through the derived shift lam*f - f o h of ``koenigs_limit``), nor
-    0, whose residual is inf.  ``self_similarity_scan`` and the derived
-    shift of ``koenigs_limit``, which hold f over the whole grid, read f o h
-    from it when h(x_i) == x_{i+j} bitwise wherever i + j indexes a node, as
-    ``halve`` does on every grid (j = K).  ``tol`` defaults to the gate
-    ``_WITNESS_TOL`` (1e-9) that the scan and ``koenigs_limit`` apply.
+    their positive images: f never sees the images of a non-monotone h, nor
+    0, whose residual is inf.  ``self_similarity_scan`` and the witness sweep
+    of a derived-shift ``koenigs_limit``, which hold f over the whole grid,
+    read f o h from it when h(x_i) == x_{i+j} bitwise wherever i + j indexes
+    a node, as ``halve`` does on every grid (j = K).  ``tol`` defaults to
+    ``_WITNESS_TOL`` (1e-9), the gate of the scan and ``koenigs_limit``.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
@@ -397,74 +396,59 @@ def check_witness(
     return _check_witness(f, f2, w, g.nodes(), None, tol)
 
 
-def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float, sweep=None) -> WitnessReport:
+def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessReport:
     """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled.
 
     h is evaluated and checked over all of ``x`` before f is evaluated at any
     image.  Then k, the left side, f(h(x)) and the relative residual are
-    taken block by block; the first largest residual wins, and a NaN one, as
-    for ``np.argmax`` over the whole array.  An image equal to 0 counts as
-    residual inf, after every node whose image is positive.
-
-    With f(x) held over all of ``x`` (``fx`` given, or ``sweep``), an
-    increasing h and the shift j of :func:`_node_shift`, f(h(x[i])) is read
-    as f(x[i + j]), which it is for an elementwise f.  f is evaluated at the
-    images past that overlap, or at all of them when there is no such j.
-
-    With ``sweep``, a list, the shift is derived: k = lam*f - f o h, taken as
-    0 where x or h(x) is at or below ``_DEPTH_FLOOR``, and ``w.k`` is not
-    used.  f runs over all of ``x`` first, then over the images; f(x) and
-    f(h(x)) are kept over all of ``x``, and the list receives f(x), h(x) and
-    f(h(x)) when h is increasing: the first sweep of the Koenigs orbits of
-    ``koenigs_limit``.
+    taken block by block.  With ``fx``, an increasing h and the shift j of
+    :func:`_node_shift`, f(h(x[i])) is read as f(x[i + j]), as it is for an
+    elementwise f, and f is evaluated only at the images past that overlap.
     """
-    n = len(x)
-    hx = _blockwise(w.h, x)
-    # descending images end at their minimum, which must not be negative (or NaN)
-    h_monotone = bool(hx[-1] >= 0) and all(_descends(hx[max(s.start - 1, 0) : s.stop]) for s in _blocks(n))
+    hx, h_monotone, z = _h_images(w.h, x)
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-    k = None if w.k is None or sweep is not None else as_shift(w.k)
-    if sweep is not None:
-        fx, fhx = _blockwise(f, x), np.empty(n)
-    # images at 0 are a suffix of the descending images: z is where they begin
-    z = n if not h_monotone or hx[-1] > 0 else int(np.argmax(hx == 0))
+    k = None if w.k is None else as_shift(w.k)
     j = None if fx is None or not h_monotone else _node_shift(x, hx)
-    residual, worst = (-math.inf if h_monotone else math.inf), float(x[0])
-    for s in _blocks(n):
-        if k is not None:
-            kv = k(x[s])
-        if f2 is not None:
-            lhs = np.asarray(f2(x[s]), dtype=float)
-        else:
-            lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
-        e = min(s.stop, z)
-        if not h_monotone or e <= s.start:
-            # f is never evaluated at the images of a non-monotone h, nor at 0;
-            # an explicit k and the left side still are, so that their errors
-            # are raised
-            continue
-        t = slice(s.start, e)
-        lhs = lhs[: e - s.start]
-        # the residual overwrites rhs, which is hx[t] itself for an f that
-        # returns its argument: the derived sweep keeps hx, so it adds into a new array
-        rhs = _images(f, hx, t, fx, j)
-        if sweep is not None:
-            fhx[t] = rhs
-            live = (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
-            rhs = fhx[t] + np.where(live, lhs - fhx[t], 0.0)
-        elif k is not None:
-            rhs += kv[: e - s.start]
-        r, i = _relative_residual(lhs, rhs)
-        if r > residual or (math.isnan(r) and not math.isnan(residual)):
-            residual, worst = r, float(x[s.start + i])
-    if z < n and residual < math.inf:  # neither an inf nor a NaN came before
-        residual, worst = math.inf, float(x[z])
-    if sweep is not None and h_monotone:
-        fhx[z:] = math.inf  # f diverges at 0
-        sweep += [fx, hx, fhx]
+
+    def blocks():
+        for s in _blocks(len(x)):
+            kv = None if k is None else k(x[s])
+            if f2 is not None:
+                lhs = np.asarray(f2(x[s]), dtype=float)
+            else:
+                lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
+            # f is never evaluated at the images of a non-monotone h, nor at 0; an
+            # explicit k and the left side still are, so that their errors are raised
+            if h_monotone and (e := min(s.stop, z)) > s.start:
+                rhs = _images(f, hx, slice(s.start, e), fx, j)  # may be hx itself, which is not read again
+                if kv is not None:
+                    rhs += kv[: e - s.start]
+                yield s.start, lhs[: e - s.start], rhs
+
     mode = "equivalence" if f2 is not None else "self_similarity"
-    return WitnessReport(mode, w.lam, residual, worst, h_monotone, tol, residual <= tol)
+    return _witness_report(mode, w.lam, x, h_monotone, z, blocks(), tol)
+
+
+def _h_images(h, x: np.ndarray) -> tuple[np.ndarray, bool, int]:
+    """h(x) block by block, whether h is increasing on the descending nodes ``x``, and the index
+    where the images at 0 begin (``len(x)`` when there are none, or h is not increasing)."""
+    hx, n = _blockwise(h, x), len(x)
+    # descending images end at their minimum, which must not be negative (or NaN)
+    h_monotone = bool(hx[-1] >= 0) and all(_descends(hx[max(s.start - 1, 0) : s.stop]) for s in _blocks(n))
+    return hx, h_monotone, (n if not h_monotone or hx[-1] > 0 else int(np.argmax(hx == 0)))
+
+
+def _witness_report(mode, lam, x, h_monotone, z, blocks, tol) -> WitnessReport:
+    """The report of a witness check at the nodes ``x`` from its ``(start, lhs, rhs)`` blocks, all
+    consumed: a non-monotone h has residual inf at x[0], and the images at 0, from index ``z`` on,
+    count as residual inf after every node whose image is positive."""
+    residual, i = _max_residual(blocks)
+    if not h_monotone:
+        residual, i = math.inf, 0
+    elif z < len(x) and residual < math.inf:  # neither an inf nor a NaN came before
+        residual, i = math.inf, z
+    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, tol, residual <= tol)
 
 
 def _descends(hx: np.ndarray) -> bool:
@@ -498,10 +482,7 @@ def _images(f, hx: np.ndarray, t: slice, fx, j) -> np.ndarray:
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
-    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins).
-
-    Overwrites ``rhs``.
-    """
+    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins); overwrites ``rhs``."""
     rel = lhs - rhs
     np.abs(rel, out=rel)
     scale = np.abs(rhs, out=rhs)
@@ -510,6 +491,17 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
     rel /= scale
     i = int(np.argmax(rel))
     return float(rel[i]), i
+
+
+def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> tuple[float, int]:
+    """The largest :func:`_relative_residual` over ``(start, lhs, rhs)`` blocks and its index, (-inf, -1)
+    for none: the first largest wins, and a NaN one, as for ``np.argmax`` over the whole array."""
+    residual, worst = -math.inf, -1
+    for a, lhs, rhs in blocks:
+        r, i = _relative_residual(lhs, rhs)
+        if r > residual or (math.isnan(r) and not math.isnan(residual)):
+            residual, worst = r, a + i
+    return residual, worst
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,20 @@ class TestClassifyCommand:
             assert message in err and "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"builtin": "std_log", "params": [2]}, "flow source 'params': too many parameters for std_log"),
+            ({"builtin": "nope"}, "flow source 'builtin': unknown builtin 'nope'"),
+        ],
+        ids=["params", "builtin"],
+    )
+    def test_flow_builtin_errors_name_the_key(self, capsys, tmp_path, source, message):
+        # regression: exit 2 with the builtin's own message, naming no key
+        cfgp = tmp_path / "flow.json"
+        cfgp.write_text(json.dumps({"kind": "realized", "f": source}))
+        assert_usage_error(capsys, tmp_path, message, "classify", "--flow", str(cfgp))
+
     @pytest.mark.parametrize("lam", BAD_LAMBDAS)
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         assert_lambda_rejected(capsys, tmp_path, "classify", "--flow", "standard", "--lambda", lam)

@@ -46,6 +46,7 @@ OPTIONS = {
     "koenigs_limit": (),
     "check_witness": ("tol",),
     "EquivalenceWitness": ("h", "k", "lam"),
+    "basin_of_zero": ("hx",),
 }
 
 

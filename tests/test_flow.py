@@ -601,6 +601,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             flow_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"builtin": "std_log", "params": [2]}, "flow source 'params': too many parameters for std_log: got 1"),
+            ({"builtin": "bounded_osc", "params": [2, 3]}, "flow source 'params': too many parameters for"),
+            ({"builtin": "bounded_osc", "params": [-1]}, "flow source 'params': bounded_osc amplitude must"),
+            ({"builtin": "nope"}, "flow source 'builtin': unknown builtin 'nope'; "),
+        ],
+        ids=["std_log-param", "bounded_osc-two", "bounded_osc-negative", "unknown"],
+    )
+    def test_builtin_errors_name_the_key(self, spec, message):
+        # regression: the builtin's own message, naming no key of the config
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            flow_from_json({"kind": "realized", "f": spec})
+
     def test_orbit_rows_and_csv(self, grid, tmp_path):
         F = build_flow(builtin("doubling_osc"), g=grid)
         rows = orbit_rows(F, QuarterPlanePoint(0.25, 1.0), np.linspace(0.0, 3.0, 7))

@@ -466,15 +466,7 @@ class TestMultiBlock:
         # taken as 0, and the relation fails
         f, h = builtin("std_log"), gallery_homeo("pow:16.8")
         g = GridSpec(samples_per_octave=4096, octave_max=60)
-
-        def floored_k(x):
-            hx = np.asarray(h(x), dtype=float)
-            live = hx > FLOOR
-            k = np.zeros(x.shape)
-            k[live] = 2.0 * f(x[live]) - f(hx[live])
-            return k
-
-        rep = check_witness(f, None, EquivalenceWitness(h, floored_k, 2.0), g)
+        rep = check_witness(f, None, EquivalenceWitness(h, floored_shift(f, h, 2.0), 2.0), g)
         msg = f"residual {rep.residual:.3g} (tol 1e-09) at x = {rep.worst_x:.3g}"
         assert msg == "residual 0.881 (tol 1e-09) at x = 1.39e-18"
         with pytest.raises(ValueError, match=re.escape(msg) + "$"):
@@ -482,11 +474,14 @@ class TestMultiBlock:
 
 
 def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
-    """Reference for ``oscillation._check_witness`` from whole-array passes.
+    """Reference for ``oscillation._check_witness`` from whole-array passes
+    and, with ``sweep`` a list, for the derived-shift witness sweep.
 
     f is evaluated at every positive image, never read from ``fx``.  h is
     increasing when its images descend, strictly above FLOOR; an image at 0
-    counts as residual inf.
+    counts as residual inf.  With ``sweep`` the shift is lam*f - f o h, taken
+    as 0 where x or h(x) is at or below FLOOR, and the list receives f(x),
+    h(x) and f(h(x)) when h is increasing.
     """
     hx = np.asarray(w.h(x), dtype=float)
     ties = (hx[1:] == hx[:-1]) & (hx[:-1] <= FLOOR)
@@ -512,6 +507,13 @@ def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
     return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, tol, float(rel[i]) <= tol)
 
 
+def whole_witness_sweep(f, h, k, lam, x):
+    """Reference for ``linearize._witness_sweep``: the report and the first sweep."""
+    sweep = [] if k is None else None
+    rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, 1e-9, sweep)
+    return rep, sweep or []
+
+
 BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
 
 
@@ -535,28 +537,29 @@ class TestWitnessImagesFromTheSample:
         ids=["halve", "root_scale:2", "root_scale:4", "square", "demo-square", "explicit-k", "non-monotone"],
     )
     def test_koenigs_limit_matches_whole_array_witness(self, monkeypatch, g, name, hid, k):
+        # the witness sweep, against whole-array passes: through the derived
+        # gate for k None, through ``_check_witness`` for an explicit k
         f = builtin(name)
         h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
-        real = linearize._check_witness
+        real = linearize._witness_sweep
 
-        def run(check):
+        def run(stage):
             seen = []
 
             def spy(*args):
-                rep = check(*args)
-                sweep = args[6] if len(args) > 6 else None
+                rep, sweep = stage(*args)
                 # copied now: the convergence loop overwrites f(x) with the orbit ends
-                seen.append((rep, bits(rep.residual), None if sweep is None else [bits(a) for a in sweep]))
-                return rep
+                seen.append((rep, bits(rep.residual), [bits(a) for a in sweep]))
+                return rep, sweep
 
-            monkeypatch.setattr(linearize, "_check_witness", spy)
+            monkeypatch.setattr(linearize, "_witness_sweep", spy)
             try:
                 res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g, tol=1e-9))
             except (ValueError, ConvergenceFailure, ToleranceFailure) as exc:
                 return seen, repr(exc)
             return seen, (res.to_json(), bits(res.probes), bits(res.f_inf(res.probes)))
 
-        got, want = run(real), run(whole_check_witness)
+        got, want = run(real), run(whole_witness_sweep)
         assert got == want
         ((rep, _, sweep),), _ = got
         assert bool(sweep) == (k is None and rep.h_monotone)
@@ -567,8 +570,8 @@ class TestWitnessImagesFromTheSample:
         h = gallery_homeo("halve")
         x = g.nodes()
         w = EquivalenceWitness(h, None, 2.0)
-        sweep, want = [], []
-        rep = linearize._check_witness(f, None, w, x, None, 1e-9, sweep)
+        want = []
+        rep, sweep = linearize._witness_sweep(f, h, None, 2.0, x)
         assert rep == whole_check_witness(builtin("doubling_osc"), None, w, x, None, 1e-9, want)
         assert [bits(a) for a in sweep] == [bits(a) for a in want]
         blocks = list(_blocks(x.size))
@@ -627,6 +630,37 @@ class TestBasinFromSweep0:
         ((report, inside),) = seen
         assert report == alone
         assert [bits(c) for c in inside] == [bits(c) for c in standalone]
+
+
+def floored_shift(f, h, lam):
+    """The derived shift lam*f - f o h as an explicit k, 0 where h(x) is at or below FLOOR."""
+
+    def k(x):
+        hx = np.asarray(h(x), dtype=float)
+        live = hx > FLOOR
+        out = np.zeros(x.shape)
+        out[live] = lam * f(x[live]) - f(hx[live])
+        return out
+
+    return k
+
+
+class TestDerivedGate:
+    @pytest.mark.parametrize("gid", BASIN_GRIDS)
+    @pytest.mark.parametrize(
+        "name,hid,lam", BASIN_INPUTS + [("std_log", BENT, 2.0)],
+        ids=[f"{n}-{h}" for n, h, _ in BASIN_INPUTS] + ["std_log-bent"],
+    )
+    def test_derived_gate_reports_the_bits_of_check_witness(self, name, hid, lam, gid):
+        # the witness sweep gates a derived k apart from ``_check_witness``:
+        # its report is that of check_witness with the floored shift as k
+        g, f = BASIN_GRIDS[gid], builtin(name)
+        h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
+        rep, sweep = linearize._witness_sweep(f, h, None, lam, g.nodes())
+        want = check_witness(f, None, EquivalenceWitness(h, floored_shift(f, h, lam), lam), g)
+        as_bits = [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
+        assert as_bits == [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(want)]
+        assert bool(sweep) == rep.h_monotone
 
 
 class TestGlobalCase:

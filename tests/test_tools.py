@@ -36,3 +36,39 @@ def test_readme_artifacts_are_reproducible():
     want = [f"{tool.label(argv)}/{name}" for argv in tool.examples() for name in files[argv[0]]]
     assert [line.split("  ", 1)[1] for line in lines] == want
     assert len(want) == 43
+
+
+SIZE = ROOT / "tools" / "src_size.py"
+
+
+def load_size_tool():
+    spec = importlib.util.spec_from_file_location("src_size", SIZE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_src_size_reports_the_line_count_and_the_longest_functions():
+    out = subprocess.run([sys.executable, str(SIZE)], capture_output=True, text=True, check=True).stdout
+    head, *rows = out.splitlines()
+    files = sorted((ROOT / "src").glob("*/*.py"))
+    assert head == f"{sum(len(f.read_text().splitlines()) for f in files)} lines in {len(files)} files"
+    assert len(rows) == 5
+    lengths = [int(row.split()[0]) for row in rows]
+    assert lengths == sorted(lengths, reverse=True)
+    assert all(re.fullmatch(r"\s*\d+  \w+\.py:[\w.]+", row) for row in rows), rows
+
+
+def test_src_size_counts_nested_functions_inside_their_parent(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    lines = ["def outer():", "    def inner():", "        pass", "    return inner", "", "", "class C:",
+             "    def method(self):", "        pass"]
+    (src / "m.py").write_text("\n".join(lines) + "\n")
+    assert load_size_tool().spans(src / "m.py") == [("outer", 4), ("C.method", 2)]
+
+
+def test_no_function_in_linearize_is_longer_than_60_lines():
+    spans = dict(load_size_tool().spans(ROOT / "src" / "reebflow" / "linearize.py"))
+    assert "koenigs_limit" in spans
+    assert max(spans.values()) <= 60, spans
