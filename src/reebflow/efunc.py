@@ -254,8 +254,8 @@ def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
         )
     if name == "bounded_osc":
         amp = params[0] if params else 2.0
-        if amp < 0:
-            raise ValueError("bounded_osc amplitude must be >= 0")
+        if not 0 <= amp < math.inf:  # NaN included
+            raise ValueError(f"bounded_osc amplitude must be finite and >= 0, got {amp:g}")
 
         def fn(x, _a=amp):
             u = -np.log(x)

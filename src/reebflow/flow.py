@@ -196,8 +196,10 @@ class Flow:
     the two ramps.  The standard flow ``Flow()`` has no source f and the
     empty window c0 = c1 = 0, so T(c) = -ln c and r = 1 on every leaf.
     ``lam`` != 1 multiplies all speeds (time scaling).
-    ``held`` is ``(f, x, f(x))`` at the nodes x in (0, c1] that ``build_flow``
-    sampled, read only while f is ``source``; equality and repr ignore it.
+    ``held`` is ``(f, x, T(x))`` at the nodes x in (0, c1] that ``build_flow``
+    sampled, with T read-only, and is read only while f is ``source``; T also
+    depends on c0, c1 and shift, which no caller replaces.  Equality and repr
+    ignore it.
     """
 
     lam: float = 1.0
@@ -209,12 +211,13 @@ class Flow:
     held: tuple | None = field(default=None, compare=False, repr=False)
 
     def transit(self, c) -> np.ndarray:
-        """Unscaled transit target T(c) over s in [ln c, 0]; f is read from ``held`` on a run of its nodes."""
+        """Unscaled transit target T(c) over s in [ln c, 0], a new array; on a run of ``held`` nodes
+        that ends c, T is copied from there once and f is not evaluated."""
         c = np.asarray(c, dtype=float)
         lead, run = _held_run(self, c)
-        target = lambda cs, f: _transit_target(cs, lambda at: f(at) + self.shift, self.c0, self.c1)  # noqa: E731
-        out = target(lead, lambda at: np.asarray(self.source(lead[at]), dtype=float))
-        return out if run is None else np.concatenate([out, target(c[lead.size :], lambda at: run[at])])
+        f_at = lambda at: np.asarray(self.source(lead[at]), dtype=float) + self.shift  # noqa: E731
+        out = _transit_target(lead, f_at, self.c0, self.c1)
+        return out if run is None else np.concatenate([out, run])
 
     def prescribed_speed(self, c) -> np.ndarray:
         """The uniform speed r(c) on the segment [ln c, 0] (before time scaling)."""
@@ -226,7 +229,7 @@ class Flow:
 
 
 def _held_run(F: Flow, c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(c[:p], f(c[p:])) for the longest run c[p:] of ``F.held`` nodes that ends c, else (c, None):
+    """(c[:p], T(c[p:])) for the longest run c[p:] of ``F.held`` nodes that ends c, else (c, None):
     one bisect finds c[-1] among them, and c[p] is compared before the run (``==`` is bitwise there)."""
     if F.held is not None and F.held[0] is F.source and c.ndim == 1 and c.size:
         _, x, vals = F.held
@@ -261,10 +264,11 @@ def build_flow(
     that dips below the lift between grid nodes raises DomainError there.
 
     The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
-    over them once and the check reads f + shift back, one block of
-    ``efunc._blocks`` at a time, so neither makes a grid-sized temporary.
-    The flow keeps f at those nodes as ``held``, so a transit over a run of
-    them (``flow_classify`` on the same grid) does not evaluate f again.
+    over them once, and the check reads f + shift back and writes the
+    target T over it, one block of ``efunc._blocks`` at a time, so neither
+    makes a grid-sized temporary.  The flow keeps T at those nodes as
+    ``held``, so a transit over a run of them (``flow_classify`` on the same
+    grid) copies T and computes no target there.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -276,9 +280,9 @@ def build_flow(
     vals = _blockwise(f, x)
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
-    # a flow that is not positive on the grid fails here, with f read from vals
+    # a flow that is not positive on the grid fails here; T replaces f in vals
     for s in _blocks(len(x)):
-        _transit_target(x[s], lambda at, v=vals[s]: v[at] + shift, c0, c1)
+        vals[s] = _transit_target(x[s], lambda at, v=vals[s]: v[at] + shift, c0, c1)
     vals.setflags(write=False)
     return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, x, vals))
 

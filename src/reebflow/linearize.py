@@ -18,11 +18,13 @@ is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
 2. the basin, which reads h(x) from that sweep;
 3. the settle read-out of k(0), from that sweep at the nodes 2^-m;
 4. the lockstep walk of the later sweeps over the ``efunc._blocks`` blocks
-   of probes, until the change per sweep falls below tol;
+   of probes, until the change per sweep falls below tol, holding one sweep
+   of orbit state and writing f at each orbit's end over f(x) once;
 5. the read-out of f_inf at the probes, from the ends of those orbits, and
-   at their images from the same walk (read at the probes when that rule
-   finds h shifting probes onto probes, as halve does, else one sweep on,
-   as the orbit of h(x) is that of x one sweep later), and the residual.
+   at their images from the same walk (read at the probes, in one buffer with
+   them, when that rule finds h shifting probes onto probes, as halve does,
+   else one sweep on, block by block, as the orbit of h(x) is that of x one
+   sweep later), and the residual.
 
 So f runs at most ``iterations + 2`` times over the grid (fewer under
 halve), and f_inf returns a fresh copy of these values for points bitwise
@@ -224,10 +226,11 @@ class _Orbits:
         f(h(x)) by order-one amounts (ln of a subnormal moves in steps), and
         the true shift has settled to its limit long before such depths.
         """
+        # starmap, unlike a generator expression, holds no sweep's arrays while suspended
         if self.kf is None:
             orbit = _orbit(self.h, x, sweeps, True, self.f, *start)
-            return ((n, i, self.lam * fy - fhy - self.k0, fhy) for n, i, _, fy, _, fhy in orbit)
-        return ((n, i, self.kf(y) - self.k0, None) for n, i, y, *_ in _orbit(self.h, x, sweeps))
+            return itertools.starmap(lambda n, i, _, fy, __, fhy: (n, i, self.lam * fy - fhy - self.k0, fhy), orbit)
+        return itertools.starmap(lambda n, i, y, *_: (n, i, self.kf(y) - self.k0, None), _orbit(self.h, x, sweeps))
 
     def walk(self, nodes: np.ndarray, sweep: list, tol: float) -> tuple:
         """Stage 4: pick the probes and sweep their orbits until the change per sweep, lam^(-n-1) |k_s(h^n x)|
@@ -243,22 +246,25 @@ class _Orbits:
         derived = self.kf is None
         start = [a[j:] for a in sweep] if derived else [np.asarray(self.f(probes), dtype=float)]
         images = start[1] if derived else _blockwise(self.h, probes)
-        fscale = 1.0 + np.abs(start[0])
-        # per probe, the last depth m of a derived k's orbit and f there, over f(x)
+        # per probe, a derived k's last depth m; f(x), the scale while the orbit lives, then f there
         f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
         walks = [(s, self.shifts(probes[s], _MAX_ITERS + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
         sweep.clear()  # only the walks hold f(h(x)) now, and drop it as they move on
         del start
+        last = [None] * len(walks)  # per block, (i, f(h(y))) of a derived k's last live sweep
         hull_max, last_change = 0.0, math.inf
         for n in range(_MAX_ITERS):
             sups, changes = [0.0], [0.0]
-            for s, walk in walks:
+            for b, (s, walk) in enumerate(walks):
+                ended, last[b] = last[b], None
                 for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
-                    if derived:
-                        f_end[s][i], m[s][i] = fhy, n + 1
-                    akv = np.abs(kv)
+                    akv = np.abs(kv, out=kv)
                     sups.append(np.max(akv))
-                    changes.append(np.max(akv / fscale[s][i]))
+                    changes.append(np.max(akv / (1.0 + np.abs(f_end[s][i]))))
+                    if derived:
+                        m[s][i], last[b] = n + 1, (i, fhy)
+                if ended is not None:  # the probes whose orbits ended at sweep n
+                    _write_ends(f_end[s], m[s], n, *ended)
             hull_max = max(hull_max, float(np.max(sups)))  # as over the whole sweep, a NaN included
             last_change = float(self.lam ** (-n - 1) * np.max(changes))
             if last_change < tol:
@@ -266,6 +272,9 @@ class _Orbits:
         else:
             raise ConvergenceFailure(f"no convergence within {_MAX_ITERS} sweeps; "
                                      f"last sup-change {last_change:.3g}")
+        for (s, _), ended in zip(walks, last):  # the orbits still live at the last sweep
+            if ended is not None:
+                _write_ends(f_end[s], m[s], n + 1, *ended)
         self.iterations, self.last_change = n + 1, last_change
         self.slack = self.lam ** (-self.iterations) * hull_max
         self.decay = self.lam ** -np.arange(self.iterations + 1.0)
@@ -278,28 +287,37 @@ class _Orbits:
         onto = _node_shift(probes, images) if derived else None
         if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
             at_images = np.empty(probes.size)
-            for s, walk in walks:
-                fe, d = f_end[s].copy(), m[s].astype(int) - 1
-                for _, i, _, fhy in itertools.islice(walk, 1):
-                    fe[i], d[i] = fhy, self.iterations
-                at_images[s] = self.decay[d] * (fe + self.shift)
-                if np.any(lost := d < 0):  # no live sweep: the image is walked
-                    at_images[s][lost] = self(images[s][lost])
-        del walks, ends  # a suspended walk holds its last sweep's arrays
+            while walks:  # a suspended walk holds its last sweep's arrays: each goes once read
+                self._at_images(*walks.pop(0), f_end, m, images, at_images)
+        walks.clear()  # the other read-outs walk no further
         if not derived:
             at_probes, at_images = self(probes), self(images)
-        else:
-            at_probes = f_end
-            at_probes += self.shift
-            at_probes *= self.decay[m]
+        else:  # under a node shift the values at the probes and at their images share one buffer
+            buf = f_end if onto is None else np.empty(probes.size + onto)
+            at_probes = buf[: probes.size]
+            for s in _blocks(probes.size):
+                np.add(f_end[s], self.shift, out=at_probes[s])
+                at_probes[s] *= self.decay[m[s]]
             if onto is not None:  # read there, and walk only the images past the last probe
-                at_images = np.concatenate([at_probes[onto:], self(images[probes.size - onto :])])
+                buf[probes.size :] = self(images[probes.size - onto :])
+                at_images = buf[onto:]
         # symmetric in its operands, the residual overwrites only the second
         residual, _ = _max_residual((s.start, at_images[s], self.lam * at_probes[s]) for s in _blocks(probes.size))
         self.held += [(probes, at_probes), (images, at_images)]
         if not residual <= tol:  # a NaN fails too
             raise ToleranceFailure(f"functional-equation residual {residual:.3g} exceeds tol {tol:g}")
         return residual
+
+    def _at_images(self, s: slice, walk, f_end, m, images, at_images) -> None:
+        """f_inf at the images of the probes of block s, from their walk one sweep on."""
+        at, d = at_images[s], m[s].astype(int) - 1
+        at[:] = f_end[s]
+        for _, i, _, fhy in itertools.islice(walk, 1):
+            at[i], d[i] = fhy, self.iterations
+        at += self.shift
+        at *= self.decay[d]
+        if np.any(lost := d < 0):  # no live sweep: the image is walked
+            at[lost] = self(images[s][lost])
 
     def series(self, x, term=None):
         """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
@@ -337,6 +355,12 @@ class _Orbits:
         return (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape)
 
 
+def _write_ends(f_end: np.ndarray, m: np.ndarray, n: int, i, fhy: np.ndarray) -> None:
+    """Write f(h(y)) over f(x) at the probes i of a sweep whose orbits ended before sweep n (depth m <= n)."""
+    if np.any(ended := m[i] <= n):
+        f_end[i] = np.where(ended, fhy, f_end[i])
+
+
 def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, fhy=None):
     """Walk the orbits h^n(x) of the flat array x, one sweep for each n < sweeps.
 
@@ -367,8 +391,9 @@ def _orbit(h, x, sweeps: int, floored: bool = False, f=None, fy=None, hy=None, f
                 fy = np.asarray(f(y), dtype=float)
             if fhy is None:
                 fhy = np.asarray(f(hy), dtype=float)
-        yield n, i, y, fy, hy, fhy
+        step = [(n, i, y, fy, hy, fhy)]  # handed over, so a suspended walk holds only the next y and f(y)
         y, fy, hy, fhy = hy, fhy, None, None
+        yield step.pop()
 
 
 def _octave_nodes(g: GridSpec) -> np.ndarray:

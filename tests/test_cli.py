@@ -376,8 +376,9 @@ class TestClassifyCommand:
         [
             ({"builtin": "std_log", "params": [2]}, "flow source 'params': too many parameters for std_log"),
             ({"builtin": "nope"}, "flow source 'builtin': unknown builtin 'nope'"),
+            ({"builtin": "bounded_osc", "params": [math.nan]}, "flow source 'params': bounded_osc amplitude must be"),
         ],
-        ids=["params", "builtin"],
+        ids=["params", "builtin", "nan-param"],
     )
     def test_flow_builtin_errors_name_the_key(self, capsys, tmp_path, source, message):
         # regression: exit 2 with the builtin's own message, naming no key
@@ -601,6 +602,15 @@ class TestFlagSurface:
         err = capsys.readouterr().err
         assert flag in err.strip().splitlines()[-1] and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("amp", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["sigma"], ["roundtrip"], ["linearize", "--homeo", "halve", "--lambda", "2"],
+                                      ["classify"], ["plot"]], ids=lambda a: a[0])
+    def test_non_finite_param_is_usage_error(self, capsys, tmp_path, argv, amp):
+        # regression: taken, and the run failed later with "transit target not positive at
+        # leaf c = 0.499324", "witness relation ... residual nan" or "non-finite value at grid node"
+        assert_usage_error(capsys, tmp_path, f"--param: bounded_osc amplitude must be finite and >= 0, got {amp}",
+                           argv[0], "--builtin", "bounded_osc", f"--param={amp}", *argv[1:])
 
     def test_each_subcommand_declares_the_flags_it_reads(self):
         ap = build_parser()

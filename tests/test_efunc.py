@@ -60,6 +60,12 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="amplitude"):
             builtin("bounded_osc", [-1.0])
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_is_rejected(self, amp):
+        # regression: taken, and the run failed later with a message naming neither
+        with pytest.raises(ValueError, match=f"^bounded_osc amplitude must be finite and >= 0, got {amp:g}$"):
+            builtin("bounded_osc", [amp])
+
     @pytest.mark.parametrize(
         "name,params,takes", [("std_log", [2.0], 0), ("doubling_osc", [1.0], 0), ("koenigs_demo", [1.0, 2.0], 0),
                               ("bounded_osc", [2.0, 3.0], 1)]

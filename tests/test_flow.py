@@ -277,6 +277,32 @@ class TestHeldValues:
         x = g.nodes()
         assert np.concatenate(calls).tobytes() == x[x <= F.c1].tobytes()
 
+    @pytest.mark.parametrize("gid", HELD_GRIDS)
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_held_values_are_the_transit_target(self, held_flows, name, gid):
+        # build_flow keeps T, so flow_classify on the build grid runs no transit pass
+        F = held_flows[name, gid]
+        f, x, T = F.held
+        assert f is F.source and not T.flags.writeable
+        assert T.tobytes() == dataclasses.replace(F, held=None).transit(x).tobytes()
+
+    @pytest.mark.parametrize("gid", HELD_GRIDS)
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_a_transit_over_held_nodes_is_a_copy(self, held_flows, name, gid):
+        F = held_flows[name, gid]
+        _, x, T = F.held
+        before = T.tobytes()
+        nodes = HELD_GRIDS[gid].nodes()
+        for c in (x, x[5:], nodes, nodes.copy()):
+            out = F.transit(c)
+            assert not np.shares_memory(out, T) and out.flags.writeable
+            out /= 3.0  # what _transition does with a time-scaled flow
+        for lam in (1.7, 1e-3):
+            G = time_scale(F, lam)
+            transition_time(G, x=float(x[7]))
+            extract_transition(G)(x)
+        assert T.tobytes() == before
+
     def test_another_source_never_reads_the_held_values(self, held_flows):
         F, other = held_flows["std_log", "4096x60"], builtin("bounded_osc", (2.0,))
         G = dataclasses.replace(F, source=other)
@@ -608,8 +634,12 @@ class TestSerialization:
             ({"builtin": "bounded_osc", "params": [2, 3]}, "flow source 'params': too many parameters for"),
             ({"builtin": "bounded_osc", "params": [-1]}, "flow source 'params': bounded_osc amplitude must"),
             ({"builtin": "nope"}, "flow source 'builtin': unknown builtin 'nope'; "),
+            ({"builtin": "bounded_osc", "params": [math.nan]},
+             "flow source 'params': bounded_osc amplitude must be finite and >= 0, got nan"),
+            ({"builtin": "bounded_osc", "params": [math.inf]},
+             "flow source 'params': bounded_osc amplitude must be finite and >= 0, got inf"),
         ],
-        ids=["std_log-param", "bounded_osc-two", "bounded_osc-negative", "unknown"],
+        ids=["std_log-param", "bounded_osc-two", "bounded_osc-negative", "unknown", "bounded_osc-nan", "bounded_osc-inf"],
     )
     def test_builtin_errors_name_the_key(self, spec, message):
         # regression: the builtin's own message, naming no key of the config

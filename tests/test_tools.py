@@ -72,3 +72,22 @@ def test_no_function_in_linearize_is_longer_than_60_lines():
     spans = dict(load_size_tool().spans(ROOT / "src" / "reebflow" / "linearize.py"))
     assert "koenigs_limit" in spans
     assert max(spans.values()) <= 60, spans
+
+
+PEAK = ROOT / "tools" / "peak_mem.py"
+
+
+def test_peak_mem_measures_a_warm_call_on_a_small_grid():
+    spec = importlib.util.spec_from_file_location("peak_mem", PEAK)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    g = tool.rf.GridSpec(64, 24)
+    calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
+    calls += [tool.flow_call(name, g) for name in tool.GALLERY]
+    for call in calls:
+        peak, held, faults = tool.measure(call)
+        assert 0 < held <= peak and faults >= 0
+    # under square the result holds three arrays over the probes, all nodes but x = 1:
+    # the images, f_inf there and f_inf at the probes
+    _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))
+    assert held >= 3 * 8 * (g.node_count - 1)

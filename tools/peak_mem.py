@@ -1,0 +1,80 @@
+"""Print the memory cost of one warm call of the flow-linearize computations.
+
+At the grid (4096, 60) it measures ``koenigs_limit`` with lam = 2 and a
+derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
+and ``build_flow`` plus ``flow_classify`` on the build grid for the four
+gallery profiles.  Each call runs once to warm the caches (the grid nodes),
+then once more for each measurement, and prints three numbers:
+
+* the traced peak, the most memory the call had allocated at once (``tracemalloc``);
+* the bytes its result still holds after it returns (``tracemalloc``);
+* the minor page faults the call took, from ``resource.getrusage`` of this
+  process, in a call with tracing off.
+
+The package is imported from this checkout's ``src``.  Run from anywhere:
+
+    python tools/peak_mem.py
+"""
+
+from __future__ import annotations
+
+import resource
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import reebflow as rf  # noqa: E402
+
+GRID = rf.GridSpec(4096, 60)
+KOENIGS = (("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve"))
+GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
+MIB = 1 << 20
+
+
+def koenigs_call(name: str, hid: str, g: rf.GridSpec):
+    """One ``koenigs_limit`` of the builtin ``name`` under ``hid``, lam = 2, derived shift."""
+    f, h, cfg = rf.builtin(name), rf.gallery_homeo(hid), rf.LinearizeConfig(2.0, g)
+    return lambda: rf.koenigs_limit(f, h, None, cfg)
+
+
+def flow_call(name: str, g: rf.GridSpec):
+    """``build_flow`` of the builtin ``name`` on g, and ``flow_classify`` of that flow on g."""
+    f = rf.builtin(name)
+
+    def call():
+        F = rf.build_flow(f, g=g)
+        return F, rf.flow_classify(F, g=g)
+
+    return call
+
+
+def measure(call) -> tuple[int, int, int]:
+    """(traced peak bytes, bytes the result holds, minor faults) of one warm ``call()``."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak, held, faults
+
+
+def main() -> None:
+    cases = [(f"koenigs_limit {name}/{hid}", koenigs_call(name, hid, GRID)) for name, hid in KOENIGS]
+    cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID)) for name in GALLERY]
+    print(f"grid {GRID.samples_per_octave},{GRID.octave_max}: peak MiB, held MiB, minor faults per warm call")
+    for label, call in cases:
+        peak, held, faults = measure(call)
+        print(f"{label:40s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d}")
+
+
+if __name__ == "__main__":
+    main()
