@@ -85,17 +85,19 @@ class GridSpec:
         return _tail_nodes(self.samples_per_octave, self.tail_octaves)
 
     def octave_envelopes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-octave max and min of ``values`` over each :meth:`octave_slice`
-        window, in one reduction over a strided view.
+        """Per-octave max and min of ``values``, one reduction each over :meth:`octave_windows`."""
+        windows = self.octave_windows(values)
+        return windows.max(axis=1), windows.min(axis=1)
+
+    def octave_windows(self, values: np.ndarray) -> np.ndarray:
+        """The :meth:`octave_slice` windows of ``values`` as the q rows of one strided view.
 
         ``values`` holds one value per node of q whole octaves and the node
-        that ends them, q*K + 1 in all, and gives q windows: the whole grid,
-        or one octave-aligned block of a streaming pass, which reduces each
-        window as the whole grid does.
+        that ends them, q*K + 1 in all: the whole grid, or one octave-aligned
+        block of a streaming pass, which reduces each window as the whole grid does.
         """
-        K = self.samples_per_octave
-        windows = np.lib.stride_tricks.sliding_window_view(values, K + 1)[::K]
-        return windows.max(axis=1), windows.min(axis=1)
+        K, v = self.samples_per_octave, np.ascontiguousarray(values)
+        return np.ndarray(((len(v) - 1) // K, K + 1), v.dtype, v, strides=(K * v.itemsize, v.itemsize))
 
     def octave_slice(self, m: int) -> slice:
         """Indices of the nodes in the window [2^-(m+1), 2^-m] (both ends in)."""
@@ -161,8 +163,9 @@ class EFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if arr.size:
-            self._check_domain(float(np.min(arr)), float(np.max(arr)))
+        if arr.size:  # every x, NaN too, passes an infinite upper bound: the max is taken for a finite one
+            hi = self.domain[1]
+            self._check_domain(float(np.min(arr)), float(np.max(arr)) if hi < math.inf else hi)
         out = self.fn(arr)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
@@ -292,10 +295,10 @@ _EXPR_NS = {
 def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
     """A function of ``x`` from an expression over a small numpy namespace.
 
-    The result has the shape of ``x``.  A syntax error, a name outside the
-    namespace, or an error while evaluating is a ValueError naming the
-    expression.  The namespace is restricted to elementary functions, not a
-    sandbox against hostile input.
+    The result is a new array of the shape of ``x``, a copy only of x, a view of x
+    or a constant.  A syntax error, a name outside the namespace, or an error
+    while evaluating is a ValueError naming the expression.  The namespace is
+    restricted to elementary functions, not a sandbox against hostile input.
     """
     try:
         code = compile(expr, f"<{what}>", "eval")
@@ -308,8 +311,9 @@ def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
     def fn(x, _code=code):
         x = np.asarray(x, dtype=float)
         try:
-            out = eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x})  # noqa: S307
-            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+            out = np.asarray(eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x}), dtype=float)  # noqa: S307
+            fresh = out.shape == x.shape and not np.may_share_memory(out, x)
+            return out if fresh else np.broadcast_to(out, x.shape).copy()
         except Exception as exc:
             raise ValueError(f"{what} expression {expr!r} failed: {exc}") from exc
 
@@ -416,19 +420,21 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return out
 
 
-def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """f at the nodes of g, one octave-aligned block at a time.
+def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> Iterator[tuple]:
+    """f at the nodes of g, one octave-aligned block at a time, with its octave envelopes.
 
-    Yields ``(lo, v)``: v holds f at the nodes lo .. lo + len(v) - 1, that is
-    q = max(1, 2^15 // K) whole octaves (fewer in the last block) and the
-    node that ends them, so the blocks share their end nodes and f is
-    evaluated at each node once.  v is a view of ``fv`` when it is given,
+    Yields ``(lo, v, (sups, mins))``: v holds f at the nodes lo .. lo + len(v) - 1, that is
+    q = max(1, 2^15 // K) whole octaves (fewer in the last block) and the node that ends
+    them, so the blocks share their end nodes and f is evaluated at each node once, and
+    sups and mins are the octave envelopes of v.  v is a view of ``fv`` when it is given,
     else a buffer that the next block overwrites.
 
     The domain of f is checked once, against the first and last nodes; then
     ``f.fn`` runs on each block, so f must be elementwise: its value at x
     may not depend on the other points of the array.  A non-finite value is
-    reported after the last block, so every block is evaluated first.
+    reported after the last block, so every block is evaluated first.  NaN and
+    +-inf survive max and min, so only a block whose envelopes are not finite
+    is searched node by node for its first non-finite value.
     """
     x = g.nodes()
     n = len(x)
@@ -450,9 +456,10 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> I
         except Exception as exc:  # pragma: no cover - defensive wrapper
             raise DomainError(f"evaluation failed on grid: {exc}") from exc
         end = v[-1]
-        if bad is None and not np.isfinite(v).all():
+        sups, mins = g.octave_envelopes(v)
+        if bad is None and not (math.isfinite(sups.max()) and math.isfinite(mins.min())):
             bad = float(x[lo + int(np.argmin(np.isfinite(v)))])
-        yield lo, v
+        yield lo, v, (sups, mins)
     if bad is not None:
         raise DomainError(f"non-finite value at grid node x={bad!r}")
 
@@ -485,7 +492,7 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     """
     try:
         fg = fit_grid(f, g)
-        envelopes = [fg.octave_envelopes(v) for _, v in _octave_blocks(f, fg)]
+        envelopes = [env for _, _, env in _octave_blocks(f, fg)]
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
     sups, mins = (np.concatenate(e) for e in zip(*envelopes))

@@ -230,12 +230,15 @@ class Flow:
 
 def _held_run(F: Flow, c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(c[:p], T(c[p:])) for the longest run c[p:] of ``F.held`` nodes that ends c, else (c, None):
-    one bisect finds c[-1] among them, and c[p] is compared before the run (``==`` is bitwise there)."""
+    one bisect finds c[-1] among them, and c[p] is compared before the run (``==`` is bitwise there),
+    which is compared node by node only when it is not the held nodes' own memory."""
     if F.held is not None and F.held[0] is F.source and c.ndim == 1 and c.size:
         _, x, vals = F.held
         i = bisect.bisect_left(x, -float(c[-1]), key=operator.neg) + 1  # the run ends at x[i - 1]
         m = min(i, c.size)
-        if i <= len(x) and x[i - 1] == c[-1] and x[i - m] == c[-m] and np.array_equal(x[i - m : i], c[-m:]):
+        run = x[i - m : i]
+        own = run.__array_interface__ == c[-m:].__array_interface__  # address, strides, shape and dtype
+        if i <= len(x) and x[i - 1] == c[-1] and x[i - m] == c[-m] and (own or np.array_equal(run, c[-m:])):
             return c[: c.size - m], vals[i - m : i]
     return c, None
 
@@ -264,11 +267,12 @@ def build_flow(
     that dips below the lift between grid nodes raises DomainError there.
 
     The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
-    over them once, and the check reads f + shift back and writes the
-    target T over it, one block of ``efunc._blocks`` at a time, so neither
-    makes a grid-sized temporary.  The flow keeps T at those nodes as
-    ``held``, so a transit over a run of them (``flow_classify`` on the same
-    grid) copies T and computes no target there.
+    over them once, then one block of ``efunc._blocks`` at a time takes the lift
+    in place and T over it, so neither makes a grid-sized temporary: in (0, c0]
+    T is f + shift itself, checked by one reduction, and only the blend block
+    takes logs and masks.  The flow keeps T at those nodes as ``held``, so a
+    transit over a run of them (``flow_classify`` on the same grid) copies T
+    and computes no target there.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -280,9 +284,10 @@ def build_flow(
     vals = _blockwise(f, x)
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
-    # a flow that is not positive on the grid fails here; T replaces f in vals
+    # a flow that is not positive on the grid fails here; T replaces f + shift in vals
     for s in _blocks(len(x)):
-        vals[s] = _transit_target(x[s], lambda at, v=vals[s]: v[at] + shift, c0, c1)
+        v = np.add(vals[s], shift, out=vals[s])  # the lift, in place
+        vals[s] = _transit_target(x[s], v.__getitem__, c0, c1)  # a block in (0, c0] gets v[...] back
     vals.setflags(write=False)
     return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, x, vals))
 
@@ -315,8 +320,8 @@ def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
             w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
             u = w * w * (3.0 - 2.0 * w)
             out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
-    bad = below & ~(out > 0.0)
-    if np.any(bad):
+    if not out.min(initial=math.inf, where=below) > 0.0:  # one reduction; a NaN fails it too
+        bad = below & ~(out > 0.0)
         raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
     return out
 

@@ -143,12 +143,16 @@ def _profile_pass(
     variant: str,
     fv: np.ndarray | None = None,
     vals: np.ndarray | None = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], float, float | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None], float | None, float | None]:
     """One pass of f over g: the octave envelopes of f and of its star or sharp profile.
 
     Returns ``((f_sups, f_mins), (sups, mins), cell_oscillation, tail_max)``.
     ``fv`` and ``vals``, when given, receive f and the profile at every
-    node; without them the pass holds only buffers of one block.
+    node; without them the pass holds only buffers of one block.  Per block
+    only a held profile (``vals`` given) reduces the profile to its octave
+    minima and runs the three passes of the cell oscillation (difference,
+    abs, max); a streamed one returns None for both, which ``sigma_estimate``
+    and ``classify`` do not read.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
@@ -172,22 +176,19 @@ def _profile_pass(
                 f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}"
             )
         tail_max = float(tv.max())
-    f_env, p_env = [], []
-    run = jumps = None
-    cell = 0.0  # the largest |f(x_{i+1}) - f(x_i)|
+    f_env, sups, mins = [], [], []
+    cell = None if vals is None else 0.0  # the largest |f(x_{i+1}) - f(x_i)|
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
     # the non-finite value as a DomainError after the last block
     with np.errstate(invalid="ignore"):
-        for lo, fb in _octave_blocks(f, g, fv):
+        for lo, fb, env in _octave_blocks(f, g, fv):
             m = len(fb)
-            if jumps is None:  # the first block is the longest
-                jumps = np.empty(m - 1)
-                if vals is None:
-                    run = np.empty(m)
+            if not lo:  # the first block is the longest; buf holds the running max, or the jumps
+                buf = np.empty(m if vals is None else m - 1)
             # rm[0] is the running max at the block's first node: there f itself
             # on the first block (the max of -inf and f, as for the whole array),
             # else the value carried from the previous block's end node
-            rm = run[:m] if vals is None else vals[lo : lo + m]
+            rm = buf[:m] if vals is None else vals[lo : lo + m]
             rm[0] = carry if lo else fb[0]
             rm[1:] = fb[1:]
             _running_max(rm)
@@ -195,14 +196,16 @@ def _profile_pass(
             if tail_max is not None:  # sharp: the tail max joins after the accumulation
                 np.maximum(rm, tail_max, out=rm)
             np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
-            f_env.append(g.octave_envelopes(fb))
-            p_env.append(g.octave_envelopes(rm))
-            d = jumps[: m - 1]
-            np.subtract(fb[1:], fb[:-1], out=d)
-            cell = max(cell, float(np.abs(d, out=d).max()))
+            f_env.append(env)
+            windows = g.octave_windows(rm)
+            sups.append(windows.max(axis=1))
+            if vals is not None:  # a held profile: its minima and the cell oscillation
+                mins.append(windows.min(axis=1))
+                d = buf[: m - 1]
+                np.subtract(fb[1:], fb[:-1], out=d)
+                cell = max(cell, float(np.abs(d, out=d).max()))
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
-    sups, mins = (np.concatenate(e) for e in zip(*p_env))
-    return (f_sups, f_mins), (sups, mins), cell, tail_max
+    return (f_sups, f_mins), (np.concatenate(sups), np.concatenate(mins) if mins else None), cell, tail_max
 
 
 # the values after the carry that _running_max takes as one chunk

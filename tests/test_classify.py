@@ -18,6 +18,7 @@ from reebflow import (
     check_witness,
     classify,
     diagnose_class,
+    extract_transition,
     flow_classify,
     from_csv,
     from_expression,
@@ -398,6 +399,17 @@ class TestFlowClassify:
     def test_realized_bounded_osc(self, grid):
         rep = flow_classify(build_flow(builtin("bounded_osc", [2.0]), g=grid), g=grid)
         assert rep.verdict == "nonstandard"
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("name", ["std_log", "doubling_osc", "bounded_osc"])
+    def test_multi_block_sigma_matches_the_whole_array_profile(self, name, lam):
+        # flow_classify streams the held transit target over three blocks and keeps
+        # only the profile's octave maxima: they are those of one whole-array pass
+        F = time_scale(build_flow(builtin(name), g=MULTI), lam)
+        fx = extract_transition(dataclasses.replace(F, held=None))(MULTI.nodes())
+        star = np.maximum.accumulate(fx) - fx
+        want = np.array([star[MULTI.octave_slice(m)].max() for m in MULTI.octaves()])
+        assert flow_classify(F, g=MULTI).sigma.s_m.tobytes() == want.tobytes()
 
     def test_shift_recorded_in_report(self, grid):
         F = build_flow(builtin("bounded_osc", [2.0]), g=grid)

@@ -16,7 +16,7 @@ from reebflow import (
     from_expression,
     sample,
 )
-from reebflow.efunc import _BLOCK, write_csv
+from reebflow.efunc import _BLOCK, compile_expr, write_csv
 
 
 class TestBuiltins:
@@ -80,6 +80,19 @@ class TestBuiltins:
             builtin("std_log")(-1.0)
         with pytest.raises(DomainError):
             builtin("std_log")(np.array([0.5, 0.0]))
+
+    def test_nan_passes_a_full_domain_as_before(self):
+        # with no finite upper bound the max of x is not taken; NaN still reaches f
+        f = builtin("std_log")
+        for x in ([0.5, math.nan], [math.nan, 0.25], [math.nan]):
+            assert f(np.array(x)).tobytes() == (-np.log(np.array(x))).tobytes()
+        assert math.isnan(f(math.nan))
+
+    def test_full_domain_takes_no_max(self, monkeypatch):
+        f, x = builtin("koenigs_demo"), np.array([1.0, 0.5, 2.0**-40])
+        want = f(x)
+        monkeypatch.setattr(np, "max", None)
+        assert f(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name,params", [("std_log", ()), ("doubling_osc", ())])
     def test_divergence_toward_zero(self, name, params):
@@ -175,6 +188,39 @@ class TestSample:
         g = GridSpec(samples_per_octave=2, octave_max=2)
         v = sample(from_expression("5.0 + 0*x"), g)
         assert v.shape == g.nodes().shape and np.all(v == 5.0)
+
+
+class TestExpression:
+    A = np.array([1.0, 0.5, 0.25, 2.0**-40])
+
+    @pytest.mark.parametrize("expr", ["x", "x[:]", "x[::-1]", "abs(x)", "-log(x) + sin(x)"])
+    def test_result_is_a_new_array(self, expr):
+        a = self.A.copy()
+        out = from_expression(expr)(a)
+        assert not np.shares_memory(out, a) and out.flags.writeable
+        out[:] = 7.0
+        assert a.tobytes() == self.A.tobytes()
+
+    @pytest.mark.parametrize("expr", ["5.0", "pi", "1"])
+    def test_constant_has_the_shape_of_x(self, expr):
+        fn = compile_expr(expr, "function")
+        for x in (self.A, self.A.reshape(2, 2), np.float64(0.5)):
+            out = fn(x)
+            assert out.shape == np.shape(x) and np.all(out == float(eval(expr, {"pi": math.pi})))
+        out = from_expression("5.0")(self.A)
+        out[0] = 1.0  # each element its own: not a broadcast view
+        assert out.tolist() == [1.0, 5.0, 5.0, 5.0]
+
+    def test_a_new_result_is_not_copied(self, monkeypatch):
+        fn, want = compile_expr("-log(x)", "function"), -np.log(self.A)
+        monkeypatch.setattr(np, "broadcast_to", None)
+        assert fn(self.A).tobytes() == want.tobytes()
+
+    def test_bits_are_those_of_the_numpy_expression(self):
+        a = GridSpec(64, 24).nodes()
+        for expr, want in (("x", a), ("-log(x) + 0.3*sin(log(x))", -np.log(a) + 0.3 * np.sin(np.log(a))),
+                           ("exp2(sin(2*pi*log2(x)))/x", np.exp2(np.sin(2 * math.pi * np.log2(a))) / a)):
+            assert from_expression(expr)(a).tobytes() == want.tobytes()
 
     def test_deterministic_bitwise(self, grid):
         f = builtin("doubling_osc")
@@ -301,6 +347,13 @@ class TestCsv:
             f(0.1)
         with pytest.raises(DomainError):
             f(2.0)
+
+    def test_above_the_range_is_outside_the_domain(self, tmp_path):
+        # a finite upper bound still takes the max of x
+        f = from_csv(self._write(tmp_path, "x,f\n1,0\n0.25,2\n"))
+        for x in (np.array([0.5, 1.0 + 2**-52]), np.array([4.0, 0.5, 0.3])):
+            with pytest.raises(DomainError, match=r"^evaluation outside domain \[0\.25, 1\] for csv:"):
+                f(x)
 
 
 class TestWriteCsv:

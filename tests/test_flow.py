@@ -27,7 +27,7 @@ from reebflow import (
     time_scale,
     transition_time,
 )
-from reebflow.flow import _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
+from reebflow.flow import _held_run, _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 # 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
@@ -302,6 +302,31 @@ class TestHeldValues:
             transition_time(G, x=float(x[7]))
             extract_transition(G)(x)
         assert T.tobytes() == before
+
+    def test_held_run_takes_the_held_memory_and_equal_copies(self, held_flows, monkeypatch):
+        F = held_flows["std_log", "4096x60"]
+        _, x, T = F.held
+        nodes = DEEP.nodes()
+        start = len(nodes) - len(x)  # x is the suffix of the grid nodes below c1
+        own = (x[5:300], nodes[start + 5 : start + 300])
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", None)  # the held nodes' own memory is not compared node by node
+            for c in own:
+                lead, run = _held_run(F, c)
+                assert lead.size == 0 and run.tobytes() == T[5:300].tobytes()
+            c = nodes[start - 3 : start + 300]  # three nodes above c1 lead the run
+            lead, run = _held_run(F, c)
+            assert lead.tobytes() == c[:3].tobytes() and run.tobytes() == T[:300].tobytes()
+        lead, run = _held_run(F, x[5:300].copy())
+        assert lead.size == 0 and run.tobytes() == T[5:300].tobytes()
+
+    def test_held_run_refuses_shifted_nodes(self, held_flows):
+        F = held_flows["std_log", "4096x60"]
+        x = F.held[1]
+        nudged = x[5:300].copy()
+        nudged[100] = np.nextafter(nudged[100], 0.0)  # both ends still held nodes
+        for c in (np.nextafter(x[5:300], 0.0), nudged, x[5:300:2], x[300:5:-1]):
+            assert _held_run(F, c)[1] is None
 
     def test_another_source_never_reads_the_held_values(self, held_flows):
         F, other = held_flows["std_log", "4096x60"], builtin("bounded_osc", (2.0,))

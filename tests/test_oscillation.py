@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reebflow import (
+    DomainError,
     EFunction,
     EquivalenceWitness,
     GridSpec,
@@ -17,13 +19,14 @@ from reebflow import (
     from_expression,
     gallery_homeo,
     homeo_from_expression,
+    sample,
     sharp_profile,
     sigma_estimate,
     star_identity_suite,
     star_profile,
 )
 from reebflow.efunc import _BLOCK, _blocks
-from reebflow.oscillation import _CHUNK, _running_max, as_shift, sigma_from_profile
+from reebflow.oscillation import _CHUNK, _profile_pass, _running_max, as_shift, sigma_from_profile
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -509,6 +512,59 @@ class TestBlockedPasses:
         f = tabulated(values, MULTI, tail)
         prof = star_profile(f, MULTI) if variant == "star" else sharp_profile(f, MULTI)
         assert_profile_bits(prof, f, MULTI)
+        assert bits(sigma_estimate(f, MULTI, variant, tail_window=1).s_m) == bits(prof.octave_sup)
+
+    @pytest.mark.parametrize(
+        "name,variant", [("doubling_osc", "sharp"), ("doubling_osc", "star"), ("bounded_osc", "star")]
+    )
+    def test_streamed_sigma_keeps_the_whole_array_suprema(self, name, variant):
+        # sigma_estimate takes only the octave maxima of the profile, block by block
+        f = builtin(name)
+        vals = whole_profile(f, MULTI, variant)[0]
+        want = [vals[MULTI.octave_slice(m)].max() for m in MULTI.octaves()]
+        assert bits(sigma_estimate(f, MULTI, variant, tail_window=1).s_m) == bits(want)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "g,at",
+        [
+            (MULTI, (0,)),  # the first node
+            (MULTI, (_BLOCK,)),  # the end node the first two blocks share
+            (MULTI, (2 * _BLOCK, 40000)),  # the next shared end node, before a later one
+            (MULTI, (2 * _BLOCK + 5000, MULTI.node_count - 1)),  # in the last, partial block
+            (MULTI, (MULTI.node_count - 1,)),  # the last node
+            (ONE_NODE_TAIL, (0,)),
+            (ONE_NODE_TAIL, (ONE_NODE_TAIL.samples_per_octave,)),  # where two octave windows meet
+            (ONE_NODE_TAIL, (20000, ONE_NODE_TAIL.node_count - 1)),
+            (ONE_NODE_TAIL, (ONE_NODE_TAIL.node_count - 1,)),
+        ],
+        ids=["multi-first", "multi-edge", "multi-edge2", "multi-partial", "multi-last",
+             "tail-first", "tail-window", "tail-mid", "tail-last"],
+    )
+    def test_non_finite_is_named_at_its_first_node(self, g, at, value):
+        # the blocks read finiteness off the octave envelopes; the node named is
+        # the first where np.isfinite fails over the whole array
+        values = -np.log(g.nodes())
+        values[list(at)] = value
+        want = float(g.nodes()[np.argmin(np.isfinite(values))])
+        f = tabulated(values, g)
+        for run in (sample, star_profile, sigma_estimate, classify):
+            with pytest.raises(DomainError, match=f"^non-finite value at grid node x={re.escape(repr(want))}$"):
+                run(f, g)
+
+    @pytest.mark.parametrize("variant", ["star", "sharp"])
+    def test_a_streamed_pass_takes_no_minima_and_no_cell_oscillation(self, variant):
+        f = builtin("doubling_osc")
+        _, (sups, mins), cell, _ = _profile_pass(f, MULTI, variant)
+        held = star_profile(f, MULTI) if variant == "star" else sharp_profile(f, MULTI)
+        assert mins is None and cell is None and bits(sups) == bits(held.octave_sup)
+
+    def test_finite_blocks_are_not_searched(self, monkeypatch):
+        f = builtin("bounded_osc")
+        want = [sample(f, MULTI), sigma_estimate(f, MULTI).s_m, classify(f, MULTI).to_json()]
+        monkeypatch.setattr(np, "isfinite", None)  # finiteness is read off the octave envelopes
+        assert bits(sample(f, MULTI)) == bits(want[0]) and bits(sigma_estimate(f, MULTI).s_m) == bits(want[1])
+        assert classify(f, MULTI).to_json() == want[2]
 
     @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
     def test_largest_jump_across_the_last_block_boundary(self, g):
@@ -622,6 +678,7 @@ class TestOctaveAlignedBlocks:
         f = tabulated(values, g, tail)
         prof = star_profile(f, g) if variant == "star" else sharp_profile(f, g)
         assert_profile_bits(prof, f, g)
+        assert bits(sigma_estimate(f, g, variant, tail_window=1).s_m) == bits(prof.octave_sup)
 
     @pytest.mark.parametrize("g,window", [(ODD_K, 8), (WIDE_K, 1)], ids=["K3000", "K40000"])
     def test_sigma_and_classify_match_the_held_profile(self, g, window):

@@ -87,6 +87,9 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     for call in calls:
         peak, held, faults = tool.measure(call)
         assert 0 < held <= peak and faults >= 0
+    # build_flow and flow_classify are timed apart, each by the median of 15 warm calls
+    for call in [tool.koenigs_call("std_log", "square", g), *tool.flow_parts("bounded_osc", g)]:
+        assert tool.wall_ms(call) > 0
     # under square the result holds three arrays over the probes, all nodes but x = 1:
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))

@@ -1,15 +1,18 @@
-"""Print the memory cost of one warm call of the flow-linearize computations.
+"""Print the memory cost and wall time of one warm call of the flow-linearize computations.
 
 At the grid (4096, 60) it measures ``koenigs_limit`` with lam = 2 and a
 derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  Each call runs once to warm the caches (the grid nodes),
-then once more for each measurement, and prints three numbers:
+then once more for each measurement, and prints four numbers:
 
 * the traced peak, the most memory the call had allocated at once (``tracemalloc``);
 * the bytes its result still holds after it returns (``tracemalloc``);
 * the minor page faults the call took, from ``resource.getrusage`` of this
-  process, in a call with tracing off.
+  process, in a call with tracing off;
+* the median wall time of 15 more calls, each timed by ``time.perf_counter``,
+  in ms; ``build_flow`` and ``flow_classify`` (of a flow built once) are
+  timed apart, so a flow row prints two.
 
 The package is imported from this checkout's ``src``.  Run from anywhere:
 
@@ -19,7 +22,9 @@ The package is imported from this checkout's ``src``.  Run from anywhere:
 from __future__ import annotations
 
 import resource
+import statistics
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +37,7 @@ GRID = rf.GridSpec(4096, 60)
 KOENIGS = (("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve"))
 GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
 MIB = 1 << 20
+REPS = 15  # the warm calls whose median wall time is printed
 
 
 def koenigs_call(name: str, hid: str, g: rf.GridSpec):
@@ -51,6 +57,24 @@ def flow_call(name: str, g: rf.GridSpec):
     return call
 
 
+def flow_parts(name: str, g: rf.GridSpec):
+    """``build_flow`` of the builtin ``name`` on g, and ``flow_classify`` of one such flow, apart."""
+    f = rf.builtin(name)
+    F = rf.build_flow(f, g=g)
+    return (lambda: rf.build_flow(f, g=g)), (lambda: rf.flow_classify(F, g=g))
+
+
+def wall_ms(call) -> float:
+    """The median wall time in ms of ``REPS`` warm ``call()``s."""
+    call()
+    times = []
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
 def measure(call) -> tuple[int, int, int]:
     """(traced peak bytes, bytes the result holds, minor faults) of one warm ``call()``."""
     call()
@@ -68,12 +92,16 @@ def measure(call) -> tuple[int, int, int]:
 
 
 def main() -> None:
-    cases = [(f"koenigs_limit {name}/{hid}", koenigs_call(name, hid, GRID)) for name, hid in KOENIGS]
-    cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID)) for name in GALLERY]
-    print(f"grid {GRID.samples_per_octave},{GRID.octave_max}: peak MiB, held MiB, minor faults per warm call")
-    for label, call in cases:
+    cases = [(f"koenigs_limit {name}/{hid}", koenigs_call(name, hid, GRID), [koenigs_call(name, hid, GRID)])
+             for name, hid in KOENIGS]
+    cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID), flow_parts(name, GRID))
+              for name in GALLERY]
+    print(f"grid {GRID.samples_per_octave},{GRID.octave_max}: peak MiB, held MiB, minor faults per warm call;"
+          f" median ms of {REPS} warm calls (build_flow, flow_classify)")
+    for label, call, timed in cases:
         peak, held, faults = measure(call)
-        print(f"{label:40s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d}")
+        ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
+        print(f"{label:40s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
 
 
 if __name__ == "__main__":
