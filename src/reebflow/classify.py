@@ -77,28 +77,21 @@ def classify(
     g: GridSpec,
     tau_std: float = _TAU_STD,
     tau_ns: float = _TAU_NS,
-    variant: str = "star",
-    tail_window: int = _TAIL_WINDOW,
 ) -> ClassificationReport:
     """Verdict from the sigma estimate, with the class-diagnosis warnings.
 
     f is evaluated on g once, in one streaming pass that gives the octave
-    envelopes of f, for the checks of ``diagnose_class``, and of the star or
-    sharp profile, for sigma.  No sample of f or of the profile is held.
-    The provenance is ``f.kind``; shifts and witnesses are left empty.
+    envelopes of f, for the checks of ``diagnose_class``, and of the star
+    profile, for sigma over the final ``_TAIL_WINDOW`` (8) octaves.  No
+    sample of f or of the profile is held.  The provenance is ``f.kind``;
+    shifts and witnesses are left empty.
     """
-    sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns, variant, tail_window)
+    sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns)
     return ClassificationReport(sigma, verdict, tau_std, tau_ns, (), {}, f.kind, warnings)
 
 
 def _classify_pass(
-    f: EFunction,
-    g: GridSpec,
-    tau_std: float,
-    tau_ns: float,
-    variant: str,
-    tail_window: int,
-    fv: np.ndarray | None = None,
+    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, fv: np.ndarray | None = None
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
     """The sigma estimate, verdict and warnings of one pass of f over g.
 
@@ -106,9 +99,9 @@ def _classify_pass(
     """
     if not tau_std < tau_ns:
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
-    (f_sups, f_mins), (sups, _), _, _ = _profile_pass(f, g, variant, fv=fv)
+    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", fv=fv)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
-    sigma = _sigma_from_sups(variant, g, sups, tail_window)
+    sigma = _sigma_from_sups("star", g, sups, _TAIL_WINDOW)
     if sigma.sigma_hat >= tau_ns:
         verdict = "nonstandard"
     elif sigma.sigma_hat < tau_std and sigma.trend == "vanishing":
@@ -149,7 +142,7 @@ def self_similarity_scan(
     and the verdict is that of ``classify`` with its default thresholds.
     """
     fx = np.empty(g.node_count)
-    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, "star", _TAIL_WINDOW, fv=fx)
+    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, fv=fx)
     results = tuple(_check_witness(f, None, w, g.nodes(), fx, _WITNESS_TOL) for w in witnesses)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":

@@ -257,7 +257,7 @@ def _add_common(p: argparse.ArgumentParser, function: bool = True, flow: bool = 
         p.add_argument("--param", action="append", type=float, help="builtin parameter (repeatable)")
     p.add_argument("--grid", type=_grid, help="grid as 'K,m_max' (default %(default)s)",
                    default="{0.samples_per_octave},{0.octave_max}".format(efunc.GridSpec()))
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 
 def _positive(text: str, kind: type = float) -> float:
@@ -293,16 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="oscillation profile and sigma estimate")
     _add_common(p)
-    p.add_argument("--variant", choices=("star", "sharp"), default="star")
-    p.add_argument("--tail-window", type=lambda text: _positive(text, int), default=_TAIL_WINDOW)
+    p.add_argument("--variant", choices=("star", "sharp"), default="star",
+                   help="profile referenced to x = 1, or to +oo for class E0 (default %(default)s)")
+    p.add_argument("--tail-window", type=lambda text: _positive(text, int), default=_TAIL_WINDOW,
+                   help="final octaves that sigma_hat reads (default %(default)s)")
     p.set_defaults(fn=_cmd_sigma)
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=_positive, default=1.0, help="time scale (default %(default)g)")
     p.add_argument("--tol", type=_positive, default=1e-9, help="max absolute error (default %(default)g)")
-    p.add_argument("--c0", type=float, default=flowmod._C0)
-    p.add_argument("--c1", type=float, default=flowmod._C1)
+    p.add_argument("--c0", type=float, default=flowmod._C0,
+                   help="the flow carries f on leaves c <= c0, compared there (default %(default)g)")
+    p.add_argument("--c1", type=float, default=flowmod._C1,
+                   help="the flow is standard on leaves c > c1 (default %(default)g)")
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("linearize", help="solve lam*f = f o h + k for the exact profile")
@@ -317,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="standard / nonstandard / inconclusive verdict")
     _add_common(p, flow=True)
     p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the --flow input")
-    p.add_argument("--tau-std", type=_positive, default=_TAU_STD)
-    p.add_argument("--tau-ns", type=_positive, default=_TAU_NS)
+    p.add_argument("--tau-std", type=_positive, default=_TAU_STD,
+                   help="sigma_hat below it, vanishing, is standard (default %(default)g)")
+    p.add_argument("--tau-ns", type=_positive, default=_TAU_NS,
+                   help="sigma_hat at or above it is nonstandard (default %(default)g)")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")

@@ -184,9 +184,9 @@ class EFunction:
     # -- algebra used throughout the oscillation/linearization layers --
 
     def scaled(self, lam: float) -> "EFunction":
-        """lam * f for lam > 0; stays in the claimed class."""
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
+        """lam * f for a finite lam > 0; stays in the claimed class."""
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"scale factor must be finite and positive, got {lam:g}")
         return replace(
             self,
             kind="expression",

@@ -73,10 +73,10 @@ class LinearizeConfig:
     tol: float = 1e-10  # convergence and functional-equation gate
 
     def __post_init__(self):
-        if not self.lam > 1.0:
-            raise ValueError("linearization requires lam > 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError(f"linearization requires a finite lam > 1, got {self.lam:g}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol:g}")
 
 
 @dataclass(frozen=True)

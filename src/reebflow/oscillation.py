@@ -65,13 +65,11 @@ def as_shift(k) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class OscillationProfile:
-    """star or sharp values on a grid, with per-octave envelopes.
+    """star or sharp values on a grid, with their per-octave suprema.
 
-    ``octave_sup[m]`` / ``octave_min[m]`` bound the values over the window
+    ``octave_sup[m]`` is the maximum of the values over the window
     [2^-(m+1), 2^-m] (both window endpoints are grid nodes and are
-    included).  ``cell_oscillation`` is the largest jump of f between
-    adjacent nodes, the resolution proxy: refine K if it is too coarse for
-    your tolerance.
+    included), the s_m that sigma reads.
     """
 
     variant: str  # "star" | "sharp"
@@ -80,8 +78,6 @@ class OscillationProfile:
     f_values: np.ndarray
     values: np.ndarray
     octave_sup: np.ndarray
-    octave_min: np.ndarray
-    cell_oscillation: float
     tail_max: float | None = None  # sharp only: max of f over [1, 2^tail]
 
     def running_max_values(self) -> np.ndarray:
@@ -100,8 +96,6 @@ class OscillationProfile:
             "grid": self.grid.to_json(),
             "octaves": [int(m) for m in self.grid.octaves()],
             "octave_sup": [float(v) for v in self.octave_sup],
-            "octave_min": [float(v) for v in self.octave_min],
-            "cell_oscillation": float(self.cell_oscillation),
             "tail_max": None if self.tail_max is None else float(self.tail_max),
         }
 
@@ -133,35 +127,29 @@ _DECAY_BOUND = 0.01
 
 def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile:
     fv, vals = np.empty(g.node_count), np.empty(g.node_count)
-    _, (sups, mins), cell, tail_max = _profile_pass(f, g, variant, fv, vals)
-    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups, mins, cell, tail_max)
+    _, sups, tail_max = _profile_pass(f, g, variant, fv, vals)
+    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups, tail_max)
 
 
 def _profile_pass(
-    f: EFunction,
-    g: GridSpec,
-    variant: str,
-    fv: np.ndarray | None = None,
-    vals: np.ndarray | None = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None], float | None, float | None]:
-    """One pass of f over g: the octave envelopes of f and of its star or sharp profile.
+    f: EFunction, g: GridSpec, variant: str, fv: np.ndarray | None = None, vals: np.ndarray | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float | None]:
+    """One pass of f over g: the octave envelopes of f, and the octave suprema of its profile.
 
-    Returns ``((f_sups, f_mins), (sups, mins), cell_oscillation, tail_max)``.
-    ``fv`` and ``vals``, when given, receive f and the profile at every
-    node; without them the pass holds only buffers of one block.  Per block
-    only a held profile (``vals`` given) reduces the profile to its octave
-    minima and runs the three passes of the cell oscillation (difference,
-    abs, max); a streamed one returns None for both, which ``sigma_estimate``
-    and ``classify`` do not read.
+    Returns ``((f_sups, f_mins), sups, tail_max)``.  ``fv`` and ``vals``,
+    when given, receive f and the profile at every node; without them the
+    pass holds only buffers of one block.  A held pass (``star_profile``,
+    ``sharp_profile``) does the per-block work of a streamed one
+    (``sigma_estimate``, ``classify``) and only writes into its arrays.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
-    error.  f, the running max and the cell oscillation run over the
-    octave-aligned blocks of ``_octave_blocks``, so f must be elementwise:
-    its value at x may not depend on the other points of the array.  They
-    give the bits of whole-array passes: the running max carries its value
-    at a block's end node into the next block, which starts at that node,
-    and each octave window lies in one block, reduced as over the whole grid.
+    error.  f and the running max run over the octave-aligned blocks of
+    ``_octave_blocks``, so f must be elementwise: its value at x may not
+    depend on the other points of the array.  They give the bits of
+    whole-array passes: the running max carries its value at a block's end
+    node into the next block, which starts at that node, and each octave
+    window lies in one block, reduced as over the whole grid.
     """
     if variant not in ("star", "sharp"):
         raise ValueError("variant must be 'star' or 'sharp'")
@@ -176,15 +164,14 @@ def _profile_pass(
                 f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}"
             )
         tail_max = float(tv.max())
-    f_env, sups, mins = [], [], []
-    cell = None if vals is None else 0.0  # the largest |f(x_{i+1}) - f(x_i)|
+    f_env, sups = [], []
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
     # the non-finite value as a DomainError after the last block
     with np.errstate(invalid="ignore"):
         for lo, fb, env in _octave_blocks(f, g, fv):
             m = len(fb)
-            if not lo:  # the first block is the longest; buf holds the running max, or the jumps
-                buf = np.empty(m if vals is None else m - 1)
+            if vals is None and not lo:  # the first block is the longest
+                buf = np.empty(m)
             # rm[0] is the running max at the block's first node: there f itself
             # on the first block (the max of -inf and f, as for the whole array),
             # else the value carried from the previous block's end node
@@ -197,15 +184,9 @@ def _profile_pass(
                 np.maximum(rm, tail_max, out=rm)
             np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
             f_env.append(env)
-            windows = g.octave_windows(rm)
-            sups.append(windows.max(axis=1))
-            if vals is not None:  # a held profile: its minima and the cell oscillation
-                mins.append(windows.min(axis=1))
-                d = buf[: m - 1]
-                np.subtract(fb[1:], fb[:-1], out=d)
-                cell = max(cell, float(np.abs(d, out=d).max()))
+            sups.append(g.octave_windows(rm).max(axis=1))
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
-    return (f_sups, f_mins), (np.concatenate(sups), np.concatenate(mins) if mins else None), cell, tail_max
+    return (f_sups, f_mins), np.concatenate(sups), tail_max
 
 
 # the values after the carry that _running_max takes as one chunk
@@ -296,7 +277,7 @@ def sigma_estimate(
     Takes the pass of :func:`star_profile` / :func:`sharp_profile` but keeps
     only the per-octave suprema: no sample of f or of the profile is held.
     """
-    _, (sups, _), _, _ = _profile_pass(f, g, variant)
+    _, sups, _ = _profile_pass(f, g, variant)
     return _sigma_from_sups(variant, g, sups, tail_window)
 
 
@@ -565,8 +546,8 @@ def star_identity_suite(
 
     Nothing raises: the report lists pass/fail with numbers per item.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam:g}")
     base = star_profile(f, g)
     items = []
 
@@ -644,7 +625,7 @@ def _perturbation_item(
 
 def _zeros_item(base: OscillationProfile, window_octaves: int) -> ItemResult:
     W = max(1, int(window_octaves))
-    sups, mins = base.octave_sup, base.octave_min
+    sups, mins = base.octave_sup, base.grid.octave_envelopes(base.values)[1]
     violations = []
     for m in range(len(sups) - W + 1):
         wmin = float(np.min(mins[m : m + W]))

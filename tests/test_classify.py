@@ -66,12 +66,15 @@ def points_in_unit(calls):
 # 81,921 nodes: two full blocks of grid-wide passes and a partial one
 MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
 
+# the streamed star pass is classify's, the sharp one sigma_estimate's
+STREAMED = [classify, lambda f, g: sigma_estimate(f, g, "sharp")]
+
 
 class TestOneSample:
-    @pytest.mark.parametrize("variant", ["star", "sharp"])
-    def test_classify_evaluates_f_on_the_grid_once(self, grid, variant):
+    @pytest.mark.parametrize("run", STREAMED, ids=["star", "sharp"])
+    def test_a_streamed_pass_evaluates_f_on_the_grid_once(self, grid, run):
         f, calls = counting(builtin("doubling_osc"))
-        classify(f, grid, variant=variant)
+        run(f, grid)
         (x,) = grid_calls(calls, grid)
         assert np.array_equal(x, grid.nodes())
 
@@ -100,10 +103,10 @@ class TestOneSample:
         rep = self_similarity_scan(f, witnesses, grid)
         assert rep.results == tuple(check_witness(f, None, w, grid) for w in witnesses)
 
-    @pytest.mark.parametrize("variant", ["star", "sharp"])
-    def test_classify_evaluates_f_on_a_multi_block_grid_once(self, variant):
+    @pytest.mark.parametrize("run", STREAMED, ids=["star", "sharp"])
+    def test_a_streamed_pass_evaluates_f_on_a_multi_block_grid_once(self, run):
         f, calls = counting(builtin("doubling_osc"))
-        classify(f, MULTI, variant=variant)
+        run(f, MULTI)
         n_calls, x = points_in_unit(calls)
         assert n_calls > 1
         assert np.array_equal(x, MULTI.nodes())
@@ -248,21 +251,21 @@ class TestWarningsMatchDiagnosis:
 
     @pytest.fixture
     def dip_csv(self, tmp_path):
-        # 12 octaves of data that crash back to 0 at 2^-6
-        rows = ["x,f"] + [f"{2.0 ** -m!r},{float(m) if m < 6 else m - 6.0!r}" for m in range(13)]
+        # 18 octaves of data, enough for the verdict's 8-octave window, that crash back to 0 at 2^-6
+        rows = ["x,f"] + [f"{2.0 ** -m!r},{float(m) if m < 6 else m - 6.0!r}" for m in range(19)]
         path = tmp_path / "dip.csv"
         path.write_text("\n".join(rows) + "\n")
         return from_csv(path)
 
     def test_shrunk_domain(self, small_grid, dip_csv):
         g = fit_grid(dip_csv, small_grid)
-        assert g.octave_max == 12 < small_grid.octave_max
+        assert g.octave_max == 18 < small_grid.octave_max
         warnings = diagnose_class(dip_csv, small_grid)
         assert warnings and warnings[0].startswith("class E suspect")
         # on the fitted grid (the CLI's path) classify reports the same warnings
-        assert classify(dip_csv, g, tail_window=4).warnings == tuple(warnings)
+        assert classify(dip_csv, g).warnings == tuple(warnings)
         # on the full grid the sample is out of the data's domain
-        msg = f"evaluation outside domain [{2.0 ** -12:g}, 1] for {dip_csv.description}"
+        msg = f"evaluation outside domain [{2.0 ** -18:g}, 1] for {dip_csv.description}"
         with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
             classify(dip_csv, small_grid)
 

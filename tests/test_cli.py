@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -636,6 +637,22 @@ class TestFlagSurface:
         (lam,) = [a for a in sub.choices["roundtrip"]._actions if a.dest == "lam"]
         assert "%(default)g" in lam.help
         assert "time scale (default 1)" in " ".join(sub.choices["roundtrip"].format_help().split())
+        # every option with a default prints it, and the printed text reads back as that value
+        shown = set()
+        for name, p in sub.choices.items():
+            text = " ".join(p.format_help().split())
+            for a in p._actions:
+                if a.default is None or a.default == argparse.SUPPRESS:
+                    continue
+                assert "%(default)" in (a.help or ""), (name, a.dest)
+                printed = re.search(r"\(default (\S+)\)$", a.help % {"default": a.default}).group(1)
+                assert f"(default {printed})" in text, (name, a.dest)
+                read = a.type or str
+                assert read(printed) == (read(a.default) if isinstance(a.default, str) else a.default)
+                shown.add((name, a.dest))
+        assert {("sigma", "variant"), ("sigma", "tail_window"), ("roundtrip", "c0"), ("roundtrip", "c1"),
+                ("classify", "tau_std"), ("classify", "tau_ns")} <= shown
+        assert all((name, "out") in shown for name in sub.choices)
 
     @pytest.mark.parametrize(
         "argv, defaults",

@@ -438,6 +438,12 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             f.scaled(-1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
+    def test_scaled_needs_a_finite_positive_factor(self, lam):
+        # regression: scaled(nan) returned a function whose every value is NaN
+        with pytest.raises(ValueError, match=f"^scale factor must be finite and positive, got {lam:g}$"):
+            builtin("std_log").scaled(lam)
+
     def test_shift_drops_decay_claim(self):
         f = builtin("doubling_osc")
         assert f.claimed_class == "E0"

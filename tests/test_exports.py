@@ -35,19 +35,50 @@ def test_every_export_resolves(module, name):
     assert attr in vars(getattr(holder, owner) if owner else holder)
 
 
-# every value a caller can set on the grid, the Koenigs limit, the witness
-# check and the verdict: a new option is an edit to this table
+# every value a caller can set: the fields of a config or result, the
+# parameters with a default of a function, for each export that has one;
+# a new option is an edit to this table
 OPTIONS = {
     "GridSpec": ("samples_per_octave", "octave_max", "tail_octaves"),
     "LinearizeConfig": ("lam", "grid", "tol"),
-    "classify": ("tau_std", "tau_ns", "variant", "tail_window"),
+    "classify": ("tau_std", "tau_ns"),
     "flow_classify": ("tv", "g", "tau_std", "tau_ns"),
     "self_similarity_scan": (),
     "koenigs_limit": (),
     "check_witness": ("tol",),
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
+    "sigma_estimate": ("variant", "tail_window"),
+    "star_identity_suite": ("zero_window_octaves",),
+    "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup", "tail_max"),
+    "EFunction": ("kind", "fn", "claimed_class", "description", "domain"),
+    "builtin": ("params",),
+    "from_expression": ("claimed_class", "description"),
+    "Homeo": ("fn", "inverse_fn", "name"),
+    "homeo_from_expression": ("inverse_expr",),
+    "Flow": ("lam", "c0", "c1", "shift", "source", "source_spec", "held"),
+    "Transversal": ("gamma1_nodes", "gamma2_nodes"),
+    "build_flow": ("c0", "c1", "g", "source_spec"),
+    "flow_from_json": ("g",),
+    "extract_transition": ("g", "tv"),
+    "transition_time": ("tv", "x"),
 }
+
+
+def has_default(obj) -> bool:
+    """Whether a caller may leave out one of the fields or parameters of ``obj``."""
+    if dataclasses.is_dataclass(obj):
+        missing = dataclasses.MISSING
+        return any(f.default is not missing or f.default_factory is not missing for f in dataclasses.fields(obj))
+    if isinstance(obj, type) and issubclass(obj, Exception):
+        return False
+    return any(p.default is not p.empty for p in inspect.signature(obj).parameters.values())
+
+
+def test_every_export_with_a_default_has_a_row():
+    # a constant such as DEFAULT_TRANSVERSAL is not called, so it sets nothing
+    names = [n for n in reebflow.__all__ if callable(getattr(reebflow, n)) and has_default(getattr(reebflow, n))]
+    assert names and [n for n in names if n not in OPTIONS] == []
 
 
 @pytest.mark.parametrize("name", OPTIONS)

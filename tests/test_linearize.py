@@ -715,6 +715,19 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="lam > 1"):
             LinearizeConfig(1.0, grid)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_lam_must_be_finite(self, grid, lam):
+        # regression: lam = inf was taken, and the witness check then failed with residual nan
+        with pytest.raises(ValueError, match=f"^linearization requires a finite lam > 1, got {lam:g}$"):
+            LinearizeConfig(lam, grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_finite_and_positive(self, grid, tol):
+        # regression: tol = nan ran every sweep into a ConvergenceFailure, and
+        # tol = inf stopped after one sweep and reported success
+        with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {tol:g}$"):
+            LinearizeConfig(2.0, grid, tol=tol)
+
     def test_witness_failure_rejected(self, grid):
         wrong_k = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)  # noqa: E731
         with pytest.raises(ValueError, match="witness"):

@@ -26,7 +26,14 @@ from reebflow import (
     star_profile,
 )
 from reebflow.efunc import _BLOCK, _blocks
-from reebflow.oscillation import _CHUNK, _profile_pass, _running_max, as_shift, sigma_from_profile
+from reebflow.oscillation import (
+    _CHUNK,
+    _TAIL_WINDOW,
+    _profile_pass,
+    _running_max,
+    as_shift,
+    sigma_from_profile,
+)
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -78,7 +85,6 @@ class TestStarProfile:
         prof = star_profile(builtin("bounded_osc", [2.0]), grid)
         for j, m in enumerate(grid.octaves()):
             w = prof.values[grid.octave_slice(m)]
-            assert prof.octave_min[j] <= w.min()
             assert prof.octave_sup[j] >= w.max()
 
     def test_bounded_osc_drop_against_brute_force(self, grid):
@@ -391,6 +397,28 @@ class TestIdentitySuite:
         with pytest.raises(ValueError):
             star_identity_suite(builtin("std_log"), -1.0, 0.0, gallery_homeo("halve"), None, grid)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
+    def test_lam_must_be_finite_and_positive(self, small_grid, lam):
+        # regression: lam = nan passed the check and inf reached the profile pass
+        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam:g}$"):
+            star_identity_suite(builtin("std_log"), lam, 0.0, gallery_homeo("halve"), None, small_grid)
+
+    @pytest.mark.parametrize(
+        "window, want", [(1, [4, 5, 6, 13, 14, 15, 22, 23, 24, 31, 32, 33]), (10, [])]
+    )
+    def test_zeros_item_against_a_plain_loop(self, grid, window, want):
+        # reference: each window's minimum and supremum read octave by octave off the profile
+        f = builtin("bounded_osc", [2.0])
+        octs = [star_profile(f, grid).values[grid.octave_slice(m)] for m in grid.octaves()]
+        loop = []
+        for m in range(len(octs) - window + 1):
+            run = octs[m : m + window]
+            if min(o.min() for o in run) > 1e-6 * (1.0 + max(o.max() for o in run)):
+                loop.append(m)
+        rep = star_identity_suite(f, 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
+        assert rep["zeros"].detail == {"window_octaves": window, "violating_octaves": loop}
+        assert loop == want
+
 
 class TestProfileExports:
     def test_csv_header(self, tmp_path, small_grid):
@@ -418,8 +446,7 @@ def whole_profile(f, g, variant="star"):
     if variant == "sharp":
         np.maximum(rm, float(f(g.tail_nodes()).max()), out=rm)
     vals = rm - fv
-    sups, mins = g.octave_envelopes(vals)
-    return vals, sups, mins, float(np.max(np.abs(np.diff(fv))))
+    return vals, g.octave_envelopes(vals)[0]
 
 
 def whole_witness(f, f2, w, g):
@@ -440,11 +467,9 @@ def bits(v) -> bytes:
 
 
 def assert_profile_bits(prof, f, g):
-    vals, sups, mins, cell = whole_profile(f, g, prof.variant)
+    vals, sups = whole_profile(f, g, prof.variant)
     assert bits(prof.values) == bits(vals)
     assert bits(prof.octave_sup) == bits(sups)
-    assert bits(prof.octave_min) == bits(mins)
-    assert bits(prof.cell_oscillation) == bits(cell)
 
 
 def assert_witness_bits(rep, f, f2, w, g):
@@ -553,11 +578,11 @@ class TestBlockedPasses:
                 run(f, g)
 
     @pytest.mark.parametrize("variant", ["star", "sharp"])
-    def test_a_streamed_pass_takes_no_minima_and_no_cell_oscillation(self, variant):
+    def test_a_streamed_pass_gives_the_suprema_of_a_held_one(self, variant):
         f = builtin("doubling_osc")
-        _, (sups, mins), cell, _ = _profile_pass(f, MULTI, variant)
+        _, sups, tail_max = _profile_pass(f, MULTI, variant)
         held = star_profile(f, MULTI) if variant == "star" else sharp_profile(f, MULTI)
-        assert mins is None and cell is None and bits(sups) == bits(held.octave_sup)
+        assert bits(sups) == bits(held.octave_sup) and tail_max == held.tail_max
 
     def test_finite_blocks_are_not_searched(self, monkeypatch):
         f = builtin("bounded_osc")
@@ -567,16 +592,14 @@ class TestBlockedPasses:
         assert classify(f, MULTI).to_json() == want[2]
 
     @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
-    def test_largest_jump_across_the_last_block_boundary(self, g):
+    def test_a_jump_across_the_last_block_boundary(self, g):
         # f steps up by 3 between the last two blocks, and by 1 inside a block
         b = (g.node_count - 1) // _BLOCK * _BLOCK
         values = np.zeros(g.node_count)
         values[b:] = 3.0
         values[b // 2 :] += 1.0
         f = tabulated(values, g)
-        prof = star_profile(f, g)
-        assert prof.cell_oscillation == 3.0
-        assert_profile_bits(prof, f, g)
+        assert_profile_bits(star_profile(f, g), f, g)
 
     @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
     @pytest.mark.parametrize(
@@ -680,11 +703,14 @@ class TestOctaveAlignedBlocks:
         assert_profile_bits(prof, f, g)
         assert bits(sigma_estimate(f, g, variant, tail_window=1).s_m) == bits(prof.octave_sup)
 
-    @pytest.mark.parametrize("g,window", [(ODD_K, 8), (WIDE_K, 1)], ids=["K3000", "K40000"])
+    @pytest.mark.parametrize("g,window", [(ODD_K, _TAIL_WINDOW), (WIDE_K, 1)], ids=["K3000", "K40000"])
     def test_sigma_and_classify_match_the_held_profile(self, g, window):
         f = builtin("bounded_osc", [2.0])
         want = sigma_from_profile(star_profile(f, g), tail_window=window)
-        for est in (sigma_estimate(f, g, tail_window=window), classify(f, g, tail_window=window).sigma):
+        ests = [sigma_estimate(f, g, tail_window=window)]
+        if window == _TAIL_WINDOW:  # classify reads the default window
+            ests.append(classify(f, g).sigma)
+        for est in ests:
             assert est.to_json() == want.to_json()
             assert bits(est.s_m) == bits(want.s_m)
 
