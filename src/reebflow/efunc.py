@@ -195,7 +195,9 @@ class EFunction:
         )
 
     def shifted(self, c: float) -> "EFunction":
-        """f + c; divergence at 0 survives, decay at +oo does not."""
+        """f + c for a finite c; divergence at 0 survives, decay at +oo does not."""
+        if not math.isfinite(c):
+            raise ValueError(f"shift constant c must be finite, got {c:g}")
         cls = self.claimed_class if c == 0.0 else "E"
         return replace(
             self,

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, UnknownBuiltin, _blocks, _blockwise, builtin, from_csv, write_csv
+from .efunc import EFunction, GridSpec, UnknownBuiltin, _blockwise, builtin, from_csv, write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -267,12 +267,12 @@ def build_flow(
     that dips below the lift between grid nodes raises DomainError there.
 
     The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
-    over them once, then one block of ``efunc._blocks`` at a time takes the lift
-    in place and T over it, so neither makes a grid-sized temporary: in (0, c0]
-    T is f + shift itself, checked by one reduction, and only the blend block
-    takes logs and masks.  The flow keeps T at those nodes as ``held``, so a
-    transit over a run of them (``flow_classify`` on the same grid) copies T
-    and computes no target there.
+    over them once (``_blockwise``) and a nonzero lift is added in place.
+    T is f + shift itself in (0, c0], checked by the one scalar test
+    ``fmin + shift > 0`` (rounding is monotone); only the blend leaves in
+    (c0, c1] take ``_transit_target``.  The flow keeps T at those nodes as
+    ``held``, so a transit over a run of them (``flow_classify`` on the same
+    grid) copies T and computes no target there.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -284,10 +284,14 @@ def build_flow(
     vals = _blockwise(f, x)
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
-    # a flow that is not positive on the grid fails here; T replaces f + shift in vals
-    for s in _blocks(len(x)):
-        v = np.add(vals[s], shift, out=vals[s])  # the lift, in place
-        vals[s] = _transit_target(x[s], v.__getitem__, c0, c1)  # a block in (0, c0] gets v[...] back
+    if shift != 0.0:
+        vals += shift  # the lift, in place
+    w = bisect.bisect_left(x, -c0, key=operator.neg)  # the blend x[:w], the window x[w:]
+    vals[:w] = _transit_target(x[:w], vals[:w].__getitem__, c0, c1)
+    if not fmin + shift > 0.0:  # a NaN fails it too; then the window is searched
+        bad = ~(vals[w:] > 0.0)
+        if bad.any():
+            raise DomainError(f"transit target not positive at leaf c = {float(x[w:][bad][0]):g}")
     vals.setflags(write=False)
     return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, x, vals))
 
@@ -297,29 +301,26 @@ def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
 
     f + shift on (0, c0], blended to -ln c over (c0, c1), -ln c from c1 on;
     the empty window c0 = c1 = 0 gives -ln c on every positive leaf and
-    never calls f_at there; leaves all in (0, c0] take ``f_at(...)`` alone.
-    Raises DomainError at the first leaf that is not positive (or NaN), and
-    at the first leaf below c1 where the target is not positive.
+    never calls f_at there.  Raises DomainError at the first leaf that is
+    not positive (or NaN), and at the first leaf below c1 where the target
+    is not positive.
     """
     if not c.min(initial=math.inf) > 0.0:  # an empty c passes
         raise DomainError(f"transit needs leaves c > 0, got c = {float(c[~(c > 0.0)].flat[0]):g}")
-    if c.size and c.max() <= c0:  # every leaf in the prescription window
-        out, below = f_at(...), True
-    else:
-        out = np.log(c, out=np.empty_like(c))  # an array even for 0-d c, so it takes assignment
-        np.negative(out, out=out)
-        below = c < c1
-        if not np.any(below):
-            return out
-        lo = c <= c0
-        mid = below & ~lo
-        if np.any(lo):
-            out[lo] = f_at(lo)
-        if np.any(mid):
-            neg_log = out[mid]
-            w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
-            u = w * w * (3.0 - 2.0 * w)
-            out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
+    out = np.log(c, out=np.empty_like(c))  # an array even for 0-d c, so it takes assignment
+    np.negative(out, out=out)
+    below = c < c1
+    if not np.any(below):
+        return out
+    lo = c <= c0
+    mid = below & ~lo
+    if np.any(lo):
+        out[lo] = f_at(lo)
+    if np.any(mid):
+        neg_log = out[mid]
+        w = (-neg_log - math.log(c0)) / (math.log(c1) - math.log(c0))
+        u = w * w * (3.0 - 2.0 * w)
+        out[mid] = (1.0 - u) * f_at(mid) + u * neg_log
     if not out.min(initial=math.inf, where=below) > 0.0:  # one reduction; a NaN fails it too
         bad = below & ~(out > 0.0)
         raise DomainError(f"transit target not positive at leaf c = {float(c[bad].flat[0]):g}")
@@ -382,15 +383,19 @@ def _leaf_time(F: Flow, c, s1, s2) -> np.ndarray:
 def _leaf_position(F: Flow, c, s0, t) -> np.ndarray:
     """Position after time t from s0 along leaves c; the inverse of _leaf_time.
 
-    The motion ends in the piece after the last breakpoint it reaches (from a
-    breakpoint, the piece in the direction of motion); inside that piece the
-    position is closed form, with expm1 on ramps.
+    r, the breakpoints and the times to them are taken once per leaf (the
+    broadcast shape of c and s0), then broadcast against t.  The motion ends
+    in the piece after the last breakpoint it reaches (from a breakpoint, the
+    piece in the direction of motion); inside it the position is closed
+    form, with expm1 on ramps.
     """
-    c, s0, tau = np.broadcast_arrays(c, s0, np.multiply(t, F.lam))
+    c, s0 = np.broadcast_arrays(c, s0)
     r, b = _pieces(F, c)
+    to_b = np.stack([_travel(r, b, s0, b[..., j]) for j in range(4)], axis=-1)
+    s0, tau, r = np.broadcast_arrays(s0, np.multiply(t, F.lam), r)
+    b, to_b = (np.broadcast_to(a, tau.shape + (4,)) for a in (b, to_b))
     ahead = np.where(tau < 0.0, -1.0, 1.0)
-    # time to each breakpoint, counted in the direction of motion
-    to_b = np.stack([_travel(r, b, s0, b[..., j]) for j in range(4)], axis=-1) * ahead[..., None]
+    to_b = to_b * ahead[..., None]  # time to each breakpoint, counted in the direction of motion
     reached = (to_b >= 0.0) & (to_b <= np.abs(tau)[..., None])
     p = ahead * np.max(np.where(reached, b, s0[..., None]) * ahead[..., None], axis=-1)
     rem = tau - ahead * np.max(np.where(reached, to_b, 0.0), axis=-1)

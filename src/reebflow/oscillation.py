@@ -314,11 +314,15 @@ def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: in
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """Data (h, k, lam) for the relation lam * f = f o h + k."""
+    """Data (h, k, lam) for the relation lam * f = f o h + k, with a finite lam > 0."""
 
     h: Homeo
     k: Callable | float | None = None
     lam: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"witness lam must be finite and positive, got {self.lam:g}")
 
 
 @dataclass(frozen=True)
@@ -371,12 +375,15 @@ def check_witness(
     of a derived-shift ``koenigs_limit``, which hold f over the whole grid,
     read f o h from it when h(x_i) == x_{i+j} bitwise wherever i + j indexes
     a node, as ``halve`` does on every grid (j = K).  ``tol`` defaults to
-    ``_WITNESS_TOL`` (1e-9), the gate of the scan and ``koenigs_limit``.
+    ``_WITNESS_TOL`` (1e-9), the gate of the scan and ``koenigs_limit``, and
+    must be finite and positive.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
     array.  The residual is then bitwise that of whole-array evaluation.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"witness tol must be finite and positive, got {tol:g}")
     return _check_witness(f, f2, w, g.nodes(), None, tol)
 
 
@@ -544,7 +551,7 @@ def star_identity_suite(
     profile's longest gap between zeros, e.g. one full period for an
     oscillating profile (2 pi / ln 2 ~ 9.06 octaves for bounded_osc).
 
-    Nothing raises: the report lists pass/fail with numbers per item.
+    Only a bad lam or c raises; the report lists pass/fail with numbers per item.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam:g}")

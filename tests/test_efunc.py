@@ -444,6 +444,12 @@ class TestAlgebra:
         with pytest.raises(ValueError, match=f"^scale factor must be finite and positive, got {lam:g}$"):
             builtin("std_log").scaled(lam)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_shifted_needs_a_finite_constant(self, c):
+        # regression: shifted(nan) returned a function whose every value is NaN
+        with pytest.raises(ValueError, match=f"^shift constant c must be finite, got {c:g}$"):
+            builtin("std_log").shifted(c)
+
     def test_shift_drops_decay_claim(self):
         f = builtin("doubling_osc")
         assert f.claimed_class == "E0"

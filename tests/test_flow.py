@@ -27,7 +27,7 @@ from reebflow import (
     time_scale,
     transition_time,
 )
-from reebflow.flow import _held_run, _leaf_position, _leaf_time, orbit_rows, orbit_to_csv
+from reebflow.flow import _held_run, _leaf_position, _leaf_time, _transit_target, orbit_rows, orbit_to_csv
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 # 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
@@ -142,8 +142,7 @@ class TestBuildFlow:
 
     def test_check_names_the_first_bad_leaf(self):
         # -inf at a node lifts by inf, so f + shift is NaN there only; the
-        # check runs block by block, and 2^-3 lies in the first block of the
-        # nodes below c1, 2^-20 in the third
+        # window is searched from its first leaf, and 2^-3 comes before 2^-20
         for bad, shown in (((0.125, 2.0**-20), r"0\.125"), ((2.0**-20,), r"9\.53674e-07")):
 
             def fn(x, bad=bad):
@@ -165,6 +164,101 @@ class TestBuildFlow:
             lo = float(F.transit(c_edge * (1 - eps)))
             hi = float(F.transit(c_edge * (1 + eps)))
             assert lo == pytest.approx(hi, abs=1e-6)
+
+
+def marked(val, where):
+    """-ln x, but ``val`` at the nodes x where ``where(x)`` holds."""
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(where(x), val, -np.log(x))
+
+    return dataclasses.replace(builtin("std_log"), fn=fn)
+
+
+def at_nodes(*nodes):
+    return lambda x: np.isin(x, nodes)
+
+
+def whole_array_flow(f, c0, c1, g):
+    """(shift, T) of ``build_flow`` as one whole-array pass: the lift from the minimum of f over
+    the nodes in (0, c1], then the transit target at all of them of a flow that holds nothing."""
+    x = g.nodes()
+    x = x[x <= c1]
+    fmin = float(f(x).min())
+    shift = 0.0 if fmin > 0.0 else 0.1 - fmin
+    return shift, Flow(c0=c0, c1=c1, shift=shift, source=f).transit(x)
+
+
+# 100,001 nodes in [1/2, 1]: the blend (0.3, 0.99] holds 98,551 of them, four blocks of 2^15
+WIDE = GridSpec(100000, 1)
+B = DEEP.nodes()[4096 + 1000]  # a node of the default blend (1/4, 1/2)
+W = WIDE.nodes()[80000]  # a node of the blend of WIDE in its third block
+# (profile, c0, c1, grid, the leaf the error names or None); the window is on nodes, then off them
+PARITY = {
+    "nan_in_window": (marked(np.nan, at_nodes(2.0**-5)), 0.25, 0.5, DEEP, "0.499915"),
+    "nan_in_blend_off_nodes": (marked(np.nan, at_nodes(B)), 0.3, 0.45, DEEP, "0.44997"),
+    "ninf_in_window": (marked(-np.inf, at_nodes(2.0**-5, 2.0**-20)), 0.25, 0.5, DEEP, "0.03125"),
+    "ninf_in_blend": (marked(-np.inf, at_nodes(B, 2.0**-5)), 0.25, 0.5, DEEP, f"{B:g}"),
+    "pinf": (marked(np.inf, at_nodes(B, 2.0**-5)), 0.25, 0.5, DEEP, None),
+    "pinf_and_negative": (marked(np.inf, at_nodes(B)).shifted(-3.0), 0.3, 0.45, DEEP, None),
+    "negative_in_blend_only": (marked(-1.0, lambda x: (x > 0.26) & (x < 0.49)), 0.25, 0.5, DEEP, None),
+    "negative_in_window_only": (marked(-5.0, lambda x: x < 0.2), 0.3, 0.45, DEEP, None),
+    "huge_negative_in_window": (marked(-1e300, at_nodes(2.0**-6)), 0.25, 0.5, DEEP, "0.015625"),
+    "huge_negative_in_window_off_nodes": (marked(-1e300, at_nodes(2.0**-6)), 0.3, 0.45, DEEP, "0.015625"),
+    "huge_negative_in_blend": (marked(-1e300, at_nodes(B)), 0.25, 0.5, DEEP, None),
+    "huge_negative_at_c1": (marked(-1e300, at_nodes(0.5)), 0.25, 0.5, GridSpec(1, 10), None),
+    "wide_blend": (builtin("bounded_osc", (2.0,)), 0.3, 0.99, WIDE, None),
+    "wide_blend_lifted": (from_expression("-log(x) - 1"), 0.3, 0.99, WIDE, None),
+    "wide_blend_ninf": (marked(-np.inf, at_nodes(W)), 0.3, 0.99, WIDE, f"{W:g}"),
+    "wide_blend_nan": (marked(np.nan, at_nodes(W)), 0.3, 0.99, WIDE, "0.99"),
+}
+
+
+class TestBuildFlowParity:
+    """build_flow gives the bits and errors of one whole-array pass over the nodes below c1."""
+
+    @pytest.mark.parametrize("case", PARITY)
+    def test_bits_and_errors_of_a_whole_array_pass(self, case):
+        f, c0, c1, g, bad = PARITY[case]
+        with np.errstate(invalid="ignore"):
+            if bad is not None:
+                message = rf"^transit target not positive at leaf c = {re.escape(bad)}$"
+                with pytest.raises(DomainError, match=message):
+                    whole_array_flow(f, c0, c1, g)
+                with pytest.raises(DomainError, match=message):
+                    build_flow(f, c0, c1, g)
+                return
+            shift, T = whole_array_flow(f, c0, c1, g)
+            F = build_flow(f, c0, c1, g)
+        assert np.float64(F.shift).tobytes() == np.float64(shift).tobytes()
+        assert F.held[2].tobytes() == T.tobytes() and not F.held[2].flags.writeable
+
+    @pytest.mark.parametrize(
+        "case, shift",
+        [("pinf", 0.0), ("negative_in_window_only", 5.1), ("huge_negative_in_blend", 1e300),
+         ("huge_negative_at_c1", 1e300)],
+    )
+    def test_the_lift(self, case, shift):
+        # with fmin = -1e300 the lift is 1e300 and fmin + shift rounds to 0: the window is searched
+        # and holds no leaf that is not positive, and the blend target stays positive
+        f, c0, c1, g, _ = PARITY[case]
+        F = build_flow(f, c0, c1, g)
+        assert F.shift == shift and np.all(F.held[2][F.held[1] < c1] > 0.0)
+
+    def test_transit_target_runs_once_on_the_blend_leaves(self, monkeypatch):
+        seen, original = [], _transit_target
+
+        def spy(c, f_at, c0, c1):
+            seen.append(np.array(c))
+            return original(c, f_at, c0, c1)
+
+        monkeypatch.setattr("reebflow.flow._transit_target", spy)
+        for g, c0, c1 in ((DEEP, 0.25, 0.5), (WIDE, 0.3, 0.99), (GridSpec(1, 10), 0.25, 0.5)):
+            seen.clear()
+            build_flow(builtin("koenigs_demo"), c0, c1, g)
+            x = g.nodes()
+            assert len(seen) == 1 and seen[0].tobytes() == x[(x > c0) & (x <= c1)].tobytes()
 
 
 class TestFlowStep:
@@ -222,6 +316,45 @@ class TestFlowStep:
         except ValueError:
             return
         assert q.leaf == pytest.approx(p.leaf, rel=1e-12)
+
+
+class TestOrbitLeafData:
+    """An orbit takes r, the breakpoints and the times to them once per leaf."""
+
+    @pytest.mark.parametrize("xi, eta", [(0.1, 0.1), (0.6, 0.5), (0.9, 0.8)])  # window, blend, above c1
+    def test_an_orbit_evaluates_f_at_one_point(self, xi, eta):
+        f, points = builtin("koenigs_demo"), []
+
+        def fn(x, _fn=f.fn):
+            points.extend(np.ravel(x).tolist())
+            return _fn(x)
+
+        F = build_flow(dataclasses.replace(f, fn=fn), g=DEEP)
+        points.clear()
+        rows = orbit_rows(F, QuarterPlanePoint(xi, eta), np.linspace(-4.0, 4.0, 2000))
+        assert len(rows) == 2000
+        assert points == ([xi * eta] if xi * eta < F.c1 else [])
+
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_one_leaf_gives_the_bits_of_a_leaf_per_time(self, gallery_flows, name):
+        # the leaf data broadcast against t has the bits of taking it at every time
+        F, t = time_scale(gallery_flows[name], 1.7), np.linspace(-6.0, 6.0, 2000)
+        for c, s0 in ((0.01, -1.5), (0.3, -0.2), (0.7, 0.1), (DEEP.nodes()[6000], 0.0)):
+            full = _leaf_position(F, np.full(t.shape, c), np.full(t.shape, s0), t)
+            assert _leaf_position(F, c, s0, t).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_leaves_in_arrays_give_the_bits_of_one_leaf_at_a_time(self, gallery_flows, name):
+        # user transversals and flow_step pass arrays of leaves; each keeps its own bits
+        F, rng = gallery_flows[name], np.random.default_rng(5)
+        points = [QuarterPlanePoint(*(2.0 ** rng.uniform(-10.0, 0.5, 2))) for _ in range(40)]
+        c, s0 = np.array([p.leaf_coords() for p in points]).T
+        t = rng.uniform(-5.0, 5.0, 40)
+        one = [float(_leaf_position(F, ci, si, ti)) for ci, si, ti in zip(c, s0, t)]
+        assert _leaf_position(F, c, s0, t).tolist() == one
+        grid = _leaf_position(F, c[:, None], s0[:, None], t[:7])
+        assert grid.shape == (40, 7) and grid[:, 3].tolist() == _leaf_position(F, c, s0, t[3]).tolist()
+        assert [flow_step(F, ti, p).xi for p, ti in zip(points, t)] == [math.exp(v) for v in one]
 
 
 @pytest.fixture(scope="module")

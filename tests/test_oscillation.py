@@ -265,6 +265,19 @@ class TestWitness:
         with pytest.raises(ValueError, match="lam = 1"):
             check_witness(f, f, EquivalenceWitness(gallery_homeo("halve"), None, 2.0), grid)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, small_grid, tol):
+        # regression: tol = inf passed any finite residual, nan and -1 failed every one
+        w = EquivalenceWitness(gallery_homeo("halve"), None, 2.0)
+        with pytest.raises(ValueError, match=f"^witness tol must be finite and positive, got {tol:g}$"):
+            check_witness(builtin("doubling_osc"), None, w, small_grid, tol=tol)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    def test_witness_lam_must_be_finite_and_positive(self, lam):
+        # regression: lam = nan gave residual nan and a failure that named nothing
+        with pytest.raises(ValueError, match=f"^witness lam must be finite and positive, got {lam:g}$"):
+            EquivalenceWitness(gallery_homeo("halve"), None, lam)
+
     def test_non_monotone_h_reported(self, grid):
         bent = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
         rep = check_witness(
@@ -402,6 +415,12 @@ class TestIdentitySuite:
         # regression: lam = nan passed the check and inf reached the profile pass
         with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam:g}$"):
             star_identity_suite(builtin("std_log"), lam, 0.0, gallery_homeo("halve"), None, small_grid)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_shift_constant_must_be_finite(self, small_grid, c):
+        # regression: a NaN or infinite c raised a DomainError naming the grid node x = 1
+        with pytest.raises(ValueError, match=f"^shift constant c must be finite, got {c:g}$"):
+            star_identity_suite(builtin("std_log"), 2.0, c, gallery_homeo("halve"), None, small_grid)
 
     @pytest.mark.parametrize(
         "window, want", [(1, [4, 5, 6, 13, 14, 15, 22, 23, 24, 31, 32, 33]), (10, [])]

@@ -89,12 +89,16 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     g = tool.rf.GridSpec(64, 24)
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
+    calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
     for call in calls:
         peak, held, faults = tool.measure(call)
         assert 0 < held <= peak and faults >= 0
     # build_flow and flow_classify are timed apart, each by the median of 15 warm calls
     for call in [tool.koenigs_call("std_log", "square", g), *tool.flow_parts("bounded_osc", g)]:
         assert tool.wall_ms(call) > 0
+    # an orbit holds its 2,000 rows: a tuple of three floats each
+    _, held, _ = tool.measure(tool.orbit_call("koenigs_demo", g))
+    assert held >= len(tool.ORBIT_TIMES) * 3 * 24
     # under square the result holds three arrays over the probes, all nodes but x = 1:
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))

@@ -3,8 +3,10 @@
 At the grid (4096, 60) it measures ``koenigs_limit`` with lam = 2 and a
 derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
-gallery profiles.  Each call runs once to warm the caches (the grid nodes),
-then once more for each measurement, and prints four numbers:
+gallery profiles.  For each gallery profile it also measures ``orbit_rows``
+over 2,000 times of its flow on the default grid, built once beforehand.
+Each call runs once to warm the caches (the grid nodes), then once more for
+each measurement, and prints four numbers:
 
 * the traced peak, the most memory the call had allocated at once (``tracemalloc``);
 * the bytes its result still holds after it returns (``tracemalloc``);
@@ -31,13 +33,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 import reebflow as rf  # noqa: E402
+from reebflow.flow import orbit_rows  # noqa: E402
 
 GRID = rf.GridSpec(4096, 60)
 KOENIGS = (("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve"))
 GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
 MIB = 1 << 20
 REPS = 15  # the warm calls whose median wall time is printed
+ORBIT_TIMES = np.linspace(-4.0, 4.0, 2000)
 
 
 def koenigs_call(name: str, hid: str, g: rf.GridSpec):
@@ -62,6 +68,13 @@ def flow_parts(name: str, g: rf.GridSpec):
     f = rf.builtin(name)
     F = rf.build_flow(f, g=g)
     return (lambda: rf.build_flow(f, g=g)), (lambda: rf.flow_classify(F, g=g))
+
+
+def orbit_call(name: str, g: rf.GridSpec | None = None):
+    """``orbit_rows`` over ``ORBIT_TIMES`` from a point of leaf 0.01 (in the prescription window)
+    of the flow of the builtin ``name`` on g (the default grid), built once here."""
+    F, p0 = rf.build_flow(rf.builtin(name), g=g), rf.QuarterPlanePoint(0.1, 0.1)
+    return lambda: orbit_rows(F, p0, ORBIT_TIMES)
 
 
 def wall_ms(call) -> float:
@@ -96,8 +109,9 @@ def main() -> None:
              for name, hid in KOENIGS]
     cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID), flow_parts(name, GRID))
               for name in GALLERY]
+    cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
     print(f"grid {GRID.samples_per_octave},{GRID.octave_max}: peak MiB, held MiB, minor faults per warm call;"
-          f" median ms of {REPS} warm calls (build_flow, flow_classify)")
+          f" median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone)")
     for label, call, timed in cases:
         peak, held, faults = measure(call)
         ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
