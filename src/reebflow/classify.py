@@ -4,9 +4,15 @@ The invariant sigma vanishes exactly on the standard class, but a finite
 grid cannot certify a limit, so the verdict uses two thresholds with an
 explicit inconclusive band:
 
-    standard       tail supremum < tau_std and the trend is vanishing
-    nonstandard    tail supremum >= tau_ns
+    standard       sigma_hat, the supremum over the deep half of the grid,
+                   is < tau_std and the trend is vanishing: no oscillation
+                   is resolved there
+    nonstandard    the supremum over the final 8 octaves is >= tau_ns: an
+                   oscillation lasts to the end of the grid
     inconclusive   anything between
+
+An oscillation whose period is longer than half the grid cannot be seen,
+and a sigma = 0 profile whose star decays like 1/u can read "nonstandard".
 
 ``self_similarity_scan`` checks supplied witnesses lam * f = f o h + k; it
 never searches for h.  Passing every supplied witness is necessary but not
@@ -82,8 +88,11 @@ def classify(
 
     f is evaluated on g once, in one streaming pass that gives the octave
     envelopes of f, for the checks of ``diagnose_class``, and of the star
-    profile, for sigma over the final ``_TAIL_WINDOW`` (8) octaves.  No
-    sample of f or of the profile is held.  The provenance is ``f.kind``;
+    profile, for sigma.  The verdict follows the module's table: "standard"
+    reads ``sigma_hat``, over the deep half of the grid, "nonstandard" the
+    final ``_TAIL_WINDOW`` (8) octaves, and an "inconclusive" that those 8
+    alone would call "standard" warns with the octave that set sigma_hat.
+    No sample of f or of the profile is held.  The provenance is ``f.kind``;
     shifts and witnesses are left empty.
     """
     sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns)
@@ -101,13 +110,19 @@ def _classify_pass(
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
     (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", fv=fv)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
-    sigma = _sigma_from_sups("star", g, sups, _TAIL_WINDOW)
-    if sigma.sigma_hat >= tau_ns:
+    sigma = _sigma_from_sups("star", g, sups)
+    tail = float(np.max(sups[-_TAIL_WINDOW:]))
+    if tail >= tau_ns:
         verdict = "nonstandard"
     elif sigma.sigma_hat < tau_std and sigma.trend == "vanishing":
         verdict = "standard"
     else:
         verdict = "inconclusive"
+        if tail < tau_std and sigma.trend == "vanishing":
+            m = len(sups) // 2 + int(np.argmax(sups[len(sups) // 2 :]))
+            warnings += (f"sigma_hat = {sigma.sigma_hat:.6g}, set at octave {m} of the deep half of the "
+                         f"grid, is not below tau_std = {tau_std:g}: the final {_TAIL_WINDOW} octaves "
+                         "alone would read standard",)
     return sigma, verdict, warnings
 
 

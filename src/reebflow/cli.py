@@ -68,11 +68,11 @@ def _resolve_flow(args) -> tuple[flowmod.Flow, dict, efunc.GridSpec]:
     return F, {"flow": str(spec), "lambda": F.lam}, g
 
 
-def _check_tail(g: efunc.GridSpec, window: int, what: str) -> None:
+def _check_tail(g: efunc.GridSpec) -> None:
     """Reject a grid shorter than the two windows of octaves that the trend compares."""
-    if g.octave_max < 2 * window:
-        raise ValueError(f"--grid gives {g.octave_max} octaves of the input, fewer than the {2 * window} "
-                         f"that {what} reads")
+    if g.octave_max < 2 * _TAIL_WINDOW:
+        raise ValueError(f"--grid gives {g.octave_max} octaves of the input, fewer than the "
+                         f"{2 * _TAIL_WINDOW} that sigma_hat and its trend read")
 
 
 def _out_dir(args) -> Path:
@@ -89,9 +89,9 @@ def _cmd_sigma(args) -> int:
     if args.variant == "sharp" and f.claimed_class != "E0":
         raise ValueError(f"--variant sharp needs a function of class E0; {f.description} from "
                          f"{'--builtin' if args.builtin else '--csv'} is of class {f.claimed_class}")
-    _check_tail(g, args.tail_window, f"--tail-window {args.tail_window}")
+    _check_tail(g)
     prof = (star_profile if args.variant == "star" else sharp_profile)(f, g)
-    est = sigma_from_profile(prof, tail_window=args.tail_window)
+    est = sigma_from_profile(prof)
     out = _out_dir(args)
     _write_json(out / "sigma.json", args, spec, g, {"sigma": est.to_json()})
     prof.to_csv(out / "profile.csv")
@@ -178,7 +178,7 @@ def _cmd_classify(args) -> int:
     else:
         _unread({"--lambda": args.lam}, "--flow")
         f, spec, g = _resolve_function(args)
-    _check_tail(g, _TAIL_WINDOW, f"the verdict's tail window of {_TAIL_WINDOW}")
+    _check_tail(g)
     tau = {"tau_std": args.tau_std, "tau_ns": args.tau_ns}
     report = flow_classify(F, g=g, **tau) if args.flow else classify(f, g, **tau)
     out = _out_dir(args)
@@ -260,14 +260,13 @@ def _add_common(p: argparse.ArgumentParser, function: bool = True, flow: bool = 
     p.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 
-def _positive(text: str, kind: type = float) -> float:
+def _positive(text: str) -> float:
     try:
-        value = kind(text)
+        value = float(text)
     except ValueError:
         value = math.nan
     if not 0 < value < math.inf:
-        noun = "finite number" if kind is float else "integer"
-        raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -295,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variant", choices=("star", "sharp"), default="star",
                    help="profile referenced to x = 1, or to +oo for class E0 (default %(default)s)")
-    p.add_argument("--tail-window", type=lambda text: _positive(text, int), default=_TAIL_WINDOW,
-                   help="final octaves that sigma_hat reads (default %(default)s)")
     p.set_defaults(fn=_cmd_sigma)
 
     p = sub.add_parser("roundtrip", help="realize f as a flow, extract it back, compare")

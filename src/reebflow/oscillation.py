@@ -12,9 +12,10 @@ envelopes that sigma reads need no array the size of the grid.  The invariant
 
     sigma = limsup of star(x) as x -> 0
 
-is estimated by the supremum of the per-octave maxima s_m over a tail
-window of octaves, with a qualitative trend (increasing / bounded /
-vanishing) attached, since no finite grid can certify a limsup.
+is estimated by the supremum of the per-octave maxima s_m over the deep
+half of the grid, with a qualitative trend (increasing / bounded /
+vanishing) of its final octaves attached, since no finite grid can certify
+a limsup.
 
 ``check_witness`` verifies the equivalence relation f' = f o h + k, or its
 self-similarity form lam * f = f o h + k, as a relative residual over the
@@ -233,25 +234,27 @@ def _spans(mask: np.ndarray) -> Iterator[tuple[int, int]]:
     return zip(edges[::2], edges[1::2])
 
 
-_TAIL_WINDOW = 8  # the default number of final octaves that sigma_hat reads
+_TAIL_WINDOW = 8  # the final octaves: the trend compares them with the 8 before, "nonstandard" reads their max
 
 
 @dataclass(frozen=True)
 class SigmaEstimate:
     """Finite-data stand-in for the limsup invariant.
 
-    ``sigma_hat`` is the max of the per-octave suprema s_m over the final
-    ``tail_window`` octaves.  ``trend`` compares that window against the
-    preceding one with a fixed factor of 1.5: "increasing" (grows by more
-    than the factor), "vanishing" (shrinks by more than the factor, or is
-    zero), else "bounded".  The trend carries the qualitative verdict;
-    sigma_hat alone cannot distinguish a large limsup from slow divergence.
+    ``sigma_hat`` is the max of the per-octave suprema s_m over the deep half
+    of the grid, octaves ``M // 2`` to ``M - 1``: a whole period of any
+    oscillation that repeats within M / 2 octaves, wherever the grid ends.
+    ``trend`` compares the final ``_TAIL_WINDOW`` (8) octaves against the 8
+    before them with a fixed factor of 1.5: "increasing" (grows by more than
+    the factor), "vanishing" (shrinks by more than the factor, or is zero),
+    else "bounded".  The trend carries the qualitative verdict; sigma_hat
+    alone cannot distinguish a large limsup from slow divergence.  A grid
+    needs at least 16 octaves.
     """
 
     variant: str
     octaves: np.ndarray
     s_m: np.ndarray
-    tail_window: int
     sigma_hat: float
     trend: str
 
@@ -260,29 +263,23 @@ class SigmaEstimate:
             "variant": self.variant,
             "octaves": [int(m) for m in self.octaves],
             "s_m": [float(v) for v in self.s_m],
-            "tail_window": int(self.tail_window),
             "sigma_hat": float(self.sigma_hat),
             "trend": self.trend,
         }
 
 
-def sigma_estimate(
-    f: EFunction,
-    g: GridSpec,
-    variant: str = "star",
-    tail_window: int = _TAIL_WINDOW,
-) -> SigmaEstimate:
+def sigma_estimate(f: EFunction, g: GridSpec, variant: str = "star") -> SigmaEstimate:
     """The sigma estimate of the star or sharp profile of f on g.
 
     Takes the pass of :func:`star_profile` / :func:`sharp_profile` but keeps
     only the per-octave suprema: no sample of f or of the profile is held.
     """
     _, sups, _ = _profile_pass(f, g, variant)
-    return _sigma_from_sups(variant, g, sups, tail_window)
+    return _sigma_from_sups(variant, g, sups)
 
 
-def sigma_from_profile(prof: OscillationProfile, tail_window: int = _TAIL_WINDOW) -> SigmaEstimate:
-    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup, tail_window)
+def sigma_from_profile(prof: OscillationProfile) -> SigmaEstimate:
+    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup)
 
 
 # the factor by which the tail window must grow or shrink against the one
@@ -290,14 +287,10 @@ def sigma_from_profile(prof: OscillationProfile, tail_window: int = _TAIL_WINDOW
 _TREND_FACTOR = 1.5
 
 
-def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: int) -> SigmaEstimate:
-    W = int(tail_window)
-    if W < 1:
-        raise ValueError("tail_window must be >= 1")
+def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray) -> SigmaEstimate:
+    W = _TAIL_WINDOW
     if len(s_m) < 2 * W:
-        raise ValueError(
-            f"need at least {2 * W} octaves for a tail window of {W}, have {len(s_m)}"
-        )
+        raise ValueError(f"need at least {2 * W} octaves, have {len(s_m)}")
     tail = float(np.max(s_m[-W:]))
     prev = float(np.max(s_m[-2 * W : -W]))
     tiny = 1e-12 * (1.0 + float(np.max(s_m)))
@@ -309,7 +302,7 @@ def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray, tail_window: in
         trend = "vanishing"
     else:
         trend = "bounded"
-    return SigmaEstimate(variant, g.octaves(), s_m, W, tail, trend)
+    return SigmaEstimate(variant, g.octaves(), s_m, float(np.max(s_m[len(s_m) // 2 :])), trend)
 
 
 @dataclass(frozen=True)
@@ -551,10 +544,15 @@ def star_identity_suite(
     profile's longest gap between zeros, e.g. one full period for an
     oscillating profile (2 pi / ln 2 ~ 9.06 octaves for bounded_osc).
 
-    Only a bad lam or c raises; the report lists pass/fail with numbers per item.
+    Only a bad lam, c or ``zero_window_octaves`` (an integer from 1 to
+    ``g.octave_max - 1``) raises; the report lists pass/fail with numbers
+    per item.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam:g}")
+    W = zero_window_octaves
+    if not (isinstance(W, numbers.Integral) and 1 <= W < g.octave_max):
+        raise ValueError(f"zero_window_octaves must be an integer from 1 to {g.octave_max - 1}, got {W!r}")
     base = star_profile(f, g)
     items = []
 
@@ -570,15 +568,8 @@ def star_identity_suite(
     dev = float(np.max(np.abs(shifted.values - base.values) / scale))
     items.append(ItemResult("shift", dev <= _EXACT_RTOL, {"max_rel_dev": dev, "c": c}))
 
-    # pushforward
-    items.append(_pushforward_item(f, h, g, base))
-
-    # perturbation
-    items.append(_perturbation_item(f, k, g, base, zero_window_octaves))
-
-    # zeros
-    items.append(_zeros_item(base, zero_window_octaves))
-
+    items += [_pushforward_item(f, h, g, base), _perturbation_item(f, k, g, base, int(W))]
+    items.append(_zeros_item(base, int(W)))
     return IdentitySuiteReport(tuple(items), all(i.passed for i in items))
 
 
@@ -611,14 +602,11 @@ def _pushforward_item(f: EFunction, h: Homeo, g: GridSpec, base: OscillationProf
     )
 
 
-def _perturbation_item(
-    f: EFunction, k, g: GridSpec, base: OscillationProfile, window_octaves: int
-) -> ItemResult:
+def _perturbation_item(f: EFunction, k, g: GridSpec, base: OscillationProfile, W: int) -> ItemResult:
     # the gap at x is carried by k at the last record of f above x, which can
     # lag x by a whole zero-free stretch: compare window suprema, not octaves
     pert = star_profile(f.plus(as_shift(k)), g)
     d_m = g.octave_envelopes(np.abs(pert.values - base.values))[0]
-    W = max(1, min(int(window_octaves), len(d_m) - 1))
     d_early = float(np.max(d_m[:-W], initial=0.0))
     d_late = float(np.max(d_m[-W:]))
     # "shrinks toward 0": strict decay, or vacuously already at roundoff
@@ -630,8 +618,7 @@ def _perturbation_item(
     )
 
 
-def _zeros_item(base: OscillationProfile, window_octaves: int) -> ItemResult:
-    W = max(1, int(window_octaves))
+def _zeros_item(base: OscillationProfile, W: int) -> ItemResult:
     sups, mins = base.octave_sup, base.grid.octave_envelopes(base.values)[1]
     violations = []
     for m in range(len(sups) - W + 1):

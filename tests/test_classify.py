@@ -7,12 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from reebflow import (
     DomainError,
     EquivalenceWitness,
     GridSpec,
     Homeo,
+    Transversal,
     build_flow,
     builtin,
     check_witness,
@@ -447,3 +449,116 @@ class TestFlowClassify:
             f = builtin(name, params)
             transported = f.composed(h, "halve").plus(shift_k)
             assert classify(f, grid).verdict == classify(transported, grid).verdict
+
+
+# the largest star drop of ln(1/x) + 2 sin(ln(1/x)), the sigma of bounded_osc(2)
+BOUNDED_OSC_DROP = 2.0 * math.sqrt(3.0) - 2.0 * math.pi / 3.0
+GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
+# bounded_osc o pow:p repeats every 9.06 / p octaves
+POW_SWEEP = [(float(p), M) for p in np.round(np.arange(0.20, 1.0001, 0.05), 2) for M in range(30, 61)]
+
+
+def deep_half_warnings(rep):
+    return [w for w in rep.warnings if w.startswith("sigma_hat = ")]
+
+
+def transported(name, hid, k):
+    """The gallery profile ``name`` composed with the homeomorphism ``hid``, plus k (None, a constant or a function)."""
+    f = builtin(name).composed(gallery_homeo(hid), hid)
+    if k is None:
+        return f
+    return f.shifted(k) if isinstance(k, float) else f.plus(k)
+
+
+@st.composite
+def gallery_cases(draw):
+    """(f, h, k, octave_max) with a period of bounded_osc o h that fits in the deep half of the grid."""
+    M = draw(st.integers(30, 60))
+    hid = draw(st.one_of(
+        st.floats(18.12 / M, 3.0).map(lambda p: f"pow:{p!r}"),
+        st.sampled_from(["halve", "square"]),
+        st.integers(1, 16).map(lambda n: f"root_scale:{n}"),
+    ))
+    k = draw(st.one_of(st.none(), st.floats(-10.0, 10.0), st.just(shift_k)))
+    return draw(st.sampled_from(GALLERY)), hid, k, M
+
+
+def leaf_power_transversal(q: float) -> Transversal:
+    """gamma1 puts the parameter x on leaf x^q, exactly between its log-spaced nodes; gamma2 is the default."""
+    xs = np.exp2(-np.linspace(0.0, 41.0, 83))[::-1]
+    return Transversal(tuple((float(v), float(v) ** q, 1.0) for v in xs), tuple((1.0, float(v)) for v in xs))
+
+
+class TestDeepHalf:
+    def test_bounded_osc_under_pow_is_never_standard(self):
+        # regression: 46 of these 527 cells read "standard" with sigma_hat read off the
+        # final 8 octaves, which fell in a zero-free stretch of the slowed oscillation
+        f = builtin("bounded_osc")
+        warned = set()
+        for p, M in POW_SWEEP:
+            rep = classify(f.composed(gallery_homeo(f"pow:{p}")), GridSpec(512, M))
+            assert rep.verdict != "standard", (p, M)
+            if deep_half_warnings(rep):
+                assert rep.verdict == "inconclusive", (p, M)
+                warned.add((p, M))
+        assert len(warned) == 46
+        assert {(0.5, 60), (0.25, 40), (0.45, 46), (0.35, 57)} <= warned
+
+    @given(case=gallery_cases())
+    @example(case=("bounded_osc", "pow:0.5", None, 60))
+    @example(case=("bounded_osc", "pow:0.45", shift_k, 46))
+    @example(case=("bounded_osc", "pow:0.35", 1.0, 57))
+    def test_the_verdict_survives_a_change_of_time_and_transversal(self, case):
+        name, hid, k, M = case
+        rep = classify(transported(name, hid, k), GridSpec(512, M))
+        if name in ("std_log", "koenigs_demo"):
+            assert rep.verdict == "standard"
+        else:
+            assert rep.verdict != "standard"
+
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_the_flow_verdict_does_not_depend_on_the_transversal(self, name):
+        # regression: bounded_osc read "standard" through the q = 0.25 transversal
+        F = build_flow(builtin(name))
+        reps = [flow_classify(F, leaf_power_transversal(q)) for q in (1.0, 0.5, 0.25)]
+        verdicts = {rep.verdict for rep in reps}
+        if name in ("std_log", "koenigs_demo"):
+            assert verdicts == {"standard"}
+        else:
+            assert "standard" not in verdicts
+        if name == "bounded_osc":
+            sigmas = [rep.sigma.sigma_hat for rep in reps]
+            assert max(sigmas) - min(sigmas) <= 1e-6, sigmas
+
+    def test_bounded_osc_sigma_hat_does_not_depend_on_the_grid_end(self):
+        # regression: the final 8 octaves held part of a 9.06-octave period, 1.2973 at 60
+        f = builtin("bounded_osc", [2.0])
+        errs = {M: abs(sigma_estimate(f, GridSpec(512, M)).sigma_hat - BOUNDED_OSC_DROP) for M in range(30, 61)}
+        assert max(errs.values()) <= 1e-5, errs
+
+    @pytest.mark.parametrize("M, want", [(30, "nonstandard"), (40, "inconclusive"), (60, "inconclusive")])
+    def test_a_slowly_vanishing_oscillation_keeps_its_verdict(self, M, want):
+        # u + (1 + 3/u) sin u has sigma = 0: the deep half may take "standard" away, never
+        # give "nonstandard", though at 40 octaves it reads a drop above tau_ns
+        f = from_expression("-log(x) + (1 + 3/maximum(-log(x), 1e-300))*sin(-log(x))")
+        rep = classify(f, GridSpec(512, M))
+        assert rep.verdict == want
+        assert rep.sigma.sigma_hat == max(rep.sigma.s_m[M // 2 :])
+
+    def test_the_warning_names_sigma_hat_and_its_octave(self):
+        rep = classify(builtin("bounded_osc").composed(gallery_homeo("pow:0.25")), GridSpec(512, 40))
+        (warning,) = deep_half_warnings(rep)
+        m = int(re.fullmatch(
+            r"sigma_hat = 1\.36971, set at octave (\d+) of the deep half of the grid, is not below "
+            r"tau_std = 0\.001: the final 8 octaves alone would read standard", warning).group(1))
+        assert m >= 20 and rep.sigma.s_m[m] == rep.sigma.sigma_hat
+        assert max(rep.sigma.s_m[-8:]) < rep.tau_std
+        # the warning is the only trace in the JSON: no key is added
+        assert set(rep.to_json()) == {"verdict", "sigma_hat", "trend", "s_m", "witnesses", "shifts",
+                                      "provenance", "tau_std", "tau_ns", "warnings"}
+
+    @pytest.mark.parametrize("M", [None, *range(30, 61, 5)])
+    def test_no_gallery_profile_is_warned(self, M):
+        g = GridSpec() if M is None else GridSpec(512, M)
+        for name in GALLERY:
+            assert deep_half_warnings(classify(builtin(name), g)) == [], name

@@ -73,18 +73,6 @@ class TestSigmaCommand:
         )
         assert load(out / "sigma.json")["sigma"]["variant"] == "sharp"
 
-    @pytest.mark.parametrize("window", ["0", "-1"])
-    def test_bad_tail_window_is_usage_error(self, capsys, tmp_path, window):
-        # regression: argparse took any int, and the library said "tail_window must be >= 1"
-        message = f"argument --tail-window: expected a positive integer, got '{window}'"
-        assert_usage_error(capsys, tmp_path, message, "sigma", "--builtin", "std_log", "--tail-window", window)
-
-    def test_tail_window_longer_than_half_the_grid_is_usage_error(self, capsys, tmp_path):
-        # regression: "need at least 60 octaves for a tail window of 30, have 40" named no flag
-        assert_usage_error(capsys, tmp_path,
-                           "--grid gives 40 octaves of the input, fewer than the 60 that --tail-window 30 reads",
-                           "sigma", "--builtin", "std_log", "--tail-window", "30")
-
     @pytest.mark.parametrize("params", [["std_log", "--param", "2"], ["bounded_osc", "--param", "2", "--param", "3"]])
     def test_params_the_builtin_does_not_take_are_usage_error(self, capsys, tmp_path, params):
         # regression: exited 0, with the unused values echoed in the JSON
@@ -309,6 +297,20 @@ class TestClassifyCommand:
         assert run("classify", "--builtin", "doubling_osc", "--out", str(out)) == 0
         assert load(out / "classify.json")["report"]["verdict"] == "nonstandard"
 
+    def test_csv_of_a_slowed_oscillation_is_not_standard(self, capsys, tmp_path):
+        # regression: bounded_osc(2) at x**0.25 over the (512, 40) nodes printed
+        # "verdict = standard  sigma_hat = 0.0" and exited 0
+        x = efunc.GridSpec().nodes()
+        u = -np.log(x**0.25)
+        data = tmp_path / "data.csv"
+        data.write_text("x,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), (u + 2 * np.sin(u)).tolist())))
+        out = tmp_path / "o"
+        assert run("classify", "--csv", str(data), "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("verdict = inconclusive  sigma_hat = 1.3697")
+        report = load(out / "classify.json")["report"]
+        assert report["sigma_hat"] == max(report["s_m"][20:]) and max(report["s_m"][-8:]) < report["tau_std"]
+        assert any(w.startswith("sigma_hat = 1.36971, set at octave ") for w in report["warnings"])
+
     def test_unallocatable_grid_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # regression: numpy's _ArrayMemoryError traceback, exit 1; the node
         # builder fails as an allocation of 6e12 doubles would, without making it
@@ -397,13 +399,20 @@ class TestClassifyCommand:
         assert_usage_error(capsys, tmp_path, f"--tau-std {tau_std} must be below --tau-ns {tau_ns}",
                            "classify", "--builtin", "std_log", "--tau-std", tau_std, "--tau-ns", tau_ns)
 
-    @pytest.mark.parametrize("source", [("--builtin", "std_log"), ("--flow", "standard")])
-    def test_grid_shorter_than_two_tail_windows_is_usage_error(self, capsys, tmp_path, source):
-        # regression: "need at least 16 octaves for a tail window of 8, have 10" named no flag
+    @pytest.mark.parametrize(
+        "argv",
+        [("sigma", "--builtin", "std_log"), ("sigma", "--builtin", "doubling_osc", "--variant", "sharp"),
+         ("classify", "--builtin", "std_log"), ("classify", "--flow", "standard")],
+        ids=["sigma", "sigma-sharp", "classify", "classify-flow"],
+    )
+    @pytest.mark.parametrize("octaves", ["10", "15"])
+    def test_grid_shorter_than_two_tail_windows_is_usage_error(self, capsys, tmp_path, argv, octaves):
+        # regression: "need at least 16 octaves for a tail window of 8, have 10" named no flag,
+        # and sigma measured its minimum against a flag of its own
         assert_usage_error(
             capsys, tmp_path,
-            "--grid gives 10 octaves of the input, fewer than the 16 that the verdict's tail window of 8 reads",
-            "classify", *source, "--grid", "512,10",
+            f"--grid gives {octaves} octaves of the input, fewer than the 16 that sigma_hat and its trend read",
+            *argv, "--grid", f"512,{octaves}",
         )
 
     @pytest.mark.parametrize("flag", ["--tau-std", "--tau-ns"])
@@ -577,10 +586,10 @@ UNREAD = [
     (["classify"], "--flow"),
 ]
 
-# subcommand: (its input group, its other options, its required options); 48 options in all
+# subcommand: (its input group, its other options, its required options); 47 options in all
 FUNCTION = {"--builtin", "--csv"}
 SURFACE = {
-    "sigma": (FUNCTION, {"--param", "--grid", "--out", "--variant", "--tail-window"}, set()),
+    "sigma": (FUNCTION, {"--param", "--grid", "--out", "--variant"}, set()),
     "roundtrip": (FUNCTION, {"--param", "--grid", "--out", "--lambda", "--tol", "--c0", "--c1"}, set()),
     "linearize": (
         FUNCTION,
@@ -650,7 +659,7 @@ class TestFlagSurface:
                 read = a.type or str
                 assert read(printed) == (read(a.default) if isinstance(a.default, str) else a.default)
                 shown.add((name, a.dest))
-        assert {("sigma", "variant"), ("sigma", "tail_window"), ("roundtrip", "c0"), ("roundtrip", "c1"),
+        assert {("sigma", "variant"), ("roundtrip", "c0"), ("roundtrip", "c1"),
                 ("classify", "tau_std"), ("classify", "tau_ns")} <= shown
         assert all((name, "out") in shown for name in sub.choices)
 
@@ -673,9 +682,8 @@ class TestFlagSurface:
 # value that each declared non-input flag must echo: the one given, else the
 # argparse default (None for a flag that the input does not read)
 ECHO = [
-    (["sigma", "--builtin", "bounded_osc", "--param", "2", "--tail-window", "5"],
-     {"param": [2.0], "variant": "star", "tail_window": 5}),
-    (["sigma", "--csv", "data.csv", "--variant", "star"], {"param": None, "variant": "star", "tail_window": 8}),
+    (["sigma", "--builtin", "bounded_osc", "--param", "2"], {"param": [2.0], "variant": "star"}),
+    (["sigma", "--csv", "data.csv", "--variant", "star"], {"param": None, "variant": "star"}),
     (["roundtrip", "--builtin", "std_log", "--c0", "0.3", "--c1", "0.6"],
      {"param": None, "lam": 1.0, "tol": 1e-9, "c0": 0.3, "c1": 0.6}),
     (["linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2"],

@@ -48,7 +48,7 @@ OPTIONS = {
     "check_witness": ("tol",),
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
-    "sigma_estimate": ("variant", "tail_window"),
+    "sigma_estimate": ("variant",),
     "star_identity_suite": ("zero_window_octaves",),
     "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup", "tail_max"),
     "EFunction": ("kind", "fn", "claimed_class", "description", "domain"),

@@ -197,8 +197,8 @@ class TestSigma:
 
     def test_needs_two_windows(self):
         g = GridSpec(samples_per_octave=32, octave_max=10)
-        with pytest.raises(ValueError, match="octaves"):
-            sigma_estimate(builtin("std_log"), g, tail_window=8)
+        with pytest.raises(ValueError, match="^need at least 16 octaves, have 10$"):
+            sigma_estimate(builtin("std_log"), g)
 
     def test_decaying_oscillation_trend_vanishing(self, grid):
         # oscillation amplitude ~ x dies toward 0
@@ -422,6 +422,19 @@ class TestIdentitySuite:
         with pytest.raises(ValueError, match=f"^shift constant c must be finite, got {c:g}$"):
             star_identity_suite(builtin("std_log"), 2.0, c, gallery_homeo("halve"), None, small_grid)
 
+    @pytest.mark.parametrize("window", [0, -3, 2.7, 41, 100, 40, 2.0])
+    def test_zero_window_must_be_an_integer_shorter_than_the_grid(self, grid, window):
+        # regression: 0 and -3 ran as 1, 2.7 as 2, and at 41 and 100 the zeros item
+        # passed vacuously while the perturbation item reported a window of 39
+        with pytest.raises(ValueError, match=f"^zero_window_octaves must be an integer from 1 to 39, got {window!r}$"):
+            star_identity_suite(builtin("bounded_osc"), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
+
+    @pytest.mark.parametrize("window", [1, 39, np.int64(20)])
+    def test_zero_window_is_read_as_given(self, grid, window):
+        rep = star_identity_suite(builtin("bounded_osc"), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
+        assert rep["perturbation"].detail["window_octaves"] == rep["zeros"].detail["window_octaves"] == window
+        assert type(rep["zeros"].detail["window_octaves"]) is int
+
     @pytest.mark.parametrize(
         "window, want", [(1, [4, 5, 6, 13, 14, 15, 22, 23, 24, 31, 32, 33]), (10, [])]
     )
@@ -556,7 +569,7 @@ class TestBlockedPasses:
         f = tabulated(values, MULTI, tail)
         prof = star_profile(f, MULTI) if variant == "star" else sharp_profile(f, MULTI)
         assert_profile_bits(prof, f, MULTI)
-        assert bits(sigma_estimate(f, MULTI, variant, tail_window=1).s_m) == bits(prof.octave_sup)
+        assert bits(sigma_estimate(f, MULTI, variant).s_m) == bits(prof.octave_sup)
 
     @pytest.mark.parametrize(
         "name,variant", [("doubling_osc", "sharp"), ("doubling_osc", "star"), ("bounded_osc", "star")]
@@ -566,7 +579,7 @@ class TestBlockedPasses:
         f = builtin(name)
         vals = whole_profile(f, MULTI, variant)[0]
         want = [vals[MULTI.octave_slice(m)].max() for m in MULTI.octaves()]
-        assert bits(sigma_estimate(f, MULTI, variant, tail_window=1).s_m) == bits(want)
+        assert bits(sigma_estimate(f, MULTI, variant).s_m) == bits(want)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -720,18 +733,19 @@ class TestOctaveAlignedBlocks:
         f = tabulated(values, g, tail)
         prof = star_profile(f, g) if variant == "star" else sharp_profile(f, g)
         assert_profile_bits(prof, f, g)
-        assert bits(sigma_estimate(f, g, variant, tail_window=1).s_m) == bits(prof.octave_sup)
+        # WIDE_K has 2 octaves, too few for a sigma estimate: read the streamed suprema
+        assert bits(_profile_pass(f, g, variant)[1]) == bits(prof.octave_sup)
 
-    @pytest.mark.parametrize("g,window", [(ODD_K, _TAIL_WINDOW), (WIDE_K, 1)], ids=["K3000", "K40000"])
-    def test_sigma_and_classify_match_the_held_profile(self, g, window):
+    def test_sigma_and_classify_match_the_held_profile(self):
         f = builtin("bounded_osc", [2.0])
-        want = sigma_from_profile(star_profile(f, g), tail_window=window)
-        ests = [sigma_estimate(f, g, tail_window=window)]
-        if window == _TAIL_WINDOW:  # classify reads the default window
-            ests.append(classify(f, g).sigma)
-        for est in ests:
+        want = sigma_from_profile(star_profile(f, ODD_K))
+        for est in (sigma_estimate(f, ODD_K), classify(f, ODD_K).sigma):
             assert est.to_json() == want.to_json()
             assert bits(est.s_m) == bits(want.s_m)
+
+    def test_streamed_suprema_match_the_held_profile_on_wide_octaves(self):
+        f = builtin("bounded_osc", [2.0])
+        assert bits(_profile_pass(f, WIDE_K, "star")[1]) == bits(star_profile(f, WIDE_K).octave_sup)
 
 
 @st.composite

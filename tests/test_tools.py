@@ -2,6 +2,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,40 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))
     assert held >= 3 * 8 * (g.node_count - 1)
+
+
+VERDICTS = ROOT / "tools" / "verdict_matrix.py"
+
+
+def test_verdict_matrix_prints_one_line_per_case():
+    out = subprocess.run([sys.executable, str(VERDICTS)], capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    # 4 profiles x 7 h x 3 k and the slowly vanishing oscillation, each at 4 grid ends
+    assert len(lines) == (4 * 7 * 3 + 1) * 4
+    rows = [re.fullmatch(r"(standard|nonstandard|inconclusive)  (\S+)  (.+ @ 512,(30|40|50|60))", ln) for ln in lines]
+    assert all(rows), lines
+    verdicts = {row.group(3): row.group(1) for row in rows}
+    assert verdicts["bounded_osc o pow:0.25 + x/(1+x) @ 512,40"] == "inconclusive"
+    assert verdicts["std_log o square + 1.0 @ 512,60"] == "standard"
+    assert [verdicts[f"u + (1+3/u) sin u @ 512,{M}"] for M in (30, 40, 60)] == ["nonstandard", "inconclusive",
+                                                                                 "inconclusive"]
+    # no profile of a nonstandard class reads "standard", under any h or k
+    assert not [c for c, v in verdicts.items() if c.startswith(("bounded_osc", "doubling_osc")) and v == "standard"]
+
+
+def test_verdict_matrix_prints_an_error_as_a_line():
+    spec = importlib.util.spec_from_file_location("verdict_matrix", VERDICTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    import reebflow
+
+    def classify(f, g):
+        if "square" in f.description:
+            raise ValueError("no verdict")
+        return reebflow.classify(f, g)
+
+    rf = types.SimpleNamespace(**(vars(reebflow) | {"classify": classify}))
+    lines = tool.matrix_lines(rf)
+    assert len(lines) == 340
+    assert "error  ValueError: no verdict  std_log o square + 0 @ 512,30" in lines
+    assert sum(ln.startswith("error  ") for ln in lines) == 4 * 3 * 4
