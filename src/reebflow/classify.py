@@ -36,8 +36,8 @@ from .oscillation import (
     WitnessReport,
     _TAIL_WINDOW,
     _WITNESS_TOL,
-    _check_witness,
     _profile_pass,
+    _WitnessFold,
     _sigma_from_sups,
 )
 
@@ -100,15 +100,12 @@ def classify(
 
 
 def _classify_pass(
-    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, fv: np.ndarray | None = None
+    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, folds: Sequence[_WitnessFold] = ()
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
-    """The sigma estimate, verdict and warnings of one pass of f over g.
-
-    ``fv``, when given, receives f at the nodes.
-    """
+    """The sigma estimate, verdict and warnings of one pass of f over g, which feeds ``folds``."""
     if not tau_std < tau_ns:
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
-    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", fv=fv)
+    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", folds=folds)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
     sigma = _sigma_from_sups("star", g, sups)
     tail = float(np.max(sups[-_TAIL_WINDOW:]))
@@ -149,16 +146,19 @@ def self_similarity_scan(
 ) -> ScanReport:
     """Check each supplied witness lam * f = f o h + k and relate to the verdict.
 
-    f is evaluated on g once, in the pass of ``classify``, which also keeps
-    f(x) for the f(x) term of every witness; each witness then evaluates
-    only f(h(x)), read from f(x) when h carries nodes onto nodes (``halve``
-    maps x_i to x_{i+K}, so it evaluates f only at the images of the last K
-    nodes).  Each witness is gated at 1e-9, the default of ``check_witness``,
-    and the verdict is that of ``classify`` with its default thresholds.
+    Each witness walks h over the grid first.  Then f is evaluated on g
+    once, in the pass of ``classify``, which feeds each block of f to the
+    fold of ``check_witness`` for every witness: under ``halve`` f runs
+    again only at the images of the last K nodes, under ``root_scale:2`` at
+    all images.  No array the size of the grid is held.  Each witness is
+    gated at 1e-9, and the verdict is that of ``classify`` with its default
+    thresholds.  An h or k that raises does so before a non-finite f, which
+    the pass reports after its last block.
     """
-    fx = np.empty(g.node_count)
-    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, fv=fx)
-    results = tuple(_check_witness(f, None, w, g.nodes(), fx, _WITNESS_TOL) for w in witnesses)
+    x = g.nodes()
+    folds = [_WitnessFold(f, w, x, "self_similarity") for w in witnesses]
+    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, folds)
+    results = tuple(fold.report(_WITNESS_TOL) for fold in folds)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"

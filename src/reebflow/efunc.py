@@ -126,8 +126,10 @@ class GridSpec:
 @functools.lru_cache(maxsize=4)
 def _nodes(K: int, m_max: int) -> np.ndarray:
     x = np.empty(K * m_max + 1)
-    i = np.arange(K * m_max + 1)
-    np.ldexp(np.exp2(-(i % K) / K), -(i // K), out=x)
+    octave = np.exp2(-np.arange(K) / K)  # 2^(-r/K) for r = 0 .. K-1, scaled by 2^-m into octave m
+    for m in range(m_max):
+        np.ldexp(octave, -m, out=x[m * K : (m + 1) * K])
+    x[-1] = math.ldexp(1.0, -m_max)
     x.setflags(write=False)
     return x
 
@@ -422,14 +424,14 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return out
 
 
-def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> Iterator[tuple]:
+def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None, ahead: bool = False) -> Iterator[tuple]:
     """f at the nodes of g, one octave-aligned block at a time, with its octave envelopes.
 
     Yields ``(lo, v, (sups, mins))``: v holds f at the nodes lo .. lo + len(v) - 1, that is
     q = max(1, 2^15 // K) whole octaves (fewer in the last block) and the node that ends
     them, so the blocks share their end nodes and f is evaluated at each node once, and
-    sups and mins are the octave envelopes of v.  v is a view of ``fv`` when it is given,
-    else a buffer that the next block overwrites.
+    sups and mins are the octave envelopes of v.  v is a view of ``fv`` when it is given, else
+    a buffer that the next block overwrites, or with ``ahead`` the block after it (two in turn).
 
     The domain of f is checked once, against the first and last nodes; then
     ``f.fn`` runs on each block, so f must be elementwise: its value at x
@@ -442,11 +444,11 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None) -> I
     n = len(x)
     step = max(1, _BLOCK // g.samples_per_octave) * g.samples_per_octave
     f._check_domain(float(x[-1]), float(x[0]))
-    buf = np.empty(min(step, n - 1) + 1) if fv is None else None
+    bufs = None if fv is not None else [np.empty(min(step, n - 1) + 1) for _ in range(1 + ahead)]
     bad = None
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1) + 1
-        v = fv[lo:hi] if buf is None else buf[: hi - lo]
+        v = fv[lo:hi] if bufs is None else bufs[lo // step % len(bufs)][: hi - lo]
         if lo:
             v[0] = end  # the end node of the previous block
         new = v[1:] if lo else v

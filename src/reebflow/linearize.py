@@ -48,8 +48,8 @@ from .efunc import EFunction, GridSpec, _blocks, _blockwise
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
-    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, WitnessReport, _check_witness, _h_images, _images,
-    _max_residual, _node_shift, _witness_report, as_shift,
+    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, WitnessReport, _check_witness, _max_residual,
+    _node_shift, _walk_images, _witness_report, as_shift,
 )
 
 __all__ = [
@@ -177,18 +177,21 @@ def _witness_sweep(f, h, k, lam: float, x: np.ndarray) -> tuple[WitnessReport, l
     empty unless h is increasing, and f(h(x)) is inf at an image equal to 0.
     """
     if k is not None:
-        return _check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, _WITNESS_TOL), []
-    hx, h_monotone, z = _h_images(h, x)
-    fx, fhx = _blockwise(f, x), np.empty(x.size)
-    j = _node_shift(x, hx) if h_monotone else None
+        return _check_witness(f, None, EquivalenceWitness(h, k, lam), x, _WITNESS_TOL), []
+    hx, fx, fhx = _blockwise(h, x), _blockwise(f, x), np.empty(x.size)
+    h_monotone, z, j = _walk_images(x, (hx[s] for s in _blocks(x.size)))
+    on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on
 
     def blocks():
         for t in _blocks(z if h_monotone else 0):
-            fhx[t] = _images(f, hx, t, fx, j)
+            m = min(max(t.start, on), t.stop)
+            fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
+            if m < t.stop:
+                fhx[m : t.stop] = f(hx[m : t.stop])
             lhs, live = lam * fx[t], (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
             yield t.start, lhs, fhx[t] + np.where(live, lhs - fhx[t], 0.0)
 
-    wit = _witness_report("self_similarity", lam, x, h_monotone, z, blocks(), _WITNESS_TOL)
+    wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()), _WITNESS_TOL)
     fhx[z:] = math.inf  # f diverges at 0
     return wit, [fx, hx, fhx] if h_monotone else []
 

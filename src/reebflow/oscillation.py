@@ -31,11 +31,11 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _blocks, _blockwise, _octave_blocks, write_csv
+from .efunc import EFunction, GridSpec, _blocks, _octave_blocks, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -133,15 +133,16 @@ def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile
 
 
 def _profile_pass(
-    f: EFunction, g: GridSpec, variant: str, fv: np.ndarray | None = None, vals: np.ndarray | None = None
+    f: EFunction, g: GridSpec, variant: str, fv: np.ndarray | None = None, vals: np.ndarray | None = None,
+    folds: Sequence[_WitnessFold] = (),
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float | None]:
     """One pass of f over g: the octave envelopes of f, and the octave suprema of its profile.
 
     Returns ``((f_sups, f_mins), sups, tail_max)``.  ``fv`` and ``vals``,
     when given, receive f and the profile at every node; without them the
     pass holds only buffers of one block.  A held pass (``star_profile``,
-    ``sharp_profile``) does the per-block work of a streamed one
-    (``sigma_estimate``, ``classify``) and only writes into its arrays.
+    ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``,
+    ``classify``) and only writes into its arrays.  ``folds`` are fed each block of f.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
@@ -156,20 +157,12 @@ def _profile_pass(
         raise ValueError("variant must be 'star' or 'sharp'")
     if variant == "sharp" and f.claimed_class != "E0":
         raise ValueError("sharp profile requires a function with claimed_class E0")
-    tail_max = None
-    if variant == "sharp":
-        tv = np.asarray(f(g.tail_nodes()), dtype=float)
-        horizon = float(np.abs(tv[-1]))
-        if horizon > _DECAY_BOUND:
-            raise TailCheckError(
-                f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}"
-            )
-        tail_max = float(tv.max())
+    tail_max = _tail_max(f, g) if variant == "sharp" else None
     f_env, sups = [], []
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
     # the non-finite value as a DomainError after the last block
     with np.errstate(invalid="ignore"):
-        for lo, fb, env in _octave_blocks(f, g, fv):
+        for lo, fb, env in _octave_blocks(f, g, fv, ahead=bool(folds)):
             m = len(fb)
             if vals is None and not lo:  # the first block is the longest
                 buf = np.empty(m)
@@ -186,8 +179,23 @@ def _profile_pass(
             np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
             f_env.append(env)
             sups.append(g.octave_windows(rm).max(axis=1))
+            for fold in folds:
+                fold.feed(lo, fb)
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
     return (f_sups, f_mins), np.concatenate(sups), tail_max
+
+
+def _tail_max(f: EFunction, g: GridSpec) -> float:
+    """The max of f over the tail nodes of g, by ``_blocks`` after one domain check, once |f| at the horizon
+    passes the decay bound: the bits of one max over the tail (taken again if 0, where +-0.0 may tie), a NaN too."""
+    t = g.tail_nodes()
+    f._check_domain(float(t[0]), float(t[-1]))
+    tops = [(tv := np.asarray(f.fn(t[s]), dtype=float)).max() for s in _blocks(len(t))]
+    horizon = float(np.abs(tv[-1]))
+    if horizon > _DECAY_BOUND:
+        raise TailCheckError(f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}")
+    top = float(np.max(tops))
+    return float(np.asarray(f.fn(t), dtype=float).max()) if top == 0 else top
 
 
 # the values after the carry that _running_max takes as one chunk
@@ -247,9 +255,10 @@ class SigmaEstimate:
     ``trend`` compares the final ``_TAIL_WINDOW`` (8) octaves against the 8
     before them with a fixed factor of 1.5: "increasing" (grows by more than
     the factor), "vanishing" (shrinks by more than the factor, or is zero),
-    else "bounded".  The trend carries the qualitative verdict; sigma_hat
-    alone cannot distinguish a large limsup from slow divergence.  A grid
-    needs at least 16 octaves.
+    else "bounded".  The trend reads the final 16 octaves, sigma_hat the
+    deep half: a period longer than 16 octaves can read "vanishing" beside a
+    large sigma_hat, which alone cannot tell a large limsup from slow
+    divergence.  A grid needs at least 16 octaves.
     """
 
     variant: str
@@ -346,11 +355,7 @@ _DEPTH_FLOOR = 1e-300
 
 
 def check_witness(
-    f: EFunction,
-    f2: EFunction | None,
-    w: EquivalenceWitness,
-    g: GridSpec,
-    tol: float = _WITNESS_TOL,
+    f: EFunction, f2: EFunction | None, w: EquivalenceWitness, g: GridSpec, tol: float = _WITNESS_TOL
 ) -> WitnessReport:
     """Verify an equivalence witness on the grid.
 
@@ -361,15 +366,16 @@ def check_witness(
     is reported (h_monotone False fails the check), never silently ignored.
     h counts as increasing when the images of the descending nodes descend:
     strictly above ``_DEPTH_FLOOR``, and without rising below it, where
-    neighbouring images may round to one double or underflow to 0.  f is
-    evaluated at the nodes and, only when h is increasing on the grid, at
-    their positive images: f never sees the images of a non-monotone h, nor
-    0, whose residual is inf.  ``self_similarity_scan`` and the witness sweep
-    of a derived-shift ``koenigs_limit``, which hold f over the whole grid,
-    read f o h from it when h(x_i) == x_{i+j} bitwise wherever i + j indexes
-    a node, as ``halve`` does on every grid (j = K).  ``tol`` defaults to
-    ``_WITNESS_TOL`` (1e-9), the gate of the scan and ``koenigs_limit``, and
-    must be finite and positive.
+    neighbouring images may round to one double or underflow to 0.  h is
+    walked over the grid first, so f never sees the images of a non-monotone
+    h, nor 0, whose residual is inf.  The left side is then evaluated and
+    folded block by block (:class:`_WitnessFold`).  In self-similarity mode,
+    when h(x_i) == x_{i+j} bitwise wherever i + j indexes a node, as
+    ``halve`` does on every grid (j = K), f o h is read from a block and the
+    next: f runs once per node and at the images past the grid's end (the
+    last K under ``halve``).  Otherwise f runs at every image.  ``tol``
+    defaults to ``_WITNESS_TOL`` (1e-9), the gate of the scan and
+    ``koenigs_limit``, and must be finite and positive.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
@@ -377,57 +383,94 @@ def check_witness(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"witness tol must be finite and positive, got {tol:g}")
-    return _check_witness(f, f2, w, g.nodes(), None, tol)
+    return _check_witness(f, f2, w, g.nodes(), tol)
 
 
-def _check_witness(f, f2, w: EquivalenceWitness, x, fx, tol: float) -> WitnessReport:
-    """:func:`check_witness` at the nodes ``x``; ``fx``, when given, is f(x) already sampled.
-
-    h is evaluated and checked over all of ``x`` before f is evaluated at any
-    image.  Then k, the left side, f(h(x)) and the relative residual are
-    taken block by block.  With ``fx``, an increasing h and the shift j of
-    :func:`_node_shift`, f(h(x[i])) is read as f(x[i + j]), as it is for an
-    elementwise f, and f is evaluated only at the images past that overlap.
-    """
-    hx, h_monotone, z = _h_images(w.h, x)
+def _check_witness(f, f2, w: EquivalenceWitness, x: np.ndarray, tol: float) -> WitnessReport:
+    """:func:`check_witness` at the nodes ``x``: the left side's function, f or f2, fed per ``_blocks`` block."""
+    fold = _WitnessFold(f, w, x, "equivalence" if f2 is not None else "self_similarity")
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-    k = None if w.k is None else as_shift(w.k)
-    j = None if fx is None or not h_monotone else _node_shift(x, hx)
-
-    def blocks():
-        for s in _blocks(len(x)):
-            kv = None if k is None else k(x[s])
-            if f2 is not None:
-                lhs = np.asarray(f2(x[s]), dtype=float)
-            else:
-                lhs = w.lam * (np.asarray(f(x[s]), dtype=float) if fx is None else fx[s])
-            # f is never evaluated at the images of a non-monotone h, nor at 0; an
-            # explicit k and the left side still are, so that their errors are raised
-            if h_monotone and (e := min(s.stop, z)) > s.start:
-                rhs = _images(f, hx, slice(s.start, e), fx, j)  # may be hx itself, which is not read again
-                if kv is not None:
-                    rhs += kv[: e - s.start]
-                yield s.start, lhs[: e - s.start], rhs
-
-    mode = "equivalence" if f2 is not None else "self_similarity"
-    return _witness_report(mode, w.lam, x, h_monotone, z, blocks(), tol)
+    for s in _blocks(len(x)):
+        fold.feed(s.start, np.asarray((f if f2 is None else f2)(x[s]), dtype=float))
+    return fold.report(tol)
 
 
-def _h_images(h, x: np.ndarray) -> tuple[np.ndarray, bool, int]:
-    """h(x) block by block, whether h is increasing on the descending nodes ``x``, and the index
-    where the images at 0 begin (``len(x)`` when there are none, or h is not increasing)."""
-    hx, n = _blockwise(h, x), len(x)
-    # descending images end at their minimum, which must not be negative (or NaN)
-    h_monotone = bool(hx[-1] >= 0) and all(_descends(hx[max(s.start - 1, 0) : s.stop]) for s in _blocks(n))
-    return hx, h_monotone, (n if not h_monotone or hx[-1] > 0 else int(np.argmax(hx == 0)))
+class _WitnessFold:
+    """lam * v = f o h + k at the nodes ``x``, folded over the blocks of v (f, or f2 in "equivalence" mode) in order.
+
+    h is walked first (:func:`_walk_images`).  A block folds k at its nodes,
+    then, for an increasing h, f o h before the first image at 0.  Under a
+    node shift j in "self_similarity" mode it waits for the next block and
+    reads f(h(x_i)) as f(x_{i+j}) where i + j falls in the two, so f runs at
+    the other images.  A node two blocks share folds in the first; inf - inf
+    folds as NaN, unwarned."""
+
+    def __init__(self, f, w: EquivalenceWitness, x: np.ndarray, mode: str):
+        self.f, self.w, self.x, self.mode, self.k = f, w, x, mode, None if w.k is None else as_shift(w.k)
+        self.h_monotone, self.z, j = _walk_images(x, (np.asarray(w.h(x[s]), dtype=float) for s in _blocks(len(x))))
+        self.j = j if mode == "self_similarity" else None
+        self.done, self.held, self.best = 0, None, (-math.inf, -1)
+
+    def feed(self, lo: int, v: np.ndarray) -> None:
+        """v at the nodes from ``lo`` on; it is read until the next block is fed."""
+        if self.j is None:
+            return self._fold(lo, v, lo, v)
+        if self.held is not None:
+            self._fold(*self.held, lo, v)
+        self.held = (lo, v)
+
+    def report(self, tol: float) -> WitnessReport:
+        if self.held is not None:
+            self._fold(*self.held, len(self.x), self.x[:0])
+        return _witness_report(self.mode, self.w.lam, self.x, self.h_monotone, self.z, self.best, tol)
+
+    def _fold(self, lo: int, v: np.ndarray, ahead_lo: int, ahead: np.ndarray) -> None:
+        a, b = self.done, lo + len(v)
+        self.done = b
+        kv = None if self.k is None else self.k(self.x[a:b])
+        # f never sees the images of a non-monotone h, nor 0; k still runs, for its errors
+        e = min(b, self.z) if self.h_monotone else a
+        if e <= a:
+            return
+        rhs, c, d = np.empty(e - a), a, a  # f o h is read from v on [a, c) and from ahead on [c, d)
+        if (j := self.j) is not None:
+            c = min(max(b - j, a), e)
+            d = min(max(ahead_lo + len(ahead) - j, c), e)
+            rhs[: c - a] = v[a + j - lo : c + j - lo]
+            rhs[c - a : d - a] = ahead[c + j - ahead_lo : d + j - ahead_lo]
+        if d < e:
+            rhs[d - a :] = self.f(np.asarray(self.w.h(self.x[d:e]), dtype=float))
+        if kv is not None:
+            rhs += kv[: e - a]
+        with np.errstate(invalid="ignore"):
+            self.best = _max_residual([(a, self.w.lam * v[a - lo : e - lo], rhs)], self.best)
 
 
-def _witness_report(mode, lam, x, h_monotone, z, blocks, tol) -> WitnessReport:
-    """The report of a witness check at the nodes ``x`` from its ``(start, lhs, rhs)`` blocks, all
-    consumed: a non-monotone h has residual inf at x[0], and the images at 0, from index ``z`` on,
-    count as residual inf after every node whose image is positive."""
-    residual, i = _max_residual(blocks)
+def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int, int | None]:
+    """Whether h is increasing on the descending nodes ``x``, given its images per ``_blocks`` block
+    (they descend, across block edges too, to a minimum not negative or NaN), the index where the
+    images at 0 begin, and the node shift of :func:`_node_shift`; ``len(x)`` and None if not."""
+    n = len(x)
+    monotone, z, j, last = True, n, None, None
+    for s, hb in zip(_blocks(n), blocks):
+        if last is None:
+            j = _node_index(x, hb[0])
+        elif monotone:
+            monotone = _descends(np.array((last, hb[0])))
+        monotone = monotone and _descends(hb)
+        if j is not None and (m := min(s.stop, n - j) - s.start) > 0:
+            j = j if np.array_equal(hb[:m], x[s.start + j : s.start + j + m]) else None
+        if z == n and hb[-1] == 0:  # the images at 0 of an increasing h end the grid
+            z = s.start + int(np.argmax(hb == 0))
+        last = hb[-1]
+    return (True, z, j) if monotone and last >= 0 else (False, n, None)
+
+
+def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int], tol) -> WitnessReport:
+    """The report at the nodes ``x`` from the :func:`_max_residual` of its blocks: a non-monotone h has residual
+    inf at x[0], and images at 0, from index ``z`` on, count as inf after every node whose image is positive."""
+    residual, i = best
     if not h_monotone:
         residual, i = math.inf, 0
     elif z < len(x) and residual < math.inf:  # neither an inf nor a NaN came before
@@ -443,26 +486,18 @@ def _descends(hx: np.ndarray) -> bool:
     return bool(np.all(down | ((hx[1:] == hx[:-1]) & (hx[:-1] <= _DEPTH_FLOOR))))
 
 
+def _node_index(x: np.ndarray, y: float) -> int | None:
+    """The index of the node equal to ``y`` among the descending nodes ``x``, or None."""
+    j = bisect.bisect_left(x, -float(y), key=operator.neg)
+    return j if j < len(x) and x[j] == y else None
+
+
 def _node_shift(x: np.ndarray, hx: np.ndarray) -> int | None:
     """The j with hx[i] == x[i + j] at every i < len(x) - j, compared block by block, or None."""
-    j = bisect.bisect_left(x, -float(hx[0]), key=operator.neg)
-    if j == len(x) or x[j] != hx[0]:
+    j = _node_index(x, hx[0])
+    if j is None:
         return None
     return j if all(np.array_equal(hx[s], x[s.start + j : s.stop + j]) for s in _blocks(len(x) - j)) else None
-
-
-def _images(f, hx: np.ndarray, t: slice, fx, j) -> np.ndarray:
-    """f(hx[t]): fx[i + j] at each i whose shifted index i + j is on the grid (none when the
-    node shift j is None), f evaluated at the rest of the block; the caller overwrites it."""
-    a, e = t.start, t.stop
-    c = a if j is None else min(e, len(fx) - j)  # [a, c) shifts onto the grid
-    if c <= a:
-        return np.asarray(f(hx[t]), dtype=float)
-    out = np.empty(e - a)
-    out[: c - a] = fx[a + j : c + j]
-    if c < e:
-        out[c - a :] = f(hx[c:e])
-    return out
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
@@ -477,10 +512,10 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
     return float(rel[i]), i
 
 
-def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> tuple[float, int]:
-    """The largest :func:`_relative_residual` over ``(start, lhs, rhs)`` blocks and its index, (-inf, -1)
-    for none: the first largest wins, and a NaN one, as for ``np.argmax`` over the whole array."""
-    residual, worst = -math.inf, -1
+def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], best=(-math.inf, -1)) -> tuple[float, int]:
+    """The largest :func:`_relative_residual` over ``(start, lhs, rhs)`` blocks and its index, after ``best``
+    ((-inf, -1): none): the first largest wins, and a NaN one, as for ``np.argmax`` over the whole array."""
+    residual, worst = best
     for a, lhs, rhs in blocks:
         r, i = _relative_residual(lhs, rhs)
         if r > residual or (math.isnan(r) and not math.isnan(residual)):

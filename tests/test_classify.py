@@ -61,12 +61,28 @@ def points_in_unit(calls):
     Drops the scalar calls and the probes above 1 (the sharp tail, the E0
     diagnosis), so what is left is the grid and the witnesses' images of it.
     """
-    arrays = [x for x in calls if x.ndim == 1 and x.size and x.max() <= 1.0]
+    arrays = in_unit(calls)
     return len(arrays), np.concatenate(arrays)
+
+
+def in_unit(calls):
+    """The arrays f was evaluated on inside (0, 1], in call order (see :func:`points_in_unit`)."""
+    return [x for x in calls if x.ndim == 1 and x.size and x.max() <= 1.0]
+
+
+def assert_calls(calls, want):
+    """``calls`` are the arrays of ``want``, one by one and bitwise."""
+    assert [x.tobytes() for x in calls] == [np.asarray(w, dtype=float).tobytes() for w in want]
 
 
 # 81,921 nodes: two full blocks of grid-wide passes and a partial one
 MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
+
+# the witnesses of the benchmark's scan: exactly self-similar at scale 2, not at sqrt(2)
+SCAN_WITNESSES = [
+    EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
+    EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0**0.5),
+]
 
 # the streamed star pass is classify's, the sharp one sigma_estimate's
 STREAMED = [classify, lambda f, g: sigma_estimate(f, g, "sharp")]
@@ -81,9 +97,11 @@ class TestOneSample:
         assert np.array_equal(x, grid.nodes())
 
     def test_scan_evaluates_f_once_plus_once_per_witness(self, grid):
-        # halve carries x_i onto x_(i+K), so its witness reads f(h(x)) from
-        # the sample and evaluates f only at the images of the last K nodes;
-        # root_scale:2 keeps too few images on nodes, so f runs at all of them
+        # the pass evaluates f on the grid, one block here, and feeds it to
+        # each witness in turn.  root_scale:2 keeps too few images on nodes, so
+        # f runs at all of them as the block comes; halve carries x_i onto
+        # x_(i+K), so its block waits for the next and, after the pass, f runs
+        # only at the images of the last K nodes
         f, calls = counting(builtin("doubling_osc"))
         witnesses = [
             EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
@@ -92,9 +110,7 @@ class TestOneSample:
         self_similarity_scan(f, witnesses, grid)
         x = grid.nodes()
         halve, root = (w.h for w in witnesses)
-        n_calls, pts = points_in_unit(calls)
-        assert n_calls == 1 + len(witnesses)
-        assert np.array_equal(pts, np.concatenate([x, halve(x[-grid.samples_per_octave :]), root(x)]))
+        assert_calls(in_unit(calls), [x, root(x), halve(x[-grid.samples_per_octave :])])
 
     def test_scan_witnesses_match_check_witness(self, grid):
         f = builtin("bounded_osc", [2.0])
@@ -120,14 +136,16 @@ class TestOneSample:
             EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
         ]
         self_similarity_scan(f, witnesses, MULTI)
-        n_calls, x = points_in_unit(calls)
-        blocks = -(-MULTI.node_count // _BLOCK)
-        # the sample and root_scale:2 by blocks; halve's last K images in one call
-        assert blocks > 1 and n_calls == 2 * blocks + 1
-        x0 = MULTI.nodes()
+        x, n, K = MULTI.nodes(), MULTI.node_count, MULTI.samples_per_octave
         halve, root = (w.h for w in witnesses)
-        want = [x0, halve(x0[-MULTI.samples_per_octave :]), root(x0)]
-        assert np.array_equal(x, np.concatenate(want))
+        # the pass's blocks of 8 octaves share their end nodes, where f runs
+        # once; after each block f runs at its new nodes' images under
+        # root_scale:2, and halve's look-ahead reads the rest from the blocks
+        step = _BLOCK // K * K
+        blocks = [slice(lo + (lo > 0), min(lo + step, n - 1) + 1) for lo in range(0, n - 1, step)]
+        assert len(blocks) == 3
+        want = [p for s in blocks for p in (x[s], root(x[s]))]
+        assert_calls(in_unit(calls), want + [halve(x[-K:])])
 
     def test_multi_block_scan_matches_whole_array_passes(self):
         f = builtin("bounded_osc", [2.0])
@@ -194,13 +212,23 @@ class TestOneSample:
 
 
 class TestStreamingMemory:
-    @pytest.mark.parametrize("run", [classify, sigma_estimate], ids=["classify", "sigma_estimate"])
-    def test_no_grid_sized_array_is_held(self, run):
+    @pytest.mark.parametrize(
+        "name,run",
+        [
+            ("std_log", classify),
+            ("std_log", sigma_estimate),
+            ("doubling_osc", lambda f, g: sigma_estimate(f, g, "sharp")),
+            ("doubling_osc", lambda f, g: self_similarity_scan(f, SCAN_WITNESSES, g)),
+        ],
+        ids=["classify", "sigma_estimate", "sharp", "scan"],
+    )
+    def test_no_grid_sized_array_is_held(self, name, run):
         # 983,041 nodes: f and the profile over the grid would take 7.9 MB
-        # each; the pass holds buffers of one 2^15-node block.  The cached
-        # nodes, shared by every pass over the grid, are built first.
-        f, g = builtin("std_log"), GridSpec(16384, 60)
-        g.nodes()
+        # each, as would h(x) for a witness of the scan, and f over the
+        # sharp tail 2.6 MB; the passes hold buffers of one 2^15-node block.
+        # The cached nodes, shared by every pass over the grid, are built first.
+        f, g = builtin(name), GridSpec(16384, 60)
+        g.nodes(), g.tail_nodes()
         tracemalloc.start()
         try:
             run(f, g)
@@ -232,6 +260,18 @@ class TestNonFiniteValues:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^non-finite value at grid node x={x_bad!r}$"):
                 run(f, MULTI)
+
+    @pytest.mark.parametrize("part", ["h", "k"])
+    def test_a_failing_h_or_k_comes_before_a_non_finite_f(self, part):
+        # h is walked before the pass, and k runs as the pass folds each
+        # block, so both fail before the pass reports f's non-finite value
+        def fail(x):
+            raise ArithmeticError(f"{part} fails")
+
+        h = Homeo(fail) if part == "h" else gallery_homeo("halve")
+        w = EquivalenceWitness(h, fail if part == "k" else None, 2.0)
+        with pytest.raises(ArithmeticError, match=f"^{part} fails$"):
+            self_similarity_scan(from_expression("1/(x-0.25)"), [w], MULTI)
 
 
 class TestWarningsMatchDiagnosis:

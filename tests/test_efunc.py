@@ -16,7 +16,7 @@ from reebflow import (
     from_expression,
     sample,
 )
-from reebflow.efunc import _BLOCK, compile_expr, write_csv
+from reebflow.efunc import _BLOCK, _blocks, _nodes, compile_expr, write_csv
 
 
 class TestBuiltins:
@@ -146,6 +146,19 @@ class TestGridSpec:
         y = x.copy()
         y[0] = 2.0  # a copy is the caller's to write
         assert g.nodes()[0] == 1.0
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 7, 8, 64, 100, 512, 1000, 1024, 4096, 16384, 32768])
+    def test_nodes_from_one_octave_keep_the_bits_of_the_whole_grid_formula(self, K):
+        # the nodes are built one octave at a time; the formula over the whole
+        # grid, ldexp(2^(-(i mod K)/K), -(i div K)), does not depend on m_max,
+        # so every grid of K nodes per octave is a prefix of the deepest one
+        i = np.arange(K * 60 + 1)
+        want = np.concatenate(
+            [np.ldexp(np.exp2(-(i[s] % K) / K), -(i[s] // K)) for s in _blocks(i.size)]
+        )
+        for m_max in (1, 2, 16, 20, 40, 59, 60):
+            x = _nodes.__wrapped__(K, m_max)
+            assert x.tobytes() == want[: K * m_max + 1].tobytes(), m_max
 
     def test_tail_nodes_are_one_cached_read_only_array(self):
         g = GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3)

@@ -31,6 +31,7 @@ from reebflow.oscillation import (
     _TAIL_WINDOW,
     _profile_pass,
     _running_max,
+    _tail_max,
     as_shift,
     sigma_from_profile,
 )
@@ -469,6 +470,9 @@ class TestProfileExports:
 # a partial one), and 32,769 (one full block and a last block of one node)
 MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
 ONE_NODE_TAIL = GridSpec(samples_per_octave=16384, octave_max=2)
+# a tail of 65,537 nodes, two full blocks and one node, and zeros of either sign on it
+TAIL16 = GridSpec(samples_per_octave=4096, octave_max=20, tail_octaves=16)
+SIGNED_ZEROS = np.where(np.random.default_rng(0).random(TAIL16.tail_nodes().size) < 0.5, -0.0, 0.0)
 
 
 def whole_profile(f, g, variant="star"):
@@ -649,6 +653,24 @@ class TestBlockedPasses:
         w = EquivalenceWitness(gallery_homeo(hid), k, lam)
         assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
 
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL], ids=["multi", "one_node_tail"])
+    def test_check_witness_under_halve_evaluates_f_once_per_node_and_at_the_last_images(self, g):
+        # f runs block by block at the nodes; each block waits for the next and
+        # reads f o h from the two, so f runs at the images past the grid's
+        # end only: the last K, after the last block (on ONE_NODE_TAIL, whose
+        # last block is one node, K - 1 of them before it is folded)
+        calls, f = [], builtin("doubling_osc")
+        counted = EFunction("builtin", lambda t: calls.append(np.array(t)) or f.fn(t), "E0", "counted")
+        w = EquivalenceWitness(gallery_homeo("halve"), None, 2.0)
+        rep = check_witness(counted, None, w, g)
+        assert_witness_bits(rep, f, None, w, g)
+        x, K = g.nodes(), g.samples_per_octave
+        blocks = list(_blocks(x.size))
+        want = [x[s] for s in blocks] + [w.h(x[-K:])]
+        if blocks[-1].stop - blocks[-1].start < K:
+            want[-1:] = [w.h(x[-K:-1]), w.h(x[-1:])]
+        assert [bits(c) for c in calls] == [bits(c) for c in want]
+
     def test_equivalence_mode_bits(self):
         f = builtin("bounded_osc", [2.0])
         h = gallery_homeo("halve")
@@ -716,6 +738,40 @@ class TestBlockedPasses:
         h = BENT if hid == "bent" else gallery_homeo(hid)
         w = EquivalenceWitness(h, k, lam)
         assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
+
+
+class TestTailMax:
+    @pytest.mark.parametrize(
+        "fn,g",
+        [
+            (builtin("doubling_osc").fn, MULTI),
+            (lambda t: np.where(np.abs(t - 2 ** (41000 / 4096)) < 1e-9, math.nan, 1 / t), MULTI),
+            (lambda t: SIGNED_ZEROS[np.searchsorted(TAIL16.tail_nodes(), t)], TAIL16),
+        ],
+        ids=["doubling_osc", "nan_in_the_second_block", "signed_zeros"],
+    )
+    def test_tail_max_is_the_whole_tail_max_block_by_block(self, fn, g):
+        # f runs on the _blocks of the tail, three here, and the max keeps the
+        # bits of one max over the whole tail
+        f, calls = EFunction("expression", fn, "E0"), []
+        counted = EFunction("expression", lambda t: calls.append(np.array(t)) or fn(t), "E0", "counted")
+        t = g.tail_nodes()
+        want = f(t).max()
+        assert bits(_tail_max(counted, g)) == bits(want)
+        blocks = [t[s] for s in _blocks(t.size)]
+        assert len(blocks) == 3 and [bits(c) for c in calls[:3]] == [bits(b) for b in blocks]
+        # +0.0 and -0.0 tie: the max of the block maxima has the other sign,
+        # so a zero max is taken again over the whole tail
+        if want == 0:
+            assert np.signbit(np.max([b.max() for b in map(f, blocks)])) != np.signbit(want)
+        assert len(calls) == 3 + (want == 0)
+
+    def test_the_horizon_is_checked_after_the_whole_tail(self):
+        f, calls = from_expression("1 + 1/x", claimed_class="E0"), []
+        counted = EFunction("expression", lambda t: calls.append(np.array(t)) or f.fn(t), "E0", "counted")
+        with pytest.raises(TailCheckError, match=r"^\|f\(2\^20\)\| = 1 exceeds the tail bound 0.01$"):
+            sigma_estimate(counted, MULTI, "sharp")
+        assert bits(np.concatenate(calls)) == bits(MULTI.tail_nodes())
 
 
 class TestOctaveAlignedBlocks:

@@ -91,6 +91,7 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
     calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
+    calls += [tool.scan_call(g), tool.sharp_call(g)]
     for call in calls:
         peak, held, faults = tool.measure(call)
         assert 0 < held <= peak and faults >= 0

@@ -5,6 +5,9 @@ derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
+At the grid (16384, 60), 983,041 nodes, it measures ``self_similarity_scan``
+of doubling_osc with the witnesses halve (lam = 2) and root_scale:2 (lam =
+sqrt 2), and ``sigma_estimate`` of doubling_osc with the sharp profile.
 Each call runs once to warm the caches (the grid nodes), then once more for
 each measurement, and prints four numbers:
 
@@ -23,6 +26,7 @@ The package is imported from this checkout's ``src``.  Run from anywhere:
 
 from __future__ import annotations
 
+import math
 import resource
 import statistics
 import sys
@@ -39,6 +43,7 @@ import reebflow as rf  # noqa: E402
 from reebflow.flow import orbit_rows  # noqa: E402
 
 GRID = rf.GridSpec(4096, 60)
+GRID_1M = rf.GridSpec(16384, 60)
 KOENIGS = (("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve"))
 GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
 MIB = 1 << 20
@@ -77,6 +82,20 @@ def orbit_call(name: str, g: rf.GridSpec | None = None):
     return lambda: orbit_rows(F, p0, ORBIT_TIMES)
 
 
+def scan_call(g: rf.GridSpec):
+    """``self_similarity_scan`` of doubling_osc on g under halve (lam = 2) and root_scale:2 (lam = sqrt 2)."""
+    f = rf.builtin("doubling_osc")
+    witnesses = [rf.EquivalenceWitness(rf.gallery_homeo("halve"), None, 2.0),
+                 rf.EquivalenceWitness(rf.gallery_homeo("root_scale:2"), None, math.sqrt(2.0))]
+    return lambda: rf.self_similarity_scan(f, witnesses, g)
+
+
+def sharp_call(g: rf.GridSpec):
+    """``sigma_estimate`` of doubling_osc on g with the sharp profile, whose tail is sampled too."""
+    f = rf.builtin("doubling_osc")
+    return lambda: rf.sigma_estimate(f, g, "sharp")
+
+
 def wall_ms(call) -> float:
     """The median wall time in ms of ``REPS`` warm ``call()``s."""
     call()
@@ -110,12 +129,15 @@ def main() -> None:
     cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID), flow_parts(name, GRID))
               for name in GALLERY]
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
-    print(f"grid {GRID.samples_per_octave},{GRID.octave_max}: peak MiB, held MiB, minor faults per warm call;"
-          f" median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone)")
+    big = f"{GRID_1M.samples_per_octave},{GRID_1M.octave_max}"
+    cases += [(f"self_similarity_scan doubling_osc ({big})", scan_call(GRID_1M), [scan_call(GRID_1M)]),
+              (f"sigma_estimate sharp doubling_osc ({big})", sharp_call(GRID_1M), [sharp_call(GRID_1M)])]
+    print(f"grid {GRID.samples_per_octave},{GRID.octave_max} unless named: peak MiB, held MiB, minor faults per"
+          f" warm call; median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone)")
     for label, call, timed in cases:
         peak, held, faults = measure(call)
         ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
-        print(f"{label:40s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
+        print(f"{label:48s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
 
 
 if __name__ == "__main__":
