@@ -150,7 +150,8 @@ def self_similarity_scan(
     once, in the pass of ``classify``, which feeds each block of f to the
     fold of ``check_witness`` for every witness: under ``halve`` f runs
     again only at the images of the last K nodes, under ``root_scale:2`` at
-    all images.  No array the size of the grid is held.  Each witness is
+    the images off their nodes and past the grid's end (45% at K = 16384).
+    No array the size of the grid is held.  Each witness is
     gated at 1e-9, and the verdict is that of ``classify`` with its default
     thresholds.  An h or k that raises does so before a non-finite f, which
     the pass reports after its last block.

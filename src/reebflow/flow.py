@@ -453,9 +453,13 @@ def extract_transition(
 def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[tuple[float, float, float]]:
     """(t, xi, eta) samples of the orbit through p0, as Python floats."""
     t = np.asarray(times, dtype=float).tolist()
-    if F.source is None:
-        pts = [flow_step(F, v, p0) for v in t]
-        return [(v, q.xi, q.eta) for v, q in zip(t, pts)]
+    if F.source is None:  # standard_step's closed form per time, its range checked once
+        lam, xi, eta = F.lam, p0.xi, p0.eta
+        if np.max(np.abs(np.multiply(t, lam)), initial=0.0) <= _S_CEILING:  # a NaN time fails
+            rows = [(v, math.exp(v * lam) * xi, math.exp(-(v * lam)) * eta) for v in t]
+            if p0.interior or all(r[1] or r[2] for r in rows):  # an axis point can underflow to the origin
+                return rows
+        return [(v, q.xi, q.eta) for v in t for q in [flow_step(F, v, p0)]]  # raises as the step does
     c, s0 = p0.leaf_coords()
     xi = np.exp(_leaf_position(F, c, s0, t))
     return list(zip(t, xi.tolist(), (c / xi).tolist()))

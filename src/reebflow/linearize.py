@@ -14,7 +14,8 @@ is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
 
 1. the witness sweep, the witness check on the grid; for a derived k the
    first sweep of the orbits: h, f and f o h once over the nodes, f o h
-   read from f when h shifts the nodes onto nodes (``_node_shift``);
+   read from f at the images that are nodes under the shift of
+   ``_walk_images`` (at least half of them must be);
 2. the basin, which reads h(x) from that sweep;
 3. the settle read-out of k(0), from that sweep at the nodes 2^-m;
 4. the lockstep walk of the later sweeps over the ``efunc._blocks`` blocks
@@ -22,9 +23,9 @@ is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
    of orbit state and writing f at each orbit's end over f(x) once;
 5. the read-out of f_inf at the probes, from the ends of those orbits, and
    at their images from the same walk (read at the probes, in one buffer with
-   them, when that rule finds h shifting probes onto probes, as halve does,
-   else one sweep on, block by block, as the orbit of h(x) is that of x one
-   sweep later), and the residual.
+   them, when ``_node_shift`` finds h shifting every probe onto a probe, as
+   halve does, else one sweep on, block by block, as the orbit of h(x) is
+   that of x one sweep later), and the residual.
 
 So f runs at most ``iterations + 2`` times over the grid (fewer under
 halve), and f_inf returns a fresh copy of these values for points bitwise
@@ -49,7 +50,7 @@ from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
     _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, WitnessReport, _check_witness, _max_residual,
-    _node_shift, _walk_images, _witness_report, as_shift,
+    _f_at_images, _node_shift, _walk_images, _witness_report, as_shift,
 )
 
 __all__ = [
@@ -180,14 +181,13 @@ def _witness_sweep(f, h, k, lam: float, x: np.ndarray) -> tuple[WitnessReport, l
         return _check_witness(f, None, EquivalenceWitness(h, k, lam), x, _WITNESS_TOL), []
     hx, fx, fhx = _blockwise(h, x), _blockwise(f, x), np.empty(x.size)
     h_monotone, z, j = _walk_images(x, (hx[s] for s in _blocks(x.size)))
-    on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on
+    on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on where h(x_i) == x_{i+j}
 
     def blocks():
         for t in _blocks(z if h_monotone else 0):
             m = min(max(t.start, on), t.stop)
             fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
-            if m < t.stop:
-                fhx[m : t.stop] = f(hx[m : t.stop])
+            _f_at_images(f, hx[t], x[t.start + (j or 0) : m + (j or 0)], fhx[t])
             lhs, live = lam * fx[t], (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
             yield t.start, lhs, fhx[t] + np.where(live, lhs - fhx[t], 0.0)
 

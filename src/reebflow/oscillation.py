@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _blocks, _octave_blocks, write_csv
+from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _octave_blocks, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -164,8 +164,8 @@ def _profile_pass(
     with np.errstate(invalid="ignore"):
         for lo, fb, env in _octave_blocks(f, g, fv, ahead=bool(folds)):
             m = len(fb)
-            if vals is None and not lo:  # the first block is the longest
-                buf = np.empty(m)
+            if not lo:  # the first block is the longest; the tail max fills one, for an array-array max
+                buf, tops = np.empty(m), None if tail_max is None else np.full(m, tail_max)
             # rm[0] is the running max at the block's first node: there f itself
             # on the first block (the max of -inf and f, as for the whole array),
             # else the value carried from the previous block's end node
@@ -174,8 +174,8 @@ def _profile_pass(
             rm[1:] = fb[1:]
             _running_max(rm)
             carry = rm[-1]
-            if tail_max is not None:  # sharp: the tail max joins after the accumulation
-                np.maximum(rm, tail_max, out=rm)
+            if tops is not None:  # sharp: the tail max joins after the accumulation
+                np.maximum(rm, tops[:m], out=rm)
             np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
             f_env.append(env)
             sups.append(g.octave_windows(rm).max(axis=1))
@@ -360,7 +360,8 @@ def check_witness(
     """Verify an equivalence witness on the grid.
 
     With ``f2`` given the check is f2 = f o h + k (equivalence mode, lam
-    must be 1); with ``f2`` None it is lam * f = f o h + k.  Residuals are
+    must be 1, which is checked before h runs); with ``f2`` None it is
+    lam * f = f o h + k.  Residuals are
     relative to the operand scale: the functions involved span many decades,
     so an absolute residual would be meaningless near 0.  A non-monotone h
     is reported (h_monotone False fails the check), never silently ignored.
@@ -369,11 +370,13 @@ def check_witness(
     neighbouring images may round to one double or underflow to 0.  h is
     walked over the grid first, so f never sees the images of a non-monotone
     h, nor 0, whose residual is inf.  The left side is then evaluated and
-    folded block by block (:class:`_WitnessFold`).  In self-similarity mode,
-    when h(x_i) == x_{i+j} bitwise wherever i + j indexes a node, as
-    ``halve`` does on every grid (j = K), f o h is read from a block and the
-    next: f runs once per node and at the images past the grid's end (the
-    last K under ``halve``).  Otherwise f runs at every image.  ``tol``
+    folded block by block (:class:`_WitnessFold`).  In self-similarity mode
+    the node shift j has h(x_0) == x_j, and is kept when at least half of
+    the images h(x_i) with i + j on the grid are x_{i+j} bitwise: all under
+    ``halve`` (j = K), 55% under ``root_scale:2`` at K = 16384.  f o h is then
+    read from a block and the next at those images, and f runs once per
+    node and at the other images and those past the grid's end (the last K
+    under ``halve``).  Without a shift f runs at every image.  ``tol``
     defaults to ``_WITNESS_TOL`` (1e-9), the gate of the scan and
     ``koenigs_limit``, and must be finite and positive.
 
@@ -388,9 +391,9 @@ def check_witness(
 
 def _check_witness(f, f2, w: EquivalenceWitness, x: np.ndarray, tol: float) -> WitnessReport:
     """:func:`check_witness` at the nodes ``x``: the left side's function, f or f2, fed per ``_blocks`` block."""
-    fold = _WitnessFold(f, w, x, "equivalence" if f2 is not None else "self_similarity")
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
+    fold = _WitnessFold(f, w, x, "equivalence" if f2 is not None else "self_similarity")
     for s in _blocks(len(x)):
         fold.feed(s.start, np.asarray((f if f2 is None else f2)(x[s]), dtype=float))
     return fold.report(tol)
@@ -401,10 +404,11 @@ class _WitnessFold:
 
     h is walked first (:func:`_walk_images`).  A block folds k at its nodes,
     then, for an increasing h, f o h before the first image at 0.  Under a
-    node shift j in "self_similarity" mode it waits for the next block and
-    reads f(h(x_i)) as f(x_{i+j}) where i + j falls in the two, so f runs at
-    the other images.  A node two blocks share folds in the first; inf - inf
-    folds as NaN, unwarned."""
+    node shift j in "self_similarity" mode it waits for the next block, takes
+    h at its nodes again, and reads f(h(x_i)) as f(x_{i+j}) wherever
+    h(x_i) == x_{i+j} and i + j falls in the two, so f runs once at the other
+    images (:func:`_f_at_images`).  A node two blocks share folds in the
+    first; inf - inf folds as NaN, unwarned."""
 
     def __init__(self, f, w: EquivalenceWitness, x: np.ndarray, mode: str):
         self.f, self.w, self.x, self.mode, self.k = f, w, x, mode, None if w.k is None else as_shift(w.k)
@@ -433,14 +437,13 @@ class _WitnessFold:
         e = min(b, self.z) if self.h_monotone else a
         if e <= a:
             return
-        rhs, c, d = np.empty(e - a), a, a  # f o h is read from v on [a, c) and from ahead on [c, d)
-        if (j := self.j) is not None:
+        rhs, hx, d = np.empty(e - a), np.asarray(self.w.h(self.x[a:e]), dtype=float), a
+        if (j := self.j) is not None:  # f(x_{i+j}) is read from v on [a, c) and from ahead on [c, d)
             c = min(max(b - j, a), e)
             d = min(max(ahead_lo + len(ahead) - j, c), e)
             rhs[: c - a] = v[a + j - lo : c + j - lo]
             rhs[c - a : d - a] = ahead[c + j - ahead_lo : d + j - ahead_lo]
-        if d < e:
-            rhs[d - a :] = self.f(np.asarray(self.w.h(self.x[d:e]), dtype=float))
+        _f_at_images(self.f, hx, self.x[a + (j or 0) : d + (j or 0)], rhs)
         if kv is not None:
             rhs += kv[: e - a]
         with np.errstate(invalid="ignore"):
@@ -450,9 +453,10 @@ class _WitnessFold:
 def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int, int | None]:
     """Whether h is increasing on the descending nodes ``x``, given its images per ``_blocks`` block
     (they descend, across block edges too, to a minimum not negative or NaN), the index where the
-    images at 0 begin, and the node shift of :func:`_node_shift`; ``len(x)`` and None if not."""
+    images at 0 begin, and the node shift j: the index of the node h(x_0), kept when at least half of
+    the images h(x_i) with i + j < len(x) are x_{i+j} bitwise; ``len(x)`` and None if not increasing."""
     n = len(x)
-    monotone, z, j, last = True, n, None, None
+    monotone, z, j, on, last = True, n, None, 0, None
     for s, hb in zip(_blocks(n), blocks):
         if last is None:
             j = _node_index(x, hb[0])
@@ -460,11 +464,24 @@ def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int
             monotone = _descends(np.array((last, hb[0])))
         monotone = monotone and _descends(hb)
         if j is not None and (m := min(s.stop, n - j) - s.start) > 0:
-            j = j if np.array_equal(hb[:m], x[s.start + j : s.start + j + m]) else None
+            on += int(np.count_nonzero(hb[:m] == x[s.start + j : s.start + j + m]))
         if z == n and hb[-1] == 0:  # the images at 0 of an increasing h end the grid
             z = s.start + int(np.argmax(hb == 0))
         last = hb[-1]
+    j = j if j is not None and 2 * on >= n - j else None
     return (True, z, j) if monotone and last >= 0 else (False, n, None)
+
+
+def _f_at_images(f, hx: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> None:
+    """f at the images ``hx`` into ``out``, whose prefix holds f at ``nodes``: that value is kept where
+    the image is its node bitwise, and f runs once at the other images and those past the prefix."""
+    n = len(nodes)
+    miss = np.ones(len(hx), dtype=bool)
+    np.not_equal(hx[:n], nodes, out=miss[:n])
+    if miss.all():
+        out[:] = f(hx)
+    elif (at := np.flatnonzero(miss)).size:  # gathered by index: a boolean mask takes about three times as long
+        out[at] = f(hx.take(at))
 
 
 def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int], tol) -> WitnessReport:
@@ -500,13 +517,18 @@ def _node_shift(x: np.ndarray, hx: np.ndarray) -> int | None:
     return j if all(np.array_equal(hx[s], x[s.start + j : s.stop + j]) for s in _blocks(len(x) - j)) else None
 
 
+# the floor of the residual's scale: an array-array max takes a quarter of the time of an array-scalar one
+_ONES = np.ones(_BLOCK + 1)
+_ONES.flags.writeable = False
+
+
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
     """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins); overwrites ``rhs``."""
     rel = lhs - rhs
     np.abs(rel, out=rel)
     scale = np.abs(rhs, out=rhs)
     np.maximum(scale, np.abs(lhs), out=scale)
-    np.maximum(scale, 1.0, out=scale)
+    np.maximum(scale, _ONES[: len(scale)] if len(scale) <= len(_ONES) else 1.0, out=scale)
     rel /= scale
     i = int(np.argmax(rel))
     return float(rel[i]), i

@@ -70,6 +70,13 @@ def in_unit(calls):
     return [x for x in calls if x.ndim == 1 and x.size and x.max() <= 1.0]
 
 
+def off_node(x, hx, j):
+    """Whether f runs at each image under the node shift j: off its node x_(i+j), or past the grid's end."""
+    miss = np.ones(x.size, dtype=bool)
+    miss[: x.size - j] = hx[: x.size - j] != x[j:]
+    return miss
+
+
 def assert_calls(calls, want):
     """``calls`` are the arrays of ``want``, one by one and bitwise."""
     assert [x.tobytes() for x in calls] == [np.asarray(w, dtype=float).tobytes() for w in want]
@@ -98,19 +105,20 @@ class TestOneSample:
 
     def test_scan_evaluates_f_once_plus_once_per_witness(self, grid):
         # the pass evaluates f on the grid, one block here, and feeds it to
-        # each witness in turn.  root_scale:2 keeps too few images on nodes, so
-        # f runs at all of them as the block comes; halve carries x_i onto
-        # x_(i+K), so its block waits for the next and, after the pass, f runs
-        # only at the images of the last K nodes
+        # each witness in turn.  Both keep a node shift: halve carries x_i onto
+        # x_(i+K), root_scale:2 about 55% of the x_i onto x_(i+K/2).  So each
+        # block waits for the next and, after the pass, f runs at halve's
+        # images of the last K nodes, then at root_scale:2's images that are
+        # off their nodes or past the grid's end
         f, calls = counting(builtin("doubling_osc"))
         witnesses = [
             EquivalenceWitness(gallery_homeo("halve"), None, 2.0),
             EquivalenceWitness(gallery_homeo("root_scale:2"), None, 2.0 ** 0.5),
         ]
         self_similarity_scan(f, witnesses, grid)
-        x = grid.nodes()
+        x, K = grid.nodes(), grid.samples_per_octave
         halve, root = (w.h for w in witnesses)
-        assert_calls(in_unit(calls), [x, root(x), halve(x[-grid.samples_per_octave :])])
+        assert_calls(in_unit(calls), [x, halve(x[-K:]), root(x)[off_node(x, root(x), K // 2)]])
 
     def test_scan_witnesses_match_check_witness(self, grid):
         f = builtin("bounded_osc", [2.0])
@@ -139,13 +147,18 @@ class TestOneSample:
         x, n, K = MULTI.nodes(), MULTI.node_count, MULTI.samples_per_octave
         halve, root = (w.h for w in witnesses)
         # the pass's blocks of 8 octaves share their end nodes, where f runs
-        # once; after each block f runs at its new nodes' images under
-        # root_scale:2, and halve's look-ahead reads the rest from the blocks
+        # once.  Each witness folds a block once the next is evaluated: halve
+        # reads all of f o h from the two, root_scale:2 runs f at the block's
+        # images off their nodes.  After the pass halve runs f at the images of
+        # the last K nodes, root_scale:2 at the last block's images off their
+        # nodes or past the grid's end
         step = _BLOCK // K * K
         blocks = [slice(lo + (lo > 0), min(lo + step, n - 1) + 1) for lo in range(0, n - 1, step)]
         assert len(blocks) == 3
-        want = [p for s in blocks for p in (x[s], root(x[s]))]
-        assert_calls(in_unit(calls), want + [halve(x[-K:])])
+        hx = root(x)
+        off = [hx[s][off_node(x, hx, K // 2)[s]] for s in blocks]
+        want = [x[blocks[0]], x[blocks[1]], off[0], x[blocks[2]], off[1], halve(x[-K:]), off[2]]
+        assert_calls(in_unit(calls), want)
 
     def test_multi_block_scan_matches_whole_array_passes(self):
         f = builtin("bounded_osc", [2.0])

@@ -318,6 +318,49 @@ class TestFlowStep:
         assert q.leaf == pytest.approx(p.leaf, rel=1e-12)
 
 
+def step_rows(F, p0, times):
+    """Reference for ``orbit_rows``: one ``flow_step`` per time."""
+    return [(v, q.xi, q.eta) for v in np.asarray(times, dtype=float).tolist() for q in [flow_step(F, v, p0)]]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``'s rows as bytes, or its error's type and message."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestStandardOrbit:
+    """A flow with no source forms its rows by ``standard_step``'s closed form, its range checked once."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, 1.0 / 3.0])
+    @pytest.mark.parametrize(
+        "xi, eta", [(0.1, 0.1), (3.0, 1e-300), (0.0, 2.0), (2.0, 0.0), (1e-20, 0.0)],
+        ids=["interior", "interior-tiny", "eta-axis", "xi-axis", "xi-axis-tiny"],
+    )
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(-4.0, 4.0, 2000), np.linspace(-280.0, 280.0, 1001), [0.0, math.nan, 1.0], [],
+         [-650.0, 1000.0], [1000.0, -690.0]],
+        ids=["plot", "wide", "nan", "empty", "late-overflow", "first-overflow"],
+    )
+    def test_rows_are_those_of_a_step_per_time(self, lam, xi, eta, times):
+        F, p0 = standard_flow() if lam == 1.0 else time_scale(standard_flow(), lam), QuarterPlanePoint(xi, eta)
+        assert outcome(orbit_rows, F, p0, times) == outcome(step_rows, F, p0, times)
+
+    def test_errors_are_those_of_the_step(self):
+        # the first time out of range names itself, and an axis point whose
+        # coordinate underflows reaches the origin, as flow_step reports
+        F = standard_flow()
+        with pytest.raises(ValueError, match=r"^\|t\| = 1000 exceeds"):
+            orbit_rows(F, QuarterPlanePoint(0.1, 0.1), [-650.0, 1000.0, 2000.0])
+        with pytest.raises(ValueError, match="^the origin is not in the quarter plane"):
+            orbit_rows(F, QuarterPlanePoint(1e-30, 0.0), [0.0, -690.0, 1000.0])
+        with pytest.raises(ValueError, match="^the origin"):
+            orbit_rows(time_scale(F, 2.5), QuarterPlanePoint(1e-30, 0.0), [-1.0, -276.0])
+
+
 class TestOrbitLeafData:
     """An orbit takes r, the breakpoints and the times to them once per leaf."""
 

@@ -20,6 +20,7 @@ from reebflow import (
     gallery_homeo,
     homeo_from_expression,
     sample,
+    self_similarity_scan,
     sharp_profile,
     sigma_estimate,
     star_identity_suite,
@@ -30,8 +31,10 @@ from reebflow.oscillation import (
     _CHUNK,
     _TAIL_WINDOW,
     _profile_pass,
+    _relative_residual,
     _running_max,
     _tail_max,
+    _walk_images,
     as_shift,
     sigma_from_profile,
 )
@@ -265,6 +268,16 @@ class TestWitness:
         f = builtin("std_log")
         with pytest.raises(ValueError, match="lam = 1"):
             check_witness(f, f, EquivalenceWitness(gallery_homeo("halve"), None, 2.0), grid)
+
+    def test_equivalence_mode_rejects_lam_before_h_runs(self, grid):
+        # regression: h was walked over the grid first, so an h that raised
+        # hid the lam message behind its own error
+        def raising(x):
+            raise RuntimeError("h raised")
+
+        f = builtin("std_log")
+        with pytest.raises(ValueError, match="^equivalence mode fixes lam = 1"):
+            check_witness(f, f, EquivalenceWitness(Homeo(raising, None, "raising"), None, 2.0), grid)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, small_grid, tol):
@@ -907,3 +920,104 @@ class TestUnderflowingImages:
         rising = Homeo(lambda t: np.where(t > 2.0**-5, t**60, 1e-305 * (2.0 - t)), None, "rising")
         rep = check_witness(builtin("std_log"), None, EquivalenceWitness(rising, None, 60.0), small_grid)
         assert not rep.h_monotone and rep.residual == math.inf
+
+
+# the grids, witnesses and scales of the per-node shift: halve keeps every
+# image on its node, root_scale:N some of them (none for N = 3 on these
+# grids, where 2^(-1/3) is no node), and square, pow:0.5 and x^20 (pow:20)
+# only x_0
+SHIFT_GRIDS = [GridSpec(512, 40), GridSpec(4096, 20), GridSpec(64, 24), GridSpec(1000, 30),
+               GridSpec(16384, 20)]
+SHIFT_HIDS = ["halve", "root_scale:2", "root_scale:3", "root_scale:4", "root_scale:8",
+              "square", "pow:0.5", "pow:20"]
+SHIFT_LAMS = [2.0, math.sqrt(2.0), 1.0]
+SHIFT_PROFILES = {
+    "std_log": builtin("std_log"),
+    "doubling_osc": builtin("doubling_osc"),
+    "bounded_osc": builtin("bounded_osc", [2.0]),
+    "koenigs_demo": builtin("koenigs_demo"),
+    "expression": from_expression("-log(x) + 0.3*sin(5*log(x))"),
+}
+
+
+def off_node(x, hx, j):
+    """Whether each image is evaluated under the shift j: off its node x_{i+j}, or past the grid's end."""
+    miss = np.ones(x.size, dtype=bool)
+    miss[: x.size - j] = hx[: x.size - j] != x[j:]
+    return miss
+
+
+class TestPerNodeShift:
+    """A witness reads f(h(x_i)) as f(x_{i+j}) at every image that is its node
+    x_{i+j} bitwise, once at least half of them are, and runs f at the rest."""
+
+    @pytest.mark.parametrize("g", SHIFT_GRIDS, ids=lambda g: f"{g.samples_per_octave}x{g.octave_max}")
+    @pytest.mark.parametrize("name", SHIFT_PROFILES)
+    def test_reports_are_those_of_whole_array_passes(self, g, name):
+        # every h here increases and stays above 0 on these grids
+        f = SHIFT_PROFILES[name]
+        x, fx = g.nodes(), f(g.nodes())
+        witnesses = [EquivalenceWitness(gallery_homeo(hid), None, lam) for hid in SHIFT_HIDS for lam in SHIFT_LAMS]
+        scan = self_similarity_scan(f, witnesses, g)
+        for w, in_scan in zip(witnesses, scan.results):
+            lhs, rhs = w.lam * fx, f(w.h(x))
+            rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+            i = int(np.argmax(rel))
+            rep = check_witness(f, None, w, g)
+            assert (bits(rep.residual), bits(rep.worst_x), rep.h_monotone) == (bits(rel[i]), bits(x[i]), True)
+            assert in_scan == rep
+
+    @pytest.mark.parametrize("hid, j, share", [("halve", 4096, 1.0), ("root_scale:2", 2048, 0.56),
+                                               ("root_scale:4", 1024, 0.65), ("square", None, 0.0)])
+    def test_the_walk_keeps_the_shift_of_a_majority(self, hid, j, share):
+        x = MULTI.nodes()
+        hx = gallery_homeo(hid)(x)
+        assert _walk_images(x, (hx[s] for s in _blocks(x.size))) == (True, x.size, j)
+        if j is not None:
+            on = np.count_nonzero(~off_node(x, hx, j)[: x.size - j])
+            assert on / (x.size - j) == pytest.approx(share, abs=0.01)
+
+    def test_half_the_images_on_their_nodes_keep_the_shift(self):
+        # h(x_i) = x_(i+1) at the first half of the images with a node, and
+        # just below it at the others: the shift is kept at exactly one half
+        x = GridSpec(8, 20).nodes()
+        n, on = x.size, (x.size - 1) // 2
+        hx = np.concatenate([x[1 : 1 + on], np.nextafter(x[1 + on :], 0.0), x[-1:] / 2])
+        assert _walk_images(x, [hx]) == (True, n, 1)
+        hx[on - 1] = np.nextafter(hx[on - 1], 0.0)
+        assert _walk_images(x, [hx]) == (True, n, None)
+
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(512, 40), WIDE_K], ids=["multi", "512x40", "K40000"])
+    def test_root_scale_evaluates_f_at_the_images_off_their_nodes_and_past_the_grid(self, g):
+        # f runs block by block at the nodes; each block then waits for the
+        # next and runs f once at its images off their nodes x_(i+j), and at
+        # those past the grid's end, not at every image
+        calls, f = [], builtin("doubling_osc")
+        counted = EFunction("builtin", lambda t: calls.append(np.array(t)) or f.fn(t), "E0", "counted")
+        w = EquivalenceWitness(gallery_homeo("root_scale:2"), None, math.sqrt(2.0))
+        rep = check_witness(counted, None, w, g)
+        assert_witness_bits(rep, f, None, w, g)
+        x, j = g.nodes(), g.samples_per_octave // 2
+        hx = w.h(x)
+        miss = off_node(x, hx, j)
+        blocks = list(_blocks(x.size))
+        want = [x[blocks[0]]]
+        for s, t in zip(blocks, blocks[1:]):
+            want += [x[t], hx[s][miss[s]]]
+        want.append(hx[blocks[-1]][miss[blocks[-1]]])
+        assert [bits(c) for c in calls] == [bits(c) for c in want]
+        assert 0.5 < np.count_nonzero(~miss) / (x.size - j) < 0.6  # the images with a node that are it
+
+    @pytest.mark.parametrize("m", [7, _BLOCK + 1, 40001], ids=["short", "block", "past_the_ones"])
+    def test_relative_residual_keeps_a_nan_then_the_first_largest(self, m):
+        # the scale is floored at 1 by a block of ones, or by the scalar on a
+        # block longer than it (K = 40000): a NaN wins, then the first largest
+        rng = np.random.default_rng(m)
+        lhs, rhs = rng.normal(0.0, 4.0, m), rng.normal(0.0, 4.0, m)  # a share below 1, where the floor holds
+        lhs[[m // 2, m // 3]], rhs[[m // 2, m // 3]] = 5.0, -5.0  # two ties at the largest residual, 2
+        rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
+        assert int(np.argmax(rel)) == m // 3
+        assert _relative_residual(lhs, rhs.copy()) == (2.0, m // 3)
+        lhs[m - 2] = rhs[m - 1] = math.nan
+        r, i = _relative_residual(lhs, rhs.copy())
+        assert math.isnan(r) and i == m - 2

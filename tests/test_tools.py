@@ -5,6 +5,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +92,7 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
     calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
-    calls += [tool.scan_call(g), tool.sharp_call(g)]
+    calls += [tool.scan_call(g), tool.witness_call(g), tool.sharp_call(g)]
     for call in calls:
         peak, held, faults = tool.measure(call)
         assert 0 < held <= peak and faults >= 0
@@ -105,6 +106,13 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))
     assert held >= 3 * 8 * (g.node_count - 1)
+    # under root_scale:2 f runs at the nodes and at the images off their nodes x_(i+K/2)
+    # or past the grid's end: about 45% of them, the last K/2 included
+    x = g.nodes()
+    hx = tool.rf.gallery_homeo("root_scale:2")(x)
+    off = g.node_count - np.count_nonzero(hx[: -(g.samples_per_octave // 2)] == x[g.samples_per_octave // 2 :])
+    assert tool.f_points(g) == g.node_count + off
+    assert 0.4 < off / g.node_count < 0.5
 
 
 VERDICTS = ROOT / "tools" / "verdict_matrix.py"

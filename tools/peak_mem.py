@@ -7,7 +7,8 @@ gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
 At the grid (16384, 60), 983,041 nodes, it measures ``self_similarity_scan``
 of doubling_osc with the witnesses halve (lam = 2) and root_scale:2 (lam =
-sqrt 2), and ``sigma_estimate`` of doubling_osc with the sharp profile.
+sqrt 2), ``check_witness`` of doubling_osc under root_scale:2 alone, and
+``sigma_estimate`` of doubling_osc with the sharp profile.
 Each call runs once to warm the caches (the grid nodes), then once more for
 each measurement, and prints four numbers:
 
@@ -19,6 +20,10 @@ each measurement, and prints four numbers:
   in ms; ``build_flow`` and ``flow_classify`` (of a flow built once) are
   timed apart, so a flow row prints two.
 
+The ``check_witness`` row also prints the number of points at which one call
+evaluates f, counted through a wrapped ``fn``: the nodes, and the images of
+root_scale:2 that are off their nodes or past the grid's end.
+
 The package is imported from this checkout's ``src``.  Run from anywhere:
 
     python tools/peak_mem.py
@@ -26,6 +31,7 @@ The package is imported from this checkout's ``src``.  Run from anywhere:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import resource
 import statistics
@@ -90,6 +96,23 @@ def scan_call(g: rf.GridSpec):
     return lambda: rf.self_similarity_scan(f, witnesses, g)
 
 
+def witness_call(g: rf.GridSpec, points: list | None = None):
+    """``check_witness`` of doubling_osc on g under root_scale:2 (lam = sqrt 2); ``points``, when given,
+    receives the size of each array f is evaluated on."""
+    f = rf.builtin("doubling_osc")
+    if points is not None:
+        f = dataclasses.replace(f, fn=lambda x, _fn=f.fn: points.append(np.size(x)) or _fn(x))
+    w = rf.EquivalenceWitness(rf.gallery_homeo("root_scale:2"), None, math.sqrt(2.0))
+    return lambda: rf.check_witness(f, None, w, g)
+
+
+def f_points(g: rf.GridSpec) -> int:
+    """The points at which one ``witness_call`` on g evaluates f."""
+    points: list = []
+    witness_call(g, points)()
+    return sum(points)
+
+
 def sharp_call(g: rf.GridSpec):
     """``sigma_estimate`` of doubling_osc on g with the sharp profile, whose tail is sampled too."""
     f = rf.builtin("doubling_osc")
@@ -131,13 +154,17 @@ def main() -> None:
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
     big = f"{GRID_1M.samples_per_octave},{GRID_1M.octave_max}"
     cases += [(f"self_similarity_scan doubling_osc ({big})", scan_call(GRID_1M), [scan_call(GRID_1M)]),
+              (f"check_witness doubling_osc root_scale:2 ({big})", witness_call(GRID_1M), [witness_call(GRID_1M)]),
               (f"sigma_estimate sharp doubling_osc ({big})", sharp_call(GRID_1M), [sharp_call(GRID_1M)])]
     print(f"grid {GRID.samples_per_octave},{GRID.octave_max} unless named: peak MiB, held MiB, minor faults per"
-          f" warm call; median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone)")
+          f" warm call; median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone;"
+          " check_witness, and the points at which f runs)")
     for label, call, timed in cases:
         peak, held, faults = measure(call)
         ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
-        print(f"{label:48s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
+        if label.startswith("check_witness"):
+            ms += f" {f_points(GRID_1M):9d}"
+        print(f"{label:50s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
 
 
 if __name__ == "__main__":
