@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _diagnose_envelopes
+from .efunc import EFunction, GridSpec, _diagnose_envelopes, _Nodes
 from .flow import DEFAULT_TRANSVERSAL, Flow, Transversal, extract_transition
 from .oscillation import (
     EquivalenceWitness,
@@ -156,8 +156,9 @@ def self_similarity_scan(
     thresholds.  An h or k that raises does so before a non-finite f, which
     the pass reports after its last block.
     """
-    x = g.nodes()
-    folds = [_WitnessFold(f, w, x, "self_similarity") for w in witnesses]
+    nodes, folds = _Nodes(g.samples_per_octave, g.octave_max), []
+    for w in witnesses:  # the folds share the nodes' head and one scratch: they fold a block in turn
+        folds.append(_WitnessFold(f, w, nodes, "self_similarity", folds[0].rows if folds else None))
     _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, folds)
     results = tuple(fold.report(_WITNESS_TOL) for fold in folds)
     all_passed = bool(results) and all(r.passed for r in results)

@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -55,6 +56,10 @@ class GridSpec:
     tail_octaves: int = 20
 
     def __post_init__(self):
+        for name, v in list(vars(self).items()):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a Python int, for JSON and for node indices
         if self.samples_per_octave < 1:
             raise ValueError("samples_per_octave must be a positive integer")
         if self.octave_max < 1:
@@ -70,18 +75,19 @@ class GridSpec:
         return self.samples_per_octave * self.octave_max + 1
 
     def nodes(self) -> np.ndarray:
-        """Strictly decreasing nodes, exactly representable.
+        """Strictly decreasing nodes, exactly representable, for the callers that hold them.
 
-        Built as ldexp(2^(-r/K), -m) with i = m*K + r, so x_{i+K} == x_i / 2
+        x_{m*K + r} = 2^(-r/K) * 2^-m (:class:`_Nodes`), so x_{i+K} == x_i / 2
         holds bitwise for every i, and nodes at whole octaves are exact
         powers of two.  The witness check relies on the former: for h =
         halve it reads f(h(x_i)) from a sample of f as f(x_{i+K}).  Equal
         specs share one cached read-only array: copy it before writing to it.
+        The streaming passes write each block's nodes into a buffer instead.
         """
         return _nodes(self.samples_per_octave, self.octave_max)
 
     def tail_nodes(self) -> np.ndarray:
-        """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves], cached and read-only."""
+        """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves], cached and read-only (see :func:`_tail_span`)."""
         return _tail_nodes(self.samples_per_octave, self.tail_octaves)
 
     def octave_envelopes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,27 +124,60 @@ class GridSpec:
         }
 
 
-# The cached arrays live for the whole process.  Each is allocated before the
-# temporaries that fill it: allocated after them, it would sit above their
-# freed heap memory and keep it resident (about 20 MB in a 1M-node run).
+class _Nodes:
+    """The nodes x_{m*K + r} = 2^(-r/K) * 2^-m of the grid (K, m_max) without an array of them all.
+
+    ``head``, built once per pass, holds the first min(max(1, 2^15 // K), m_max) octaves and the node
+    that ends them: the longest octave-aligned block.  :meth:`span` writes any run of nodes into a
+    buffer the caller owns as head[r : r + c] * 2^-m, one multiply for a block that starts an octave,
+    exact down to 2^-60, so with the bits of ``GridSpec.nodes()``.  ``len`` and ``[i]`` serve ``bisect``.
+    """
+
+    def __init__(self, K: int, m_max: int):
+        q = min(max(1, _BLOCK // K), m_max)
+        self.K, self.n, self.head = K, K * m_max + 1, np.empty(q * K + 1)
+        self.head[:K] = np.exp2(-np.arange(K) / K)  # 2^(-r/K) for r = 0 .. K-1, then times 2^-m in octave m
+        np.multiply(self.head[:K], np.exp2(-np.arange(1.0, q))[:, None], out=self.head[K:-1].reshape(q - 1, K))
+        self.head[-1] = math.ldexp(1.0, -q)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> float:
+        m, r = divmod(i % self.n, self.K)
+        return float(self.head[r]) * math.ldexp(1.0, -m)
+
+    def span(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """The nodes x_lo .. x_(lo + len(out) - 1) written into ``out``, which is returned."""
+        o, head = 0, self.head
+        while o < len(out):
+            m, r = divmod(lo + o, self.K)
+            c = min(len(out) - o, len(head) - r)
+            np.multiply(head[r : r + c], math.ldexp(1.0, -m), out=out[o : o + c])
+            o += c
+        return out
+
+
+def _tail_span(K: int, lo: int, ramp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2^((lo + ramp[i]) / K), the tail nodes from index lo, written into ``out``; ``ramp`` (or ``out``) is 0, 1, ..."""
+    np.add(ramp[: len(out)], lo, out=out)
+    return np.exp2(np.divide(out, K, out=out), out=out)
+
+
+# Cached for the whole process, and filled only by the callers that hold nodes (see GridSpec.nodes).
 
 
 @functools.lru_cache(maxsize=4)
 def _nodes(K: int, m_max: int) -> np.ndarray:
-    x = np.empty(K * m_max + 1)
-    octave = np.exp2(-np.arange(K) / K)  # 2^(-r/K) for r = 0 .. K-1, scaled by 2^-m into octave m
-    for m in range(m_max):
-        np.ldexp(octave, -m, out=x[m * K : (m + 1) * K])
-    x[-1] = math.ldexp(1.0, -m_max)
+    x = _Nodes(K, m_max).span(0, np.empty(K * m_max + 1))
     x.setflags(write=False)
     return x
 
 
 @functools.lru_cache(maxsize=4)
 def _tail_nodes(K: int, tail_octaves: int) -> np.ndarray:
-    t = np.empty(K * tail_octaves + 1)
-    np.exp2(np.arange(0, K * tail_octaves + 1) / K, out=t)
-    t.setflags(write=False)
+    t = np.arange(K * tail_octaves + 1, dtype=float)
+    _tail_span(K, 0, t, t).setflags(write=False)
     return t
 
 
@@ -424,14 +463,14 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return out
 
 
-def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None, ahead: bool = False) -> Iterator[tuple]:
-    """f at the nodes of g, one octave-aligned block at a time, with its octave envelopes.
+def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, nodes: _Nodes | None = None) -> Iterator:
+    """f at the nodes of g, one octave-aligned block at a time, with its nodes and octave envelopes.
 
-    Yields ``(lo, v, (sups, mins))``: v holds f at the nodes lo .. lo + len(v) - 1, that is
-    q = max(1, 2^15 // K) whole octaves (fewer in the last block) and the node that ends
-    them, so the blocks share their end nodes and f is evaluated at each node once, and
-    sups and mins are the octave envelopes of v.  v is a view of ``fv`` when it is given, else
-    a buffer that the next block overwrites, or with ``ahead`` the block after it (two in turn).
+    Yields ``(lo, x, v, (sups, mins))``: v holds f at the nodes x, lo .. lo + len(v) - 1: q = max(1, 2^15 // K)
+    whole octaves (fewer in the last block) and the node that ends them, so the blocks share their end nodes and
+    f is evaluated at each node once; sups and mins are the octave envelopes of v.  x (a span of ``nodes``, the
+    :class:`_Nodes` of g) and v (unless a view of ``fv``) are buffers that the next block overwrites, or with
+    ``ahead`` the block after it (two in turn).
 
     The domain of f is checked once, against the first and last nodes; then
     ``f.fn`` runs on each block, so f must be elementwise: its value at x
@@ -440,21 +479,22 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None, ahea
     +-inf survive max and min, so only a block whose envelopes are not finite
     is searched node by node for its first non-finite value.
     """
-    x = g.nodes()
-    n = len(x)
-    step = max(1, _BLOCK // g.samples_per_octave) * g.samples_per_octave
-    f._check_domain(float(x[-1]), float(x[0]))
-    bufs = None if fv is not None else [np.empty(min(step, n - 1) + 1) for _ in range(1 + ahead)]
+    nodes = _Nodes(g.samples_per_octave, g.octave_max) if nodes is None else nodes
+    n, step = len(nodes), len(nodes.head) - 1
+    f._check_domain(nodes[-1], nodes[0])
+    xbufs = [np.empty(step + 1) for _ in range(1 + ahead)]
+    bufs = None if fv is not None else [np.empty(step + 1) for _ in range(1 + ahead)]
     bad = None
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1) + 1
+        x = nodes.span(lo, xbufs[lo // step % len(xbufs)][: hi - lo])
         v = fv[lo:hi] if bufs is None else bufs[lo // step % len(bufs)][: hi - lo]
         if lo:
             v[0] = end  # the end node of the previous block
         new = v[1:] if lo else v
         try:
             with np.errstate(all="ignore"):  # non-finite results become DomainError below
-                new[:] = f.fn(x[hi - len(new) : hi])
+                new[:] = f.fn(x[len(v) - len(new) :])
         except DomainError:
             raise
         except Exception as exc:  # pragma: no cover - defensive wrapper
@@ -462,8 +502,8 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv: np.ndarray | None = None, ahea
         end = v[-1]
         sups, mins = g.octave_envelopes(v)
         if bad is None and not (math.isfinite(sups.max()) and math.isfinite(mins.min())):
-            bad = float(x[lo + int(np.argmin(np.isfinite(v)))])
-        yield lo, v, (sups, mins)
+            bad = float(x[int(np.argmin(np.isfinite(v)))])
+        yield lo, x, v, (sups, mins)
     if bad is not None:
         raise DomainError(f"non-finite value at grid node x={bad!r}")
 
@@ -496,7 +536,7 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     """
     try:
         fg = fit_grid(f, g)
-        envelopes = [env for _, _, env in _octave_blocks(f, fg)]
+        envelopes = [env for *_, env in _octave_blocks(f, fg)]
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
     sups, mins = (np.concatenate(e) for e in zip(*envelopes))

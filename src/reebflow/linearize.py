@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _blocks, _blockwise
+from .efunc import EFunction, GridSpec, _blocks, _blockwise, _Nodes
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
@@ -139,7 +139,7 @@ def koenigs_limit(
     The five stages of the module docstring run in its order.
     """
     lam, nodes = cfg.lam, cfg.grid.nodes()
-    wit, sweep = _witness_sweep(f, h, k, lam, nodes)
+    wit, sweep = _witness_sweep(f, h, k, lam, cfg.grid)
     if not wit.passed:  # a non-monotone h has residual inf
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
@@ -170,26 +170,28 @@ def koenigs_limit(
     )
 
 
-def _witness_sweep(f, h, k, lam: float, x: np.ndarray) -> tuple[WitnessReport, list]:
-    """Stage 1: the witness report at the nodes ``x`` and the first sweep, [f(x), h(x), f(h(x))].
+def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, list]:
+    """Stage 1: the witness report at the nodes x of g and the first sweep, [f(x), h(x), f(h(x))].
 
     An explicit k goes to ``_check_witness``, with no sweep.  A derived k is
     taken as 0 where x or h(x) is at or below ``_DEPTH_FLOOR``; the sweep is
     empty unless h is increasing, and f(h(x)) is inf at an image equal to 0.
     """
     if k is not None:
-        return _check_witness(f, None, EquivalenceWitness(h, k, lam), x, _WITNESS_TOL), []
-    hx, fx, fhx = _blockwise(h, x), _blockwise(f, x), np.empty(x.size)
-    h_monotone, z, j = _walk_images(x, (hx[s] for s in _blocks(x.size)))
+        return _check_witness(f, None, EquivalenceWitness(h, k, lam), g, _WITNESS_TOL), []
+    hx, fx, fhx = _blockwise(h, x := g.nodes()), _blockwise(f, x), np.empty(x.size)
+    nodes = _Nodes(g.samples_per_octave, g.octave_max)  # the walk writes its x_{i+j} into fhx, filled below
+    h_monotone, z, j = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), fhx)
     on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on where h(x_i) == x_{i+j}
 
     def blocks():
         for t in _blocks(z if h_monotone else 0):
             m = min(max(t.start, on), t.stop)
             fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
-            _f_at_images(f, hx[t], x[t.start + (j or 0) : m + (j or 0)], fhx[t])
-            lhs, live = lam * fx[t], (x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR)
-            yield t.start, lhs, fhx[t] + np.where(live, lhs - fhx[t], 0.0)
+            _f_at_images(f, hx[t], (x[t.start + (j or 0) : m + (j or 0)],), fhx[t])
+            lhs, live = lam * fx[t], x[t.stop - 1] > _DEPTH_FLOOR and hx[t.stop - 1] > _DEPTH_FLOOR  # x, h(x) fall
+            d = lhs - fhx[t] if live else np.where((x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR), lhs - fhx[t], 0.0)
+            yield t.start, lhs, fhx[t] + d
 
     wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()), _WITNESS_TOL)
     fhx[z:] = math.inf  # f diverges at 0
@@ -300,7 +302,7 @@ class _Orbits:
             at_probes = buf[: probes.size]
             for s in _blocks(probes.size):
                 np.add(f_end[s], self.shift, out=at_probes[s])
-                at_probes[s] *= self.decay[m[s]]
+                at_probes[s] *= self.decay.take(m[s])
             if onto is not None:  # read there, and walk only the images past the last probe
                 buf[probes.size :] = self(images[probes.size - onto :])
                 at_images = buf[onto:]
@@ -318,7 +320,7 @@ class _Orbits:
         for _, i, _, fhy in itertools.islice(walk, 1):
             at[i], d[i] = fhy, self.iterations
         at += self.shift
-        at *= self.decay[d]
+        at *= self.decay.take(d, mode="clip")  # d = -1 takes decay[0]; those values are walked below
         if np.any(lost := d < 0):  # no live sweep: the image is walked
             at[lost] = self(images[s][lost])
 

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _octave_blocks, write_csv
+from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span, write_csv
 from .errors import TailCheckError
 from .homeo import Homeo
 
@@ -142,7 +142,8 @@ def _profile_pass(
     when given, receive f and the profile at every node; without them the
     pass holds only buffers of one block.  A held pass (``star_profile``,
     ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``,
-    ``classify``) and only writes into its arrays.  ``folds`` are fed each block of f.
+    ``classify``) and only writes into its arrays.  ``folds`` are fed each block of f and its nodes,
+    spans of the :class:`_Nodes` the folds walked h over, so a scan builds one head.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
@@ -162,7 +163,7 @@ def _profile_pass(
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
     # the non-finite value as a DomainError after the last block
     with np.errstate(invalid="ignore"):
-        for lo, fb, env in _octave_blocks(f, g, fv, ahead=bool(folds)):
+        for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None):
             m = len(fb)
             if not lo:  # the first block is the longest; the tail max fills one, for an array-array max
                 buf, tops = np.empty(m), None if tail_max is None else np.full(m, tail_max)
@@ -180,22 +181,26 @@ def _profile_pass(
             f_env.append(env)
             sups.append(g.octave_windows(rm).max(axis=1))
             for fold in folds:
-                fold.feed(lo, fb)
+                fold.feed(lo, xb, fb)
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
     return (f_sups, f_mins), np.concatenate(sups), tail_max
 
 
 def _tail_max(f: EFunction, g: GridSpec) -> float:
     """The max of f over the tail nodes of g, by ``_blocks`` after one domain check, once |f| at the horizon
-    passes the decay bound: the bits of one max over the tail (taken again if 0, where +-0.0 may tie), a NaN too."""
-    t = g.tail_nodes()
-    f._check_domain(float(t[0]), float(t[-1]))
-    tops = [(tv := np.asarray(f.fn(t[s]), dtype=float)).max() for s in _blocks(len(t))]
+    passes the decay bound: the bits of one max over the tail (taken again if 0, where +-0.0 may tie), a NaN too.
+    The nodes of each block are written into one buffer (:func:`_tail_span`)."""
+    K, n = g.samples_per_octave, g.samples_per_octave * g.tail_octaves + 1
+    ramp, t = np.arange(min(_BLOCK, n), dtype=float), np.empty(min(_BLOCK, n))
+    f._check_domain(1.0, float(_tail_span(K, n - 1, ramp, t[:1])[0]))
+    tops = [(tv := np.asarray(f.fn(_tail_span(K, s.start, ramp, t[: s.stop - s.start])), dtype=float)).max()
+            for s in _blocks(n)]
     horizon = float(np.abs(tv[-1]))
     if horizon > _DECAY_BOUND:
         raise TailCheckError(f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}")
-    top = float(np.max(tops))
-    return float(np.asarray(f.fn(t), dtype=float).max()) if top == 0 else top
+    if (top := float(np.max(tops))) == 0:  # again over the whole tail at once, where +-0.0 may tie
+        top = float(np.asarray(f.fn(_tail_span(K, 0, t := np.arange(n, dtype=float), t)), dtype=float).max())
+    return top
 
 
 # the values after the carry that _running_max takes as one chunk
@@ -386,21 +391,25 @@ def check_witness(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"witness tol must be finite and positive, got {tol:g}")
-    return _check_witness(f, f2, w, g.nodes(), tol)
+    return _check_witness(f, f2, w, g, tol)
 
 
-def _check_witness(f, f2, w: EquivalenceWitness, x: np.ndarray, tol: float) -> WitnessReport:
-    """:func:`check_witness` at the nodes ``x``: the left side's function, f or f2, fed per ``_blocks`` block."""
+def _check_witness(f, f2, w: EquivalenceWitness, g: GridSpec, tol: float) -> WitnessReport:
+    """:func:`check_witness` on g: the left side's function, f or f2, fed per ``_blocks`` block of nodes,
+    written into two buffers in turn, so a block held for its look-ahead keeps its nodes."""
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
-    fold = _WitnessFold(f, w, x, "equivalence" if f2 is not None else "self_similarity")
-    for s in _blocks(len(x)):
-        fold.feed(s.start, np.asarray((f if f2 is None else f2)(x[s]), dtype=float))
+    nodes = _Nodes(g.samples_per_octave, g.octave_max)
+    fold = _WitnessFold(f, w, nodes, "equivalence" if f2 is not None else "self_similarity")
+    bufs = np.empty((2, min(_BLOCK, len(nodes))))
+    for s in _blocks(len(nodes)):
+        x = nodes.span(s.start, bufs[s.start // _BLOCK % 2][: s.stop - s.start])
+        fold.feed(s.start, x, np.asarray((f if f2 is None else f2)(x), dtype=float))
     return fold.report(tol)
 
 
 class _WitnessFold:
-    """lam * v = f o h + k at the nodes ``x``, folded over the blocks of v (f, or f2 in "equivalence" mode) in order.
+    """lam * v = f o h + k at the grid's nodes, folded over the blocks of v (f, or f2 in "equivalence" mode) in order.
 
     h is walked first (:func:`_walk_images`).  A block folds k at its nodes,
     then, for an increasing h, f o h before the first image at 0.  Under a
@@ -408,53 +417,59 @@ class _WitnessFold:
     h at its nodes again, and reads f(h(x_i)) as f(x_{i+j}) wherever
     h(x_i) == x_{i+j} and i + j falls in the two, so f runs once at the other
     images (:func:`_f_at_images`).  A node two blocks share folds in the
-    first; inf - inf folds as NaN, unwarned."""
+    first; inf - inf folds as NaN, unwarned.  ``rows`` hold the block's f o h + k,
+    lam * v and residual, kept from block to block and shared by the folds of a pass."""
 
-    def __init__(self, f, w: EquivalenceWitness, x: np.ndarray, mode: str):
-        self.f, self.w, self.x, self.mode, self.k = f, w, x, mode, None if w.k is None else as_shift(w.k)
-        self.h_monotone, self.z, j = _walk_images(x, (np.asarray(w.h(x[s]), dtype=float) for s in _blocks(len(x))))
+    def __init__(self, f, w: EquivalenceWitness, nodes: _Nodes, mode: str, rows: np.ndarray | None = None):
+        self.f, self.w, self.x, self.mode, self.k = f, w, nodes, mode, None if w.k is None else as_shift(w.k)
+        self.rows = np.empty((3, max(len(nodes.head), min(_BLOCK, len(nodes))))) if rows is None else rows
+        spans = (nodes.span(s.start, self.rows[0][: s.stop - s.start]) for s in _blocks(len(nodes)))
+        self.h_monotone, self.z, j = _walk_images(nodes, (np.asarray(w.h(x), dtype=float) for x in spans), self.rows[1])
         self.j = j if mode == "self_similarity" else None
         self.done, self.held, self.best = 0, None, (-math.inf, -1)
 
-    def feed(self, lo: int, v: np.ndarray) -> None:
-        """v at the nodes from ``lo`` on; it is read until the next block is fed."""
+    def feed(self, lo: int, x: np.ndarray, v: np.ndarray) -> None:
+        """v at the nodes x from ``lo`` on; both are read until the next block is fed."""
         if self.j is None:
-            return self._fold(lo, v, lo, v)
+            return self._fold(lo, x, v, lo, x, v)
         if self.held is not None:
-            self._fold(*self.held, lo, v)
-        self.held = (lo, v)
+            self._fold(*self.held, lo, x, v)
+        self.held = (lo, x, v)
 
     def report(self, tol: float) -> WitnessReport:
         if self.held is not None:
-            self._fold(*self.held, len(self.x), self.x[:0])
+            self._fold(*self.held, len(self.x), self.rows[0][:0], self.rows[0][:0])
         return _witness_report(self.mode, self.w.lam, self.x, self.h_monotone, self.z, self.best, tol)
 
-    def _fold(self, lo: int, v: np.ndarray, ahead_lo: int, ahead: np.ndarray) -> None:
+    def _fold(self, lo: int, x: np.ndarray, v: np.ndarray, ahead_lo: int, ahead_x: np.ndarray, ahead: np.ndarray):
         a, b = self.done, lo + len(v)
         self.done = b
-        kv = None if self.k is None else self.k(self.x[a:b])
+        kv = None if self.k is None else self.k(x[a - lo :])
         # f never sees the images of a non-monotone h, nor 0; k still runs, for its errors
         e = min(b, self.z) if self.h_monotone else a
         if e <= a:
             return
-        rhs, hx, d = np.empty(e - a), np.asarray(self.w.h(self.x[a:e]), dtype=float), a
+        rhs, lhs, rel = (row[: e - a] for row in self.rows)
+        hx, on = np.asarray(self.w.h(x[a - lo : e - lo]), dtype=float), ()
         if (j := self.j) is not None:  # f(x_{i+j}) is read from v on [a, c) and from ahead on [c, d)
             c = min(max(b - j, a), e)
             d = min(max(ahead_lo + len(ahead) - j, c), e)
             rhs[: c - a] = v[a + j - lo : c + j - lo]
             rhs[c - a : d - a] = ahead[c + j - ahead_lo : d + j - ahead_lo]
-        _f_at_images(self.f, hx, self.x[a + (j or 0) : d + (j or 0)], rhs)
+            on = (x[a + j - lo : c + j - lo], ahead_x[c + j - ahead_lo : d + j - ahead_lo])
+        _f_at_images(self.f, hx, on, rhs)
         if kv is not None:
             rhs += kv[: e - a]
+        np.multiply(v[a - lo : e - lo], self.w.lam, out=lhs)
         with np.errstate(invalid="ignore"):
-            self.best = _max_residual([(a, self.w.lam * v[a - lo : e - lo], rhs)], self.best)
+            self.best = _max_residual([(a, lhs, rhs)], self.best, rel)
 
 
-def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int, int | None]:
+def _walk_images(x: _Nodes, blocks: Iterable[np.ndarray], buf: np.ndarray) -> tuple[bool, int, int | None]:
     """Whether h is increasing on the descending nodes ``x``, given its images per ``_blocks`` block
     (they descend, across block edges too, to a minimum not negative or NaN), the index where the
     images at 0 begin, and the node shift j: the index of the node h(x_0), kept when at least half of
-    the images h(x_i) with i + j < len(x) are x_{i+j} bitwise; ``len(x)`` and None if not increasing."""
+    the images h(x_i) with i + j < len(x) are x_{i+j} (written into ``buf``) bitwise; else None."""
     n = len(x)
     monotone, z, j, on, last = True, n, None, 0, None
     for s, hb in zip(_blocks(n), blocks):
@@ -464,7 +479,7 @@ def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int
             monotone = _descends(np.array((last, hb[0])))
         monotone = monotone and _descends(hb)
         if j is not None and (m := min(s.stop, n - j) - s.start) > 0:
-            on += int(np.count_nonzero(hb[:m] == x[s.start + j : s.start + j + m]))
+            on += int(np.count_nonzero(hb[:m] == x.span(s.start + j, buf[:m])))
         if z == n and hb[-1] == 0:  # the images at 0 of an increasing h end the grid
             z = s.start + int(np.argmax(hb == 0))
         last = hb[-1]
@@ -472,12 +487,13 @@ def _walk_images(x: np.ndarray, blocks: Iterable[np.ndarray]) -> tuple[bool, int
     return (True, z, j) if monotone and last >= 0 else (False, n, None)
 
 
-def _f_at_images(f, hx: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> None:
-    """f at the images ``hx`` into ``out``, whose prefix holds f at ``nodes``: that value is kept where
-    the image is its node bitwise, and f runs once at the other images and those past the prefix."""
-    n = len(nodes)
-    miss = np.ones(len(hx), dtype=bool)
-    np.not_equal(hx[:n], nodes, out=miss[:n])
+def _f_at_images(f, hx: np.ndarray, nodes: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """f at the images ``hx`` into ``out``, whose prefix holds f at the ``nodes``, in pieces: that value is kept
+    where the image is its node bitwise, and f runs once at the other images and those past the prefix."""
+    miss, n = np.ones(len(hx), dtype=bool), 0
+    for piece in nodes:
+        np.not_equal(hx[n : n + len(piece)], piece, out=miss[n : n + len(piece)])
+        n += len(piece)
     if miss.all():
         out[:] = f(hx)
     elif (at := np.flatnonzero(miss)).size:  # gathered by index: a boolean mask takes about three times as long
@@ -522,24 +538,25 @@ _ONES = np.ones(_BLOCK + 1)
 _ONES.flags.writeable = False
 
 
-def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, int]:
-    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins); overwrites ``rhs``."""
-    rel = lhs - rhs
-    np.abs(rel, out=rel)
+def _relative_residual(lhs: np.ndarray, rhs: np.ndarray, rel: np.ndarray | None = None) -> tuple[float, int]:
+    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins); overwrites ``rhs``.
+    Given ``rel`` (a buffer as long), it takes |lhs - rhs| and overwrites ``lhs`` with |lhs|."""
+    d = np.subtract(lhs, rhs, out=rel)
+    np.abs(d, out=d)
     scale = np.abs(rhs, out=rhs)
-    np.maximum(scale, np.abs(lhs), out=scale)
+    np.maximum(scale, np.abs(lhs, out=None if rel is None else lhs), out=scale)
     np.maximum(scale, _ONES[: len(scale)] if len(scale) <= len(_ONES) else 1.0, out=scale)
-    rel /= scale
-    i = int(np.argmax(rel))
-    return float(rel[i]), i
+    d /= scale
+    i = int(np.argmax(d))
+    return float(d[i]), i
 
 
-def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], best=(-math.inf, -1)) -> tuple[float, int]:
+def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], best=(-math.inf, -1), rel=None):
     """The largest :func:`_relative_residual` over ``(start, lhs, rhs)`` blocks and its index, after ``best``
     ((-inf, -1): none): the first largest wins, and a NaN one, as for ``np.argmax`` over the whole array."""
     residual, worst = best
     for a, lhs, rhs in blocks:
-        r, i = _relative_residual(lhs, rhs)
+        r, i = _relative_residual(lhs, rhs, rel)
         if r > residual or (math.isnan(r) and not math.isnan(residual)):
             residual, worst = r, a + i
     return residual, worst

@@ -31,6 +31,7 @@ from reebflow import (
     star_profile,
     time_scale,
 )
+from reebflow import efunc
 from reebflow.efunc import _BLOCK, fit_grid
 from reebflow.oscillation import as_shift
 
@@ -232,16 +233,19 @@ class TestStreamingMemory:
             ("std_log", sigma_estimate),
             ("doubling_osc", lambda f, g: sigma_estimate(f, g, "sharp")),
             ("doubling_osc", lambda f, g: self_similarity_scan(f, SCAN_WITNESSES, g)),
+            ("doubling_osc", lambda f, g: check_witness(f, None, SCAN_WITNESSES[1], g)),
         ],
-        ids=["classify", "sigma_estimate", "sharp", "scan"],
+        ids=["classify", "sigma_estimate", "sharp", "scan", "check_witness"],
     )
     def test_no_grid_sized_array_is_held(self, name, run):
-        # 983,041 nodes: f and the profile over the grid would take 7.9 MB
-        # each, as would h(x) for a witness of the scan, and f over the
-        # sharp tail 2.6 MB; the passes hold buffers of one 2^15-node block.
-        # The cached nodes, shared by every pass over the grid, are built first.
+        # 983,041 nodes: the nodes, f and the profile over the grid would take
+        # 7.9 MB each, as would h(x) for a witness, and the sharp tail's nodes
+        # and f there 2.6 MB each; the passes hold buffers of one 2^15-node
+        # block, write the nodes of each block into one of them, and never
+        # consult the caches of GridSpec.nodes() and tail_nodes()
         f, g = builtin(name), GridSpec(16384, 60)
-        g.nodes(), g.tail_nodes()
+        caches = (efunc._nodes, efunc._tail_nodes)
+        calls = [c.cache_info().hits + c.cache_info().misses for c in caches]
         tracemalloc.start()
         try:
             run(f, g)
@@ -249,6 +253,7 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+        assert [c.cache_info().hits + c.cache_info().misses for c in caches] == calls
 
 
 class TestNonFiniteValues:

@@ -312,15 +312,15 @@ class TestClassifyCommand:
         assert any(w.startswith("sigma_hat = 1.36971, set at octave ") for w in report["warnings"])
 
     def test_unallocatable_grid_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        # regression: numpy's _ArrayMemoryError traceback, exit 1; the node
-        # builder fails as an allocation of 6e12 doubles would, without making it
+        # regression: numpy's _ArrayMemoryError traceback, exit 1; the builder of
+        # the pass's nodes fails as an allocation of 1e11 doubles would, without making it
         asked = []
 
         def nodes(K, m_max):
             asked.append((K, m_max))
             raise MemoryError
 
-        monkeypatch.setattr(efunc, "_nodes", nodes)
+        monkeypatch.setattr(efunc, "_Nodes", nodes)
         out = tmp_path / "o"
         assert run("classify", "--builtin", "std_log", "--grid", "100000000000,60", "--out", str(out)) == 2
         assert asked == [(100000000000, 60)]

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from reebflow import (
     from_expression,
     sample,
 )
-from reebflow.efunc import _BLOCK, _blocks, _nodes, compile_expr, write_csv
+from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_nodes, _tail_span, compile_expr, write_csv
 
 
 class TestBuiltins:
@@ -160,6 +161,22 @@ class TestGridSpec:
             x = _nodes.__wrapped__(K, m_max)
             assert x.tobytes() == want[: K * m_max + 1].tobytes(), m_max
 
+    @pytest.mark.parametrize("field", ["samples_per_octave", "octave_max", "tail_octaves"])
+    @pytest.mark.parametrize("bad", [512.5, 2.0, True, np.float64(8.0), "8", None], ids=repr)
+    def test_a_field_that_is_not_an_integer_is_named(self, field, bad):
+        # regression: GridSpec(512.5, 40).nodes() raised numpy's TypeError,
+        # GridSpec(True, 20) wrote "K": true and GridSpec(512, 20, 2.5) passed
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            GridSpec(**{field: bad})
+
+    def test_numpy_integers_are_kept_as_python_ints(self):
+        # regression: json.dumps(GridSpec(np.int64(512), 40).to_json()) raised
+        # "Object of type int64 is not JSON serializable"
+        g = GridSpec(np.int64(512), np.int32(40), np.uint8(20))
+        assert [type(v) for v in (g.samples_per_octave, g.octave_max, g.tail_octaves)] == [int] * 3
+        assert g == GridSpec(512, 40, 20) and hash(g) == hash(GridSpec(512, 40, 20))
+        assert json.loads(json.dumps(g.to_json())) == {"K": 512, "m_min": 0, "m_max": 40, "tail_octaves": 20}
+
     def test_tail_nodes_are_one_cached_read_only_array(self):
         g = GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3)
         t = g.tail_nodes()
@@ -188,6 +205,43 @@ class TestGridSpec:
     def test_json_keeps_m_min_zero(self, small_grid):
         # every grid starts at x = 1; the key stays so artifacts keep their bytes
         assert small_grid.to_json() == {"K": 64, "m_min": 0, "m_max": 24, "tail_octaves": 10}
+
+
+SPAN_KS = [1, 3, 7, 100, 512, 4096, 16384, 32768, 40000]
+
+
+class TestNodeSpans:
+    """The streaming passes write the nodes of each block into a buffer of their own (``_Nodes.span``)."""
+
+    @pytest.mark.parametrize("m_max", [1, 2, 16, 60])
+    @pytest.mark.parametrize("K", SPAN_KS)
+    def test_spans_are_the_bits_of_the_slices_of_the_nodes(self, K, m_max):
+        x, nodes = _nodes.__wrapped__(K, m_max), _Nodes(K, m_max)
+        n, step = x.size, len(nodes.head) - 1
+        # the head holds the first min(max(1, 2^15 // K), m_max) octaves and the node that ends them
+        assert step == min(max(1, _BLOCK // K), m_max) * K
+        assert len(nodes) == n and nodes.head.tobytes() == x[: step + 1].tobytes()
+        for lo in range(0, n - 1, step):  # the octave-aligned blocks, then offsets K/2 and K
+            for start in (lo, lo + K // 2, lo + K):
+                for length in (step + 1, _BLOCK):
+                    if start < n:
+                        buf = np.full(min(length, n - start), np.nan)
+                        assert nodes.span(start, buf) is buf
+                        assert buf.tobytes() == x[start : start + buf.size].tobytes(), (start, length)
+        last = np.full(1, np.nan)
+        assert nodes.span(n - 1, last).tobytes() == x[-1:].tobytes() and x[-1] == 2.0**-m_max
+        assert [nodes[i] for i in (0, K // 2, K, n - 1, -1)] == x[[0, K // 2, K, n - 1, -1]].tolist()
+
+    @pytest.mark.parametrize("tail", [1, 3, 20])
+    @pytest.mark.parametrize("K", SPAN_KS)
+    def test_tail_spans_are_the_bits_of_the_tail_nodes(self, K, tail):
+        t = _tail_nodes.__wrapped__(K, tail)
+        assert t.tobytes() == np.exp2(np.arange(t.size) / K).tobytes()  # one exp2 over the whole tail
+        ramp, buf = np.arange(_BLOCK, dtype=float), np.full(_BLOCK, np.nan)
+        for s in _blocks(t.size):
+            got = _tail_span(K, s.start, ramp, buf[: s.stop - s.start])
+            assert got.tobytes() == t[s].tobytes(), s
+        assert t[-1] == 2.0**tail
 
 
 class TestSample:

@@ -532,10 +532,10 @@ def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
     return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, tol, float(rel[i]) <= tol)
 
 
-def whole_witness_sweep(f, h, k, lam, x):
-    """Reference for ``linearize._witness_sweep``: the report and the first sweep."""
+def whole_witness_sweep(f, h, k, lam, g):
+    """Reference for ``linearize._witness_sweep`` on the grid g: the report and the first sweep."""
     sweep = [] if k is None else None
-    rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, 1e-9, sweep)
+    rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), g.nodes(), None, 1e-9, sweep)
     return rep, sweep or []
 
 
@@ -596,7 +596,7 @@ class TestWitnessImagesFromTheSample:
         x = g.nodes()
         w = EquivalenceWitness(h, None, 2.0)
         want = []
-        rep, sweep = linearize._witness_sweep(f, h, None, 2.0, x)
+        rep, sweep = linearize._witness_sweep(f, h, None, 2.0, g)
         assert rep == whole_check_witness(builtin("doubling_osc"), None, w, x, None, 1e-9, want)
         assert [bits(a) for a in sweep] == [bits(a) for a in want]
         blocks = list(_blocks(x.size))
@@ -681,7 +681,7 @@ class TestDerivedGate:
         # its report is that of check_witness with the floored shift as k
         g, f = BASIN_GRIDS[gid], builtin(name)
         h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
-        rep, sweep = linearize._witness_sweep(f, h, None, lam, g.nodes())
+        rep, sweep = linearize._witness_sweep(f, h, None, lam, g)
         want = check_witness(f, None, EquivalenceWitness(h, floored_shift(f, h, lam), lam), g)
         as_bits = [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
         assert as_bits == [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(want)]

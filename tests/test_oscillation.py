@@ -26,7 +26,7 @@ from reebflow import (
     star_identity_suite,
     star_profile,
 )
-from reebflow.efunc import _BLOCK, _blocks
+from reebflow.efunc import _BLOCK, _blocks, _Nodes
 from reebflow.oscillation import (
     _CHUNK,
     _TAIL_WINDOW,
@@ -972,7 +972,7 @@ class TestPerNodeShift:
     def test_the_walk_keeps_the_shift_of_a_majority(self, hid, j, share):
         x = MULTI.nodes()
         hx = gallery_homeo(hid)(x)
-        assert _walk_images(x, (hx[s] for s in _blocks(x.size))) == (True, x.size, j)
+        assert _walk_images(_Nodes(4096, 20), (hx[s] for s in _blocks(x.size)), np.empty(_BLOCK)) == (True, x.size, j)
         if j is not None:
             on = np.count_nonzero(~off_node(x, hx, j)[: x.size - j])
             assert on / (x.size - j) == pytest.approx(share, abs=0.01)
@@ -983,9 +983,9 @@ class TestPerNodeShift:
         x = GridSpec(8, 20).nodes()
         n, on = x.size, (x.size - 1) // 2
         hx = np.concatenate([x[1 : 1 + on], np.nextafter(x[1 + on :], 0.0), x[-1:] / 2])
-        assert _walk_images(x, [hx]) == (True, n, 1)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, 1)
         hx[on - 1] = np.nextafter(hx[on - 1], 0.0)
-        assert _walk_images(x, [hx]) == (True, n, None)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, None)
 
     @pytest.mark.parametrize("g", [MULTI, GridSpec(512, 40), WIDE_K], ids=["multi", "512x40", "K40000"])
     def test_root_scale_evaluates_f_at_the_images_off_their_nodes_and_past_the_grid(self, g):
@@ -1017,7 +1017,13 @@ class TestPerNodeShift:
         lhs[[m // 2, m // 3]], rhs[[m // 2, m // 3]] = 5.0, -5.0  # two ties at the largest residual, 2
         rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
         assert int(np.argmax(rel)) == m // 3
+        kept = lhs.copy()
         assert _relative_residual(lhs, rhs.copy()) == (2.0, m // 3)
+        assert lhs.tobytes() == kept.tobytes()  # only the second operand is overwritten
+        # into given buffers: the bits of the residual, with lhs overwritten by |lhs|
+        assert _relative_residual(kept.copy(), rhs.copy(), np.full(m, np.nan)) == (2.0, m // 3)
         lhs[m - 2] = rhs[m - 1] = math.nan
         r, i = _relative_residual(lhs, rhs.copy())
+        assert math.isnan(r) and i == m - 2
+        r, i = _relative_residual(lhs.copy(), rhs.copy(), np.empty(m))
         assert math.isnan(r) and i == m - 2

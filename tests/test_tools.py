@@ -92,10 +92,17 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
     calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
-    calls += [tool.scan_call(g), tool.witness_call(g), tool.sharp_call(g)]
+    calls += [tool.classify_call(g), tool.scan_call(g), tool.witness_call(g), tool.sharp_call(g)]
     for call in calls:
         peak, held, faults = tool.measure(call)
         assert 0 < held <= peak and faults >= 0
+    # the cached nodes column: the streaming passes add no nodes, a held profile the grid's
+    before = tool.cached_mib()
+    for call in calls[-4:]:
+        call()
+    assert tool.cached_mib() == before
+    tool.rf.star_profile(tool.rf.builtin("std_log"), tool.rf.GridSpec(64, 23))
+    assert tool.cached_mib() >= tool.rf.GridSpec(64, 23).nodes().nbytes / tool.MIB > 0
     # build_flow and flow_classify are timed apart, each by the median of 15 warm calls
     for call in [tool.koenigs_call("std_log", "square", g), *tool.flow_parts("bounded_osc", g)]:
         assert tool.wall_ms(call) > 0

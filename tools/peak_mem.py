@@ -5,17 +5,21 @@ derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
-At the grid (16384, 60), 983,041 nodes, it measures ``self_similarity_scan``
-of doubling_osc with the witnesses halve (lam = 2) and root_scale:2 (lam =
-sqrt 2), ``check_witness`` of doubling_osc under root_scale:2 alone, and
-``sigma_estimate`` of doubling_osc with the sharp profile.
-Each call runs once to warm the caches (the grid nodes), then once more for
-each measurement, and prints four numbers:
+At the grid (16384, 60), 983,041 nodes, it measures ``classify`` of
+doubling_osc, ``self_similarity_scan`` of doubling_osc with the witnesses
+halve (lam = 2) and root_scale:2 (lam = sqrt 2), ``check_witness`` of
+doubling_osc under root_scale:2 alone, and ``sigma_estimate`` of
+doubling_osc with the sharp profile.
+Each call runs once to warm the caches, then once more for each
+measurement, and prints five numbers:
 
 * the traced peak, the most memory the call had allocated at once (``tracemalloc``);
 * the bytes its result still holds after it returns (``tracemalloc``);
 * the minor page faults the call took, from ``resource.getrusage`` of this
   process, in a call with tracing off;
+* the MiB the caches of ``GridSpec.nodes()`` and ``tail_nodes()`` hold after
+  the row, read from the arrays they refer to (``gc.get_referents``); the
+  rows at (16384, 60) add nothing to it, as their passes hold no nodes;
 * the median wall time of 15 more calls, each timed by ``time.perf_counter``,
   in ms; ``build_flow`` and ``flow_classify`` (of a flow built once) are
   timed apart, so a flow row prints two.
@@ -32,6 +36,7 @@ The package is imported from this checkout's ``src``.  Run from anywhere:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import resource
 import statistics
@@ -46,6 +51,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import reebflow as rf  # noqa: E402
+from reebflow import efunc  # noqa: E402
 from reebflow.flow import orbit_rows  # noqa: E402
 
 GRID = rf.GridSpec(4096, 60)
@@ -88,6 +94,12 @@ def orbit_call(name: str, g: rf.GridSpec | None = None):
     return lambda: orbit_rows(F, p0, ORBIT_TIMES)
 
 
+def classify_call(g: rf.GridSpec):
+    """``classify`` of doubling_osc on g."""
+    f = rf.builtin("doubling_osc")
+    return lambda: rf.classify(f, g)
+
+
 def scan_call(g: rf.GridSpec):
     """``self_similarity_scan`` of doubling_osc on g under halve (lam = 2) and root_scale:2 (lam = sqrt 2)."""
     f = rf.builtin("doubling_osc")
@@ -117,6 +129,12 @@ def sharp_call(g: rf.GridSpec):
     """``sigma_estimate`` of doubling_osc on g with the sharp profile, whose tail is sampled too."""
     f = rf.builtin("doubling_osc")
     return lambda: rf.sigma_estimate(f, g, "sharp")
+
+
+def cached_mib() -> float:
+    """The MiB of the node arrays that the caches of ``GridSpec.nodes()`` and ``tail_nodes()`` hold."""
+    caches = (efunc._nodes, efunc._tail_nodes)
+    return sum(a.nbytes for c in caches for a in gc.get_referents(c) if isinstance(a, np.ndarray)) / MIB
 
 
 def wall_ms(call) -> float:
@@ -153,18 +171,19 @@ def main() -> None:
               for name in GALLERY]
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
     big = f"{GRID_1M.samples_per_octave},{GRID_1M.octave_max}"
-    cases += [(f"self_similarity_scan doubling_osc ({big})", scan_call(GRID_1M), [scan_call(GRID_1M)]),
+    cases += [(f"classify doubling_osc ({big})", classify_call(GRID_1M), [classify_call(GRID_1M)]),
+              (f"self_similarity_scan doubling_osc ({big})", scan_call(GRID_1M), [scan_call(GRID_1M)]),
               (f"check_witness doubling_osc root_scale:2 ({big})", witness_call(GRID_1M), [witness_call(GRID_1M)]),
               (f"sigma_estimate sharp doubling_osc ({big})", sharp_call(GRID_1M), [sharp_call(GRID_1M)])]
     print(f"grid {GRID.samples_per_octave},{GRID.octave_max} unless named: peak MiB, held MiB, minor faults per"
-          f" warm call; median ms of {REPS} warm calls (build_flow, flow_classify; orbit_rows alone;"
-          " check_witness, and the points at which f runs)")
+          f" warm call; MiB of cached nodes after it; median ms of {REPS} warm calls (build_flow, flow_classify;"
+          " orbit_rows alone; check_witness, and the points at which f runs)")
     for label, call, timed in cases:
         peak, held, faults = measure(call)
         ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
         if label.startswith("check_witness"):
             ms += f" {f_points(GRID_1M):9d}"
-        print(f"{label:50s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {ms}")
+        print(f"{label:50s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {cached_mib():7.2f} {ms}")
 
 
 if __name__ == "__main__":
