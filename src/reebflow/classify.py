@@ -23,13 +23,13 @@ when it happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .efunc import EFunction, GridSpec, _diagnose_envelopes, _Nodes
-from .flow import DEFAULT_TRANSVERSAL, Flow, Transversal, extract_transition
+from .flow import DEFAULT_TRANSVERSAL, Flow, Transversal, _held_source, extract_transition
 from .oscillation import (
     EquivalenceWitness,
     SigmaEstimate,
@@ -100,12 +100,12 @@ def classify(
 
 
 def _classify_pass(
-    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, folds: Sequence[_WitnessFold] = ()
+    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, folds: Sequence[_WitnessFold] = (), source=None
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
-    """The sigma estimate, verdict and warnings of one pass of f over g, which feeds ``folds``."""
+    """The sigma estimate, verdict and warnings of one pass of f, or ``source``, over g, which feeds ``folds``."""
     if not tau_std < tau_ns:
         raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
-    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", folds=folds)
+    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", folds=folds, source=source)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
     sigma = _sigma_from_sups("star", g, sups)
     tail = float(np.max(sups[-_TAIL_WINDOW:]))
@@ -183,8 +183,10 @@ def flow_classify(
     tau_std: float = _TAU_STD,
     tau_ns: float = _TAU_NS,
 ) -> ClassificationReport:
-    """Classify the transition time extracted from F, with provenance "extracted-from-flow"."""
+    """Classify the transition time extracted from F, with provenance "extracted-from-flow"; on F's build grid,
+    through the default transversal, the pass reads the target F holds by node index (``_held_source``)."""
     g = g or GridSpec()
-    report = classify(extract_transition(F, g, tv), g, tau_std, tau_ns)
+    source = _held_source(F, g) if tv.is_default else None
+    sigma, verdict, warnings = _classify_pass(extract_transition(F, g, tv), g, tau_std, tau_ns, source=source)
     shifts = {"flow_shift": float(F.shift), "time_factor": float(F.lam)}
-    return replace(report, provenance="extracted-from-flow", shifts=shifts)
+    return ClassificationReport(sigma, verdict, tau_std, tau_ns, (), shifts, "extracted-from-flow", warnings)

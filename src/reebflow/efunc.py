@@ -463,7 +463,8 @@ def _blockwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return out
 
 
-def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, nodes: _Nodes | None = None) -> Iterator:
+def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, nodes: _Nodes | None = None,
+                   source=None) -> Iterator:
     """f at the nodes of g, one octave-aligned block at a time, with its nodes and octave envelopes.
 
     Yields ``(lo, x, v, (sups, mins))``: v holds f at the nodes x, lo .. lo + len(v) - 1: q = max(1, 2^15 // K)
@@ -474,7 +475,8 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
 
     The domain of f is checked once, against the first and last nodes; then
     ``f.fn`` runs on each block, so f must be elementwise: its value at x
-    may not depend on the other points of the array.  A non-finite value is
+    may not depend on the other points of the array; a ``source(lo, x, out)``
+    writes f at x = x_lo .. into out instead.  A non-finite value is
     reported after the last block, so every block is evaluated first.  NaN and
     +-inf survive max and min, so only a block whose envelopes are not finite
     is searched node by node for its first non-finite value.
@@ -494,7 +496,10 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
         new = v[1:] if lo else v
         try:
             with np.errstate(all="ignore"):  # non-finite results become DomainError below
-                new[:] = f.fn(x[len(v) - len(new) :])
+                if source is None:
+                    new[:] = f.fn(x[len(v) - len(new) :])
+                else:
+                    source(hi - len(new), x[len(v) - len(new) :], new)
         except DomainError:
             raise
         except Exception as exc:  # pragma: no cover - defensive wrapper

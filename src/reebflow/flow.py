@@ -196,10 +196,10 @@ class Flow:
     the two ramps.  The standard flow ``Flow()`` has no source f and the
     empty window c0 = c1 = 0, so T(c) = -ln c and r = 1 on every leaf.
     ``lam`` != 1 multiplies all speeds (time scaling).
-    ``held`` is ``(f, x, T(x))`` at the nodes x in (0, c1] that ``build_flow``
-    sampled, with T read-only, and is read only while f is ``source``; T also
-    depends on c0, c1 and shift, which no caller replaces.  Equality and repr
-    ignore it.
+    ``held`` is ``(f, g, T)``, T read-only at the last len(T) nodes of g, those in
+    (0, c1] that ``build_flow`` sampled; only ``_held_source`` reads it, while f is
+    ``source``.  T also depends on c0, c1 and shift, which no caller replaces.
+    Equality and repr ignore it.
     """
 
     lam: float = 1.0
@@ -211,13 +211,9 @@ class Flow:
     held: tuple | None = field(default=None, compare=False, repr=False)
 
     def transit(self, c) -> np.ndarray:
-        """Unscaled transit target T(c) over s in [ln c, 0], a new array; on a run of ``held`` nodes
-        that ends c, T is copied from there once and f is not evaluated."""
+        """Unscaled transit target T(c) over s in [ln c, 0], a new array."""
         c = np.asarray(c, dtype=float)
-        lead, run = _held_run(self, c)
-        f_at = lambda at: np.asarray(self.source(lead[at]), dtype=float) + self.shift  # noqa: E731
-        out = _transit_target(lead, f_at, self.c0, self.c1)
-        return out if run is None else np.concatenate([out, run])
+        return _transit_target(c, lambda at: np.asarray(self.source(c[at]), dtype=float) + self.shift, self.c0, self.c1)
 
     def prescribed_speed(self, c) -> np.ndarray:
         """The uniform speed r(c) on the segment [ln c, 0] (before time scaling)."""
@@ -226,21 +222,6 @@ class Flow:
         lo = c < self.c1
         r[lo] = -np.log(c[lo]) / self.transit(c[lo])
         return r
-
-
-def _held_run(F: Flow, c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(c[:p], T(c[p:])) for the longest run c[p:] of ``F.held`` nodes that ends c, else (c, None):
-    one bisect finds c[-1] among them, and c[p] is compared before the run (``==`` is bitwise there),
-    which is compared node by node only when it is not the held nodes' own memory."""
-    if F.held is not None and F.held[0] is F.source and c.ndim == 1 and c.size:
-        _, x, vals = F.held
-        i = bisect.bisect_left(x, -float(c[-1]), key=operator.neg) + 1  # the run ends at x[i - 1]
-        m = min(i, c.size)
-        run = x[i - m : i]
-        own = run.__array_interface__ == c[-m:].__array_interface__  # address, strides, shape and dtype
-        if i <= len(x) and x[i - 1] == c[-1] and x[i - m] == c[-m] and (own or np.array_equal(run, c[-m:])):
-            return c[: c.size - m], vals[i - m : i]
-    return c, None
 
 
 def standard_flow() -> Flow:
@@ -270,9 +251,9 @@ def build_flow(
     over them once (``_blockwise``) and a nonzero lift is added in place.
     T is f + shift itself in (0, c0], checked by the one scalar test
     ``fmin + shift > 0`` (rounding is monotone); only the blend leaves in
-    (c0, c1] take ``_transit_target``.  The flow keeps T at those nodes as
-    ``held``, so a transit over a run of them (``flow_classify`` on the same
-    grid) copies T and computes no target there.
+    (c0, c1] take ``_transit_target``.  The flow keeps T at those nodes, with
+    g, as ``held``: ``flow_classify`` on g reads T there by node index and
+    evaluates no f.
     """
     if not (0 < c0 < c1 < 1):
         raise ValueError(f"need 0 < c0 < c1 < 1, got c0={c0:g}, c1={c1:g}")
@@ -293,7 +274,7 @@ def build_flow(
         if bad.any():
             raise DomainError(f"transit target not positive at leaf c = {float(x[w:][bad][0]):g}")
     vals.setflags(write=False)
-    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, x, vals))
+    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, g, vals))
 
 
 def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
@@ -419,12 +400,27 @@ def _transition(F: Flow, tv: Transversal, x) -> np.ndarray:
     ds / v(s) between the two curves' positions on the leaf of gamma1(x).
     """
     if tv.is_default:
-        T = F.transit(x)
-        T /= F.lam
-        return T
+        return np.divide(T := F.transit(x), F.lam, out=T)
     xi, eta = tv.gamma1(x)
     c = xi * eta
     return _leaf_time(F, c, np.log(xi), tv.s_on_leaf2(c))
+
+
+def _held_source(F: Flow, g: GridSpec):
+    """``source(lo, x, out)`` for ``_octave_blocks``, or None unless F holds T on g (built there, same source): it
+    writes the default-transversal transition time at the nodes x = x_lo .. into out, ``T[i - p] / lam`` at node
+    i >= p, the first node <= c1 (the bits of ``_transition``), and the formula, which evaluates no f, above c1."""
+    if F.held is None or F.held[0] is not F.source or F.held[1] != g:
+        return None
+    p = g.node_count - len(T := F.held[2])
+
+    def source(lo: int, x: np.ndarray, out: np.ndarray) -> None:
+        k = min(max(p - lo, 0), len(out))  # the nodes above c1
+        if k:
+            out[:k] = _transition(F, DEFAULT_TRANSVERSAL, x[:k])
+        np.divide(T[lo + k - p : lo + len(out) - p], F.lam, out=out[k:])
+
+    return source
 
 
 def flow_step(F: Flow, t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
@@ -513,8 +509,8 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
     "kind" is one of "standard" (the default), "realized" and "time_scaled";
     any other kind is a ValueError that names it.  The "f" descriptor of a
     realized flow is {"builtin": name, "params": [...]} or {"csv": path}; a
-    time_scaled config without one scales the standard flow.  The recorded
-    shift is recomputed from the data, not trusted.  Every config may hold
+    time_scaled config without one scales the standard flow.  A "shift" must
+    be the lift derived from the data on g, else a ValueError names both.  Every config may hold
     "kind" and "lambda"; one with a source also "c0", "c1", "shift" and "f".
     A config that is not an object, a value of the wrong type or any other
     key is a ValueError that names the key.
@@ -549,6 +545,8 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
         else:
             raise ValueError(f"cannot load flow source {spec!r}")
         F = build_flow(f, c0=_number(obj, "c0", _C0), c1=_number(obj, "c1", _C1), g=g, source_spec=spec)
+        if not (_is_number(v := obj.get("shift", F.shift)) and math.isfinite(v) and v == F.shift):
+            raise ValueError(f"flow config 'shift' {v!r} is not the lift {F.shift!r} build_flow derives on the grid")
     if lam != 1.0:
         F = time_scale(F, lam)
     return F

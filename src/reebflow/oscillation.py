@@ -81,13 +81,6 @@ class OscillationProfile:
     octave_sup: np.ndarray
     tail_max: float | None = None  # sharp only: max of f over [1, 2^tail]
 
-    def running_max_values(self) -> np.ndarray:
-        """The running maximum the profile was built from (tail seed included)."""
-        rm = np.maximum.accumulate(self.f_values)
-        if self.tail_max is not None:
-            rm = np.maximum(rm, self.tail_max)
-        return rm
-
     def to_csv(self, path) -> None:
         write_csv(path, ["x", "f", "fstar"], [self.x, self.f_values, self.values])
 
@@ -134,7 +127,7 @@ def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile
 
 def _profile_pass(
     f: EFunction, g: GridSpec, variant: str, fv: np.ndarray | None = None, vals: np.ndarray | None = None,
-    folds: Sequence[_WitnessFold] = (),
+    folds: Sequence[_WitnessFold] = (), source=None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float | None]:
     """One pass of f over g: the octave envelopes of f, and the octave suprema of its profile.
 
@@ -143,7 +136,8 @@ def _profile_pass(
     pass holds only buffers of one block.  A held pass (``star_profile``,
     ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``,
     ``classify``) and only writes into its arrays.  ``folds`` are fed each block of f and its nodes,
-    spans of the :class:`_Nodes` the folds walked h over, so a scan builds one head.
+    spans of the :class:`_Nodes` the folds walked h over, so a scan builds one head.  ``source``
+    is that of ``_octave_blocks``.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
@@ -163,7 +157,7 @@ def _profile_pass(
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
     # the non-finite value as a DomainError after the last block
     with np.errstate(invalid="ignore"):
-        for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None):
+        for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None, source):
             m = len(fb)
             if not lo:  # the first block is the longest; the tail max fills one, for an array-array max
                 buf, tops = np.empty(m), None if tail_max is None else np.full(m, tail_max)
@@ -632,7 +626,7 @@ def star_identity_suite(
 
     # scaling
     scaled = star_profile(f.scaled(lam), g)
-    scale = np.maximum(1.0, lam * np.maximum(np.abs(base.f_values), np.abs(base.running_max_values())))
+    scale = np.maximum(1.0, lam * np.maximum(np.abs(base.f_values), np.abs(np.maximum.accumulate(base.f_values))))
     dev = float(np.max(np.abs(scaled.values - lam * base.values) / scale))
     items.append(ItemResult("scaling", dev <= _EXACT_RTOL, {"max_rel_dev": dev, "lam": lam}))
 

@@ -353,7 +353,8 @@ class TestClassifyCommand:
     def test_unknown_flow_kind_is_usage_error(self, capsys, tmp_path):
         # regression: a "bogus" kind was classified as a realized flow, exit 0;
         # a non-object config or a value of the wrong type exited 1 with a
-        # traceback, and "lambda": true was read as 1.0
+        # traceback, and "lambda": true was read as 1.0; a "shift" other than
+        # the derived lift loaded with the lift
         std = {"builtin": "std_log"}
         cases = [
             ({"kind": "bogus", "f": std}, "unknown flow kind 'bogus'"),
@@ -364,6 +365,8 @@ class TestClassifyCommand:
             ({"kind": "realized", "f": std, "c0": None}, "'c0'"),
             ({"kind": "time_scaled", "lambda": True}, "'lambda'"),
             ({"kind": "standard", "c0": 0.3}, "unknown key 'c0'"),
+            ({"kind": "realized", "f": std, "shift": 5.0}, "'shift' 5.0 is not the lift 0.0"),
+            ({"kind": "realized", "f": std, "shift": "abc"}, "'shift' 'abc' is not the lift 0.0"),
         ]
         cfgp = tmp_path / "flow.json"
         out = tmp_path / "o"

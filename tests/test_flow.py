@@ -27,7 +27,8 @@ from reebflow import (
     time_scale,
     transition_time,
 )
-from reebflow.flow import _held_run, _leaf_position, _leaf_time, _transit_target, orbit_rows, orbit_to_csv
+from reebflow.efunc import _octave_blocks
+from reebflow.flow import _held_source, _leaf_position, _leaf_time, _transit_target, orbit_rows, orbit_to_csv
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 # 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
@@ -244,7 +245,8 @@ class TestBuildFlowParity:
         # and holds no leaf that is not positive, and the blend target stays positive
         f, c0, c1, g, _ = PARITY[case]
         F = build_flow(f, c0, c1, g)
-        assert F.shift == shift and np.all(F.held[2][F.held[1] < c1] > 0.0)
+        _, held_grid, T = F.held
+        assert held_grid == g and F.shift == shift and np.all(T[g.nodes()[-len(T) :] < c1] > 0.0)
 
     def test_transit_target_runs_once_on_the_blend_leaves(self, monkeypatch):
         seen, original = [], _transit_target
@@ -411,6 +413,9 @@ def gallery_flows():
 
 
 HELD_GRIDS = {"512x40": GridSpec(512, 40), "4096x60": DEEP}
+# p, the first node <= c1 = 1/2, is node K: inside the first 8-octave block at K = 4096, the end node of
+# the first 1-octave block (the node the second block starts from) at K = 40000, and in the only block at K = 1
+SOURCE_GRIDS = [GridSpec(4096, 60), GridSpec(40000, 16), GridSpec(1, 20)]
 
 
 @pytest.fixture(scope="module")
@@ -420,8 +425,8 @@ def held_flows():
 
 
 class TestHeldValues:
-    """A realized flow keeps f at the nodes in (0, c1] that build_flow sampled,
-    and a transit over a run of them reads f there."""
+    """A realized flow keeps its transit target T at the nodes in (0, c1] that build_flow sampled,
+    with the grid, and flow_classify on that grid reads T there by node index."""
 
     @pytest.mark.parametrize("lam", [1.0, 1.7, 1e-3])
     @pytest.mark.parametrize("gid", HELD_GRIDS)
@@ -456,53 +461,89 @@ class TestHeldValues:
     @pytest.mark.parametrize("gid", HELD_GRIDS)
     @pytest.mark.parametrize("name", GALLERY)
     def test_held_values_are_the_transit_target(self, held_flows, name, gid):
-        # build_flow keeps T, so flow_classify on the build grid runs no transit pass
+        # build_flow keeps T at the last nodes of its grid, those <= c1, and the grid itself
         F = held_flows[name, gid]
-        f, x, T = F.held
-        assert f is F.source and not T.flags.writeable
-        assert T.tobytes() == dataclasses.replace(F, held=None).transit(x).tobytes()
+        f, g, T = F.held
+        assert f is F.source and g == HELD_GRIDS[gid] and not T.flags.writeable
+        x = g.nodes()
+        p = len(x) - len(T)  # the first node <= c1
+        assert x[p] <= F.c1 < x[p - 1]
+        assert T.tobytes() == dataclasses.replace(F, held=None).transit(x[p:]).tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, 1.3, 0.01])
+    @pytest.mark.parametrize("g", SOURCE_GRIDS, ids=["p-inside-block-0", "p-on-a-block-boundary", "one-block"])
+    @pytest.mark.parametrize("name,params", GALLERY.items())
+    def test_the_held_source_gives_the_bits_of_the_formula(self, name, params, g, lam):
+        # node i >= p reads T[i - p] / lam by index and the nodes above c1 the formula; flow_classify
+        # then evaluates no f, and its report and every block of the pass keep the formula's bits
+        f, calls = builtin(name, params), []
+
+        def fn(x, _fn=f.fn):
+            calls.append(len(x))
+            return _fn(x)
+
+        F = time_scale(build_flow(dataclasses.replace(f, fn=fn), g=g), lam)
+        cleared = dataclasses.replace(F, held=None)
+        calls.clear()
+        got = json.dumps(flow_classify(F, g=g).to_json(), sort_keys=True)
+        assert calls == []
+        assert got == json.dumps(flow_classify(cleared, g=g).to_json(), sort_keys=True)
+        calls.clear()
+        fv = np.empty(g.node_count)
+        for _ in _octave_blocks(extract_transition(F, g), g, fv, source=_held_source(F, g)):
+            pass
+        assert calls == []
+        assert fv.tobytes() == extract_transition(cleared, g)(g.nodes()).tobytes()
+
+    def test_the_held_source_compares_no_nodes(self, held_flows, monkeypatch):
+        F = time_scale(held_flows["std_log", "4096x60"], 1.7)
+        want = json.dumps(flow_classify(dataclasses.replace(F, held=None), g=DEEP).to_json())
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", None)  # the grid decides, not the nodes' values
+            assert _held_source(F, DEEP) is not None
+            assert json.dumps(flow_classify(F, g=DEEP).to_json()) == want
+
+    @pytest.mark.parametrize("case", ["replaced-source", "other-grid", "equal-nodes-other-spec", "user-transversal"])
+    def test_the_formula_path_off_the_build_grid(self, held_flows, case):
+        # only the flow's own source on its own grid, through the default transversal, reads T
+        F, g, tv = held_flows["bounded_osc", "512x40"], GridSpec(512, 40), DEFAULT_TRANSVERSAL
+        f, calls = builtin("bounded_osc", (2.0,)), []
+
+        def fn(x, _fn=f.fn):
+            calls.append(len(x))
+            return _fn(x)
+
+        counted = dataclasses.replace(f, fn=fn)
+        if case == "replaced-source":
+            F = dataclasses.replace(F, source=counted)
+        else:
+            F = dataclasses.replace(F, held=(counted,) + F.held[1:], source=counted)
+        if case == "other-grid":
+            g = GridSpec(512, 20)
+        elif case == "equal-nodes-other-spec":
+            g = GridSpec(512, 40, tail_octaves=30)
+        elif case == "user-transversal":
+            tv = Transversal(((1e-30, 1e-30, 1.0), (1.0, 1.0, 1.0)), ((1.0, 1e-30), (1.0, 1.0)))
+        assert (_held_source(F, g) is None) == (case != "user-transversal")
+        dump = lambda rep: json.dumps(rep.to_json(), sort_keys=True)  # noqa: E731
+        want = dump(flow_classify(dataclasses.replace(F, held=None), tv, g))
+        calls.clear()
+        assert dump(flow_classify(F, tv, g)) == want
+        assert sum(calls) >= int(np.count_nonzero(g.nodes() < F.c1))  # f runs at every node below c1
 
     @pytest.mark.parametrize("gid", HELD_GRIDS)
     @pytest.mark.parametrize("name", GALLERY)
-    def test_a_transit_over_held_nodes_is_a_copy(self, held_flows, name, gid):
+    def test_the_held_values_are_never_written(self, held_flows, name, gid):
         F = held_flows[name, gid]
-        _, x, T = F.held
+        g, T = F.held[1:]
         before = T.tobytes()
-        nodes = HELD_GRIDS[gid].nodes()
-        for c in (x, x[5:], nodes, nodes.copy()):
-            out = F.transit(c)
-            assert not np.shares_memory(out, T) and out.flags.writeable
-            out /= 3.0  # what _transition does with a time-scaled flow
-        for lam in (1.7, 1e-3):
+        for lam in (1.0, 1.7, 1e-3):
             G = time_scale(F, lam)
-            transition_time(G, x=float(x[7]))
-            extract_transition(G)(x)
-        assert T.tobytes() == before
-
-    def test_held_run_takes_the_held_memory_and_equal_copies(self, held_flows, monkeypatch):
-        F = held_flows["std_log", "4096x60"]
-        _, x, T = F.held
-        nodes = DEEP.nodes()
-        start = len(nodes) - len(x)  # x is the suffix of the grid nodes below c1
-        own = (x[5:300], nodes[start + 5 : start + 300])
-        with monkeypatch.context() as m:
-            m.setattr(np, "array_equal", None)  # the held nodes' own memory is not compared node by node
-            for c in own:
-                lead, run = _held_run(F, c)
-                assert lead.size == 0 and run.tobytes() == T[5:300].tobytes()
-            c = nodes[start - 3 : start + 300]  # three nodes above c1 lead the run
-            lead, run = _held_run(F, c)
-            assert lead.tobytes() == c[:3].tobytes() and run.tobytes() == T[:300].tobytes()
-        lead, run = _held_run(F, x[5:300].copy())
-        assert lead.size == 0 and run.tobytes() == T[5:300].tobytes()
-
-    def test_held_run_refuses_shifted_nodes(self, held_flows):
-        F = held_flows["std_log", "4096x60"]
-        x = F.held[1]
-        nudged = x[5:300].copy()
-        nudged[100] = np.nextafter(nudged[100], 0.0)  # both ends still held nodes
-        for c in (np.nextafter(x[5:300], 0.0), nudged, x[5:300:2], x[300:5:-1]):
-            assert _held_run(F, c)[1] is None
+            flow_classify(G, g=g)
+            out = G.transit(g.nodes())
+            assert not np.shares_memory(out, T) and out.flags.writeable
+            transition_time(G, x=float(g.nodes()[-7]))
+        assert T.tobytes() == before and not T.flags.writeable
 
     def test_another_source_never_reads_the_held_values(self, held_flows):
         F, other = held_flows["std_log", "4096x60"], builtin("bounded_osc", (2.0,))
@@ -846,6 +887,30 @@ class TestSerialization:
         # regression: the builtin's own message, naming no key of the config
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             flow_from_json({"kind": "realized", "f": spec})
+
+    @pytest.mark.parametrize(
+        "shift, shown",
+        [(5.0, "5.0"), ("abc", "'abc'"), (math.nan, "nan"), (math.inf, "inf"), (True, "True"), (None, "None")],
+        ids=["differs", "string", "nan", "inf", "bool", "null"],
+    )
+    def test_a_shift_that_is_not_the_derived_lift_is_rejected(self, shift, shown):
+        # regression: "shift" was an accepted key that nothing read, so 5.0 and "abc" loaded with shift 0.0
+        obj = {"kind": "realized", "shift": shift, "f": {"builtin": "std_log"}}
+        message = f"^flow config 'shift' {re.escape(shown)} is not the lift 0.0 build_flow derives on the grid$"
+        with pytest.raises(ValueError, match=message):
+            flow_from_json(obj)
+
+    @pytest.mark.parametrize("amp", [2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("g", [GridSpec(512, 20), GridSpec(4096, 60)], ids=["512x20", "4096x60"])
+    def test_a_written_flow_loads_on_its_grid(self, g, amp):
+        spec = {"builtin": "bounded_osc", "params": [amp]}
+        F = build_flow(builtin("bounded_osc", (amp,)), g=g, source_spec=spec)
+        obj = json.loads(json.dumps(flow_to_json(time_scale(F, 1.5))))
+        assert obj["shift"] == F.shift and (F.shift > 0.0) == (amp > 3.0)  # 5 and 10 dip below 0
+        assert flow_to_json(flow_from_json(obj, g)) == obj
+        if F.shift:  # the lift on another grid is another number
+            with pytest.raises(ValueError, match="^flow config 'shift' "):
+                flow_from_json(obj, GridSpec(512, 20) if g.samples_per_octave == 4096 else GridSpec(4096, 60))
 
     def test_orbit_rows_and_csv(self, grid, tmp_path):
         F = build_flow(builtin("doubling_osc"), g=grid)
