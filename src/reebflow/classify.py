@@ -1,8 +1,9 @@
 """Verdicts: is a transition-time profile that of the standard flow?
 
 The invariant sigma vanishes exactly on the standard class, but a finite
-grid cannot certify a limit, so the verdict uses two thresholds with an
-explicit inconclusive band:
+grid cannot certify a limit, so the verdict uses two fixed thresholds,
+tau_std = 1e-3 and tau_ns = 0.1 (``_TAU_STD``, ``_TAU_NS``; no caller sets
+them), with an explicit inconclusive band:
 
     standard       sigma_hat, the supremum over the deep half of the grid,
                    is < tau_std and the trend is vanishing: no oscillation
@@ -35,7 +36,6 @@ from .oscillation import (
     SigmaEstimate,
     WitnessReport,
     _TAIL_WINDOW,
-    _WITNESS_TOL,
     _profile_pass,
     _WitnessFold,
     _sigma_from_sups,
@@ -49,16 +49,13 @@ __all__ = [
     "flow_classify",
 ]
 
-_TAU_STD, _TAU_NS = 1e-3, 1e-1  # the default verdict thresholds
+_TAU_STD, _TAU_NS = 1e-3, 1e-1  # the verdict thresholds
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     sigma: SigmaEstimate
     verdict: str  # "standard" | "nonstandard" | "inconclusive"
-    tau_std: float
-    tau_ns: float
-    witnesses: tuple[WitnessReport, ...]
     shifts: dict
     provenance: str
     warnings: tuple[str, ...]
@@ -69,21 +66,15 @@ class ClassificationReport:
             "sigma_hat": float(self.sigma.sigma_hat),
             "trend": self.sigma.trend,
             "s_m": [float(v) for v in self.sigma.s_m],
-            "witnesses": [w.to_json() for w in self.witnesses],
             "shifts": self.shifts,
             "provenance": self.provenance,
-            "tau_std": float(self.tau_std),
-            "tau_ns": float(self.tau_ns),
+            "tau_std": _TAU_STD,
+            "tau_ns": _TAU_NS,
             "warnings": list(self.warnings),
         }
 
 
-def classify(
-    f: EFunction,
-    g: GridSpec,
-    tau_std: float = _TAU_STD,
-    tau_ns: float = _TAU_NS,
-) -> ClassificationReport:
+def classify(f: EFunction, g: GridSpec) -> ClassificationReport:
     """Verdict from the sigma estimate, with the class-diagnosis warnings.
 
     f is evaluated on g once, in one streaming pass that gives the octave
@@ -93,32 +84,30 @@ def classify(
     final ``_TAIL_WINDOW`` (8) octaves, and an "inconclusive" that those 8
     alone would call "standard" warns with the octave that set sigma_hat.
     No sample of f or of the profile is held.  The provenance is ``f.kind``;
-    shifts and witnesses are left empty.
+    shifts are left empty.
     """
-    sigma, verdict, warnings = _classify_pass(f, g, tau_std, tau_ns)
-    return ClassificationReport(sigma, verdict, tau_std, tau_ns, (), {}, f.kind, warnings)
+    sigma, verdict, warnings = _classify_pass(f, g)
+    return ClassificationReport(sigma, verdict, {}, f.kind, warnings)
 
 
 def _classify_pass(
-    f: EFunction, g: GridSpec, tau_std: float, tau_ns: float, folds: Sequence[_WitnessFold] = (), source=None
+    f: EFunction, g: GridSpec, folds: Sequence[_WitnessFold] = (), source=None
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
     """The sigma estimate, verdict and warnings of one pass of f, or ``source``, over g, which feeds ``folds``."""
-    if not tau_std < tau_ns:
-        raise ValueError(f"need tau_std < tau_ns, got {tau_std:g} >= {tau_ns:g}")
     (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", folds=folds, source=source)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
     sigma = _sigma_from_sups("star", g, sups)
     tail = float(np.max(sups[-_TAIL_WINDOW:]))
-    if tail >= tau_ns:
+    if tail >= _TAU_NS:
         verdict = "nonstandard"
-    elif sigma.sigma_hat < tau_std and sigma.trend == "vanishing":
+    elif sigma.sigma_hat < _TAU_STD and sigma.trend == "vanishing":
         verdict = "standard"
     else:
         verdict = "inconclusive"
-        if tail < tau_std and sigma.trend == "vanishing":
+        if tail < _TAU_STD and sigma.trend == "vanishing":
             m = len(sups) // 2 + int(np.argmax(sups[len(sups) // 2 :]))
             warnings += (f"sigma_hat = {sigma.sigma_hat:.6g}, set at octave {m} of the deep half of the "
-                         f"grid, is not below tau_std = {tau_std:g}: the final {_TAIL_WINDOW} octaves "
+                         f"grid, is not below tau_std = {_TAU_STD:g}: the final {_TAIL_WINDOW} octaves "
                          "alone would read standard",)
     return sigma, verdict, warnings
 
@@ -151,16 +140,15 @@ def self_similarity_scan(
     fold of ``check_witness`` for every witness: under ``halve`` f runs
     again only at the images of the last K nodes, under ``root_scale:2`` at
     the images off their nodes and past the grid's end (45% at K = 16384).
-    No array the size of the grid is held.  Each witness is
-    gated at 1e-9, and the verdict is that of ``classify`` with its default
-    thresholds.  An h or k that raises does so before a non-finite f, which
-    the pass reports after its last block.
+    No array the size of the grid is held.  Each witness is gated at 1e-9,
+    and the verdict is that of ``classify``.  An h or k that raises does so
+    before a non-finite f, which the pass reports after its last block.
     """
     nodes, folds = _Nodes(g.samples_per_octave, g.octave_max), []
     for w in witnesses:  # the folds share the nodes' head and one scratch: they fold a block in turn
         folds.append(_WitnessFold(f, w, nodes, "self_similarity", folds[0].rows if folds else None))
-    _, verdict, _ = _classify_pass(f, g, _TAU_STD, _TAU_NS, folds)
-    results = tuple(fold.report(_WITNESS_TOL) for fold in folds)
+    _, verdict, _ = _classify_pass(f, g, folds)
+    results = tuple(fold.report() for fold in folds)
     all_passed = bool(results) and all(r.passed for r in results)
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"
@@ -180,13 +168,11 @@ def flow_classify(
     F: Flow,
     tv: Transversal = DEFAULT_TRANSVERSAL,
     g: GridSpec | None = None,
-    tau_std: float = _TAU_STD,
-    tau_ns: float = _TAU_NS,
 ) -> ClassificationReport:
     """Classify the transition time extracted from F, with provenance "extracted-from-flow"; on F's build grid,
     through the default transversal, the pass reads the target F holds by node index (``_held_source``)."""
     g = g or GridSpec()
     source = _held_source(F, g) if tv.is_default else None
-    sigma, verdict, warnings = _classify_pass(extract_transition(F, g, tv), g, tau_std, tau_ns, source=source)
+    sigma, verdict, warnings = _classify_pass(extract_transition(F, g, tv), g, source=source)
     shifts = {"flow_shift": float(F.shift), "time_factor": float(F.lam)}
-    return ClassificationReport(sigma, verdict, tau_std, tau_ns, (), shifts, "extracted-from-flow", warnings)
+    return ClassificationReport(sigma, verdict, shifts, "extracted-from-flow", warnings)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import efunc, flow as flowmod, homeo as homeomod, linearize as linmod
-from .classify import _TAU_NS, _TAU_STD, classify, flow_classify
+from .classify import classify, flow_classify
 from .errors import ConvergenceFailure, DomainError, TailCheckError, ToleranceFailure
 from .oscillation import _TAIL_WINDOW, sharp_profile, sigma_from_profile, star_profile
 from .svgplot import line_plot
@@ -170,8 +170,6 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if not args.tau_std < args.tau_ns:
-        raise ValueError(f"--tau-std {args.tau_std:g} must be below --tau-ns {args.tau_ns:g}")
     if args.flow:
         _unread({"--param": args.param}, "--builtin")
         F, spec, g = _resolve_flow(args)
@@ -179,8 +177,7 @@ def _cmd_classify(args) -> int:
         _unread({"--lambda": args.lam}, "--flow")
         f, spec, g = _resolve_function(args)
     _check_tail(g)
-    tau = {"tau_std": args.tau_std, "tau_ns": args.tau_ns}
-    report = flow_classify(F, g=g, **tau) if args.flow else classify(f, g, **tau)
+    report = flow_classify(F, g=g) if args.flow else classify(f, g)
     out = _out_dir(args)
     _write_json(out / "classify.json", args, spec, g, {"report": report.to_json()})
     line_plot(
@@ -318,10 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="standard / nonstandard / inconclusive verdict")
     _add_common(p, flow=True)
     p.add_argument("--lambda", dest="lam", type=_positive, help="time scale of the --flow input")
-    p.add_argument("--tau-std", type=_positive, default=_TAU_STD,
-                   help="sigma_hat below it, vanishing, is standard (default %(default)g)")
-    p.add_argument("--tau-ns", type=_positive, default=_TAU_NS,
-                   help="sigma_hat at or above it is nonstandard (default %(default)g)")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("transition", help="transition time of a flow at one parameter")

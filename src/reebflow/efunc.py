@@ -86,10 +86,6 @@ class GridSpec:
         """
         return _nodes(self.samples_per_octave, self.octave_max)
 
-    def tail_nodes(self) -> np.ndarray:
-        """Ascending probe nodes 2^(j/K) on [1, 2^tail_octaves], cached and read-only (see :func:`_tail_span`)."""
-        return _tail_nodes(self.samples_per_octave, self.tail_octaves)
-
     def octave_envelopes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-octave max and min of ``values``, one reduction each over :meth:`octave_windows`."""
         windows = self.octave_windows(values)
@@ -172,13 +168,6 @@ def _nodes(K: int, m_max: int) -> np.ndarray:
     x = _Nodes(K, m_max).span(0, np.empty(K * m_max + 1))
     x.setflags(write=False)
     return x
-
-
-@functools.lru_cache(maxsize=4)
-def _tail_nodes(K: int, tail_octaves: int) -> np.ndarray:
-    t = np.arange(K * tail_octaves + 1, dtype=float)
-    _tail_span(K, 0, t, t).setflags(write=False)
-    return t
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,9 @@ class Transversal:
                 raise ValueError("gamma1 nodes must be (x, xi, eta) triples, at least two")
             if g2.ndim != 2 or g2.shape[1] != 2 or len(g2) < 2:
                 raise ValueError("gamma2 nodes must be (xi, eta) pairs, at least two")
+            for label, nodes in (("gamma1", g1), ("gamma2", g2)):
+                if not np.isfinite(nodes).all():  # NaN passes every comparison below, and inf interpolates to NaN
+                    raise ValueError(f"{label} nodes must be finite")
             if np.any(g1[:, 0] <= 0) or np.any(g1[:, 1:] <= 0) or np.any(g2 <= 0):
                 raise ValueError("user transversal nodes must be interior (all coordinates > 0)")
             if np.any(np.diff(g1[:, 0]) <= 0):

@@ -178,7 +178,7 @@ def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, lis
     empty unless h is increasing, and f(h(x)) is inf at an image equal to 0.
     """
     if k is not None:
-        return _check_witness(f, None, EquivalenceWitness(h, k, lam), g, _WITNESS_TOL), []
+        return _check_witness(f, None, EquivalenceWitness(h, k, lam), g), []
     hx, fx, fhx = _blockwise(h, x := g.nodes()), _blockwise(f, x), np.empty(x.size)
     nodes = _Nodes(g.samples_per_octave, g.octave_max)  # the walk writes its x_{i+j} into fhx, filled below
     h_monotone, z, j = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), fhx)
@@ -193,7 +193,7 @@ def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, lis
             d = lhs - fhx[t] if live else np.where((x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR), lhs - fhx[t], 0.0)
             yield t.start, lhs, fhx[t] + d
 
-    wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()), _WITNESS_TOL)
+    wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()))
     fhx[z:] = math.inf  # f diverges at 0
     return wit, [fx, hx, fhx] if h_monotone else []
 

@@ -353,9 +353,7 @@ _WITNESS_TOL = 1e-9  # the residual gate of check_witness, the scan and koenigs_
 _DEPTH_FLOOR = 1e-300
 
 
-def check_witness(
-    f: EFunction, f2: EFunction | None, w: EquivalenceWitness, g: GridSpec, tol: float = _WITNESS_TOL
-) -> WitnessReport:
+def check_witness(f: EFunction, f2: EFunction | None, w: EquivalenceWitness, g: GridSpec) -> WitnessReport:
     """Verify an equivalence witness on the grid.
 
     With ``f2`` given the check is f2 = f o h + k (equivalence mode, lam
@@ -375,20 +373,18 @@ def check_witness(
     ``halve`` (j = K), 55% under ``root_scale:2`` at K = 16384.  f o h is then
     read from a block and the next at those images, and f runs once per
     node and at the other images and those past the grid's end (the last K
-    under ``halve``).  Without a shift f runs at every image.  ``tol``
-    defaults to ``_WITNESS_TOL`` (1e-9), the gate of the scan and
-    ``koenigs_limit``, and must be finite and positive.
+    under ``halve``).  Without a shift f runs at every image.  The check
+    passes at a residual of at most ``_WITNESS_TOL`` (1e-9), the gate of the
+    scan and ``koenigs_limit``.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
     array.  The residual is then bitwise that of whole-array evaluation.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"witness tol must be finite and positive, got {tol:g}")
-    return _check_witness(f, f2, w, g, tol)
+    return _check_witness(f, f2, w, g)
 
 
-def _check_witness(f, f2, w: EquivalenceWitness, g: GridSpec, tol: float) -> WitnessReport:
+def _check_witness(f, f2, w: EquivalenceWitness, g: GridSpec) -> WitnessReport:
     """:func:`check_witness` on g: the left side's function, f or f2, fed per ``_blocks`` block of nodes,
     written into two buffers in turn, so a block held for its look-ahead keeps its nodes."""
     if f2 is not None and w.lam != 1.0:
@@ -399,7 +395,7 @@ def _check_witness(f, f2, w: EquivalenceWitness, g: GridSpec, tol: float) -> Wit
     for s in _blocks(len(nodes)):
         x = nodes.span(s.start, bufs[s.start // _BLOCK % 2][: s.stop - s.start])
         fold.feed(s.start, x, np.asarray((f if f2 is None else f2)(x), dtype=float))
-    return fold.report(tol)
+    return fold.report()
 
 
 class _WitnessFold:
@@ -430,10 +426,10 @@ class _WitnessFold:
             self._fold(*self.held, lo, x, v)
         self.held = (lo, x, v)
 
-    def report(self, tol: float) -> WitnessReport:
+    def report(self) -> WitnessReport:
         if self.held is not None:
             self._fold(*self.held, len(self.x), self.rows[0][:0], self.rows[0][:0])
-        return _witness_report(self.mode, self.w.lam, self.x, self.h_monotone, self.z, self.best, tol)
+        return _witness_report(self.mode, self.w.lam, self.x, self.h_monotone, self.z, self.best)
 
     def _fold(self, lo: int, x: np.ndarray, v: np.ndarray, ahead_lo: int, ahead_x: np.ndarray, ahead: np.ndarray):
         a, b = self.done, lo + len(v)
@@ -494,7 +490,7 @@ def _f_at_images(f, hx: np.ndarray, nodes: Sequence[np.ndarray], out: np.ndarray
         out[at] = f(hx.take(at))
 
 
-def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int], tol) -> WitnessReport:
+def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int]) -> WitnessReport:
     """The report at the nodes ``x`` from the :func:`_max_residual` of its blocks: a non-monotone h has residual
     inf at x[0], and images at 0, from index ``z`` on, count as inf after every node whose image is positive."""
     residual, i = best
@@ -502,7 +498,7 @@ def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int], tol) -
         residual, i = math.inf, 0
     elif z < len(x) and residual < math.inf:  # neither an inf nor a NaN came before
         residual, i = math.inf, z
-    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, tol, residual <= tol)
+    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, _WITNESS_TOL, residual <= _WITNESS_TOL)
 
 
 def _descends(hx: np.ndarray) -> bool:

@@ -32,6 +32,7 @@ from reebflow import (
     time_scale,
 )
 from reebflow import efunc
+from reebflow.classify import _TAU_STD
 from reebflow.efunc import _BLOCK, fit_grid
 from reebflow.oscillation import as_shift
 
@@ -242,10 +243,9 @@ class TestStreamingMemory:
         # 7.9 MB each, as would h(x) for a witness, and the sharp tail's nodes
         # and f there 2.6 MB each; the passes hold buffers of one 2^15-node
         # block, write the nodes of each block into one of them, and never
-        # consult the caches of GridSpec.nodes() and tail_nodes()
+        # consult the cache of GridSpec.nodes()
         f, g = builtin(name), GridSpec(16384, 60)
-        caches = (efunc._nodes, efunc._tail_nodes)
-        calls = [c.cache_info().hits + c.cache_info().misses for c in caches]
+        calls = efunc._nodes.cache_info()
         tracemalloc.start()
         try:
             run(f, g)
@@ -253,7 +253,7 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert [c.cache_info().hits + c.cache_info().misses for c in caches] == calls
+        assert efunc._nodes.cache_info() == calls
 
 
 class TestNonFiniteValues:
@@ -352,18 +352,14 @@ class TestVerdicts:
         rep = classify(builtin("bounded_osc", [1.01]), grid)
         assert rep.verdict == "inconclusive"
 
-    def test_threshold_ordering_enforced(self, grid):
-        with pytest.raises(ValueError, match="tau_std"):
-            classify(builtin("std_log"), grid, tau_std=0.5, tau_ns=0.1)
-
     def test_standard_implies_vanishing(self, grid):
         rep = classify(builtin("std_log"), grid)
         assert rep.sigma.trend == "vanishing"
-        assert rep.sigma.sigma_hat < rep.tau_std
+        assert rep.sigma.sigma_hat < _TAU_STD
 
     def test_report_schema(self, grid):
         obj = classify(builtin("std_log"), grid).to_json()
-        assert set(obj) >= {"verdict", "sigma_hat", "trend", "s_m", "witnesses", "shifts", "provenance"}
+        assert set(obj) >= {"verdict", "sigma_hat", "trend", "s_m", "shifts", "provenance"}
 
     def test_provenance_is_the_kind_of_f(self, tmp_path, small_grid):
         # regression: a CSV function was reported as "builtin"
@@ -376,7 +372,7 @@ class TestVerdicts:
             (from_expression("-log(x)"), "expression"),
         ]:
             rep = classify(f, small_grid)
-            assert (rep.provenance, rep.shifts, rep.witnesses) == (want, {}, ())
+            assert (rep.provenance, rep.shifts) == (want, {})
         rep = flow_classify(time_scale(standard_flow(), 3.0), g=small_grid)
         assert rep.provenance == "extracted-from-flow"
         assert rep.shifts == {"flow_shift": 0.0, "time_factor": 3.0}
@@ -610,9 +606,9 @@ class TestDeepHalf:
             r"sigma_hat = 1\.36971, set at octave (\d+) of the deep half of the grid, is not below "
             r"tau_std = 0\.001: the final 8 octaves alone would read standard", warning).group(1))
         assert m >= 20 and rep.sigma.s_m[m] == rep.sigma.sigma_hat
-        assert max(rep.sigma.s_m[-8:]) < rep.tau_std
+        assert max(rep.sigma.s_m[-8:]) < _TAU_STD
         # the warning is the only trace in the JSON: no key is added
-        assert set(rep.to_json()) == {"verdict", "sigma_hat", "trend", "s_m", "witnesses", "shifts",
+        assert set(rep.to_json()) == {"verdict", "sigma_hat", "trend", "s_m", "shifts",
                                       "provenance", "tau_std", "tau_ns", "warnings"}
 
     @pytest.mark.parametrize("M", [None, *range(30, 61, 5)])

@@ -332,6 +332,16 @@ class TestClassifyCommand:
         assert run("classify", "--flow", "standard", "--out", str(out)) == 0
         assert load(out / "classify.json")["report"]["verdict"] == "standard"
 
+    @pytest.mark.parametrize("argv", [("--builtin", "std_log"), ("--flow", "standard")], ids=["builtin", "flow"])
+    def test_report_holds_the_fixed_thresholds(self, tmp_path, argv):
+        # the thresholds are constants that no flag sets; the report still
+        # writes them, and holds no witnesses, which classify never checks
+        out = tmp_path / "o"
+        assert run("classify", *argv, "--grid", QUICK, "--out", str(out)) == 0
+        obj = load(out / "classify.json")
+        assert (obj["report"]["tau_std"], obj["report"]["tau_ns"]) == (0.001, 0.1)
+        assert "witnesses" not in obj["report"] and not {"tau_std", "tau_ns"} & set(obj["config"])
+
     def test_flow_json(self, tmp_path):
         cfgp = tmp_path / "flow.json"
         cfgp.write_text(json.dumps({
@@ -396,11 +406,11 @@ class TestClassifyCommand:
     def test_bad_lambda_is_usage_error(self, capsys, tmp_path, lam):
         assert_lambda_rejected(capsys, tmp_path, "classify", "--flow", "standard", "--lambda", lam)
 
-    @pytest.mark.parametrize("tau_std, tau_ns", [("0.5", "0.1"), ("0.1", "0.1")])
-    def test_thresholds_out_of_order_are_usage_error(self, capsys, tmp_path, tau_std, tau_ns):
-        # regression: "need tau_std < tau_ns, got 0.5 >= 0.1" named the library's parameters
-        assert_usage_error(capsys, tmp_path, f"--tau-std {tau_std} must be below --tau-ns {tau_ns}",
-                           "classify", "--builtin", "std_log", "--tau-std", tau_std, "--tau-ns", tau_ns)
+    @pytest.mark.parametrize("flag, value", [("--tau-std", "0.5"), ("--tau-ns", "0.2")])
+    def test_threshold_flags_are_not_taken(self, capsys, tmp_path, flag, value):
+        # the verdict thresholds are constants: no flag sets them
+        assert_usage_error(capsys, tmp_path, f"unrecognized arguments: {flag} {value}",
+                           "classify", "--builtin", "std_log", flag, value)
 
     @pytest.mark.parametrize(
         "argv",
@@ -417,12 +427,6 @@ class TestClassifyCommand:
             f"--grid gives {octaves} octaves of the input, fewer than the 16 that sigma_hat and its trend read",
             *argv, "--grid", f"512,{octaves}",
         )
-
-    @pytest.mark.parametrize("flag", ["--tau-std", "--tau-ns"])
-    @pytest.mark.parametrize("value", BAD_POSITIVES)
-    def test_bad_threshold_is_usage_error(self, capsys, tmp_path, flag, value):
-        # regression: --tau-std -1 exited 0, with a verdict that could never be standard
-        assert_positive_rejected(capsys, tmp_path, flag, "classify", "--builtin", "std_log", flag, value)
 
 
 class TestTransitionCommand:
@@ -589,7 +593,7 @@ UNREAD = [
     (["classify"], "--flow"),
 ]
 
-# subcommand: (its input group, its other options, its required options); 47 options in all
+# subcommand: (its input group, its other options, its required options); 45 options in all
 FUNCTION = {"--builtin", "--csv"}
 SURFACE = {
     "sigma": (FUNCTION, {"--param", "--grid", "--out", "--variant"}, set()),
@@ -600,7 +604,7 @@ SURFACE = {
         {"--lambda", "--homeo"},
     ),
     "classify": (
-        FUNCTION | {"--flow"}, {"--param", "--grid", "--out", "--lambda", "--tau-std", "--tau-ns"}, set()
+        FUNCTION | {"--flow"}, {"--param", "--grid", "--out", "--lambda"}, set()
     ),
     "transition": ({"--flow"}, {"--grid", "--out", "--lambda", "--x"}, {"--x"}),
     "plot": (FUNCTION | {"--flow"}, {"--param", "--grid", "--out", "--lambda", "--x", "--tmax"}, set()),
@@ -662,8 +666,7 @@ class TestFlagSurface:
                 read = a.type or str
                 assert read(printed) == (read(a.default) if isinstance(a.default, str) else a.default)
                 shown.add((name, a.dest))
-        assert {("sigma", "variant"), ("roundtrip", "c0"), ("roundtrip", "c1"),
-                ("classify", "tau_std"), ("classify", "tau_ns")} <= shown
+        assert {("sigma", "variant"), ("roundtrip", "c0"), ("roundtrip", "c1")} <= shown
         assert all((name, "out") in shown for name in sub.choices)
 
     @pytest.mark.parametrize(
@@ -691,10 +694,8 @@ ECHO = [
      {"param": None, "lam": 1.0, "tol": 1e-9, "c0": 0.3, "c1": 0.6}),
     (["linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2"],
      {"param": None, "lam": 2.0, "homeo": "square", "shift_expr": None, "tol": 1e-10}),
-    (["classify", "--csv", "data.csv", "--tau-ns", "0.2"],
-     {"param": None, "lam": None, "tau_std": 1e-3, "tau_ns": 0.2}),
-    (["classify", "--flow", "flow.json", "--lambda", "1.5"],
-     {"param": None, "lam": 1.5, "tau_std": 1e-3, "tau_ns": 0.1}),
+    (["classify", "--csv", "data.csv"], {"param": None, "lam": None}),
+    (["classify", "--flow", "flow.json", "--lambda", "1.5"], {"param": None, "lam": 1.5}),
     (["transition", "--flow", "flow.json", "--x", "0.5"], {"lam": None, "x": 0.5}),
 ]
 

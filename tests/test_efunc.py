@@ -17,7 +17,7 @@ from reebflow import (
     from_expression,
     sample,
 )
-from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_nodes, _tail_span, compile_expr, write_csv
+from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_span, compile_expr, write_csv
 
 
 class TestBuiltins:
@@ -177,15 +177,6 @@ class TestGridSpec:
         assert g == GridSpec(512, 40, 20) and hash(g) == hash(GridSpec(512, 40, 20))
         assert json.loads(json.dumps(g.to_json())) == {"K": 512, "m_min": 0, "m_max": 40, "tail_octaves": 20}
 
-    def test_tail_nodes_are_one_cached_read_only_array(self):
-        g = GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3)
-        t = g.tail_nodes()
-        assert GridSpec(samples_per_octave=8, octave_max=9, tail_octaves=3).tail_nodes() is t
-        with pytest.raises(ValueError):
-            t[0] = 2.0
-        want = np.exp2(np.arange(0, 8 * 3 + 1) / 8)
-        assert np.array_equal(t.view(np.int64), want.view(np.int64))
-
     @given(
         K=st.sampled_from([1, 2, 512]),
         octaves=st.integers(1, 4),
@@ -235,7 +226,8 @@ class TestNodeSpans:
     @pytest.mark.parametrize("tail", [1, 3, 20])
     @pytest.mark.parametrize("K", SPAN_KS)
     def test_tail_spans_are_the_bits_of_the_tail_nodes(self, K, tail):
-        t = _tail_nodes.__wrapped__(K, tail)
+        t = np.arange(K * tail + 1, dtype=float)
+        _tail_span(K, 0, t, t)  # the whole tail in one span, in place
         assert t.tobytes() == np.exp2(np.arange(t.size) / K).tobytes()  # one exp2 over the whole tail
         ramp, buf = np.arange(_BLOCK, dtype=float), np.full(_BLOCK, np.nan)
         for s in _blocks(t.size):

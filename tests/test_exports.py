@@ -41,11 +41,11 @@ def test_every_export_resolves(module, name):
 OPTIONS = {
     "GridSpec": ("samples_per_octave", "octave_max", "tail_octaves"),
     "LinearizeConfig": ("lam", "grid", "tol"),
-    "classify": ("tau_std", "tau_ns"),
-    "flow_classify": ("tv", "g", "tau_std", "tau_ns"),
+    "classify": (),
+    "flow_classify": ("tv", "g"),
     "self_similarity_scan": (),
     "koenigs_limit": (),
-    "check_witness": ("tol",),
+    "check_witness": (),
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
     "sigma_estimate": ("variant",),

@@ -790,6 +790,17 @@ class TestUserTransversals:
             Transversal(g1, g2)
         Transversal(self.G1, self.G2)  # the valid pair the cases start from
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("curve, column", [("gamma1", 0), ("gamma1", 1), ("gamma1", 2),
+                                               ("gamma2", 0), ("gamma2", 1)])
+    def test_non_finite_nodes_are_rejected(self, curve, column, value):
+        # regression: a NaN parameter gave gamma1([0.5]) = nan, and an inf in gamma2
+        # gave s_on_leaf2([1.0]) = nan, each from a transversal that was taken
+        nodes = {"gamma1": [list(p) for p in self.G1], "gamma2": [list(p) for p in self.G2]}
+        nodes[curve][0][column] = value
+        with pytest.raises(ValueError, match=f"^{curve} nodes must be finite$"):
+            Transversal(*(tuple(map(tuple, nodes[c])) for c in ("gamma1", "gamma2")))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="both curves"):
             Transversal(gamma1_nodes=((1.0, 1.0, 1.0),), gamma2_nodes=None)

@@ -26,7 +26,7 @@ from reebflow import (
     star_identity_suite,
     star_profile,
 )
-from reebflow.efunc import _BLOCK, _blocks, _Nodes
+from reebflow.efunc import _BLOCK, _blocks, _Nodes, _tail_span
 from reebflow.oscillation import (
     _CHUNK,
     _TAIL_WINDOW,
@@ -230,21 +230,21 @@ class TestWitness:
     def test_doubling_self_similarity_exact(self, grid):
         f = builtin("doubling_osc")
         w = EquivalenceWitness(gallery_homeo("halve"), None, 2.0)
-        rep = check_witness(f, None, w, grid, tol=1e-12)
-        assert rep.passed and rep.residual <= 1e-12
+        rep = check_witness(f, None, w, grid)
+        assert rep.residual <= 1e-12
 
     def test_std_log_square_witness(self, grid):
         # 2 (-ln x) = -ln(x^2)
         f = builtin("std_log")
         w = EquivalenceWitness(gallery_homeo("square"), None, 2.0)
-        rep = check_witness(f, None, w, grid, tol=1e-12)
-        assert rep.passed
+        rep = check_witness(f, None, w, grid)
+        assert rep.residual <= 1e-12
 
     def test_wrong_scale_fails_with_log_growth(self, grid):
         # 2(-ln x) - (-ln(x/2)) = -ln x - ln 2 grows; residual is order one
         f = builtin("std_log")
         w = EquivalenceWitness(gallery_homeo("halve"), None, 2.0)
-        rep = check_witness(f, None, w, grid, tol=1e-9)
+        rep = check_witness(f, None, w, grid)
         assert not rep.passed
         assert rep.residual > 0.1
 
@@ -252,9 +252,9 @@ class TestWitness:
         f = builtin("bounded_osc", [2.0])
         h = gallery_homeo("halve")
         f2 = f.composed(h, "halve").plus(shift_k)
-        rep = check_witness(f, f2, EquivalenceWitness(h, shift_k, 1.0), grid, tol=1e-12)
+        rep = check_witness(f, f2, EquivalenceWitness(h, shift_k, 1.0), grid)
         assert rep.mode == "equivalence"
-        assert rep.passed
+        assert rep.residual <= 1e-12
 
     @pytest.mark.parametrize("k, want", [(None, 0.0), (0, 0.0), (-0.0, -0.0), (np.int64(3), 3.0), (2.5, 2.5)])
     def test_constant_shift_bits(self, k, want):
@@ -279,13 +279,6 @@ class TestWitness:
         f = builtin("std_log")
         with pytest.raises(ValueError, match="^equivalence mode fixes lam = 1"):
             check_witness(f, f, EquivalenceWitness(Homeo(raising, None, "raising"), None, 2.0), grid)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_tol_must_be_finite_and_positive(self, small_grid, tol):
-        # regression: tol = inf passed any finite residual, nan and -1 failed every one
-        w = EquivalenceWitness(gallery_homeo("halve"), None, 2.0)
-        with pytest.raises(ValueError, match=f"^witness tol must be finite and positive, got {tol:g}$"):
-            check_witness(builtin("doubling_osc"), None, w, small_grid, tol=tol)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -2.0])
     def test_witness_lam_must_be_finite_and_positive(self, lam):
@@ -484,9 +477,18 @@ class TestProfileExports:
 # a partial one), and 32,769 (one full block and a last block of one node)
 MULTI = GridSpec(samples_per_octave=4096, octave_max=20)
 ONE_NODE_TAIL = GridSpec(samples_per_octave=16384, octave_max=2)
+
+
+def tail_nodes(g):
+    """The tail nodes 2^(j/K) on [1, 2^tail_octaves] of g, in one ``_tail_span`` over the whole tail."""
+    t = np.arange(g.samples_per_octave * g.tail_octaves + 1, dtype=float)
+    return _tail_span(g.samples_per_octave, 0, t, t)
+
+
 # a tail of 65,537 nodes, two full blocks and one node, and zeros of either sign on it
 TAIL16 = GridSpec(samples_per_octave=4096, octave_max=20, tail_octaves=16)
-SIGNED_ZEROS = np.where(np.random.default_rng(0).random(TAIL16.tail_nodes().size) < 0.5, -0.0, 0.0)
+TAIL16_NODES = tail_nodes(TAIL16)
+SIGNED_ZEROS = np.where(np.random.default_rng(0).random(TAIL16_NODES.size) < 0.5, -0.0, 0.0)
 
 
 def whole_profile(f, g, variant="star"):
@@ -494,7 +496,7 @@ def whole_profile(f, g, variant="star"):
     fv = f(g.nodes())
     rm = np.maximum.accumulate(fv)
     if variant == "sharp":
-        np.maximum(rm, float(f(g.tail_nodes()).max()), out=rm)
+        np.maximum(rm, float(f(tail_nodes(g)).max()), out=rm)
     vals = rm - fv
     return vals, g.octave_envelopes(vals)[0]
 
@@ -760,7 +762,7 @@ class TestTailMax:
         [
             (builtin("doubling_osc").fn, MULTI),
             (lambda t: np.where(np.abs(t - 2 ** (41000 / 4096)) < 1e-9, math.nan, 1 / t), MULTI),
-            (lambda t: SIGNED_ZEROS[np.searchsorted(TAIL16.tail_nodes(), t)], TAIL16),
+            (lambda t: SIGNED_ZEROS[np.searchsorted(TAIL16_NODES, t)], TAIL16),
         ],
         ids=["doubling_osc", "nan_in_the_second_block", "signed_zeros"],
     )
@@ -769,7 +771,7 @@ class TestTailMax:
         # bits of one max over the whole tail
         f, calls = EFunction("expression", fn, "E0"), []
         counted = EFunction("expression", lambda t: calls.append(np.array(t)) or fn(t), "E0", "counted")
-        t = g.tail_nodes()
+        t = tail_nodes(g)
         want = f(t).max()
         assert bits(_tail_max(counted, g)) == bits(want)
         blocks = [t[s] for s in _blocks(t.size)]
@@ -785,7 +787,7 @@ class TestTailMax:
         counted = EFunction("expression", lambda t: calls.append(np.array(t)) or f.fn(t), "E0", "counted")
         with pytest.raises(TailCheckError, match=r"^\|f\(2\^20\)\| = 1 exceeds the tail bound 0.01$"):
             sigma_estimate(counted, MULTI, "sharp")
-        assert bits(np.concatenate(calls)) == bits(MULTI.tail_nodes())
+        assert bits(np.concatenate(calls)) == bits(tail_nodes(MULTI))
 
 
 class TestOctaveAlignedBlocks:

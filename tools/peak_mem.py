@@ -17,9 +17,9 @@ measurement, and prints five numbers:
 * the bytes its result still holds after it returns (``tracemalloc``);
 * the minor page faults the call took, from ``resource.getrusage`` of this
   process, in a call with tracing off;
-* the MiB the caches of ``GridSpec.nodes()`` and ``tail_nodes()`` hold after
-  the row, read from the arrays they refer to (``gc.get_referents``); the
-  rows at (16384, 60) add nothing to it, as their passes hold no nodes;
+* the MiB the cache of ``GridSpec.nodes()`` holds after the row, read
+  from the arrays it refers to (``gc.get_referents``); the rows at
+  (16384, 60) add nothing to it, as their passes hold no nodes;
 * the median wall time of 15 more calls, each timed by ``time.perf_counter``,
   in ms; ``build_flow`` and ``flow_classify`` (of a flow built once) are
   timed apart, so a flow row prints two.
@@ -132,9 +132,8 @@ def sharp_call(g: rf.GridSpec):
 
 
 def cached_mib() -> float:
-    """The MiB of the node arrays that the caches of ``GridSpec.nodes()`` and ``tail_nodes()`` hold."""
-    caches = (efunc._nodes, efunc._tail_nodes)
-    return sum(a.nbytes for c in caches for a in gc.get_referents(c) if isinstance(a, np.ndarray)) / MIB
+    """The MiB of the node arrays that the cache of ``GridSpec.nodes()`` holds."""
+    return sum(a.nbytes for a in gc.get_referents(efunc._nodes) if isinstance(a, np.ndarray)) / MIB
 
 
 def wall_ms(call) -> float:
