@@ -452,13 +452,8 @@ def extract_transition(
 def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[tuple[float, float, float]]:
     """(t, xi, eta) samples of the orbit through p0, as Python floats."""
     t = np.asarray(times, dtype=float).tolist()
-    if F.source is None:  # standard_step's closed form per time, its range checked once
-        lam, xi, eta = F.lam, p0.xi, p0.eta
-        if np.max(np.abs(np.multiply(t, lam)), initial=0.0) <= _S_CEILING:  # a NaN time fails
-            rows = [(v, math.exp(v * lam) * xi, math.exp(-(v * lam)) * eta) for v in t]
-            if p0.interior or all(r[1] or r[2] for r in rows):  # an axis point can underflow to the origin
-                return rows
-        return [(v, q.xi, q.eta) for v in t for q in [flow_step(F, v, p0)]]  # raises as the step does
+    if F.source is None:  # one step per time: the standard flow also moves points of the axes
+        return [(v, q.xi, q.eta) for v in t for q in [flow_step(F, v, p0)]]
     c, s0 = p0.leaf_coords()
     xi = np.exp(_leaf_position(F, c, s0, t))
     return list(zip(t, xi.tolist(), (c / xi).tolist()))

@@ -12,24 +12,23 @@ An explicit k is summed as this series, which evaluates f only at x.  A
 derived k = lam * f - f o h telescopes it back to the iterate, evaluated as
 is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
 
-1. the witness sweep, the witness check on the grid; for a derived k the
-   first sweep of the orbits: h, f and f o h once over the nodes, f o h
-   read from f at the images that are nodes under the shift of
-   ``_walk_images`` (at least half of them must be);
+1. the witness sweep, the witness check on the grid and, for either k, the
+   first sweep of the orbits: h, f and f o h once over the nodes, f o h read
+   from f at the images that are nodes under the shift of ``_walk_images``;
 2. the basin, which reads h(x) from that sweep;
-3. the settle read-out of k(0), from that sweep at the nodes 2^-m;
+3. the read-out of k(0): an explicit k at 0, a derived one settling on that
+   sweep at the nodes 2^-m;
 4. the lockstep walk of the later sweeps over the ``efunc._blocks`` blocks
    of probes, until the change per sweep falls below tol, holding one sweep
    of orbit state and writing f at each orbit's end over f(x) once;
-5. the read-out of f_inf at the probes, from the ends of those orbits, and
-   at their images from the same walk (read at the probes, in one buffer with
-   them, when ``_node_shift`` finds h shifting every probe onto a probe, as
-   halve does, else one sweep on, block by block, as the orbit of h(x) is
-   that of x one sweep later), and the residual.
+5. the read-out of f_inf at the probes and their images, and the residual:
+   for an explicit k, sweep 0's f there + shift - the series; for a derived k,
+   the ends of the orbits, at the images one sweep on, or the values at
+   the probes j on when h carries every node onto the node j on (halve).
 
 So f runs at most ``iterations + 2`` times over the grid (fewer under
-halve), and f_inf returns a fresh copy of these values for points bitwise
-equal to the probes or their images.
+halve, and only in stage 1 for an explicit k), and f_inf returns a fresh
+copy of these values for points bitwise equal to the probes or their images.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -49,8 +48,7 @@ from .efunc import EFunction, GridSpec, _blocks, _blockwise, _Nodes
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
-    _DEPTH_FLOOR, _WITNESS_TOL, EquivalenceWitness, WitnessReport, _check_witness, _max_residual,
-    _f_at_images, _node_shift, _walk_images, _witness_report, as_shift,
+    _DEPTH_FLOOR, _WITNESS_TOL, WitnessReport, _f_at_images, _max_residual, _walk_images, _witness_report, as_shift,
 )
 
 __all__ = [
@@ -139,7 +137,7 @@ def koenigs_limit(
     The five stages of the module docstring run in its order.
     """
     lam, nodes = cfg.lam, cfg.grid.nodes()
-    wit, sweep = _witness_sweep(f, h, k, lam, cfg.grid)
+    wit, sweep, onto = _witness_sweep(f, h, k, lam, cfg.grid)
     if not wit.passed:  # a non-monotone h has residual inf
         raise ValueError(
             f"witness relation lam*f = f o h + k fails: residual {wit.residual:.3g} "
@@ -147,12 +145,12 @@ def koenigs_limit(
             + ("" if wit.h_monotone else "; h is not increasing on the grid")
             + ("; h underflows to 0 there" if wit.h_monotone and float(h(wit.worst_x)) == 0.0 else "")
         )
-    basin = basin_of_zero(h, cfg.grid, sweep[1] if sweep else None)  # sweep 0's h(x)
+    basin = basin_of_zero(h, cfg.grid, sweep[1])  # sweep 0's h(x): an increasing h has one
     if basin.case == "zero_repelling":
         raise ValueError("0 repels under h on the probe grid; no linearization basin")
     b = basin.b  # None in the global case
     orbits = _Orbits(f, h, k, lam, _shift_at_zero(k, lam, cfg.grid, sweep), b)
-    residual = orbits.read_out(orbits.walk(nodes, sweep, cfg.tol), cfg.tol)
+    residual = orbits.read_out(orbits.walk(nodes, sweep, cfg.tol), onto, cfg.tol)
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
     f_inf = EFunction("expression", orbits, "E0", label)
     return LinearizeResult(
@@ -170,32 +168,38 @@ def koenigs_limit(
     )
 
 
-def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, list]:
-    """Stage 1: the witness report at the nodes x of g and the first sweep, [f(x), h(x), f(h(x))].
+def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, list, int | None]:
+    """Stage 1: the witness report at the nodes x of g, the first sweep, [f(x), h(x), f(h(x))], and the node
+    shift j of ``_walk_images`` when every image in range is its node, h(x_i) == x_{i+j}, else None.
 
-    An explicit k goes to ``_check_witness``, with no sweep.  A derived k is
-    taken as 0 where x or h(x) is at or below ``_DEPTH_FLOOR``; the sweep is
-    empty unless h is increasing, and f(h(x)) is inf at an image equal to 0.
+    A derived k is taken as 0 where x or h(x) is at or below ``_DEPTH_FLOOR``.  An explicit k runs at
+    every node, block by block after f there, even where f o h does not (an h not increasing, the
+    images at 0), for its errors.  inf - inf folds as NaN, unwarned.  The sweep is empty unless h is
+    increasing, and f(h(x)) is inf at an image equal to 0.
     """
-    if k is not None:
-        return _check_witness(f, None, EquivalenceWitness(h, k, lam), g), []
     hx, fx, fhx = _blockwise(h, x := g.nodes()), _blockwise(f, x), np.empty(x.size)
     nodes = _Nodes(g.samples_per_octave, g.octave_max)  # the walk writes its x_{i+j} into fhx, filled below
-    h_monotone, z, j = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), fhx)
+    h_monotone, z, j, onto = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), fhx)
     on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on where h(x_i) == x_{i+j}
+    kf, e = None if k is None else as_shift(k), z if h_monotone else 0  # f o h runs on the nodes [0, e)
 
     def blocks():
-        for t in _blocks(z if h_monotone else 0):
+        for t in _blocks(x.size):
+            kv = None if kf is None else kf(x[t])
+            if (t := slice(t.start, min(t.stop, e))).start >= t.stop:
+                continue
             m = min(max(t.start, on), t.stop)
             fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
             _f_at_images(f, hx[t], (x[t.start + (j or 0) : m + (j or 0)],), fhx[t])
             lhs, live = lam * fx[t], x[t.stop - 1] > _DEPTH_FLOOR and hx[t.stop - 1] > _DEPTH_FLOOR  # x, h(x) fall
-            d = lhs - fhx[t] if live else np.where((x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR), lhs - fhx[t], 0.0)
-            yield t.start, lhs, fhx[t] + d
+            if kv is None:
+                kv = lhs - fhx[t] if live else np.where((x[t] > _DEPTH_FLOOR) & (hx[t] > _DEPTH_FLOOR), lhs - fhx[t], 0)
+            yield t.start, lhs, fhx[t] + kv[: t.stop - t.start]
 
-    wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()))
+    with np.errstate(invalid="ignore"):
+        wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()))
     fhx[z:] = math.inf  # f diverges at 0
-    return wit, [fx, hx, fhx] if h_monotone else []
+    return wit, [fx, hx, fhx] if h_monotone else [], onto
 
 
 def _shift_at_zero(k, lam: float, g: GridSpec, sweep: list) -> float:
@@ -222,9 +226,9 @@ class _Orbits:
         self.shift = -k0 / (lam - 1.0)
         self.held = []  # (points, f_inf there): the probes and their images, once read out
 
-    def shifts(self, x, sweeps, *start):
+    def shifts(self, x, sweeps, fy=None, hy=None, fhy=None):
         """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``, from the first
-        sweep's f(x), h(x) and f(h(x)) in ``start``; f(h(y)) is None for an explicit k.
+        sweep's f(x), h(x) and f(h(x)) when given; f(h(y)) is None for an explicit k, which reads only h(x).
 
         A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
         floor: near the subnormal range the quantization of h(x) corrupts
@@ -233,29 +237,28 @@ class _Orbits:
         """
         # starmap, unlike a generator expression, holds no sweep's arrays while suspended
         if self.kf is None:
-            orbit = _orbit(self.h, x, sweeps, True, self.f, *start)
+            orbit = _orbit(self.h, x, sweeps, True, self.f, fy, hy, fhy)
             return itertools.starmap(lambda n, i, _, fy, __, fhy: (n, i, self.lam * fy - fhy - self.k0, fhy), orbit)
-        return itertools.starmap(lambda n, i, y, *_: (n, i, self.kf(y) - self.k0, None), _orbit(self.h, x, sweeps))
+        orbit = _orbit(self.h, x, sweeps, hy=hy)
+        return itertools.starmap(lambda n, i, y, *_: (n, i, self.kf(y) - self.k0, None), orbit)
 
     def walk(self, nodes: np.ndarray, sweep: list, tol: float) -> tuple:
         """Stage 4: pick the probes and sweep their orbits until the change per sweep, lam^(-n-1) |k_s(h^n x)|
         relative to 1 + |f(x)| (an absolute sup would be dominated by the blow-up near 0), falls below tol.
         Returns what :meth:`read_out` reads: the suspended walks, f and the depth at each probe's last
-        sweep, and h(probes)."""
+        sweep, h(probes) and, for an explicit k, f(h(probes)): all from sweep 0 at first."""
         j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
         if self.b is not None:
             j = nodes.size - int(np.count_nonzero(nodes <= self.b * _PROBE_MARGIN))
             if j == nodes.size:
                 raise ValueError(f"no probe nodes below b * margin = {self.b * _PROBE_MARGIN:g}")
         self.probes = probes = nodes[j:]
-        derived = self.kf is None
-        start = [a[j:] for a in sweep] if derived else [np.asarray(self.f(probes), dtype=float)]
-        images = start[1] if derived else _blockwise(self.h, probes)
         # per probe, a derived k's last depth m; f(x), the scale while the orbit lives, then f there
-        f_end, m = start[0], np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
-        walks = [(s, self.shifts(probes[s], _MAX_ITERS + 1, *(a[s] for a in start))) for s in _blocks(probes.size)]
-        sweep.clear()  # only the walks hold f(h(x)) now, and drop it as they move on
-        del start
+        (f_end, images, f_images), m = (a[j:] for a in sweep), np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
+        walks = [(s, self.shifts(probes[s], _MAX_ITERS + 1, f_end[s], images[s], f_images[s]))
+                 for s in _blocks(probes.size)]
+        sweep.clear()  # only the walks hold a derived k's f(h(x)) now, and drop it as they move on
+        f_images = None if self.kf is None else f_images
         last = [None] * len(walks)  # per block, (i, f(h(y))) of a derived k's last live sweep
         hull_max, last_change = 0.0, math.inf
         for n in range(_MAX_ITERS):
@@ -266,7 +269,7 @@ class _Orbits:
                     akv = np.abs(kv, out=kv)
                     sups.append(np.max(akv))
                     changes.append(np.max(akv / (1.0 + np.abs(f_end[s][i]))))
-                    if derived:
+                    if fhy is not None:  # a derived k
                         m[s][i], last[b] = n + 1, (i, fhy)
                 if ended is not None:  # the probes whose orbits ended at sweep n
                     _write_ends(f_end[s], m[s], n, *ended)
@@ -283,20 +286,24 @@ class _Orbits:
         self.iterations, self.last_change = n + 1, last_change
         self.slack = self.lam ** (-self.iterations) * hull_max
         self.decay = self.lam ** -np.arange(self.iterations + 1.0)
-        return walks, f_end, m, images
+        return walks, f_end, m, images, f_images
 
-    def read_out(self, ends: tuple, tol: float) -> float:
-        """Stage 5: hold f_inf at the probes and their images, and return the residual there."""
-        walks, f_end, m, images = ends
-        probes, derived = self.probes, self.kf is None
-        onto = _node_shift(probes, images) if derived else None
-        if derived and onto is None:  # the orbit of h(x) is that of x one sweep later
+    def read_out(self, ends: tuple, onto: int | None, tol: float) -> float:
+        """Stage 5: hold f_inf at the probes and their images, and return the residual there.  ``onto`` is the
+        node shift of h when every image is its node (:func:`_witness_sweep`); a derived k reads it."""
+        walks, f_end, m, images, f_images = ends
+        probes = self.probes
+        onto = onto if onto is not None and onto < probes.size else None  # else no image of a probe is a probe
+        if self.kf is None and onto is None:  # the orbit of h(x) is that of x one sweep later
             at_images = np.empty(probes.size)
             while walks:  # a suspended walk holds its last sweep's arrays: each goes once read
                 self._at_images(*walks.pop(0), f_end, m, images, at_images)
         walks.clear()  # the other read-outs walk no further
-        if not derived:
-            at_probes, at_images = self(probes), self(images)
+        if self.kf is not None:  # f + shift - the series, with f read from sweep 0, written over it
+            at_probes, at_images = f_end, f_images
+            for at, x in ((at_probes, probes), (at_images, images)):
+                for s in _blocks(x.size):
+                    at[s] = at[s] + self.shift - self.series(x[s])
         else:  # under a node shift the values at the probes and at their images share one buffer
             buf = f_end if onto is None else np.empty(probes.size + onto)
             at_probes = buf[: probes.size]

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span, write_csv
-from .errors import TailCheckError
+from .errors import DomainError, TailCheckError
 from .homeo import Homeo
 
 __all__ = [
@@ -155,8 +155,9 @@ def _profile_pass(
     tail_max = _tail_max(f, g) if variant == "sharp" else None
     f_env, sups = [], []
     # inf - inf at a non-finite f is not warned of: _octave_blocks reports
-    # the non-finite value as a DomainError after the last block
-    with np.errstate(invalid="ignore"):
+    # the non-finite value as a DomainError after the last block; nor is a
+    # max - f that overflows at a finite f, reported below
+    with np.errstate(invalid="ignore", over="ignore"):
         for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None, source):
             m = len(fb)
             if not lo:  # the first block is the longest; the tail max fills one, for an array-array max
@@ -177,7 +178,10 @@ def _profile_pass(
             for fold in folds:
                 fold.feed(lo, xb, fb)
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
-    return (f_sups, f_mins), np.concatenate(sups), tail_max
+    if np.any(over := (sups := np.concatenate(sups)) == math.inf):
+        raise DomainError(f"the {variant} profile overflows at octave {int(np.argmax(over))}: "
+                          "max(f) - f there exceeds the largest double")
+    return (f_sups, f_mins), sups, tail_max
 
 
 def _tail_max(f: EFunction, g: GridSpec) -> float:
@@ -333,8 +337,7 @@ class WitnessReport:
     residual: float  # sup over nodes of |lhs - rhs| / max(1, |lhs|, |rhs|)
     worst_x: float
     h_monotone: bool
-    tol: float
-    passed: bool
+    passed: bool  # residual at most _WITNESS_TOL (1e-9)
 
     def to_json(self) -> dict:
         return {
@@ -343,7 +346,6 @@ class WitnessReport:
             "residual": float(self.residual),
             "worst_x": float(self.worst_x),
             "h_monotone": bool(self.h_monotone),
-            "tol": float(self.tol),
             "pass": bool(self.passed),
         }
 
@@ -358,40 +360,34 @@ def check_witness(f: EFunction, f2: EFunction | None, w: EquivalenceWitness, g: 
 
     With ``f2`` given the check is f2 = f o h + k (equivalence mode, lam
     must be 1, which is checked before h runs); with ``f2`` None it is
-    lam * f = f o h + k.  Residuals are
-    relative to the operand scale: the functions involved span many decades,
-    so an absolute residual would be meaningless near 0.  A non-monotone h
-    is reported (h_monotone False fails the check), never silently ignored.
-    h counts as increasing when the images of the descending nodes descend:
-    strictly above ``_DEPTH_FLOOR``, and without rising below it, where
-    neighbouring images may round to one double or underflow to 0.  h is
-    walked over the grid first, so f never sees the images of a non-monotone
-    h, nor 0, whose residual is inf.  The left side is then evaluated and
-    folded block by block (:class:`_WitnessFold`).  In self-similarity mode
-    the node shift j has h(x_0) == x_j, and is kept when at least half of
-    the images h(x_i) with i + j on the grid are x_{i+j} bitwise: all under
-    ``halve`` (j = K), 55% under ``root_scale:2`` at K = 16384.  f o h is then
-    read from a block and the next at those images, and f runs once per
-    node and at the other images and those past the grid's end (the last K
-    under ``halve``).  Without a shift f runs at every image.  The check
-    passes at a residual of at most ``_WITNESS_TOL`` (1e-9), the gate of the
-    scan and ``koenigs_limit``.
+    lam * f = f o h + k.  Residuals are relative to the operand scale: the
+    functions involved span many decades, so an absolute residual would be
+    meaningless near 0.  A non-monotone h is reported (h_monotone False
+    fails the check), never silently ignored.  h counts as increasing when
+    the images of the descending nodes descend: strictly above
+    ``_DEPTH_FLOOR``, and without rising below it, where neighbouring images
+    may round to one double or underflow to 0.  h is walked over the grid
+    first, so f never sees the images of a non-monotone h, nor 0, whose
+    residual is inf.  The left side is then evaluated and folded block by
+    block (:class:`_WitnessFold`).  In self-similarity mode the node shift j
+    has h(x_0) == x_j, and is kept when at least half of the images h(x_i)
+    with i + j on the grid are x_{i+j} bitwise: all under ``halve``
+    (j = K), 55% under ``root_scale:2`` at K = 16384.  f o h is then read
+    from a block and the next at those images, and f runs once per node and
+    at the other images and those past the grid's end (the last K under
+    ``halve``).  Without a shift f runs at every image.  The check passes at
+    a residual of at most ``_WITNESS_TOL`` (1e-9), the gate of the scan and
+    of ``koenigs_limit``, whose first sweep gives the bits of this check.
 
     The grid is taken in blocks of nodes, so f, f2, h and k must be
     elementwise: the value at x may not depend on the other points of the
     array.  The residual is then bitwise that of whole-array evaluation.
     """
-    return _check_witness(f, f2, w, g)
-
-
-def _check_witness(f, f2, w: EquivalenceWitness, g: GridSpec) -> WitnessReport:
-    """:func:`check_witness` on g: the left side's function, f or f2, fed per ``_blocks`` block of nodes,
-    written into two buffers in turn, so a block held for its look-ahead keeps its nodes."""
     if f2 is not None and w.lam != 1.0:
         raise ValueError("equivalence mode fixes lam = 1; use self-similarity mode")
     nodes = _Nodes(g.samples_per_octave, g.octave_max)
     fold = _WitnessFold(f, w, nodes, "equivalence" if f2 is not None else "self_similarity")
-    bufs = np.empty((2, min(_BLOCK, len(nodes))))
+    bufs = np.empty((2, min(_BLOCK, len(nodes))))  # in turn, so a block held for its look-ahead keeps its nodes
     for s in _blocks(len(nodes)):
         x = nodes.span(s.start, bufs[s.start // _BLOCK % 2][: s.stop - s.start])
         fold.feed(s.start, x, np.asarray((f if f2 is None else f2)(x), dtype=float))
@@ -414,7 +410,8 @@ class _WitnessFold:
         self.f, self.w, self.x, self.mode, self.k = f, w, nodes, mode, None if w.k is None else as_shift(w.k)
         self.rows = np.empty((3, max(len(nodes.head), min(_BLOCK, len(nodes))))) if rows is None else rows
         spans = (nodes.span(s.start, self.rows[0][: s.stop - s.start]) for s in _blocks(len(nodes)))
-        self.h_monotone, self.z, j = _walk_images(nodes, (np.asarray(w.h(x), dtype=float) for x in spans), self.rows[1])
+        images = (np.asarray(w.h(x), dtype=float) for x in spans)
+        self.h_monotone, self.z, j, _ = _walk_images(nodes, images, self.rows[1])
         self.j = j if mode == "self_similarity" else None
         self.done, self.held, self.best = 0, None, (-math.inf, -1)
 
@@ -455,16 +452,18 @@ class _WitnessFold:
             self.best = _max_residual([(a, lhs, rhs)], self.best, rel)
 
 
-def _walk_images(x: _Nodes, blocks: Iterable[np.ndarray], buf: np.ndarray) -> tuple[bool, int, int | None]:
+def _walk_images(x: _Nodes, blocks: Iterable[np.ndarray], buf: np.ndarray) -> tuple[bool, int, int | None, int | None]:
     """Whether h is increasing on the descending nodes ``x``, given its images per ``_blocks`` block
     (they descend, across block edges too, to a minimum not negative or NaN), the index where the
     images at 0 begin, and the node shift j: the index of the node h(x_0), kept when at least half of
-    the images h(x_i) with i + j < len(x) are x_{i+j} (written into ``buf``) bitwise; else None."""
+    the images h(x_i) with i + j < len(x) are x_{i+j} (written into ``buf``) bitwise; else None.
+    Last comes j again when every one of those images is its node, else None."""
     n = len(x)
     monotone, z, j, on, last = True, n, None, 0, None
     for s, hb in zip(_blocks(n), blocks):
-        if last is None:
-            j = _node_index(x, hb[0])
+        if last is None:  # the index of the node equal to h(x_0), if any
+            j = bisect.bisect_left(x, -float(hb[0]), key=operator.neg)
+            j = j if j < n and x[j] == hb[0] else None
         elif monotone:
             monotone = _descends(np.array((last, hb[0])))
         monotone = monotone and _descends(hb)
@@ -473,8 +472,8 @@ def _walk_images(x: _Nodes, blocks: Iterable[np.ndarray], buf: np.ndarray) -> tu
         if z == n and hb[-1] == 0:  # the images at 0 of an increasing h end the grid
             z = s.start + int(np.argmax(hb == 0))
         last = hb[-1]
-    j = j if j is not None and 2 * on >= n - j else None
-    return (True, z, j) if monotone and last >= 0 else (False, n, None)
+    j, every = (j, j if on == n - j else None) if j is not None and 2 * on >= n - j else (None, None)
+    return (True, z, j, every) if monotone and last >= 0 else (False, n, None, None)
 
 
 def _f_at_images(f, hx: np.ndarray, nodes: Sequence[np.ndarray], out: np.ndarray) -> None:
@@ -498,7 +497,7 @@ def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int]) -> Wit
         residual, i = math.inf, 0
     elif z < len(x) and residual < math.inf:  # neither an inf nor a NaN came before
         residual, i = math.inf, z
-    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, _WITNESS_TOL, residual <= _WITNESS_TOL)
+    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, residual <= _WITNESS_TOL)
 
 
 def _descends(hx: np.ndarray) -> bool:
@@ -507,20 +506,6 @@ def _descends(hx: np.ndarray) -> bool:
     if down.all():
         return True
     return bool(np.all(down | ((hx[1:] == hx[:-1]) & (hx[:-1] <= _DEPTH_FLOOR))))
-
-
-def _node_index(x: np.ndarray, y: float) -> int | None:
-    """The index of the node equal to ``y`` among the descending nodes ``x``, or None."""
-    j = bisect.bisect_left(x, -float(y), key=operator.neg)
-    return j if j < len(x) and x[j] == y else None
-
-
-def _node_shift(x: np.ndarray, hx: np.ndarray) -> int | None:
-    """The j with hx[i] == x[i + j] at every i < len(x) - j, compared block by block, or None."""
-    j = _node_index(x, hx[0])
-    if j is None:
-        return None
-    return j if all(np.array_equal(hx[s], x[s.start + j : s.stop + j]) for s in _blocks(len(x) - j)) else None
 
 
 # the floor of the residual's scale: an array-array max takes a quarter of the time of an array-scalar one

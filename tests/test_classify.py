@@ -215,7 +215,7 @@ class TestOneSample:
                 want = (math.inf, float(x[0]), False)
             got = (r.residual, r.worst_x, r.h_monotone)
             assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
-            assert got[2] == want[2] and r.passed == (want[0] <= r.tol)
+            assert got[2] == want[2] and r.passed == (want[0] <= 1e-9)
         assert [r.h_monotone for r in rep.results] == [True] * 5 + [False]
 
     @pytest.mark.parametrize("n_witnesses", [0, 1])
@@ -417,7 +417,6 @@ class TestSelfSimilarityScan:
                     "residual": r.residual,
                     "worst_x": r.worst_x,
                     "h_monotone": True,
-                    "tol": 1e-9,
                     "pass": passed,
                 }
                 for w, r, passed in zip(witnesses, rep.results, (True, False))

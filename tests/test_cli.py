@@ -101,6 +101,20 @@ class TestSigmaCommand:
         assert run("sigma", "--csv", str(data), "--out", str(tmp_path / "o")) == 2
         assert "bad.csv:3: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0,0.0\n0.5\n0.25,2.0\n", "data.csv:3: need two columns"),
+            ("0.5,0.0\n0.25,1.0\n", "sampled data must reach x = 1 to anchor the grid"),
+            ("1.0,0.0\n0.75,1.0\n0.6,2.0\n", "sampled data spans less than one octave below 1"),
+        ],
+        ids=["one-column", "below-1", "under-an-octave"],
+    )
+    def test_csv_rejections_name_the_row_or_the_span(self, capsys, tmp_path, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text("x,f\n" + rows)
+        assert_usage_error(capsys, tmp_path, message, "sigma", "--csv", str(data))
+
     def test_bad_grid_is_usage_error(self, capsys, tmp_path):
         # regression: "abc,40" was reported as "invalid literal for int()"
         out = tmp_path / "o"
@@ -310,6 +324,12 @@ class TestClassifyCommand:
         report = load(out / "classify.json")["report"]
         assert report["sigma_hat"] == max(report["s_m"][20:]) and max(report["s_m"][-8:]) < report["tau_std"]
         assert any(w.startswith("sigma_hat = 1.36971, set at octave ") for w in report["warnings"])
+
+    def test_overflowing_profile_is_usage_error(self, capsys, tmp_path):
+        # regression: exited 0 after a RuntimeWarning, with Infinity in
+        # classify.json and the trend "vanishing" beside sigma_hat = inf
+        assert_usage_error(capsys, tmp_path, "error: the star profile overflows at octave 5: max(f) - f there "
+                           "exceeds the largest double", "classify", "--builtin", "bounded_osc", "--param", "1e308")
 
     def test_unallocatable_grid_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # regression: numpy's _ArrayMemoryError traceback, exit 1; the builder of

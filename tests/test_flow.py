@@ -107,6 +107,11 @@ class TestBuildFlow:
         sel = x <= F.c0
         np.testing.assert_array_equal(F.transit(x[sel]), np.asarray(f(x[sel])))
 
+    def test_a_grid_with_no_node_below_c1_is_rejected(self):
+        # GridSpec(8, 1) ends at x = 1/2, above c1 = 0.3
+        with pytest.raises(ValueError, match="^grid has no nodes below c1$"):
+            build_flow(builtin("std_log"), 0.1, 0.3, GridSpec(8, 1))
+
     def test_bounded_osc_needs_no_lift(self, grid):
         # grid minimum of ln(1/x) + 2 sin(ln(1/x)) over (0, 1/2] is
         # ln 2 + 2 sin(ln 2) = 1.971..., safely positive
@@ -334,7 +339,7 @@ def outcome(fn, *args):
 
 
 class TestStandardOrbit:
-    """A flow with no source forms its rows by ``standard_step``'s closed form, its range checked once."""
+    """A flow with no source forms its rows by one ``flow_step`` per time."""
 
     @pytest.mark.parametrize("lam", [1.0, 2.5, 1.0 / 3.0])
     @pytest.mark.parametrize(
@@ -800,6 +805,13 @@ class TestUserTransversals:
         nodes[curve][0][column] = value
         with pytest.raises(ValueError, match=f"^{curve} nodes must be finite$"):
             Transversal(*(tuple(map(tuple, nodes[c])) for c in ("gamma1", "gamma2")))
+
+    @pytest.mark.parametrize("x", [[0.0], [0.5, -1.0], [-0.0]], ids=["zero", "negative", "minus-zero"])
+    @pytest.mark.parametrize("user", [False, True], ids=["default", "user"])
+    def test_gamma1_rejects_a_parameter_that_is_not_positive(self, x, user):
+        tv = Transversal(self.G1, self.G2) if user else DEFAULT_TRANSVERSAL
+        with pytest.raises(DomainError, match="^transversal parameter must be positive$"):
+            tv.gamma1(x)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="both curves"):

@@ -99,6 +99,16 @@ class TestIterate:
         for y in (0.01, 0.3, 1.0, 7.0):
             assert h_bisect.inverse(y) == pytest.approx(h_closed.inverse(y), rel=1e-11)
 
+    @pytest.mark.parametrize("y, want", [(-0.5, None), (-0.0, 0.0), (0.0, 0.0)], ids=["negative", "-0", "0"])
+    def test_bisection_inverse_at_and_below_0(self, y, want):
+        # without a closed form, 0 is its own preimage and a negative y has none
+        h = homeo_from_expression(MOBIUS)
+        if want is None:
+            with pytest.raises(ValueError, match="^inverse requested below 0$"):
+                h.inverse(y)
+        else:
+            assert h.inverse(y) == want
+
     def test_inverse_bracket_ceiling(self):
         # x/(1+x) is bounded above by 1, so 2 has no preimage
         capped = Homeo(lambda x: np.asarray(x / (1.0 + x)), None, "capped")

@@ -284,28 +284,51 @@ class TestKoenigsIterate:
         "name,hid,k", [("koenigs_demo", "square", koenigs_shift), ("doubling_osc", "halve", 0.0)],
         ids=["bounded", "global"],
     )
-    def test_explicit_shift_evaluates_f_only_at_probes_and_images(self, small_grid, monkeypatch, name, hid, k, g):
+    def test_explicit_shift_evaluates_f_only_in_the_witness_sweep(self, small_grid, monkeypatch, name, hid, k, g):
         # an explicit k is summed as a series, which evaluates k, not f, along
-        # the orbits: after the basin f runs at the probes (the loop's scale),
-        # then one block at a time at the probes and at their images (f_inf at
-        # both, for the residual) and, in the global case, at the tail-decay
-        # law's scalar f_inf calls
+        # the orbits.  f runs in the witness sweep as for a derived k: at the
+        # nodes, block by block, then at the images it cannot read from them.
+        # f_inf at the probes and at their images reads f there from that
+        # sweep, so after the basin f runs only at the tail-decay law's scalar
+        # f_inf calls, in the global case
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
         marks = []
         monkeypatch.setattr(linearize, "basin_of_zero", marking(linearize.basin_of_zero, marks, calls))
         res = koenigs_limit(f, h, k, LinearizeConfig(2.0, g))
-        blocks = list(_blocks(res.probes.size))
+        x = g.nodes()
+        blocks = list(_blocks(x.size))
         assert len(blocks) > 1 or g is small_grid
-        scale, *after = calls[marks[0] :]
-        assert np.array_equal(scale, res.probes)
-        nb = len(blocks)
-        at_probes, at_images, tail = after[:nb], after[nb : 2 * nb], after[2 * nb :]
-        assert [bits(c) for c in at_probes] == [bits(res.probes[s]) for s in blocks]
-        assert [bits(c) for c in at_images] == [bits(h(res.probes)[s]) for s in blocks]
+        assert [bits(c) for c in calls[: len(blocks)]] == [bits(x[s]) for s in blocks]
+        images = calls[len(blocks) : marks[0]]
+        if hid == "halve":
+            assert [bits(c) for c in images] == [bits(h(x[-g.samples_per_octave :]))]
+        else:
+            assert [bits(c) for c in images] == [bits(h(x[s])) for s in blocks]
+        tail = calls[marks[0] :]
         assert all(c.size == 1 for c in tail)
         assert bool(tail) == (res.case == "global")
+
+    def test_explicit_shift_runs_at_every_node_under_an_h_that_is_not_increasing(self, small_grid):
+        # the witness check keeps f from the images of such an h, but not k
+        # from the nodes: k's own error is raised, else the failed relation
+        h = Homeo(lambda x: x / 2 * (1 + 0.9 * np.sin(50 * np.log(x))))
+        seen = []
+
+        def k(x):
+            seen.append(np.array(x))
+            return 0.0 * x
+
+        with pytest.raises(ValueError, match="; h is not increasing on the grid$"):
+            koenigs_limit(builtin("std_log"), h, k, LinearizeConfig(2.0, small_grid))
+        assert bits(np.concatenate(seen)) == bits(small_grid.nodes())
+
+        def failing(x):
+            raise ZeroDivisionError("k is undefined at these nodes")
+
+        with pytest.raises(ZeroDivisionError, match="^k is undefined at these nodes$"):
+            koenigs_limit(builtin("std_log"), h, failing, LinearizeConfig(2.0, small_grid))
 
     def test_non_monotone_h_is_rejected_before_f_sees_its_images(self, small_grid):
         # the derived shift lam*f - f o h must not evaluate f at h(x) either
@@ -498,45 +521,49 @@ class TestMultiBlock:
             koenigs_limit(f, h, None, LinearizeConfig(2.0, g))
 
 
-def whole_check_witness(f, f2, w, x, fx, tol, sweep=None):
-    """Reference for ``oscillation._check_witness`` from whole-array passes
-    and, with ``sweep`` a list, for the derived-shift witness sweep.
+def whole_check_witness(f, f2, w, x, fx, sweep=None):
+    """Reference for ``check_witness`` from whole-array passes and, with
+    ``sweep`` a list, for the witness sweep of ``koenigs_limit``.
 
     f is evaluated at every positive image, never read from ``fx``.  h is
     increasing when its images descend, strictly above FLOOR; an image at 0
-    counts as residual inf.  With ``sweep`` the shift is lam*f - f o h, taken
-    as 0 where x or h(x) is at or below FLOOR, and the list receives f(x),
-    h(x) and f(h(x)) when h is increasing.
+    counts as residual inf.  With ``sweep`` a k of None is the derived shift
+    lam*f - f o h, taken as 0 where x or h(x) is at or below FLOOR, and the
+    list receives f(x), h(x) and f(h(x)) when h is increasing.
     """
     hx = np.asarray(w.h(x), dtype=float)
     ties = (hx[1:] == hx[:-1]) & (hx[:-1] <= FLOOR)
     monotone = bool(hx[-1] >= 0) and bool(np.all((np.diff(hx) < 0) | ties))
     mode = "equivalence" if f2 is not None else "self_similarity"
     if not monotone:
-        return WitnessReport(mode, w.lam, math.inf, float(x[0]), False, tol, False)
+        return WitnessReport(mode, w.lam, math.inf, float(x[0]), False, False)
     fx = np.asarray(f(x), dtype=float)
     lhs = w.lam * fx if f2 is None else np.asarray(f2(x), dtype=float)
     pos = hx > 0
     fhx = np.full(x.size, math.inf)
     fhx[pos] = f(hx[pos])
-    if sweep is None:
+    if sweep is None or w.k is not None:
         rhs = fhx + as_shift(w.k)(x)
     else:
         live = (x > FLOOR) & (hx > FLOOR)
         rhs = fhx + np.where(live, lhs - fhx, 0.0)
+    if sweep is not None:
         sweep += [fx, hx, fhx]
     with np.errstate(invalid="ignore"):
         rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
     rel[~pos] = math.inf
     i = int(np.argmax(rel))
-    return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, tol, float(rel[i]) <= tol)
+    return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, float(rel[i]) <= 1e-9)
 
 
 def whole_witness_sweep(f, h, k, lam, g):
-    """Reference for ``linearize._witness_sweep`` on the grid g: the report and the first sweep."""
-    sweep = [] if k is None else None
-    rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), g.nodes(), None, 1e-9, sweep)
-    return rep, sweep or []
+    """Reference for ``linearize._witness_sweep`` on the grid g: the report, the first sweep (for an
+    explicit k too) and the node shift j, when h(x_i) == x_(i+j) at every i + j on the grid."""
+    x, sweep = g.nodes(), []
+    rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, sweep)
+    hx = np.asarray(h(x), dtype=float)
+    j = int(np.flatnonzero(x == hx[0])[0]) if rep.h_monotone and hx[0] in x else None
+    return rep, sweep, j if j is not None and np.array_equal(hx[: x.size - j], x[j:]) else None
 
 
 BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")
@@ -563,7 +590,7 @@ class TestWitnessImagesFromTheSample:
     )
     def test_koenigs_limit_matches_whole_array_witness(self, monkeypatch, g, name, hid, k):
         # the witness sweep, against whole-array passes: through the derived
-        # gate for k None, through ``_check_witness`` for an explicit k
+        # gate, for k None and for an explicit k alike
         f = builtin(name)
         h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
         real = linearize._witness_sweep
@@ -572,10 +599,10 @@ class TestWitnessImagesFromTheSample:
             seen = []
 
             def spy(*args):
-                rep, sweep = stage(*args)
-                # copied now: the convergence loop overwrites f(x) with the orbit ends
-                seen.append((rep, bits(rep.residual), [bits(a) for a in sweep]))
-                return rep, sweep
+                rep, sweep, onto = stage(*args)
+                # copied now: the read-out overwrites f(x) with the orbit ends, or with f_inf
+                seen.append((rep, bits(rep.residual), [bits(a) for a in sweep], onto))
+                return rep, sweep, onto
 
             monkeypatch.setattr(linearize, "_witness_sweep", spy)
             try:
@@ -586,8 +613,9 @@ class TestWitnessImagesFromTheSample:
 
         got, want = run(real), run(whole_witness_sweep)
         assert got == want
-        ((rep, _, sweep),), _ = got
-        assert bool(sweep) == (k is None and rep.h_monotone)
+        ((rep, _, sweep, onto),), _ = got
+        assert bool(sweep) == rep.h_monotone
+        assert (onto is not None) == (hid == "halve")
 
     def test_halve_sweep_reads_all_but_the_last_octave_of_images(self):
         g = MULTI
@@ -596,8 +624,9 @@ class TestWitnessImagesFromTheSample:
         x = g.nodes()
         w = EquivalenceWitness(h, None, 2.0)
         want = []
-        rep, sweep = linearize._witness_sweep(f, h, None, 2.0, g)
-        assert rep == whole_check_witness(builtin("doubling_osc"), None, w, x, None, 1e-9, want)
+        rep, sweep, onto = linearize._witness_sweep(f, h, None, 2.0, g)
+        assert rep == whole_check_witness(builtin("doubling_osc"), None, w, x, None, want)
+        assert onto == g.samples_per_octave
         assert [bits(a) for a in sweep] == [bits(a) for a in want]
         blocks = list(_blocks(x.size))
         assert len(calls) == len(blocks) + 1
@@ -677,14 +706,17 @@ class TestDerivedGate:
         ids=[f"{n}-{h}" for n, h, _ in BASIN_INPUTS] + ["std_log-bent"],
     )
     def test_derived_gate_reports_the_bits_of_check_witness(self, name, hid, lam, gid):
-        # the witness sweep gates a derived k apart from ``_check_witness``:
-        # its report is that of check_witness with the floored shift as k
+        # the witness sweep gates a derived k apart from ``check_witness``:
+        # its report is that of check_witness with the floored shift as k,
+        # and so is its report with that shift given as an explicit k
         g, f = BASIN_GRIDS[gid], builtin(name)
         h = hid if isinstance(hid, Homeo) else gallery_homeo(hid)
-        rep, sweep = linearize._witness_sweep(f, h, None, lam, g)
+        rep, sweep, _ = linearize._witness_sweep(f, h, None, lam, g)
+        explicit, _, _ = linearize._witness_sweep(f, h, floored_shift(f, h, lam), lam, g)
         want = check_witness(f, None, EquivalenceWitness(h, floored_shift(f, h, lam), lam), g)
-        as_bits = [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
-        assert as_bits == [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(want)]
+        for got in (rep, explicit):
+            as_bits = [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(got)]
+            assert as_bits == [bits(v) if isinstance(v, float) else v for v in dataclasses.astuple(want)]
         assert bool(sweep) == rep.h_monotone
 
 

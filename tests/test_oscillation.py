@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ class TestSigma:
     def test_json_keys(self, grid):
         obj = sigma_estimate(builtin("std_log"), grid).to_json()
         assert set(obj) >= {"s_m", "sigma_hat", "trend"}
+
+    def test_an_overflowing_profile_names_its_first_octave(self, grid):
+        # regression: f is finite, but its running max minus f overflowed to
+        # inf, with a RuntimeWarning: sigma_hat read inf and the trend "vanishing"
+        f = from_expression("-log(x) + 1e308*sin(log(x))")
+        fx = np.asarray(f(grid.nodes()))
+        with np.errstate(over="ignore"):
+            s_m = grid.octave_envelopes(np.maximum.accumulate(fx) - fx)[0]
+        first = int(np.argmax(s_m == math.inf))
+        assert first > 0 and np.all(np.isfinite(fx))
+        msg = f"the star profile overflows at octave {first}: max(f) - f there exceeds the largest double"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (sigma_estimate, star_profile, classify):
+                with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+                    call(f, grid)
 
 
 class TestWitness:
@@ -975,7 +992,8 @@ class TestPerNodeShift:
     def test_the_walk_keeps_the_shift_of_a_majority(self, hid, j, share):
         x = MULTI.nodes()
         hx = gallery_homeo(hid)(x)
-        assert _walk_images(_Nodes(4096, 20), (hx[s] for s in _blocks(x.size)), np.empty(_BLOCK)) == (True, x.size, j)
+        walk = _walk_images(_Nodes(4096, 20), (hx[s] for s in _blocks(x.size)), np.empty(_BLOCK))
+        assert walk == (True, x.size, j, j if share == 1 else None)  # halve carries every node onto a node
         if j is not None:
             on = np.count_nonzero(~off_node(x, hx, j)[: x.size - j])
             assert on / (x.size - j) == pytest.approx(share, abs=0.01)
@@ -986,9 +1004,18 @@ class TestPerNodeShift:
         x = GridSpec(8, 20).nodes()
         n, on = x.size, (x.size - 1) // 2
         hx = np.concatenate([x[1 : 1 + on], np.nextafter(x[1 + on :], 0.0), x[-1:] / 2])
-        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, 1)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, 1, None)
         hx[on - 1] = np.nextafter(hx[on - 1], 0.0)
-        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, None)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, None, None)
+
+    def test_the_walk_repeats_the_shift_when_every_image_is_its_node(self):
+        # h(x_i) = x_(i+1) at every node but the last, whose image is past the
+        # grid's end: the shift is repeated, and one image off its node drops it
+        x = GridSpec(8, 20).nodes()
+        n, hx = x.size, np.append(x[1:], x[-1] / 2)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, 1, 1)
+        hx[n // 2] = np.nextafter(hx[n // 2], 0.0)
+        assert _walk_images(_Nodes(8, 20), [hx], np.empty(n)) == (True, n, 1, None)
 
     @pytest.mark.parametrize("g", [MULTI, GridSpec(512, 40), WIDE_K], ids=["multi", "512x40", "K40000"])
     def test_root_scale_evaluates_f_at_the_images_off_their_nodes_and_past_the_grid(self, g):

@@ -90,6 +90,7 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     spec.loader.exec_module(tool)
     g = tool.rf.GridSpec(64, 24)
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
+    calls.append(tool.koenigs_call("koenigs_demo", "square", g, tool.KOENIGS_SHIFT))
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
     calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
     calls += [tool.classify_call(g), tool.scan_call(g), tool.witness_call(g), tool.sharp_call(g)]
@@ -113,6 +114,9 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))
     assert held >= 3 * 8 * (g.node_count - 1)
+    # an explicit k holds them too, written over sweep 0's f(x), h(x) and f(h(x)): three arrays over the nodes
+    explicit = tool.koenigs_call("koenigs_demo", "square", g, tool.KOENIGS_SHIFT)
+    assert tool.measure(explicit)[1] >= 3 * 8 * g.node_count
     # under root_scale:2 f runs at the nodes and at the images off their nodes x_(i+K/2)
     # or past the grid's end: about 45% of them, the last K/2 included
     x = g.nodes()

@@ -2,6 +2,7 @@
 
 At the grid (4096, 60) it measures ``koenigs_limit`` with lam = 2 and a
 derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
+and for koenigs_demo/square with its explicit shift 2x/(1+x) - x^2/(1+x^2),
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
@@ -57,16 +58,17 @@ from reebflow.flow import orbit_rows  # noqa: E402
 GRID = rf.GridSpec(4096, 60)
 GRID_1M = rf.GridSpec(16384, 60)
 KOENIGS = (("koenigs_demo", "square"), ("std_log", "square"), ("doubling_osc", "halve"))
+KOENIGS_SHIFT = efunc.compile_expr("2*x/(1+x) - x**2/(1+x**2)", "shift")  # koenigs_demo's k under square
 GALLERY = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
 MIB = 1 << 20
 REPS = 15  # the warm calls whose median wall time is printed
 ORBIT_TIMES = np.linspace(-4.0, 4.0, 2000)
 
 
-def koenigs_call(name: str, hid: str, g: rf.GridSpec):
-    """One ``koenigs_limit`` of the builtin ``name`` under ``hid``, lam = 2, derived shift."""
+def koenigs_call(name: str, hid: str, g: rf.GridSpec, k=None):
+    """One ``koenigs_limit`` of the builtin ``name`` under ``hid``, lam = 2, with the shift k (None: derived)."""
     f, h, cfg = rf.builtin(name), rf.gallery_homeo(hid), rf.LinearizeConfig(2.0, g)
-    return lambda: rf.koenigs_limit(f, h, None, cfg)
+    return lambda: rf.koenigs_limit(f, h, k, cfg)
 
 
 def flow_call(name: str, g: rf.GridSpec):
@@ -166,6 +168,8 @@ def measure(call) -> tuple[int, int, int]:
 def main() -> None:
     cases = [(f"koenigs_limit {name}/{hid}", koenigs_call(name, hid, GRID), [koenigs_call(name, hid, GRID)])
              for name, hid in KOENIGS]
+    explicit = koenigs_call("koenigs_demo", "square", GRID, KOENIGS_SHIFT)
+    cases += [("koenigs_limit koenigs_demo/square explicit k", explicit, [explicit])]
     cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID), flow_parts(name, GRID))
               for name in GALLERY]
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
