@@ -370,15 +370,15 @@ def from_csv(path: str | Path) -> EFunction:
 
 
 def _parse_csv(text: str, label: str) -> EFunction:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+    reader = csv.reader(io.StringIO(text))  # each row with the number of the line it ends on
+    rows = ((reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row))
+    if (first := next(rows, None)) is None:
         raise ValueError(f"{label}: empty CSV")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in first[1]]
     if header[:2] != ["x", "f"]:
-        raise ValueError(f"{label}: expected header 'x,f', got {rows[0]!r}")
+        raise ValueError(f"{label}: expected header 'x,f', got {first[1]!r}")
     xs, fs = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if len(row) < 2:
             raise ValueError(f"{label}:{lineno}: need two columns")
         try:

@@ -136,13 +136,14 @@ class BasinReport:
 
 def basin_of_zero(h: Homeo, probe: GridSpec, hx: np.ndarray | None = None) -> BasinReport:
     """How 0 attracts under h, read at the nodes of ``probe`` and at 2^1 .. 2^tail_octaves (a NaN
-    is not attracted).  Given ``hx``, h at the nodes, h runs only at the points above 1."""
+    is not attracted); 0 repels when h(x) > x at a node nearest 0.  Given ``hx``, h at the nodes,
+    h runs only at the points above 1."""
     x = probe.nodes()  # descending in (0, 1]
     hx = np.asarray(h(x), dtype=float) if hx is None else hx
     above = np.exp2(np.arange(1.0, probe.tail_octaves + 1))
     h_above = np.asarray(h(above), dtype=float)
-    q = max(4, probe.samples_per_octave)  # the q points nearest 0, ascending
-    if not np.all(np.concatenate([hx[-q:][::-1], h_above])[:q] <= np.concatenate([x[-q:][::-1], above])[:q]):
+    q = max(4, probe.samples_per_octave)  # the q nodes nearest 0, all of them on a smaller grid
+    if not np.all(hx[-q:] <= x[-q:]):
         return BasinReport("zero_repelling", None)
     # the smallest point where h(x) < x fails: the last such node, else the first such point above 1
     if not (down := hx < x).all():

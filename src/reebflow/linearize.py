@@ -27,8 +27,9 @@ is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
    the probes j on when h carries every node onto the node j on (halve).
 
 So f runs at most ``iterations + 2`` times over the grid (fewer under
-halve, and only in stage 1 for an explicit k), and f_inf returns a fresh
-copy of these values for points bitwise equal to the probes or their images.
+halve, and only in stage 1 for an explicit k), and f_inf returns these held
+values themselves, read-only, for points bitwise equal to the probes or their
+images.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -91,8 +92,9 @@ class LinearizeResult:
     between the largest probe and b.  ``probes`` is a read-only view of the
     cached grid nodes in both basin cases: all of them, or those at or below
     ``b * 0.99``; copy it before writing to it.  ``f_inf(probes)``
-    and ``f_inf(h(probes))`` are fresh copies of the values the limit
-    computation already holds; f is not evaluated again for them.
+    and ``f_inf(h(probes))`` are the values the limit computation already
+    holds, the same read-only arrays on every call, like ``probes``; f is not
+    evaluated again for them.
     """
 
     f_inf: EFunction
@@ -226,9 +228,16 @@ class _Orbits:
         self.shift = -k0 / (lam - 1.0)
         self.held = []  # (points, f_inf there): the probes and their images, once read out
 
-    def shifts(self, x, sweeps, fy=None, hy=None, fhy=None):
-        """(n, i, k(y) - k0, f(h(y))) along the orbits y = h^n(x)[i] of ``_orbit``, from the first
-        sweep's f(x), h(x) and f(h(x)) when given; f(h(y)) is None for an explicit k, which reads only h(x).
+    def orbit(self, x, sweeps, fy=None, hy=None, fhy=None):
+        """``_orbit`` of the flat x for this k: floored and with f for a derived k, h alone for an explicit
+        one, from the first sweep's f(x), h(x) and f(h(x)) when given."""
+        if self.kf is None:
+            return _orbit(self.h, x, sweeps, True, self.f, fy, hy, fhy)
+        return _orbit(self.h, x, sweeps, hy=hy)
+
+    def shifts(self, orbit):
+        """(n, i, k(y) - k0, f(h(y))) at the steps of ``orbit`` (:meth:`orbit`); f(h(y)) is None for an
+        explicit k, which reads only y.
 
         A derived k is lam*f - f o h, taken as k0 once the orbit sinks to the
         floor: near the subnormal range the quantization of h(x) corrupts
@@ -237,9 +246,7 @@ class _Orbits:
         """
         # starmap, unlike a generator expression, holds no sweep's arrays while suspended
         if self.kf is None:
-            orbit = _orbit(self.h, x, sweeps, True, self.f, fy, hy, fhy)
             return itertools.starmap(lambda n, i, _, fy, __, fhy: (n, i, self.lam * fy - fhy - self.k0, fhy), orbit)
-        orbit = _orbit(self.h, x, sweeps, hy=hy)
         return itertools.starmap(lambda n, i, y, *_: (n, i, self.kf(y) - self.k0, None), orbit)
 
     def walk(self, nodes: np.ndarray, sweep: list, tol: float) -> tuple:
@@ -255,7 +262,7 @@ class _Orbits:
         self.probes = probes = nodes[j:]
         # per probe, a derived k's last depth m; f(x), the scale while the orbit lives, then f there
         (f_end, images, f_images), m = (a[j:] for a in sweep), np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
-        walks = [(s, self.shifts(probes[s], _MAX_ITERS + 1, f_end[s], images[s], f_images[s]))
+        walks = [(s, self.orbit(probes[s], _MAX_ITERS + 1, f_end[s], images[s], f_images[s]))
                  for s in _blocks(probes.size)]
         sweep.clear()  # only the walks hold a derived k's f(h(x)) now, and drop it as they move on
         f_images = None if self.kf is None else f_images
@@ -265,7 +272,7 @@ class _Orbits:
             sups, changes = [0.0], [0.0]
             for b, (s, walk) in enumerate(walks):
                 ended, last[b] = last[b], None
-                for _, i, kv, fhy in itertools.islice(walk, 1):  # none once the block's orbits end
+                for _, i, kv, fhy in self.shifts(itertools.islice(walk, 1)):  # none once the block's orbits end
                     akv = np.abs(kv, out=kv)
                     sups.append(np.max(akv))
                     changes.append(np.max(akv / (1.0 + np.abs(f_end[s][i]))))
@@ -315,6 +322,8 @@ class _Orbits:
                 at_images = buf[onto:]
         # symmetric in its operands, the residual overwrites only the second
         residual, _ = _max_residual((s.start, at_images[s], self.lam * at_probes[s]) for s in _blocks(probes.size))
+        for at in (at_probes, at_images):  # handed out as they are, like the probes
+            at.flags.writeable = False
         self.held += [(probes, at_probes), (images, at_images)]
         if not residual <= tol:  # a NaN fails too
             raise ToleranceFailure(f"functional-equation residual {residual:.3g} exceeds tol {tol:g}")
@@ -324,7 +333,7 @@ class _Orbits:
         """f_inf at the images of the probes of block s, from their walk one sweep on."""
         at, d = at_images[s], m[s].astype(int) - 1
         at[:] = f_end[s]
-        for _, i, _, fhy in itertools.islice(walk, 1):
+        for _, i, _, _, _, fhy in itertools.islice(walk, 1):  # the orbit steps on, and no shift is formed
             at[i], d[i] = fhy, self.iterations
         at += self.shift
         at *= self.decay.take(d, mode="clip")  # d = -1 takes decay[0]; those values are walked below
@@ -334,7 +343,7 @@ class _Orbits:
     def series(self, x, term=None):
         """sum_n lam^(-n-1) term(k_s(h^n x)) over ``iterations`` sweeps at the flat x."""
         acc = np.zeros(x.size)
-        for n, i, kv, _ in self.shifts(x, self.iterations):
+        for n, i, kv, _ in self.shifts(self.orbit(x, self.iterations)):
             acc[i] += self.lam ** (-n - 1) * (kv if term is None else term(kv))
         return acc
 
@@ -349,11 +358,11 @@ class _Orbits:
         return self.decay[m] * (np.asarray(self.f(y), dtype=float) + self.shift)
 
     def __call__(self, x):
-        """f_inf at x: a copy of the held values, else the walked iterate, and 0 from b on."""
+        """f_inf at x: the held values themselves, read-only, else the walked iterate, and 0 from b on."""
         x = np.asarray(x, dtype=float)
         for pts, vals in self.held:  # bitwise the same points: the walk would give these bits
-            if np.array_equal(x.view(np.int64), pts.view(np.int64)):
-                return vals.copy()
+            if _same_bits(x, pts):
+                return vals
         if self.b is None or np.all(x < self.b):
             return _blockwise(self.koenigs, x.reshape(-1)).reshape(x.shape)
         out = np.zeros(x.shape)
@@ -365,6 +374,17 @@ class _Orbits:
         """The telescoping bound: the series of |k_s| over the sweeps plus the slack past them."""
         x = np.asarray(x, dtype=float)
         return (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape)
+
+
+def _same_bits(x: np.ndarray, pts: np.ndarray) -> bool:
+    """Whether x holds the bits of the flat pts: tested by identity, then by shape and first element,
+    and only then block by block, so a compare allocates no more than a block."""
+    if x is pts:
+        return True
+    if x.shape != pts.shape:
+        return False
+    a, b = x.view(np.int64), pts.view(np.int64)
+    return a[0] == b[0] and all(np.array_equal(a[s], b[s]) for s in _blocks(a.size))
 
 
 def _write_ends(f_end: np.ndarray, m: np.ndarray, n: int, i, fhy: np.ndarray) -> None:

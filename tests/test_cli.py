@@ -115,6 +115,12 @@ class TestSigmaCommand:
         data.write_text("x,f\n" + rows)
         assert_usage_error(capsys, tmp_path, message, "sigma", "--csv", str(data))
 
+    def test_a_csv_error_names_the_line_past_blank_lines(self, capsys, tmp_path):
+        # regression: reported as data.csv:3, the row's place among the non-blank rows
+        data = tmp_path / "data.csv"
+        data.write_text("x,f\n1.0,0.0\n\n\n0.5,abc\n")
+        assert_usage_error(capsys, tmp_path, "data.csv:5: malformed row ['0.5', 'abc']", "sigma", "--csv", str(data))
+
     def test_bad_grid_is_usage_error(self, capsys, tmp_path):
         # regression: "abc,40" was reported as "invalid literal for int()"
         out = tmp_path / "o"
@@ -238,6 +244,11 @@ class TestLinearizeCommand:
         code = run("linearize", "--builtin", name, "--homeo", hid, "--lambda", lam, "--out", str(tmp_path))
         assert code == 2
         assert "does not settle toward 0" in capsys.readouterr().err
+
+    def test_a_one_node_octave_reaches_the_settle_test(self, capsys, tmp_path):
+        # regression: the basin read h at 2 and 4, past the grid's two nodes, and said 0 repels
+        assert_usage_error(capsys, tmp_path, "the grid has octave_max 1, the minimum is 2", "linearize",
+                           "--builtin", "std_log", "--homeo", "square", "--lambda", "2", "--grid", "1,1")
 
     def test_grid_too_short_to_test_settling_exits_two(self, capsys, tmp_path):
         # regression: a derived shift on one octave failed with numpy's

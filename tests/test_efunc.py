@@ -396,6 +396,20 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"data\.csv:3: non-finite value"):
             from_csv(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,f\n1.0,0.0\n\n\n0.5,abc\n", "data.csv:5: malformed row ['0.5', 'abc']"),
+        ("x,f\n\n1.0,0.0\n0.5\n", "data.csv:4: need two columns"),
+        ("x,f\n1.0,0.0\n\n0.5,nan\n", "data.csv:4: non-finite value in row ['0.5', 'nan']"),
+        ("\nx,f\n1.0,0.0\n , \n-1,2\n", "data.csv:5: x must be positive, got -1.0"),
+        ("x,f\n1.0,0.0\n\n0.5,1\n\n0.7,2\n", "data.csv:6: x column must be strictly decreasing"),
+        ('x,f\n1.0,"0.0\n"\n0.5,abc\n', "data.csv:4: malformed row ['0.5', 'abc']"),
+    ], ids=["malformed", "one-column", "non-finite", "not-positive", "not-decreasing", "quoted-newline"])
+    def test_a_rejected_row_is_named_by_its_line_in_the_file(self, tmp_path, text, message):
+        # regression: rows were numbered after the blank ones were dropped
+        with pytest.raises(ValueError) as err:
+            from_csv(self._write(tmp_path, text))
+        assert str(err.value).endswith(message)
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
             from_csv(self._write(tmp_path, "a,b\n1,0\n"))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reebflow import (
+    BasinReport,
     GridSpec,
     Homeo,
     basin_of_zero,
@@ -154,6 +155,12 @@ class TestBasin:
         rep = basin_of_zero(h, small_grid)
         assert rep.case == "bounded"
         assert rep.b == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 1), GridSpec(1, 2)], ids=["1,1", "1,2"])
+    def test_square_bounded_on_fewer_nodes_than_q(self, grid):
+        # regression: the test of h(x) <= x nearest 0 ran past the nodes to 2 and 4, where x^2 > x
+        assert grid.node_count < 4
+        assert basin_of_zero(gallery_homeo("square"), grid) == BasinReport("bounded", 1.0)
 
     def test_doubling_repels(self, small_grid):
         rep = basin_of_zero(gallery_homeo("x*2"), small_grid)

@@ -390,7 +390,7 @@ def explicit_reference(f, h, k, lam, res, x):
 
 class TestHeldValues:
     """f_inf at the probes and at their images comes from the limit
-    computation: the bits of a fresh walk, in a fresh array each call."""
+    computation: the bits of a fresh walk, in the held array itself, read-only."""
 
     CASES = [(name, hid, None) for name, hid in DERIVED] + [
         ("koenigs_demo", "square", koenigs_shift),
@@ -437,8 +437,34 @@ class TestHeldValues:
         for x in (res.probes, gallery_homeo(hid)(res.probes)):
             want = bits(res.f_inf(x))
             got = res.f_inf(x)
-            got += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                got += 1.0
             assert bits(res.f_inf(x)) == want
+
+    @pytest.mark.parametrize("gid", ["single", "multi"])
+    @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
+    def test_the_held_points_get_one_read_only_object(self, results, gid, name, hid, k):
+        res = results[gid, name, hid, k is None]
+        h = gallery_homeo(hid)
+        for points in (lambda: res.probes, lambda: h(res.probes), lambda: res.probes.copy()):
+            got = res.f_inf(points())
+            assert res.f_inf(points()) is got and not got.flags.writeable
+            assert bits(got) == bits(res.f_inf(points().reshape(-1, 1)))  # walked, not held
+        assert res.f_inf(res.probes.copy()) is res.f_inf(res.probes)
+
+    @pytest.mark.parametrize("gid", ["single", "multi"])
+    @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
+    def test_another_first_point_is_walked_with_no_whole_compare(self, results, monkeypatch, gid, name, hid, k):
+        res = results[gid, name, hid, k is None]
+        held = res.f_inf(res.probes)
+        x = res.probes.copy()
+        x[0] = np.nextafter(x[0], 0.0)
+        compares = []
+        monkeypatch.setattr(np, "array_equal", lambda *a, **kw: compares.append(a) or True)
+        got = res.f_inf(x)
+        assert compares == []
+        assert got is not held and got.flags.writeable
+        assert bits(got[1:]) == bits(held[1:]) and bits(got[:1]) != bits(held[:1])
 
     @pytest.mark.parametrize("name,hid,k", CASES, ids=IDS)
     def test_another_shape_is_walked_into_its_own_shape(self, small_grid, name, hid, k):

@@ -91,6 +91,7 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     g = tool.rf.GridSpec(64, 24)
     calls = [tool.koenigs_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls.append(tool.koenigs_call("koenigs_demo", "square", g, tool.KOENIGS_SHIFT))
+    calls += [tool.read_out_call(name, hid, g) for name, hid in tool.KOENIGS]
     calls += [tool.flow_call(name, g) for name in tool.GALLERY]
     calls += [tool.orbit_call(name, g) for name in tool.GALLERY]
     calls += [tool.classify_call(g), tool.scan_call(g), tool.witness_call(g), tool.sharp_call(g)]
@@ -114,6 +115,12 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     # the images, f_inf there and f_inf at the probes
     _, held, _ = tool.measure(tool.koenigs_call("std_log", "square", g))
     assert held >= 3 * 8 * (g.node_count - 1)
+    # the read-out hands back the two arrays the result holds: it keeps no array more
+    for name, hid in tool.KOENIGS:
+        res, at_probes, at_images = tool.read_out_call(name, hid, g)()
+        assert not at_probes.flags.writeable and not at_images.flags.writeable
+        read_out_held = tool.measure(tool.read_out_call(name, hid, g))[1]
+        assert read_out_held < tool.measure(tool.koenigs_call(name, hid, g))[1] + 8 * res.probes.size
     # an explicit k holds them too, written over sweep 0's f(x), h(x) and f(h(x)): three arrays over the nodes
     explicit = tool.koenigs_call("koenigs_demo", "square", g, tool.KOENIGS_SHIFT)
     assert tool.measure(explicit)[1] >= 3 * 8 * g.node_count

@@ -2,7 +2,9 @@
 
 At the grid (4096, 60) it measures ``koenigs_limit`` with lam = 2 and a
 derived shift for koenigs_demo/square, std_log/square and doubling_osc/halve,
-and for koenigs_demo/square with its explicit shift 2x/(1+x) - x^2/(1+x^2),
+and for koenigs_demo/square with its explicit shift 2x/(1+x) - x^2/(1+x^2);
+for each derived pair it also measures ``koenigs_limit`` followed by the
+read-out ``f_inf`` at the probes and at their images ``h(probes)``;
 and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
@@ -69,6 +71,17 @@ def koenigs_call(name: str, hid: str, g: rf.GridSpec, k=None):
     """One ``koenigs_limit`` of the builtin ``name`` under ``hid``, lam = 2, with the shift k (None: derived)."""
     f, h, cfg = rf.builtin(name), rf.gallery_homeo(hid), rf.LinearizeConfig(2.0, g)
     return lambda: rf.koenigs_limit(f, h, k, cfg)
+
+
+def read_out_call(name: str, hid: str, g: rf.GridSpec):
+    """``koenigs_call`` with a derived shift, then ``f_inf`` at its probes and at their images."""
+    h, limit = rf.gallery_homeo(hid), koenigs_call(name, hid, g)
+
+    def call():
+        res = limit()
+        return res, res.f_inf(res.probes), res.f_inf(h(res.probes))
+
+    return call
 
 
 def flow_call(name: str, g: rf.GridSpec):
@@ -170,6 +183,8 @@ def main() -> None:
              for name, hid in KOENIGS]
     explicit = koenigs_call("koenigs_demo", "square", GRID, KOENIGS_SHIFT)
     cases += [("koenigs_limit koenigs_demo/square explicit k", explicit, [explicit])]
+    cases += [(f"koenigs_limit+f_inf {name}/{hid}", read_out_call(name, hid, GRID), [read_out_call(name, hid, GRID)])
+              for name, hid in KOENIGS]
     cases += [(f"build_flow+flow_classify {name}", flow_call(name, GRID), flow_parts(name, GRID))
               for name in GALLERY]
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
