@@ -152,7 +152,7 @@ def _cmd_linearize(args) -> int:
     x = res.probes
     fv = np.asarray(f(x), dtype=float)
     fi = np.asarray(res.f_inf(x), dtype=float)
-    efunc.write_csv(out / "linearize.csv", ["x", "f", "f_inf", "f_minus_f_inf"], [x, fv, fi, fv - fi])
+    efunc.write_csv(out / "linearize.csv", ["x", "f", "f_inf"], [x, fv, fi])
     line_plot(
         out / "linearize_overlay.svg",
         x,

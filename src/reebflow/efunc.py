@@ -415,14 +415,23 @@ def _parse_csv(text: str, label: str) -> EFunction:
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
     """A header row, then the columns side by side as ``repr`` floats, lines ending in ``\\n``.
 
-    Each block of a column is formatted by one ``repr`` of its list, not cell
-    by cell; blocks keep the text held in memory small.
+    The header names one column each, and the columns have one length, or a
+    ``ValueError`` names both before anything is written; no columns at all
+    write the header alone.  Rows are formatted in blocks of 4096, which keep
+    the text held in memory small.  A column whose block is bitwise equal to
+    an earlier column's block (as int64, so ``0.0`` and ``-0.0`` differ)
+    reuses that block's cell strings, so each such block is formatted once.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
+    if cols and (len(header) != len(cols) or len({len(c) for c in cols}) > 1):
+        raise ValueError(f"CSV header of {len(header)} names over columns of lengths {[len(c) for c in cols]}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, min(map(len, cols), default=0), 4096):
-            cells = [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
+        for i in range(0, len(cols[0]) if cols else 0, 4096):
+            blocks, cells = [c[i : i + 4096].view(np.int64) for c in cols], []
+            for b in blocks:
+                same = next((t for a, t in zip(blocks, cells) if np.array_equal(a, b)), None)
+                cells.append(same or list(map(repr, b.view(float).tolist())))
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 

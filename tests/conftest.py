@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -39,3 +40,14 @@ def spike_flow(tmp_path):
     flow = tmp_path / "spike.json"
     flow.write_text(json.dumps({"kind": "realized", "f": {"csv": str(data)}}))
     return flow, g
+
+
+@pytest.fixture(scope="session")
+def reference_csv():
+    """The CSV writer's bytes built cell by cell: a header, then ``repr`` of each value, row by row."""
+
+    def build(header, columns) -> bytes:
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        return "".join(",".join(r) + "\n" for r in [header, *(map(repr, row) for row in rows)]).encode()
+
+    return build

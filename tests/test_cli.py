@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from reebflow import efunc
+from reebflow import flow as flowmod
+from reebflow import homeo as homeomod
+from reebflow import linearize as linmod
 from reebflow.cli import build_parser, main
 
 QUICK = "128,24"  # small grid keeps the CLI suite fast
@@ -166,6 +169,22 @@ class TestRoundtripCommand:
         assert all(r[3] == r[2] - r[1] for r in rows)
         assert max(abs(r[3]) for r in rows) == load(out / "roundtrip.json")["max_error"]
 
+    @pytest.mark.parametrize("extra", [[], ["--lambda", "2"], ["--c0", "0.1"]])
+    def test_csv_equals_a_cell_by_cell_writer(self, tmp_path, reference_csv, extra):
+        # extracted is bitwise equal to f_plus_shift_over_lambda, so the writer reuses its text
+        argv = ["roundtrip", "--builtin", "koenigs_demo", "--grid", "512,24", *extra]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        args = build_parser().parse_args(argv)
+        f, g = efunc.builtin("koenigs_demo"), args.grid
+        F = flowmod.build_flow(f, c0=args.c0, c1=args.c1, g=g)
+        Fs = flowmod.time_scale(F, args.lam) if args.lam != 1.0 else F
+        x = g.nodes()[g.nodes() <= args.c0]
+        want = (np.asarray(f(x)) + F.shift) / args.lam
+        got = np.asarray(flowmod.extract_transition(Fs, g)(x))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        header = ["x", "f_plus_shift_over_lambda", "extracted", "error"]
+        assert (tmp_path / "roundtrip.csv").read_bytes() == reference_csv(header, [x, want, got, got - want])
+
     def test_c0_below_the_last_node_is_usage_error(self, capsys, tmp_path):
         # regression: numpy's "zero-size array to reduction operation maximum"
         out = tmp_path / "o"
@@ -212,6 +231,20 @@ class TestLinearizeCommand:
             run("linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2",
                 "--shift-expr", "2*x/(1+x) - x**2/(1+x**2)", "--out", str(out)) == 0
         )
+
+    @pytest.mark.parametrize("shift_expr", [None, "2*x/(1+x) - x**2/(1+x**2)"])
+    def test_csv_columns_are_x_f_and_f_inf(self, tmp_path, shift_expr):
+        extra = ["--shift-expr", shift_expr] if shift_expr else []
+        argv = ["linearize", "--builtin", "koenigs_demo", "--homeo", "square", "--lambda", "2", "--grid", QUICK, *extra]
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        f, h = efunc.builtin("koenigs_demo"), homeomod.gallery_homeo("square")
+        k = efunc.compile_expr(shift_expr, "--shift-expr") if shift_expr else None
+        res = linmod.koenigs_limit(f, h, k, linmod.LinearizeConfig(2.0, build_parser().parse_args(argv).grid))
+        lines = (tmp_path / "linearize.csv").read_text().splitlines()
+        assert lines[0] == "x,f,f_inf"
+        cols = np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
+        for got, want in zip(cols, (res.probes, f(res.probes), res.f_inf(res.probes)), strict=True):
+            np.testing.assert_array_equal(got.view(np.int64), np.asarray(want, dtype=float).view(np.int64))
 
     def test_shift_expr_is_echoed(self, tmp_path):
         # regression: the config did not record --shift-expr, so two shifts wrote one config

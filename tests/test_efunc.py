@@ -446,13 +446,13 @@ class TestWriteCsv:
         np.testing.assert_array_equal(self._bits([float(r[1]) for r in rows]), self._bits(b))
 
     def test_rows_span_blocks_in_order(self, tmp_path):
-        # more rows than one formatting block; the shorter column sets the row count
-        a = np.random.default_rng(1).normal(size=10001) * 1e3
+        # more rows than one formatting block, in order
+        a = np.random.default_rng(1).normal(size=10000) * 1e3
         out = tmp_path / "c.csv"
         write_csv(out, ["a", "i"], [a, np.arange(10000.0)])
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 10000
-        np.testing.assert_array_equal(self._bits([float(r[0]) for r in rows]), self._bits(a[:10000]))
+        np.testing.assert_array_equal(self._bits([float(r[0]) for r in rows]), self._bits(a))
         assert [float(r[1]) for r in rows] == list(range(10000))
 
     def test_cells_are_repr(self, tmp_path):
@@ -465,11 +465,79 @@ class TestWriteCsv:
         write_csv(out, ["x", "f_minus_f_inf"], [[1.0, 0.5], [2.0, 3.0]])
         assert out.read_bytes() == b"x,f_minus_f_inf\n1.0,2.0\n0.5,3.0\n"
 
-    @pytest.mark.parametrize("columns", [[], [[], []], [np.empty(0)]])
+    @pytest.mark.parametrize("columns", [[], [[], []], [np.empty(0), np.empty(0)]])
     def test_no_rows_writes_header_only(self, tmp_path, columns):
         out = tmp_path / "c.csv"
         write_csv(out, ["t", "xi"], columns)
         assert out.read_bytes() == b"t,xi\n"
+
+    @pytest.mark.parametrize(
+        "header, columns, lengths",
+        [
+            (["a", "b"], [[1.0, 2.0], [3.0]], "[2, 1]"),
+            (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], "[2, 2]"),
+            (["a"], [[1.0, 2.0], [3.0, 4.0]], "[2, 2]"),
+            (["a", "b"], [np.empty(0)], "[0]"),
+        ],
+    )
+    def test_mismatched_header_or_lengths_raise_and_write_nothing(self, tmp_path, header, columns, lengths):
+        # regression: the shorter column set the row count, and the header's width was never checked
+        out = tmp_path / "c.csv"
+        message = rf"^CSV header of {len(header)} names over columns of lengths \{lengths}$"
+        with pytest.raises(ValueError, match=message):
+            write_csv(out, header, columns)
+        assert not out.exists()
+
+
+class TestWriteCsvReuse:
+    """A column bitwise equal to an earlier one, block by block, is written as if formatted afresh."""
+
+    N = 3 * 4096 + 123  # four formatting blocks, the last one short
+
+    @pytest.fixture
+    def check(self, tmp_path, reference_csv):
+        """Write the columns, compare with the cell-by-cell bytes and return the text."""
+
+        def check(columns):
+            header = [f"c{i}" for i in range(len(columns))]
+            write_csv(tmp_path / "c.csv", header, columns)
+            assert (tmp_path / "c.csv").read_bytes() == reference_csv(header, columns)
+            return (tmp_path / "c.csv").read_text()
+
+        return check
+
+    def _random(self, seed=2):
+        return np.random.default_rng(seed).normal(size=self.N) * 1e3
+
+    def test_equal_column_over_several_blocks(self, check):
+        a = self._random()
+        check([np.arange(float(self.N)), a, a.copy(), a[::-1].copy()])
+
+    def test_equal_in_the_first_block_only(self, check):
+        a = self._random()
+        b = a.copy()
+        b[4096:] = self._random(3)[4096:]
+        check([a, b])
+
+    def test_equal_but_for_one_row(self, check):
+        a = self._random()
+        b = a.copy()
+        b[5000] = np.nextafter(b[5000], np.inf)
+        rows = check([a, b]).splitlines()[1:]
+        assert [i for i, r in enumerate(rows) if r.split(",")[0] != r.split(",")[1]] == [5000]
+
+    def test_zero_and_negative_zero_differ(self, check):
+        zeros = np.zeros(self.N)
+        assert check([zeros, -zeros, zeros.copy()]).splitlines()[1] == "0.0,-0.0,0.0"
+
+    def test_nans(self, check):
+        a = self._random()
+        a[::7] = math.nan
+        check([a, a.copy(), np.full(self.N, math.nan)])
+
+    def test_three_equal_columns(self, check):
+        a = self._random()
+        check([a, a.copy(), list(a)])
 
 
 class TestDiagnosis:
