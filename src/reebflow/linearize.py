@@ -14,22 +14,25 @@ is: f once per point, at the end h^n(x) of its orbit.  The stages, in order:
 
 1. the witness sweep, the witness check on the grid and, for either k, the
    first sweep of the orbits: h, f and f o h once over the nodes, f o h read
-   from f at the images that are nodes under the shift of ``_walk_images``;
+   from f at the images that are nodes under the shift j of ``_walk_images``,
+   and for a derived k under halve, where every image is its node, a view j
+   on of one buffer that holds f at the nodes and at the images past them;
 2. the basin, which reads h(x) from that sweep;
 3. the read-out of k(0): an explicit k at 0, a derived one settling on that
    sweep at the nodes 2^-m;
 4. the lockstep walk of the later sweeps over the ``efunc._blocks`` blocks
    of probes, until the change per sweep falls below tol, holding one sweep
    of orbit state and writing f at each orbit's end over f(x) once;
-5. the read-out of f_inf at the probes and their images, and the residual:
-   for an explicit k, sweep 0's f there + shift - the series; for a derived k,
-   the ends of the orbits, at the images one sweep on, or the values at
-   the probes j on when h carries every node onto the node j on (halve).
+5. the read-out of f_inf at the probes and their images, and the residual,
+   written over sweep 0's arrays: for an explicit k, its f there + shift -
+   the series; for a derived k, the ends of the orbits over f(x), and at the
+   images one sweep on, over sweep 0's f o h if the walk took one sweep, or
+   under halve the values at the probes j on in their one buffer.
 
 So f runs at most ``iterations + 2`` times over the grid (fewer under
 halve, and only in stage 1 for an explicit k), and f_inf returns these held
 values themselves, read-only, for points bitwise equal to the probes or their
-images.
+images.  The answer holds h(x) at the probes and these two arrays.
 
 Two basin shapes are handled: 0 attracts the whole half line, or only an
 interval (0, b) below a fixed point b, in which case f_inf is extended by 0
@@ -45,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, _blocks, _blockwise, _Nodes
+from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _blockwise, _Nodes
 from .errors import ConvergenceFailure, ToleranceFailure
 from .homeo import Homeo, basin_of_zero
 from .oscillation import (
@@ -94,7 +97,7 @@ class LinearizeResult:
     ``b * 0.99``; copy it before writing to it.  ``f_inf(probes)``
     and ``f_inf(h(probes))`` are the values the limit computation already
     holds, the same read-only arrays on every call, like ``probes``; f is not
-    evaluated again for them.
+    evaluated again for them, nor is their domain checked.
     """
 
     f_inf: EFunction
@@ -152,9 +155,9 @@ def koenigs_limit(
         raise ValueError("0 repels under h on the probe grid; no linearization basin")
     b = basin.b  # None in the global case
     orbits = _Orbits(f, h, k, lam, _shift_at_zero(k, lam, cfg.grid, sweep), b)
-    residual = orbits.read_out(orbits.walk(nodes, sweep, cfg.tol), onto, cfg.tol)
+    residual = orbits.read_out(orbits.walk(nodes, sweep, onto, cfg.tol), cfg.tol)
     label = f"koenigs_limit({f.description}; h={h.name or 'h'}, lam={lam:g})"
-    f_inf = EFunction("expression", orbits, "E0", label)
+    f_inf = _Limit("expression", orbits, "E0", label)
     return LinearizeResult(
         f_inf=f_inf,
         case=basin.case,
@@ -177,11 +180,17 @@ def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, lis
     A derived k is taken as 0 where x or h(x) is at or below ``_DEPTH_FLOOR``.  An explicit k runs at
     every node, block by block after f there, even where f o h does not (an h not increasing, the
     images at 0), for its errors.  inf - inf folds as NaN, unwarned.  The sweep is empty unless h is
-    increasing, and f(h(x)) is inf at an image equal to 0.
+    increasing, and f(h(x)) is inf at an image equal to 0.  For a derived k under that node shift, f(x)
+    and f(h(x)) are views of one buffer of f at the nodes and at the images past them: f(h(x)) starts j on.
     """
-    hx, fx, fhx = _blockwise(h, x := g.nodes()), _blockwise(f, x), np.empty(x.size)
-    nodes = _Nodes(g.samples_per_octave, g.octave_max)  # the walk writes its x_{i+j} into fhx, filled below
-    h_monotone, z, j, onto = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), fhx)
+    hx = _blockwise(h, x := g.nodes())
+    nodes = _Nodes(g.samples_per_octave, g.octave_max)  # the walk writes its x_{i+j} into one block of scratch
+    h_monotone, z, j, onto = _walk_images(nodes, (hx[s] for s in _blocks(x.size)), np.empty(min(x.size, _BLOCK)))
+    shared = k is None and onto is not None
+    fx = (buf := np.empty(x.size + (onto if shared else 0)))[: x.size]
+    for s in _blocks(x.size):
+        fx[s] = f(x[s])
+    fhx = buf[onto:] if shared else np.empty(x.size)
     on = 0 if j is None else x.size - j  # f(h(x_i)) is read as f(x_{i+j}) for i < on where h(x_i) == x_{i+j}
     kf, e = None if k is None else as_shift(k), z if h_monotone else 0  # f o h runs on the nodes [0, e)
 
@@ -191,7 +200,8 @@ def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, lis
             if (t := slice(t.start, min(t.stop, e))).start >= t.stop:
                 continue
             m = min(max(t.start, on), t.stop)
-            fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
+            if not shared:
+                fhx[t.start : m] = fx[t.start + (j or 0) : m + (j or 0)]
             _f_at_images(f, hx[t], (x[t.start + (j or 0) : m + (j or 0)],), fhx[t])
             lhs, live = lam * fx[t], x[t.stop - 1] > _DEPTH_FLOOR and hx[t.stop - 1] > _DEPTH_FLOOR  # x, h(x) fall
             if kv is None:
@@ -249,23 +259,24 @@ class _Orbits:
             return itertools.starmap(lambda n, i, _, fy, __, fhy: (n, i, self.lam * fy - fhy - self.k0, fhy), orbit)
         return itertools.starmap(lambda n, i, y, *_: (n, i, self.kf(y) - self.k0, None), orbit)
 
-    def walk(self, nodes: np.ndarray, sweep: list, tol: float) -> tuple:
+    def walk(self, nodes: np.ndarray, sweep: list, onto: int | None, tol: float) -> tuple:
         """Stage 4: pick the probes and sweep their orbits until the change per sweep, lam^(-n-1) |k_s(h^n x)|
         relative to 1 + |f(x)| (an absolute sup would be dominated by the blow-up near 0), falls below tol.
         Returns what :meth:`read_out` reads: the suspended walks, f and the depth at each probe's last
-        sweep, h(probes) and, for an explicit k, f(h(probes)): all from sweep 0 at first."""
+        sweep, h(probes), f(h(probes)) (for a derived k only under a node shift or after one sweep) and
+        the node shift ``onto`` of h (:func:`_witness_sweep`) when it carries a probe onto a probe."""
         j = 0  # the nodes descend, so the probes are the suffix nodes[j:], a view
         if self.b is not None:
             j = nodes.size - int(np.count_nonzero(nodes <= self.b * _PROBE_MARGIN))
             if j == nodes.size:
                 raise ValueError(f"no probe nodes below b * margin = {self.b * _PROBE_MARGIN:g}")
         self.probes = probes = nodes[j:]
+        onto = onto if onto is not None and onto < probes.size else None  # else no image of a probe is a probe
         # per probe, a derived k's last depth m; f(x), the scale while the orbit lives, then f there
         (f_end, images, f_images), m = (a[j:] for a in sweep), np.zeros(probes.size, np.min_scalar_type(_MAX_ITERS))
         walks = [(s, self.orbit(probes[s], _MAX_ITERS + 1, f_end[s], images[s], f_images[s]))
                  for s in _blocks(probes.size)]
-        sweep.clear()  # only the walks hold a derived k's f(h(x)) now, and drop it as they move on
-        f_images = None if self.kf is None else f_images
+        sweep.clear()  # only the walks and f_images hold a derived k's f(h(x)) now
         last = [None] * len(walks)  # per block, (i, f(h(y))) of a derived k's last live sweep
         hull_max, last_change = 0.0, math.inf
         for n in range(_MAX_ITERS):
@@ -284,6 +295,8 @@ class _Orbits:
             last_change = float(self.lam ** (-n - 1) * np.max(changes))
             if last_change < tol:
                 break
+            if self.kf is None and onto is None:  # the walks drop sweep 0's f(h(x)) as they move on: so does this
+                f_images = None
         else:
             raise ConvergenceFailure(f"no convergence within {_MAX_ITERS} sweeps; "
                                      f"last sup-change {last_change:.3g}")
@@ -293,16 +306,15 @@ class _Orbits:
         self.iterations, self.last_change = n + 1, last_change
         self.slack = self.lam ** (-self.iterations) * hull_max
         self.decay = self.lam ** -np.arange(self.iterations + 1.0)
-        return walks, f_end, m, images, f_images
+        return walks, f_end, m, images, f_images, onto
 
-    def read_out(self, ends: tuple, onto: int | None, tol: float) -> float:
-        """Stage 5: hold f_inf at the probes and their images, and return the residual there.  ``onto`` is the
-        node shift of h when every image is its node (:func:`_witness_sweep`); a derived k reads it."""
-        walks, f_end, m, images, f_images = ends
+    def read_out(self, ends: tuple, tol: float) -> float:
+        """Stage 5: hold f_inf at the probes and their images, and return the residual there.  A derived k
+        writes it at the probes over f_end, and at the images over sweep 0's f(h(x)) where :meth:`walk` kept it."""
+        walks, f_end, m, images, f_images, onto = ends
         probes = self.probes
-        onto = onto if onto is not None and onto < probes.size else None  # else no image of a probe is a probe
         if self.kf is None and onto is None:  # the orbit of h(x) is that of x one sweep later
-            at_images = np.empty(probes.size)
+            at_images = np.empty(probes.size) if f_images is None else f_images
             while walks:  # a suspended walk holds its last sweep's arrays: each goes once read
                 self._at_images(*walks.pop(0), f_end, m, images, at_images)
         walks.clear()  # the other read-outs walk no further
@@ -311,15 +323,14 @@ class _Orbits:
             for at, x in ((at_probes, probes), (at_images, images)):
                 for s in _blocks(x.size):
                     at[s] = at[s] + self.shift - self.series(x[s])
-        else:  # under a node shift the values at the probes and at their images share one buffer
-            buf = f_end if onto is None else np.empty(probes.size + onto)
-            at_probes = buf[: probes.size]
+        else:  # under a node shift f_images is f_end's buffer onto on, so it holds f_inf at the images too
+            at_probes = f_end
             for s in _blocks(probes.size):
-                np.add(f_end[s], self.shift, out=at_probes[s])
-                at_probes[s] *= self.decay.take(m[s])
+                at_probes[s] += self.shift
+                _decayed(at_probes[s], self.decay, m[s])
             if onto is not None:  # read there, and walk only the images past the last probe
-                buf[probes.size :] = self(images[probes.size - onto :])
-                at_images = buf[onto:]
+                at_images = f_images
+                at_images[probes.size - onto :] = self(images[probes.size - onto :])
         # symmetric in its operands, the residual overwrites only the second
         residual, _ = _max_residual((s.start, at_images[s], self.lam * at_probes[s]) for s in _blocks(probes.size))
         for at in (at_probes, at_images):  # handed out as they are, like the probes
@@ -336,7 +347,7 @@ class _Orbits:
         for _, i, _, _, _, fhy in itertools.islice(walk, 1):  # the orbit steps on, and no shift is formed
             at[i], d[i] = fhy, self.iterations
         at += self.shift
-        at *= self.decay.take(d, mode="clip")  # d = -1 takes decay[0]; those values are walked below
+        _decayed(at, self.decay, d)  # d = -1 takes decay[0]; those values are walked below
         if np.any(lost := d < 0):  # no live sweep: the image is walked
             at[lost] = self(images[s][lost])
 
@@ -358,15 +369,12 @@ class _Orbits:
         return self.decay[m] * (np.asarray(self.f(y), dtype=float) + self.shift)
 
     def __call__(self, x):
-        """f_inf at x: the held values themselves, read-only, else the walked iterate, and 0 from b on."""
+        """f_inf at x: the walked iterate, and 0 from b on; a NaN is walked, to NaN."""
         x = np.asarray(x, dtype=float)
-        for pts, vals in self.held:  # bitwise the same points: the walk would give these bits
-            if _same_bits(x, pts):
-                return vals
-        if self.b is None or np.all(x < self.b):
+        if self.b is None or not np.any(x >= self.b):
             return _blockwise(self.koenigs, x.reshape(-1)).reshape(x.shape)
         out = np.zeros(x.shape)
-        inside = x < self.b
+        inside = ~(x >= self.b)
         out[inside] = _blockwise(self.koenigs, x[inside])
         return out
 
@@ -374,6 +382,23 @@ class _Orbits:
         """The telescoping bound: the series of |k_s| over the sweeps plus the slack past them."""
         x = np.asarray(x, dtype=float)
         return (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape)
+
+
+class _Limit(EFunction):
+    """f_inf: the held values themselves, read-only, at points bitwise equal to the probes or their images,
+    with no pass over them for the domain check; elsewhere the call of any EFunction."""
+
+    def __call__(self, x):
+        arr = np.asarray(x, dtype=float)
+        for pts, vals in self.fn.held if isinstance(self.fn, _Orbits) else ():  # the walk would give these bits
+            if _same_bits(arr, pts):
+                return vals
+        return super().__call__(x)
+
+
+def _decayed(at: np.ndarray, decay: np.ndarray, d: np.ndarray) -> None:
+    """at *= decay[d], d clipped to decay's indices: by one scalar, the same bits, when d is one value."""
+    at *= decay[min(max(int(d[0]), 0), decay.size - 1)] if d.min() == d.max() else decay.take(d, mode="clip")
 
 
 def _same_bits(x: np.ndarray, pts: np.ndarray) -> bool:
@@ -472,12 +497,11 @@ def _settled_shift(k: np.ndarray, scale: np.ndarray) -> float:
 
 
 def _tail_decay_deviation(f_inf: EFunction, h: Homeo, lam: float) -> float:
-    """Max relative deviation of f_inf(h^-n(1)) from lam^-n f_inf(1), n = 1 .. _DECAY_STEPS."""
-    base = float(f_inf(1.0))
-    worst, cur = 0.0, 1.0
-    for n in range(1, _DECAY_STEPS + 1):
-        cur = h.inverse(cur)
-        want = lam ** (-n) * base
-        worst = max(worst, abs(float(f_inf(cur)) - want) / max(1e-300, abs(want)))
-    return worst
+    """Max relative deviation of f_inf(h^-n(1)) from lam^-n f_inf(1), n = 1 .. _DECAY_STEPS, read in one call."""
+    pts = [1.0]
+    for _ in range(_DECAY_STEPS):
+        pts.append(h.inverse(pts[-1]))
+    base, *values = f_inf(np.array(pts)).tolist()
+    wants = [lam ** (-n) * base for n in range(1, _DECAY_STEPS + 1)]
+    return max([0.0] + [abs(v - want) / max(1e-300, abs(want)) for v, want in zip(values, wants)])
 

@@ -9,6 +9,7 @@ import pytest
 
 from reebflow import (
     ConvergenceFailure,
+    DomainError,
     EquivalenceWitness,
     GridSpec,
     Homeo,
@@ -21,7 +22,7 @@ from reebflow import (
     gallery_homeo,
     koenigs_limit,
 )
-from reebflow import linearize
+from reebflow import efunc, linearize
 from reebflow.efunc import _blocks
 from reebflow.oscillation import as_shift
 
@@ -222,7 +223,7 @@ class TestKoenigsIterate:
         # block by block.  The settling test reads sweep 0, so f does not run
         # again before the basin.  After it only sweeps 1 .. iterations-1 run,
         # then the residual's right side and, in the global case, the
-        # tail-decay law's scalar f_inf calls
+        # tail-decay law's one f_inf call at its 11 points
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
@@ -276,8 +277,7 @@ class TestKoenigsIterate:
                 orbits.append(h(orbits[-1]))
             assert residual.size == g.samples_per_octave
             assert np.all(np.isin(residual, np.concatenate(orbits)))
-        assert all(c.size == 1 for c in tail)
-        assert bool(tail) == (res.case == "global")
+        assert [c.size for c in tail] == ([linearize._DECAY_STEPS + 1] if res.case == "global" else [])
 
     @pytest.mark.parametrize("g", [None, MULTI], ids=["single", "multi"])
     @pytest.mark.parametrize(
@@ -289,8 +289,8 @@ class TestKoenigsIterate:
         # the orbits.  f runs in the witness sweep as for a derived k: at the
         # nodes, block by block, then at the images it cannot read from them.
         # f_inf at the probes and at their images reads f there from that
-        # sweep, so after the basin f runs only at the tail-decay law's scalar
-        # f_inf calls, in the global case
+        # sweep, so after the basin f runs only at the tail-decay law's one
+        # f_inf call at its 11 points, in the global case
         g = g or small_grid
         f, calls = counting(builtin(name))
         h = gallery_homeo(hid)
@@ -307,8 +307,7 @@ class TestKoenigsIterate:
         else:
             assert [bits(c) for c in images] == [bits(h(x[s])) for s in blocks]
         tail = calls[marks[0] :]
-        assert all(c.size == 1 for c in tail)
-        assert bool(tail) == (res.case == "global")
+        assert [c.size for c in tail] == ([linearize._DECAY_STEPS + 1] if res.case == "global" else [])
 
     def test_explicit_shift_runs_at_every_node_under_an_h_that_is_not_increasing(self, small_grid):
         # the witness check keeps f from the images of such an h, but not k
@@ -477,23 +476,135 @@ class TestHeldValues:
         assert bits(column) == bits(res.f_inf(res.probes))
 
 
+def scalar_tail_decay(f_inf, h, lam):
+    """The tail-decay law read point by point: f_inf at 1 and at each preimage h^-n(1) in its own call."""
+    base = float(f_inf(1.0))
+    worst, cur = 0.0, 1.0
+    for n in range(1, linearize._DECAY_STEPS + 1):
+        cur = h.inverse(cur)
+        want = lam ** (-n) * base
+        worst = max(worst, abs(float(f_inf(cur)) - want) / max(1e-300, abs(want)))
+    return worst
+
+
+class TestSharedBuffers:
+    """The read-out writes f_inf into the arrays of the first sweep: over f at the probes, under a node
+    shift into the same buffer j on for the images, and without one over sweep 0's f(h(x)) when the walk
+    took one sweep.  Each path gives the bits of whole-array references."""
+
+    CASES = [(name, hid, None, 2.0) for name, hid in DERIVED] + [
+        ("std_log", "pow:3", None, 3.0),
+        ("doubling_osc+x^2", "halve", None, 2.0),  # a node shift over 11 sweeps
+        ("doubling_osc+1", "halve", 1.0, 2.0),  # an explicit k keeps its own arrays under a node shift
+    ]
+    IDS = [f"{name}-{hid}" for name, hid, _, _ in CASES[:-1]] + ["explicit-halve"]
+    SWEEPS = {"koenigs_demo": 12, "doubling_osc+x^2": 11}  # else one
+
+    @staticmethod
+    def profile(name):
+        if name == "doubling_osc+x^2":
+            return builtin("doubling_osc").plus(lambda x: np.asarray(x) ** 2, "x^2")
+        if name == "doubling_osc+1":
+            return builtin("doubling_osc").shifted(1.0)
+        return builtin(name)
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {
+            (gid, name, hid): koenigs_limit(
+                self.profile(name), gallery_homeo(hid), k, LinearizeConfig(lam, g, tol=1e-9)
+            )
+            for gid, g in (("4096x60", GridSpec(4096, 60)), ("multi", MULTI))
+            for name, hid, k, lam in self.CASES
+        }
+
+    @pytest.mark.parametrize("gid", ["4096x60", "multi"])
+    @pytest.mark.parametrize("name,hid,k,lam", CASES, ids=IDS)
+    def test_held_values_are_the_whole_array_bits(self, results, gid, name, hid, k, lam):
+        res = results[gid, name, hid]
+        f, h = self.profile(name), gallery_homeo(hid)
+        assert res.iterations == self.SWEEPS.get(name, 1)
+        for x in (res.probes, np.asarray(h(res.probes))):
+            if k is None:
+                want = telescoped_reference(f, h, lam, res, x)
+            else:
+                want = explicit_reference(f, h, as_shift(k), lam, res, x)
+            assert bits(res.f_inf(x)) == bits(want)
+
+    @pytest.mark.parametrize("gid", ["4096x60", "multi"])
+    @pytest.mark.parametrize("name,hid,k,lam", CASES, ids=IDS)
+    def test_walked_points_give_the_held_bits(self, results, gid, name, hid, k, lam):
+        res = results[gid, name, hid]
+        h = gallery_homeo(hid)
+        for x in (res.probes, np.asarray(h(res.probes))):
+            walked = res.f_inf(x[::3])
+            assert walked.flags.writeable  # a fresh array: walked, not held
+            assert bits(walked) == bits(res.f_inf(x)[::3])
+
+    @pytest.mark.parametrize("gid", ["4096x60", "multi"])
+    @pytest.mark.parametrize("name,hid,k,lam", CASES, ids=IDS)
+    def test_tail_decay_read_in_one_call_has_the_scalar_bits(self, results, gid, name, hid, k, lam):
+        res = results[gid, name, hid]
+        if res.case == "bounded":
+            assert res.tail_decay_dev is None
+            return
+        assert bits(res.tail_decay_dev) == bits(scalar_tail_decay(res.f_inf, gallery_homeo(hid), lam))
+
+
+class TestReadOutChecks:
+    """f_inf skips the domain pass only where it holds its values, and gives NaN at NaN in both basin cases."""
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_held_points_skip_the_domain_pass(self, small_grid, monkeypatch, name, hid):
+        h = gallery_homeo(hid)
+        res = koenigs_limit(builtin(name), h, None, LinearizeConfig(2.0, small_grid))
+        images = h(res.probes)
+        seen = []
+        check = efunc.EFunction._check_domain
+
+        def spy(self, *bounds):
+            seen.append((self, bounds))
+            return check(self, *bounds)
+
+        monkeypatch.setattr(efunc.EFunction, "_check_domain", spy)
+        res.f_inf(res.probes)
+        res.f_inf(images)
+        assert seen == []
+        res.f_inf(res.probes[1:].copy())  # walked: checked once, then f runs at the orbit ends
+        assert [a for fn, a in seen if fn is res.f_inf] == [(res.probes[-1], math.inf)]
+        for bad in (0.0, -1.0, np.array([0.5, -0.5])):
+            with pytest.raises(DomainError, match="is defined on x > 0"):
+                res.f_inf(bad)
+
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_nan_stays_nan(self, grid, name, hid):
+        # the bounded case used to give 0 at NaN, as from b on
+        res = koenigs_limit(builtin(name), gallery_homeo(hid), None, LinearizeConfig(2.0, grid))
+        assert math.isnan(res.f_inf(math.nan))
+        x = np.array([math.nan, 0.5, 2.0, 4.0])
+        got = res.f_inf(x)
+        assert math.isnan(got[0]) and bits(got[1:]) == bits(res.f_inf(x[1:]))
+        if res.case == "bounded":
+            assert res.b == 1.0 and bits(got[2:]) == bits(np.zeros(2))
+
+
 class TestPeakMemory:
     """One warm call at (4096, 60) holds one sweep of orbit state beside the arrays it returns."""
 
     MIB = 1 << 20
 
-    @pytest.mark.parametrize("name,hid,peak_mib,held_mib", [
-        ("koenigs_demo", "square", 11.0, 5.7), ("std_log", "square", 9.5, 5.7), ("doubling_osc", "halve", 7.5, 3.8),
-    ])
-    def test_traced_peak_and_the_bytes_the_result_holds(self, name, hid, peak_mib, held_mib):
-        # before the walk dropped the arrays it no longer reads, these peaked at 16.23, 12.77 and
-        # 8.73 MiB and held 5.63 MiB each: the images, f_inf there and f_inf at the probes, the
-        # last two now one buffer under halve
+    @pytest.mark.parametrize("name,hid,k,peak_mib,held_mib", [
+        ("koenigs_demo", "square", None, 10.5, 5.7), ("koenigs_demo", "square", koenigs_shift, 9.5, 5.7),
+        ("std_log", "square", None, 7.5, 5.7), ("doubling_osc", "halve", None, 5.5, 3.8),
+    ], ids=["koenigs_demo-square", "explicit-square", "std_log-square", "doubling_osc-halve"])
+    def test_traced_peak_and_the_bytes_the_result_holds(self, name, hid, k, peak_mib, held_mib):
+        # measured: peaks of 10.35, 8.99, 7.13 and 5.28 MiB; each holds 5.63 MiB, the images, f_inf
+        # there and f_inf at the probes, but halve 3.78 MiB, where the last two are one buffer
         f, h, cfg = builtin(name), gallery_homeo(hid), LinearizeConfig(2.0, GridSpec(4096, 60))
-        koenigs_limit(f, h, None, cfg)  # warm: the grid's nodes are cached
+        koenigs_limit(f, h, k, cfg)  # warm: the grid's nodes are cached
         tracemalloc.start()
         try:
-            res = koenigs_limit(f, h, None, cfg)
+            res = koenigs_limit(f, h, k, cfg)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -584,12 +695,20 @@ def whole_check_witness(f, f2, w, x, fx, sweep=None):
 
 def whole_witness_sweep(f, h, k, lam, g):
     """Reference for ``linearize._witness_sweep`` on the grid g: the report, the first sweep (for an
-    explicit k too) and the node shift j, when h(x_i) == x_(i+j) at every i + j on the grid."""
+    explicit k too) and the node shift j, when h(x_i) == x_(i+j) at every i + j on the grid.  For a
+    derived k under that shift, f(x) and f(h(x)) are laid out as the read-out expects them: views of
+    one buffer of f at the nodes and at the images past them, f(h(x)) j on."""
     x, sweep = g.nodes(), []
     rep = whole_check_witness(f, None, EquivalenceWitness(h, k, lam), x, None, sweep)
     hx = np.asarray(h(x), dtype=float)
     j = int(np.flatnonzero(x == hx[0])[0]) if rep.h_monotone and hx[0] in x else None
-    return rep, sweep, j if j is not None and np.array_equal(hx[: x.size - j], x[j:]) else None
+    j = j if j is not None and np.array_equal(hx[: x.size - j], x[j:]) else None
+    if k is None and j is not None:
+        fx, _, fhx = sweep
+        assert bits(fhx[: x.size - j]) == bits(fx[j:])  # f at the same points, evaluated twice
+        buf = np.concatenate([fx, fhx[x.size - j :]])
+        sweep[0], sweep[2] = buf[: x.size], buf[j:]
+    return rep, sweep, j
 
 
 BENT = Homeo(lambda x: np.asarray(x * (1.0 - 0.6 * x)), None, "bent")

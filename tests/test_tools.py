@@ -168,3 +168,27 @@ def test_verdict_matrix_prints_an_error_as_a_line():
     assert len(lines) == 340
     assert "error  ValueError: no verdict  std_log o square + 0 @ 512,30" in lines
     assert sum(ln.startswith("error  ") for ln in lines) == 4 * 3 * 4
+
+
+BITS = ROOT / "tools" / "koenigs_bits.py"
+
+
+def test_koenigs_bits_prints_one_hash_or_error_per_case():
+    spec = importlib.util.spec_from_file_location("koenigs_bits", BITS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    import reebflow
+
+    lines = tool.bits_lines(reebflow, ((64, 24),))
+    # 4 profiles x 4 homeomorphisms with the derived shift, then the two explicit shifts
+    assert len(lines) == 4 * 4 + 2
+    rows = [re.fullmatch(r"([0-9a-f]{64}|error  \w+: .+)  (\S+/\S+ (lam|k) .+ @ 64,24)", ln) for ln in lines]
+    assert all(rows), lines
+    hashed = [row.group(2) for row in rows if not row.group(1).startswith("error")]
+    assert hashed == [f"{name}/{hid} @ 64,24" for name, hid in (
+        ("std_log", "square lam 2"), ("std_log", "pow:3 lam 3"), ("std_log", "pow:20 lam 20"),
+        ("doubling_osc", "halve lam 2"), ("koenigs_demo", "square lam 2"), ("koenigs_demo", "pow:3 lam 3"),
+        ("koenigs_demo", "pow:20 lam 20"), ("koenigs_demo", "square k 2x/(1+x) - x^2/(1+x^2)"),
+        ("doubling_osc+1", "halve k 1"))]
+    assert len({row.group(1) for row in rows if not row.group(1).startswith("error")}) == len(hashed)
+    assert tool.bits_lines(reebflow, ((64, 24),)) == lines
