@@ -50,14 +50,12 @@ from .homeo import (
 from .linearize import LinearizeConfig, LinearizeResult, koenigs_limit
 from .oscillation import (
     EquivalenceWitness,
-    IdentitySuiteReport,
     OscillationProfile,
     SigmaEstimate,
     WitnessReport,
     check_witness,
     sharp_profile,
     sigma_estimate,
-    star_identity_suite,
     star_profile,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "Flow",
     "GridSpec",
     "Homeo",
-    "IdentitySuiteReport",
     "LinearizeConfig",
     "LinearizeResult",
     "OscillationProfile",
@@ -108,7 +105,6 @@ __all__ = [
     "sigma_estimate",
     "standard_flow",
     "standard_step",
-    "star_identity_suite",
     "star_profile",
     "time_scale",
     "transition_time",

@@ -94,7 +94,7 @@ def _cmd_sigma(args) -> int:
     est = sigma_from_profile(prof)
     out = _out_dir(args)
     _write_json(out / "sigma.json", args, spec, g, {"sigma": est.to_json()})
-    prof.to_csv(out / "profile.csv")
+    efunc.write_csv(out / "profile.csv", ["x", "f", "fstar"], [prof.x, prof.f_values, prof.values])
     line_plot(
         out / "sigma_octaves.svg",
         [float(m) for m in est.octaves],
@@ -212,7 +212,7 @@ def _cmd_plot(args) -> int:
         times = np.linspace(0.0, tmax, 201)
         rows = flowmod.orbit_rows(F, p0, times)
         out = _out_dir(args)
-        flowmod.orbit_to_csv(out / "orbit.csv", rows)
+        efunc.write_csv(out / "orbit.csv", ["t", "xi", "eta"], list(zip(*rows)))
         line_plot(
             out / "plot.svg",
             [r[1] for r in rows],

@@ -92,7 +92,7 @@ class GridSpec:
         return windows.max(axis=1), windows.min(axis=1)
 
     def octave_windows(self, values: np.ndarray) -> np.ndarray:
-        """The :meth:`octave_slice` windows of ``values`` as the q rows of one strided view.
+        """The octave windows [2^-(m+1), 2^-m], nodes m*K .. m*K + K, of ``values`` as the q rows of one strided view.
 
         ``values`` holds one value per node of q whole octaves and the node
         that ends them, q*K + 1 in all: the whole grid, or one octave-aligned
@@ -100,13 +100,6 @@ class GridSpec:
         """
         K, v = self.samples_per_octave, np.ascontiguousarray(values)
         return np.ndarray(((len(v) - 1) // K, K + 1), v.dtype, v, strides=(K * v.itemsize, v.itemsize))
-
-    def octave_slice(self, m: int) -> slice:
-        """Indices of the nodes in the window [2^-(m+1), 2^-m] (both ends in)."""
-        if not (0 <= m < self.octave_max):
-            raise ValueError(f"octave {m} outside [0, {self.octave_max})")
-        K = self.samples_per_octave
-        return slice(m * K, m * K + K + 1)
 
     def octaves(self) -> np.ndarray:
         return np.arange(self.octave_max)
@@ -193,9 +186,9 @@ class EFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if arr.size:  # every x, NaN too, passes an infinite upper bound: the max is taken for a finite one
-            hi = self.domain[1]
-            self._check_domain(float(np.min(arr)), float(np.max(arr)) if hi < math.inf else hi)
+        if arr.size:  # the bounds skip NaN, which evaluates to NaN; the max is taken for a finite upper bound
+            lo, hi = np.fmin.reduce(arr, axis=None), self.domain[1]
+            self._check_domain(float(lo), float(np.fmax.reduce(arr, axis=None)) if hi < math.inf else hi)
         out = self.fn(arr)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, UnknownBuiltin, _blockwise, builtin, from_csv, write_csv
+from .efunc import EFunction, GridSpec, UnknownBuiltin, _blockwise, builtin, from_csv
 from .errors import DomainError
 
 __all__ = [
@@ -457,10 +457,6 @@ def orbit_rows(F: Flow, p0: QuarterPlanePoint, times: Sequence[float]) -> list[t
     c, s0 = p0.leaf_coords()
     xi = np.exp(_leaf_position(F, c, s0, t))
     return list(zip(t, xi.tolist(), (c / xi).tolist()))
-
-
-def orbit_to_csv(path, rows) -> None:
-    write_csv(path, ["t", "xi", "eta"], list(zip(*rows)))
 
 
 def flow_to_json(F: Flow) -> dict:

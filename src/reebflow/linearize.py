@@ -379,9 +379,9 @@ class _Orbits:
         return out
 
     def bound(self, x):
-        """The telescoping bound: the series of |k_s| over the sweeps plus the slack past them."""
+        """The telescoping bound: the series of |k_s| over the sweeps plus the slack past them; NaN at a NaN x."""
         x = np.asarray(x, dtype=float)
-        return (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape)
+        return np.where(np.isnan(x), math.nan, (self.series(x.reshape(-1), np.abs) + self.slack).reshape(x.shape))
 
 
 class _Limit(EFunction):

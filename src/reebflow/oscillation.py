@@ -19,9 +19,7 @@ a limsup.
 
 ``check_witness`` verifies the equivalence relation f' = f o h + k, or its
 self-similarity form lam * f = f o h + k, as a relative residual over the
-grid.  ``star_identity_suite`` checks the calculus the star functional
-obeys under scaling, constant shifts, pushforward by a homeomorphism,
-perturbation by a continuous shift, and recurrence of its zeros.
+grid.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span, write_csv
+from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span
 from .errors import DomainError, TailCheckError
 from .homeo import Homeo
 
@@ -44,13 +42,10 @@ __all__ = [
     "SigmaEstimate",
     "EquivalenceWitness",
     "WitnessReport",
-    "ItemResult",
-    "IdentitySuiteReport",
     "star_profile",
     "sharp_profile",
     "sigma_estimate",
     "check_witness",
-    "star_identity_suite",
     "as_shift",
 ]
 
@@ -80,18 +75,6 @@ class OscillationProfile:
     values: np.ndarray
     octave_sup: np.ndarray
     tail_max: float | None = None  # sharp only: max of f over [1, 2^tail]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["x", "f", "fstar"], [self.x, self.f_values, self.values])
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "grid": self.grid.to_json(),
-            "octaves": [int(m) for m in self.grid.octaves()],
-            "octave_sup": [float(v) for v in self.octave_sup],
-            "tail_max": None if self.tail_max is None else float(self.tail_max),
-        }
 
 
 def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
@@ -535,148 +518,3 @@ def _max_residual(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], best=(-m
         if r > residual or (math.isnan(r) and not math.isnan(residual)):
             residual, worst = r, a + i
     return residual, worst
-
-
-@dataclass(frozen=True)
-class ItemResult:
-    name: str
-    passed: bool
-    detail: dict
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "pass": bool(self.passed), "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class IdentitySuiteReport:
-    items: tuple[ItemResult, ...]
-    all_passed: bool
-
-    def __getitem__(self, name: str) -> ItemResult:
-        for item in self.items:
-            if item.name == name:
-                return item
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {"items": [i.to_json() for i in self.items], "all_pass": bool(self.all_passed)}
-
-
-_EXACT_RTOL = 1e-12
-
-
-def star_identity_suite(
-    f: EFunction,
-    lam: float,
-    c: float,
-    h: Homeo,
-    k: Callable | float | None,
-    g: GridSpec,
-    zero_window_octaves: int = 1,
-) -> IdentitySuiteReport:
-    """Check the five identities the star functional obeys.
-
-    scaling       star(lam f) = lam star(f), node-exact to roundoff
-    shift         star(f + c) = star(f), node-exact
-    pushforward   star(f o h) = star(f) o h below a threshold a in (0, 1],
-                  a located by the smallest node at which the running max of
-                  f o h first dominates the head max(f on [h(1), 1])
-    perturbation  the gap |star(f + k) - star(f)| over the last
-                  ``zero_window_octaves`` octaves stays below its supremum
-                  over the octaves before them (vacuously at roundoff)
-    zeros         in every window of ``zero_window_octaves`` octaves the
-                  minimum of star falls below 1e-6 * (1 + window supremum)
-
-    The default 1-octave window is stricter than what class E guarantees:
-    f diverges at 0, so star has zeros arbitrarily close to 0, but they need
-    not fall in every octave.  Pass a window at least as long as the
-    profile's longest gap between zeros, e.g. one full period for an
-    oscillating profile (2 pi / ln 2 ~ 9.06 octaves for bounded_osc).
-
-    Only a bad lam, c or ``zero_window_octaves`` (an integer from 1 to
-    ``g.octave_max - 1``) raises; the report lists pass/fail with numbers
-    per item.
-    """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be finite and positive, got {lam:g}")
-    W = zero_window_octaves
-    if not (isinstance(W, numbers.Integral) and 1 <= W < g.octave_max):
-        raise ValueError(f"zero_window_octaves must be an integer from 1 to {g.octave_max - 1}, got {W!r}")
-    base = star_profile(f, g)
-    items = []
-
-    # scaling
-    scaled = star_profile(f.scaled(lam), g)
-    scale = np.maximum(1.0, lam * np.maximum(np.abs(base.f_values), np.abs(np.maximum.accumulate(base.f_values))))
-    dev = float(np.max(np.abs(scaled.values - lam * base.values) / scale))
-    items.append(ItemResult("scaling", dev <= _EXACT_RTOL, {"max_rel_dev": dev, "lam": lam}))
-
-    # shift
-    shifted = star_profile(f.shifted(c), g)
-    scale = np.maximum(1.0, np.abs(base.f_values) + abs(c))
-    dev = float(np.max(np.abs(shifted.values - base.values) / scale))
-    items.append(ItemResult("shift", dev <= _EXACT_RTOL, {"max_rel_dev": dev, "c": c}))
-
-    items += [_pushforward_item(f, h, g, base), _perturbation_item(f, k, g, base, int(W))]
-    items.append(_zeros_item(base, int(W)))
-    return IdentitySuiteReport(tuple(items), all(i.passed for i in items))
-
-
-def _pushforward_item(f: EFunction, h: Homeo, g: GridSpec, base: OscillationProfile) -> ItemResult:
-    x = g.nodes()
-    h1 = float(h(1.0))
-    if h1 > 1.0 + 1e-15:
-        return ItemResult(
-            "pushforward", False, {"note": f"h(1) = {h1:g} > 1; threshold search needs h(1) <= 1"}
-        )
-    w = np.asarray(f(np.asarray(h(x), dtype=float)), dtype=float)
-    runmax_w = np.maximum.accumulate(w)
-    # head: the part of [h(x), 1] that the composed samples never see
-    head_nodes = base.f_values[x >= h1]
-    head = float(max(head_nodes.max() if head_nodes.size else -math.inf, float(f(h1))))
-    tol = _EXACT_RTOL * max(1.0, abs(head))
-    crossed = runmax_w >= head - tol
-    if not bool(crossed.any()):
-        return ItemResult("pushforward", False, {"a": None, "head": head})
-    i_star = int(np.argmax(crossed))
-    a = float(x[i_star])
-    # below a: max(f on [h(x), 1]) equals max(f on [h(x), h(1)]), so the
-    # pushforward identity holds node for node; require at least two octaves
-    octaves_below = (len(x) - 1 - i_star) / g.samples_per_octave
-    passed = octaves_below >= 2.0
-    return ItemResult(
-        "pushforward",
-        passed,
-        {"a": a, "head": head, "octaves_below_a": float(octaves_below)},
-    )
-
-
-def _perturbation_item(f: EFunction, k, g: GridSpec, base: OscillationProfile, W: int) -> ItemResult:
-    # the gap at x is carried by k at the last record of f above x, which can
-    # lag x by a whole zero-free stretch: compare window suprema, not octaves
-    pert = star_profile(f.plus(as_shift(k)), g)
-    d_m = g.octave_envelopes(np.abs(pert.values - base.values))[0]
-    d_early = float(np.max(d_m[:-W], initial=0.0))
-    d_late = float(np.max(d_m[-W:]))
-    # "shrinks toward 0": strict decay, or vacuously already at roundoff
-    passed = (d_late < d_early) or (d_late <= 1e-12)
-    return ItemResult(
-        "perturbation",
-        passed,
-        {"window_octaves": W, "d_early": d_early, "d_late": d_late},
-    )
-
-
-def _zeros_item(base: OscillationProfile, W: int) -> ItemResult:
-    sups, mins = base.octave_sup, base.grid.octave_envelopes(base.values)[1]
-    violations = []
-    for m in range(len(sups) - W + 1):
-        wmin = float(np.min(mins[m : m + W]))
-        wsup = float(np.max(sups[m : m + W]))
-        if wmin > 1e-6 * (1.0 + wsup):
-            violations.append(m)
-    return ItemResult(
-        "zeros",
-        not violations,
-        {"window_octaves": W, "violating_octaves": violations},
-    )

@@ -35,11 +35,12 @@ from reebflow import (
     koenigs_limit,
     sigma_estimate,
     standard_flow,
-    star_identity_suite,
     star_profile,
     time_scale,
 )
 from reebflow.cli import main as cli_main
+
+import star_identities
 
 GRID = GridSpec()  # K=512, octaves 0..40
 GALLERY = (
@@ -121,12 +122,10 @@ def test_criterion_4_star_identity_suite(name, params):
     for hid in ("halve", "square", "root_scale:4"):
         lam = float(rng.uniform(0.1, 10.0))
         c = float(rng.uniform(-10.0, 10.0))
-        rep = star_identity_suite(
-            f, lam, c, gallery_homeo(hid), shift_k, GRID, zero_window_octaves=ZERO_WINDOW_OCTAVES
-        )
-        for item in rep.items:
-            if not item.passed:
-                failures.append((hid, item.name, item.detail))
+        rep = star_identities.suite(f, lam, c, gallery_homeo(hid), shift_k, GRID, ZERO_WINDOW_OCTAVES)
+        for item_name, item in rep.items():
+            if not item["passed"]:
+                failures.append((hid, item_name, item))
     ok = not failures
     _report(4, ok, f"({name}) " + ("all items" if ok else f"failing: {failures}"))
     assert ok, failures

@@ -36,6 +36,8 @@ from reebflow.classify import _TAU_STD
 from reebflow.efunc import _BLOCK, fit_grid
 from reebflow.oscillation import as_shift
 
+from star_identities import octave_slice
+
 
 def shift_k(x):
     x = np.asarray(x, dtype=float)
@@ -466,7 +468,7 @@ class TestFlowClassify:
         F = time_scale(build_flow(builtin(name), g=MULTI), lam)
         fx = extract_transition(dataclasses.replace(F, held=None))(MULTI.nodes())
         star = np.maximum.accumulate(fx) - fx
-        want = np.array([star[MULTI.octave_slice(m)].max() for m in MULTI.octaves()])
+        want = np.array([star[octave_slice(MULTI, m)].max() for m in MULTI.octaves()])
         assert flow_classify(F, g=MULTI).sigma.s_m.tobytes() == want.tobytes()
 
     def test_shift_recorded_in_report(self, grid):

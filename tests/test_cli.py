@@ -51,7 +51,7 @@ class TestSigmaCommand:
         obj = load(out / "sigma.json")
         assert obj["sigma"]["sigma_hat"] == 0.0
         assert obj["sigma"]["trend"] == "vanishing"
-        assert (out / "profile.csv").exists()
+        assert (out / "profile.csv").read_text().splitlines()[0] == "x,f,fstar"
         assert (out / "sigma_octaves.svg").read_text().startswith("<svg")
 
     def test_builtin_with_param(self, tmp_path):
@@ -551,7 +551,7 @@ class TestPlotCommand:
         }))
         out = tmp_path / "o"
         assert run("plot", "--flow", str(cfgp), "--x", "0.125", "--out", str(out)) == 0
-        assert (out / "orbit.csv").exists()
+        assert (out / "orbit.csv").read_text().splitlines()[0] == "t,xi,eta"
         assert (out / "plot.svg").exists()
 
     @pytest.mark.parametrize("flag", ["--x", "--tmax"])

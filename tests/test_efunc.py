@@ -19,6 +19,8 @@ from reebflow import (
 )
 from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_span, compile_expr, write_csv
 
+from star_identities import octave_slice
+
 
 class TestBuiltins:
     def test_doubling_osc_at_one(self):
@@ -89,6 +91,18 @@ class TestBuiltins:
             assert f(np.array(x)).tobytes() == (-np.log(np.array(x))).tobytes()
         assert math.isnan(f(math.nan))
 
+    def test_nan_does_not_hide_a_point_outside_the_domain(self):
+        # regression: [nan, -1.0] evaluated to [nan, nan] with a RuntimeWarning, for the min of x was NaN
+        f = builtin("std_log")
+        for x in ([math.nan, -1.0], [-1.0, math.nan], [[0.5, math.nan], [math.nan, 0.0]]):
+            with pytest.raises(DomainError, match="^std_log is defined on x > 0$"):
+                f(np.array(x))
+        s = EFunction("sampled", lambda x: -np.log(x), "E", "s", (0.25, 1.0))
+        with pytest.raises(DomainError, match=r"^evaluation outside domain \[0\.25, 1\] for s$"):
+            s(np.array([math.nan, 2.0]))
+        assert np.isnan(s(np.array([math.nan, 0.5]))).tolist() == [True, False]
+        assert np.isnan(s(np.array([math.nan]))).all() and math.isnan(s(math.nan))
+
     def test_full_domain_takes_no_max(self, monkeypatch):
         f, x = builtin("koenigs_demo"), np.array([1.0, 0.5, 2.0**-40])
         want = f(x)
@@ -118,12 +132,11 @@ class TestGridSpec:
         for m in range(grid.octave_max + 1):
             assert x[m * K] == 2.0 ** -m
 
-    def test_octave_slice_covers_window(self, grid):
-        x = grid.nodes()
+    def test_octave_windows_cover_their_octaves(self, grid):
+        windows = grid.octave_windows(grid.nodes())
         for m in (0, 7, grid.octave_max - 1):
-            w = x[grid.octave_slice(m)]
-            assert w[0] == 2.0 ** -m
-            assert w[-1] == 2.0 ** -(m + 1)
+            assert windows[m][0] == 2.0 ** -m
+            assert windows[m][-1] == 2.0 ** -(m + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,8 +201,8 @@ class TestGridSpec:
         g = GridSpec(samples_per_octave=K, octave_max=octaves)
         values = np.random.default_rng(seed).choice(np.array([0.0, -0.0, *extra]), g.node_count)
         sups, mins = g.octave_envelopes(values)
-        want_sups = np.array([values[g.octave_slice(m)].max() for m in g.octaves()])
-        want_mins = np.array([values[g.octave_slice(m)].min() for m in g.octaves()])
+        want_sups = np.array([values[octave_slice(g, m)].max() for m in g.octaves()])
+        want_mins = np.array([values[octave_slice(g, m)].min() for m in g.octaves()])
         assert np.array_equal(sups.view(np.int64), want_sups.view(np.int64))
         assert np.array_equal(mins.view(np.int64), want_mins.view(np.int64))
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ import pytest
 
 import reebflow
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["reebflow"] + [f"reebflow.{m.name}" for m in pkgutil.iter_modules(reebflow.__path__)]
 
 
@@ -20,7 +22,7 @@ def exports():
 
 def tracer_targets():
     """(module, "name" or "Class.attr") of every name the benchmark tracer patches."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -33,6 +35,40 @@ def test_every_export_resolves(module, name):
     owner, _, attr = name.rpartition(".")
     holder = importlib.import_module(module)
     assert attr in vars(getattr(holder, owner) if owner else holder)
+
+
+def used_names() -> set[str]:
+    """The names used by the code under src/, tools/ and bench/, and patched by the benchmark tracer.
+
+    A use is an AST Name, Attribute or import alias outside the def or class
+    of that name.  The imports of the package's ``__init__`` are its
+    re-exports, not uses.
+    """
+    used = {part for _, attr in tracer_targets() for part in attr.split(".")}
+    for path in (p for d in ("src", "tools", "bench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.setdefault(node.name, []).append((node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and path != ROOT / "src" / "reebflow" / "__init__.py":
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if not any(a <= node.lineno <= b for a, b in own.get(name, ())):
+                used.add(name)
+    return used
+
+
+def test_every_export_is_used():
+    # an export that only the tests call belongs in the tests
+    used = used_names()
+    assert [f"{module}.{name}" for module, name in exports() if name not in used] == []
 
 
 # every value a caller can set: the fields of a config or result, the
@@ -49,7 +85,6 @@ OPTIONS = {
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
     "sigma_estimate": ("variant",),
-    "star_identity_suite": ("zero_window_octaves",),
     "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup", "tail_max"),
     "EFunction": ("kind", "fn", "claimed_class", "description", "domain"),
     "builtin": ("params",),

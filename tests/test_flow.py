@@ -28,7 +28,7 @@ from reebflow import (
     transition_time,
 )
 from reebflow.efunc import _octave_blocks
-from reebflow.flow import _held_source, _leaf_position, _leaf_time, _transit_target, orbit_rows, orbit_to_csv
+from reebflow.flow import _held_source, _leaf_position, _leaf_time, _transit_target, orbit_rows
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
 # 241,665 nodes in (0, 1/2], so build_flow's grid passes take eight blocks
@@ -935,12 +935,9 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^flow config 'shift' "):
                 flow_from_json(obj, GridSpec(512, 20) if g.samples_per_octave == 4096 else GridSpec(4096, 60))
 
-    def test_orbit_rows_and_csv(self, grid, tmp_path):
+    def test_orbit_rows(self, grid):
         F = build_flow(builtin("doubling_osc"), g=grid)
         rows = orbit_rows(F, QuarterPlanePoint(0.25, 1.0), np.linspace(0.0, 3.0, 7))
         assert len(rows) == 7
         products = [xi * eta for _, xi, eta in rows]
         np.testing.assert_allclose(products, 0.25, rtol=1e-12)
-        out = tmp_path / "orbit.csv"
-        orbit_to_csv(out, rows)
-        assert out.read_text().splitlines()[0] == "t,xi,eta"

@@ -173,6 +173,17 @@ class TestBoundedCase:
         lhs = np.abs(np.asarray(f(p)) + res.shift - np.asarray(res.f_inf(p)))
         assert np.all(lhs <= res.telescoping_bound(p) + 1e-15)
 
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_telescoping_bound_is_nan_at_nan(self, grid, cfg, name, hid):
+        # regression: at a NaN x the bound read the slack alone (1.22e-4, 3.55e-15
+        # and 0.03125 for these three), while f_inf there is NaN
+        res = koenigs_limit(builtin(name), gallery_homeo(hid), None, cfg)
+        x = np.array([math.nan, 0.5, math.nan])
+        got = res.telescoping_bound(x)
+        assert np.isnan(got).tolist() == np.isnan(res.f_inf(x)).tolist() == [True, False, True]
+        assert got[1] == res.telescoping_bound(np.array([0.5]))[0]
+        assert math.isnan(res.telescoping_bound(math.nan))
+
     def test_direct_iteration_oracle(self, grid, cfg):
         # the stable series against the textbook iterate at safe depths
         f = builtin("koenigs_demo")

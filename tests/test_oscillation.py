@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -24,7 +23,6 @@ from reebflow import (
     self_similarity_scan,
     sharp_profile,
     sigma_estimate,
-    star_identity_suite,
     star_profile,
 )
 from reebflow.efunc import _BLOCK, _blocks, _Nodes, _tail_span
@@ -39,6 +37,9 @@ from reebflow.oscillation import (
     as_shift,
     sigma_from_profile,
 )
+
+import star_identities
+from star_identities import octave_slice
 
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
@@ -89,7 +90,7 @@ class TestStarProfile:
     def test_octave_envelopes_bracket(self, grid):
         prof = star_profile(builtin("bounded_osc", [2.0]), grid)
         for j, m in enumerate(grid.octaves()):
-            w = prof.values[grid.octave_slice(m)]
+            w = prof.values[octave_slice(grid, m)]
             assert prof.octave_sup[j] >= w.max()
 
     def test_bounded_osc_drop_against_brute_force(self, grid):
@@ -318,31 +319,20 @@ class TestIdentitySuite:
         "name,params", [("std_log", ()), ("doubling_osc", ()), ("koenigs_demo", ())]
     )
     def test_all_items_pass_off_gallery(self, grid, hid, name, params):
-        rep = star_identity_suite(
-            builtin(name, params), 3.7, 5.1, gallery_homeo(hid), shift_k, grid
-        )
-        assert rep.all_passed, {i.name: i.detail for i in rep.items if not i.passed}
+        rep = star_identities.suite(builtin(name, params), 3.7, 5.1, gallery_homeo(hid), shift_k, grid)
+        assert all(item["passed"] for item in rep.values()), {n: i for n, i in rep.items() if not i["passed"]}
 
     def test_bounded_osc_zero_recurrence_window(self, grid):
         # the zeros of the profile recur once per oscillation period, which
         # spans ~9 octaves here: single-octave windows must miss them ...
-        rep = star_identity_suite(
-            builtin("bounded_osc", [2.0]), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid
-        )
-        assert not rep["zeros"].passed
-        assert rep["zeros"].detail["violating_octaves"][:6] == [4, 5, 6, 13, 14, 15]
+        f, halve = builtin("bounded_osc", [2.0]), gallery_homeo("halve")
+        rep = star_identities.suite(f, 2.0, 1.0, halve, shift_k, grid)
+        assert not rep["zeros"]["passed"]
+        assert rep["zeros"]["violating_octaves"][:6] == [4, 5, 6, 13, 14, 15]
         # ... while windows covering a full period catch a zero every time
-        rep10 = star_identity_suite(
-            builtin("bounded_osc", [2.0]),
-            2.0,
-            1.0,
-            gallery_homeo("halve"),
-            shift_k,
-            grid,
-            zero_window_octaves=10,
-        )
-        assert rep10["zeros"].passed
-        others = {i.name: i.passed for i in rep.items if i.name != "zeros"}
+        rep10 = star_identities.suite(f, 2.0, 1.0, halve, shift_k, grid, 10)
+        assert rep10["zeros"]["passed"]
+        others = {name: item["passed"] for name, item in rep.items() if name != "zeros"}
         assert all(others.values())
 
     def test_zero_recurrence_window_misses_longer_gap(self, grid):
@@ -350,38 +340,24 @@ class TestIdentitySuite:
         # u = 8 pi / 3 and u = 4 * 5.3876 (octaves ~12.09 to ~31.09), so the
         # 10-octave windows starting at octaves 13..21, which fit inside that
         # stretch, hold no zero
-        rep = star_identity_suite(
-            from_expression("-log(x) + 8*sin(0.25*log(1/x))"),
-            2.0,
-            1.0,
-            gallery_homeo("halve"),
-            shift_k,
-            grid,
-            zero_window_octaves=10,
-        )
-        assert not rep["zeros"].passed
-        assert rep["zeros"].detail["violating_octaves"] == list(range(13, 22))
+        zeros = star_identities.zeros(star_profile(from_expression("-log(x) + 8*sin(0.25*log(1/x))"), grid), 10)
+        assert not zeros["passed"]
+        assert zeros["violating_octaves"] == list(range(13, 22))
 
     def test_pushforward_threshold_location(self, grid):
-        rep = star_identity_suite(
-            builtin("doubling_osc"), 2.0, 0.0, gallery_homeo("halve"), None, grid
-        )
-        item = rep["pushforward"]
-        assert 0.5 < item.detail["a"] < 0.75
-        assert item.detail["octaves_below_a"] > 30
+        f = builtin("doubling_osc")
+        item = star_identities.pushforward(f, gallery_homeo("halve"), grid, star_profile(f, grid))
+        assert 0.5 < item["a"] < 0.75
+        assert item["octaves_below_a"] > 30
 
     def test_pushforward_trivial_at_fixed_one(self, grid):
-        rep = star_identity_suite(
-            builtin("doubling_osc"), 2.0, 0.0, gallery_homeo("square"), None, grid
-        )
-        assert rep["pushforward"].detail["a"] == 1.0
+        f = builtin("doubling_osc")
+        assert star_identities.pushforward(f, gallery_homeo("square"), grid, star_profile(f, grid))["a"] == 1.0
 
     def test_perturbation_decay_strict_for_oscillating(self, grid):
         for name, params in (("doubling_osc", ()), ("bounded_osc", (2.0,))):
-            rep = star_identity_suite(
-                builtin(name, params), 2.0, 0.0, gallery_homeo("halve"), shift_k, grid
-            )
-            d = rep["perturbation"].detail
+            f = builtin(name, params)
+            d = star_identities.perturbation(f, shift_k, grid, star_profile(f, grid), 1)
             assert d["d_late"] < d["d_early"]
             assert d["d_early"] < 1.0 and d["d_late"] < 1.0
 
@@ -392,17 +368,16 @@ class TestIdentitySuite:
         # fixed octaves, 5 (before the stretch) and 30 (inside it), read this
         # as growth
         f = from_expression("-log(x) + 8*sin(0.25*log(1/x))")
-        halve = gallery_homeo("halve")
-        rep = star_identity_suite(f, 2.0, 1.0, halve, shift_k, GridSpec(octave_max=50), 10)
-        d = rep["perturbation"].detail
-        assert rep["perturbation"].passed
+        g = GridSpec(octave_max=50)
+        d = star_identities.perturbation(f, shift_k, g, star_profile(f, g), 10)
+        assert d["passed"]
         assert d["window_octaves"] == 10
         assert d["d_late"] == 0.0 and 2.2e-4 < d["d_early"] < 2.4e-4
         # on 40 octaves the stretch ends inside the last 10-octave window, which
         # then holds the largest gap: the grid is too short to show the decay
-        rep40 = star_identity_suite(f, 2.0, 1.0, halve, shift_k, GridSpec(), 10)
-        d40 = rep40["perturbation"].detail
-        assert not rep40["perturbation"].passed
+        g = GridSpec()
+        d40 = star_identities.perturbation(f, shift_k, g, star_profile(f, g), 10)
+        assert not d40["passed"]
         assert d40["d_late"] > d40["d_early"] > 2.2e-4
 
     @given(lam=st.floats(min_value=1e-3, max_value=10.0))
@@ -421,73 +396,21 @@ class TestIdentitySuite:
         scale = np.maximum(1.0, np.abs(base.f_values) + abs(c))
         assert np.max(np.abs(shifted.values - base.values) / scale) <= 1e-12
 
-    def test_json(self, small_grid):
-        rep = star_identity_suite(
-            builtin("bounded_osc", [2.0]), 2.0, 1.0, gallery_homeo("halve"), shift_k, small_grid
-        )
-        obj = json.loads(json.dumps(rep.to_json()))
-        assert obj["all_pass"] is rep.all_passed is False
-        assert [(i["name"], i["pass"]) for i in obj["items"]] == [(i.name, i.passed) for i in rep.items]
-        assert [i["detail"] for i in obj["items"]] == [i.detail for i in rep.items]
-        assert [i["name"] for i in obj["items"]] == ["scaling", "shift", "pushforward", "perturbation", "zeros"]
-
-    def test_lam_validated(self, grid):
-        with pytest.raises(ValueError):
-            star_identity_suite(builtin("std_log"), -1.0, 0.0, gallery_homeo("halve"), None, grid)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
-    def test_lam_must_be_finite_and_positive(self, small_grid, lam):
-        # regression: lam = nan passed the check and inf reached the profile pass
-        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam:g}$"):
-            star_identity_suite(builtin("std_log"), lam, 0.0, gallery_homeo("halve"), None, small_grid)
-
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
-    def test_shift_constant_must_be_finite(self, small_grid, c):
-        # regression: a NaN or infinite c raised a DomainError naming the grid node x = 1
-        with pytest.raises(ValueError, match=f"^shift constant c must be finite, got {c:g}$"):
-            star_identity_suite(builtin("std_log"), 2.0, c, gallery_homeo("halve"), None, small_grid)
-
-    @pytest.mark.parametrize("window", [0, -3, 2.7, 41, 100, 40, 2.0])
-    def test_zero_window_must_be_an_integer_shorter_than_the_grid(self, grid, window):
-        # regression: 0 and -3 ran as 1, 2.7 as 2, and at 41 and 100 the zeros item
-        # passed vacuously while the perturbation item reported a window of 39
-        with pytest.raises(ValueError, match=f"^zero_window_octaves must be an integer from 1 to 39, got {window!r}$"):
-            star_identity_suite(builtin("bounded_osc"), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
-
-    @pytest.mark.parametrize("window", [1, 39, np.int64(20)])
-    def test_zero_window_is_read_as_given(self, grid, window):
-        rep = star_identity_suite(builtin("bounded_osc"), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
-        assert rep["perturbation"].detail["window_octaves"] == rep["zeros"].detail["window_octaves"] == window
-        assert type(rep["zeros"].detail["window_octaves"]) is int
-
     @pytest.mark.parametrize(
         "window, want", [(1, [4, 5, 6, 13, 14, 15, 22, 23, 24, 31, 32, 33]), (10, [])]
     )
     def test_zeros_item_against_a_plain_loop(self, grid, window, want):
         # reference: each window's minimum and supremum read octave by octave off the profile
-        f = builtin("bounded_osc", [2.0])
-        octs = [star_profile(f, grid).values[grid.octave_slice(m)] for m in grid.octaves()]
+        prof = star_profile(builtin("bounded_osc", [2.0]), grid)
+        octs = [prof.values[octave_slice(grid, m)] for m in grid.octaves()]
         loop = []
         for m in range(len(octs) - window + 1):
             run = octs[m : m + window]
             if min(o.min() for o in run) > 1e-6 * (1.0 + max(o.max() for o in run)):
                 loop.append(m)
-        rep = star_identity_suite(f, 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
-        assert rep["zeros"].detail == {"window_octaves": window, "violating_octaves": loop}
+        assert star_identities.zeros(prof, window) == {"passed": not loop, "window_octaves": window,
+                                                       "violating_octaves": loop}
         assert loop == want
-
-
-class TestProfileExports:
-    def test_csv_header(self, tmp_path, small_grid):
-        prof = star_profile(builtin("std_log"), small_grid)
-        out = tmp_path / "p.csv"
-        prof.to_csv(out)
-        assert out.read_text().splitlines()[0] == "x,f,fstar"
-
-    def test_json_fields(self, small_grid):
-        obj = star_profile(builtin("std_log"), small_grid).to_json()
-        assert obj["variant"] == "star"
-        assert len(obj["octave_sup"]) == small_grid.octave_max
 
 
 # grids that span several blocks of nodes: 81,921 nodes (two full blocks and
@@ -615,7 +538,7 @@ class TestBlockedPasses:
         # sigma_estimate takes only the octave maxima of the profile, block by block
         f = builtin(name)
         vals = whole_profile(f, MULTI, variant)[0]
-        want = [vals[MULTI.octave_slice(m)].max() for m in MULTI.octaves()]
+        want = [vals[octave_slice(MULTI, m)].max() for m in MULTI.octaves()]
         assert bits(sigma_estimate(f, MULTI, variant).s_m) == bits(want)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
