@@ -89,7 +89,7 @@ def perturbation(f, k, g, base, window):
     d_late = float(np.max(d_m[-window:]))
     # "shrinks toward 0": strict decay, or vacuously already at roundoff
     passed = (d_late < d_early) or (d_late <= 1e-12)
-    return {"passed": passed, "window_octaves": window, "d_early": d_early, "d_late": d_late}
+    return {"passed": passed, "window_octaves": int(window), "d_early": d_early, "d_late": d_late}
 
 
 def zeros(base, window):
@@ -98,4 +98,4 @@ def zeros(base, window):
         m for m in range(len(sups) - window + 1)
         if float(np.min(mins[m : m + window])) > 1e-6 * (1.0 + float(np.max(sups[m : m + window])))
     ]
-    return {"passed": not violations, "window_octaves": window, "violating_octaves": violations}
+    return {"passed": not violations, "window_octaves": int(window), "violating_octaves": violations}

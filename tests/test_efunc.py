@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reebflow import (
+    BUILTIN_NAMES,
     DomainError,
     EFunction,
     GridSpec,
@@ -15,6 +16,7 @@ from reebflow import (
     diagnose_class,
     from_csv,
     from_expression,
+    gallery_homeo,
     sample,
 )
 from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_span, compile_expr, write_csv
@@ -103,6 +105,24 @@ class TestBuiltins:
         assert np.isnan(s(np.array([math.nan, 0.5]))).tolist() == [True, False]
         assert np.isnan(s(np.array([math.nan]))).all() and math.isnan(s(math.nan))
 
+    @pytest.mark.parametrize("form", ["builtin", "scaled", "shifted", "composed", "plus", "restricted"])
+    def test_nan_does_not_hide_a_point_outside_the_domain_of_a_derived_function(self, form):
+        # every form of f keeps the domain check of EFunction.__call__, which skips NaN
+        derive = {
+            "builtin": lambda f: f,
+            "scaled": lambda f: f.scaled(2.0),
+            "shifted": lambda f: f.shifted(1.0),
+            "composed": lambda f: f.composed(gallery_homeo("halve"), "halve"),
+            "plus": lambda f: f.plus(lambda x: x / (1.0 + x)),
+            "restricted": lambda f: replace(f, kind="sampled", domain=(2.0**-10, 1.0)),
+        }[form]
+        for name in BUILTIN_NAMES:
+            g = derive(builtin(name))
+            for x in ([math.nan, -1.0], [0.0, math.nan]):
+                with pytest.raises(DomainError, match=" is defined on x > 0$"):
+                    g(np.array(x))
+            assert np.isnan(g(np.array([math.nan, 0.5]))).tolist() == [True, False]
+
     def test_full_domain_takes_no_max(self, monkeypatch):
         f, x = builtin("koenigs_demo"), np.array([1.0, 0.5, 2.0**-40])
         want = f(x)
@@ -131,6 +151,14 @@ class TestGridSpec:
         K = grid.samples_per_octave
         for m in range(grid.octave_max + 1):
             assert x[m * K] == 2.0 ** -m
+
+    def test_octave_slice_covers_window(self, grid):
+        # the tests' reference for octave_windows, read off the nodes alone
+        x = grid.nodes()
+        for m in (0, 7, grid.octave_max - 1):
+            w = x[octave_slice(grid, m)]
+            assert w[0] == 2.0 ** -m
+            assert w[-1] == 2.0 ** -(m + 1)
 
     def test_octave_windows_cover_their_octaves(self, grid):
         windows = grid.octave_windows(grid.nodes())

@@ -27,6 +27,7 @@ from reebflow import (
     time_scale,
     transition_time,
 )
+from reebflow.cli import main
 from reebflow.efunc import _octave_blocks
 from reebflow.flow import _held_source, _leaf_position, _leaf_time, _transit_target, orbit_rows
 
@@ -941,3 +942,15 @@ class TestSerialization:
         assert len(rows) == 7
         products = [xi * eta for _, xi, eta in rows]
         np.testing.assert_allclose(products, 0.25, rtol=1e-12)
+
+    def test_orbit_rows_and_csv(self, tmp_path):
+        # plot --flow writes the rows of orbit_rows under a header, bit for bit
+        cfgp = tmp_path / "flow.json"
+        cfgp.write_text(json.dumps({"kind": "realized", "f": {"builtin": "doubling_osc", "params": []}}))
+        assert main(["plot", "--flow", str(cfgp), "--grid", "512,20", "--x", "0.125", "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "orbit.csv").read_text().splitlines()
+        assert header == "t,xi,eta"
+        F = build_flow(builtin("doubling_osc"), g=GridSpec(512, 20))
+        rows = orbit_rows(F, DEFAULT_TRANSVERSAL.point1(0.125), np.linspace(0.0, 2.0 * math.log(8.0), 201))
+        got = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))

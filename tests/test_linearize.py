@@ -184,6 +184,15 @@ class TestBoundedCase:
         assert got[1] == res.telescoping_bound(np.array([0.5]))[0]
         assert math.isnan(res.telescoping_bound(math.nan))
 
+    @pytest.mark.parametrize("name,hid", DERIVED)
+    def test_f_inf_keeps_its_domain_check_at_nan(self, cfg, name, hid):
+        # a NaN beside x <= 0 no longer hides it from f_inf's domain check, held probes or not
+        res = koenigs_limit(builtin(name), gallery_homeo(hid), None, cfg)
+        for x in ([math.nan, -1.0], [0.0, math.nan], [*res.probes[:3], math.nan, -res.probes[0]]):
+            with pytest.raises(DomainError, match=" is defined on x > 0$"):
+                res.f_inf(np.array(x))
+        assert np.isnan(res.f_inf(np.array([math.nan, 0.5]))).tolist() == [True, False]
+
     def test_direct_iteration_oracle(self, grid, cfg):
         # the stable series against the textbook iterate at safe depths
         f = builtin("koenigs_demo")

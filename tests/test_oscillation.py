@@ -25,6 +25,7 @@ from reebflow import (
     sigma_estimate,
     star_profile,
 )
+from reebflow.cli import main
 from reebflow.efunc import _BLOCK, _blocks, _Nodes, _tail_span
 from reebflow.oscillation import (
     _CHUNK,
@@ -396,6 +397,29 @@ class TestIdentitySuite:
         scale = np.maximum(1.0, np.abs(base.f_values) + abs(c))
         assert np.max(np.abs(shifted.values - base.values) / scale) <= 1e-12
 
+    def test_lam_validated(self, grid):
+        with pytest.raises(ValueError):
+            star_identities.suite(builtin("std_log"), -1.0, 0.0, gallery_homeo("halve"), None, grid)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
+    def test_lam_must_be_finite_and_positive(self, small_grid, lam):
+        # regression: lam = nan passed the check and inf reached the profile pass;
+        # the scaling check refuses it through EFunction.scaled
+        with pytest.raises(ValueError, match=f"^scale factor must be finite and positive, got {lam:g}$"):
+            star_identities.suite(builtin("std_log"), lam, 0.0, gallery_homeo("halve"), None, small_grid)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_shift_constant_must_be_finite(self, small_grid, c):
+        # regression: a NaN or infinite c raised a DomainError naming the grid node x = 1
+        with pytest.raises(ValueError, match=f"^shift constant c must be finite, got {c:g}$"):
+            star_identities.suite(builtin("std_log"), 2.0, c, gallery_homeo("halve"), None, small_grid)
+
+    @pytest.mark.parametrize("window", [1, 39, np.int64(20)])
+    def test_zero_window_is_read_as_given(self, grid, window):
+        rep = star_identities.suite(builtin("bounded_osc"), 2.0, 1.0, gallery_homeo("halve"), shift_k, grid, window)
+        assert rep["perturbation"]["window_octaves"] == rep["zeros"]["window_octaves"] == window
+        assert type(rep["zeros"]["window_octaves"]) is int
+
     @pytest.mark.parametrize(
         "window, want", [(1, [4, 5, 6, 13, 14, 15, 22, 23, 24, 31, 32, 33]), (10, [])]
     )
@@ -411,6 +435,18 @@ class TestIdentitySuite:
         assert star_identities.zeros(prof, window) == {"passed": not loop, "window_octaves": window,
                                                        "violating_octaves": loop}
         assert loop == want
+
+
+class TestProfileExports:
+    def test_csv_header(self, tmp_path):
+        # the sigma command writes the profile: its header, then x, f and star(f) node by node, bit for bit
+        assert main(["sigma", "--builtin", "std_log", "--grid", "64,24", "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "profile.csv").read_text().splitlines()
+        assert header == "x,f,fstar"
+        prof = star_profile(builtin("std_log"), GridSpec(64, 24))
+        got = np.array([[float(v) for v in row.split(",")] for row in rows])
+        want = np.column_stack([prof.x, prof.f_values, prof.values])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # grids that span several blocks of nodes: 81,921 nodes (two full blocks and
