@@ -94,7 +94,7 @@ def _classify_pass(
     f: EFunction, g: GridSpec, folds: Sequence[_WitnessFold] = (), source=None
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
     """The sigma estimate, verdict and warnings of one pass of f, or ``source``, over g, which feeds ``folds``."""
-    (f_sups, f_mins), sups, _ = _profile_pass(f, g, "star", folds=folds, source=source)
+    (f_sups, f_mins), sups = _profile_pass(f, g, "star", folds=folds, source=source)
     warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
     sigma = _sigma_from_sups("star", g, sups)
     tail = float(np.max(sups[-_TAIL_WINDOW:]))
@@ -119,14 +119,6 @@ class ScanReport:
     verdict: str
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "witnesses": [r.to_json() for r in self.results],
-            "all_pass": bool(self.all_passed),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-
 
 def self_similarity_scan(
     f: EFunction,
@@ -141,15 +133,18 @@ def self_similarity_scan(
     again only at the images of the last K nodes, under ``root_scale:2`` at
     the images off their nodes and past the grid's end (45% at K = 16384).
     No array the size of the grid is held.  Each witness is gated at 1e-9,
-    and the verdict is that of ``classify``.  An h or k that raises does so
-    before a non-finite f, which the pass reports after its last block.
+    and the verdict is that of ``classify``.  An empty ``witnesses`` is a
+    ValueError before h or f runs.  An h or k that raises does so before a
+    non-finite f, which the pass reports after its last block.
     """
+    if not witnesses:
+        raise ValueError("witnesses is empty: the scan needs at least one witness to check")
     nodes, folds = _Nodes(g.samples_per_octave, g.octave_max), []
     for w in witnesses:  # the folds share the nodes' head and one scratch: they fold a block in turn
         folds.append(_WitnessFold(f, w, nodes, "self_similarity", folds[0].rows if folds else None))
     _, verdict, _ = _classify_pass(f, g, folds)
     results = tuple(fold.report() for fold in folds)
-    all_passed = bool(results) and all(r.passed for r in results)
+    all_passed = all(r.passed for r in results)
     if all_passed and verdict == "standard":
         note = "all supplied scales pass and the profile is standard"
     elif all_passed and verdict == "nonstandard":

@@ -97,7 +97,7 @@ def _cmd_sigma(args) -> int:
     efunc.write_csv(out / "profile.csv", ["x", "f", "fstar"], [prof.x, prof.f_values, prof.values])
     line_plot(
         out / "sigma_octaves.svg",
-        [float(m) for m in est.octaves],
+        [float(m) for m in range(len(est.s_m))],
         {"s_m": est.s_m},
         title="per-octave oscillation supremum",
         xlabel="octave m",
@@ -182,7 +182,7 @@ def _cmd_classify(args) -> int:
     _write_json(out / "classify.json", args, spec, g, {"report": report.to_json()})
     line_plot(
         out / "classify_octaves.svg",
-        [float(m) for m in report.sigma.octaves],
+        [float(m) for m in range(len(report.sigma.s_m))],
         {"s_m": report.sigma.s_m},
         title=f"verdict: {report.verdict}",
         xlabel="octave m",

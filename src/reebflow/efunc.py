@@ -101,9 +101,6 @@ class GridSpec:
         K, v = self.samples_per_octave, np.ascontiguousarray(values)
         return np.ndarray(((len(v) - 1) // K, K + 1), v.dtype, v, strides=(K * v.itemsize, v.itemsize))
 
-    def octaves(self) -> np.ndarray:
-        return np.arange(self.octave_max)
-
     def to_json(self) -> dict:
         return {
             "K": self.samples_per_octave,

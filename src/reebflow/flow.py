@@ -199,10 +199,10 @@ class Flow:
     the two ramps.  The standard flow ``Flow()`` has no source f and the
     empty window c0 = c1 = 0, so T(c) = -ln c and r = 1 on every leaf.
     ``lam`` != 1 multiplies all speeds (time scaling).
-    ``held`` is ``(f, g, T)``, T read-only at the last len(T) nodes of g, those in
-    (0, c1] that ``build_flow`` sampled; only ``_held_source`` reads it, while f is
-    ``source``.  T also depends on c0, c1 and shift, which no caller replaces.
-    Equality and repr ignore it.
+    ``held`` is ``(f, g, (c0, c1, shift), T)``, T read-only at the last len(T) nodes
+    of g, those in (0, c1] that ``build_flow`` sampled for that window and shift;
+    only ``_held_source`` reads it, while f is ``source`` and the window and shift
+    are the flow's own.  Equality and repr ignore it.
     """
 
     lam: float = 1.0
@@ -277,7 +277,7 @@ def build_flow(
         if bad.any():
             raise DomainError(f"transit target not positive at leaf c = {float(x[w:][bad][0]):g}")
     vals.setflags(write=False)
-    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, g, vals))
+    return Flow(c0=c0, c1=c1, shift=shift, source=f, source_spec=source_spec, held=(f, g, (c0, c1, shift), vals))
 
 
 def _transit_target(c, f_at, c0: float, c1: float) -> np.ndarray:
@@ -410,12 +410,13 @@ def _transition(F: Flow, tv: Transversal, x) -> np.ndarray:
 
 
 def _held_source(F: Flow, g: GridSpec):
-    """``source(lo, x, out)`` for ``_octave_blocks``, or None unless F holds T on g (built there, same source): it
-    writes the default-transversal transition time at the nodes x = x_lo .. into out, ``T[i - p] / lam`` at node
-    i >= p, the first node <= c1 (the bits of ``_transition``), and the formula, which evaluates no f, above c1."""
-    if F.held is None or F.held[0] is not F.source or F.held[1] != g:
+    """``source(lo, x, out)`` for ``_octave_blocks``, or None unless F holds T on g (built there, same source,
+    window and shift): it writes the default-transversal transition time at the nodes x = x_lo .. into out,
+    ``T[i - p] / lam`` at node i >= p, the first node <= c1 (the bits of ``_transition``), and the formula,
+    which evaluates no f, above c1."""
+    if F.held is None or F.held[0] is not F.source or F.held[1:3] != (g, (F.c0, F.c1, F.shift)):
         return None
-    p = g.node_count - len(T := F.held[2])
+    p = g.node_count - len(T := F.held[3])
 
     def source(lo: int, x: np.ndarray, out: np.ndarray) -> None:
         k = min(max(p - lo, 0), len(out))  # the nodes above c1
@@ -437,15 +438,17 @@ def flow_step(F: Flow, t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
 
 def transition_time(F: Flow, tv: Transversal = DEFAULT_TRANSVERSAL, x: float = 1.0) -> float:
     """Time for the flow to carry gamma1(x) onto the second curve."""
-    if not x > 0:  # NaN included
-        raise DomainError("transition parameter must be positive")
+    if not 0 < x < math.inf:  # NaN included
+        raise DomainError("transition parameter must be positive and finite")
     return float(_transition(F, tv, [x])[0])
 
 
 def extract_transition(
     F: Flow, g: GridSpec | None = None, tv: Transversal = DEFAULT_TRANSVERSAL
 ) -> EFunction:
-    """The transition-time function of a flow as an evaluable EFunction."""
+    """The transition-time function of a flow as an evaluable EFunction.
+
+    ``g`` is not read; it stays for callers that pass ``tv`` by position."""
     return EFunction("expression", lambda x, _F=F, _tv=tv: _transition(_F, _tv, x), "E", "transition")
 
 

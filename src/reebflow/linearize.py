@@ -209,7 +209,7 @@ def _witness_sweep(f, h, k, lam: float, g: GridSpec) -> tuple[WitnessReport, lis
             yield t.start, lhs, fhx[t] + kv[: t.stop - t.start]
 
     with np.errstate(invalid="ignore"):
-        wit = _witness_report("self_similarity", lam, x, h_monotone, z, _max_residual(blocks()))
+        wit = _witness_report(x, h_monotone, z, _max_residual(blocks()))
     fhx[z:] = math.inf  # f diverges at 0
     return wit, [fx, hx, fhx] if h_monotone else [], onto
 

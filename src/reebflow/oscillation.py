@@ -74,7 +74,6 @@ class OscillationProfile:
     f_values: np.ndarray
     values: np.ndarray
     octave_sup: np.ndarray
-    tail_max: float | None = None  # sharp only: max of f over [1, 2^tail]
 
 
 def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
@@ -104,17 +103,17 @@ _DECAY_BOUND = 0.01
 
 def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile:
     fv, vals = np.empty(g.node_count), np.empty(g.node_count)
-    _, sups, tail_max = _profile_pass(f, g, variant, fv, vals)
-    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups, tail_max)
+    _, sups = _profile_pass(f, g, variant, fv, vals)
+    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups)
 
 
 def _profile_pass(
     f: EFunction, g: GridSpec, variant: str, fv: np.ndarray | None = None, vals: np.ndarray | None = None,
     folds: Sequence[_WitnessFold] = (), source=None,
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One pass of f over g: the octave envelopes of f, and the octave suprema of its profile.
 
-    Returns ``((f_sups, f_mins), sups, tail_max)``.  ``fv`` and ``vals``,
+    Returns ``((f_sups, f_mins), sups)``.  ``fv`` and ``vals``,
     when given, receive f and the profile at every node; without them the
     pass holds only buffers of one block.  A held pass (``star_profile``,
     ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``,
@@ -143,8 +142,8 @@ def _profile_pass(
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None, source):
             m = len(fb)
-            if not lo:  # the first block is the longest; the tail max fills one, for an array-array max
-                buf, tops = np.empty(m), None if tail_max is None else np.full(m, tail_max)
+            if not lo:  # the first block is the longest
+                buf = np.empty(m)
             # rm[0] is the running max at the block's first node: there f itself
             # on the first block (the max of -inf and f, as for the whole array),
             # else the value carried from the previous block's end node
@@ -153,8 +152,8 @@ def _profile_pass(
             rm[1:] = fb[1:]
             _running_max(rm)
             carry = rm[-1]
-            if tops is not None:  # sharp: the tail max joins after the accumulation
-                np.maximum(rm, tops[:m], out=rm)
+            if tail_max is not None:  # sharp: the tail max joins after the accumulation
+                np.maximum(rm, tail_max, out=rm)
             np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
             f_env.append(env)
             sups.append(g.octave_windows(rm).max(axis=1))
@@ -164,7 +163,7 @@ def _profile_pass(
     if np.any(over := (sups := np.concatenate(sups)) == math.inf):
         raise DomainError(f"the {variant} profile overflows at octave {int(np.argmax(over))}: "
                           "max(f) - f there exceeds the largest double")
-    return (f_sups, f_mins), sups, tail_max
+    return (f_sups, f_mins), sups
 
 
 def _tail_max(f: EFunction, g: GridSpec) -> float:
@@ -248,7 +247,6 @@ class SigmaEstimate:
     """
 
     variant: str
-    octaves: np.ndarray
     s_m: np.ndarray
     sigma_hat: float
     trend: str
@@ -256,7 +254,7 @@ class SigmaEstimate:
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "octaves": [int(m) for m in self.octaves],
+            "octaves": list(range(len(self.s_m))),
             "s_m": [float(v) for v in self.s_m],
             "sigma_hat": float(self.sigma_hat),
             "trend": self.trend,
@@ -269,7 +267,7 @@ def sigma_estimate(f: EFunction, g: GridSpec, variant: str = "star") -> SigmaEst
     Takes the pass of :func:`star_profile` / :func:`sharp_profile` but keeps
     only the per-octave suprema: no sample of f or of the profile is held.
     """
-    _, sups, _ = _profile_pass(f, g, variant)
+    _, sups = _profile_pass(f, g, variant)
     return _sigma_from_sups(variant, g, sups)
 
 
@@ -297,7 +295,7 @@ def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray) -> SigmaEstimat
         trend = "vanishing"
     else:
         trend = "bounded"
-    return SigmaEstimate(variant, g.octaves(), s_m, float(np.max(s_m[len(s_m) // 2 :])), trend)
+    return SigmaEstimate(variant, s_m, float(np.max(s_m[len(s_m) // 2 :])), trend)
 
 
 @dataclass(frozen=True)
@@ -315,22 +313,10 @@ class EquivalenceWitness:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    mode: str  # "equivalence" | "self_similarity"
-    lam: float
     residual: float  # sup over nodes of |lhs - rhs| / max(1, |lhs|, |rhs|)
     worst_x: float
     h_monotone: bool
     passed: bool  # residual at most _WITNESS_TOL (1e-9)
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lambda": float(self.lam),
-            "residual": float(self.residual),
-            "worst_x": float(self.worst_x),
-            "h_monotone": bool(self.h_monotone),
-            "pass": bool(self.passed),
-        }
 
 
 _WITNESS_TOL = 1e-9  # the residual gate of check_witness, the scan and koenigs_limit
@@ -390,7 +376,7 @@ class _WitnessFold:
     lam * v and residual, kept from block to block and shared by the folds of a pass."""
 
     def __init__(self, f, w: EquivalenceWitness, nodes: _Nodes, mode: str, rows: np.ndarray | None = None):
-        self.f, self.w, self.x, self.mode, self.k = f, w, nodes, mode, None if w.k is None else as_shift(w.k)
+        self.f, self.w, self.x, self.k = f, w, nodes, None if w.k is None else as_shift(w.k)
         self.rows = np.empty((3, max(len(nodes.head), min(_BLOCK, len(nodes))))) if rows is None else rows
         spans = (nodes.span(s.start, self.rows[0][: s.stop - s.start]) for s in _blocks(len(nodes)))
         images = (np.asarray(w.h(x), dtype=float) for x in spans)
@@ -409,7 +395,7 @@ class _WitnessFold:
     def report(self) -> WitnessReport:
         if self.held is not None:
             self._fold(*self.held, len(self.x), self.rows[0][:0], self.rows[0][:0])
-        return _witness_report(self.mode, self.w.lam, self.x, self.h_monotone, self.z, self.best)
+        return _witness_report(self.x, self.h_monotone, self.z, self.best)
 
     def _fold(self, lo: int, x: np.ndarray, v: np.ndarray, ahead_lo: int, ahead_x: np.ndarray, ahead: np.ndarray):
         a, b = self.done, lo + len(v)
@@ -472,7 +458,7 @@ def _f_at_images(f, hx: np.ndarray, nodes: Sequence[np.ndarray], out: np.ndarray
         out[at] = f(hx.take(at))
 
 
-def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int]) -> WitnessReport:
+def _witness_report(x, h_monotone, z, best: tuple[float, int]) -> WitnessReport:
     """The report at the nodes ``x`` from the :func:`_max_residual` of its blocks: a non-monotone h has residual
     inf at x[0], and images at 0, from index ``z`` on, count as inf after every node whose image is positive."""
     residual, i = best
@@ -480,7 +466,7 @@ def _witness_report(mode, lam, x, h_monotone, z, best: tuple[float, int]) -> Wit
         residual, i = math.inf, 0
     elif z < len(x) and residual < math.inf:  # neither an inf nor a NaN came before
         residual, i = math.inf, z
-    return WitnessReport(mode, lam, residual, float(x[i]), h_monotone, residual <= _WITNESS_TOL)
+    return WitnessReport(residual, float(x[i]), h_monotone, residual <= _WITNESS_TOL)
 
 
 def _descends(hx: np.ndarray) -> bool:
@@ -491,11 +477,6 @@ def _descends(hx: np.ndarray) -> bool:
     return bool(np.all(down | ((hx[1:] == hx[:-1]) & (hx[:-1] <= _DEPTH_FLOOR))))
 
 
-# the floor of the residual's scale: an array-array max takes a quarter of the time of an array-scalar one
-_ONES = np.ones(_BLOCK + 1)
-_ONES.flags.writeable = False
-
-
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray, rel: np.ndarray | None = None) -> tuple[float, int]:
     """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) and its first index (a NaN wins); overwrites ``rhs``.
     Given ``rel`` (a buffer as long), it takes |lhs - rhs| and overwrites ``lhs`` with |lhs|."""
@@ -503,7 +484,7 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray, rel: np.ndarray | None 
     np.abs(d, out=d)
     scale = np.abs(rhs, out=rhs)
     np.maximum(scale, np.abs(lhs, out=None if rel is None else lhs), out=scale)
-    np.maximum(scale, _ONES[: len(scale)] if len(scale) <= len(_ONES) else 1.0, out=scale)
+    np.maximum(scale, 1.0, out=scale)
     d /= scale
     i = int(np.argmax(d))
     return float(d[i]), i

@@ -85,7 +85,7 @@ OPTIONS = {
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
     "sigma_estimate": ("variant",),
-    "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup", "tail_max"),
+    "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup"),
     "EFunction": ("kind", "fn", "claimed_class", "description", "domain"),
     "builtin": ("params",),
     "from_expression": ("claimed_class", "description"),

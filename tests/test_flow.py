@@ -239,7 +239,7 @@ class TestBuildFlowParity:
             shift, T = whole_array_flow(f, c0, c1, g)
             F = build_flow(f, c0, c1, g)
         assert np.float64(F.shift).tobytes() == np.float64(shift).tobytes()
-        assert F.held[2].tobytes() == T.tobytes() and not F.held[2].flags.writeable
+        assert F.held[3].tobytes() == T.tobytes() and not F.held[3].flags.writeable
 
     @pytest.mark.parametrize(
         "case, shift",
@@ -251,8 +251,9 @@ class TestBuildFlowParity:
         # and holds no leaf that is not positive, and the blend target stays positive
         f, c0, c1, g, _ = PARITY[case]
         F = build_flow(f, c0, c1, g)
-        _, held_grid, T = F.held
-        assert held_grid == g and F.shift == shift and np.all(T[g.nodes()[-len(T) :] < c1] > 0.0)
+        _, held_grid, window, T = F.held
+        assert held_grid == g and window == (c0, c1, F.shift) and F.shift == shift
+        assert np.all(T[g.nodes()[-len(T) :] < c1] > 0.0)
 
     def test_transit_target_runs_once_on_the_blend_leaves(self, monkeypatch):
         seen, original = [], _transit_target
@@ -467,10 +468,10 @@ class TestHeldValues:
     @pytest.mark.parametrize("gid", HELD_GRIDS)
     @pytest.mark.parametrize("name", GALLERY)
     def test_held_values_are_the_transit_target(self, held_flows, name, gid):
-        # build_flow keeps T at the last nodes of its grid, those <= c1, and the grid itself
+        # build_flow keeps T at the last nodes of its grid, those <= c1, with the grid, the window and the shift
         F = held_flows[name, gid]
-        f, g, T = F.held
-        assert f is F.source and g == HELD_GRIDS[gid] and not T.flags.writeable
+        f, g, window, T = F.held
+        assert f is F.source and g == HELD_GRIDS[gid] and window == (F.c0, F.c1, F.shift) and not T.flags.writeable
         x = g.nodes()
         p = len(x) - len(T)  # the first node <= c1
         assert x[p] <= F.c1 < x[p - 1]
@@ -509,6 +510,26 @@ class TestHeldValues:
             assert _held_source(F, DEEP) is not None
             assert json.dumps(flow_classify(F, g=DEEP).to_json()) == want
 
+    @pytest.mark.parametrize("replaced", ["window", "shift"])
+    def test_a_replaced_window_or_shift_reads_no_held_values(self, replaced):
+        # regression: the held T of the old window (or shift) was read, so s_3 read 0.3325 for 0.2994
+        g, f, calls = GridSpec(512, 40), builtin("bounded_osc"), []
+
+        def fn(x, _fn=f.fn):
+            calls.append(len(x))
+            return _fn(x)
+
+        F = build_flow(dataclasses.replace(f, fn=fn), g=g)
+        G = dataclasses.replace(F, **({"c0": 0.1, "c1": 0.2} if replaced == "window" else {"shift": F.shift + 1.0}))
+        assert _held_source(G, g) is None
+        want = flow_classify(dataclasses.replace(G, held=None), g=g).sigma.s_m
+        assert flow_classify(G, g=g).sigma.s_m.tobytes() == want.tobytes()
+        calls.clear()
+        S = time_scale(F, 1.7)  # time scaling keeps the window, the shift and the held values
+        assert S.held is F.held and _held_source(S, g) is not None
+        flow_classify(S, g=g)
+        assert calls == []  # no f at the nodes <= c1, nor above
+
     @pytest.mark.parametrize("case", ["replaced-source", "other-grid", "equal-nodes-other-spec", "user-transversal"])
     def test_the_formula_path_off_the_build_grid(self, held_flows, case):
         # only the flow's own source on its own grid, through the default transversal, reads T
@@ -541,7 +562,7 @@ class TestHeldValues:
     @pytest.mark.parametrize("name", GALLERY)
     def test_the_held_values_are_never_written(self, held_flows, name, gid):
         F = held_flows[name, gid]
-        g, T = F.held[1:]
+        g, T = F.held[1], F.held[3]
         before = T.tobytes()
         for lam in (1.0, 1.7, 1e-3):
             G = time_scale(F, lam)
@@ -678,10 +699,11 @@ class TestTransition:
             assert whole.tobytes() == pieces.tobytes()
 
     def test_parameter_validated(self):
-        # regression: x = NaN gave NaN for the standard flow
-        for x in (0.0, math.nan):
-            with pytest.raises(DomainError, match="transition parameter must be positive"):
-                transition_time(standard_flow(), DEFAULT_TRANSVERSAL, x)
+        # regression: x = NaN gave NaN for the standard flow, and x = inf gave -inf for a built one
+        for F in (standard_flow(), build_flow(builtin("std_log"))):
+            for x in (0.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="transition parameter must be positive"):
+                    transition_time(F, DEFAULT_TRANSVERSAL, x)
 
 
 class TestUserTransversals:

@@ -691,9 +691,8 @@ def whole_check_witness(f, f2, w, x, fx, sweep=None):
     hx = np.asarray(w.h(x), dtype=float)
     ties = (hx[1:] == hx[:-1]) & (hx[:-1] <= FLOOR)
     monotone = bool(hx[-1] >= 0) and bool(np.all((np.diff(hx) < 0) | ties))
-    mode = "equivalence" if f2 is not None else "self_similarity"
     if not monotone:
-        return WitnessReport(mode, w.lam, math.inf, float(x[0]), False, False)
+        return WitnessReport(math.inf, float(x[0]), False, False)
     fx = np.asarray(f(x), dtype=float)
     lhs = w.lam * fx if f2 is None else np.asarray(f2(x), dtype=float)
     pos = hx > 0
@@ -710,7 +709,7 @@ def whole_check_witness(f, f2, w, x, fx, sweep=None):
         rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1.0)
     rel[~pos] = math.inf
     i = int(np.argmax(rel))
-    return WitnessReport(mode, w.lam, float(rel[i]), float(x[i]), True, float(rel[i]) <= 1e-9)
+    return WitnessReport(float(rel[i]), float(x[i]), True, float(rel[i]) <= 1e-9)
 
 
 def whole_witness_sweep(f, h, k, lam, g):

@@ -54,9 +54,11 @@ def load_size_tool():
 
 def test_src_size_reports_the_line_count_and_the_longest_functions():
     out = subprocess.run([sys.executable, str(SIZE)], capture_output=True, text=True, check=True).stdout
-    head, *rows = out.splitlines()
-    files = sorted((ROOT / "src").glob("*/*.py"))
-    assert head == f"{sum(len(f.read_text().splitlines()) for f in files)} lines in {len(files)} files"
+    lines = out.splitlines()
+    heads, rows = lines[:3], lines[3:]
+    for head, part, pattern in zip(heads, ("src", "tests", "tools"), ("*/*.py", "*.py", "*.py")):
+        files = sorted((ROOT / part).glob(pattern))
+        assert head == f"{sum(len(f.read_text().splitlines()) for f in files)} lines in {len(files)} files of {part}/"
     assert len(rows) == 5
     lengths = [int(row.split()[0]) for row in rows]
     assert lengths == sorted(lengths, reverse=True)

@@ -1,6 +1,7 @@
 """Print the size of the package source: its line count and its longest functions.
 
-The line count is that of ``cat src/reebflow/*.py | wc -l``.  A function's
+The line count is that of ``cat src/reebflow/*.py | wc -l``; the counts of
+``tests/*.py`` and ``tools/*.py`` follow it, taken the same way.  A function's
 length is the span of its ``def`` in the syntax tree, from the ``def`` line
 to its last line, docstring and comments included.  Nested functions count
 inside their parent and are not listed on their own; methods are listed as
@@ -34,8 +35,10 @@ def spans(path: Path) -> list[tuple[str, int]]:
 
 def main() -> None:
     files = sorted((ROOT / "src").glob("*/*.py"))
-    total = sum(f.read_text().count("\n") for f in files)
-    print(f"{total} lines in {len(files)} files")
+    for part, pattern in (("src", "*/*.py"), ("tests", "*.py"), ("tools", "*.py")):
+        counted = sorted((ROOT / part).glob(pattern))
+        lines = sum(f.read_text().count("\n") for f in counted)
+        print(f"{lines} lines in {len(counted)} files of {part}/")
     rows = [(n, f"{f.name}:{name}") for f in files for name, n in spans(f)]
     for n, name in sorted(rows, key=lambda r: -r[0])[:5]:
         print(f"{n:5d}  {name}")
