@@ -95,8 +95,8 @@ def _classify_pass(
 ) -> tuple[SigmaEstimate, str, tuple[str, ...]]:
     """The sigma estimate, verdict and warnings of one pass of f, or ``source``, over g, which feeds ``folds``."""
     (f_sups, f_mins), sups = _profile_pass(f, g, "star", folds=folds, source=source)
-    warnings = tuple(_diagnose_envelopes(f, g, f_sups, f_mins))
-    sigma = _sigma_from_sups("star", g, sups)
+    warnings = tuple(_diagnose_envelopes(f, f_sups, f_mins))
+    sigma = _sigma_from_sups("star", sups)
     tail = float(np.max(sups[-_TAIL_WINDOW:]))
     if tail >= _TAU_NS:
         verdict = "nonstandard"

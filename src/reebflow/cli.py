@@ -23,7 +23,7 @@ import numpy as np
 
 from . import efunc, flow as flowmod, homeo as homeomod, linearize as linmod
 from .classify import classify, flow_classify
-from .errors import ConvergenceFailure, DomainError, TailCheckError, ToleranceFailure
+from .errors import ConvergenceFailure, ToleranceFailure
 from .oscillation import _TAIL_WINDOW, sharp_profile, sigma_from_profile, star_profile
 from .svgplot import line_plot
 
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except (ToleranceFailure, ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, DomainError, TailCheckError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ValueError covers DomainError, TailCheckError, json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # every array the commands allocate scales with the grid

@@ -39,21 +39,21 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_TAIL_OCTAVES = 20  # the horizon 2^20 toward +oo of the sharp tail, the class E0 check and the basin of 0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometric sampling grid: nodes x_i = 2^(-i/K), i = 0 .. K*m_max.
+    """Geometric sampling grid: nodes x_i = 2^(-i/K), i = 0 .. K*m_max, the pair ``--grid K,m_max`` takes.
 
     Every grid starts at x = 1, where the star profile is referenced.
-    ``samples_per_octave`` (K) controls resolution, ``octave_max`` (m_max)
-    the depth toward 0, and ``tail_octaves`` the horizon 2^tail_octaves
-    used when a function must be probed toward +oo (class E0 checks).
+    ``samples_per_octave`` (K) controls resolution and ``octave_max`` (m_max)
+    the depth toward 0.  Probes toward +oo stop at the horizon 2^20 of every
+    grid (``_TAIL_OCTAVES``), which ``to_json`` records as ``"tail_octaves"``.
     """
 
     samples_per_octave: int = 512
     octave_max: int = 40
-    tail_octaves: int = 20
 
     def __post_init__(self):
         for name, v in list(vars(self).items()):
@@ -67,8 +67,6 @@ class GridSpec:
         if self.octave_max > 60:
             # 2^-60 is still an exact double; beyond that the guarantee lapses.
             raise ValueError("octave_max above 60 is not supported")
-        if self.tail_octaves < 1:
-            raise ValueError("tail_octaves must be positive")
 
     @property
     def node_count(self) -> int:
@@ -106,7 +104,7 @@ class GridSpec:
             "K": self.samples_per_octave,
             "m_min": 0,
             "m_max": self.octave_max,
-            "tail_octaves": self.tail_octaves,
+            "tail_octaves": _TAIL_OCTAVES,
         }
 
 
@@ -342,9 +340,9 @@ def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def from_expression(expr: str, claimed_class: str = "E", description: str = "") -> EFunction:
-    """Closed-form function of ``x`` (see :func:`compile_expr`); for experiments and tests."""
-    return EFunction("expression", compile_expr(expr, "function"), claimed_class, description or expr)
+def from_expression(expr: str) -> EFunction:
+    """Closed-form function of ``x`` (see :func:`compile_expr`) of class E, described by ``expr``."""
+    return EFunction("expression", compile_expr(expr, "function"), "E", expr)
 
 
 def from_csv(path: str | Path) -> EFunction:
@@ -355,36 +353,31 @@ def from_csv(path: str | Path) -> EFunction:
     structure of the grid, and raises outside the sampled range.
     """
     path = Path(path)
-    text = path.read_text()
-    return _parse_csv(text, str(path))
-
-
-def _parse_csv(text: str, label: str) -> EFunction:
-    reader = csv.reader(io.StringIO(text))  # each row with the number of the line it ends on
+    reader = csv.reader(io.StringIO(path.read_text()))  # each row with the number of the line it ends on
     rows = ((reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row))
     if (first := next(rows, None)) is None:
-        raise ValueError(f"{label}: empty CSV")
+        raise ValueError(f"{path}: empty CSV")
     header = [cell.strip().lower() for cell in first[1]]
     if header[:2] != ["x", "f"]:
-        raise ValueError(f"{label}: expected header 'x,f', got {first[1]!r}")
+        raise ValueError(f"{path}: expected header 'x,f', got {first[1]!r}")
     xs, fs = [], []
     for lineno, row in rows:
         if len(row) < 2:
-            raise ValueError(f"{label}:{lineno}: need two columns")
+            raise ValueError(f"{path}:{lineno}: need two columns")
         try:
             xv, fv = float(row[0]), float(row[1])
         except ValueError as exc:
-            raise ValueError(f"{label}:{lineno}: malformed row {row!r}") from exc
+            raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
         if not (math.isfinite(xv) and math.isfinite(fv)):
-            raise ValueError(f"{label}:{lineno}: non-finite value in row {row!r}")
+            raise ValueError(f"{path}:{lineno}: non-finite value in row {row!r}")
         if xv <= 0:
-            raise ValueError(f"{label}:{lineno}: x must be positive, got {xv!r}")
+            raise ValueError(f"{path}:{lineno}: x must be positive, got {xv!r}")
         if xs and xv >= xs[-1]:
-            raise ValueError(f"{label}:{lineno}: x column must be strictly decreasing")
+            raise ValueError(f"{path}:{lineno}: x column must be strictly decreasing")
         xs.append(xv)
         fs.append(fv)
     if len(xs) < 2:
-        raise ValueError(f"{label}: need at least two samples")
+        raise ValueError(f"{path}: need at least two samples")
     # ascending in log2 x for interpolation
     lx = np.log2(np.asarray(xs[::-1]))
     fv = np.asarray(fs[::-1])
@@ -397,7 +390,7 @@ def _parse_csv(text: str, label: str) -> EFunction:
         "sampled",
         fn,
         "E",
-        f"csv:{label}",
+        f"csv:{path}",
         domain=(x_lo, x_hi),
     )
 
@@ -523,7 +516,7 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     Finite data cannot certify the limits, so violations are reported as
     warnings rather than rejections.  For class E the per-octave minima of f
     should grow toward 0 (monotone up to a small slack); for class E0 the
-    value at the tail horizon 2^tail_octaves should be small.  Streams f
+    value at the tail horizon 2^20 (``_TAIL_OCTAVES``) should be small.  Streams f
     over ``fit_grid(f, g)`` for its octave envelopes; ``classify`` passes
     the envelopes of f from its own pass to the same check instead.
     """
@@ -533,11 +526,11 @@ def diagnose_class(f: EFunction, g: GridSpec) -> list[str]:
     except DomainError as exc:
         return [f"could not sample for diagnosis: {exc}"]
     sups, mins = (np.concatenate(e) for e in zip(*envelopes))
-    return _diagnose_envelopes(f, fg, sups, mins)
+    return _diagnose_envelopes(f, sups, mins)
 
 
-def _diagnose_envelopes(f: EFunction, grid: GridSpec, sups: np.ndarray, mins: np.ndarray) -> list[str]:
-    """The checks of :func:`diagnose_class` on the octave envelopes of ``f`` on ``grid``."""
+def _diagnose_envelopes(f: EFunction, sups: np.ndarray, mins: np.ndarray) -> list[str]:
+    """The checks of :func:`diagnose_class` on the octave envelopes of ``f`` on a grid."""
     warnings: list[str] = []
     # a divergent f may oscillate, so its window minima may dip; allow dips up
     # to the function's own typical per-octave swing before raising a flag
@@ -551,9 +544,9 @@ def _diagnose_envelopes(f: EFunction, grid: GridSpec, sups: np.ndarray, mins: np
             f"drops more than {allowance:.3g} below the earlier minima"
         )
     if f.claimed_class == "E0" and f.domain[1] == math.inf:
-        horizon = abs(f(2.0 ** grid.tail_octaves))
+        horizon = abs(f(2.0**_TAIL_OCTAVES))
         if horizon > 0.01 * (1.0 + abs(f(1.0))):
-            warnings.append(f"class E0 suspect: |f(2^{grid.tail_octaves})| = {horizon:.6g} is not small")
+            warnings.append(f"class E0 suspect: |f(2^{_TAIL_OCTAVES})| = {horizon:.6g} is not small")
     return warnings
 
 

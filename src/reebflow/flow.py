@@ -70,14 +70,14 @@ _S_CEILING = 700.0  # |ln xi| beyond this over/underflows e^s
 
 @dataclass(frozen=True)
 class QuarterPlanePoint:
-    """A point of the closed quarter plane with the origin removed."""
+    """A point of the closed quarter plane with the origin removed, at finite coordinates."""
 
     xi: float
     eta: float
 
     def __post_init__(self):
-        if self.xi < 0 or self.eta < 0:
-            raise ValueError(f"quarter-plane point needs xi, eta >= 0, got {self}")
+        if not (0 <= self.xi < math.inf and 0 <= self.eta < math.inf):  # NaN included
+            raise ValueError(f"quarter-plane point needs finite xi, eta >= 0, got {self}")
         if self.xi == 0 and self.eta == 0:
             raise ValueError("the origin is not in the quarter plane")
 
@@ -99,6 +99,8 @@ class QuarterPlanePoint:
 
 def standard_step(t: float, p: QuarterPlanePoint) -> QuarterPlanePoint:
     """(xi, eta) -> (e^t xi, e^-t eta); exact closed form, axes included."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t = {t!r} is not finite")
     if abs(t) > _S_CEILING:
         raise ValueError(f"|t| = {abs(t):g} exceeds the exponential range (700)")
     return QuarterPlanePoint(math.exp(t) * p.xi, math.exp(-t) * p.eta)
@@ -371,8 +373,10 @@ def _leaf_position(F: Flow, c, s0, t) -> np.ndarray:
     broadcast shape of c and s0), then broadcast against t.  The motion ends
     in the piece after the last breakpoint it reaches (from a breakpoint, the
     piece in the direction of motion); inside it the position is closed
-    form, with expm1 on ramps.
+    form, with expm1 on ramps.  A time that is not finite is a ValueError naming it.
     """
+    if (bad := ~np.isfinite(t)).any():
+        raise ValueError(f"time t = {float(np.asarray(t)[bad].flat[0])!r} is not finite")
     c, s0 = np.broadcast_arrays(c, s0)
     r, b = _pieces(F, c)
     to_b = np.stack([_travel(r, b, s0, b[..., j]) for j in range(4)], axis=-1)

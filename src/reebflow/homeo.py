@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .efunc import GridSpec, compile_expr
+from .efunc import _TAIL_OCTAVES, GridSpec, compile_expr
 
 __all__ = [
     "Homeo",
@@ -87,10 +87,9 @@ def _verify(fn, inverse_fn, name) -> Homeo:
     return Homeo(fn, inverse_fn, name)
 
 
-def homeo_from_expression(expr: str, inverse_expr: str | None = None) -> Homeo:
-    """Homeo from a formula in ``x`` (same namespace as EFunction expressions)."""
-    inv = None if inverse_expr is None else compile_expr(inverse_expr, "homeo inverse")
-    return _verify(compile_expr(expr, "homeo"), inv, expr)
+def homeo_from_expression(expr: str) -> Homeo:
+    """Homeo from a formula in ``x`` (same namespace as EFunction expressions), inverted by bisection."""
+    return _verify(compile_expr(expr, "homeo"), None, expr)
 
 
 def gallery_homeo(ident: str) -> Homeo:
@@ -135,12 +134,12 @@ class BasinReport:
 
 
 def basin_of_zero(h: Homeo, probe: GridSpec, hx: np.ndarray | None = None) -> BasinReport:
-    """How 0 attracts under h, read at the nodes of ``probe`` and at 2^1 .. 2^tail_octaves (a NaN
-    is not attracted); 0 repels when h(x) > x at a node nearest 0.  Given ``hx``, h at the nodes,
-    h runs only at the points above 1."""
+    """How 0 attracts under h, read at the nodes of ``probe`` and at 2^1 .. 2^20, up to the horizon
+    ``_TAIL_OCTAVES`` of every grid (a NaN is not attracted); 0 repels when h(x) > x at a node nearest 0.
+    Given ``hx``, h at the nodes, h runs only at the points above 1."""
     x = probe.nodes()  # descending in (0, 1]
     hx = np.asarray(h(x), dtype=float) if hx is None else hx
-    above = np.exp2(np.arange(1.0, probe.tail_octaves + 1))
+    above = np.exp2(np.arange(1.0, _TAIL_OCTAVES + 1))
     h_above = np.asarray(h(above), dtype=float)
     q = max(4, probe.samples_per_octave)  # the q nodes nearest 0, all of them on a smaller grid
     if not np.all(hx[-q:] <= x[-q:]):

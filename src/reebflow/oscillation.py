@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import _BLOCK, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span
+from .efunc import _BLOCK, _TAIL_OCTAVES, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span
 from .errors import DomainError, TailCheckError
 from .homeo import Homeo
 
@@ -69,7 +69,6 @@ class OscillationProfile:
     """
 
     variant: str  # "star" | "sharp"
-    grid: GridSpec
     x: np.ndarray
     f_values: np.ndarray
     values: np.ndarray
@@ -90,21 +89,21 @@ def star_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
 def sharp_profile(f: EFunction, g: GridSpec) -> OscillationProfile:
     """Running-max profile referenced to +oo, for functions of class E0.
 
-    The running maximum is seeded with the sampled maximum of f over
-    [1, 2^tail_octaves]; the magnitude of f at the horizon must be at most
-    0.01 or the decay claim is rejected.
+    The running maximum is seeded with the sampled maximum of f over [1, 2^20],
+    at K nodes per octave (``_TAIL_OCTAVES``: the horizon of every grid); the
+    magnitude of f there must be at most 0.01 or the decay claim is rejected.
     """
     return _held_profile(f, g, "sharp")
 
 
-# the largest |f(2^tail_octaves)| that the sharp profile accepts as decay
+# the largest |f(2^_TAIL_OCTAVES)| that the sharp profile accepts as decay
 _DECAY_BOUND = 0.01
 
 
 def _held_profile(f: EFunction, g: GridSpec, variant: str) -> OscillationProfile:
     fv, vals = np.empty(g.node_count), np.empty(g.node_count)
     _, sups = _profile_pass(f, g, variant, fv, vals)
-    return OscillationProfile(variant, g, g.nodes(), fv, vals, sups)
+    return OscillationProfile(variant, g.nodes(), fv, vals, sups)
 
 
 def _profile_pass(
@@ -170,14 +169,14 @@ def _tail_max(f: EFunction, g: GridSpec) -> float:
     """The max of f over the tail nodes of g, by ``_blocks`` after one domain check, once |f| at the horizon
     passes the decay bound: the bits of one max over the tail (taken again if 0, where +-0.0 may tie), a NaN too.
     The nodes of each block are written into one buffer (:func:`_tail_span`)."""
-    K, n = g.samples_per_octave, g.samples_per_octave * g.tail_octaves + 1
+    K, n = g.samples_per_octave, g.samples_per_octave * _TAIL_OCTAVES + 1
     ramp, t = np.arange(min(_BLOCK, n), dtype=float), np.empty(min(_BLOCK, n))
     f._check_domain(1.0, float(_tail_span(K, n - 1, ramp, t[:1])[0]))
     tops = [(tv := np.asarray(f.fn(_tail_span(K, s.start, ramp, t[: s.stop - s.start])), dtype=float)).max()
             for s in _blocks(n)]
     horizon = float(np.abs(tv[-1]))
     if horizon > _DECAY_BOUND:
-        raise TailCheckError(f"|f(2^{g.tail_octaves})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}")
+        raise TailCheckError(f"|f(2^{_TAIL_OCTAVES})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}")
     if (top := float(np.max(tops))) == 0:  # again over the whole tail at once, where +-0.0 may tie
         top = float(np.asarray(f.fn(_tail_span(K, 0, t := np.arange(n, dtype=float), t)), dtype=float).max())
     return top
@@ -268,11 +267,11 @@ def sigma_estimate(f: EFunction, g: GridSpec, variant: str = "star") -> SigmaEst
     only the per-octave suprema: no sample of f or of the profile is held.
     """
     _, sups = _profile_pass(f, g, variant)
-    return _sigma_from_sups(variant, g, sups)
+    return _sigma_from_sups(variant, sups)
 
 
 def sigma_from_profile(prof: OscillationProfile) -> SigmaEstimate:
-    return _sigma_from_sups(prof.variant, prof.grid, prof.octave_sup)
+    return _sigma_from_sups(prof.variant, prof.octave_sup)
 
 
 # the factor by which the tail window must grow or shrink against the one
@@ -280,7 +279,7 @@ def sigma_from_profile(prof: OscillationProfile) -> SigmaEstimate:
 _TREND_FACTOR = 1.5
 
 
-def _sigma_from_sups(variant: str, g: GridSpec, s_m: np.ndarray) -> SigmaEstimate:
+def _sigma_from_sups(variant: str, s_m: np.ndarray) -> SigmaEstimate:
     W = _TAIL_WINDOW
     if len(s_m) < 2 * W:
         raise ValueError(f"need at least {2 * W} octaves, have {len(s_m)}")

@@ -25,7 +25,7 @@ def grid():
 @pytest.fixture(scope="session")
 def small_grid():
     """Coarser grid for property tests that run many examples."""
-    return GridSpec(samples_per_octave=64, octave_max=24, tail_octaves=10)
+    return GridSpec(samples_per_octave=64, octave_max=24)
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ def suite(f, lam, c, h, k, g, window=1):
         "shift": shift(f, c, g, base),
         "pushforward": pushforward(f, h, g, base),
         "perturbation": perturbation(f, k, g, base, window),
-        "zeros": zeros(base, window),
+        "zeros": zeros(g, base, window),
     }
 
 
@@ -92,8 +92,8 @@ def perturbation(f, k, g, base, window):
     return {"passed": passed, "window_octaves": int(window), "d_early": d_early, "d_late": d_late}
 
 
-def zeros(base, window):
-    sups, mins = base.octave_sup, base.grid.octave_envelopes(base.values)[1]
+def zeros(g, base, window):
+    sups, mins = base.octave_sup, g.octave_envelopes(base.values)[1]
     violations = [
         m for m in range(len(sups) - window + 1)
         if float(np.min(mins[m : m + window])) > 1e-6 * (1.0 + float(np.max(sups[m : m + window])))

@@ -177,9 +177,8 @@ class TestGridSpec:
     def test_nodes_are_one_cached_read_only_array(self):
         g = GridSpec(samples_per_octave=8, octave_max=6)
         x = g.nodes()
-        # equal specs share the array; tail_octaves does not change the nodes
+        # equal specs share the array
         assert GridSpec(samples_per_octave=8, octave_max=6).nodes() is x
-        assert GridSpec(samples_per_octave=8, octave_max=6, tail_octaves=3).nodes() is x
         with pytest.raises(ValueError):
             x[0] = 2.0
         i = np.arange(0, 8 * 6 + 1)
@@ -202,7 +201,7 @@ class TestGridSpec:
             x = _nodes.__wrapped__(K, m_max)
             assert x.tobytes() == want[: K * m_max + 1].tobytes(), m_max
 
-    @pytest.mark.parametrize("field", ["samples_per_octave", "octave_max", "tail_octaves"])
+    @pytest.mark.parametrize("field", ["samples_per_octave", "octave_max"])
     @pytest.mark.parametrize("bad", [512.5, 2.0, True, np.float64(8.0), "8", None], ids=repr)
     def test_a_field_that_is_not_an_integer_is_named(self, field, bad):
         # regression: GridSpec(512.5, 40).nodes() raised numpy's TypeError,
@@ -213,9 +212,9 @@ class TestGridSpec:
     def test_numpy_integers_are_kept_as_python_ints(self):
         # regression: json.dumps(GridSpec(np.int64(512), 40).to_json()) raised
         # "Object of type int64 is not JSON serializable"
-        g = GridSpec(np.int64(512), np.int32(40), np.uint8(20))
-        assert [type(v) for v in (g.samples_per_octave, g.octave_max, g.tail_octaves)] == [int] * 3
-        assert g == GridSpec(512, 40, 20) and hash(g) == hash(GridSpec(512, 40, 20))
+        g = GridSpec(np.int64(512), np.int32(40))
+        assert [type(v) for v in (g.samples_per_octave, g.octave_max)] == [int] * 2
+        assert g == GridSpec(512, 40) and hash(g) == hash(GridSpec(512, 40))
         assert json.loads(json.dumps(g.to_json())) == {"K": 512, "m_min": 0, "m_max": 40, "tail_octaves": 20}
 
     @given(
@@ -235,8 +234,8 @@ class TestGridSpec:
         assert np.array_equal(mins.view(np.int64), want_mins.view(np.int64))
 
     def test_json_keeps_m_min_zero(self, small_grid):
-        # every grid starts at x = 1; the key stays so artifacts keep their bytes
-        assert small_grid.to_json() == {"K": 64, "m_min": 0, "m_max": 24, "tail_octaves": 10}
+        # every grid starts at x = 1 and ends its tail at 2^20; the keys stay so artifacts keep their bytes
+        assert small_grid.to_json() == {"K": 64, "m_min": 0, "m_max": 24, "tail_octaves": 20}
 
 
 SPAN_KS = [1, 3, 7, 100, 512, 4096, 16384, 32768, 40000]
@@ -598,18 +597,18 @@ class TestDiagnosis:
         assert warnings and "class E suspect" in warnings[0]
 
     def test_e0_tail_reported(self, small_grid):
-        fake = from_expression("1 + 1/x", claimed_class="E0")
+        fake = replace(from_expression("1 + 1/x"), claimed_class="E0")
         warnings = diagnose_class(fake, small_grid)
         assert any("E0 suspect" in w for w in warnings)
 
     def test_e0_tail_reads_the_horizon_alone(self, small_grid):
-        # regression: f ran at the 10 points 2^1 .. 2^10, and only f(2^10) was read
-        base = from_expression("1 + 1/x", claimed_class="E0")
+        # regression: f ran at the points 2^1 .. 2^tail, and only f(2^tail) was read
+        base = replace(from_expression("1 + 1/x"), claimed_class="E0")
         seen = []
         fake = replace(base, fn=lambda x: seen.extend(np.ravel(x).tolist()) or base.fn(x))
         warnings = diagnose_class(fake, small_grid)
-        assert warnings == ["class E0 suspect: |f(2^10)| = 1.00098 is not small"]
-        assert [v for v in seen if v > 1.0] == [2.0**10]
+        assert warnings == ["class E0 suspect: |f(2^20)| = 1 is not small"]
+        assert [v for v in seen if v > 1.0] == [2.0**20]
 
 
 class TestAlgebra:

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import itertools
 import pkgutil
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def test_every_export_is_used():
 # parameters with a default of a function, for each export that has one;
 # a new option is an edit to this table
 OPTIONS = {
-    "GridSpec": ("samples_per_octave", "octave_max", "tail_octaves"),
+    "GridSpec": ("samples_per_octave", "octave_max"),
     "LinearizeConfig": ("lam", "grid", "tol"),
     "classify": (),
     "flow_classify": ("tv", "g"),
@@ -85,12 +86,12 @@ OPTIONS = {
     "EquivalenceWitness": ("h", "k", "lam"),
     "basin_of_zero": ("hx",),
     "sigma_estimate": ("variant",),
-    "OscillationProfile": ("variant", "grid", "x", "f_values", "values", "octave_sup"),
+    "OscillationProfile": ("variant", "x", "f_values", "values", "octave_sup"),
     "EFunction": ("kind", "fn", "claimed_class", "description", "domain"),
     "builtin": ("params",),
-    "from_expression": ("claimed_class", "description"),
+    "from_expression": (),
     "Homeo": ("fn", "inverse_fn", "name"),
-    "homeo_from_expression": ("inverse_expr",),
+    "homeo_from_expression": (),
     "Flow": ("lam", "c0", "c1", "shift", "source", "source_spec", "held"),
     "Transversal": ("gamma1_nodes", "gamma2_nodes"),
     "build_flow": ("c0", "c1", "g", "source_spec"),
@@ -126,3 +127,62 @@ def test_option_surface(name):
         params = inspect.signature(obj).parameters.values()
         got = tuple(p.name for p in params if p.default is not p.empty)
     assert got == OPTIONS[name]
+
+
+def calls():
+    """(name of the callee, call) of every call under src/, tools/ and bench/; ``a.b(...)`` is named ``b``."""
+    for path in (p for d in ("src", "tools", "bench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                yield getattr(node.func, "id", None) or node.func.attr, node
+
+
+def settable(obj) -> list[str]:
+    """The names a call of ``obj`` binds its arguments to, in order."""
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj) if f.init]
+    return list(inspect.signature(obj).parameters)
+
+
+def test_every_option_is_set():
+    # an option only the tests set is a constant: a value counts as set when a call passes it
+    # by keyword or by position, or names it as a keyword of replace, for any config with that field
+    configs = [n for n in OPTIONS if dataclasses.is_dataclass(getattr(reebflow, n))]
+    passed = set()
+    for callee, node in calls():
+        keywords = {k.arg for k in node.keywords if k.arg}
+        if callee == "replace":
+            passed |= {(n, k) for n in configs for k in keywords}
+        elif callee in OPTIONS:
+            n = len(list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args)))
+            passed |= {(callee, k) for k in (*keywords, *settable(getattr(reebflow, callee))[:n])}
+    assert [f"{n}.{v}" for n, values in OPTIONS.items() for v in values if (n, v) not in passed] == []
+
+
+# parameters that stay unread, each with its reason
+UNREAD = {
+    ("flow.py", "extract_transition", "g"): "bench/workloads.py passes tv by position after it",
+}
+
+
+def reads(body: list) -> set[str]:
+    """The names that ``body`` reads: loaded, or the target of an augmented assignment (``at *= d``)."""
+    nodes = [n for s in body for n in ast.walk(s)]
+    targets = [n.target for n in nodes if isinstance(n, ast.AugAssign)]
+    return {n.id for n in nodes if isinstance(n, ast.Name) and (isinstance(n.ctx, ast.Load) or n in targets)}
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a knob that does nothing; a nested function reading it counts,
+    # and a name of underscores alone is a placeholder for a slot of the caller's tuple
+    unread = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            read = reads(node.body if isinstance(node.body, list) else [node.body])
+            name = getattr(node, "name", "<lambda>")
+            unread |= {(path.name, name, p) for p in params if p not in read and p.strip("_")}
+    assert sorted(unread) == sorted(UNREAD)

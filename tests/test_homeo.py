@@ -10,14 +10,21 @@ from reebflow import (
     gallery_homeo,
     homeo_from_expression,
 )
+from reebflow.efunc import compile_expr
+from reebflow.homeo import _verify
 
 # onto increasing map fixing 0 with h(x) < x, parabolic at 0
 MOBIUS = "x*(2+x)/(2+2*x)"
 MOBIUS_INV = "where(x < 1, 2*x/(sqrt(x**2+1) + 1 - x), (x-1) + sqrt(x**2+1))"
 
 
+def with_inverse(expr, inverse_expr):
+    """The homeo of ``expr`` with the closed-form inverse ``inverse_expr``, its round trip checked."""
+    return _verify(compile_expr(expr, "homeo"), compile_expr(inverse_expr, "homeo inverse"), expr)
+
+
 def mobius():
-    return homeo_from_expression(MOBIUS, MOBIUS_INV)
+    return with_inverse(MOBIUS, MOBIUS_INV)
 
 
 def iterate(h, n, x):
@@ -78,7 +85,7 @@ class TestGallery:
 
     def test_inverse_round_trip_enforced(self):
         with pytest.raises(ValueError, match="round trip"):
-            homeo_from_expression("x/2", "3*x")
+            with_inverse("x/2", "3*x")
 
 
 class TestIterate:
@@ -151,7 +158,7 @@ class TestBasin:
 
     def test_shifted_fixed_point_bisected(self, small_grid):
         # h(x) = x^2/1.5 fixes 1.5; below it h(x) < x
-        h = homeo_from_expression("x*x/1.5", "sqrt(1.5*x)")
+        h = with_inverse("x*x/1.5", "sqrt(1.5*x)")
         rep = basin_of_zero(h, small_grid)
         assert rep.case == "bounded"
         assert rep.b == pytest.approx(1.5, rel=1e-12)

@@ -423,7 +423,7 @@ class TestHeldValues:
             (gid, name, hid, k is None): koenigs_limit(
                 builtin(name), gallery_homeo(hid), k, LinearizeConfig(2.0, g, tol=1e-9)
             )
-            for gid, g in (("single", GridSpec(64, 24, 10)), ("multi", MULTI))
+            for gid, g in (("single", GridSpec(64, 24)), ("multi", MULTI))
             for name, hid, k in self.CASES
         }
 
@@ -811,7 +811,7 @@ BASIN_INPUTS = [
     ("koenigs_demo", "pow:0.5", 2.0), ("std_log", "x*x/0.3", 2.0), ("std_log", "x*x/1.5", 2.0),
     ("std_log", "where(x < 3, x/2, 2*x - 3)", 2.0),
 ]
-BASIN_GRIDS = {"64x24": GridSpec(64, 24, 10), "100x30": GridSpec(100, 30), "512x24": GridSpec(512, 24),
+BASIN_GRIDS = {"64x24": GridSpec(64, 24), "100x30": GridSpec(100, 30), "512x24": GridSpec(512, 24),
                "512x40": GridSpec(), "4096x20": MULTI, "8x12": GridSpec(8, 12)}
 
 

@@ -55,10 +55,14 @@ def load_size_tool():
 def test_src_size_reports_the_line_count_and_the_longest_functions():
     out = subprocess.run([sys.executable, str(SIZE)], capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    heads, rows = lines[:3], lines[3:]
+    heads, code, rows = [lines[0], *lines[2:4]], lines[1], lines[4:]
     for head, part, pattern in zip(heads, ("src", "tests", "tools"), ("*/*.py", "*.py", "*.py")):
         files = sorted((ROOT / part).glob(pattern))
         assert head == f"{sum(len(f.read_text().splitlines()) for f in files)} lines in {len(files)} files of {part}/"
+    # the code lines and the three kinds of line left out add up to the line count
+    pattern = r"(\d+) code lines of src/, less (\d+) of docstrings, (\d+) comment-only and (\d+) blank"
+    counts = [int(n) for n in re.fullmatch(pattern, code).groups()]
+    assert sum(counts) == int(heads[0].split()[0]) and all(counts)
     assert len(rows) == 5
     lengths = [int(row.split()[0]) for row in rows]
     assert lengths == sorted(lengths, reverse=True)
@@ -72,6 +76,38 @@ def test_src_size_counts_nested_functions_inside_their_parent(tmp_path):
              "    def method(self):", "        pass"]
     (src / "m.py").write_text("\n".join(lines) + "\n")
     assert load_size_tool().spans(src / "m.py") == [("outer", 4), ("C.method", 2)]
+
+
+SPLIT_MODULE = '''"""A module docstring
+
+of three lines."""
+
+# a comment-only line
+import math
+
+
+def f(x):  # a comment after code
+    """One line."""
+    s = """a string
+
+    that is code"""
+    return math.sqrt(x) + len(s)
+
+
+class C:
+    """Doc."""
+
+    # inside the class
+    y = 1
+'''
+
+
+def test_src_size_splits_code_from_docstrings_comments_and_blank_lines(tmp_path):
+    (path := tmp_path / "m.py").write_text(SPLIT_MODULE)
+    # code: import, def, the three lines of s (its blank line too), return, class, y;
+    # docstrings: 3 + 1 + 1; comment-only: 2; blank: the 6 outside every string
+    assert load_size_tool().split(path) == (8, 5, 2, 6)
+    assert sum(load_size_tool().split(path)) == len(SPLIT_MODULE.splitlines())
 
 
 @pytest.mark.parametrize(
