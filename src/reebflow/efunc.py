@@ -11,11 +11,14 @@ to K consecutive nodes and behavior as x -> 0 is indexed by octave number.
 
 from __future__ import annotations
 
+import ast
 import csv
 import functools
 import io
 import math
 import numbers
+import operator
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -38,7 +41,6 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _TAIL_OCTAVES = 20  # the horizon 2^20 toward +oo of the sharp tail, the class E0 check and the basin of 0
 
 
@@ -164,7 +166,8 @@ class EFunction:
 
     ``claimed_class`` is "E" (diverges at 0) or "E0" (also vanishes at +oo);
     the claim is diagnosed, never silently trusted, by :func:`diagnose_class`.
-    ``domain`` restricts evaluation for sampled data.
+    ``domain`` restricts evaluation for sampled data.  The ``fn`` of the gallery,
+    of expressions and of ``scaled`` and ``shifted`` is a program (:func:`compile_expr`).
     """
 
     kind: str  # "builtin" | "expression" | "sampled"
@@ -208,7 +211,7 @@ class EFunction:
         return replace(
             self,
             kind="expression",
-            fn=lambda x, _f=self.fn, _l=lam: _l * _f(x),
+            fn=_program(self.fn).scaled(lam),
             description=f"{lam:g}*({self.description})",
         )
 
@@ -220,7 +223,7 @@ class EFunction:
         return replace(
             self,
             kind="expression",
-            fn=lambda x, _f=self.fn, _c=c: _f(x) + _c,
+            fn=_program(self.fn).shifted(c),
             claimed_class=cls,
             description=f"({self.description})+{c:g}",
         )
@@ -245,7 +248,14 @@ class EFunction:
         )
 
 
-BUILTIN_NAMES = ("std_log", "doubling_osc", "bounded_osc", "koenigs_demo")
+# The gallery: name -> (expression, claimed class); bounded_osc's amplitude A is written in by repr.
+_GALLERY = {
+    "std_log": ("-log(x)", "E"),
+    "doubling_osc": ("exp2(sin(2*pi*log2(x))) / x", "E0"),  # f <= 2/x on [1, oo)
+    "bounded_osc": ("-log(x) + {A!r}*sin(-log(x))", "E"),
+    "koenigs_demo": ("-log(x) + x / (1.0 + x)", "E"),
+}
+BUILTIN_NAMES = tuple(_GALLERY)
 
 
 class UnknownBuiltin(ValueError):
@@ -253,7 +263,7 @@ class UnknownBuiltin(ValueError):
 
 
 def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
-    """Gallery function by identifier.
+    """Gallery function by identifier: the program (:func:`compile_expr`) of its expression in ``_GALLERY``.
 
     std_log          -ln x                       monotone; the standard class
     doubling_osc     2^(sin(2 pi log2 x)) / x    satisfies f(x/2) = 2 f(x),
@@ -262,82 +272,174 @@ def builtin(name: str, params: Sequence[float] = ()) -> EFunction:
                                                  (default A = 2)
     koenigs_demo     -ln x + x/(1+x)             monotone perturbation of
                                                  std_log; linearization demo
+
+    Each gives the bits of the numpy expression its text spells (-ln x once in bounded_osc).
     """
-    params = tuple(float(p) for p in params)
-    if name in BUILTIN_NAMES and len(params) > (takes := int(name == "bounded_osc")):  # its amplitude A
+    try:
+        params = tuple(float(p) for p in params)
+    except OverflowError:  # an integer that no double holds
+        raise ValueError(f"the parameters of {name} must be numbers that a double holds") from None
+    if name not in _GALLERY:
+        raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    if len(params) > (takes := int(name == "bounded_osc")):  # its amplitude A
         raise ValueError(f"too many parameters for {name}: got {len(params)}, it takes {takes}")
-    if name == "std_log":
-        return EFunction("builtin", lambda x: -np.log(x), "E", "std_log")
-    if name == "doubling_osc":
-        return EFunction(
-            "builtin",
-            lambda x: np.exp2(np.sin(_TWO_PI * np.log2(x))) / x,
-            "E0",  # f <= 2/x on [1, oo)
-            "doubling_osc",
-        )
+    (expr, cls), desc = _GALLERY[name], name
     if name == "bounded_osc":
         amp = params[0] if params else 2.0
         if not 0 <= amp < math.inf:  # NaN included
             raise ValueError(f"bounded_osc amplitude must be finite and >= 0, got {amp:g}")
-
-        def fn(x, _a=amp):
-            u = -np.log(x)
-            return u + _a * np.sin(u)
-
-        return EFunction("builtin", fn, "E", f"bounded_osc({amp:g})")
-    if name == "koenigs_demo":
-        return EFunction(
-            "builtin",
-            lambda x: -np.log(x) + x / (1.0 + x),
-            "E",
-            "koenigs_demo",
-        )
-    raise UnknownBuiltin(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+        expr, desc = expr.format(A=amp), f"bounded_osc({amp:g})"
+    return EFunction("builtin", compile_expr(expr, name), cls, desc)
 
 
-_EXPR_NS = {
-    "log": np.log,
-    "log2": np.log2,
-    "exp": np.exp,
-    "exp2": np.exp2,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-    "where": np.where,
-    "pi": math.pi,
-    "e": math.e,
-}
+# The grammar of an expression (see compile_expr): its constants, its functions with their arity, and its
+# operators, each with the Python operator that a call of the program runs and the ufunc that into runs.
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_FUNCTIONS = dict(log=1, log2=1, exp=1, exp2=1, sin=1, cos=1, sqrt=1, abs=1, maximum=2, minimum=2, where=3)
+_OPERATORS = {getattr(ast, a): (getattr(operator, o), getattr(np, u)) for a, o, u in map(str.split, (
+    "Add add add", "Sub sub subtract", "Mult mul multiply", "Div truediv divide", "FloorDiv floordiv floor_divide",
+    "Mod mod remainder", "Pow pow power", "USub neg negative", "UAdd pos positive", "Lt lt less", "LtE le less_equal",
+    "Gt gt greater", "GtE ge greater_equal", "Eq eq equal", "NotEq ne not_equal"))}
+_SCRATCH = threading.local()  # role -> the arrays of _scratch, one set for each thread
 
 
-def compile_expr(expr: str, what: str) -> Callable[[np.ndarray], np.ndarray]:
-    """A function of ``x`` from an expression over a small numpy namespace.
+def _into(fn: Callable) -> Callable:
+    """``fn`` that writes its value into ``out``, for an op without a ufunc."""
+    return lambda *args, out: out.__setitem__(..., fn(*args))
 
-    The result is a new array of the shape of ``x``, a copy only of x, a view of x
-    or a constant.  A syntax error, a name outside the namespace, or an error
-    while evaluating is a ValueError naming the expression.  The namespace is
-    restricted to elementary functions, not a sandbox against hostile input.
+
+def _scratch(role: str, k: int, n: int) -> list[np.ndarray]:
+    """k arrays of n doubles, kept by this thread for ``role``'s next use (which may not overlap this one).
+
+    They grow to the role's largest use, so a warm pass allocates nothing and takes no page fault.  Each
+    starts a 64-byte line, which numpy's block-sized arrays do not, and ufuncs write faster (CHANGES.md)."""
+    bufs = _SCRATCH.__dict__.setdefault(role, [])
+    if len(bufs) < k or len(bufs[0]) < n:
+        raws = [np.empty(max([n, *map(len, bufs)]) + 7) for _ in range(max(k, len(bufs)))]
+        bufs[:] = [raw[-(raw.ctypes.data // 8) % 8 :][: len(raw) - 7] for raw in raws]
+    return [b[:n] for b in bufs[:k]]
+
+
+class _Program:
+    """f as ops over registers: x, the constants, then temporaries, each reused after its value's last use.
+
+    ``values`` are x, constants ``("c", v)`` and ops ``("op", py, uf, args)`` over earlier values, each once.
+    A call runs each ``py``, the Python operator or numpy function of the text, and drops each temporary at
+    its last use; :meth:`into` runs the ufuncs ``uf``, the last into ``out``, the others into scratch."""
+
+    def __init__(self, values=(("x",),)):
+        self.values, self.index = list(values), {}  # index: the values added here, by key
+
+    def add(self, v: tuple) -> int:
+        """The index of v, or of an equal value added before (a common subexpression).  An op over
+        constants alone is folded: run here by its ``py``, as Python would run the text, to a constant."""
+        if v[0] == "op" and all(self.values[a][0] == "c" for a in v[3]):
+            v = ("c", float(v[1](*(self.values[a][1] for a in v[3]))))
+        if (key := ("c", v[1].hex()) if v[0] == "c" else (id(v[1]), v[3])) not in self.index:  # +0.0, -0.0 apart
+            self.index[key] = len(self.values)
+            self.values.append(v)
+        return self.index[key]
+
+    def done(self, root: int) -> "_Program":
+        """This program with f at ``root``, each op given its registers."""
+        if self.values[root][0] != "op":  # f is x or a constant: a new array of it
+            fn = np.positive if root == 0 else np.full_like
+            root = self.add(("op", fn, fn if root == 0 else _into(fn), (0,) if root == 0 else (0, root)))
+        const = [i for i, v in enumerate(self.values) if v[0] == "c"]
+        self.root, self.regs = root, [None] + [self.values[i][1] for i in const]
+        reg, last = {i: r for r, i in enumerate([0] + const)}, {}
+        for i, v in enumerate(self.values):
+            last.update((a, i) for a in (v[3] if v[0] == "op" else ()))
+        self.t0, free, self.ops = len(self.regs), [], []
+        for i, (_, py, uf, args) in [(i, v) for i, v in enumerate(self.values[: root + 1]) if v[0] == "op"]:
+            dying = {reg[a] for a in args if last[a] == i and reg[a] >= self.t0}
+            free = sorted({*free, *dying})
+            reg[i] = free.pop(0) if free else len(self.regs)
+            self.regs += [None] * (reg[i] == len(self.regs))
+            abc = (*(reg[a] for a in args), None, None)[:3]  # the registers of the args, padded to 3
+            self.ops.append((py, uf, abc, reg[i], tuple(dying - {reg[i]})))
+        return self
+
+    def __call__(self, x):
+        r = self.regs.copy()
+        r[0] = np.asarray(x, dtype=float)
+        for py, _, (a, b, c), dst, dead in self.ops:  # by arity: a call costs about what a lambda's does
+            r[dst] = py(r[a]) if b is None else py(r[a], r[b]) if c is None else py(r[a], r[b], r[c])
+            for d in dead:
+                r[d] = None
+        return r[dst]
+
+    def into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """f at the points x written into ``out``, a float64 array of len(x), with the bits of ``f(x)``."""
+        r, t0 = self.regs.copy(), self.t0
+        r[0], bufs = x, _scratch("into", len(r) - t0, len(x))
+        bufs[self.ops[-1][3] - t0] = out
+        for _, uf, args, dst, _ in self.ops:
+            uf(*[r[a] for a in args if a is not None], out=bufs[dst - t0])
+            r[dst] = bufs[dst - t0]
+
+    def _then(self, py: Callable, uf: Callable, *args) -> "_Program":
+        """The program of one op more, over f (None) and constants (floats)."""
+        p = _Program(self.values)
+        return p.done(p.add(("op", py, uf, tuple(self.root if a is None else p.add(("c", float(a))) for a in args))))
+
+    def scaled(self, lam: float) -> "_Program":
+        return self._then(operator.mul, np.multiply, lam, None)  # lam * f
+
+    def shifted(self, c: float) -> "_Program":
+        return self._then(operator.add, np.add, None, c)  # f + c
+
+
+def _program(fn: Callable) -> _Program:
+    """fn if it is a program, else the program of the one op that calls it."""
+    return fn if isinstance(fn, _Program) else (p := _Program()).done(p.add(("op", fn, _into(fn), (0,))))
+
+
+@functools.lru_cache(maxsize=256)
+def compile_expr(expr: str, what: str) -> _Program:
+    """The program of an expression in ``x``: ``f(x)`` is a new array, and ``f.into(x, out)`` writes f at x into out.
+
+    The grammar: numbers, ``x``, ``pi``, ``e``; ``+ - * / // % **`` and unary ``+ -``; ``log log2 exp exp2
+    sin cos sqrt abs`` of one argument, ``maximum`` and ``minimum`` of two, ``where(c, a, b)``, whose c alone
+    may be one comparison (``< <= > >= == !=``).  Anything else (a subscript, an attribute, a keyword ...), a
+    syntax error or a part without x that fails (``1/0``), which is evaluated once, here, is a ValueError
+    naming the expression.  A call runs the text's operators and functions in its order, each common
+    subexpression once, so it and ``into`` give the numpy expression's bits.  A text is compiled once.
     """
     try:
-        code = compile(expr, f"<{what}>", "eval")
-    except SyntaxError as exc:
-        raise ValueError(f"{what} expression {expr!r} is not valid: {exc.msg}") from None
-    unknown = sorted(set(code.co_names) - set(_EXPR_NS) - {"x"})
-    if unknown:
-        raise ValueError(f"{what} expression {expr!r} uses unknown names: {', '.join(unknown)}")
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:  # a null byte, or nested too deeply
+        raise ValueError(f"{what} expression {expr!r} is not valid: {getattr(exc, 'msg', exc)}") from None
+    p = _Program()
 
-    def fn(x, _code=code):
-        x = np.asarray(x, dtype=float)
-        try:
-            out = np.asarray(eval(_code, {"__builtins__": {}}, {**_EXPR_NS, "x": x}), dtype=float)  # noqa: S307
-            fresh = out.shape == x.shape and not np.may_share_memory(out, x)
-            return out if fresh else np.broadcast_to(out, x.shape).copy()
-        except Exception as exc:
-            raise ValueError(f"{what} expression {expr!r} failed: {exc}") from exc
+    def walk(node: ast.AST, cond: bool = False) -> int:
+        """The index of node's value in p; ``cond``: node is the first argument of where."""
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return p.add(("c", float(node.value)))
+        if isinstance(node, ast.Name) and node.id in ("x", *_CONSTANTS):
+            return p.add(("c", _CONSTANTS[node.id])) if node.id != "x" else 0
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return p.add(("op", *_OPERATORS[type(node.op)], (walk(node.left), walk(node.right))))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+            return p.add(("op", *_OPERATORS[type(node.op)], (walk(node.operand),)))
+        if cond and isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _OPERATORS:
+            return p.add(("op", *_OPERATORS[type(node.ops[0])], (walk(node.left), walk(node.comparators[0]))))
+        call = isinstance(node, ast.Call)
+        name = getattr(node.func if call else node, "id", None)
+        if call and name in _FUNCTIONS and not node.keywords and len(node.args) == _FUNCTIONS[name]:
+            fn = getattr(np, name)  # checked: numpy would take one more argument as out, and write into it
+            args = tuple(walk(a, fn is np.where and not i) for i, a in enumerate(node.args))
+            return p.add(("op", fn, _into(fn) if fn is np.where else fn, args))
+        why = (f"{name} takes {_FUNCTIONS[name]} argument(s) and no keyword" if call and name in _FUNCTIONS else
+               f"unknown name {name!r}" if name else f"{ast.unparse(node)!r} is outside the grammar")
+        raise ValueError(f"{what} expression {expr!r} is not valid: {why}")
 
-    return fn
+    try:
+        return p.done(walk(tree.body))
+    except RecursionError:
+        raise ValueError(f"{what} expression {expr!r} is not valid: it is nested too deeply") from None
+    except (ArithmeticError, TypeError) as exc:  # a part without x, or a number no double holds
+        raise ValueError(f"{what} expression {expr!r} failed: {exc}") from None
 
 
 def from_expression(expr: str) -> EFunction:
@@ -452,12 +554,13 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
     whole octaves (fewer in the last block) and the node that ends them, so the blocks share their end nodes and
     f is evaluated at each node once; sups and mins are the octave envelopes of v.  x (a span of ``nodes``, the
     :class:`_Nodes` of g) and v (unless a view of ``fv``) are buffers that the next block overwrites, or with
-    ``ahead`` the block after it (two in turn).
+    ``ahead`` the block after it (two in turn), or the next pass.
 
     The domain of f is checked once, against the first and last nodes; then
     ``f.fn`` runs on each block, so f must be elementwise: its value at x
-    may not depend on the other points of the array; a ``source(lo, x, out)``
-    writes f at x = x_lo .. into out instead.  A non-finite value is
+    may not depend on the other points of the array.  ``source(lo, x, out)``
+    writes f at x = x_lo .. into a block's buffer (the thread's ``_scratch``):
+    by default a program's ``into``, or a copy of ``f.fn(x)``.  A non-finite value is
     reported after the last block, so every block is evaluated first.  NaN and
     +-inf survive max and min, so only a block whose envelopes are not finite
     is searched node by node for its first non-finite value.
@@ -465,9 +568,10 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
     nodes = _Nodes(g.samples_per_octave, g.octave_max) if nodes is None else nodes
     n, step = len(nodes), len(nodes.head) - 1
     f._check_domain(nodes[-1], nodes[0])
-    xbufs = [np.empty(step + 1) for _ in range(1 + ahead)]
-    bufs = None if fv is not None else [np.empty(step + 1) for _ in range(1 + ahead)]
-    bad = None
+    xbufs = [b[7:] for b in _scratch("nodes", 1 + ahead, step + 8)]  # x[1:] and v[1:] start a cache line
+    bufs = None if fv is not None else [b[7:] for b in _scratch("values", 1 + ahead, step + 8)]
+    into = f.fn.into if isinstance(f.fn, _Program) else lambda x, out: out.__setitem__(..., f.fn(x))
+    source, bad = source or (lambda _, x, out: into(x, out)), None
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1) + 1
         x = nodes.span(lo, xbufs[lo // step % len(xbufs)][: hi - lo])
@@ -477,13 +581,10 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
         new = v[1:] if lo else v
         try:
             with np.errstate(all="ignore"):  # non-finite results become DomainError below
-                if source is None:
-                    new[:] = f.fn(x[len(v) - len(new) :])
-                else:
-                    source(hi - len(new), x[len(v) - len(new) :], new)
+                source(hi - len(new), x[len(v) - len(new) :], new)
         except DomainError:
             raise
-        except Exception as exc:  # pragma: no cover - defensive wrapper
+        except Exception as exc:  # f's own error, such as an EFunction's fn that raises
             raise DomainError(f"evaluation failed on grid: {exc}") from exc
         end = v[-1]
         sups, mins = g.octave_envelopes(v)

@@ -501,7 +501,10 @@ def _number(obj: dict, key: str, default: float) -> float:
     v = obj.get(key, default)
     if not _is_number(v):
         raise ValueError(f"flow config {key!r} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer that no double holds
+        raise ValueError(f"flow config {key!r} must be a number that a double holds, got {v!r}") from None
 
 
 def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
@@ -546,7 +549,7 @@ def flow_from_json(obj: dict, g: GridSpec | None = None) -> Flow:
         else:
             raise ValueError(f"cannot load flow source {spec!r}")
         F = build_flow(f, c0=_number(obj, "c0", _C0), c1=_number(obj, "c1", _C1), g=g, source_spec=spec)
-        if not (_is_number(v := obj.get("shift", F.shift)) and math.isfinite(v) and v == F.shift):
+        if not (_is_number(v := obj.get("shift", F.shift)) and v == F.shift):  # exact for an int of any size
             raise ValueError(f"flow config 'shift' {v!r} is not the lift {F.shift!r} build_flow derives on the grid")
     if lam != 1.0:
         F = time_scale(F, lam)

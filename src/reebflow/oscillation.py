@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .efunc import _BLOCK, _TAIL_OCTAVES, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _tail_span
+from .efunc import _BLOCK, _TAIL_OCTAVES, EFunction, GridSpec, _blocks, _Nodes, _octave_blocks, _scratch, _tail_span
 from .errors import DomainError, TailCheckError
 from .homeo import Homeo
 
@@ -142,7 +142,7 @@ def _profile_pass(
         for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None, source):
             m = len(fb)
             if not lo:  # the first block is the longest
-                buf = np.empty(m)
+                buf = _scratch("run", 1, m)[0]
             # rm[0] is the running max at the block's first node: there f itself
             # on the first block (the max of -inf and f, as for the whole array),
             # else the value carried from the previous block's end node

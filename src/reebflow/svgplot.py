@@ -66,10 +66,10 @@ def line_plot(
     ys_all = np.concatenate([np.empty(0), *(b for _, b in data.values())])
     x_lo, x_hi = (float(xs_f.min()), float(xs_f.max())) if xs_f.size else (0.0, 1.0)
     y_lo, y_hi = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi == x_lo:  # widened by 1, or to half of x_lo where x_lo + 1 rounds to x_lo
+        x_lo, x_hi = (x_lo, x_lo + 1.0) if x_lo + 1.0 != x_lo else sorted((x_lo, x_lo / 2))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_lo, y_hi = (y_lo, y_lo + 1.0) if y_lo + 1.0 != y_lo else sorted((y_lo, y_lo / 2))
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(v):
@@ -87,8 +87,8 @@ def line_plot(
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" stroke="black"/>',
     ]
     for i in range(5):
-        vx = x_lo + i * (x_hi - x_lo) / 4
-        vy = y_lo + i * (y_hi - y_lo) / 4
+        vx = x_lo + (x_hi - x_lo) / 4 * i  # i * width / 4, which overflows for a width past 4.5e307
+        vy = y_lo + (y_hi - y_lo) / 4 * i
         out.append(
             f'<text x="{px(vx):.1f}" y="{_MT + ph + 18}" text-anchor="middle">'
             f"{_fmt(2 ** vx) if logx else _fmt(vx)}</text>"

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from reebflow import (
     DomainError,
+    EFunction,
     EquivalenceWitness,
     GridSpec,
     Homeo,
@@ -221,9 +222,13 @@ class TestOneSample:
 
     @pytest.mark.parametrize("n_witnesses", [1, 2])
     def test_scan_reports_failing_f_as_sampling_error(self, small_grid, n_witnesses):
-        f = from_expression("x[100000] + 0*x")
+        # an fn that raises; an expression that would, such as x[100000] + 0*x, is rejected when compiled
+        def fn(x):
+            return x[100000] + 0 * x
+
+        f = EFunction("expression", fn, "E", "indexes")
         witnesses = SCAN_WITNESSES[:n_witnesses]
-        with pytest.raises(DomainError, match="evaluation failed on grid: function expression"):
+        with pytest.raises(DomainError, match="^evaluation failed on grid: index 100000 is out of bounds"):
             self_similarity_scan(f, witnesses, small_grid)
 
 

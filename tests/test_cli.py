@@ -333,20 +333,23 @@ class TestLinearizeCommand:
         assert "foo" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, expr, what",
+        "flag, expr, what, how",
         [
-            ("--homeo", "[v for v in x]", "homeo"),
-            ("--homeo", "x[0]", "homeo"),
-            ("--shift-expr", "1/0", "--shift-expr"),
+            ("--homeo", "[v for v in x]", "homeo", "is not valid"),
+            ("--homeo", "x[0]", "homeo", "is not valid"),
+            ("--homeo", "maximum(x, 0, x)", "homeo", "is not valid"),
+            ("--shift-expr", "x.real", "--shift-expr", "is not valid"),
+            ("--shift-expr", "1/0", "--shift-expr", "failed"),
         ],
     )
-    def test_expression_failing_at_evaluation_is_usage_error(self, capsys, tmp_path, flag, expr, what):
-        # regression: TypeError, IndexError and ZeroDivisionError tracebacks, exit 1
+    def test_expression_failing_at_evaluation_is_usage_error(self, capsys, tmp_path, flag, expr, what, how):
+        # regression: TypeError, IndexError and ZeroDivisionError tracebacks, exit 1; a construct outside
+        # the grammar is rejected when compiled, and a part without x is evaluated then
         argv = ["linearize", "--builtin", "koenigs_demo", "--lambda", "2", flag, expr]
         if flag != "--homeo":
             argv += ["--homeo", "square"]
         assert run(*argv, "--out", str(tmp_path)) == 2
-        assert f"{what} expression {expr!r} failed" in capsys.readouterr().err
+        assert f"{what} expression {expr!r} {how}" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -452,6 +455,17 @@ class TestClassifyCommand:
             assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, value", [("lambda", 10**400), ("c0", -(10**400)), ("c1", 10**400), ("shift", 10**400)],
+        ids=["lambda", "c0", "c1", "shift"])
+    def test_an_integer_no_double_holds_is_usage_error(self, capsys, tmp_path, key, value):
+        # regression: OverflowError from float() escaped main with a traceback, exit 1
+        cfgp = tmp_path / "flow.json"
+        cfgp.write_text(json.dumps({"kind": "realized", "f": {"builtin": "std_log"}, key: value}))
+        assert_usage_error(capsys, tmp_path, f"flow config {key!r}", "classify", "--flow", str(cfgp))
+        cfgp.write_text(json.dumps({"kind": "realized", "f": {"builtin": "bounded_osc", "params": [value]}}))
+        assert_usage_error(capsys, tmp_path, "flow source 'params': ", "classify", "--flow", str(cfgp))
+
+    @pytest.mark.parametrize(
         "source, message",
         [
             ({"builtin": "std_log", "params": [2]}, "flow source 'params': too many parameters for std_log"),
@@ -553,6 +567,14 @@ class TestPlotCommand:
         assert run("plot", "--flow", str(cfgp), "--x", "0.125", "--out", str(out)) == 0
         assert (out / "orbit.csv").read_text().splitlines()[0] == "t,xi,eta"
         assert (out / "plot.svg").exists()
+
+    def test_an_orbit_at_one_far_point_is_plotted(self, tmp_path):
+        # regression: every point at xi = 1e300, where the widening x_lo + 1.0 rounds to x_lo, and
+        # line_plot divided by the zero width of the range
+        out = tmp_path / "o"
+        assert run("plot", "--flow", "standard", "--lambda", "1e-300", "--x", "1e300", "--tmax", "1",
+                   "--out", str(out)) == 0
+        assert "nan" not in (out / "plot.svg").read_text()
 
     @pytest.mark.parametrize("flag", ["--x", "--tmax"])
     @pytest.mark.parametrize("value", BAD_POSITIVES)

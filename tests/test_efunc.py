@@ -1,5 +1,8 @@
 import json
 import math
+import operator
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +22,18 @@ from reebflow import (
     gallery_homeo,
     sample,
 )
-from reebflow.efunc import _BLOCK, _blocks, _nodes, _Nodes, _tail_span, compile_expr, write_csv
+from reebflow.efunc import (
+    _BLOCK,
+    _TAIL_OCTAVES,
+    _blocks,
+    _nodes,
+    _Nodes,
+    _octave_blocks,
+    _scratch,
+    _tail_span,
+    compile_expr,
+    write_csv,
+)
 
 from star_identities import octave_slice
 
@@ -56,6 +70,11 @@ class TestBuiltins:
         want = -np.log(x) + amp * np.sin(-np.log(x))
         assert builtin("bounded_osc", [amp])(x).tobytes() == want.tobytes()
         assert float(builtin("bounded_osc", [amp])(0.3)) == float(-np.log(0.3) + amp * np.sin(-np.log(0.3)))
+
+    def test_a_parameter_no_double_holds_is_a_value_error(self):
+        # regression: OverflowError from float(p)
+        with pytest.raises(ValueError, match="^the parameters of bounded_osc must be numbers that a double holds$"):
+            builtin("bounded_osc", [10**400])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -292,7 +311,7 @@ class TestSample:
 class TestExpression:
     A = np.array([1.0, 0.5, 0.25, 2.0**-40])
 
-    @pytest.mark.parametrize("expr", ["x", "x[:]", "x[::-1]", "abs(x)", "-log(x) + sin(x)"])
+    @pytest.mark.parametrize("expr", ["x", "abs(x)", "-log(x) + sin(x)"])
     def test_result_is_a_new_array(self, expr):
         a = self.A.copy()
         out = from_expression(expr)(a)
@@ -646,3 +665,127 @@ class TestAlgebra:
         f = builtin("std_log")
         g = f.plus(lambda x: x / (1 + x))
         assert g(1.0) == pytest.approx(0.5, rel=1e-14)
+
+
+# The gallery as the lambdas it was written as before it became expressions: the reference for their bits.
+GALLERY_LAMBDAS = {
+    "std_log": lambda x: -np.log(x),
+    "doubling_osc": lambda x: np.exp2(np.sin(2.0 * math.pi * np.log2(x))) / x,
+    "bounded_osc": lambda x: (lambda u: u + 2.0 * np.sin(u))(-np.log(x)),
+    "koenigs_demo": lambda x: -np.log(x) + x / (1.0 + x),
+}
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestProgram:
+    """The expression program: the gallery's bits, a grammar checked when compiled, and into."""
+
+    A = np.array([1.0, 0.5, 0.25, 2.0**-40])
+
+    @pytest.mark.parametrize("grid", [(512, 40), (16384, 60)], ids=["512x40", "16384x60"])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_the_gallery_keeps_the_bits_of_its_lambdas(self, name, grid):
+        # a call on every node, and into through the streaming pass, which writes f into its block buffers
+        g = GridSpec(*grid)
+        f, want = builtin(name), bits(GALLERY_LAMBDAS[name](g.nodes()))
+        assert bits(f(g.nodes())) == want and bits(sample(f, g)) == want
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_the_gallery_keeps_its_bits_on_the_sharp_tail_and_at_scalars(self, name):
+        K = 16384
+        n = K * _TAIL_OCTAVES + 1
+        t = _tail_span(K, 0, np.arange(n, dtype=float), np.empty(n))  # 2^(i/K) up to the horizon 2^20
+        f, lam = builtin(name), GALLERY_LAMBDAS[name]
+        out = np.empty(n)
+        f.fn.into(t, out)
+        assert bits(f.fn(t)) == bits(lam(t)) == bits(out)
+        for s in (1.0, 0.5, 2.0**-0.25, 0.3, 1e-300, 2.0**20, 7.5):
+            assert bits(f(s)) == bits(lam(np.asarray(s))), s
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_scaled_and_shifted_append_one_op_with_the_bits_of_the_arithmetic(self, name):
+        g, lam = GridSpec(512, 40), GALLERY_LAMBDAS[name]
+        x = g.nodes()
+        for k in (3.0, 0.1):
+            f = builtin(name).scaled(k)
+            assert len(f.fn.ops) == len(builtin(name).fn.ops) + 1
+            assert bits(f(x)) == bits(sample(f, g)) == bits(k * lam(x))
+        for c in (1.0, -2.5):
+            f = builtin(name).shifted(c)
+            assert bits(f(x)) == bits(sample(f, g)) == bits(lam(x) + c)
+
+    def test_scaled_and_shifted_of_any_fn_are_programs(self):
+        sampled = EFunction("sampled", lambda x: -np.log(x), "E", "s", (2.0**-10, 1.0))
+        x = GridSpec(64, 10).nodes()
+        assert bits(sampled.scaled(2.0).shifted(1.0)(x)) == bits(2.0 * -np.log(x) + 1.0)
+        assert bits(sample(sampled.scaled(2.0), GridSpec(64, 10))) == bits(2.0 * -np.log(x))
+
+    @pytest.mark.parametrize(
+        "expr", ["-log(x) + 0*sin(x, x)", "maximum(x, 1, x)", "minimum(x, 1, out=x)", "exp(x, out=x)",
+                 "where(x > 1, x, 1, x)", "sqrt()"])
+    def test_an_expression_cannot_write_into_its_argument(self, expr):
+        # regression: numpy took the extra argument as out, so the call overwrote the caller's array
+        a = self.A.copy()
+        with pytest.raises(ValueError, match=f"^function expression {re.escape(repr(expr))} is not valid: "):
+            from_expression(expr)(a)
+        assert bits(a) == bits(self.A)
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["x[0]", "x[:]", "x[::-1]", "x[100000] + 0*x", "x.real", "[v for v in x]", "sum(v for v in x)",
+         "(lambda v: v)(x)", "x if x else 1", "where(0 < x < 1, x, 1)", "(x > 1) + x", "x and 1", "sin(*x)",
+         "'x'", "True*x", "1j*x", "foo(x)", "np.sin(x)", "sin", "x = 1", "+".join(["x"] * 20000)],
+        ids=lambda expr: expr if len(expr) < 40 else "x+x+...+x",
+    )
+    def test_what_the_grammar_lacks_is_rejected_when_compiled(self, expr):
+        with pytest.raises(ValueError, match=f"^homeo expression {re.escape(repr(expr))} is not valid: "):
+            compile_expr(expr, "homeo")
+
+    def test_a_part_without_x_is_evaluated_when_compiled(self):
+        with pytest.raises(ValueError, match=r"^function expression '-log\(x\) \+ 1/0' failed: "):
+            from_expression("-log(x) + 1/0")
+        with pytest.raises(ValueError, match="failed: "):
+            from_expression("x * 10**400")  # no double holds 10**400
+        f = compile_expr("exp2(sin(2*pi*log2(x))) / x", "function")
+        assert 2.0 * math.pi in f.regs  # 2*pi is folded, as Python evaluates it first
+        g = compile_expr("x*2*pi", "function")  # nothing is reassociated: (x*2)*pi
+        assert [op[0] for op in g.ops] == [operator.mul, operator.mul]
+        assert bits(g(self.A)) == bits(self.A * 2 * math.pi)
+
+    def test_common_subexpressions_run_once(self):
+        f = compile_expr("-log(x) + 1.5*sin(3.0*log(x))", "function")
+        assert [op[0] for op in f.ops].count(np.log) == 1
+        assert bits(f(self.A)) == bits(-np.log(self.A) + 1.5 * np.sin(3.0 * np.log(self.A)))
+        assert [op[0] for op in builtin("bounded_osc").fn.ops].count(operator.neg) == 1
+
+    def test_a_text_compiles_once(self):
+        assert from_expression("-log(x) + 0.25*x").fn is from_expression("-log(x) + 0.25*x").fn
+        assert builtin("bounded_osc", [3.0]).fn is builtin("bounded_osc", [3.0]).fn
+
+    @pytest.mark.parametrize(
+        "expr", ["x", "5.0", "-log(x)", "where(x < 0.3, x**2, -x)", "maximum(x, 0.5) % 0.3 // 0.1", "e**x + pi"])
+    def test_into_writes_the_bits_of_a_call(self, expr):
+        f = compile_expr(expr, "function")
+        for out in (np.empty(4), np.empty(5)[1:]):  # a buffer that starts a cache line, and one that does not
+            f.into(self.A, out)
+            assert bits(out) == bits(f(self.A)) == bits(np.broadcast_to(f(self.A), self.A.shape))
+
+    def test_temporaries_are_dropped_at_their_last_use(self):
+        # five terms summed left to right: at most the sum, a term, the next sum and x are alive at once
+        f, x = compile_expr("sin(x) + cos(x) + exp(x) + sqrt(x) + log(x)", "function"), np.linspace(1, 2, 1 << 20)
+        f(x)
+        tracemalloc.start()
+        try:
+            f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.nbytes
+
+    def test_the_pass_writes_each_block_where_a_cache_line_starts(self):
+        blocks = list(_octave_blocks(builtin("koenigs_demo"), GridSpec(4096, 20)))
+        assert len(blocks) > 2 and all(v[1:].ctypes.data % 64 == 0 for lo, x, v, _ in blocks if lo)
+        assert all(b.ctypes.data % 64 == 0 for b in _scratch("into", 3, 100))

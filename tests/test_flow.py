@@ -902,6 +902,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="flow source"):
             flow_from_json({"kind": "realized", "f": {"what": 1}})
 
+    @pytest.mark.parametrize("key", ["lambda", "c0", "c1", "shift", "params"])
+    def test_an_integer_no_double_holds_is_rejected_naming_its_key(self, key):
+        # regression: OverflowError: int too large to convert to float, from float() or math.isfinite
+        obj = {"kind": "realized", "f": {"builtin": "bounded_osc"}}
+        if key == "params":
+            obj["f"]["params"] = [10**400]
+        else:
+            obj[key] = 10**400
+        with pytest.raises(ValueError, match=f"^flow (config|source) {key!r}"):
+            flow_from_json(obj)
+
     @pytest.mark.parametrize(
         "obj, message",
         [

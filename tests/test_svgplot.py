@@ -119,3 +119,22 @@ def test_text_is_escaped(tmp_path):
     line_plot(path, [1.0, 2.0], names, title="a&b", xlabel="x < 1", ylabel="y > 0")
     texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
     assert {"a&b", "x < 1", "y > 0", "x & y", "<f>"} <= set(texts)
+
+
+@pytest.mark.parametrize("v", [1e300, -1e300, 1.7976931348623157e308, 2.0**53])
+def test_a_one_point_range_is_widened_at_any_size(tmp_path, v):
+    # regression: x_hi = x_lo + 1.0 rounds to x_lo at 1e300, and the plot divided by the zero width
+    path = tmp_path / "p.svg"
+    line_plot(path, [v, v], {"a": [v, v]})
+    (pts,) = polylines(path)
+    assert np.all(np.isfinite(pts)) and "inf" not in path.read_text()
+
+
+def test_a_one_point_range_keeps_its_widening_by_one(tmp_path):
+    # where x_lo + 1.0 != x_lo the range is [x_lo, x_lo + 1], as it always was: the point on the left
+    # edge, the ticks 5, 5.25, .. 6
+    path = tmp_path / "p.svg"
+    line_plot(path, [5.0, 5.0], {"a": [2.0, 2.0]})
+    (pts,) = polylines(path)
+    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert pts[0][0] == 70.0 and {"5", "5.25", "6", "2", "3"} <= set(texts)

@@ -146,6 +146,8 @@ def test_peak_mem_measures_a_warm_call_on_a_small_grid():
     # build_flow and flow_classify are timed apart, each by the median of 15 warm calls
     for call in [tool.koenigs_call("std_log", "square", g), *tool.flow_parts("bounded_osc", g)]:
         assert tool.wall_ms(call) > 0
+    # a warm pass in a new process takes no page fault: its buffers are kept from the warm calls
+    assert tool.fresh_faults(g) == 0
     # an orbit holds its 2,000 rows: a tuple of three floats each
     _, held, _ = tool.measure(tool.orbit_call("koenigs_demo", g))
     assert held >= len(tool.ORBIT_TIMES) * 3 * 24

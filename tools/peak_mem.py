@@ -12,7 +12,10 @@ At the grid (16384, 60), 983,041 nodes, it measures ``classify`` of
 doubling_osc, ``self_similarity_scan`` of doubling_osc with the witnesses
 halve (lam = 2) and root_scale:2 (lam = sqrt 2), ``check_witness`` of
 doubling_osc under root_scale:2 alone, and ``sigma_estimate`` of
-doubling_osc with the sharp profile.
+doubling_osc with the sharp profile.  A last row runs ``classify`` of
+doubling_osc at (16384, 60) in a new process: two calls warm it, and the
+row prints the minor page faults per call of the five calls that follow
+(0: a warm pass takes no fault, as its buffers are kept).
 Each call runs once to warm the caches, then once more for each
 measurement, and prints five numbers:
 
@@ -43,6 +46,7 @@ import gc
 import math
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -146,6 +150,26 @@ def sharp_call(g: rf.GridSpec):
     return lambda: rf.sigma_estimate(f, g, "sharp")
 
 
+FRESH = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import reebflow as rf
+f, g = rf.builtin("doubling_osc"), rf.GridSpec(int(sys.argv[2]), int(sys.argv[3]))
+rf.classify(f, g)
+rf.classify(f, g)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    rf.classify(f, g)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def fresh_faults(g: rf.GridSpec) -> float:
+    """The minor faults per call of a warm ``classify`` of doubling_osc on g, in a new process."""
+    argv = [sys.executable, "-c", FRESH, str(ROOT / "src"), str(g.samples_per_octave), str(g.octave_max)]
+    return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+
 def cached_mib() -> float:
     """The MiB of the node arrays that the cache of ``GridSpec.nodes()`` holds."""
     return sum(a.nbytes for a in gc.get_referents(efunc._nodes) if isinstance(a, np.ndarray)) / MIB
@@ -202,6 +226,7 @@ def main() -> None:
         if label.startswith("check_witness"):
             ms += f" {f_points(GRID_1M):9d}"
         print(f"{label:50s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {cached_mib():7.2f} {ms}")
+    print(f"{f'classify doubling_osc ({big}), new process':50s} minor faults per warm call {fresh_faults(GRID_1M):g}")
 
 
 if __name__ == "__main__":
