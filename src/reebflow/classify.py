@@ -129,9 +129,9 @@ def self_similarity_scan(
 
     Each witness walks h over the grid first.  Then f is evaluated on g
     once, in the pass of ``classify``, which feeds each block of f to the
-    fold of ``check_witness`` for every witness: under ``halve`` f runs
-    again only at the images of the last K nodes, under ``root_scale:2`` at
-    the images off their nodes and past the grid's end (45% at K = 16384).
+    fold of ``check_witness`` for every witness: under ``halve`` f and h run
+    again only at the last K nodes' images, under ``root_scale:2`` f at the
+    images off their nodes and past the grid's end (45% at K = 16384).
     No array the size of the grid is held.  Each witness is gated at 1e-9,
     and the verdict is that of ``classify``.  An empty ``witnesses`` is a
     ValueError before h or f runs.  An h or k that raises does so before a

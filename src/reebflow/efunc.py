@@ -192,6 +192,13 @@ class EFunction:
             return float(out)
         return np.asarray(out, dtype=float)
 
+    def into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f at x written into ``out`` and returned, unchecked: a program's ``into``, else a copy of ``fn(x)``."""
+        if isinstance(self.fn, _Program):
+            return self.fn.into(x, out)
+        out[...] = self.fn(x)
+        return out
+
     def _check_domain(self, x_min: float, x_max: float) -> None:
         """Raise DomainError unless [x_min, x_max] lies in (0, oo) and in ``domain``."""
         if x_min <= 0.0:
@@ -314,7 +321,7 @@ def _scratch(role: str, k: int, n: int) -> list[np.ndarray]:
     They grow to the role's largest use, so a warm pass allocates nothing and takes no page fault.  Each
     starts a 64-byte line, which numpy's block-sized arrays do not, and ufuncs write faster (CHANGES.md)."""
     bufs = _SCRATCH.__dict__.setdefault(role, [])
-    if len(bufs) < k or len(bufs[0]) < n:
+    if k and (len(bufs) < k or len(bufs[0]) < n):
         raws = [np.empty(max([n, *map(len, bufs)]) + 7) for _ in range(max(k, len(bufs)))]
         bufs[:] = [raw[-(raw.ctypes.data // 8) % 8 :][: len(raw) - 7] for raw in raws]
     return [b[:n] for b in bufs[:k]]
@@ -369,14 +376,15 @@ class _Program:
                 r[d] = None
         return r[dst]
 
-    def into(self, x: np.ndarray, out: np.ndarray) -> None:
-        """f at the points x written into ``out``, a float64 array of len(x), with the bits of ``f(x)``."""
+    def into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f at the points x written into ``out``, a float64 array of len(x), with the bits of ``f(x)``; returns out."""
         r, t0 = self.regs.copy(), self.t0
-        r[0], bufs = x, _scratch("into", len(r) - t0, len(x))
-        bufs[self.ops[-1][3] - t0] = out
+        r[0], bufs = x, _scratch("into", len(r) - t0 - 1, len(x))  # a new list: the root's register is out
+        bufs.insert(self.ops[-1][3] - t0, out)
         for _, uf, args, dst, _ in self.ops:
             uf(*[r[a] for a in args if a is not None], out=bufs[dst - t0])
             r[dst] = bufs[dst - t0]
+        return out
 
     def _then(self, py: Callable, uf: Callable, *args) -> "_Program":
         """The program of one op more, over f (None) and constants (floats)."""
@@ -557,21 +565,20 @@ def _octave_blocks(f: EFunction, g: GridSpec, fv=None, ahead: bool = False, node
     ``ahead`` the block after it (two in turn), or the next pass.
 
     The domain of f is checked once, against the first and last nodes; then
-    ``f.fn`` runs on each block, so f must be elementwise: its value at x
-    may not depend on the other points of the array.  ``source(lo, x, out)``
-    writes f at x = x_lo .. into a block's buffer (the thread's ``_scratch``):
-    by default a program's ``into``, or a copy of ``f.fn(x)``.  A non-finite value is
-    reported after the last block, so every block is evaluated first.  NaN and
-    +-inf survive max and min, so only a block whose envelopes are not finite
-    is searched node by node for its first non-finite value.
+    f runs on each block, so f must be elementwise: its value at x may not
+    depend on the other points of the array.  ``source(lo, x, out)`` writes f
+    at x = x_lo .. into a block's buffer (the thread's ``_scratch``), by default
+    :meth:`EFunction.into`.  A non-finite value is reported after the last
+    block, so every block is evaluated first.  NaN and +-inf survive max and
+    min, so only a block whose envelopes are not finite is searched node by
+    node for its first non-finite value.
     """
     nodes = _Nodes(g.samples_per_octave, g.octave_max) if nodes is None else nodes
     n, step = len(nodes), len(nodes.head) - 1
     f._check_domain(nodes[-1], nodes[0])
     xbufs = [b[7:] for b in _scratch("nodes", 1 + ahead, step + 8)]  # x[1:] and v[1:] start a cache line
     bufs = None if fv is not None else [b[7:] for b in _scratch("values", 1 + ahead, step + 8)]
-    into = f.fn.into if isinstance(f.fn, _Program) else lambda x, out: out.__setitem__(..., f.fn(x))
-    source, bad = source or (lambda _, x, out: into(x, out)), None
+    source, bad = source or (lambda _, x, out: f.into(x, out)), None
     for lo in range(0, n - 1, step):
         hi = min(lo + step, n - 1) + 1
         x = nodes.span(lo, xbufs[lo // step % len(xbufs)][: hi - lo])

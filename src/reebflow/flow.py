@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .efunc import EFunction, GridSpec, UnknownBuiltin, _blockwise, builtin, from_csv
+from .efunc import EFunction, GridSpec, UnknownBuiltin, _blocks, builtin, from_csv
 from .errors import DomainError
 
 __all__ = [
@@ -252,8 +252,9 @@ def build_flow(
     checked to be positive wherever it is evaluated below c1, so a profile
     that dips below the lift between grid nodes raises DomainError there.
 
-    The nodes in (0, c1], a suffix of the descending grid, are a view; f runs
-    over them once (``_blockwise``) and a nonzero lift is added in place.
+    The nodes in (0, c1], a suffix of the descending grid, are a view; f's domain
+    is checked at their ends, f written over them block by block into the array
+    the flow holds (:meth:`EFunction.into`), and a nonzero lift added in place.
     T is f + shift itself in (0, c0], checked by the one scalar test
     ``fmin + shift > 0`` (rounding is monotone); only the blend leaves in
     (c0, c1] take ``_transit_target``.  The flow keeps T at those nodes, with
@@ -267,7 +268,10 @@ def build_flow(
     x = x[bisect.bisect_left(x, -c1, key=operator.neg) :]
     if not len(x):
         raise ValueError("grid has no nodes below c1")
-    vals = _blockwise(f, x)
+    f._check_domain(float(x[-1]), float(x[0]))
+    vals = np.empty(len(x))
+    for s in _blocks(len(x)):
+        f.into(x[s], vals[s])
     fmin = float(vals.min())
     shift = 0.0 if fmin > 0.0 else 0.1 - fmin
     if shift != 0.0:

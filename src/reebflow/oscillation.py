@@ -8,7 +8,8 @@ maximum taken from x = 1 toward 0:
 ``sharp`` is the variant for class E0 whose reference interval extends to
 +oo.  Both are computed by a single descending running-maximum pass over
 the grid, in octave-aligned blocks, so a profile costs O(n) and the octave
-envelopes that sigma reads need no array the size of the grid.  The invariant
+envelopes that sigma reads need no array the size of the grid.  A block on which f
+rises strictly from the running maximum, as every block of -ln x does, takes none.  The invariant
 
     sigma = limsup of star(x) as x -> 0
 
@@ -112,13 +113,11 @@ def _profile_pass(
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One pass of f over g: the octave envelopes of f, and the octave suprema of its profile.
 
-    Returns ``((f_sups, f_mins), sups)``.  ``fv`` and ``vals``,
-    when given, receive f and the profile at every node; without them the
-    pass holds only buffers of one block.  A held pass (``star_profile``,
-    ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``,
-    ``classify``) and only writes into its arrays.  ``folds`` are fed each block of f and its nodes,
-    spans of the :class:`_Nodes` the folds walked h over, so a scan builds one head.  ``source``
-    is that of ``_octave_blocks``.
+    Returns ``((f_sups, f_mins), sups)``.  ``fv`` and ``vals``, when given, receive f and the profile at every
+    node; without them the pass holds only buffers of one block.  A held pass (``star_profile``,
+    ``sharp_profile``) does the per-block work of a streamed one (``sigma_estimate``, ``classify``) and only
+    writes into its arrays.  ``folds`` are fed each block of f and its nodes, spans of the :class:`_Nodes`
+    the folds walked h over, so a scan builds one head.  ``source`` is that of ``_octave_blocks``.
 
     The argument checks and the sharp tail check come before f is evaluated
     on the grid, so a rejected tail is reported ahead of any grid-domain
@@ -127,7 +126,8 @@ def _profile_pass(
     depend on the other points of the array.  They give the bits of
     whole-array passes: the running max carries its value at a block's end
     node into the next block, which starts at that node, and each octave
-    window lies in one block, reduced as over the whole grid.
+    window lies in one block, reduced as over the whole grid.  A block that
+    rises strictly from the running max takes none (:func:`_block_profile`).
     """
     if variant not in ("star", "sharp"):
         raise ValueError("variant must be 'star' or 'sharp'")
@@ -140,22 +140,10 @@ def _profile_pass(
     # max - f that overflows at a finite f, reported below
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, xb, fb, env in _octave_blocks(f, g, fv, bool(folds), folds[0].x if folds else None, source):
-            m = len(fb)
-            if not lo:  # the first block is the longest
-                buf = _scratch("run", 1, m)[0]
-            # rm[0] is the running max at the block's first node: there f itself
-            # on the first block (the max of -inf and f, as for the whole array),
-            # else the value carried from the previous block's end node
-            rm = buf[:m] if vals is None else vals[lo : lo + m]
-            rm[0] = carry if lo else fb[0]
-            rm[1:] = fb[1:]
-            _running_max(rm)
-            carry = rm[-1]
-            if tail_max is not None:  # sharp: the tail max joins after the accumulation
-                np.maximum(rm, tail_max, out=rm)
-            np.subtract(rm, fb, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
+            held = None if vals is None else vals[lo : lo + len(fb)]  # the first block's carry is f (max(-inf, f))
+            carry, top = _block_profile(g, fb, env, carry if lo else fb[0], tail_max, held)
             f_env.append(env)
-            sups.append(g.octave_windows(rm).max(axis=1))
+            sups.append(top)
             for fold in folds:
                 fold.feed(lo, xb, fb)
     f_sups, f_mins = (np.concatenate(e) for e in zip(*f_env))
@@ -165,20 +153,42 @@ def _profile_pass(
     return (f_sups, f_mins), sups
 
 
+def _block_profile(g: GridSpec, v: np.ndarray, env, carry, tail_max: float | None, held: np.ndarray | None):
+    """The running max at the last node of the block v of f, from ``carry`` at its first, and the octave suprema
+    of the profile on v, which ``held``, when given, receives.  A block that starts at ``carry``, bitwise, above a
+    sharp ``tail_max``, and rises strictly is its own running max: its profile is v - v, +0.0 at every node.  Its
+    envelopes ``env``, each octave's max at its end and min at its start, reject an oscillating block first."""
+    K = g.samples_per_octave
+    if (v[0].tobytes() == carry.tobytes() and (tail_max is None or v[0] > tail_max)
+            and (env[0] == v[K::K]).all() and (env[1] == v[:-1:K]).all() and (v[1:] > v[:-1]).all()):
+        if held is not None:
+            held[:] = 0.0
+        return v[-1], np.zeros(len(env[0]))
+    rm = _scratch("run", 1, len(v))[0] if held is None else held
+    rm[0] = carry
+    rm[1:] = v[1:]
+    _running_max(rm)
+    carry = rm[-1]
+    if tail_max is not None:  # sharp: the tail max joins after the accumulation
+        np.maximum(rm, tail_max, out=rm)
+    np.subtract(rm, v, out=rm)  # the running max is >= f, so the profile is >= 0 exactly
+    return carry, g.octave_windows(rm).max(axis=1)
+
+
 def _tail_max(f: EFunction, g: GridSpec) -> float:
     """The max of f over the tail nodes of g, by ``_blocks`` after one domain check, once |f| at the horizon
     passes the decay bound: the bits of one max over the tail (taken again if 0, where +-0.0 may tie), a NaN too.
-    The nodes of each block are written into one buffer (:func:`_tail_span`)."""
+    The nodes of each block (:func:`_tail_span`) and f there (:meth:`EFunction.into`) go into the thread's buffers."""
     K, n = g.samples_per_octave, g.samples_per_octave * _TAIL_OCTAVES + 1
-    ramp, t = np.arange(min(_BLOCK, n), dtype=float), np.empty(min(_BLOCK, n))
+    ramp, (t, tv) = np.arange(min(_BLOCK, n), dtype=float), _scratch("tail", 2, min(_BLOCK, n))
     f._check_domain(1.0, float(_tail_span(K, n - 1, ramp, t[:1])[0]))
-    tops = [(tv := np.asarray(f.fn(_tail_span(K, s.start, ramp, t[: s.stop - s.start])), dtype=float)).max()
+    tops = [(fb := f.into(_tail_span(K, s.start, ramp, t[: s.stop - s.start]), tv[: s.stop - s.start])).max()
             for s in _blocks(n)]
-    horizon = float(np.abs(tv[-1]))
+    horizon = float(np.abs(fb[-1]))
     if horizon > _DECAY_BOUND:
         raise TailCheckError(f"|f(2^{_TAIL_OCTAVES})| = {horizon:.6g} exceeds the tail bound {_DECAY_BOUND:g}")
     if (top := float(np.max(tops))) == 0:  # again over the whole tail at once, where +-0.0 may tie
-        top = float(np.asarray(f.fn(_tail_span(K, 0, t := np.arange(n, dtype=float), t)), dtype=float).max())
+        top = float(f.into(_tail_span(K, 0, t := np.arange(n, dtype=float), t), np.empty(n)).max())
     return top
 
 
@@ -341,9 +351,10 @@ def check_witness(f: EFunction, f2: EFunction | None, w: EquivalenceWitness, g: 
     has h(x_0) == x_j, and is kept when at least half of the images h(x_i)
     with i + j on the grid are x_{i+j} bitwise: all under ``halve``
     (j = K), 55% under ``root_scale:2`` at K = 16384.  f o h is then read
-    from a block and the next at those images, and f runs once per node and
-    at the other images and those past the grid's end (the last K under
-    ``halve``).  Without a shift f runs at every image.  The check passes at
+    from a block and the next at those images, and f runs once per node and at
+    the other images and those past the grid's end (the last K under ``halve``).
+    If every image is its node, as under ``halve``, h runs again only where f
+    does.  Without a shift f runs at every image.  The check passes at
     a residual of at most ``_WITNESS_TOL`` (1e-9), the gate of the scan and
     of ``koenigs_limit``, whose first sweep gives the bits of this check.
 
@@ -367,10 +378,10 @@ class _WitnessFold:
 
     h is walked first (:func:`_walk_images`).  A block folds k at its nodes,
     then, for an increasing h, f o h before the first image at 0.  Under a
-    node shift j in "self_similarity" mode it waits for the next block, takes
-    h at its nodes again, and reads f(h(x_i)) as f(x_{i+j}) wherever
-    h(x_i) == x_{i+j} and i + j falls in the two, so f runs once at the other
-    images (:func:`_f_at_images`).  A node two blocks share folds in the
+    node shift j in "self_similarity" mode it waits for the next block, takes h
+    at its nodes again (past the two only, if every image is its node), and reads
+    f(h(x_i)) as f(x_{i+j}) wherever h(x_i) == x_{i+j} and i + j falls in the two,
+    so f runs once at the other images (:func:`_f_at_images`).  A node two blocks share folds in the
     first; inf - inf folds as NaN, unwarned.  ``rows`` hold the block's f o h + k,
     lam * v and residual, kept from block to block and shared by the folds of a pass."""
 
@@ -379,8 +390,8 @@ class _WitnessFold:
         self.rows = np.empty((3, max(len(nodes.head), min(_BLOCK, len(nodes))))) if rows is None else rows
         spans = (nodes.span(s.start, self.rows[0][: s.stop - s.start]) for s in _blocks(len(nodes)))
         images = (np.asarray(w.h(x), dtype=float) for x in spans)
-        self.h_monotone, self.z, j, _ = _walk_images(nodes, images, self.rows[1])
-        self.j = j if mode == "self_similarity" else None
+        self.h_monotone, self.z, j, every = _walk_images(nodes, images, self.rows[1])
+        self.j, self.every = (j, every is not None) if mode == "self_similarity" else (None, False)
         self.done, self.held, self.best = 0, None, (-math.inf, -1)
 
     def feed(self, lo: int, x: np.ndarray, v: np.ndarray) -> None:
@@ -405,14 +416,17 @@ class _WitnessFold:
         if e <= a:
             return
         rhs, lhs, rel = (row[: e - a] for row in self.rows)
-        hx, on = np.asarray(self.w.h(x[a - lo : e - lo]), dtype=float), ()
+        h_at, on = a, ()  # h runs at the nodes from h_at on
         if (j := self.j) is not None:  # f(x_{i+j}) is read from v on [a, c) and from ahead on [c, d)
             c = min(max(b - j, a), e)
             d = min(max(ahead_lo + len(ahead) - j, c), e)
             rhs[: c - a] = v[a + j - lo : c + j - lo]
             rhs[c - a : d - a] = ahead[c + j - ahead_lo : d + j - ahead_lo]
             on = (x[a + j - lo : c + j - lo], ahead_x[c + j - ahead_lo : d + j - ahead_lo])
-        _f_at_images(self.f, hx, on, rhs)
+            if self.every:  # every image in range is its node: h runs only past [a, d)
+                h_at, on = d, ()
+        if h_at < e:
+            _f_at_images(self.f, np.asarray(self.w.h(x[h_at - lo : e - lo]), dtype=float), on, rhs[h_at - a :])
         if kv is not None:
             rhs += kv[: e - a]
         np.multiply(v[a - lo : e - lo], self.w.lam, out=lhs)

@@ -164,6 +164,19 @@ class TestOneSample:
         want = [x[blocks[0]], x[blocks[1]], off[0], x[blocks[2]], off[1], halve(x[-K:]), off[2]]
         assert_calls(in_unit(calls), want)
 
+    @pytest.mark.parametrize("g", [MULTI, GridSpec(40000, 16), GridSpec(1, 20)], ids=["4096x20", "40000x16", "1x20"])
+    def test_scan_runs_h_once_per_node_and_at_the_last_images_under_halve(self, g):
+        # each witness walks h over the grid; the pass's blocks span whole octaves, so halve's images are read
+        # from a block and the next, and h runs again at the last K nodes alone, root_scale:2's at every node
+        sizes = {"halve": [], "root_scale:2": []}
+        witnesses = [dataclasses.replace(w, h=dataclasses.replace(w.h, fn=lambda x, _fn=w.h.fn, _s=sizes[w.h.name]:
+                                                                  _s.append(len(x)) or _fn(x)))
+                     for w in SCAN_WITNESSES]
+        rep = self_similarity_scan(builtin("doubling_osc"), witnesses, g)
+        assert sum(sizes["halve"]) == g.node_count + g.samples_per_octave and 0 not in sizes["halve"]
+        assert sum(sizes["root_scale:2"]) == 2 * g.node_count
+        assert rep.results == self_similarity_scan(builtin("doubling_osc"), SCAN_WITNESSES, g).results
+
     def test_multi_block_scan_matches_whole_array_passes(self):
         f = builtin("bounded_osc", [2.0])
         witnesses = [

@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from reebflow import (
 )
 from reebflow.efunc import (
     _BLOCK,
+    _SCRATCH,
     _TAIL_OCTAVES,
     _blocks,
     _nodes,
@@ -772,6 +774,35 @@ class TestProgram:
         for out in (np.empty(4), np.empty(5)[1:]):  # a buffer that starts a cache line, and one that does not
             f.into(self.A, out)
             assert bits(out) == bits(f(self.A)) == bits(np.broadcast_to(f(self.A), self.A.shape))
+
+    @pytest.mark.parametrize("expr,slots", [("-log(x)", 0), ("exp2(sin(2*pi*log2(x))) / x", 0),
+                                            ("-log(x) + x / (1.0 + x)", 1), ("-log(x) + 2.0*sin(-log(x))", 1),
+                                            ("sin(x)*cos(x) + exp(x)*sqrt(x)", 2)])
+    def test_into_takes_a_scratch_slot_for_each_register_but_the_root(self, expr, slots):
+        # the root's register is out; std_log and doubling_osc run every op in it, in place
+        f, out, pool = compile_expr(expr, "function"), np.empty(len(self.A)), []
+
+        def run():  # in a new thread, whose pool starts empty
+            f.into(self.A, out)
+            pool.extend(_SCRATCH.__dict__.get("into", []))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert len(pool) == slots and bits(out) == bits(f(self.A))
+
+    def test_an_efunction_writes_through_its_program_or_a_copy_of_its_fn(self):
+        # the one writer of the passes and build_flow: no domain check, and a wrapped fn sees the call
+        calls, prog = [], builtin("koenigs_demo")
+        wrapped = replace(prog, fn=lambda x: calls.append(np.array(x)) or prog.fn(x))
+        for f in (prog, wrapped):
+            out = np.empty(len(self.A))
+            assert f.into(self.A, out) is out and bits(out) == bits(prog(self.A))
+        assert len(calls) == 1 and bits(calls[0]) == bits(self.A)
+        with pytest.raises(DomainError):
+            prog(np.array([0.5, 0.0]))
+        with np.errstate(divide="ignore"):  # the caller checks the domain once, as the passes do
+            prog.into(np.array([0.5, 0.0]), np.empty(2))
 
     def test_temporaries_are_dropped_at_their_last_use(self):
         # five terms summed left to right: at most the sum, a term, the next sum and x are alive at once

@@ -28,7 +28,7 @@ from reebflow import (
     transition_time,
 )
 from reebflow.cli import main
-from reebflow.efunc import _octave_blocks
+from reebflow.efunc import _blocks, _octave_blocks, from_csv, write_csv
 from reebflow.flow import _held_source, _leaf_position, _leaf_time, _transit_target, orbit_rows
 
 GALLERY = {"std_log": (), "doubling_osc": (), "bounded_osc": (2.0,), "koenigs_demo": ()}
@@ -473,6 +473,26 @@ class TestHeldValues:
         x = g.nodes()
         for c in (x, x[g.samples_per_octave // 2 :], x[::3], x[-5:].copy()):
             assert extract_transition(F, g)(c).tobytes() == extract_transition(cleared, g)(c).tobytes()
+
+    @pytest.mark.parametrize("gid", HELD_GRIDS)
+    @pytest.mark.parametrize("name,params", GALLERY.items())
+    def test_build_flow_writes_f_into_its_transit_block_by_block(self, held_flows, name, params, gid):
+        # a fn that is not a program is called once per block of the nodes <= c1, and T keeps its bits
+        f, g, calls = builtin(name, params), HELD_GRIDS[gid], []
+        F = build_flow(dataclasses.replace(f, fn=lambda x, _fn=f.fn: calls.append(np.array(x)) or _fn(x)), g=g)
+        x = g.nodes()
+        x = x[x <= F.c1]
+        assert [c.tobytes() for c in calls] == [x[s].tobytes() for s in _blocks(len(x))]
+        assert F.held[3].tobytes() == held_flows[name, gid].held[3].tobytes()
+
+    def test_build_flow_checks_the_domain_once_before_f_runs(self, tmp_path):
+        x = np.exp2(-np.arange(0, 41) / 4)  # samples down to 2^-10, above the grid's deepest node
+        write_csv(tmp_path / "f.csv", ["x", "f"], [x, -np.log(x)])
+        f, calls = from_csv(tmp_path / "f.csv"), []
+        counted = dataclasses.replace(f, fn=lambda t, _fn=f.fn: calls.append(len(t)) or _fn(t))
+        with pytest.raises(DomainError, match=r"^evaluation outside domain \[0.000976562, 1\] for csv:"):
+            build_flow(counted, g=DEEP)
+        assert calls == []
 
     @pytest.mark.parametrize("gid", HELD_GRIDS)
     @pytest.mark.parametrize("name,params", GALLERY.items())

@@ -1,3 +1,5 @@
+import importlib
+import json
 import math
 import re
 import warnings
@@ -14,9 +16,12 @@ from reebflow import (
     GridSpec,
     Homeo,
     TailCheckError,
+    build_flow,
     builtin,
     check_witness,
     classify,
+    flow_classify,
+    from_csv,
     from_expression,
     gallery_homeo,
     homeo_from_expression,
@@ -25,9 +30,11 @@ from reebflow import (
     sharp_profile,
     sigma_estimate,
     star_profile,
+    time_scale,
 )
+from reebflow import oscillation
 from reebflow.cli import main
-from reebflow.efunc import _BLOCK, _TAIL_OCTAVES, _blocks, _Nodes, _tail_span
+from reebflow.efunc import _BLOCK, _TAIL_OCTAVES, _blocks, _Nodes, _tail_span, write_csv
 from reebflow.oscillation import (
     _CHUNK,
     _TAIL_WINDOW,
@@ -665,6 +672,31 @@ class TestBlockedPasses:
             want[-1:] = [w.h(x[-K:-1]), w.h(x[-1:])]
         assert [bits(c) for c in calls] == [bits(c) for c in want]
 
+    @pytest.mark.parametrize("g", [MULTI, ONE_NODE_TAIL, GridSpec(100, 30), GridSpec(1, 20)],
+                             ids=["multi", "one_node_tail", "100x30", "K1"])
+    def test_under_halve_h_runs_once_per_node_and_at_the_last_images(self, g):
+        # the walk takes h at every node; every image is its node, so the fold takes h only at the last K
+        # nodes, whose images fall past the grid's end, and never at zero points (K <= 2^15: the shift
+        # reaches no further than the next block)
+        sizes, halve = [], gallery_homeo("halve")
+        counted = replace(halve, fn=lambda x: sizes.append(len(x)) or halve.fn(x))
+        f, w = builtin("doubling_osc"), EquivalenceWitness(counted, None, 2.0)
+        rep = check_witness(f, None, w, g)
+        assert sum(sizes) == g.node_count + g.samples_per_octave and 0 not in sizes
+        assert_witness_bits(rep, f, None, w, g)
+        sizes.clear()  # root_scale:2 puts about half its images off their nodes: h runs at every node again
+        root = gallery_homeo("root_scale:2")
+        check_witness(f, None, EquivalenceWitness(replace(root, fn=lambda x: sizes.append(len(x)) or root.fn(x)),
+                                                  None, 2.0**0.5), g)
+        assert sum(sizes) == 2 * g.node_count
+
+    @pytest.mark.parametrize("g", [MULTI, WIDE_K, GridSpec(100, 30)], ids=["multi", "K40000", "100x30"])
+    def test_a_shift_longer_than_a_block_and_the_next(self, g):
+        # x/4 puts every image on its node two octaves on, past the block after the next at K = 40000;
+        # there h and f run at the images, which keep the bits of f at their nodes
+        f, w = builtin("doubling_osc"), EquivalenceWitness(Homeo(lambda x: 0.25 * x, None, "quarter"), None, 4.0)
+        assert_witness_bits(check_witness(f, None, w, g), f, None, w, g)
+
     def test_equivalence_mode_bits(self):
         f = builtin("bounded_osc", [2.0])
         h = gallery_homeo("halve")
@@ -796,6 +828,121 @@ class TestOctaveAlignedBlocks:
     def test_streamed_suprema_match_the_held_profile_on_wide_octaves(self):
         f = builtin("bounded_osc", [2.0])
         assert bits(_profile_pass(f, WIDE_K, "star")[1]) == bits(star_profile(f, WIDE_K).octave_sup)
+
+
+def mono_csv(path):
+    """1.3 (-ln x) + 0.4 as a CSV profile of 69 rows per octave down to 2^-60, as the benchmark writes its monotone one."""
+    x = np.exp2(-np.arange(60 * 69 + 1) / 69)
+    write_csv(path, ["x", "f"], [x, 1.3 * -np.log(x) + 0.4])
+    return from_csv(path)
+
+
+def through_zero(g, marks, tail=None):
+    """-ln x shifted to cross 0 at the first block edge e (the middle node of a grid of one block), with the
+    value ``marks[k]`` at node e + k: a zero of either sign at e, say, and one before it, which the running max
+    at e may keep, or a tie after it.  Class E, or E0 with the constant ``tail`` above 1."""
+    x = g.nodes()
+    e = (block_edges(g) or [len(x) // 2])[0]
+    values = -np.log(x) + np.log(x[e])
+    for k, v in marks.items():
+        values[e + k] = v
+    return tabulated(values, g, 0.0 if tail is None else tail, "E" if tail is None else "E0")
+
+
+# profiles whose blocks rise strictly from the running max, some of them all, and others that must not take the
+# shortcut: a plateau (its ties), zeros of either sign at a block edge, a first value equal to the tail max
+RISING = {
+    "std_log": lambda g: builtin("std_log"),
+    "koenigs_demo": lambda g: builtin("koenigs_demo"),
+    "mono": lambda g: from_expression("1.3*(-log(x))+0.4"),
+    "plateau": lambda g: from_expression("maximum(-log(x), 3)"),
+    "zero+0": lambda g: through_zero(g, {0: 0.0}),
+    "zero-0": lambda g: through_zero(g, {0: -0.0}),
+    "zero-0_after+0": lambda g: through_zero(g, {-3: 0.0, 0: -0.0}),
+    "zero+0_after-0": lambda g: through_zero(g, {-3: -0.0, 0: 0.0}),  # the carry is -0.0, f +0.0
+    "zero-0_then+0": lambda g: through_zero(g, {0: -0.0, 1: 0.0}),  # a tie of signed zeros
+}
+RISING_SHARP = {
+    "inv": lambda g: replace(from_expression("1/x"), claimed_class="E0"),  # f(1) is the tail max
+    "below_the_tail": lambda g: tabulated(-np.log(g.nodes()) - 3.0, g),  # the tail max is +0.0
+    "zero-0": lambda g: through_zero(g, {0: -0.0}, tail=0.0),
+    "zero+0_after-0": lambda g: through_zero(g, {-3: -0.0, 0: 0.0}, tail=0.0),
+    "zero+0_over-0": lambda g: through_zero(g, {0: 0.0}, tail=-0.0),  # the tail max is -0.0
+}
+RISING_GRIDS = [MULTI, ONE_NODE_TAIL, WIDE_K, GridSpec(1, 20), GridSpec(3000, 17)]
+RISING_GRID_IDS = ["multi", "one_node_tail", "K40000", "K1", "K3000x17"]
+
+
+def whole_classify(f, g, monkeypatch) -> str:
+    """classify's JSON from the whole-array envelopes of f and suprema of its star profile."""
+    fv = f(g.nodes())
+    with monkeypatch.context() as m:
+        pass_ = lambda *_, **__: (g.octave_envelopes(fv), whole_profile(f, g)[1])  # noqa: E731
+        m.setattr(importlib.import_module("reebflow.classify"), "_profile_pass", pass_)
+        return json.dumps(classify(f, g).to_json())
+
+
+class TestRisingBlocks:
+    @pytest.mark.parametrize("g", RISING_GRIDS, ids=RISING_GRID_IDS)
+    @pytest.mark.parametrize("name", RISING)
+    def test_star_bits(self, g, name, monkeypatch):
+        # a block that rises strictly from the running max writes +0.0, the bits of the whole-array pass
+        f = RISING[name](g)
+        prof = star_profile(f, g)
+        assert_profile_bits(prof, f, g)
+        assert bits(_profile_pass(f, g, "star")[1]) == bits(prof.octave_sup)
+        if g.octave_max >= 2 * _TAIL_WINDOW:
+            assert json.dumps(classify(f, g).to_json()) == whole_classify(f, g, monkeypatch)
+
+    @pytest.mark.parametrize("g", RISING_GRIDS, ids=RISING_GRID_IDS)
+    @pytest.mark.parametrize("name", RISING_SHARP)
+    def test_sharp_bits(self, g, name):
+        # a block takes the shortcut only strictly above the tail max
+        f = RISING_SHARP[name](g)
+        prof = sharp_profile(f, g)
+        assert_profile_bits(prof, f, g)
+        assert bits(_profile_pass(f, g, "sharp")[1]) == bits(prof.octave_sup)
+
+    def test_rising_profiles_take_no_running_max(self, monkeypatch, tmp_path):
+        # the standard profiles of the benchmark rise on every block; an oscillating one does not
+        sizes = []
+        real = oscillation._running_max
+        monkeypatch.setattr(oscillation, "_running_max", lambda run: sizes.append(len(run)) or real(run))
+        g = GridSpec(16384, 60)
+        for f in (builtin("std_log"), builtin("koenigs_demo"), RISING["mono"](g), mono_csv(tmp_path / "mono.csv")):
+            assert classify(f, g).verdict == "standard"
+        assert sizes == []
+        flow_grid = GridSpec(4096, 60)
+        flow_classify(time_scale(build_flow(builtin("std_log"), g=flow_grid), 1.7), g=flow_grid)
+        assert sizes == []
+        for f in (builtin("bounded_osc"), RISING["plateau"](g)):  # the plateau's ties take the running max
+            sizes.clear()
+            classify(f, g)
+            assert sizes
+
+    @pytest.mark.parametrize("g,at", [(MULTI, _BLOCK), (MULTI, 50000), (ONE_NODE_TAIL, 20000), (WIDE_K, 40000)],
+                             ids=["multi-edge", "multi-mid", "tail-mid", "K40000-edge"])
+    @pytest.mark.parametrize("run", [sample, star_profile, sigma_estimate, classify])
+    def test_a_profile_that_rises_to_inf_is_named_at_its_first_inf(self, g, at, run):
+        # the block that ends at +inf rises strictly; the pass still reports the first non-finite node
+        values = -np.log(g.nodes())
+        values[at:] = math.inf
+        f = tabulated(values, g, claimed_class="E")
+        want = repr(float(g.nodes()[at]))
+        with pytest.raises(DomainError, match=f"^non-finite value at grid node x={re.escape(want)}$"):
+            run(f, g)
+
+    def test_overflow_and_a_first_value_of_minus_inf(self):
+        # exp(1/x) overflows to +inf deep in the grid; -inf at x = 1 alone rises into the first block
+        g = MULTI
+        with np.errstate(over="ignore"):
+            want = float(g.nodes()[np.argmin(np.isfinite(np.exp(1 / g.nodes())))])
+        with pytest.raises(DomainError, match=f"^non-finite value at grid node x={re.escape(repr(want))}$"):
+            classify(from_expression("exp(1/x)"), g)
+        values = -np.log(g.nodes())
+        values[0] = -math.inf
+        with pytest.raises(DomainError, match=r"^non-finite value at grid node x=1\.0$"):
+            star_profile(tabulated(values, g, claimed_class="E"), g)
 
 
 @st.composite

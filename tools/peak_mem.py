@@ -9,7 +9,8 @@ and ``build_flow`` plus ``flow_classify`` on the build grid for the four
 gallery profiles.  For each gallery profile it also measures ``orbit_rows``
 over 2,000 times of its flow on the default grid, built once beforehand.
 At the grid (16384, 60), 983,041 nodes, it measures ``classify`` of
-doubling_osc, ``self_similarity_scan`` of doubling_osc with the witnesses
+doubling_osc and of std_log, whose blocks all rise and take no running
+max, ``self_similarity_scan`` of doubling_osc with the witnesses
 halve (lam = 2) and root_scale:2 (lam = sqrt 2), ``check_witness`` of
 doubling_osc under root_scale:2 alone, and ``sigma_estimate`` of
 doubling_osc with the sharp profile.  A last row runs ``classify`` of
@@ -32,7 +33,10 @@ measurement, and prints five numbers:
 
 The ``check_witness`` row also prints the number of points at which one call
 evaluates f, counted through a wrapped ``fn``: the nodes, and the images of
-root_scale:2 that are off their nodes or past the grid's end.
+root_scale:2 that are off their nodes or past the grid's end.  The scan row
+prints the points at which one call evaluates each witness's h: n + K under
+halve (every node in the walk, then the last K nodes, whose images fall past
+the grid's end), 2n under root_scale:2.
 
 The package is imported from this checkout's ``src``.  Run from anywhere:
 
@@ -113,18 +117,29 @@ def orbit_call(name: str, g: rf.GridSpec | None = None):
     return lambda: orbit_rows(F, p0, ORBIT_TIMES)
 
 
-def classify_call(g: rf.GridSpec):
-    """``classify`` of doubling_osc on g."""
-    f = rf.builtin("doubling_osc")
+def classify_call(g: rf.GridSpec, name: str = "doubling_osc"):
+    """``classify`` of the builtin ``name`` on g."""
+    f = rf.builtin(name)
     return lambda: rf.classify(f, g)
 
 
-def scan_call(g: rf.GridSpec):
-    """``self_similarity_scan`` of doubling_osc on g under halve (lam = 2) and root_scale:2 (lam = sqrt 2)."""
+def scan_call(g: rf.GridSpec, points: tuple[list, list] | None = None):
+    """``self_similarity_scan`` of doubling_osc on g under halve (lam = 2) and root_scale:2 (lam = sqrt 2);
+    ``points``, when given, receives the size of each array h is evaluated on, one list per witness."""
     f = rf.builtin("doubling_osc")
-    witnesses = [rf.EquivalenceWitness(rf.gallery_homeo("halve"), None, 2.0),
-                 rf.EquivalenceWitness(rf.gallery_homeo("root_scale:2"), None, math.sqrt(2.0))]
+    hs = [rf.gallery_homeo("halve"), rf.gallery_homeo("root_scale:2")]
+    if points is not None:
+        hs = [dataclasses.replace(h, fn=lambda x, _fn=h.fn, _p=p: _p.append(np.size(x)) or _fn(x))
+              for h, p in zip(hs, points)]
+    witnesses = [rf.EquivalenceWitness(hs[0], None, 2.0), rf.EquivalenceWitness(hs[1], None, math.sqrt(2.0))]
     return lambda: rf.self_similarity_scan(f, witnesses, g)
+
+
+def h_points(g: rf.GridSpec) -> tuple[int, int]:
+    """The points at which one ``scan_call`` on g evaluates h, under halve and under root_scale:2."""
+    points: tuple[list, list] = ([], [])
+    scan_call(g, points)()
+    return sum(points[0]), sum(points[1])
 
 
 def witness_call(g: rf.GridSpec, points: list | None = None):
@@ -214,17 +229,21 @@ def main() -> None:
     cases += [(f"orbit_rows {name}", orbit_call(name), [orbit_call(name)]) for name in GALLERY]
     big = f"{GRID_1M.samples_per_octave},{GRID_1M.octave_max}"
     cases += [(f"classify doubling_osc ({big})", classify_call(GRID_1M), [classify_call(GRID_1M)]),
+              (f"classify std_log ({big})", classify_call(GRID_1M, "std_log"), [classify_call(GRID_1M, "std_log")]),
               (f"self_similarity_scan doubling_osc ({big})", scan_call(GRID_1M), [scan_call(GRID_1M)]),
               (f"check_witness doubling_osc root_scale:2 ({big})", witness_call(GRID_1M), [witness_call(GRID_1M)]),
               (f"sigma_estimate sharp doubling_osc ({big})", sharp_call(GRID_1M), [sharp_call(GRID_1M)])]
     print(f"grid {GRID.samples_per_octave},{GRID.octave_max} unless named: peak MiB, held MiB, minor faults per"
           f" warm call; MiB of cached nodes after it; median ms of {REPS} warm calls (build_flow, flow_classify;"
-          " orbit_rows alone; check_witness, and the points at which f runs)")
+          " orbit_rows alone; check_witness, and the points at which f runs; the scan, and those at which h runs"
+          " under halve and root_scale:2)")
     for label, call, timed in cases:
         peak, held, faults = measure(call)
         ms = " ".join(f"{wall_ms(t):7.3f}" for t in timed)
         if label.startswith("check_witness"):
             ms += f" {f_points(GRID_1M):9d}"
+        if label.startswith("self_similarity_scan"):
+            ms += " {:9d} {:9d}".format(*h_points(GRID_1M))
         print(f"{label:50s} {peak / MIB:7.2f} {held / MIB:7.2f} {faults:7d} {cached_mib():7.2f} {ms}")
     print(f"{f'classify doubling_osc ({big}), new process':50s} minor faults per warm call {fresh_faults(GRID_1M):g}")
 
